@@ -10,9 +10,12 @@ expansion of the position-diagonal kernel,
 
     sum_{i != j} (A E_r C)_i (B E_s D)_j kernel[r, s],
 
-which reduces to O(M) one-body lifts per term in either representation and
-is what keeps the occupation-basis evolutions cheap.  The 1/(N-1) mean-field
-prefactor lives here and nowhere else.
+which reduces to one-body lifts.  The tensor route takes 2M + 1 of them per
+term (two per r and one coincidence correction).  The occupation route
+(``fockstate.projected_pair_apply``) takes M + 1 hop gathers: one shared by
+the M + 1 first-layer lifts, which then cost a single BLAS product, and one
+per rank-one second-layer lift.  The 1/(N-1) mean-field prefactor lives here
+and nowhere else.
 """
 
 from __future__ import annotations
@@ -54,17 +57,21 @@ def projected_pair_sum(state, kernel: np.ndarray, a, c, b, d):
 
     E_r is the site indicator |r><r|.  Grouping the s-sum per r gives
     G_r = B diag(kernel[r, :]) D, so each r costs two one-body lifts; the
-    coincidence correction is a single lift of A (kernel o C B) D.
+    coincidence correction is a single lift of A (kernel o C B) D.  Occupation
+    states take the batched ``fockstate.projected_pair_apply``; the per-r loop
+    below is the tensor route and its cross-check.
     """
+    if not isinstance(state, ts.TensorState):
+        return fs.projected_pair_apply(kernel, a, c, b, d, state)
     m = kernel.shape[0]
     acc = 0.0 * state
     for r in range(m):
         g_r = b @ (kernel[r][:, None] * d)
-        u = one_body_lift(g_r, state)
+        u = ts.apply_one_body_sum(g_r, state)
         x_r = np.outer(a[:, r], c[r, :])
-        acc = acc + one_body_lift(x_r, u)
+        acc = acc + ts.apply_one_body_sum(x_r, u)
     correction = a @ (kernel * (c @ b)) @ d
-    return acc - one_body_lift(correction, state)
+    return acc - ts.apply_one_body_sum(correction, state)
 
 
 def interaction_sum(state, model: Model):

@@ -412,11 +412,6 @@ class Model:
         """One-body kinetic + external part, -Laplacian + diag(V_ext(t))."""
         return self.lap.mat + np.diag(self.potential(t)).astype(np.complex128)
 
-    def has_static_potential(self) -> bool:
-        return self.config.potential_kind == "none" or (
-            self.config.potential_kind == "harmonic" and self.config.potential_modulation is None
-        )
-
 
 def build_model(config: ModelConfig) -> Model:
     config = validate_config(config)

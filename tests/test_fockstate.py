@@ -45,6 +45,45 @@ class TestEnumerateBasis:
             fs.enumerate_basis(30, 30, ceiling=1000)
 
 
+def brute_force_tables(basis):
+    """Gather tables by direct hop enumeration with a dict index."""
+    index = {tuple(row): i for i, row in enumerate(basis.occupations.tolist())}
+    dim, m = basis.dim, basis.sites
+    sources = np.zeros((dim, m, m), dtype=np.int64)
+    weights = np.zeros((dim, m, m))
+    for t, row in enumerate(basis.occupations.tolist()):
+        for r in range(m):
+            if row[r] == 0:
+                continue
+            for s in range(m):
+                moved = list(row)
+                moved[r] -= 1
+                moved[s] += 1
+                sources[t, r, s] = index[tuple(moved)]
+                weights[t, r, s] = math.sqrt(row[r] * (row[s] + 1 - (r == s)))
+    return sources.reshape(dim, m * m), weights.reshape(dim, m * m)
+
+
+class TestHopTables:
+    @pytest.mark.parametrize("m,n", [(1, 0), (1, 5), (3, 0), (2, 3), (3, 4), (4, 3), (5, 2), (2, 1)])
+    def test_match_brute_force_enumeration(self, m, n):
+        space = fs.FockSpace(fs.enumerate_basis(m, n), CELL)
+        sources, weights = brute_force_tables(space.basis)
+        assert np.array_equal(space.sources, sources)
+        assert np.allclose(space.weights, weights, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (3, 4), (4, 0), (5, 3)])
+    def test_index_of_is_basis_position(self, m, n):
+        basis = fs.enumerate_basis(m, n)
+        assert [basis.index_of(row) for row in basis.occupations] == list(range(basis.dim))
+
+    def test_index_of_rejects_foreign_vectors(self):
+        basis = fs.enumerate_basis(3, 2)
+        for occ in [(1, 1, 1), (3, -1, 0), (2, 0)]:
+            with pytest.raises(KeyError):
+                basis.index_of(occ)
+
+
 class TestDgamma:
     def test_identity_counts_particles(self, space):
         rng = np.random.default_rng(0)
@@ -78,6 +117,31 @@ class TestDgamma:
         lhs = fs.inner(b, fs.dgamma_apply(herm, a))
         rhs = fs.inner(fs.dgamma_apply(herm, b), a)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+    def test_result_survives_later_lifts(self, space):
+        rng = np.random.default_rng(20)
+        a, b = fs.random_fock(space, rng), fs.random_fock(space, rng)
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        first = fs.dgamma_apply(x, a)
+        kept = first.amps.copy()
+        fs.dgamma_apply(x.T, b)
+        fs.projected_pair_apply(x, x, x.T, x, x.T, b)
+        assert np.array_equal(first.amps, kept)
+
+    def test_non_contiguous_input(self, space):
+        rng = np.random.default_rng(21)
+        a, b = fs.random_fock(space, rng), fs.random_fock(space, rng)
+        columns = np.stack([a.amps, b.amps], axis=1)
+        view = fs.FockState(columns[:, 1], space)
+        assert not view.amps.flags.c_contiguous
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        out = fs.dgamma_apply(x, view)
+        kept = out.amps.copy()
+        assert np.array_equal(out.amps, fs.dgamma_apply(x, b).amps)
+        fs.dgamma_apply(x, fs.FockState(columns[:, 0], space))
+        assert np.array_equal(out.amps, kept)
+        assert np.array_equal(columns[:, 1], b.amps)
 
 
 class TestPairApply:

@@ -11,6 +11,7 @@ from bosonlab.hamiltonians import (
     apply_Q,
     decomposition_residual,
     pieces_at,
+    projected_pair_sum,
 )
 from bosonlab.meanfield import condensate_at, one_body_norm
 from bosonlab.model import build_model, validate_config
@@ -258,6 +259,23 @@ class TestDecomposition:
         psi = ts.random_symmetric(4, 3, model.cell, rng)
         cond = condensate_at(phi, 0.0, model)
         assert decomposition_residual(0.0, cond, psi, model) <= 1e-10
+
+
+class TestProjectedPairSum:
+    def test_occupation_primitive_matches_tensor_route(self):
+        # Non-Hermitian tables and a non-symmetric kernel, so that an (r, s)
+        # transposition in either route shows.
+        model = make_model(dimension=2, sites_per_dim=2, torus_length=2.0, particles=3)
+        rng = np.random.default_rng(22)
+        m = model.config.site_count
+        a, c, b, d = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                      for _ in range(4))
+        kernel = model.pair.mat + rng.standard_normal((m, m))
+        psi = ts.random_symmetric(m, 3, model.cell, rng)
+        space = fs.FockSpace(fs.enumerate_basis(m, 3), model.cell)
+        tensor = projected_pair_sum(psi, kernel, a, c, b, d)
+        fock = fs.projected_pair_apply(kernel, a, c, b, d, fs.extract(psi, space))
+        assert np.abs(fs.embed(fock).amps - tensor.amps).max() <= 1e-11
 
 
 class TestPieces:

@@ -181,6 +181,20 @@ class TestLargeParticleNumber:
             assert (pj.apply_Pk(k, phi, pk) - pk).norm() <= 1e-8
 
 
+    def test_sum_rule_guard_refuses_n30(self):
+        # the Lagrange P_k miss the resolution of identity by ~1e-5 here
+        from bosonlab import fockstate as fs
+        from bosonlab.errors import ConsistencyError
+
+        space = fs.FockSpace(fs.enumerate_basis(3, 30), CELL)
+        rng = np.random.default_rng(30)
+        phi = random_phi(3, rng)
+        psi = fs.random_fock(space, rng)
+        with pytest.raises(ConsistencyError) as info:
+            pj.spectral_weights(psi, phi)
+        assert info.value.exit_code == 1
+
+
 class TestQChain:
     def test_product_state_vanishes(self):
         rng = np.random.default_rng(13)
