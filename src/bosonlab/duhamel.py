@@ -9,24 +9,25 @@ system
 
 with Phi_0^(0)(0) = psi_0 and every other member starting at zero; the
 simplex integrals satisfy exactly this recursion, so the hierarchy equals the
-integral definition while reusing the shared one-step kernel.  Nested
+integral definition.  It is stepped by the shared one-step kernel and guarded
+after every step by the shared ``check_state``: every member must stay
+finite and Phi_0^(0), the lead state, must keep its norm.  Nested
 composite-trapezoid quadrature over the ordered simplex is kept as an
-independent oracle for n <= 2.
+independent oracle for n <= 2; it transports between its nodes with
+``evolve_aux``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import IntegratorError, RangeError
 from .hamiltonians import apply_C, apply_Htilde, apply_Q, pieces_at
-from .meanfield import HartreeTrajectory, hartree_evolve, hartree_rhs
+from .meanfield import HartreeTrajectory, hartree_evolve
 from .model import Model, validate_config
-from .propagation import evolve_full, march_aux, rk4_step
+from .propagation import check_state, evolve_aux, evolve_full, rk4_step
 
 __all__ = [
     "tuple_set",
@@ -98,7 +99,7 @@ def hierarchy_evolve(psi0, order: int, t: float, trajectory: HartreeTrajectory) 
         phi = y[0]
         members = y[1:]
         pieces = pieces_at(phi, time, model)
-        out = [hartree_rhs(phi, time, model)]
+        out = [-1j * (pieces.h1 @ pieces.phi)]
         for key, state in zip(indices, members):
             n, k = key
             acc = apply_Htilde(pieces, state, model)
@@ -113,17 +114,12 @@ def hierarchy_evolve(psi0, order: int, t: float, trajectory: HartreeTrajectory) 
 
     dt = trajectory.dt
     i1 = trajectory.index_of(t)
+    # (0, 0) comes first in ``indices``, so it is the lead state behind phi.
     y = [trajectory.phi(0).copy()] + states
     norm0 = psi0.norm()
     for i in range(i1):
         y = rk4_step(rhs, i * dt, y, dt)
-        lead = y[1 + pos[(0, 0)]].norm()
-        if not math.isfinite(lead):
-            raise IntegratorError(f"hierarchy produced non-finite norms at t={i * dt:.6g}")
-        if abs(lead - norm0) > 1e-6:
-            raise IntegratorError(
-                f"hierarchy leading-term norm drift {abs(lead - norm0):.3e} exceeds 1e-6"
-            )
+        check_state(y, (i + 1) * dt, norm0)
 
     entries = {key: state for key, state in zip(indices, y[1:])}
     return Hierarchy(order=order, t=t, entries=entries, trajectory=trajectory)
@@ -170,31 +166,24 @@ def _trap_weights(count: int, delta: float) -> np.ndarray:
 
 
 def _collect_chi(psi0, nodes, trajectory):
-    """March psi0 under the auxiliary flow, storing the state at every node."""
-    stored = {}
-    node_set = set(nodes)
-
-    def observer(i, t, y):
-        if i in node_set:
-            stored[i] = y[1].copy()
-
-    march_aux([trajectory.phi(0).copy(), psi0.copy()], 0, nodes[-1], trajectory, observer)
+    """Carry psi0 under the auxiliary flow from node to node, storing each."""
+    dt = trajectory.dt
+    stored = {nodes[0]: psi0.copy()}
+    for i, j in zip(nodes, nodes[1:]):
+        stored[j] = evolve_aux(stored[i], i * dt, j * dt, trajectory)
     return stored
 
 
 def _accumulate_to_end(contribs: dict, nodes, trajectory):
     """Propagate node-attached contributions to the final time under Htilde."""
-    zero = None
-    for v in contribs.values():
-        zero = 0.0 * v
-        break
-    y = [trajectory.phi(nodes[0]).copy(), zero]
+    dt = trajectory.dt
+    acc = 0.0 * next(iter(contribs.values()))
     for pos, i in enumerate(nodes):
         if i in contribs:
-            y[1] = y[1] + contribs[i]
+            acc = acc + contribs[i]
         if pos < len(nodes) - 1:
-            y = march_aux(y, i, nodes[pos + 1], trajectory)
-    return y[1]
+            acc = evolve_aux(acc, i * dt, nodes[pos + 1] * dt, trajectory)
+    return acc
 
 
 def quadrature_Tnk(n: int, k: int, t: float, psi0, trajectory: HartreeTrajectory, stride: int = 4):
@@ -234,13 +223,13 @@ def quadrature_Tnk(n: int, k: int, t: float, psi0, trajectory: HartreeTrajectory
         for pos_i, i in enumerate(nodes):
             tail = nodes[pos_i:]
             inner_w = _trap_weights(len(tail), delta)
-            y = [trajectory.phi(i).copy(), (-1j) * _insertion(j1, node_pieces[i], chi[i], model)]
+            inner = (-1j) * _insertion(j1, node_pieces[i], chi[i], model)
             for pos_j, j in enumerate(tail):
                 weight = outer_w[pos_i] * inner_w[pos_j]
                 if weight != 0.0:
-                    add(j, weight * (-1j) * _insertion(j2, node_pieces[j], y[1], model))
+                    add(j, weight * (-1j) * _insertion(j2, node_pieces[j], inner, model))
                 if pos_j < len(tail) - 1:
-                    y = march_aux(y, j, tail[pos_j + 1], trajectory)
+                    inner = evolve_aux(inner, j * dt, tail[pos_j + 1] * dt, trajectory)
     return _accumulate_to_end(contribs, nodes, trajectory)
 
 
@@ -295,10 +284,7 @@ def correction_error(
 ) -> CorrectionResult:
     """Norm distance between the true evolution and the order-a approximant."""
     if not allow_out_of_range:
-        try:
-            validate_config(model.config, correction_run=True)
-        except RangeError:
-            raise
+        validate_config(model.config, correction_run=True)
     if trajectory is None:
         trajectory = hartree_evolve(phi0, 0.0, t, model)
     if hierarchy is None or hierarchy.order < order:

@@ -23,6 +23,7 @@ from .hamiltonians import (
     apply_C,
     apply_Q,
     decomposition_residual,
+    one_body_lift,
     pieces_at,
 )
 from .meanfield import condensate_at, hartree_evolve, hk_proxy, one_body_norm
@@ -110,11 +111,7 @@ def build_one_excitation(model: Model, phi0: np.ndarray, chi: np.ndarray | None 
         chi = orthogonal_mode(model, phi0)
     hop = model.cell * np.outer(chi, phi0.conj())
     base = build_product(model, phi0, representation)
-    if representation == "tensor":
-        raised = ts.apply_one_body_sum(hop, base)
-    else:
-        raised = fs.dgamma_apply(hop, base)
-    out = (1.0 / math.sqrt(n)) * raised
+    out = (1.0 / math.sqrt(n)) * one_body_lift(hop, base)
     return (1.0 / out.norm()) * out
 
 
@@ -217,15 +214,14 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _sweep_point(config: ModelConfig, n_particles: int, orders, t: float,
-                 representation: str) -> list[SweepRow]:
+def _sweep_point(config: ModelConfig, n_particles: int, orders, t: float) -> list[SweepRow]:
     """All rows for one grid point; failures become nan rows, never raises."""
     start = time.perf_counter()
     try:
         cfg = validate_config(replace(config, particles=int(n_particles)), correction_run=True)
         model = build_model(cfg)
         phi0 = default_phi0(model)
-        psi0 = build_product(model, phi0, representation)
+        psi0 = build_product(model, phi0)
         traj = hartree_evolve(phi0, 0.0, t, model)
         hier = hierarchy_evolve(psi0, max(orders), t, traj)
         full = evolve_full(psi0, t, model)
@@ -260,7 +256,6 @@ def sweep_scaling(
     particle_grid,
     orders,
     t: float | None = None,
-    representation: str = "fock",
     jobs: int = 1,
 ) -> SweepResult:
     """Correction errors over a particle-number grid, with per-order slope fits.
@@ -283,11 +278,10 @@ def sweep_scaling(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(
                 pool.map(_sweep_point, [config] * len(grid), grid,
-                         [orders] * len(grid), [t] * len(grid),
-                         [representation] * len(grid))
+                         [orders] * len(grid), [t] * len(grid))
             )
     else:
-        chunks = [_sweep_point(config, n, orders, t, representation) for n in grid]
+        chunks = [_sweep_point(config, n, orders, t) for n in grid]
     rows = [row for chunk in chunks for row in chunk]
 
     slopes = {}
@@ -315,8 +309,7 @@ class MomentRow:
     ratio: float
 
 
-def moment_growth(config: ModelConfig, orders, t: float | None = None,
-                  representation: str = "fock") -> list[MomentRow]:
+def moment_growth(config: ModelConfig, orders, t: float | None = None) -> list[MomentRow]:
     """Weighted moments after both evolutions against the explicit-constant budget.
 
     The budget for order j is C_j * sum_n N^(n(-1+d beta)) * m_(j-n)(0) with
@@ -331,7 +324,7 @@ def moment_growth(config: ModelConfig, orders, t: float | None = None,
         raise ConfigError(f"moment order {orders[-1]} exceeds particle count {cfg.particles}")
     model = build_model(cfg)
     phi0 = default_phi0(model)
-    psi0 = build_product(model, phi0, representation)
+    psi0 = build_product(model, phi0)
     traj = hartree_evolve(phi0, 0.0, t, model)
     i_end = traj.index_of(t)
     it = traj.hk_integral(0, i_end)

@@ -10,7 +10,8 @@ h**d weight of the inner product is a scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
@@ -80,7 +81,6 @@ class ModelConfig:
     interaction_samples: tuple | None = None
     potential_kind: str = "none"
     potential_strength: float = 0.0
-    potential_modulation: Callable[[float], float] | None = None
     potential_table: tuple | None = None
     t_final: float = 0.5
     dt: float = 1e-3
@@ -149,8 +149,6 @@ def _normalise_raw(raw: Mapping) -> dict:
             raise ConfigError(f"unknown configuration key {key!r}")
         if field in ("interaction_samples", "potential_table") and value is not None:
             value = tuple(np.asarray(value).ravel().tolist()) if field == "interaction_samples" else value
-        elif field in ("potential_modulation",):
-            pass
         elif field in ("spacing", "site_count", "step_count"):
             # derived fields are recomputed, accepted for idempotence
             continue
@@ -373,8 +371,6 @@ def external_potential(config: ModelConfig, t: float) -> np.ndarray:
         return np.zeros(M)
     if kind == "harmonic":
         strength = config.potential_strength
-        if config.potential_modulation is not None:
-            strength = strength * config.potential_modulation(t)
         coords = site_coordinates(config)
         center = 0.5 * config.torus_length
         delta = coords - center
@@ -409,8 +405,23 @@ class Model:
         return external_potential(self.config, t)
 
     def h0(self, t: float) -> np.ndarray:
-        """One-body kinetic + external part, -Laplacian + diag(V_ext(t))."""
+        """One-body kinetic + external part, -Laplacian + diag(V_ext(t)).
+
+        Only a tabulated potential depends on t; otherwise this is one
+        cached, read-only table.
+        """
+        if self.config.potential_kind == "tabulated":
+            return self._h0_at(t)
+        return self._static_h0
+
+    def _h0_at(self, t: float) -> np.ndarray:
         return self.lap.mat + np.diag(self.potential(t)).astype(np.complex128)
+
+    @cached_property
+    def _static_h0(self) -> np.ndarray:
+        table = self._h0_at(0.0)
+        table.flags.writeable = False
+        return table
 
 
 def build_model(config: ModelConfig) -> Model:

@@ -24,6 +24,7 @@ import numpy as np
 from . import fockstate as fs
 from . import tensorstate as ts
 from .errors import ConsistencyError
+from .hamiltonians import one_body_lift
 
 # Largest accepted |sum_k ||P_k psi||^2 - ||psi||^2|, relative to max(1, ||psi||^2).
 SUM_RULE_TOL = 1e-8
@@ -78,11 +79,7 @@ def _check_phi(phi: np.ndarray, cell: float):
 def number_apply(state, phi: np.ndarray):
     """Apply S = sum_j q_j = N - (one-body lift of p)."""
     p, _ = ts.projector_matrices(phi, state.cell)
-    if isinstance(state, ts.TensorState):
-        lift = ts.apply_one_body_sum(p, state)
-    else:
-        lift = fs.dgamma_apply(p, state)
-    return state.particles * state - lift
+    return state.particles * state - one_body_lift(p, state)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""Shared fixed-step propagators for the full and auxiliary evolutions.
+"""Shared fixed-step propagator for the full and auxiliary evolutions.
 
-One classical explicit fourth-order kernel drives everything: the plain
-Schroedinger flow, the mean-field-coupled auxiliary flow, and (in the
-correction module) the whole source-coupled hierarchy.  Composite states are
-plain lists whose leaves support ``+`` and scalar ``*``; the condensate rides
-along as the first leaf wherever the generator depends on it, so stage values
-of phi and of the N-body state stay synchronous within a step.
+One classical explicit fourth-order kernel (``rk4_step``) and one grid loop
+(``march``) drive the plain Schroedinger flow, the mean-field-coupled
+auxiliary flow and the quadrature oracle's transports between nodes; the
+correction hierarchy runs the same kernel and the same guard
+(``check_state``) in its own loop.  Composite states are plain lists whose
+leaves support ``+`` and scalar ``*``; the condensate rides along as the
+first leaf wherever the generator depends on it, so stage values of phi and
+of the N-body state stay synchronous within a step.  The lead state, whose
+norm drift is guarded, is the state itself or the leaf right behind the
+condensate.
 """
 
 from __future__ import annotations
@@ -14,12 +18,10 @@ import numpy as np
 
 from .errors import IntegratorError
 from .hamiltonians import apply_H, apply_Htilde, pieces_at
-from .meanfield import HartreeTrajectory, hartree_rhs
+from .meanfield import DRIFT_ABORT, HartreeTrajectory
 from .model import Model
 
-__all__ = ["rk4_step", "step", "evolve_full", "evolve_aux", "march_aux"]
-
-DRIFT_ABORT = 1e-6
+__all__ = ["rk4_step", "check_state", "march", "evolve_full", "evolve_aux"]
 
 
 def _axpy(y, a, k):
@@ -35,6 +37,10 @@ def _leaf_finite(y) -> bool:
     return bool(np.all(np.isfinite(amps)))
 
 
+def _lead(y):
+    return y[1] if isinstance(y, list) else y
+
+
 def rk4_step(rhs, t: float, y, dt: float):
     """One classical fourth-order step of y' = rhs(t, y) on a state tree."""
     k1 = rhs(t, y)
@@ -47,86 +53,65 @@ def rk4_step(rhs, t: float, y, dt: float):
     return _axpy(out, dt / 6.0, k4)
 
 
-def step(generator, psi, t: float, dt: float):
-    """One step of i dpsi/dt = A(t) psi for a generator action A(t, psi)."""
-    out = rk4_step(lambda s, y: -1j * generator(s, y), t, psi, dt)
-    if not _leaf_finite(out):
-        raise IntegratorError(f"non-finite amplitudes after step at t={t:.6g}")
-    return out
+def check_state(y, t: float, norm0: float):
+    """Abort unless every leaf of ``y`` is finite and the lead state's norm
+    lies within ``DRIFT_ABORT`` of ``norm0``."""
+    if not _leaf_finite(y):
+        raise IntegratorError(f"non-finite amplitudes at t={t:.6g}")
+    drift = abs(_lead(y).norm() - norm0)
+    if drift > DRIFT_ABORT:
+        raise IntegratorError(f"norm drift {drift:.3e} at t={t:.6g} exceeds {DRIFT_ABORT}")
 
 
-def _check_drift(norm_now: float, norm0: float, t: float):
-    if abs(norm_now - norm0) > DRIFT_ABORT:
-        raise IntegratorError(
-            f"norm drift {abs(norm_now - norm0):.3e} at t={t:.6g} exceeds {DRIFT_ABORT}"
-        )
+def march(rhs, y, i0: int, i1: int, dt: float, observer=None):
+    """Advance y' = rhs(t, y) from grid index i0 to i1 in steps of dt.
+
+    The state is guarded by ``check_state`` against the lead norm at i0 and
+    then passed to ``observer(i, t, y)`` at every grid index including both
+    endpoints.  Returns the state at i1.
+    """
+    norm0 = _lead(y).norm()
+    for i in range(i0, i1 + 1):
+        t = i * dt
+        check_state(y, t, norm0)
+        if observer is not None:
+            observer(i, t, y)
+        if i < i1:
+            y = rk4_step(rhs, t, y, dt)
+    return y
 
 
 def evolve_full(psi0, t1: float, model: Model, t0: float = 0.0, observer=None):
     """Propagate under the full Hamiltonian from t0 to t1 on the global grid.
 
     ``observer(i, t, psi)`` is called at every stored grid index including the
-    endpoints.  Returns the final state; cumulative norm drift beyond 1e-6
-    aborts.
+    endpoints.  Returns the final state; cumulative norm drift beyond
+    ``DRIFT_ABORT`` aborts.
     """
-    cfg = model.config
-    dt = cfg.dt
+    dt = model.config.dt
     i0, i1 = int(round(t0 / dt)), int(round(t1 / dt))
     if i1 < i0:
         raise ValueError("t1 must be >= t0")
-    psi = psi0.copy()
-    norm0 = psi.norm()
-    generator = lambda t, y: apply_H(t, y, model)
-    for i in range(i0, i1 + 1):
-        t = i * dt
-        _check_drift(psi.norm(), norm0, t)
-        if observer is not None:
-            observer(i, t, psi)
-        if i < i1:
-            psi = step(generator, psi, t, dt)
-    return psi
-
-
-def _aux_rhs(model: Model):
-    def rhs(t, y):
-        phi, psi = y
-        pieces = pieces_at(phi, t, model)
-        return [hartree_rhs(phi, t, model), -1j * apply_Htilde(pieces, psi, model)]
-
-    return rhs
-
-
-def march_aux(y, i0: int, i1: int, trajectory: HartreeTrajectory, observer=None):
-    """Advance a [phi, state] pair under the auxiliary generator over grid indices.
-
-    The condensate leaf evolves by its own Hartree flow inside the same staged
-    step, so it agrees with the stored trajectory at every grid time.
-    """
-    model = trajectory.model
-    dt = trajectory.dt
-    rhs = _aux_rhs(model)
-    for i in range(i0, i1):
-        if observer is not None:
-            observer(i, i * dt, y)
-        y = rk4_step(rhs, i * dt, y, dt)
-        if not _leaf_finite(y):
-            raise IntegratorError(f"non-finite amplitudes after step at t={i * dt:.6g}")
-    if observer is not None:
-        observer(i1, i1 * dt, y)
-    return y
+    return march(lambda t, y: -1j * apply_H(t, y, model), psi0.copy(), i0, i1, dt, observer)
 
 
 def evolve_aux(psi0, s: float, t: float, trajectory: HartreeTrajectory):
-    """Auxiliary evolution from time s to t, restarting phi from the trajectory."""
+    """Auxiliary evolution from time s to t, restarting phi from the trajectory.
+
+    The condensate leaf evolves by its own Hartree flow inside the same staged
+    step, so it agrees with the stored trajectory at every grid time up to
+    roundoff.
+    """
     i0 = trajectory.index_of(s)
     i1 = trajectory.index_of(t)
     if i1 < i0:
         raise ValueError("t must be >= s")
-    norm0 = psi0.norm()
-    y = [trajectory.phi(i0).copy(), psi0.copy()]
+    model = trajectory.model
 
-    def watch(i, time, state):
-        _check_drift(state[1].norm(), norm0, time)
+    def rhs(time, y):
+        phi, psi = y
+        pieces = pieces_at(phi, time, model)
+        return [-1j * (pieces.h1 @ pieces.phi), -1j * apply_Htilde(pieces, psi, model)]
 
-    y = march_aux(y, i0, i1, trajectory, observer=watch)
+    y = march(rhs, [trajectory.phi(i0).copy(), psi0.copy()], i0, i1, trajectory.dt)
     return y[1]

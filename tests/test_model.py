@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -231,13 +233,16 @@ class TestPotential:
         assert v.min() >= 0.0
 
     def test_harmonic_modulation(self):
+        # a harmonic trap of strength 1 + t, written as tabulated data
+        harmonic = validate_config(small_raw(potential_kind="harmonic", potential_strength=1.0))
+        v0 = external_potential(harmonic, 0.0)
         cfg = validate_config(
-            small_raw(potential_kind="harmonic", potential_strength=1.0,
-                      potential_modulation=lambda t: 1.0 + t)
+            small_raw(potential_kind="tabulated",
+                      potential_table=((0.0, 1.0), (tuple(v0), tuple(2.0 * v0))))
         )
-        v0 = external_potential(cfg, 0.0)
-        v1 = external_potential(cfg, 1.0)
-        assert np.allclose(v1, 2.0 * v0)
+        assert np.allclose(external_potential(cfg, 0.0), v0)
+        assert np.allclose(external_potential(cfg, 0.5), 1.5 * v0)
+        assert np.allclose(external_potential(cfg, 1.0), 2.0 * v0)
 
     def test_tabulated_interpolates_in_time(self):
         times = (0.0, 1.0)
@@ -254,6 +259,33 @@ class TestPotential:
     def test_tabulated_requires_table(self):
         with pytest.raises(ConfigError):
             validate_config(small_raw(potential_kind="tabulated"))
+
+    def test_tabulated_config_pickles(self):
+        table = ((0.0, 1.0), ((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 3.0, 4.0)))
+        cfg = validate_config(small_raw(potential_kind="tabulated", potential_table=table))
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+
+class TestH0:
+    @pytest.mark.parametrize("kind", ["none", "harmonic"])
+    def test_static_potential_shares_one_table(self, kind):
+        model = build_model(validate_config(small_raw(potential_kind=kind, potential_strength=2.0)))
+        h = model.h0(0.0)
+        assert model.h0(0.37) is h
+        expect = model.lap.mat + np.diag(external_potential(model.config, 0.0))
+        assert np.array_equal(h, expect)
+
+    def test_static_table_is_read_only(self):
+        h = build_model(validate_config(small_raw())).h0(0.0)
+        with pytest.raises(ValueError):
+            h[0, 0] = 1.0
+
+    def test_tabulated_follows_time(self):
+        table = ((0.0, 1.0), ((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 3.0, 4.0)))
+        model = build_model(validate_config(small_raw(potential_kind="tabulated",
+                                                      potential_table=table)))
+        h_a, h_b = model.h0(0.0), model.h0(0.5)
+        assert np.allclose(np.diag(h_b - h_a).real, [0.5, 1.0, 1.5, 2.0])
 
 
 def test_build_model_bundles_tables():

@@ -8,7 +8,7 @@ from bosonlab.experiments import build_product, default_phi0
 from bosonlab.hamiltonians import apply_H
 from bosonlab.meanfield import hartree_evolve
 from bosonlab.model import build_model, validate_config
-from bosonlab.propagation import evolve_aux, evolve_full, step
+from bosonlab.propagation import check_state, evolve_aux, evolve_full, march
 
 
 def make_model(**over):
@@ -26,6 +26,11 @@ def make_model(**over):
     return build_model(validate_config(raw))
 
 
+def schroedinger(generator):
+    """Right-hand side of i dpsi/dt = generator(t, psi)."""
+    return lambda t, y: -1j * generator(t, y)
+
+
 @pytest.fixture(scope="module")
 def setup():
     model = make_model()
@@ -38,7 +43,7 @@ def setup():
 class TestStep:
     def test_zero_generator_is_identity(self, setup):
         model, _, psi0, _ = setup
-        out = step(lambda t, y: 0.0 * y, psi0, 0.0, 1e-3)
+        out = march(schroedinger(lambda t, y: 0.0 * y), psi0, 0, 1, 1e-3)
         assert (out - psi0).norm() == 0.0
 
     def test_scalar_phase_accuracy(self, setup):
@@ -46,7 +51,7 @@ class TestStep:
         model, _, psi0, _ = setup
         lam = 1.7
         dt = 1e-2
-        out = step(lambda t, y: lam * y, psi0, 0.0, dt)
+        out = march(schroedinger(lambda t, y: lam * y), psi0, 0, 1, dt)
         exact = np.exp(-1j * lam * dt) * psi0
         assert (out - exact).norm() <= (lam * dt) ** 5 / 120.0 * 1.01
 
@@ -54,12 +59,34 @@ class TestStep:
     def test_nonfinite_detected(self, setup):
         model, _, psi0, _ = setup
         with pytest.raises(IntegratorError):
-            step(lambda t, y: float("inf") * y, psi0, 0.0, 1e-3)
+            march(schroedinger(lambda t, y: float("inf") * y), psi0, 0, 1, 1e-3)
 
     def test_norm_drift_per_step(self, setup):
         model, _, psi0, _ = setup
-        out = step(lambda t, y: apply_H(t, y, model), psi0, 0.0, model.config.dt)
+        out = march(schroedinger(lambda t, y: apply_H(t, y, model)), psi0, 0, 1, model.config.dt)
         assert abs(out.norm() - psi0.norm()) <= 1e-12
+
+
+class TestGuard:
+    def test_lead_drift_aborts(self, setup):
+        _, _, psi0, _ = setup
+        with pytest.raises(IntegratorError, match="drift"):
+            march(lambda t, y: 0.5 * y, psi0, 0, 1, 1e-3)
+
+    def test_condensate_leaf_is_not_the_lead(self, setup):
+        # only the phi leaf of a [phi, psi] tree grows; the lead psi keeps its norm
+        _, phi0, psi0, _ = setup
+        out = march(lambda t, y: [0.5 * y[0], 0.0 * y[1]], [phi0.copy(), psi0], 0, 10, 1e-2)
+        assert np.linalg.norm(out[0]) > 1.04 * np.linalg.norm(phi0)
+        assert (out[1] - psi0).norm() == 0.0
+
+    def test_nan_in_a_trailing_leaf_aborts(self, setup):
+        _, phi0, psi0, _ = setup
+        bad = psi0.copy()
+        bad.amps[0] = np.nan
+        check_state([phi0, psi0, psi0], 0.0, psi0.norm())
+        with pytest.raises(IntegratorError, match="non-finite"):
+            check_state([phi0, psi0, bad], 0.0, psi0.norm())
 
 
 class TestEvolveFull:
@@ -141,7 +168,8 @@ class TestGeneratorConsistency:
         action = apply_H(0.0, psi0, model)
         defects = []
         for dt in (4e-3, 2e-3, 1e-3):
-            quotient = (1j / dt) * (step(lambda t, y: apply_H(t, y, model), psi0, 0.0, dt) - psi0)
+            stepped = march(schroedinger(lambda t, y: apply_H(t, y, model)), psi0, 0, 1, dt)
+            quotient = (1j / dt) * (stepped - psi0)
             defects.append((quotient - action).norm())
         assert defects[0] > defects[1] > defects[2]
 
@@ -149,14 +177,9 @@ class TestGeneratorConsistency:
         # local error must sit well above roundoff for the ratio to be clean,
         # so the step here is much coarser than production dt
         model, _, psi0, _ = setup
-        gen = lambda t, y: apply_H(t, y, model)
+        rhs = schroedinger(lambda t, y: apply_H(t, y, model))
         dt = 4e-2
-        ref = psi0
-        for i in range(32):
-            ref = step(gen, ref, i * dt / 32, dt / 32)
-        e1 = (step(gen, psi0, 0.0, dt) - ref).norm()
-        half = psi0
-        for i in range(2):
-            half = step(gen, half, i * dt / 2, dt / 2)
-        e2 = (half - ref).norm()
+        ref = march(rhs, psi0, 0, 32, dt / 32)
+        e1 = (march(rhs, psi0, 0, 1, dt) - ref).norm()
+        e2 = (march(rhs, psi0, 0, 2, dt / 2) - ref).norm()
         assert np.log2(e1 / e2) >= 3.8
