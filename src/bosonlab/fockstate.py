@@ -7,18 +7,15 @@ so tables pass between representations unchanged.  The compressed dimension
 C(N+M-1, N) is what makes particle numbers beyond the dense tensor ceiling
 reachable.
 
-One-body lifts run in gather form.  Since <t| a_r^+ a_s |b> is nonzero only
-for b = t - e_r + e_s, every output amplitude is a weighted sum of M^2 input
-amplitudes,
-
-    dGamma(h) psi [t] = sum_{r,s} h[r, s] * weights[t, rs] * psi[sources[t, rs]],
-
-so a lift is one hop gather of the input into a (dim, M^2) scratch buffer
-followed by one BLAS contraction with the flattened table.  The projected
-pair sums of the effective Hamiltonian share that gather across all their
-first-layer lifts (``projected_pair_apply``).  The buffer belongs to the
-FockSpace, which makes a FockSpace single-threaded; worker processes such as
-those of ``sweep --jobs`` each build their own.
+Operators act in normal-ordered ladder form.  The annihilators are one
+gather to the (N-1)-particle basis, (a_s psi)[u] = sqrt(u_s + 1) psi[u + e_s],
+and the creators one gather back up with the same weights.  A one-body lift
+dGamma(h) = sum h[r, s] a_r^+ a_s is two O(dim M) gathers around one M x M
+product; a two-body operator is a^+ a^+ (K . a a psi) with one normal-ordered
+(M^2, M^2) kernel K (``pair_kernel``), so an operator built from several
+projected pair terms costs one application.  The scratch buffers belong to
+the FockSpace, which makes a FockSpace single-threaded; worker processes
+such as those of ``sweep --jobs`` each build their own.
 """
 
 from __future__ import annotations
@@ -33,12 +30,14 @@ from .tensorstate import TensorState, transposition_residual
 
 __all__ = [
     "OccupationBasis",
+    "Ladder",
     "FockSpace",
     "FockState",
     "enumerate_basis",
     "dgamma_apply",
+    "pair_kernel",
+    "two_body_apply",
     "pair_apply",
-    "projected_pair_apply",
     "embed",
     "extract",
     "inner",
@@ -48,13 +47,6 @@ __all__ = [
 ]
 
 BASIS_CEILING = 2_000_000
-
-# OpenBLAS runs a complex matrix-vector product on the calling thread only
-# while the matrix has fewer entries than this (its matrix-matrix limit is
-# higher); above it, it wakes its thread pool, and each wake-up costs
-# milliseconds when another process holds a core.  Lifts therefore contract
-# the gathered rows in blocks below this size, all in one batched matmul.
-SERIAL_BLAS_ENTRIES = 4096
 
 
 def _compositions(total: int, parts: int):
@@ -66,47 +58,21 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _composition_counts(particles: int, sites: int) -> np.ndarray:
-    """table[a, k] = C(a + k, k), the number of compositions of a into k + 1 parts."""
-    table = np.ones((max(particles, 1), sites), dtype=np.int64)
-    for k in range(1, sites):
-        table[:, k] = np.cumsum(table[:, k - 1])
-    return table
-
-
-def _rank_terms(rest: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Compositions that precede a vector at each part j, from rest_j = N - 1 - (n_0 + ... + n_j).
+def _rank(occ: np.ndarray, particles: int) -> np.ndarray:
+    """Basis index of each occupation vector along the last axis, all summing to N.
 
     A composition precedes n in descending-lexicographic order when, at the
-    first part j where they differ, its part exceeds n_j; there are
-    C(rest_j + M - 1 - j, M - 1 - j) such compositions, none when rest_j < 0.
+    first part j where they differ, its part exceeds n_j; with
+    rest_j = N - 1 - (n_0 + ... + n_j) there are C(rest_j + M - 1 - j, M - 1 - j)
+    such compositions, none when rest_j < 0.  counts[a, k] = C(a + k, k).
     """
-    parts = np.arange(rest.shape[-1], 0, -1)
-    return np.where(rest >= 0, counts[np.maximum(rest, 0), parts], 0)
-
-
-def _rest(occ: np.ndarray, particles: int) -> np.ndarray:
-    return particles - 1 - np.cumsum(occ[..., :-1], axis=-1)
-
-
-def _hop_sources(occ: np.ndarray, particles: int) -> np.ndarray:
-    """sources[t, r, s] = basis index of occ[t] - e_r + e_s, or 0 when occ[t, r] = 0.
-
-    The hop lowers rest_j by one for s <= j < r and raises it by one for
-    r <= j < s, so the index moves from t by a difference of prefix sums of
-    the per-part rank changes.
-    """
-    dim, m = occ.shape
-    counts = _composition_counts(particles + 1, m)
-    rest = _rest(occ, particles)
-    here = _rank_terms(rest, counts)
-    up = np.zeros((dim, m), dtype=np.int64)
-    down = np.zeros((dim, m), dtype=np.int64)
-    np.cumsum(_rank_terms(rest + 1, counts) - here, axis=1, out=up[:, 1:])
-    np.cumsum(here - _rank_terms(rest - 1, counts), axis=1, out=down[:, 1:])
-    raising = np.arange(m)[:, None] < np.arange(m)  # [r, s]: r < s
-    shift = np.where(raising, up[:, None, :] - up[:, :, None], down[:, None, :] - down[:, :, None])
-    return np.where(occ[:, :, None] > 0, np.arange(dim)[:, None, None] + shift, 0)
+    sites = occ.shape[-1]
+    counts = np.ones((max(particles, 1), sites), dtype=np.int64)
+    for k in range(1, sites):
+        counts[:, k] = np.cumsum(counts[:, k - 1])
+    rest = particles - 1 - np.cumsum(occ[..., :-1], axis=-1)
+    parts = np.arange(sites - 1, 0, -1)
+    return np.where(rest >= 0, counts[np.maximum(rest, 0), parts], 0).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -125,8 +91,7 @@ class OccupationBasis:
         row = np.asarray(occ, dtype=np.int64)
         if row.shape != (self.sites,) or row.min() < 0 or row.sum() != self.particles:
             raise KeyError(tuple(int(x) for x in row.ravel()))
-        counts = _composition_counts(self.particles, self.sites)
-        return int(_rank_terms(_rest(row, self.particles), counts).sum())
+        return int(_rank(row, self.particles))
 
 
 def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING) -> OccupationBasis:
@@ -143,20 +108,52 @@ def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING) ->
     return OccupationBasis(occupations=occ, particles=particles, sites=sites)
 
 
+class Ladder:
+    """Annihilation and creation gathers between a basis and the one a particle lower.
+
+    For mode s and lower row u, ``annihilate[s, u]`` is the upper index of
+    u + e_s and ``factor[s, u]`` is sqrt(u_s + 1), stored complex so that
+    weighting needs no cast.  For mode r and upper row t, ``create[r, t]`` is
+    the position r * dim_lower + (index of t - e_r) in ``_pad``, or its zero
+    last slot when t_r = 0; ``src`` is the view of ``_pad`` without that
+    slot.  The scratch arrays carry ``batch`` leading axes.
+    """
+
+    def __init__(self, upper: OccupationBasis, batch: tuple = ()):
+        m, n = upper.sites, upper.particles
+        empty = OccupationBasis(np.zeros((0, m), dtype=np.int64), n - 1, m)
+        self.lower = lower = enumerate_basis(m, n - 1) if n > 0 else empty
+        size = lower.dim
+        self.annihilate = _rank(lower.occupations + np.eye(m, dtype=np.int64)[:, None, :], n)
+        self.factor = np.sqrt(lower.occupations.T + 1.0).astype(np.complex128)
+        self.create = np.full((m, upper.dim), m * size, dtype=np.int64)
+        self.create[np.repeat(np.arange(m), size), self.annihilate.ravel()] = np.arange(m * size)
+        self._down = np.empty(batch + (m, size), dtype=np.complex128)
+        self._pad = np.zeros(batch + (m * size + 1,), dtype=np.complex128)
+        self.src = self._pad[..., :-1].reshape(batch + (m, size))
+        self._up = np.empty(batch + (m, upper.dim), dtype=np.complex128)
+
+    def annihilated(self, amps) -> np.ndarray:
+        """(a_s amps)[..., s, u], in the ladder's scratch."""
+        amps = np.asarray(amps, dtype=np.complex128)
+        amps.take(self.annihilate, axis=-1, out=self._down, mode="clip")
+        self._down *= self.factor
+        return self._down
+
+    def created(self, out=None) -> np.ndarray:
+        """sum_r a_r^+ src[..., r, :], for creation sources already written to ``src``."""
+        self.src *= self.factor
+        self._pad.take(self.create, axis=-1, out=self._up, mode="clip")
+        return np.sum(self._up, axis=-2, out=out)
+
+
 class FockSpace:
-    """Occupation basis plus gather-form hop tables for one-body lifts.
+    """Occupation basis plus the ladders down to N - 1 and N - 2 particles.
 
-    For basis row t and modes (r, s), flattened to column r * M + s,
-    ``sources[t, rs]`` is the basis index of t - e_r + e_s and
-    ``weights[t, rs]`` the matrix element sqrt(t_r * (t_s + 1 - delta_rs)) of
-    a_r^+ a_s between them.  Hops that need t_r = 0 carry weight 0 and
-    source 0.
-
-    Lifts gather into one (dim, M^2) complex scratch buffer owned by the
-    space, so a FockSpace must not be shared between threads; worker
-    processes each hold their own copy.  The buffer and the tables carry a
-    few zero rows of padding so that the rows split into equal blocks of
-    fewer than SERIAL_BLAS_ENTRIES entries.
+    ``ladders[1]`` carries one batch axis, the first annihilated mode.  The
+    ladders' scratch makes a FockSpace unsafe to share between threads;
+    worker processes each hold their own copy.  Pickling rebuilds the space:
+    a copied ``src`` would no longer be a view of its ``_pad``.
     """
 
     def __init__(self, basis: OccupationBasis, cell: float):
@@ -164,32 +161,12 @@ class FockSpace:
         self.cell = float(cell)
         self.particles = basis.particles
         self.sites = basis.sites
-        dim, m = basis.dim, basis.sites
-        occ = basis.occupations
-        blocks = -(-dim // max(1, (SERIAL_BLAS_ENTRIES - 1) // (m * m)))
-        rows = blocks * -(-dim // blocks)  # dim rounded up to equal blocks
-        eye = np.eye(m, dtype=np.int64)
-        sources = np.zeros((rows, m, m), dtype=np.int64)
-        sources[:dim] = _hop_sources(occ, self.particles)
-        # Each weight is stored twice, for the real and the imaginary part of
-        # the gathered amplitude, so that weighting is a real product.
-        weights = np.zeros((rows, m, m, 2))
-        weights[:dim] = np.sqrt(occ[:, :, None] * (occ[:, None, :] + 1 - eye))[..., None]
-        shape = (blocks, rows // blocks, m * m)
-        self._sources = sources.reshape(shape)
-        self._weights = weights.reshape(shape[:2] + (2 * m * m,))
-        self._buffer = np.empty(shape, dtype=np.complex128)
-        self.sources = sources.reshape(rows, m * m)[:dim]
-        self.weights = weights[:dim, :, :, 0].reshape(dim, m * m)
+        one = Ladder(basis)
+        self.ladders = (one, Ladder(one.lower, (basis.sites,)))
+        self._pair_diagonal = (None, None)
 
-    def _lift(self, amps: np.ndarray, tables: np.ndarray) -> np.ndarray:
-        """One-body lifts of flattened tables, (M^2,) -> (dim,) or (M^2, J) -> (dim, J)."""
-        buf = self._buffer
-        np.asarray(amps, dtype=np.complex128).take(self._sources, out=buf, mode="clip")
-        parts = buf.view(np.float64)
-        np.multiply(parts, self._weights, out=parts)
-        out = np.matmul(buf, tables)
-        return out.reshape((-1,) + tables.shape[1:])[: self.basis.dim]
+    def __reduce__(self):
+        return FockSpace, (self.basis, self.cell)
 
     def zero_state(self) -> "FockState":
         return FockState(np.zeros(self.basis.dim, dtype=np.complex128), self)
@@ -245,51 +222,70 @@ def _table(op, space: FockSpace) -> np.ndarray:
 
 def dgamma_apply(op, state: FockState) -> FockState:
     """Second-quantised lift of a one-body table: sum_j op acting on slot j."""
-    space = state.space
-    return FockState(space._lift(state.amps, _table(op, space).ravel()), space)
+    one = state.space.ladders[0]
+    np.matmul(_table(op, state.space), one.annihilated(state.amps), out=one.src)
+    return FockState(one.created(), state.space)
+
+
+def pair_kernel(terms) -> np.ndarray:
+    """Normal-ordered kernel of weighted terms (weight, k, A, C, B, D), each
+    weight * sum_{i != j} (A E_r C)_i (B E_s D)_j k[r, s] with E_r = |r><r|.
+    K[(rho', rho), (s', s)] multiplies a_rho'^+ a_rho^+ a_s' a_s:
+
+        K[(rho', rho), (s', s)] = sum_{r, q} weight B[rho', q] A[rho, r] k[r, q] D[q, s'] C[r, s].
+
+    Per q this is the outer product of B[:, q] D[q, :] and A diag(k[:, q]) C,
+    one (M^2, M) @ (M, M^2) product per term; at M = 9 one product over all
+    stacked terms is large enough for OpenBLAS to use its thread pool.
+    """
+    kern = 0.0
+    for weight, k, a, c, b, d in terms:
+        a, c, b, d = (np.asarray(x, dtype=np.complex128) for x in (a, c, b, d))
+        m = a.shape[0]
+        right = b.T[:, :, None] * d[:, None, :]  # [q, rho', s']
+        left = weight * ((a * np.asarray(k).T[:, None, :]) @ c)  # [q, rho, s]
+        kern = kern + right.reshape(m, m * m).T @ left.reshape(m, m * m)
+    return kern.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+
+
+def two_body_apply(kernel, state: FockState) -> FockState:
+    """a^+ a^+ (K . a a psi) for a normal-ordered (M^2, M^2) kernel K (see ``pair_kernel``).
+
+    Annihilators commute, so the pair amplitudes may come out in (s, s')
+    order.  The product runs as M batches of (M, M^2) @ (M^2, dim_{N-2}),
+    each a smaller BLAS call than the whole product.  Below two particles
+    it is zero.
+    """
+    m = state.sites
+    one, two = state.space.ladders
+    pairs = two.annihilated(one.annihilated(state.amps))
+    kern = np.asarray(kernel, dtype=np.complex128).reshape(m, m, m * m)
+    np.matmul(kern, pairs.reshape(m * m, -1), out=two.src)
+    two.created(out=one.src)
+    return FockState(one.created(), state.space)
 
 
 def pair_apply(x, y, state: FockState) -> FockState:
-    """sum_{i != j} X_i Y_j, via dG(X) dG(Y) - dG(XY); ordered pairs counted."""
+    """sum_{i != j} X_i Y_j; ordered pairs counted."""
     xmat, ymat = _table(x, state.space), _table(y, state.space)
-    return dgamma_apply(xmat, dgamma_apply(ymat, state)) - dgamma_apply(xmat @ ymat, state)
-
-
-def projected_pair_apply(kernel, a, c, b, d, state: FockState) -> FockState:
-    """sum_{i != j} (A E_r C)_i (B E_s D)_j kernel[r, s] on an occupation state.
-
-    E_r is the site indicator |r><r|.  Grouping the s-sum per r gives
-    G_r = B diag(kernel[r, :]) D and the rank-one X_r = A E_r C, so the sum
-    is sum_r dG(X_r) dG(G_r) - dG(A (kernel o CB) D).  The M + 1 first-layer
-    lifts act on the same input and share one hop gather and one BLAS
-    product; the M second-layer lifts take one gather each.
-    """
-    space = state.space
-    m = space.sites
-    kernel, a, c, b, d = (_table(x, space) for x in (kernel, a, c, b, d))
-    first = np.empty((m + 1, m, m), dtype=np.complex128)
-    first[:m] = b @ (kernel[:, :, None] * d)
-    first[m] = a @ (kernel * (c @ b)) @ d
-    lifted = space._lift(state.amps, first.reshape(m + 1, m * m).T)
-    second = a.T[:, :, None] * c[:, None, :]  # X_r = outer(a[:, r], c[r, :])
-    out = space._lift(lifted[:, 0], second[0].ravel())
-    for r in range(1, m):
-        out += space._lift(lifted[:, r], second[r].ravel())
-    out -= lifted[:, m]
-    return FockState(out, space)
+    return two_body_apply(np.einsum("ac,bd->abcd", ymat, xmat), state)  # K as (M, M, M, M)
 
 
 def pair_diagonal(space: FockSpace, pair) -> np.ndarray:
-    """Diagonal of sum_{i<j} w(x_i - x_j) over the occupation basis.
+    """Diagonal of sum_{i<j} w(x_i - x_j) over the occupation basis, read-only.
 
     The position-diagonal kernel expands over rank-one site projectors, so
-    the lift is (1/2) (n^T W n - sum_r W_rr n_r) per basis vector.
+    the lift is (1/2) (n^T W n - sum_r W_rr n_r) per basis vector.  The
+    space keeps the diagonal of the last ``pair`` it was asked for, keyed by
+    identity, so a pair table must not be modified in place.
     """
-    wmat = np.asarray(getattr(pair, "mat", pair), dtype=float)
-    occ = space.basis.occupations.astype(float)
-    quad = np.einsum("bm,mn,bn->b", occ, wmat, occ)
-    lin = occ @ np.diag(wmat)
-    return 0.5 * (quad - lin)
+    if space._pair_diagonal[0] is not pair:
+        wmat = np.asarray(getattr(pair, "mat", pair), dtype=float)
+        occ = space.basis.occupations.astype(float)
+        diag = 0.5 * (np.einsum("bm,mn,bn->b", occ, wmat, occ) - occ @ np.diag(wmat))
+        diag.flags.writeable = False
+        space._pair_diagonal = (pair, diag)
+    return space._pair_diagonal[1]
 
 
 def _multiset_permutations(items):

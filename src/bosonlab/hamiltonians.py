@@ -5,22 +5,22 @@ The full generator splits exactly, at each condensate time stamp, into
     H(t) = Htilde(t) + C(t) + Q(t),
 
 where Htilde keeps at most two complement projectors q, C carries three, and
-Q four.  Every projected two-body term is assembled from the rank-one site
-expansion of the position-diagonal kernel,
+Q four.  Every projected two-body operator is a weighted sum of terms built
+from the rank-one site expansion of the position-diagonal kernel,
 
-    sum_{i != j} (A E_r C)_i (B E_s D)_j kernel[r, s],
+    sum_{i != j} (A E_r C)_i (B E_s D)_j kernel[r, s].
 
-which reduces to one-body lifts.  The tensor route takes 2M + 1 of them per
-term (two per r and one coincidence correction).  The occupation route
-(``fockstate.projected_pair_apply``) takes M + 1 hop gathers: one shared by
-the M + 1 first-layer lifts, which then cost a single BLAS product, and one
-per rank-one second-layer lift.  The 1/(N-1) mean-field prefactor lives here
-and nowhere else.
+The tensor route takes 2M + 1 one-body lifts per term (two per r and one
+coincidence correction).  The occupation route sums an operator's terms into
+one normal-ordered kernel (``fockstate.pair_kernel``), built once per
+``EffectivePieces``, and applies it with one ``fockstate.two_body_apply``.
+The 1/(N-1) mean-field prefactor lives here and nowhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .model import Model
 
 __all__ = [
     "EffectivePieces",
+    "PairTerms",
     "pieces_at",
     "pieces_from",
     "apply_H",
@@ -52,26 +53,37 @@ def one_body_lift(mat, state):
     return fs.dgamma_apply(mat, state)
 
 
-def projected_pair_sum(state, kernel: np.ndarray, a, c, b, d):
-    """sum_{i != j} (A E_r C)_i (B E_s D)_j kernel[r, s] applied to ``state``.
+@dataclass(frozen=True, eq=False)
+class PairTerms:
+    """One operator's terms (weight, kernel, A, C, B, D), each standing for
+    weight * sum_{i != j} (A E_r C)_i (B E_s D)_j kernel[r, s] with E_r = |r><r|;
+    the occupation route's summed kernel is built on first use and kept."""
 
-    E_r is the site indicator |r><r|.  Grouping the s-sum per r gives
-    G_r = B diag(kernel[r, :]) D, so each r costs two one-body lifts; the
-    coincidence correction is a single lift of A (kernel o C B) D.  Occupation
-    states take the batched ``fockstate.projected_pair_apply``; the per-r loop
-    below is the tensor route and its cross-check.
+    terms: tuple
+
+    @cached_property
+    def ladder_kernel(self) -> np.ndarray:
+        return fs.pair_kernel(self.terms)
+
+
+def projected_pair_sum(state, pairs: PairTerms):
+    """The weighted sum of ``pairs.terms`` applied to ``state``.
+
+    The tensor route below is the occupation route's cross-check: per term
+    and r it lifts G_r = B diag(kernel[r, :]) D, then the rank-one A E_r C,
+    and subtracts the coincidence lift of A (kernel o C B) D.
     """
     if not isinstance(state, ts.TensorState):
-        return fs.projected_pair_apply(kernel, a, c, b, d, state)
-    m = kernel.shape[0]
+        return fs.two_body_apply(pairs.ladder_kernel, state)
     acc = 0.0 * state
-    for r in range(m):
-        g_r = b @ (kernel[r][:, None] * d)
-        u = ts.apply_one_body_sum(g_r, state)
-        x_r = np.outer(a[:, r], c[r, :])
-        acc = acc + ts.apply_one_body_sum(x_r, u)
-    correction = a @ (kernel * (c @ b)) @ d
-    return acc - ts.apply_one_body_sum(correction, state)
+    for weight, kernel, a, c, b, d in pairs.terms:
+        term = 0.0 * state
+        for r in range(kernel.shape[0]):
+            u = ts.apply_one_body_sum(b @ (kernel[r][:, None] * d), state)
+            term = term + ts.apply_one_body_sum(np.outer(a[:, r], c[r, :]), u)
+        correction = a @ (kernel * (c @ b)) @ d
+        acc = acc + weight * (term - ts.apply_one_body_sum(correction, state))
+    return acc
 
 
 def interaction_sum(state, model: Model):
@@ -88,37 +100,40 @@ class EffectivePieces:
 
     ``z`` is the centred kernel w(r-s) - vbar(r) - vbar(s) + 2 mu; the cubic
     remainder uses it without the 2 mu shift, which two orthogonal projector
-    pairs annihilate anyway.
+    pairs annihilate anyway.  The ``*_pairs`` fields hold the pair terms of
+    Htilde, C and Q without the 1/(N-1) prefactor.
     """
 
     t: float
     phi: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    vbar: np.ndarray
-    mu: float
     h1: np.ndarray
-    wker: np.ndarray
     z: np.ndarray
     z_no_mu: np.ndarray
+    htilde_pairs: PairTerms
+    cubic_pairs: PairTerms
+    quartic_pairs: PairTerms
 
 
 def pieces_from(cond: Condensate, model: Model) -> EffectivePieces:
     p, q = ts.projector_matrices(cond.phi, model.cell)
     w = model.pair.mat
-    vb = cond.vbar
-    z_no_mu = w - vb[:, None] - vb[None, :]
+    z_no_mu = w - cond.vbar[:, None] - cond.vbar[None, :]
+    z = z_no_mu + 2.0 * cond.mu
     return EffectivePieces(
         t=cond.t,
         phi=cond.phi,
         p=p,
         q=q,
-        vbar=vb,
-        mu=cond.mu,
         h1=cond.hmat,
-        wker=w,
-        z=z_no_mu + 2.0 * cond.mu,
+        z=z,
         z_no_mu=z_no_mu,
+        # p_i q_j v q_i p_j summed with its adjoint over ordered pairs; then
+        # p_i p_j v q_i q_j and its adjoint, each symmetric under i <-> j
+        htilde_pairs=PairTerms(((1.0, w, p, q, q, p), (0.5, w, p, q, p, q), (0.5, w, q, p, q, p))),
+        cubic_pairs=PairTerms(((1.0, z_no_mu, q, q, q, p), (1.0, z_no_mu, q, q, p, q))),
+        quartic_pairs=PairTerms(((0.5, z, q, q, q, q),)),
     )
 
 
@@ -148,13 +163,7 @@ def apply_Htilde(pieces: EffectivePieces, state, model: Model):
     if model.pair.is_zero():
         return out
     n = state.particles
-    p, q, w = pieces.p, pieces.q, pieces.wker
-    # p_i q_j v q_i p_j summed with its adjoint over ordered pairs
-    t1 = projected_pair_sum(state, w, p, q, q, p)
-    # p_i p_j v q_i q_j and the adjoint, each symmetric under i <-> j
-    t2 = projected_pair_sum(state, w, p, q, p, q)
-    t3 = projected_pair_sum(state, w, q, p, q, p)
-    return out + (1.0 / (n - 1)) * (t1 + 0.5 * (t2 + t3))
+    return out + (1.0 / (n - 1)) * projected_pair_sum(state, pieces.htilde_pairs)
 
 
 def apply_C(pieces: EffectivePieces, state, model: Model):
@@ -163,10 +172,7 @@ def apply_C(pieces: EffectivePieces, state, model: Model):
     if model.pair.is_zero():
         return 0.0 * state
     n = state.particles
-    p, q, z = pieces.p, pieces.q, pieces.z_no_mu
-    t1 = projected_pair_sum(state, z, q, q, q, p)
-    t2 = projected_pair_sum(state, z, q, q, p, q)
-    return (1.0 / (n - 1)) * (t1 + t2)
+    return (1.0 / (n - 1)) * projected_pair_sum(state, pieces.cubic_pairs)
 
 
 def apply_Q(pieces: EffectivePieces, state, model: Model):
@@ -175,8 +181,7 @@ def apply_Q(pieces: EffectivePieces, state, model: Model):
     if model.pair.is_zero():
         return 0.0 * state
     n = state.particles
-    q, z = pieces.q, pieces.z
-    return (0.5 / (n - 1)) * projected_pair_sum(state, z, q, q, q, q)
+    return (1.0 / (n - 1)) * projected_pair_sum(state, pieces.quartic_pairs)
 
 
 def decomposition_residual(t: float, cond: Condensate, state, model: Model) -> float:

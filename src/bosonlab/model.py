@@ -58,6 +58,7 @@ _STR_FIELDS = {"interaction_profile", "potential_kind"}
 
 _PROFILES = ("bump", "tophat", "zero", "tabulated")
 _POTENTIALS = ("none", "harmonic", "tabulated")
+_API_ONLY = ", which only the Python API sets; config files have no key for tabulated data"
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,6 @@ class ModelConfig:
     def cell(self) -> float:
         """Volume element h**d carried by each particle coordinate."""
         return self.spacing**self.dimension
-
-    def grid_times(self) -> np.ndarray:
-        return np.arange(self.step_count + 1) * self.dt
 
 
 def parse_config_file(path) -> dict:
@@ -205,11 +203,12 @@ def validate_config(raw, correction_run: bool = False) -> ModelConfig:
     if cfg.potential_kind not in _POTENTIALS:
         raise ConfigError(f"potential.kind must be one of {_POTENTIALS}")
     if cfg.interaction_profile == "tabulated" and cfg.interaction_samples is None:
-        raise ConfigError("tabulated interaction requires interaction_samples")
+        raise ConfigError(
+            f"tabulated interaction requires ModelConfig.interaction_samples{_API_ONLY}")
     if cfg.interaction_profile == "tabulated" and cfg.beta != 0.0:
         raise ConfigError("tabulated interaction samples support beta=0 only")
     if cfg.potential_kind == "tabulated" and cfg.potential_table is None:
-        raise ConfigError("tabulated potential requires potential_table")
+        raise ConfigError(f"tabulated potential requires ModelConfig.potential_table{_API_ONLY}")
 
     if correction_run:
         beta_cap = 1.0 / (4 * d)

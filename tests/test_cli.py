@@ -138,6 +138,23 @@ class TestFailureExitCodes:
         save_state(snap, other, dimension=1, sites_per_dim=3)
         assert main(["evolve", "--config", cfg_path, "--load", str(snap)]) == 2
 
+    @pytest.mark.parametrize("line,field", [
+        ("potential.kind = tabulated", "ModelConfig.potential_table"),
+        ("interaction.profile = tabulated", "ModelConfig.interaction_samples"),
+    ], ids=["potential", "interaction"])
+    def test_tabulated_in_config_file_exits_2(self, tmp_path, capsys, line, field):
+        path = tmp_path / "tabulated.cfg"
+        key = line.split(" = ")[0]
+        text = "\n".join(line if row.startswith(key + " ") else row
+                         for row in SMALL_CFG.splitlines())
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["hartree", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "only the Python API sets" in err
+        assert "config files have no key" in err
+
 
 class TestMoments:
     def test_two_blocks(self, cfg_path, capsys):

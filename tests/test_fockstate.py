@@ -1,4 +1,6 @@
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -45,32 +47,47 @@ class TestEnumerateBasis:
             fs.enumerate_basis(30, 30, ceiling=1000)
 
 
-def brute_force_tables(basis):
-    """Gather tables by direct hop enumeration with a dict index."""
-    index = {tuple(row): i for i, row in enumerate(basis.occupations.tolist())}
-    dim, m = basis.dim, basis.sites
-    sources = np.zeros((dim, m, m), dtype=np.int64)
-    weights = np.zeros((dim, m, m))
-    for t, row in enumerate(basis.occupations.tolist()):
+def brute_force_basis(m, n):
+    """Occupation vectors with sum n in descending lexicographic order; none below n = 0."""
+    rows = [c for c in itertools.product(range(max(n, 0) + 1), repeat=m) if sum(c) == n]
+    return sorted(rows, reverse=True)
+
+
+def brute_force_ladder(m, n):
+    """Ladder gathers between n and n - 1 particles by direct enumeration with dict indices."""
+    upper, lower = brute_force_basis(m, n), brute_force_basis(m, n - 1)
+    up_index = {row: i for i, row in enumerate(upper)}
+    low_index = {row: i for i, row in enumerate(lower)}
+    annihilate = np.zeros((m, len(lower)), dtype=np.int64)
+    factor = np.zeros((m, len(lower)))
+    for u, row in enumerate(lower):
+        for s in range(m):
+            raised = list(row)
+            raised[s] += 1
+            annihilate[s, u] = up_index[tuple(raised)]
+            factor[s, u] = math.sqrt(row[s] + 1)
+    create = np.full((m, len(upper)), m * len(lower), dtype=np.int64)
+    for t, row in enumerate(upper):
         for r in range(m):
-            if row[r] == 0:
-                continue
-            for s in range(m):
-                moved = list(row)
-                moved[r] -= 1
-                moved[s] += 1
-                sources[t, r, s] = index[tuple(moved)]
-                weights[t, r, s] = math.sqrt(row[r] * (row[s] + 1 - (r == s)))
-    return sources.reshape(dim, m * m), weights.reshape(dim, m * m)
+            if row[r] > 0:
+                lowered = list(row)
+                lowered[r] -= 1
+                create[r, t] = r * len(lower) + low_index[tuple(lowered)]
+    return lower, annihilate, factor, create
 
 
 class TestHopTables:
     @pytest.mark.parametrize("m,n", [(1, 0), (1, 5), (3, 0), (2, 3), (3, 4), (4, 3), (5, 2), (2, 1)])
     def test_match_brute_force_enumeration(self, m, n):
         space = fs.FockSpace(fs.enumerate_basis(m, n), CELL)
-        sources, weights = brute_force_tables(space.basis)
-        assert np.array_equal(space.sources, sources)
-        assert np.allclose(space.weights, weights, rtol=0, atol=1e-14)
+        assert space.basis.occupations.tolist() == [list(r) for r in brute_force_basis(m, n)]
+        for level, ladder in zip((n, n - 1), space.ladders):
+            lower, annihilate, factor, create = brute_force_ladder(m, level)
+            assert ladder.lower.occupations.shape == (len(lower), m)
+            assert ladder.lower.occupations.tolist() == [list(r) for r in lower]
+            assert np.array_equal(ladder.annihilate, annihilate)
+            assert np.allclose(ladder.factor, factor, rtol=0, atol=1e-14)
+            assert np.array_equal(ladder.create, create)
 
     @pytest.mark.parametrize("m,n", [(1, 3), (3, 4), (4, 0), (5, 3)])
     def test_index_of_is_basis_position(self, m, n):
@@ -125,9 +142,24 @@ class TestDgamma:
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         first = fs.dgamma_apply(x, a)
         kept = first.amps.copy()
+        paired = fs.two_body_apply(np.kron(x, x.T), a)
+        kept_pair = paired.amps.copy()
         fs.dgamma_apply(x.T, b)
-        fs.projected_pair_apply(x, x, x.T, x, x.T, b)
+        fs.two_body_apply(np.kron(x.T, x), b)
+        fs.pair_apply(x, x.T, b)
         assert np.array_equal(first.amps, kept)
+        assert np.array_equal(paired.amps, kept_pair)
+
+    def test_pickled_space_keeps_its_scratch_views(self, space):
+        rng = np.random.default_rng(22)
+        psi = fs.random_fock(space, rng)
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        copied = pickle.loads(pickle.dumps(space))
+        moved = fs.FockState(psi.amps.copy(), copied)
+        assert np.array_equal(fs.dgamma_apply(x, moved).amps, fs.dgamma_apply(x, psi).amps)
+        kernel = np.kron(x, x.T)
+        assert np.array_equal(fs.two_body_apply(kernel, moved).amps,
+                              fs.two_body_apply(kernel, psi).amps)
 
     def test_non_contiguous_input(self, space):
         rng = np.random.default_rng(21)
@@ -158,6 +190,16 @@ class TestPairApply:
         out = fs.pair_apply(x, x, psi)
         assert np.abs(out.amps).max() <= 1e-14
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_two_body_primitive_vanishes_below_two_particles(self, n):
+        small = fs.FockSpace(fs.enumerate_basis(3, n), CELL)
+        psi = fs.random_fock(small, np.random.default_rng(30))
+        rng = np.random.default_rng(31)
+        kernel = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        out = fs.two_body_apply(kernel, psi)
+        assert out.amps.shape == psi.amps.shape
+        assert np.all(out.amps == 0)
+
     def test_matches_tensor_double_loop(self, space):
         rng = np.random.default_rng(6)
         psi = ts.random_symmetric(3, 3, CELL, rng)
@@ -180,6 +222,28 @@ class TestPairApply:
         composed = fs.dgamma_apply(x, fs.dgamma_apply(y, psi))
         recomposed = fs.pair_apply(x, y, psi) + fs.dgamma_apply(x @ y, psi)
         assert (composed - recomposed).norm() <= 1e-11
+
+
+class TestPairDiagonal:
+    def test_cached_read_only_and_equal_to_formula(self, space):
+        rng = np.random.default_rng(32)
+        pair = rng.standard_normal((3, 3))
+        pair = pair + pair.T
+        first = fs.pair_diagonal(space, pair)
+        assert fs.pair_diagonal(space, pair) is first
+        assert not first.flags.writeable
+        occ = space.basis.occupations.astype(float)
+        expect = 0.5 * (np.einsum("bm,mn,bn->b", occ, pair, occ) - occ @ np.diag(pair))
+        assert np.array_equal(first, expect)
+
+    def test_new_table_replaces_cache(self, space):
+        rng = np.random.default_rng(33)
+        one, two = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        first = fs.pair_diagonal(space, one)
+        second = fs.pair_diagonal(space, two)
+        assert second is not first
+        assert not np.array_equal(first, second)
+        assert np.array_equal(fs.pair_diagonal(space, one), first)
 
 
 class TestEmbedExtract:

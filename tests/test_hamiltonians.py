@@ -10,6 +10,7 @@ from bosonlab.hamiltonians import (
     apply_Htilde,
     apply_Q,
     decomposition_residual,
+    PairTerms,
     pieces_at,
     projected_pair_sum,
 )
@@ -243,6 +244,16 @@ class TestDecomposition:
         cond = condensate_at(phi, 0.0, model)
         assert decomposition_residual(0.0, cond, psi, model) <= 1e-10
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_residual_in_occupation_basis_on_2d_lattice(self, n):
+        model = make_model(dimension=2, sites_per_dim=3, torus_length=3.0, particles=n)
+        rng = np.random.default_rng(24 + n)
+        phi = random_phi(model, rng)
+        space = fs.FockSpace(fs.enumerate_basis(9, n), model.cell)
+        psi = fs.random_fock(space, rng)
+        cond = condensate_at(phi, 0.0, model)
+        assert decomposition_residual(0.0, cond, psi, model) <= 1e-10
+
     def test_stale_cache_guard(self):
         model = make_model()
         rng = np.random.default_rng(13)
@@ -263,19 +274,36 @@ class TestDecomposition:
 
 class TestProjectedPairSum:
     def test_occupation_primitive_matches_tensor_route(self):
-        # Non-Hermitian tables and a non-symmetric kernel, so that an (r, s)
-        # transposition in either route shows.
+        # Non-Hermitian tables and non-symmetric kernels, so that an (r, s)
+        # transposition in either route shows; two weighted terms, so that
+        # the summed occupation kernel is checked as well.
         model = make_model(dimension=2, sites_per_dim=2, torus_length=2.0, particles=3)
         rng = np.random.default_rng(22)
         m = model.config.site_count
-        a, c, b, d = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-                      for _ in range(4))
+
+        def table():
+            return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+
+        a, c, b, d = (table() for _ in range(4))
         kernel = model.pair.mat + rng.standard_normal((m, m))
         psi = ts.random_symmetric(m, 3, model.cell, rng)
+        second = (0.5, model.pair.mat + rng.standard_normal((m, m)), table(), table(), table(), table())
+        pairs = PairTerms(((1.0, kernel, a, c, b, d), second))
         space = fs.FockSpace(fs.enumerate_basis(m, 3), model.cell)
-        tensor = projected_pair_sum(psi, kernel, a, c, b, d)
-        fock = fs.projected_pair_apply(kernel, a, c, b, d, fs.extract(psi, space))
+        tensor = projected_pair_sum(psi, pairs)
+        fock = projected_pair_sum(fs.extract(psi, space), pairs)
         assert np.abs(fs.embed(fock).amps - tensor.amps).max() <= 1e-11
+
+    def test_kernel_built_once_per_pieces(self):
+        model = make_model()
+        rng = np.random.default_rng(23)
+        pieces = pieces_at(random_phi(model, rng), 0.0, model)
+        space = fs.FockSpace(fs.enumerate_basis(3, 3), model.cell)
+        psi = fs.random_fock(space, rng)
+        apply_Htilde(pieces, psi, model)
+        kernel = pieces.htilde_pairs.ladder_kernel
+        apply_Htilde(pieces, fs.random_fock(space, rng), model)
+        assert pieces.htilde_pairs.ladder_kernel is kernel
 
 
 class TestPieces:
