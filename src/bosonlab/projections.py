@@ -1,14 +1,18 @@
 """Excitation-number projections, weight operators, and moment functionals.
 
 For a normalised condensate phi, P_k projects an N-body state onto the
-sector with exactly k particles outside phi.  P_k is evaluated as a Lagrange
-polynomial in the excitation-number observable S = sum_j q_j, whose spectrum
-is {0, ..., N}:
+sector with exactly k particles outside phi, i.e. onto the eigenspace k of
+the excitation-number observable S = sum_j q_j, whose spectrum is {0, ..., N}.
 
-    P_k = prod_{l != k} (S - l) / (k - l),
-
-applied by repeated action of S.  Factors are consumed in ascending |k - l|
-order to limit cancellation at large N.  The subset-sum definition (all
+Every function of S applied to one state goes through a single Lanczos pass
+of S from that state.  Because S has at most N + 1 distinct eigenvalues, at
+most N + 1 steps (N + 1 one-body lifts) span an S-invariant Krylov space, on
+which the tridiagonal Ritz values are the sector labels k and the squared
+first components of its eigenvectors are the weights ||P_k psi||^2 / ||psi||^2
+(Golub-Welsch).  The basis is fully reorthogonalised, so the weights are exact
+to roundoff at any N; the Krylov rows cost O((N + 1) * dim) complex entries
+of memory.  A Ritz value off the integers that carries weight is an
+inconsistency and raises ConsistencyError.  The subset-sum definition (all
 placements of k complement projectors) is retained only as a small-N oracle.
 """
 
@@ -28,6 +32,12 @@ from .hamiltonians import one_body_lift
 
 # Largest accepted |sum_k ||P_k psi||^2 - ||psi||^2|, relative to max(1, ||psi||^2).
 SUM_RULE_TOL = 1e-8
+# The Lanczos pass stops once the residual norm is below this times max(1, N).
+KRYLOV_STOP = 1e-12
+# A Ritz value farther than RITZ_TOL from an integer in 0..N that carries more
+# than WEIGHT_FLOOR * max(1, ||psi||^2) raises ConsistencyError.
+RITZ_TOL = 1e-8
+WEIGHT_FLOOR = 1e-14
 
 __all__ = [
     "WeightFunction",
@@ -134,16 +144,80 @@ def weight_values(f: WeightFunction | Callable, n_particles: int) -> np.ndarray:
 # spectral projectors
 # ---------------------------------------------------------------------------
 
+def _sector_krylov(phi: np.ndarray, psi):
+    """Lanczos pass of S from psi / ||psi||: the spectral data of S seen by psi.
+
+    Returns ``(labels, carried, rows, ritz)``: the integer label round(theta_j)
+    of each Ritz value, the weight ||psi||^2 ritz[0, j]^2 each Ritz pair
+    carries, the orthonormal Krylov rows (flattened amplitudes, one per step)
+    and the eigenvectors of the tridiagonal matrix as columns of ``ritz``.  It
+    stops after N + 1 steps, or earlier once the residual is roundoff.  The
+    rows hold O((N + 1) * dim) complex entries (263 KB at N = 16, dim 969).
+    Raises ConsistencyError when a Ritz value that carries weight lies off the
+    integers 0..N, i.e. when S does not have the spectrum it must have.
+    """
+    _check_phi(phi, psi.cell)
+    n = psi.particles
+    flat = psi.amps.reshape(-1)
+    scale = np.linalg.norm(flat)
+    if scale == 0.0:
+        return np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, flat.size)), np.zeros((0, 0))
+    rows = np.zeros((n + 1, flat.size), dtype=np.complex128)
+    rows[0] = flat / scale
+    alpha = np.zeros(n + 1)
+    beta = np.zeros(n)
+    steps = n + 1
+    for j in range(n + 1):
+        vec = 0.0 * psi
+        vec.amps[...] = rows[j].reshape(psi.amps.shape)
+        r = number_apply(vec, phi).amps.reshape(-1)
+        # two classical Gram-Schmidt passes; einsum, not a BLAS gemv, because
+        # (j + 1) * dim above 4096 entries wakes OpenBLAS's thread pool
+        for _ in range(2):
+            c = np.einsum("ij,j->i", rows[: j + 1], r.conj()).conj()
+            r = r - np.einsum("i,ij->j", c, rows[: j + 1])
+            alpha[j] += c[j].real
+        if j == n:
+            break
+        beta[j] = np.linalg.norm(r)
+        if beta[j] <= KRYLOV_STOP * max(1, n):
+            steps = j + 1
+            break
+        rows[j + 1] = r / beta[j]
+    off_diag = beta[: steps - 1]
+    ritz_values, ritz = np.linalg.eigh(
+        np.diag(alpha[:steps]) + np.diag(off_diag, 1) + np.diag(off_diag, -1)
+    )
+    norm_sq = psi.norm() ** 2
+    carried = norm_sq * ritz[0] ** 2
+    labels = np.rint(ritz_values)
+    off = (np.abs(ritz_values - labels) > RITZ_TOL) | (labels < 0) | (labels > n)
+    if np.any(off & (carried > WEIGHT_FLOOR * max(1.0, norm_sq))):
+        bad = ritz_values[off][np.argmax(carried[off])]
+        raise ConsistencyError(
+            f"S = sum_j q_j has a Ritz value {bad!r} off the integers 0..{n} "
+            f"that carries weight; the excitation-number spectrum is inconsistent"
+        )
+    return np.clip(labels, 0, n).astype(int), carried, rows[:steps], ritz
+
+
+def _apply_sector_values(vals: np.ndarray, phi: np.ndarray, psi):
+    """sum_k vals[k] P_k psi, rebuilt as ||psi|| V Y diag(vals[k_j]) Y[0]."""
+    labels, _, rows, ritz = _sector_krylov(phi, psi)
+    out = 0.0 * psi
+    if len(labels):
+        coeff = np.linalg.norm(psi.amps) * (ritz @ (vals[labels] * ritz[0]))
+        out.amps[...] = np.einsum("i,ij->j", coeff, rows).reshape(psi.amps.shape)
+    return out
+
+
 def apply_Pk(k: int, phi: np.ndarray, state):
     """Project onto the k-excitation sector; zero state for k outside [0, N]."""
-    _check_phi(phi, state.cell)
     n = state.particles
     if k < 0 or k > n:
+        _check_phi(phi, state.cell)
         return 0.0 * state
-    out = state
-    for l in sorted((l for l in range(n + 1) if l != k), key=lambda l: (abs(l - k), l)):
-        out = (number_apply(out, phi) - l * out) * (1.0 / (k - l))
-    return out
+    return _apply_sector_values(np.eye(n + 1)[k], phi, state)
 
 
 def apply_Pk_subset(k: int, phi: np.ndarray, psi: ts.TensorState) -> ts.TensorState:
@@ -176,35 +250,32 @@ class SpectralWeights:
 def spectral_weights(psi, phi: np.ndarray) -> SpectralWeights:
     """||P_k psi||^2 for every k; entries are nonnegative and sum to ||psi||^2.
 
-    The Lagrange P_k lose accuracy as N grows (the resolution-of-identity
-    defect is ~1e-13 at N=16, ~1e-10 at N=20 and ~1e-5 at N=30 for M=3), so
-    the sum rule is checked and a violation raises ConsistencyError.
+    One Lanczos pass of S from psi (at most N + 1 lifts, see
+    ``_sector_krylov``) gives each weight as the sum of the Ritz weights with
+    label k; it matches a dense eigendecomposition of S to roundoff at any N
+    and holds (N + 1) * dim complex entries while it runs.  A Ritz value off
+    the integers that carries weight, or a sum-rule defect above
+    SUM_RULE_TOL, raises ConsistencyError (exit 1).
     """
-    _check_phi(phi, psi.cell)
     if isinstance(psi, ts.TensorState) and ts.transposition_residual(psi) > 1e-8:
         raise ValueError("spectral weights require a symmetric state")
     n = psi.particles
-    w = np.empty(n + 1)
-    for k in range(n + 1):
-        w[k] = state_norm(apply_Pk(k, phi, psi)) ** 2
+    labels, carried, _, _ = _sector_krylov(phi, psi)
+    w = np.zeros(n + 1)
+    np.add.at(w, labels, carried)
     norm_sq = state_norm(psi) ** 2
     defect = abs(w.sum() - norm_sq)
     if defect > SUM_RULE_TOL * max(1.0, norm_sq):
         raise ConsistencyError(
             f"spectral weights sum to {w.sum()!r}, not ||psi||^2 = {norm_sq!r} "
-            f"(defect {defect:.3g}); the Lagrange P_k are inaccurate at N={n}"
+            f"(defect {defect:.3g}) at N={n}"
         )
     return SpectralWeights(weights=w)
 
 
 def apply_weight(f: WeightFunction | Callable, phi: np.ndarray, psi):
     """Weight operator sum_k f(k) P_k applied to psi."""
-    vals = weight_values(f, psi.particles)
-    out = 0.0 * psi
-    for k, v in enumerate(vals):
-        if v != 0.0:
-            out = out + v * apply_Pk(k, phi, psi)
-    return out
+    return _apply_sector_values(weight_values(f, psi.particles), phi, psi)
 
 
 def weight_expectation(f: WeightFunction | Callable, phi: np.ndarray, psi) -> float:

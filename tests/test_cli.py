@@ -85,6 +85,22 @@ class TestEvolve:
         total = sum(float(x) for x in lines[1].split(",")[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_weights_at_thirty_particles(self, tmp_path, capsys):
+        path = tmp_path / "n30.cfg"
+        path.write_text(SMALL_CFG.replace("sites_per_dim = 4", "sites_per_dim = 3")
+                        .replace("torus_length = 4.0", "torus_length = 3.0")
+                        .replace("particles = 3", "particles = 30")
+                        .replace("t_final = 0.1", "t_final = 0.003"))
+        rows = {}
+        for observable in ("norm", "weights"):
+            assert main(["evolve", "--config", str(path), "--observable", observable,
+                         "--every", "1"]) == 0
+            rows[observable] = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows["weights"]) == 4
+        for norm_row, weight_row in zip(rows["norm"], rows["weights"]):
+            total = sum(float(x) for x in weight_row.split(",")[1:])
+            assert abs(total - float(norm_row.split(",")[1]) ** 2) <= 1e-10
+
     def test_moments_observable(self, cfg_path, capsys):
         assert main(["evolve", "--config", cfg_path, "--observable", "moments",
                      "--every", "100"]) == 0

@@ -164,8 +164,6 @@ class TestWeights:
 
 class TestLargeParticleNumber:
     def test_spectral_calculus_at_n12(self):
-        # the Lagrange products accumulate cancellation as N grows; the
-        # idempotence tolerance is relaxed to 1e-8 at the N = 12 ceiling
         from bosonlab import fockstate as fs
 
         n, m = 12, 4
@@ -178,21 +176,59 @@ class TestLargeParticleNumber:
         assert np.all(w.weights >= -1e-12)
         for k in (0, 6, 12):
             pk = pj.apply_Pk(k, phi, psi)
-            assert (pj.apply_Pk(k, phi, pk) - pk).norm() <= 1e-8
+            assert (pj.apply_Pk(k, phi, pk) - pk).norm() <= 1e-10
 
+    @pytest.mark.parametrize("m, n", [(3, 30), (2, 60), (4, 16)])
+    def test_weights_match_dense_oracle(self, m, n):
+        space = fs.FockSpace(fs.enumerate_basis(m, n), CELL)
+        rng = np.random.default_rng(30 + n)
+        phi = random_phi(m, rng)
+        psi = fs.random_fock(space, rng)
+        dim = space.basis.dim
+        # dense S, column by column from the lift on unit vectors
+        s_mat = np.empty((dim, dim), dtype=np.complex128)
+        for col in range(dim):
+            unit = np.zeros(dim, dtype=np.complex128)
+            unit[col] = 1.0
+            s_mat[:, col] = pj.number_apply(fs.FockState(unit, space), phi).amps
+        evals, evecs = np.linalg.eigh(0.5 * (s_mat + s_mat.conj().T))
+        labels = np.rint(evals).astype(int)
+        assert np.abs(evals - labels).max() <= 1e-9
+        dense = np.bincount(labels, weights=np.abs(evecs.conj().T @ psi.amps) ** 2,
+                            minlength=n + 1)
+        w = pj.spectral_weights(psi, phi)
+        assert np.abs(w.weights - dense).max() <= 1e-12
 
-    def test_sum_rule_guard_refuses_n30(self):
-        # the Lagrange P_k miss the resolution of identity by ~1e-5 here
-        from bosonlab import fockstate as fs
+    def test_off_integer_spectrum_raises(self, monkeypatch):
         from bosonlab.errors import ConsistencyError
 
-        space = fs.FockSpace(fs.enumerate_basis(3, 30), CELL)
-        rng = np.random.default_rng(30)
+        space = fs.FockSpace(fs.enumerate_basis(3, 4), CELL)
+        rng = np.random.default_rng(31)
         phi = random_phi(3, rng)
         psi = fs.random_fock(space, rng)
+        number_apply = pj.number_apply
+        monkeypatch.setattr(pj, "number_apply",
+                            lambda state, phi: number_apply(state, phi) + 0.3 * state)
         with pytest.raises(ConsistencyError) as info:
             pj.spectral_weights(psi, phi)
         assert info.value.exit_code == 1
+
+    def test_weights_cost_at_most_n_plus_one_lifts(self, monkeypatch):
+        n = 16
+        space = fs.FockSpace(fs.enumerate_basis(4, n), CELL)
+        rng = np.random.default_rng(32)
+        phi = random_phi(4, rng)
+        psi = fs.random_fock(space, rng)
+        calls = []
+        number_apply = pj.number_apply
+
+        def counted(state, phi):
+            calls.append(1)
+            return number_apply(state, phi)
+
+        monkeypatch.setattr(pj, "number_apply", counted)
+        pj.spectral_weights(psi, phi)
+        assert 0 < len(calls) <= n + 1
 
 
 class TestQChain:
