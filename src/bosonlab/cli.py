@@ -14,10 +14,10 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from . import tensorstate as ts
 from .duhamel import correction_error
 from .errors import BosonLabError, ConfigError
 from .experiments import (
+    _fmt,
     build_product,
     default_phi0,
     lemma_suite,
@@ -32,13 +32,7 @@ from .projections import (
     spectral_weights,
 )
 from .propagation import evolve_full
-from .snapshots import load_state, save_state
-
-FORMAT_VERSION = "BLAB1"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+from .snapshots import MAGIC, load_state, save_state
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -221,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--version", action="version",
-        version=f"bosonlab {__version__} (snapshot format {FORMAT_VERSION})",
+        version=f"bosonlab {__version__} (snapshot format {MAGIC.decode()})",
     )
     subs = parser.add_subparsers(dest="command")
 

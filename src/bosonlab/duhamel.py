@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .hamiltonians import apply_C, apply_Htilde, apply_Q, pieces_at
-from .meanfield import HartreeTrajectory, hartree_evolve
+from .meanfield import HartreeTrajectory, hartree_evolve, hartree_rhs
 from .model import Model, validate_config
 from .propagation import check_state, evolve_aux, evolve_full, rk4_step
 
@@ -99,7 +99,7 @@ def hierarchy_evolve(psi0, order: int, t: float, trajectory: HartreeTrajectory) 
         phi = y[0]
         members = y[1:]
         pieces = pieces_at(phi, time, model)
-        out = [-1j * (pieces.h1 @ pieces.phi)]
+        out = [hartree_rhs(phi, time, model)]
         for key, state in zip(indices, members):
             n, k = key
             acc = apply_Htilde(pieces, state, model)

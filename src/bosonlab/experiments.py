@@ -18,7 +18,7 @@ import numpy as np
 from . import fockstate as fs
 from . import tensorstate as ts
 from .duhamel import assemble, hierarchy_evolve
-from .errors import ConfigError, RangeError
+from .errors import BosonLabError, ConfigError, RangeError
 from .hamiltonians import (
     apply_C,
     apply_Q,
@@ -215,7 +215,11 @@ def _fmt(x: float) -> str:
 
 
 def _sweep_point(config: ModelConfig, n_particles: int, orders, t: float) -> list[SweepRow]:
-    """All rows for one grid point; failures become nan rows, never raises."""
+    """All rows for one grid point.
+
+    A ``BosonLabError`` (configuration, range, integrator or consistency
+    failure) becomes nan rows; any other exception is a defect and propagates.
+    """
     start = time.perf_counter()
     try:
         cfg = validate_config(replace(config, particles=int(n_particles)), correction_run=True)
@@ -238,7 +242,7 @@ def _sweep_point(config: ModelConfig, n_particles: int, orders, t: float) -> lis
                 )
             )
         return rows
-    except Exception as exc:  # record and continue; the sweep is a survey
+    except BosonLabError as exc:  # record and continue; the sweep is a survey
         elapsed = time.perf_counter() - start
         return [
             SweepRow(
@@ -262,8 +266,8 @@ def sweep_scaling(
 
     Grid points run independently (optionally in ``jobs`` worker processes);
     rows are reduced in grid order, so the CSV is identical regardless of
-    parallelism.  Failed points are recorded as nan rows and the sweep
-    continues.
+    parallelism.  Points that fail with a ``BosonLabError`` are recorded as
+    nan rows and the sweep continues; other exceptions propagate.
     """
     orders = tuple(sorted(set(int(a) for a in orders)))
     if not orders or orders[0] < 1:

@@ -96,21 +96,17 @@ def interaction_sum(state, model: Model):
 
 @dataclass(frozen=True)
 class EffectivePieces:
-    """Projectors and kernels derived from one condensate time stamp.
+    """The one-body generator and pair terms at one condensate time stamp.
 
-    ``z`` is the centred kernel w(r-s) - vbar(r) - vbar(s) + 2 mu; the cubic
-    remainder uses it without the 2 mu shift, which two orthogonal projector
-    pairs annihilate anyway.  The ``*_pairs`` fields hold the pair terms of
-    Htilde, C and Q without the 1/(N-1) prefactor.
+    ``h1`` is the mean-field one-body generator -Lap + V_ext(t) + diag(vbar)
+    - mu, the one M x M Hartree table, built here because the N-body lift in
+    Htilde needs it.  The ``*_pairs`` fields hold the pair terms of Htilde,
+    C and Q without the 1/(N-1) prefactor.  Q uses the centred kernel
+    w(r-s) - vbar(r) - vbar(s) + 2 mu; C uses it without the 2 mu shift,
+    which two orthogonal projector pairs annihilate anyway.
     """
 
-    t: float
-    phi: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
     h1: np.ndarray
-    z: np.ndarray
-    z_no_mu: np.ndarray
     htilde_pairs: PairTerms
     cubic_pairs: PairTerms
     quartic_pairs: PairTerms
@@ -121,14 +117,10 @@ def pieces_from(cond: Condensate, model: Model) -> EffectivePieces:
     w = model.pair.mat
     z_no_mu = w - cond.vbar[:, None] - cond.vbar[None, :]
     z = z_no_mu + 2.0 * cond.mu
+    h1 = (model.h0(cond.t) + np.diag(cond.vbar).astype(np.complex128)
+          - cond.mu * np.eye(cond.phi.size))
     return EffectivePieces(
-        t=cond.t,
-        phi=cond.phi,
-        p=p,
-        q=q,
-        h1=cond.hmat,
-        z=z,
-        z_no_mu=z_no_mu,
+        h1=h1,
         # p_i q_j v q_i p_j summed with its adjoint over ordered pairs; then
         # p_i p_j v q_i q_j and its adjoint, each symmetric under i <-> j
         htilde_pairs=PairTerms(((1.0, w, p, q, q, p), (0.5, w, p, q, p, q), (0.5, w, q, p, q, p))),

@@ -2,13 +2,18 @@
 
 The condensate obeys  i d/dt phi = (-Lap + V_ext(t) + vbar - mu) phi  with
 vbar the interaction smeared by |phi|^2 and mu a real phase fixing constant.
-The fixed-step classical fourth-order integrator stores phi at every grid
-time so that all N-body evolutions can consume the identical trajectory.
+``hartree_rhs`` is the one definition of this generator: the Hartree flow
+here, the auxiliary flow and the correction hierarchy all step phi with it,
+and it builds no M x M table.  The fixed-step classical fourth-order
+integrator stores phi and its norm at every grid time so that all N-body
+evolutions can consume the identical trajectory; the diagnostics mu and the
+Sobolev proxy along the trajectory are computed on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,39 +46,39 @@ def vbar(phi: np.ndarray, pair, cell: float) -> np.ndarray:
     return cell * (wmat @ density)
 
 
+def _mu(phi: np.ndarray, vb: np.ndarray, cell: float) -> float:
+    return float(0.5 * cell * np.dot(np.abs(phi) ** 2, vb))
+
+
 def mu(phi: np.ndarray, pair, cell: float) -> float:
     """Phase-fixing constant: half the interaction energy of the density."""
-    vb = vbar(phi, pair, cell)
-    density = np.abs(np.asarray(phi)) ** 2
-    return float(0.5 * cell * np.dot(density, vb))
+    return _mu(phi, vbar(phi, pair, cell), cell)
 
 
 @dataclass(frozen=True)
 class Condensate:
-    """Condensate amplitudes at a time stamp with consistent derived caches."""
+    """Condensate amplitudes at a time stamp with their mean field and mu."""
 
     phi: np.ndarray
     t: float
     vbar: np.ndarray
     mu: float
-    hmat: np.ndarray  # one-body generator -Lap + V_ext(t) + diag(vbar) - mu
-
-    def norm(self, cell: float) -> float:
-        return one_body_norm(self.phi, cell)
 
 
 def condensate_at(phi: np.ndarray, t: float, model: Model) -> Condensate:
     phi = np.asarray(phi, dtype=np.complex128)
     vb = vbar(phi, model.pair, model.cell)
-    m = float(0.5 * model.cell * np.dot(np.abs(phi) ** 2, vb))
-    hmat = model.h0(t) + np.diag(vb).astype(np.complex128) - m * np.eye(phi.size)
-    return Condensate(phi=phi, t=t, vbar=vb, mu=m, hmat=hmat)
+    return Condensate(phi=phi, t=t, vbar=vb, mu=_mu(phi, vb, model.cell))
 
 
 def hartree_rhs(phi: np.ndarray, t: float, model: Model) -> np.ndarray:
-    """Right-hand side -i h[phi](t) phi of the Hartree equation."""
+    """Right-hand side -i h[phi](t) phi = -i (h0(t) phi + (vbar - mu) phi).
+
+    The only definition of the condensate's generator; it never builds the
+    M x M table h0(t) + diag(vbar) - mu.
+    """
     cond = condensate_at(phi, t, model)
-    return -1j * (cond.hmat @ cond.phi)
+    return -1j * (model.h0(t) @ cond.phi + (cond.vbar - cond.mu) * cond.phi)
 
 
 def _rk4_phi(phi: np.ndarray, t: float, dt: float, model: Model) -> np.ndarray:
@@ -86,14 +91,25 @@ def _rk4_phi(phi: np.ndarray, t: float, dt: float, model: Model) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HartreeTrajectory:
-    """Condensate stored at every grid time, immutable after construction."""
+    """Condensate and its norm stored at every grid time.
+
+    ``mus`` and ``hk`` (the discrete Sobolev proxy) are per-step diagnostics
+    that the flow itself does not need; each is computed from ``phis`` on
+    first access and kept.
+    """
 
     model: Model
     times: np.ndarray
     phis: np.ndarray     # (steps+1, M)
-    mus: np.ndarray
     norms: np.ndarray
-    hk: np.ndarray       # discrete Sobolev proxy per step
+
+    @cached_property
+    def mus(self) -> np.ndarray:
+        return np.array([mu(phi, self.model.pair, self.model.cell) for phi in self.phis])
+
+    @cached_property
+    def hk(self) -> np.ndarray:
+        return np.array([hk_proxy(phi, self.model) for phi in self.phis])
 
     @property
     def dt(self) -> float:
@@ -134,17 +150,13 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
     phi = np.asarray(phi0, dtype=np.complex128).copy()
     m = phi.size
     phis = np.empty((steps + 1, m), dtype=np.complex128)
-    mus = np.empty(steps + 1)
     norms = np.empty(steps + 1)
-    hks = np.empty(steps + 1)
 
     norm0 = one_body_norm(phi, model.cell)
     for k in range(steps + 1):
         t = (i0 + k) * dt
         phis[k] = phi
-        mus[k] = mu(phi, model.pair, model.cell)
         norms[k] = one_body_norm(phi, model.cell)
-        hks[k] = hk_proxy(phi, model)
         if abs(norms[k] - norm0) > DRIFT_ABORT:
             raise IntegratorError(
                 f"condensate norm drift {abs(norms[k] - norm0):.3e} at t={t:.6g} exceeds {DRIFT_ABORT}"
@@ -155,7 +167,7 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
                 raise IntegratorError(f"non-finite condensate amplitudes after step at t={t:.6g}")
 
     times = (np.arange(steps + 1) + i0) * dt
-    return HartreeTrajectory(model=model, times=times, phis=phis, mus=mus, norms=norms, hk=hks)
+    return HartreeTrajectory(model=model, times=times, phis=phis, norms=norms)
 
 
 def hk_proxy(phi: np.ndarray, model: Model) -> float:
@@ -180,7 +192,5 @@ def hk_proxy(phi: np.ndarray, model: Model) -> float:
 
 def hartree_energy(phi: np.ndarray, t: float, model: Model) -> float:
     """Energy proxy <phi, (-Lap + V_ext) phi> + mu (reported in trace CSVs)."""
-    cond = condensate_at(phi, t, model)
-    h0 = model.h0(t)
-    kin = model.cell * np.vdot(phi, h0 @ phi).real
-    return float(kin + cond.mu)
+    kin = model.cell * np.vdot(phi, model.h0(t) @ phi).real
+    return float(kin + mu(phi, model.pair, model.cell))

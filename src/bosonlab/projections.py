@@ -42,8 +42,6 @@ WEIGHT_FLOOR = 1e-14
 __all__ = [
     "WeightFunction",
     "SpectralWeights",
-    "weight_m",
-    "weight_n",
     "weight_w_lambda",
     "weight_values",
     "number_apply",
@@ -51,7 +49,6 @@ __all__ = [
     "apply_Pk_subset",
     "spectral_weights",
     "apply_weight",
-    "weight_expectation",
     "m_moment",
     "n_moment",
     "qchain_expectation",
@@ -61,7 +58,6 @@ __all__ = [
     "falling_factorial",
     "a3_report",
     "A3Report",
-    "state_norm",
     "state_inner",
 ]
 
@@ -70,20 +66,10 @@ __all__ = [
 # representation-neutral helpers
 # ---------------------------------------------------------------------------
 
-def state_norm(state) -> float:
-    return state.norm()
-
-
 def state_inner(a, b) -> complex:
     if isinstance(a, ts.TensorState):
         return ts.inner(a, b)
     return fs.inner(a, b)
-
-
-def _check_phi(phi: np.ndarray, cell: float):
-    norm = np.sqrt(cell * np.vdot(phi, phi).real)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"condensate must be normalised, |norm - 1| = {abs(norm - 1.0):.3g}")
 
 
 def number_apply(state, phi: np.ndarray):
@@ -109,14 +95,6 @@ class WeightFunction:
 
     def shifted(self, offset: int) -> "WeightFunction":
         return WeightFunction(self.fn, self.shift + offset)
-
-
-def weight_n(n_particles: int) -> WeightFunction:
-    return WeightFunction(lambda k: math.sqrt(k / n_particles))
-
-
-def weight_m(n_particles: int) -> WeightFunction:
-    return WeightFunction(lambda k: math.sqrt((k + 1) / n_particles))
 
 
 def weight_w_lambda(lam: float, n_particles: int) -> WeightFunction:
@@ -156,7 +134,7 @@ def _sector_krylov(phi: np.ndarray, psi):
     Raises ConsistencyError when a Ritz value that carries weight lies off the
     integers 0..N, i.e. when S does not have the spectrum it must have.
     """
-    _check_phi(phi, psi.cell)
+    ts.check_normalised(phi, psi.cell)
     n = psi.particles
     flat = psi.amps.reshape(-1)
     scale = np.linalg.norm(flat)
@@ -215,7 +193,7 @@ def apply_Pk(k: int, phi: np.ndarray, state):
     """Project onto the k-excitation sector; zero state for k outside [0, N]."""
     n = state.particles
     if k < 0 or k > n:
-        _check_phi(phi, state.cell)
+        ts.check_normalised(phi, state.cell)
         return 0.0 * state
     return _apply_sector_values(np.eye(n + 1)[k], phi, state)
 
@@ -263,7 +241,7 @@ def spectral_weights(psi, phi: np.ndarray) -> SpectralWeights:
     labels, carried, _, _ = _sector_krylov(phi, psi)
     w = np.zeros(n + 1)
     np.add.at(w, labels, carried)
-    norm_sq = state_norm(psi) ** 2
+    norm_sq = psi.norm() ** 2
     defect = abs(w.sum() - norm_sq)
     if defect > SUM_RULE_TOL * max(1.0, norm_sq):
         raise ConsistencyError(
@@ -276,12 +254,6 @@ def spectral_weights(psi, phi: np.ndarray) -> SpectralWeights:
 def apply_weight(f: WeightFunction | Callable, phi: np.ndarray, psi):
     """Weight operator sum_k f(k) P_k applied to psi."""
     return _apply_sector_values(weight_values(f, psi.particles), phi, psi)
-
-
-def weight_expectation(f: WeightFunction | Callable, phi: np.ndarray, psi) -> float:
-    """<psi, f_hat psi> = sum_k f(k) ||P_k psi||^2."""
-    vals = weight_values(f, psi.particles)
-    return float(np.dot(vals, spectral_weights(psi, phi).weights))
 
 
 def m_moment(a: int, phi: np.ndarray, psi, weights: SpectralWeights | None = None) -> float:
@@ -356,7 +328,7 @@ def excitation_extract(k: int, phi: np.ndarray, psi: ts.TensorState) -> ts.Tenso
         raise ValueError(f"excitation order k={k} out of range 0..{n}")
     if n > 8:
         raise ValueError("excitation extraction is limited to N <= 8")
-    _check_phi(phi, psi.cell)
+    ts.check_normalised(phi, psi.cell)
     phi = np.asarray(phi, dtype=np.complex128)
     amps = psi.amps
     for _ in range(n - k):

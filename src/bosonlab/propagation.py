@@ -6,10 +6,10 @@ auxiliary flow and the quadrature oracle's transports between nodes; the
 correction hierarchy runs the same kernel and the same guard
 (``check_state``) in its own loop.  Composite states are plain lists whose
 leaves support ``+`` and scalar ``*``; the condensate rides along as the
-first leaf wherever the generator depends on it, so stage values of phi and
-of the N-body state stay synchronous within a step.  The lead state, whose
-norm drift is guarded, is the state itself or the leaf right behind the
-condensate.
+first leaf wherever the generator depends on it, stepped by
+``meanfield.hartree_rhs``, so stage values of phi and of the N-body state
+stay synchronous within a step.  The lead state, whose norm drift is
+guarded, is the state itself or the leaf right behind the condensate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import IntegratorError
 from .hamiltonians import apply_H, apply_Htilde, pieces_at
-from .meanfield import DRIFT_ABORT, HartreeTrajectory
+from .meanfield import DRIFT_ABORT, HartreeTrajectory, hartree_rhs
 from .model import Model
 
 __all__ = ["rk4_step", "check_state", "march", "evolve_full", "evolve_aux"]
@@ -98,9 +98,9 @@ def evolve_full(psi0, t1: float, model: Model, t0: float = 0.0, observer=None):
 def evolve_aux(psi0, s: float, t: float, trajectory: HartreeTrajectory):
     """Auxiliary evolution from time s to t, restarting phi from the trajectory.
 
-    The condensate leaf evolves by its own Hartree flow inside the same staged
-    step, so it agrees with the stored trajectory at every grid time up to
-    roundoff.
+    The condensate leaf evolves by its own Hartree flow (``hartree_rhs``)
+    inside the same staged step, so it agrees with the stored trajectory at
+    every grid time up to roundoff.
     """
     i0 = trajectory.index_of(s)
     i1 = trajectory.index_of(t)
@@ -111,7 +111,7 @@ def evolve_aux(psi0, s: float, t: float, trajectory: HartreeTrajectory):
     def rhs(time, y):
         phi, psi = y
         pieces = pieces_at(phi, time, model)
-        return [-1j * (pieces.h1 @ pieces.phi), -1j * apply_Htilde(pieces, psi, model)]
+        return [hartree_rhs(phi, time, model), -1j * apply_Htilde(pieces, psi, model)]
 
     y = march(rhs, [trajectory.phi(i0).copy(), psi0.copy()], i0, i1, trajectory.dt)
     return y[1]

@@ -30,12 +30,11 @@ def save_state(path, state, dimension: int, sites_per_dim: int) -> None:
     spacing = state.cell ** (1.0 / dimension)
     if isinstance(state, ts.TensorState):
         tag = TAG_TENSOR
-        payload = np.ascontiguousarray(state.amps, dtype="<c8").tobytes()
     elif isinstance(state, fs.FockState):
         tag = TAG_OCCUPATION
-        payload = np.ascontiguousarray(state.amps, dtype="<c8").tobytes()
     else:
         raise ConfigError(f"cannot snapshot object of type {type(state).__name__}")
+    payload = np.ascontiguousarray(state.amps, dtype="<c8").tobytes()
     header = _HEADER.pack(MAGIC, tag, dimension, sites_per_dim, state.particles, spacing)
     with open(path, "wb") as fh:
         fh.write(header)

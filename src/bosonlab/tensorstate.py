@@ -27,6 +27,7 @@ __all__ = [
     "product_state",
     "random_symmetric",
     "projector_matrices",
+    "check_normalised",
 ]
 
 
@@ -144,10 +145,11 @@ def projector_matrices(phi: np.ndarray, cell: float):
     return p, q
 
 
-def _check_normalised(phi: np.ndarray, cell: float):
+def check_normalised(phi: np.ndarray, cell: float):
+    """Raise ValueError unless the condensate phi has unit lattice norm (to 1e-10)."""
     norm = np.sqrt(cell * np.vdot(phi, phi).real)
     if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"one-body state must be normalised, |norm - 1| = {abs(norm - 1.0):.3g}")
+        raise ValueError(f"condensate must be normalised, |norm - 1| = {abs(norm - 1.0):.3g}")
 
 
 def apply_projector_chain(pattern, phi: np.ndarray, psi: TensorState) -> TensorState:
@@ -157,7 +159,7 @@ def apply_projector_chain(pattern, phi: np.ndarray, psi: TensorState) -> TensorS
     """
     if len(pattern) != psi.particles:
         raise ValueError(f"pattern length {len(pattern)} != particle count {psi.particles}")
-    _check_normalised(phi, psi.cell)
+    check_normalised(phi, psi.cell)
     p, q = projector_matrices(phi, psi.cell)
     out = psi
     for slot, tag in enumerate(pattern):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bosonlab import duhamel
 from bosonlab import projections as pj
 from bosonlab.errors import ConfigError, RangeError
 from bosonlab.experiments import (
@@ -230,6 +231,15 @@ class TestSweep:
         failed = [r for r in result.rows if r.failed]
         assert len(failed) == 1 and failed[0].particles == 1
         assert math.isnan(failed[0].err_sq)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("defect inside the hierarchy")
+
+        monkeypatch.setattr(duhamel, "pieces_at", broken)
+        cfg = base_config(t_final=0.1, dt=2e-3)
+        with pytest.raises(TypeError, match="defect inside the hierarchy"):
+            sweep_scaling(cfg, [3], [1], t=0.1)
 
     def test_parallel_jobs_match_serial(self):
         cfg = base_config(t_final=0.1, dt=2e-3)

@@ -165,13 +165,16 @@ class TestRemainders:
         psi = ts.random_symmetric(3, 3, model.cell, rng)
         pieces = pieces_at(phi, 0.0, model)
         p, q = ts.projector_matrices(phi, model.cell)
+        cond = condensate_at(phi, 0.0, model)
+        z_no_mu = model.pair.mat - cond.vbar[:, None] - cond.vbar[None, :]
+        z = z_no_mu + 2.0 * cond.mu
         m, n = 3, 3
         z2 = np.zeros((m * m, m * m), dtype=complex)
         z2_nm = np.zeros_like(z2)
         for r in range(m):
             for s in range(m):
-                z2[r * m + s, r * m + s] = pieces.z[r, s]
-                z2_nm[r * m + s, r * m + s] = pieces.z_no_mu[r, s]
+                z2[r * m + s, r * m + s] = z[r, s]
+                z2_nm[r * m + s, r * m + s] = z_no_mu[r, s]
         acc_c = 0.0 * psi
         acc_q = 0.0 * psi
         for i in range(n):
@@ -311,8 +314,8 @@ class TestPieces:
         model = make_model()
         rng = np.random.default_rng(14)
         phi = random_phi(model, rng)
-        pieces = pieces_at(phi, 0.0, model)
-        assert np.abs(pieces.p + pieces.q - np.eye(3)).max() <= 1e-14
+        p, q = ts.projector_matrices(condensate_at(phi, 0.0, model).phi, model.cell)
+        assert np.abs(p + q - np.eye(3)).max() <= 1e-14
 
     def test_cross_representation_agreement(self):
         model = make_model()

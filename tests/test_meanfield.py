@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from bosonlab import fockstate as fs
 from bosonlab import meanfield as mf
+from bosonlab.duhamel import hierarchy_evolve
 from bosonlab.errors import IntegratorError
 from bosonlab.model import build_model, validate_config
 
@@ -131,6 +133,26 @@ class TestHartreeRhs:
         overlap = model.cell * np.vdot(phi, mf.hartree_rhs(phi, 0.0, model))
         assert abs(overlap.real) <= 1e-13
 
+    @pytest.mark.parametrize("dimension,sites", [(1, 4), (2, 3)])
+    @pytest.mark.parametrize("potential", ["harmonic", "tabulated"])
+    def test_matches_dense_generator(self, dimension, sites, potential):
+        m = sites**dimension
+        rng = np.random.default_rng(9 + dimension)
+        over = {"dimension": dimension, "sites_per_dim": sites, "torus_length": float(sites)}
+        if potential == "harmonic":
+            over.update(potential_kind="harmonic", potential_strength=0.4)
+        else:
+            table = tuple(tuple(row) for row in rng.random((2, m)))
+            over.update(potential_kind="tabulated", potential_table=((0.0, 1.0), table))
+        model = make_model(**over)
+        phi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        phi /= mf.one_body_norm(phi, model.cell)
+        t = 0.3
+        vb = mf.vbar(phi, model.pair, model.cell)
+        shift = mf.mu(phi, model.pair, model.cell)
+        dense = -1j * (model.h0(t) + np.diag(vb) - shift * np.eye(m)) @ phi
+        assert np.abs(mf.hartree_rhs(phi, t, model) - dense).max() <= 1e-14
+
 
 class TestHartreeEvolve:
     def test_free_plane_wave_exact_phase(self):
@@ -202,6 +224,29 @@ class TestTrajectory:
         cond = traj.condensate(50)
         assert cond.t == pytest.approx(0.05)
         assert cond.mu == pytest.approx(traj.mus[50], abs=1e-14)
+
+    def test_diagnostics_match_per_step_calls(self):
+        model = make_model(t_final=0.05, potential_kind="harmonic", potential_strength=0.4)
+        rng = np.random.default_rng(11)
+        phi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        phi0 /= mf.one_body_norm(phi0, model.cell)
+        traj = mf.hartree_evolve(phi0, 0.0, 0.05, model)
+        assert np.array_equal(traj.mus, [mf.mu(phi, model.pair, model.cell) for phi in traj.phis])
+        assert np.array_equal(traj.hk, [mf.hk_proxy(phi, model) for phi in traj.phis])
+
+    def test_flows_never_compute_the_sobolev_proxy(self, monkeypatch):
+        calls = []
+        proxy = mf.hk_proxy
+        monkeypatch.setattr(mf, "hk_proxy", lambda phi, model: calls.append(1) or proxy(phi, model))
+        model = make_model(t_final=0.02)
+        rng = np.random.default_rng(12)
+        phi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        phi0 /= mf.one_body_norm(phi0, model.cell)
+        traj = mf.hartree_evolve(phi0, 0.0, 0.02, model)
+        psi0 = fs.product_fock(phi0, fs.FockSpace(fs.enumerate_basis(4, 3), model.cell))
+        hierarchy_evolve(psi0, 2, 0.02, traj)
+        assert calls == []
+        assert len(traj.hk) == len(calls) == len(traj.times)
 
     def test_hk_proxy_reduces_to_norm(self):
         # the s = 0 analogue of the proxy is the squared lattice norm
