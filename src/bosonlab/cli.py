@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Exit codes are the machine-readable success channel: 0 success, 1 invariant
-or suite failure, 2 configuration error, 3 range/resolution error,
-4 integrator failure.  Stdout is human-oriented; CSV files are the data
-channel.  ``--seed`` overrides the config seed and fully determines every
-stochastic choice.
+or suite failure or a failed sweep point, 2 configuration error,
+3 range/resolution error, 4 integrator failure.  Stdout is human-oriented;
+CSV files are the data channel.  ``--seed`` overrides the config seed and
+fully determines every stochastic choice.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .experiments import (
     sweep_scaling,
 )
 from .meanfield import hartree_energy, hartree_evolve
-from .model import Model, build_model, config_from_file
+from .model import Model, build_model, config_from_file, validate_config
 from .projections import (
     excitation_moment,
     m_moment,
@@ -131,13 +131,14 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_correct(args) -> int:
     cfg = _load_config(args, correction_run=True)
-    if args.order is not None:
-        cfg = replace(cfg, correction_order=args.order)
-    t = args.t if args.t is not None else cfg.t_final
+    order = cfg.correction_order if args.order is None else args.order
+    t = cfg.t_final if args.t is None else args.t
+    # --order and --t obey the rules of the config keys they override
+    cfg = validate_config(replace(cfg, correction_order=order, t_final=t), correction_run=True)
     model = build_model(cfg)
     phi0 = default_phi0(model)
     psi0 = build_product(model, phi0, args.representation)
-    result = correction_error(psi0, phi0, cfg.correction_order, t, model)
+    result = correction_error(psi0, phi0, cfg.correction_order, cfg.t_final, model)
     lines = ["quantity,value"]
     lines.append(f"error,{_fmt(result.error)}")
     lines.append(f"error_sq,{_fmt(result.error_sq)}")
@@ -178,7 +179,7 @@ def _cmd_sweep(args) -> int:
     result = sweep_scaling(cfg, grid, orders, jobs=args.jobs)
     _emit(result.to_csv(), args.out)
     sys.stdout.write(result.summary())
-    return 0
+    return 1 if any(row.failed for row in result.rows) else 0
 
 
 def _parse_grid(text: str) -> list[int]:

@@ -14,7 +14,8 @@ after every step by the shared ``check_state``: every member must stay
 finite and Phi_0^(0), the lead state, must keep its norm.  Nested
 composite-trapezoid quadrature over the ordered simplex is kept as an
 independent oracle for n <= 2; it transports between its nodes with
-``evolve_aux``.
+``evolve_aux``.  ``correction_error`` is the one place that measures the
+approximants against the full evolution.
 """
 
 from __future__ import annotations
@@ -73,9 +74,7 @@ class Hierarchy:
     """Coupled family of correction terms advanced to a common time."""
 
     order: int
-    t: float
     entries: dict
-    trajectory: HartreeTrajectory
 
     def norms(self) -> dict:
         return {key: state.norm() for key, state in self.entries.items()}
@@ -99,7 +98,7 @@ def hierarchy_evolve(psi0, order: int, t: float, trajectory: HartreeTrajectory) 
         phi = y[0]
         members = y[1:]
         pieces = pieces_at(phi, time, model)
-        out = [hartree_rhs(phi, time, model)]
+        out = [hartree_rhs(pieces.cond, model)]
         for key, state in zip(indices, members):
             n, k = key
             acc = apply_Htilde(pieces, state, model)
@@ -122,7 +121,7 @@ def hierarchy_evolve(psi0, order: int, t: float, trajectory: HartreeTrajectory) 
         check_state(y, (i + 1) * dt, norm0)
 
     entries = {key: state for key, state in zip(indices, y[1:])}
-    return Hierarchy(order=order, t=t, entries=entries, trajectory=trajectory)
+    return Hierarchy(order=order, entries=entries)
 
 
 def assemble(hierarchy: Hierarchy, order: int):
@@ -264,12 +263,24 @@ def first_order_defect_quadrature(psi0, t: float, trajectory: HartreeTrajectory,
 
 @dataclass(frozen=True)
 class CorrectionResult:
-    order: int
-    t: float
-    error: float
-    error_sq: float
-    correction_norm: float
+    """||psi(t) - psi^(a)(t)|| and ||psi^(a)(t)|| for a = 1..order, and the
+    norm of every hierarchy member (n, k); the properties read the top order."""
+
+    errors: tuple
+    correction_norms: tuple
     term_norms: dict
+
+    @property
+    def error(self) -> float:
+        return self.errors[-1]
+
+    @property
+    def error_sq(self) -> float:
+        return self.error**2
+
+    @property
+    def correction_norm(self) -> float:
+        return self.correction_norms[-1]
 
 
 def correction_error(
@@ -279,24 +290,17 @@ def correction_error(
     t: float,
     model: Model,
     trajectory: HartreeTrajectory | None = None,
-    hierarchy: Hierarchy | None = None,
-    allow_out_of_range: bool = False,
 ) -> CorrectionResult:
-    """Norm distance between the true evolution and the order-a approximant."""
-    if not allow_out_of_range:
-        validate_config(model.config, correction_run=True)
+    """Norm distance between the true evolution and each approximant a = 1..order,
+    from one hierarchy of ``order`` and one full evolution."""
+    validate_config(model.config, correction_run=True)
     if trajectory is None:
         trajectory = hartree_evolve(phi0, 0.0, t, model)
-    if hierarchy is None or hierarchy.order < order:
-        hierarchy = hierarchy_evolve(psi0, order, t, trajectory)
-    approx = assemble(hierarchy, order)
+    hierarchy = hierarchy_evolve(psi0, order, t, trajectory)
     full = evolve_full(psi0, t, model)
-    err = (full - approx).norm()
+    approx = [assemble(hierarchy, a) for a in range(1, order + 1)]
     return CorrectionResult(
-        order=order,
-        t=t,
-        error=err,
-        error_sq=err**2,
-        correction_norm=approx.norm(),
+        errors=tuple((full - state).norm() for state in approx),
+        correction_norms=tuple(state.norm() for state in approx),
         term_norms=hierarchy.norms(),
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fockstate as fs
 from . import tensorstate as ts
-from .duhamel import assemble, hierarchy_evolve
+from .duhamel import correction_error
 from .errors import BosonLabError, ConfigError, RangeError
 from .hamiltonians import (
     apply_C,
@@ -207,6 +207,8 @@ class SweepResult:
                     f"order {a}: fitted slope {slope:.4f} (target {-a * self.delta:.4f}, "
                     f"rms residual {resid:.3g})"
                 )
+        failed = {r.particles: r.failed for r in self.rows if r.failed}
+        lines.extend(f"failed N={n}: {reason}" for n, reason in failed.items())
         return "\n".join(lines) + "\n"
 
 
@@ -215,44 +217,34 @@ def _fmt(x: float) -> str:
 
 
 def _sweep_point(config: ModelConfig, n_particles: int, orders, t: float) -> list[SweepRow]:
-    """All rows for one grid point.
+    """All rows for one grid point, read off one ``correction_error`` call.
 
     A ``BosonLabError`` (configuration, range, integrator or consistency
-    failure) becomes nan rows; any other exception is a defect and propagates.
+    failure) becomes nan rows carrying its reason; any other exception is a
+    defect and propagates.
     """
     start = time.perf_counter()
+    cfg = replace(config, particles=int(n_particles))
     try:
-        cfg = validate_config(replace(config, particles=int(n_particles)), correction_run=True)
+        cfg = validate_config(cfg, correction_run=True)
         model = build_model(cfg)
         phi0 = default_phi0(model)
         psi0 = build_product(model, phi0)
-        traj = hartree_evolve(phi0, 0.0, t, model)
-        hier = hierarchy_evolve(psi0, max(orders), t, traj)
-        full = evolve_full(psi0, t, model)
-        elapsed = time.perf_counter() - start
-        rows = []
-        for a in orders:
-            approx = assemble(hier, a)
-            err = (full - approx).norm()
-            rows.append(
-                SweepRow(
-                    particles=int(n_particles), sites=cfg.site_count, dimension=cfg.dimension,
-                    beta=cfg.beta, gamma=cfg.gamma, t=t, dt=cfg.dt, order=a,
-                    err_sq=err**2, corr_norm=approx.norm(), runtime_s=elapsed,
-                )
-            )
-        return rows
+        result = correction_error(psi0, phi0, max(orders), t, model)
+        errors, norms, failed = result.errors, result.correction_norms, ""
     except BosonLabError as exc:  # record and continue; the sweep is a survey
-        elapsed = time.perf_counter() - start
-        return [
-            SweepRow(
-                particles=int(n_particles), sites=config.site_count,
-                dimension=config.dimension, beta=config.beta, gamma=config.gamma,
-                t=t, dt=config.dt, order=a, err_sq=float("nan"),
-                corr_norm=float("nan"), runtime_s=elapsed, failed=repr(exc),
-            )
-            for a in orders
-        ]
+        errors = norms = (float("nan"),) * max(orders)
+        failed = repr(exc)
+    elapsed = time.perf_counter() - start
+    return [
+        SweepRow(
+            particles=cfg.particles, sites=cfg.site_count, dimension=cfg.dimension,
+            beta=cfg.beta, gamma=cfg.gamma, t=t, dt=cfg.dt, order=a,
+            err_sq=errors[a - 1] ** 2, corr_norm=norms[a - 1], runtime_s=elapsed,
+            failed=failed,
+        )
+        for a in orders
+    ]
 
 
 def sweep_scaling(
@@ -267,12 +259,14 @@ def sweep_scaling(
     Grid points run independently (optionally in ``jobs`` worker processes);
     rows are reduced in grid order, so the CSV is identical regardless of
     parallelism.  Points that fail with a ``BosonLabError`` are recorded as
-    nan rows and the sweep continues; other exceptions propagate.
+    nan rows with their reason, listed in the summary, and the sweep
+    continues; other exceptions propagate.
     """
     orders = tuple(sorted(set(int(a) for a in orders)))
     if not orders or orders[0] < 1:
         raise ConfigError("orders must be positive integers")
     t = config.t_final if t is None else float(t)
+    validate_config(replace(config, t_final=t))  # t obeys the grid rule of t_final
     delta = delta_exponent(config.beta, config.gamma, config.dimension)
 
     grid = [int(n) for n in particle_grid]

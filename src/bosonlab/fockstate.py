@@ -331,7 +331,7 @@ def embed(state: FockState) -> TensorState:
         value = coeff * scale / _occupation_sqrt_factor(occ)
         for arrangement in _multiset_permutations(_representative(occ)):
             amps[arrangement] = value
-    return TensorState(amps, cell, symmetric=True)
+    return TensorState(amps, cell)
 
 
 def extract(psi: TensorState, space: FockSpace) -> FockState:

@@ -98,14 +98,17 @@ def interaction_sum(state, model: Model):
 class EffectivePieces:
     """The one-body generator and pair terms at one condensate time stamp.
 
-    ``h1`` is the mean-field one-body generator -Lap + V_ext(t) + diag(vbar)
-    - mu, the one M x M Hartree table, built here because the N-body lift in
-    Htilde needs it.  The ``*_pairs`` fields hold the pair terms of Htilde,
-    C and Q without the 1/(N-1) prefactor.  Q uses the centred kernel
-    w(r-s) - vbar(r) - vbar(s) + 2 mu; C uses it without the 2 mu shift,
-    which two orthogonal projector pairs annihilate anyway.
+    ``cond`` is the condensate they were built from, which a stage that
+    also steps phi reuses.  ``h1`` is the mean-field one-body generator
+    -Lap + V_ext(t) + diag(vbar) - mu, the one M x M Hartree table, built
+    here because the N-body lift in Htilde needs it.  The ``*_pairs``
+    fields hold the pair terms of Htilde, C and Q without the 1/(N-1)
+    prefactor.  Q uses the centred kernel w(r-s) - vbar(r) - vbar(s) + 2 mu;
+    C uses it without the 2 mu shift, which two orthogonal projector pairs
+    annihilate anyway.
     """
 
+    cond: Condensate
     h1: np.ndarray
     htilde_pairs: PairTerms
     cubic_pairs: PairTerms
@@ -120,6 +123,7 @@ def pieces_from(cond: Condensate, model: Model) -> EffectivePieces:
     h1 = (model.h0(cond.t) + np.diag(cond.vbar).astype(np.complex128)
           - cond.mu * np.eye(cond.phi.size))
     return EffectivePieces(
+        cond=cond,
         h1=h1,
         # p_i q_j v q_i p_j summed with its adjoint over ordered pairs; then
         # p_i p_j v q_i q_j and its adjoint, each symmetric under i <-> j

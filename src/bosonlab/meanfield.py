@@ -71,21 +71,20 @@ def condensate_at(phi: np.ndarray, t: float, model: Model) -> Condensate:
     return Condensate(phi=phi, t=t, vbar=vb, mu=_mu(phi, vb, model.cell))
 
 
-def hartree_rhs(phi: np.ndarray, t: float, model: Model) -> np.ndarray:
+def hartree_rhs(cond: Condensate, model: Model) -> np.ndarray:
     """Right-hand side -i h[phi](t) phi = -i (h0(t) phi + (vbar - mu) phi).
 
-    The only definition of the condensate's generator; it never builds the
-    M x M table h0(t) + diag(vbar) - mu.
+    The only definition of the condensate's generator.  It takes the stage's
+    condensate, which the effective pieces share, and builds no M x M table.
     """
-    cond = condensate_at(phi, t, model)
-    return -1j * (model.h0(t) @ cond.phi + (cond.vbar - cond.mu) * cond.phi)
+    return -1j * (model.h0(cond.t) @ cond.phi + (cond.vbar - cond.mu) * cond.phi)
 
 
 def _rk4_phi(phi: np.ndarray, t: float, dt: float, model: Model) -> np.ndarray:
-    k1 = hartree_rhs(phi, t, model)
-    k2 = hartree_rhs(phi + 0.5 * dt * k1, t + 0.5 * dt, model)
-    k3 = hartree_rhs(phi + 0.5 * dt * k2, t + 0.5 * dt, model)
-    k4 = hartree_rhs(phi + dt * k3, t + dt, model)
+    k1 = hartree_rhs(condensate_at(phi, t, model), model)
+    k2 = hartree_rhs(condensate_at(phi + 0.5 * dt * k1, t + 0.5 * dt, model), model)
+    k3 = hartree_rhs(condensate_at(phi + 0.5 * dt * k2, t + 0.5 * dt, model), model)
+    k4 = hartree_rhs(condensate_at(phi + dt * k3, t + dt, model), model)
     return phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -9,7 +9,7 @@ h**d weight of the inner product is a scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -66,8 +66,8 @@ class ModelConfig:
     """Validated physical and numerical configuration.
 
     Instances are immutable after validation and safe to share read-only
-    across workers.  Derived quantities (spacing, site_count, step_count)
-    are populated by :func:`validate_config`.
+    across workers.  The derived quantities (spacing, site_count,
+    step_count, cell) are properties, so they always match the fields.
     """
 
     dimension: int = 1
@@ -88,10 +88,21 @@ class ModelConfig:
     correction_order: int = 1
     moment_order: int = 2
     seed: int = 0
-    # derived
-    spacing: float = 0.0
-    site_count: int = 0
-    step_count: int = 0
+
+    @property
+    def spacing(self) -> float:
+        """Lattice spacing h = torus_length / L."""
+        return self.torus_length / self.sites_per_dim
+
+    @property
+    def site_count(self) -> int:
+        """Number of flattened sites M = L**d."""
+        return self.sites_per_dim**self.dimension
+
+    @property
+    def step_count(self) -> int:
+        """Grid steps from 0 to t_final."""
+        return int(round(self.t_final / self.dt))
 
     @property
     def cell(self) -> float:
@@ -147,9 +158,6 @@ def _normalise_raw(raw: Mapping) -> dict:
             raise ConfigError(f"unknown configuration key {key!r}")
         if field in ("interaction_samples", "potential_table") and value is not None:
             value = tuple(np.asarray(value).ravel().tolist()) if field == "interaction_samples" else value
-        elif field in ("spacing", "site_count", "step_count"):
-            # derived fields are recomputed, accepted for idempotence
-            continue
         else:
             value = _coerce(field, value)
         out[field] = value
@@ -164,16 +172,7 @@ def validate_config(raw, correction_run: bool = False) -> ModelConfig:
     window in which the correction hierarchy carries a convergence guarantee:
     beta < 1/(4d) and gamma > (2 + d*beta)/3.
     """
-    if isinstance(raw, ModelConfig):
-        fields = {
-            name: getattr(raw, name)
-            for name in ModelConfig.__dataclass_fields__
-            if name not in ("spacing", "site_count", "step_count")
-        }
-    else:
-        fields = _normalise_raw(raw)
-
-    cfg = ModelConfig(**fields)
+    cfg = raw if isinstance(raw, ModelConfig) else ModelConfig(**_normalise_raw(raw))
 
     d, L, N = cfg.dimension, cfg.sites_per_dim, cfg.particles
     if d not in (1, 2):
@@ -222,28 +221,26 @@ def validate_config(raw, correction_run: bool = False) -> ModelConfig:
                 f"correction run requires gamma > (2+d*beta)/3 = {gamma_floor}, got gamma={cfg.gamma}"
             )
 
-    spacing = cfg.torus_length / L
-    if spacing <= 0:
+    if cfg.spacing <= 0:
         raise ConfigError("lattice spacing must be strictly positive")
-    site_count = L**d
 
     # Scaled support must span at least two lattice spacings, otherwise the
     # potential collapses to a single-site spike and the scaling is vacuous.
     if cfg.beta > 0 and cfg.interaction_profile not in ("zero",):
         scaled_radius = cfg.interaction_radius * N ** (-cfg.beta)
-        if scaled_radius < 2 * spacing:
+        if scaled_radius < 2 * cfg.spacing:
             raise ResolutionError(
                 f"scaled interaction support N^-beta * R = {scaled_radius:.6g} "
-                f"spans less than two lattice spacings (2h = {2 * spacing:.6g})"
+                f"spans less than two lattice spacings (2h = {2 * cfg.spacing:.6g})"
             )
 
-    steps = int(round(cfg.t_final / cfg.dt))
+    steps = cfg.step_count
     if steps < 1 or abs(steps * cfg.dt - cfg.t_final) > 1e-6 * cfg.dt:
         raise ConfigError(
             f"dt={cfg.dt} does not divide t_final={cfg.t_final} up to rounding"
         )
 
-    return replace(cfg, spacing=spacing, site_count=site_count, step_count=steps)
+    return cfg
 
 
 def config_from_file(path, correction_run: bool = False) -> ModelConfig:

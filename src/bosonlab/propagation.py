@@ -111,7 +111,7 @@ def evolve_aux(psi0, s: float, t: float, trajectory: HartreeTrajectory):
     def rhs(time, y):
         phi, psi = y
         pieces = pieces_at(phi, time, model)
-        return [hartree_rhs(phi, time, model), -1j * apply_Htilde(pieces, psi, model)]
+        return [hartree_rhs(pieces.cond, model), -1j * apply_Htilde(pieces, psi, model)]
 
     y = march(rhs, [trajectory.phi(i0).copy(), psi0.copy()], i0, i1, trajectory.dt)
     return y[1]

@@ -35,13 +35,12 @@ __all__ = [
 class TensorState:
     """N-body amplitude tensor with its coordinate volume element.
 
-    The ``symmetric`` flag is advisory metadata; it is validated on demand by
-    :func:`transposition_residual`, not enforced per operation.
+    Symmetry is not tracked per state; :func:`transposition_residual`
+    measures it on demand.
     """
 
     amps: np.ndarray
     cell: float
-    symmetric: bool = False
 
     @property
     def particles(self) -> int:
@@ -52,7 +51,7 @@ class TensorState:
         return self.amps.shape[0] if self.amps.ndim else 1
 
     def copy(self) -> "TensorState":
-        return TensorState(self.amps.copy(), self.cell, self.symmetric)
+        return TensorState(self.amps.copy(), self.cell)
 
     def norm(self) -> float:
         return float(np.sqrt(self.cell**self.particles * np.vdot(self.amps, self.amps).real))
@@ -199,7 +198,7 @@ def symmetrize(psi: TensorState) -> TensorState:
     """
     m, n = psi.sites, psi.particles
     if n <= 1:
-        return TensorState(psi.amps.copy(), psi.cell, symmetric=True)
+        return TensorState(psi.amps.copy(), psi.cell)
     flat = psi.amps.ravel()
     canon, counts = _canonical_index(psi.amps.shape, m)
     dim = flat.size
@@ -208,7 +207,7 @@ def symmetrize(psi: TensorState) -> TensorState:
     )
     safe = np.where(counts > 0, counts, 1)
     mean = sums / safe
-    return TensorState(mean[canon].reshape(psi.amps.shape), psi.cell, symmetric=True)
+    return TensorState(mean[canon].reshape(psi.amps.shape), psi.cell)
 
 
 def symmetrize_reference(psi: TensorState) -> TensorState:
@@ -219,7 +218,7 @@ def symmetrize_reference(psi: TensorState) -> TensorState:
     for perm in permutations(range(n)):
         acc += np.transpose(psi.amps, perm)
         count += 1
-    return TensorState(acc / count, psi.cell, symmetric=True)
+    return TensorState(acc / count, psi.cell)
 
 
 def transposition_residual(psi: TensorState) -> float:
@@ -245,7 +244,7 @@ def product_state(phi: np.ndarray, n_particles: int, cell: float) -> TensorState
         amps = np.multiply.outer(amps, phi)
     if n_particles == 0:
         amps = np.array(1.0 + 0.0j)
-    return TensorState(amps, cell, symmetric=True)
+    return TensorState(amps, cell)
 
 
 def random_symmetric(m: int, n_particles: int, cell: float, rng: np.random.Generator) -> TensorState:

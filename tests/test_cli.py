@@ -129,6 +129,21 @@ class TestCorrect:
         assert float(table["error"]) >= 0.0
         assert "term_norm_0_0" in table and "term_norm_1_1" in table
 
+    def test_off_grid_t_exits_2(self, cfg_path, capsys):
+        capsys.readouterr()
+        assert main(["correct", "--config", cfg_path, "--t", "0.0101"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bosonlab: error: ") and "does not divide" in err
+
+    def test_on_grid_t_matches_t_final(self, cfg_path, tmp_path):
+        by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+        assert main(["correct", "--config", cfg_path, "--t", "0.05",
+                     "--out", str(by_flag)]) == 0
+        short = tmp_path / "short.cfg"
+        short.write_text(SMALL_CFG.replace("t_final = 0.1", "t_final = 0.05"))
+        assert main(["correct", "--config", str(short), "--out", str(by_config)]) == 0
+        assert by_flag.read_bytes() == by_config.read_bytes()
+
     def test_out_of_range_beta_exits_3(self, tmp_path):
         path = tmp_path / "beta.cfg"
         path.write_text(SMALL_CFG.replace("beta = 0.0", "beta = 0.3"))
@@ -153,6 +168,13 @@ class TestFailureExitCodes:
         other = ts.random_symmetric(3, 2, 1.0, np.random.default_rng(0))
         save_state(snap, other, dimension=1, sites_per_dim=3)
         assert main(["evolve", "--config", cfg_path, "--load", str(snap)]) == 2
+
+    def test_derived_values_in_config_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "derived.cfg"
+        path.write_text(SMALL_CFG + "spacing = 7.0\nsite_count = 99\n")
+        capsys.readouterr()
+        assert main(["hartree", "--config", str(path)]) == 2
+        assert "unknown configuration key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line,field", [
         ("potential.kind = tabulated", "ModelConfig.potential_table"),
@@ -195,6 +217,16 @@ class TestSweep:
         assert len(lines) == 3
         summary = capsys.readouterr().out
         assert "slope" in summary
+
+    def test_failed_point_exits_1_and_is_listed(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        code = main(["sweep", "--config", cfg_path, "--grid", "N=1,3,4,5",
+                     "--orders", "1", "--out", str(out)])
+        assert code == 1
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 5 and lines[1].split(",")[8] == "nan"
+        assert "failed N=1: ConfigError(" in capsys.readouterr().out
 
     def test_bad_grid_rejected(self, cfg_path):
         assert main(["sweep", "--config", cfg_path, "--grid", "K=3,4"]) == 2

@@ -13,6 +13,7 @@ from bosonlab.duhamel import (
     quadrature_Tnk,
     tuple_set,
 )
+from bosonlab import hamiltonians, meanfield
 from bosonlab.errors import RangeError
 from bosonlab.experiments import build_product, default_phi0
 from bosonlab.meanfield import hartree_evolve
@@ -83,6 +84,20 @@ class TestHierarchyShape:
         model, phi0, psi0, traj, hier, full = setup
         aux = evolve_aux(psi0, 0.0, 0.2, traj)
         assert (assemble(hier, 1) - aux).norm() <= 1e-12
+
+    def test_one_condensate_per_stage(self, setup, monkeypatch):
+        model, phi0, psi0, traj, hier, full = setup
+        calls = []
+        original = meanfield.condensate_at
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(meanfield, "condensate_at", counting)
+        monkeypatch.setattr(hamiltonians, "condensate_at", counting)
+        hierarchy_evolve(psi0, 3, 0.2, traj)
+        assert len(calls) == 4 * traj.index_of(0.2)
 
     def test_free_interaction_kills_sources(self):
         model = make_model(interaction_profile="zero")
@@ -196,7 +211,7 @@ class TestCorrectionError:
     def test_error_grows_from_zero(self, setup):
         model, phi0, psi0, traj, hier, full = setup
         res_half = correction_error(psi0, phi0, 1, 0.1, model, trajectory=traj)
-        res_full = correction_error(psi0, phi0, 1, 0.2, model, trajectory=traj, hierarchy=hier)
+        res_full = correction_error(psi0, phi0, 1, 0.2, model, trajectory=traj)
         assert res_half.error <= res_full.error
 
     def test_range_enforced_unless_overridden(self):
@@ -207,11 +222,21 @@ class TestCorrectionError:
         psi0 = build_product(model, phi0, "fock")
         with pytest.raises(RangeError):
             correction_error(psi0, phi0, 1, 0.2, model)
-        res = correction_error(psi0, phi0, 1, 0.2, model, allow_out_of_range=True)
-        assert math.isfinite(res.error)
 
     def test_term_norms_reported(self, setup):
         model, phi0, psi0, traj, hier, full = setup
-        res = correction_error(psi0, phi0, 2, 0.2, model, trajectory=traj, hierarchy=hier)
-        assert set(res.term_norms) == set(hier.entries)
+        res = correction_error(psi0, phi0, 2, 0.2, model, trajectory=traj)
+        assert set(res.term_norms) == set(hierarchy_indices(2))
         assert res.correction_norm > 0.0
+
+    def test_every_order_from_one_hierarchy(self, setup):
+        model, phi0, psi0, traj, hier, full = setup
+        res = correction_error(psi0, phi0, 3, 0.2, model, trajectory=traj)
+        assert len(res.errors) == len(res.correction_norms) == 3
+        for a in (1, 2, 3):
+            approx = assemble(hier, a)
+            assert res.errors[a - 1] == (full - approx).norm()
+            assert res.correction_norms[a - 1] == approx.norm()
+        assert res.error == res.errors[2]
+        assert res.error_sq == res.errors[2] ** 2
+        assert res.correction_norm == res.correction_norms[2]

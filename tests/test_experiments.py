@@ -232,6 +232,23 @@ class TestSweep:
         assert len(failed) == 1 and failed[0].particles == 1
         assert math.isnan(failed[0].err_sq)
 
+    def test_summary_lists_failed_points_with_reasons(self):
+        cfg = base_config(t_final=0.1, dt=2e-3)
+        result = sweep_scaling(cfg, [1, 3, 4], [1, 2], t=0.1)
+        reason = next(r.failed for r in result.rows if r.particles == 1)
+        assert "at least two particles" in reason
+        summary = result.summary().splitlines()
+        assert summary[-1] == f"failed N=1: {reason}"
+        assert sum(line.startswith("failed") for line in summary) == 1
+        clean = sweep_scaling(cfg, [3, 4], [1, 2], t=0.1)
+        assert "failed" not in clean.summary()
+        assert result.summary() == clean.summary() + f"failed N=1: {reason}\n"
+
+    def test_off_grid_t_is_a_config_error(self):
+        cfg = base_config(t_final=0.1, dt=2e-3)
+        with pytest.raises(ConfigError, match="does not divide"):
+            sweep_scaling(cfg, [3], [1], t=0.1001)
+
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("defect inside the hierarchy")

@@ -114,13 +114,13 @@ class TestHartreeRhs:
         wave = np.exp(2j * np.pi * np.arange(4) / 4).astype(complex)
         wave /= mf.one_body_norm(wave, model.cell)
         eps = (2 - 2 * np.cos(2 * np.pi / 4)) / model.config.spacing**2
-        rhs = mf.hartree_rhs(wave, 0.0, model)
+        rhs = mf.hartree_rhs(mf.condensate_at(wave, 0.0, model), model)
         assert np.allclose(rhs, -1j * eps * wave, atol=1e-13)
 
     def test_uniform_state_stationary_up_to_phase(self):
         model = make_model()
         phi = uniform_phi(model)
-        rhs = mf.hartree_rhs(phi, 0.0, model)
+        rhs = mf.hartree_rhs(mf.condensate_at(phi, 0.0, model), model)
         vb = mf.vbar(phi, model.pair, model.cell)
         m = mf.mu(phi, model.pair, model.cell)
         assert np.allclose(rhs, -1j * (vb[0] - m) * phi, atol=1e-14)
@@ -130,7 +130,8 @@ class TestHartreeRhs:
         rng = np.random.default_rng(4)
         phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         phi /= mf.one_body_norm(phi, model.cell)
-        overlap = model.cell * np.vdot(phi, mf.hartree_rhs(phi, 0.0, model))
+        rhs = mf.hartree_rhs(mf.condensate_at(phi, 0.0, model), model)
+        overlap = model.cell * np.vdot(phi, rhs)
         assert abs(overlap.real) <= 1e-13
 
     @pytest.mark.parametrize("dimension,sites", [(1, 4), (2, 3)])
@@ -151,7 +152,7 @@ class TestHartreeRhs:
         vb = mf.vbar(phi, model.pair, model.cell)
         shift = mf.mu(phi, model.pair, model.cell)
         dense = -1j * (model.h0(t) + np.diag(vb) - shift * np.eye(m)) @ phi
-        assert np.abs(mf.hartree_rhs(phi, t, model) - dense).max() <= 1e-14
+        assert np.abs(mf.hartree_rhs(mf.condensate_at(phi, t, model), model) - dense).max() <= 1e-14
 
 
 class TestHartreeEvolve:
