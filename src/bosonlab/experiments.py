@@ -317,6 +317,7 @@ def moment_growth(config: ModelConfig, orders, t: float | None = None) -> list[M
     """
     cfg = validate_config(config)
     t = cfg.t_final if t is None else float(t)
+    validate_config(replace(cfg, t_final=t))  # t obeys the grid rule of t_final
     orders = sorted(set(int(j) for j in orders))
     if orders and orders[-1] > cfg.particles:
         raise ConfigError(f"moment order {orders[-1]} exceeds particle count {cfg.particles}")

@@ -7,21 +7,31 @@ so tables pass between representations unchanged.  The compressed dimension
 C(N+M-1, N) is what makes particle numbers beyond the dense tensor ceiling
 reachable.
 
-Operators act in normal-ordered ladder form.  The annihilators are one
-gather to the (N-1)-particle basis, (a_s psi)[u] = sqrt(u_s + 1) psi[u + e_s],
-and the creators one gather back up with the same weights.  A one-body lift
-dGamma(h) = sum h[r, s] a_r^+ a_s is two O(dim M) gathers around one M x M
-product; a two-body operator is a^+ a^+ (K . a a psi) with one normal-ordered
-(M^2, M^2) kernel K (``pair_kernel``), so an operator built from several
-projected pair terms costs one application.  The scratch buffers belong to
-the FockSpace, which makes a FockSpace single-threaded; worker processes
-such as those of ``sweep --jobs`` each build their own.
+Operators act in normal-ordered ladder form.  A ``Ladder`` is a gather down
+to the basis with fewer particles and one back up, one row per occupation
+move: (a_s psi)[u] = sqrt(u_s + 1) psi[u + e_s] for the one-body ladder, and
+for the pair ladder one row per unordered pair channel s <= s',
+
+    (a_s a_s' psi)[v] = sqrt((v_s + 1)(v_s' + 1 + delta_ss')) psi[v + e_s + e_s'],
+
+of which there are P = M(M+1)/2, because annihilators commute.  A one-body
+lift dGamma(h) = sum h[r, s] a_r^+ a_s is two O(dim M) gathers around one
+M x M product.  A two-body operator a^+ a^+ (K . a a psi) is one pair gather
+down, one (P, P) product and one gather up: its kernel is folded over the
+orderings of each pair (``fold_kernel``, ``pair_kernel``), so an operator
+built from several projected pair terms costs one application.  Products run
+in blocks small enough that OpenBLAS keeps them on the calling thread
+(``SERIAL_PRODUCT``).  The scratch buffers belong to the FockSpace, which
+makes a FockSpace single-threaded; worker processes such as those of
+``sweep --jobs`` each build their own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +45,7 @@ __all__ = [
     "FockState",
     "enumerate_basis",
     "dgamma_apply",
+    "fold_kernel",
     "pair_kernel",
     "two_body_apply",
     "pair_apply",
@@ -48,14 +59,15 @@ __all__ = [
 
 BASIS_CEILING = 2_000_000
 
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+# Largest m*n*k of one complex matrix product.  OpenBLAS (0.3.31 as bundled
+# with numpy) runs a larger zgemm on its thread pool, which stalls the caller
+# for milliseconds when another process holds the other core.  Measured at
+# M=9 on a 2-core VM with a busy loop on the other core, 3000 calls in each
+# of three fresh processes: (45, 45) @ (45, 45) (m*n*k = 91125) and
+# (36, 45) @ (45, 45) (72900) took over 1 ms in 17-29 calls, up to 16 ms;
+# (32, 45) @ (45, 45) (64800) in at most one, and so did the (45, 45)
+# product in blocks, at p50 31-42 us against 25 us unblocked.
+SERIAL_PRODUCT = 65536
 
 
 def _rank(occ: np.ndarray, particles: int) -> np.ndarray:
@@ -73,6 +85,19 @@ def _rank(occ: np.ndarray, particles: int) -> np.ndarray:
     rest = particles - 1 - np.cumsum(occ[..., :-1], axis=-1)
     parts = np.arange(sites - 1, 0, -1)
     return np.where(rest >= 0, counts[np.maximum(rest, 0), parts], 0).sum(axis=-1)
+
+
+@lru_cache(maxsize=8)
+def _channels(sites: int) -> tuple:
+    """The pair channels s <= s' of M sites in channel order, as read-only
+    arrays: the modes s and s', the flat indices s M + s' and s' M + s of
+    their two orderings, and the (P, P) weights, 1/2 per diagonal channel."""
+    s, t = np.triu_indices(sites)
+    half = np.where(s == t, 0.5, 1.0)
+    out = (s, t, s * sites + t, t * sites + s, np.outer(half, half))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -95,7 +120,12 @@ class OccupationBasis:
 
 
 def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING) -> OccupationBasis:
-    """All occupation vectors (n_1 ... n_M) with sum N, descending lexicographic."""
+    """All occupation vectors (n_1 ... n_M) with sum N, descending lexicographic.
+
+    Stars and bars: the M - 1 bar positions among N + M - 1 slots, in
+    ascending lexicographic order, give the parts as the gaps between bars
+    in ascending order; reversing the rows makes them descend.
+    """
     if sites < 1 or particles < 0:
         raise ConfigError(f"invalid basis request M={sites}, N={particles}")
     dim = math.comb(particles + sites - 1, particles)
@@ -104,54 +134,73 @@ def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING) ->
             f"occupation basis dimension C({particles + sites - 1},{particles}) = {dim} "
             f"exceeds ceiling {ceiling}"
         )
-    occ = np.array(list(_compositions(particles, sites)), dtype=np.int64).reshape(dim, sites)
+    bars = sites - 1
+    slots = itertools.combinations(range(particles + bars), bars)
+    edges = np.empty((dim, sites + 1), dtype=np.int64)
+    edges[:, 0], edges[:, -1] = -1, particles + bars
+    edges[::-1, 1:-1] = np.fromiter(
+        itertools.chain.from_iterable(slots), dtype=np.int64, count=dim * bars
+    ).reshape(dim, bars)
+    occ = np.diff(edges, axis=1) - 1
     return OccupationBasis(occupations=occ, particles=particles, sites=sites)
 
 
 class Ladder:
-    """Annihilation and creation gathers between a basis and the one a particle lower.
+    """Annihilation and creation gathers between a basis and a lower one,
+    one row per occupation move.
 
-    For mode s and lower row u, ``annihilate[s, u]`` is the upper index of
-    u + e_s and ``factor[s, u]`` is sqrt(u_s + 1), stored complex so that
-    weighting needs no cast.  For mode r and upper row t, ``create[r, t]`` is
-    the position r * dim_lower + (index of t - e_r) in ``_pad``, or its zero
-    last slot when t_r = 0; ``src`` is the view of ``_pad`` without that
-    slot.  The scratch arrays carry ``batch`` leading axes.
+    ``moves`` is a (rows, M) table of occupation vectors with a common sum,
+    the number of particles the ladder removes: the unit vectors e_s for the
+    one-body ladder (N -> N-1), e_s + e_s' for the pair channels s <= s'
+    (N -> N-2).  For move p and lower row v, ``annihilate[p, v]`` is the
+    upper index of v + moves[p] and ``factor[p, v]`` the matrix element of
+    the move's annihilators, sqrt(v_s + 1) or sqrt((v_s + 1)(v_s' + 1 + delta_ss')),
+    stored complex so that weighting needs no cast.  For move p and upper
+    row t, ``create[p, t]`` is the position p * dim_lower + (index of
+    t - moves[p]) in ``_pad``, or its zero last slot when t - moves[p] has a
+    negative part; ``src`` is the view of ``_pad`` without that slot.
     """
 
-    def __init__(self, upper: OccupationBasis, batch: tuple = ()):
-        m, n = upper.sites, upper.particles
-        empty = OccupationBasis(np.zeros((0, m), dtype=np.int64), n - 1, m)
-        self.lower = lower = enumerate_basis(m, n - 1) if n > 0 else empty
+    def __init__(self, upper: OccupationBasis, moves):
+        moves = np.asarray(moves, dtype=np.int64)
+        rows, m = moves.shape
+        drop = int(moves[0].sum())
+        n = upper.particles - drop
+        empty = OccupationBasis(np.zeros((0, m), dtype=np.int64), n, m)
+        self.lower = lower = enumerate_basis(m, n) if n >= 0 else empty
         size = lower.dim
-        self.annihilate = _rank(lower.occupations + np.eye(m, dtype=np.int64)[:, None, :], n)
-        self.factor = np.sqrt(lower.occupations.T + 1.0).astype(np.complex128)
-        self.create = np.full((m, upper.dim), m * size, dtype=np.int64)
-        self.create[np.repeat(np.arange(m), size), self.annihilate.ravel()] = np.arange(m * size)
-        self._down = np.empty(batch + (m, size), dtype=np.complex128)
-        self._pad = np.zeros(batch + (m * size + 1,), dtype=np.complex128)
-        self.src = self._pad[..., :-1].reshape(batch + (m, size))
-        self._up = np.empty(batch + (m, upper.dim), dtype=np.complex128)
+        self.annihilate = _rank(lower.occupations + moves[:, None, :], upper.particles)
+        # each move's annihilated modes in ascending order; the i-th of them
+        # sees its mode's occupation raised by the earlier ones in the move
+        modes = np.repeat(np.tile(np.arange(m), rows), moves.ravel()).reshape(rows, drop)
+        earlier = np.tril(modes[:, :, None] == modes[:, None, :], -1).sum(axis=-1)
+        raised = lower.occupations.T[modes] + (1 + earlier)[:, :, None]
+        self.factor = np.sqrt(raised.prod(axis=1)).astype(np.complex128)
+        self.create = np.full((rows, upper.dim), rows * size, dtype=np.int64)
+        self.create[np.repeat(np.arange(rows), size), self.annihilate.ravel()] = np.arange(rows * size)
+        self._down = np.empty((rows, size), dtype=np.complex128)
+        self._pad = np.zeros(rows * size + 1, dtype=np.complex128)
+        self.src = self._pad[:-1].reshape(rows, size)
+        self._up = np.empty((rows, upper.dim), dtype=np.complex128)
 
     def annihilated(self, amps) -> np.ndarray:
-        """(a_s amps)[..., s, u], in the ladder's scratch."""
-        amps = np.asarray(amps, dtype=np.complex128)
-        amps.take(self.annihilate, axis=-1, out=self._down, mode="clip")
+        """(a^moves[p] amps)[p, v], in the ladder's scratch."""
+        np.asarray(amps, dtype=np.complex128).take(self.annihilate, out=self._down, mode="clip")
         self._down *= self.factor
         return self._down
 
-    def created(self, out=None) -> np.ndarray:
-        """sum_r a_r^+ src[..., r, :], for creation sources already written to ``src``."""
+    def created(self) -> np.ndarray:
+        """sum_p (a^moves[p])^+ src[p, :], for creation sources already written to ``src``."""
         self.src *= self.factor
-        self._pad.take(self.create, axis=-1, out=self._up, mode="clip")
-        return np.sum(self._up, axis=-2, out=out)
+        self._pad.take(self.create, out=self._up, mode="clip")
+        return self._up.sum(axis=0)
 
 
 class FockSpace:
-    """Occupation basis plus the ladders down to N - 1 and N - 2 particles.
+    """Occupation basis plus its one-body ladder (N -> N-1) and its pair
+    ladder (N -> N-2, one row per pair channel).
 
-    ``ladders[1]`` carries one batch axis, the first annihilated mode.  The
-    ladders' scratch makes a FockSpace unsafe to share between threads;
+    The ladders' scratch makes a FockSpace unsafe to share between threads;
     worker processes each hold their own copy.  Pickling rebuilds the space:
     a copied ``src`` would no longer be a view of its ``_pad``.
     """
@@ -161,8 +210,9 @@ class FockSpace:
         self.cell = float(cell)
         self.particles = basis.particles
         self.sites = basis.sites
-        one = Ladder(basis)
-        self.ladders = (one, Ladder(one.lower, (basis.sites,)))
+        unit = np.eye(basis.sites, dtype=np.int64)
+        s, t = _channels(basis.sites)[:2]
+        self.ladders = (Ladder(basis, unit), Ladder(basis, unit[s] + unit[t]))
         self._pair_diagonal = (None, None)
 
     def __reduce__(self):
@@ -220,23 +270,73 @@ def _table(op, space: FockSpace) -> np.ndarray:
     return mat
 
 
+def _blocks(total: int, most: int) -> list:
+    """Slices of one length, at most ``most``, that cover range(total); the
+    last one moves back to stay full, overlapping its neighbour."""
+    size = -(-total // -(-total // most))
+    return [slice(lo, lo + size) for lo in (*range(0, total - size, size), total - size)]
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b in blocks of at most SERIAL_PRODUCT multiply-adds each.
+
+    Rows are split first, then columns.  A block keeps at least two rows
+    and two columns, because numpy runs a one-row or one-column product as
+    a matrix-vector call, which OpenBLAS threads from m * n = 9216 on.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    if m * k * n <= SERIAL_PRODUCT:
+        np.matmul(a, b, out=out)
+        return
+    rows = min(m, max(2, SERIAL_PRODUCT // max(1, k * n)))
+    cols = min(n, max(2, SERIAL_PRODUCT // max(1, rows * k)))
+    for i in _blocks(m, rows):
+        for j in _blocks(n, cols):
+            np.matmul(a[i], b[:, j], out=out[i, j])
+
+
 def dgamma_apply(op, state: FockState) -> FockState:
     """Second-quantised lift of a one-body table: sum_j op acting on slot j."""
     one = state.space.ladders[0]
-    np.matmul(_table(op, state.space), one.annihilated(state.amps), out=one.src)
+    _product(_table(op, state.space), one.annihilated(state.amps), one.src)
     return FockState(one.created(), state.space)
 
 
+def fold_kernel(kernel) -> np.ndarray:
+    """The (P, P) pair-channel form of an ordered (M^2, M^2) kernel.
+
+    K[(rho', rho), (s', s)] multiplies a_rho'^+ a_rho^+ a_s' a_s.  Both
+    orderings of a pair give the same operator, so the entry of channels
+    (rho <= rho', s <= s') sums K over the orderings of both index pairs;
+    a diagonal pair has one ordering, which that sum counts twice, hence
+    a factor 1/2 on each diagonal index.
+    """
+    kern = np.asarray(kernel, dtype=np.complex128)
+    _, _, ordered, swapped, weight = _channels(math.isqrt(kern.shape[0]))
+    # columns, then rows, so that no temporary exceeds (M^2, P): one
+    # (4, P, P) gather (130 kB at M = 9) made glibc grow and trim its heap
+    # on every build, ~70 fresh-page faults each
+    cols = kern.take(ordered, axis=1)
+    cols += kern.take(swapped, axis=1)
+    out = cols.take(ordered, axis=0)
+    out += cols.take(swapped, axis=0)
+    out *= weight
+    return out
+
+
 def pair_kernel(terms) -> np.ndarray:
-    """Normal-ordered kernel of weighted terms (weight, k, A, C, B, D), each
+    """(P, P) pair-channel kernel of weighted terms (weight, k, A, C, B, D), each
     weight * sum_{i != j} (A E_r C)_i (B E_s D)_j k[r, s] with E_r = |r><r|.
-    K[(rho', rho), (s', s)] multiplies a_rho'^+ a_rho^+ a_s' a_s:
+
+    The ordered kernel, whose entry K[(rho', rho), (s', s)] multiplies
+    a_rho'^+ a_rho^+ a_s' a_s, is
 
         K[(rho', rho), (s', s)] = sum_{r, q} weight B[rho', q] A[rho, r] k[r, q] D[q, s'] C[r, s].
 
     Per q this is the outer product of B[:, q] D[q, :] and A diag(k[:, q]) C,
-    one (M^2, M) @ (M, M^2) product per term; at M = 9 one product over all
-    stacked terms is large enough for OpenBLAS to use its thread pool.
+    one (M^2, M) @ (M, M^2) product per term, which stays serial at M = 9
+    where one product over the stacked terms would not; ``fold_kernel``
+    then sums it over the orderings of each pair.
     """
     kern = 0.0
     for weight, k, a, c, b, d in terms:
@@ -245,30 +345,26 @@ def pair_kernel(terms) -> np.ndarray:
         right = b.T[:, :, None] * d[:, None, :]  # [q, rho', s']
         left = weight * ((a * np.asarray(k).T[:, None, :]) @ c)  # [q, rho, s]
         kern = kern + right.reshape(m, m * m).T @ left.reshape(m, m * m)
-    return kern.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+    return fold_kernel(kern.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m))
 
 
 def two_body_apply(kernel, state: FockState) -> FockState:
-    """a^+ a^+ (K . a a psi) for a normal-ordered (M^2, M^2) kernel K (see ``pair_kernel``).
+    """a^+ a^+ (K . a a psi) for a (P, P) pair-channel kernel K (``fold_kernel``).
 
-    Annihilators commute, so the pair amplitudes may come out in (s, s')
-    order.  The product runs as M batches of (M, M^2) @ (M^2, dim_{N-2}),
-    each a smaller BLAS call than the whole product.  Below two particles
-    it is zero.
+    One pair gather down to N - 2 particles, one (P, P) @ (P, dim_{N-2})
+    product in serial blocks (``SERIAL_PRODUCT``) and one gather back
+    up, P * dim_{N-2} + P * dim_N gathered entries in all.  Below two
+    particles it is zero.
     """
-    m = state.sites
-    one, two = state.space.ladders
-    pairs = two.annihilated(one.annihilated(state.amps))
-    kern = np.asarray(kernel, dtype=np.complex128).reshape(m, m, m * m)
-    np.matmul(kern, pairs.reshape(m * m, -1), out=two.src)
-    two.created(out=one.src)
-    return FockState(one.created(), state.space)
+    pair = state.space.ladders[1]
+    _product(kernel, pair.annihilated(state.amps), pair.src)
+    return FockState(pair.created(), state.space)
 
 
 def pair_apply(x, y, state: FockState) -> FockState:
     """sum_{i != j} X_i Y_j; ordered pairs counted."""
     xmat, ymat = _table(x, state.space), _table(y, state.space)
-    return two_body_apply(np.einsum("ac,bd->abcd", ymat, xmat), state)  # K as (M, M, M, M)
+    return two_body_apply(fold_kernel(np.kron(ymat, xmat)), state)
 
 
 def pair_diagonal(space: FockSpace, pair) -> np.ndarray:

@@ -12,8 +12,9 @@ from the rank-one site expansion of the position-diagonal kernel,
 
 The tensor route takes 2M + 1 one-body lifts per term (two per r and one
 coincidence correction).  The occupation route sums an operator's terms into
-one normal-ordered kernel (``fockstate.pair_kernel``), built once per
-``EffectivePieces``, and applies it with one ``fockstate.two_body_apply``.
+one (P, P) kernel over the P = M(M+1)/2 unordered pair channels
+(``fockstate.pair_kernel``), built once per ``EffectivePieces``, and applies
+it with one ``fockstate.two_body_apply``.
 The 1/(N-1) mean-field prefactor lives here and nowhere else.
 """
 
@@ -146,7 +147,7 @@ def apply_H(t: float, state, model: Model):
     """Full generator: kinetic + external one-body sum + scaled pair interaction."""
     out = one_body_lift(model.h0(t), state)
     n = state.particles
-    if n >= 2 and not model.pair.is_zero():
+    if n >= 2 and not model.pair.is_zero:
         out = out + (1.0 / (n - 1)) * interaction_sum(state, model)
     return out
 
@@ -156,7 +157,7 @@ def apply_Htilde(pieces: EffectivePieces, state, model: Model):
     pair terms that exchange exactly two particles with the condensate."""
     _require_pairs(state)
     out = one_body_lift(pieces.h1, state)
-    if model.pair.is_zero():
+    if model.pair.is_zero:
         return out
     n = state.particles
     return out + (1.0 / (n - 1)) * projected_pair_sum(state, pieces.htilde_pairs)
@@ -165,7 +166,7 @@ def apply_Htilde(pieces: EffectivePieces, state, model: Model):
 def apply_C(pieces: EffectivePieces, state, model: Model):
     """Cubic remainder: three complement projectors around the centred kernel."""
     _require_pairs(state)
-    if model.pair.is_zero():
+    if model.pair.is_zero:
         return 0.0 * state
     n = state.particles
     return (1.0 / (n - 1)) * projected_pair_sum(state, pieces.cubic_pairs)
@@ -174,7 +175,7 @@ def apply_C(pieces: EffectivePieces, state, model: Model):
 def apply_Q(pieces: EffectivePieces, state, model: Model):
     """Quartic remainder: four complement projectors around the full kernel."""
     _require_pairs(state)
-    if model.pair.is_zero():
+    if model.pair.is_zero:
         return 0.0 * state
     n = state.particles
     return (1.0 / (n - 1)) * projected_pair_sum(state, pieces.quartic_pairs)

@@ -314,7 +314,9 @@ class PairTable:
     values: np.ndarray
     mat: np.ndarray
 
+    @cached_property
     def is_zero(self) -> bool:
+        """Whether every value vanishes; computed once, so ``values`` must not be modified in place."""
         return not np.any(self.values)
 
 

@@ -181,6 +181,10 @@ class TestMomentGrowth:
         with pytest.raises(ConfigError):
             moment_growth(base_config(particles=3), orders=(4,))
 
+    def test_off_grid_time_rejected(self):
+        with pytest.raises(ConfigError):
+            moment_growth(base_config(), orders=(1, 2), t=0.0101)
+
 
 class TestQCRatios:
     def test_ratios_bounded_across_particle_sweep(self):

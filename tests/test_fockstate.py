@@ -53,36 +53,52 @@ def brute_force_basis(m, n):
     return sorted(rows, reverse=True)
 
 
-def brute_force_ladder(m, n):
-    """Ladder gathers between n and n - 1 particles by direct enumeration with dict indices."""
-    upper, lower = brute_force_basis(m, n), brute_force_basis(m, n - 1)
+def brute_force_ladder(m, n, moves):
+    """Ladder gathers from n particles down by the given occupation moves, by
+    direct enumeration with dict indices; a move's factor is the product of
+    the annihilators' sqrt(occupation) taken one particle at a time."""
+    drop = sum(moves[0])
+    upper, lower = brute_force_basis(m, n), brute_force_basis(m, n - drop)
     up_index = {row: i for i, row in enumerate(upper)}
     low_index = {row: i for i, row in enumerate(lower)}
-    annihilate = np.zeros((m, len(lower)), dtype=np.int64)
-    factor = np.zeros((m, len(lower)))
+    annihilate = np.zeros((len(moves), len(lower)), dtype=np.int64)
+    factor = np.zeros((len(moves), len(lower)))
     for u, row in enumerate(lower):
-        for s in range(m):
-            raised = list(row)
-            raised[s] += 1
-            annihilate[s, u] = up_index[tuple(raised)]
-            factor[s, u] = math.sqrt(row[s] + 1)
-    create = np.full((m, len(upper)), m * len(lower), dtype=np.int64)
+        for p, move in enumerate(moves):
+            raised, weight = list(row), 1.0
+            for s in range(m):
+                for _ in range(move[s]):
+                    raised[s] += 1
+                    weight *= math.sqrt(raised[s])
+            annihilate[p, u] = up_index[tuple(raised)]
+            factor[p, u] = weight
+    create = np.full((len(moves), len(upper)), len(moves) * len(lower), dtype=np.int64)
     for t, row in enumerate(upper):
-        for r in range(m):
-            if row[r] > 0:
-                lowered = list(row)
-                lowered[r] -= 1
-                create[r, t] = r * len(lower) + low_index[tuple(lowered)]
+        for p, move in enumerate(moves):
+            lowered = tuple(a - b for a, b in zip(row, move))
+            if min(lowered) >= 0:
+                create[p, t] = p * len(lower) + low_index[lowered]
     return lower, annihilate, factor, create
 
 
+def unit_moves(m):
+    return [tuple(int(r == s) for r in range(m)) for s in range(m)]
+
+
+def pair_moves(m):
+    """e_s + e_s' for s <= s', in the order of itertools.combinations_with_replacement."""
+    return [tuple(sum(int(r == s) for s in pair) for r in range(m))
+            for pair in itertools.combinations_with_replacement(range(m), 2)]
+
+
 class TestHopTables:
-    @pytest.mark.parametrize("m,n", [(1, 0), (1, 5), (3, 0), (2, 3), (3, 4), (4, 3), (5, 2), (2, 1)])
+    @pytest.mark.parametrize("m,n", [(1, 0), (1, 5), (3, 0), (2, 3), (3, 4), (4, 3), (5, 2), (2, 1),
+                                     (6, 3), (9, 2)])
     def test_match_brute_force_enumeration(self, m, n):
         space = fs.FockSpace(fs.enumerate_basis(m, n), CELL)
         assert space.basis.occupations.tolist() == [list(r) for r in brute_force_basis(m, n)]
-        for level, ladder in zip((n, n - 1), space.ladders):
-            lower, annihilate, factor, create = brute_force_ladder(m, level)
+        for moves, ladder in zip((unit_moves(m), pair_moves(m)), space.ladders):
+            lower, annihilate, factor, create = brute_force_ladder(m, n, moves)
             assert ladder.lower.occupations.shape == (len(lower), m)
             assert ladder.lower.occupations.tolist() == [list(r) for r in lower]
             assert np.array_equal(ladder.annihilate, annihilate)
@@ -142,10 +158,10 @@ class TestDgamma:
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         first = fs.dgamma_apply(x, a)
         kept = first.amps.copy()
-        paired = fs.two_body_apply(np.kron(x, x.T), a)
+        paired = fs.two_body_apply(fs.fold_kernel(np.kron(x, x.T)), a)
         kept_pair = paired.amps.copy()
         fs.dgamma_apply(x.T, b)
-        fs.two_body_apply(np.kron(x.T, x), b)
+        fs.two_body_apply(fs.fold_kernel(np.kron(x.T, x)), b)
         fs.pair_apply(x, x.T, b)
         assert np.array_equal(first.amps, kept)
         assert np.array_equal(paired.amps, kept_pair)
@@ -157,7 +173,7 @@ class TestDgamma:
         copied = pickle.loads(pickle.dumps(space))
         moved = fs.FockState(psi.amps.copy(), copied)
         assert np.array_equal(fs.dgamma_apply(x, moved).amps, fs.dgamma_apply(x, psi).amps)
-        kernel = np.kron(x, x.T)
+        kernel = fs.fold_kernel(np.kron(x, x.T))
         assert np.array_equal(fs.two_body_apply(kernel, moved).amps,
                               fs.two_body_apply(kernel, psi).amps)
 
@@ -196,7 +212,7 @@ class TestPairApply:
         psi = fs.random_fock(small, np.random.default_rng(30))
         rng = np.random.default_rng(31)
         kernel = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        out = fs.two_body_apply(kernel, psi)
+        out = fs.two_body_apply(fs.fold_kernel(kernel), psi)
         assert out.amps.shape == psi.amps.shape
         assert np.all(out.amps == 0)
 
@@ -222,6 +238,72 @@ class TestPairApply:
         composed = fs.dgamma_apply(x, fs.dgamma_apply(y, psi))
         recomposed = fs.pair_apply(x, y, psi) + fs.dgamma_apply(x @ y, psi)
         assert (composed - recomposed).norm() <= 1e-11
+
+
+def brute_force_annihilators(m, n):
+    """Dense a_s from the n- to the (n-1)-particle basis, by dict lookup."""
+    upper, lower = brute_force_basis(m, n), brute_force_basis(m, n - 1)
+    low_index = {row: i for i, row in enumerate(lower)}
+    mats = np.zeros((m, len(lower), len(upper)))
+    for t, row in enumerate(upper):
+        for s in range(m):
+            if row[s] > 0:
+                lowered = row[:s] + (row[s] - 1,) + row[s + 1:]
+                mats[s, low_index[lowered], t] = math.sqrt(row[s])
+    return mats
+
+
+class TestPairChannels:
+    @pytest.mark.parametrize("m,n", [(1, 2), (2, 3), (4, 5), (9, 3)])
+    def test_folded_kernel_matches_ordered_sum(self, m, n):
+        """sum K[(r', r), (s', s)] a_r'^+ a_r^+ a_s' a_s from dense ladder
+        matrices, for a kernel with no symmetry under either pair swap."""
+        rng = np.random.default_rng(40 + m)
+        kernel = rng.standard_normal((m * m, m * m)) + 1j * rng.standard_normal((m * m, m * m))
+        space = fs.FockSpace(fs.enumerate_basis(m, n), CELL)
+        psi = fs.random_fock(space, rng)
+        top, below = brute_force_annihilators(m, n), brute_force_annihilators(m, n - 1)
+        pairs = np.stack([below[s2] @ top[s] @ psi.amps for s2 in range(m) for s in range(m)])
+        mixed = kernel @ pairs  # [(r', r), v]
+        expect = sum(top[r2].T @ below[r].T @ mixed[r2 * m + r]
+                     for r2 in range(m) for r in range(m))
+        out = fs.two_body_apply(fs.fold_kernel(kernel), psi)
+        assert np.abs(out.amps - expect).max() <= 1e-12
+
+    def test_row_blocks_match_one_product(self, monkeypatch):
+        space = fs.FockSpace(fs.enumerate_basis(9, 4), CELL)
+        rng = np.random.default_rng(46)
+        psi = fs.random_fock(space, rng)
+        kernel = fs.fold_kernel(rng.standard_normal((81, 81)) + 1j * rng.standard_normal((81, 81)))
+        x = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        monkeypatch.setattr(fs, "SERIAL_PRODUCT", 10**9)
+        whole = fs.two_body_apply(kernel, psi), fs.dgamma_apply(x, psi)
+        monkeypatch.setattr(fs, "SERIAL_PRODUCT", 1)  # the smallest blocks: 2 x 2
+        blocked = fs.two_body_apply(kernel, psi), fs.dgamma_apply(x, psi)
+        for one, split in zip(whole, blocked):
+            assert np.abs(split.amps - one.amps).max() <= 1e-13 * np.abs(one.amps).max()
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_products_stay_below_serial_bound(self, n, monkeypatch):
+        """Every product the applies run is a matrix-matrix product (two rows
+        and two columns at least) of at most SERIAL_PRODUCT multiply-adds."""
+        space = fs.FockSpace(fs.enumerate_basis(9, n), CELL)
+        rng = np.random.default_rng(47)
+        psi = fs.random_fock(space, rng)
+        kernel = fs.fold_kernel(rng.standard_normal((81, 81)))
+        shapes, matmul = [], np.matmul
+
+        def recorded(a, b, out):
+            shapes.append((a.shape[0], a.shape[1], b.shape[1]))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        fs.two_body_apply(kernel, psi)
+        fs.dgamma_apply(np.eye(9), psi)
+        assert len(shapes) > 2
+        for rows, inner_dim, cols in shapes:
+            assert rows >= 2 and cols >= 2
+            assert rows * inner_dim * cols <= fs.SERIAL_PRODUCT
 
 
 class TestPairDiagonal:

@@ -138,7 +138,14 @@ class TestInteraction:
 
     def test_zero_profile(self):
         cfg = validate_config(small_raw(interaction_profile="zero"))
-        assert sample_interaction(cfg).is_zero()
+        assert sample_interaction(cfg).is_zero
+
+    @pytest.mark.parametrize("profile,zero", [("zero", True), ("bump", False)])
+    def test_is_zero_computed_once(self, profile, zero, monkeypatch):
+        table = sample_interaction(validate_config(small_raw(interaction_profile=profile)))
+        assert table.is_zero is zero
+        monkeypatch.setattr(np, "any", lambda *args, **kwargs: pytest.fail("recomputed"))
+        assert table.is_zero is zero
 
     def test_scaled_tophat_matches_pointwise_oracle(self):
         # w(r) = N^0.2 g on |r| <= R N^-0.2, zero outside
