@@ -9,7 +9,10 @@ system
 
 with Phi_0^(0)(0) = psi_0 and every other member starting at zero; the
 simplex integrals satisfy exactly this recursion, so the hierarchy equals the
-integral definition.  It is stepped by the shared one-step kernel and guarded
+integral definition.  Each stage's right-hand side is one
+``hamiltonians.apply_stage`` over all members, which builds the stage's
+Htilde, C and Q kernels once and, in the occupation basis, pair-annihilates
+each member once.  The system is stepped by the shared one-step kernel and guarded
 after every step by the shared ``check_state``: every member must stay
 finite and Phi_0^(0), the lead state, must keep its norm.  Nested
 composite-trapezoid quadrature over the ordered simplex is kept as an
@@ -25,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .hamiltonians import apply_C, apply_Htilde, apply_Q, pieces_at
+from .hamiltonians import apply_C, apply_Q, apply_stage, pieces_at
 from .meanfield import HartreeTrajectory, hartree_evolve, hartree_rhs
 from .model import Model, validate_config
 from .propagation import check_state, evolve_aux, evolve_full, rk4_step
@@ -94,22 +97,11 @@ def hierarchy_evolve(psi0, order: int, t: float, trajectory: HartreeTrajectory) 
     zero = 0.0 * psi0
     states = [psi0.copy() if key == (0, 0) else zero.copy() for key in indices]
 
+    sources = [(pos.get((n - 1, k - 1)), pos.get((n - 1, k - 2))) for n, k in indices]
+
     def rhs(time, y):
-        phi = y[0]
-        members = y[1:]
-        pieces = pieces_at(phi, time, model)
-        out = [hartree_rhs(pieces.cond, model)]
-        for key, state in zip(indices, members):
-            n, k = key
-            acc = apply_Htilde(pieces, state, model)
-            src_c = (n - 1, k - 1)
-            if src_c in pos:
-                acc = acc + apply_C(pieces, members[pos[src_c]], model)
-            src_q = (n - 1, k - 2)
-            if src_q in pos:
-                acc = acc + apply_Q(pieces, members[pos[src_q]], model)
-            out.append(-1j * acc)
-        return out
+        pieces = pieces_at(y[0], time, model)
+        return [hartree_rhs(pieces.cond, model)] + apply_stage(pieces, y[1:], sources, model)
 
     dt = trajectory.dt
     i1 = trajectory.index_of(t)

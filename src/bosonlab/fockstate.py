@@ -18,8 +18,12 @@ of which there are P = M(M+1)/2, because annihilators commute.  A one-body
 lift dGamma(h) = sum h[r, s] a_r^+ a_s is two O(dim M) gathers around one
 M x M product.  A two-body operator a^+ a^+ (K . a a psi) is one pair gather
 down, one (P, P) product and one gather up: its kernel is folded over the
-orderings of each pair (``fold_kernel``, ``pair_kernel``), so an operator
-built from several projected pair terms costs one application.  Products run
+orderings of each pair (``fold_kernel``), so an operator built from several
+projected pair terms costs one application.  ``pair_kernels`` builds the
+kernels of several such operators in one pass, with any prefactor folded in
+and each factor outer product computed once.  ``two_body_sums`` applies
+kernels to several states with one pair gather down per state and one up
+per output, whatever the number of kernels an output sums.  Products run
 in blocks small enough that OpenBLAS keeps them on the calling thread
 (``SERIAL_PRODUCT``).  The scratch buffers belong to the FockSpace, which
 makes a FockSpace single-threaded; worker processes such as those of
@@ -46,7 +50,8 @@ __all__ = [
     "enumerate_basis",
     "dgamma_apply",
     "fold_kernel",
-    "pair_kernel",
+    "pair_kernels",
+    "two_body_sums",
     "two_body_apply",
     "pair_apply",
     "embed",
@@ -90,11 +95,23 @@ def _rank(occ: np.ndarray, particles: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _channels(sites: int) -> tuple:
     """The pair channels s <= s' of M sites in channel order, as read-only
-    arrays: the modes s and s', the flat indices s M + s' and s' M + s of
-    their two orderings, and the (P, P) weights, 1/2 per diagonal channel."""
+    arrays: the modes s and s', the fold indices and the (P, P) weights,
+    1/2 per diagonal channel.
+
+    The fold indices are four (P, P) tables of flat positions in an ordered
+    kernel laid out as [(rho', s'), (rho, s)], the layout of the product in
+    ``pair_kernels``: entry [(a, a'), (b, b')] of each table reads one of the
+    orderings (rho', rho) in {(a, a'), (a', a)}, (s', s) in {(b, b'), (b', b)}.
+    """
     s, t = np.triu_indices(sites)
     half = np.where(s == t, 0.5, 1.0)
-    out = (s, t, s * sites + t, t * sites + s, np.outer(half, half))
+    m2 = sites * sites
+    fold = np.stack([
+        (lead * sites)[:, None] * m2 + (trail * sites)[:, None] + first[None, :] * m2 + second[None, :]
+        for lead, trail in ((s, t), (t, s))
+        for first, second in ((s, t), (t, s))
+    ])
+    out = (s, t, fold, np.outer(half, half))
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -183,11 +200,12 @@ class Ladder:
         self.src = self._pad[:-1].reshape(rows, size)
         self._up = np.empty((rows, upper.dim), dtype=np.complex128)
 
-    def annihilated(self, amps) -> np.ndarray:
-        """(a^moves[p] amps)[p, v], in the ladder's scratch."""
-        np.asarray(amps, dtype=np.complex128).take(self.annihilate, out=self._down, mode="clip")
-        self._down *= self.factor
-        return self._down
+    def annihilated(self, amps, out=None) -> np.ndarray:
+        """(a^moves[p] amps)[p, v], in ``out`` or else in the ladder's scratch."""
+        out = self._down if out is None else out
+        np.asarray(amps, dtype=np.complex128).take(self.annihilate, out=out, mode="clip")
+        out *= self.factor
+        return out
 
     def created(self) -> np.ndarray:
         """sum_p (a^moves[p])^+ src[p, :], for creation sources already written to ``src``."""
@@ -302,6 +320,24 @@ def dgamma_apply(op, state: FockState) -> FockState:
     return FockState(one.created(), state.space)
 
 
+def _fold(raw: np.ndarray) -> np.ndarray:
+    """The (P, P) pair-channel form of an ordered kernel laid out as
+    [(rho', s'), (rho, s)]: four gathers through the fold tables of
+    ``_channels``, weighted by 1/2 per diagonal channel index.
+
+    Every temporary is (P, P): one (4, P, P) gather (130 kB at M = 9) made
+    glibc grow and trim its heap on every build, thousands of fresh-page
+    faults per 2D solve; for the same reason the builds of one
+    ``pair_kernels`` call share one (M^2, M^2) product buffer."""
+    _, _, fold, weight = _channels(math.isqrt(raw.shape[0]))
+    flat = raw.ravel()
+    out = flat.take(fold[0])
+    for index in fold[1:]:
+        out += flat.take(index)
+    out *= weight
+    return out
+
+
 def fold_kernel(kernel) -> np.ndarray:
     """The (P, P) pair-channel form of an ordered (M^2, M^2) kernel.
 
@@ -309,43 +345,99 @@ def fold_kernel(kernel) -> np.ndarray:
     orderings of a pair give the same operator, so the entry of channels
     (rho <= rho', s <= s') sums K over the orderings of both index pairs;
     a diagonal pair has one ordering, which that sum counts twice, hence
-    a factor 1/2 on each diagonal index.
+    a factor 1/2 on each diagonal index.  Any other shape, an already
+    folded kernel among them, raises ``ValueError``.
     """
     kern = np.asarray(kernel, dtype=np.complex128)
-    _, _, ordered, swapped, weight = _channels(math.isqrt(kern.shape[0]))
-    # columns, then rows, so that no temporary exceeds (M^2, P): one
-    # (4, P, P) gather (130 kB at M = 9) made glibc grow and trim its heap
-    # on every build, ~70 fresh-page faults each
-    cols = kern.take(ordered, axis=1)
-    cols += kern.take(swapped, axis=1)
-    out = cols.take(ordered, axis=0)
-    out += cols.take(swapped, axis=0)
-    out *= weight
-    return out
+    m = math.isqrt(kern.shape[0]) if kern.ndim == 2 else 0
+    if m == 0 or kern.shape != (m * m, m * m):
+        raise ValueError(f"an ordered pair kernel has shape (M^2, M^2), not {kern.shape}")
+    return _fold(kern.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m))
 
 
-def pair_kernel(terms) -> np.ndarray:
-    """(P, P) pair-channel kernel of weighted terms (weight, k, A, C, B, D), each
-    weight * sum_{i != j} (A E_r C)_i (B E_s D)_j k[r, s] with E_r = |r><r|.
+def pair_kernels(operators, scale: float = 1.0) -> tuple:
+    """(P, P) pair-channel kernels, one per operator.  An operator is a
+    sequence of terms (weight, k, A, C, B, D), each standing for
 
-    The ordered kernel, whose entry K[(rho', rho), (s', s)] multiplies
-    a_rho'^+ a_rho^+ a_s' a_s, is
+        scale * weight * sum_{i != j} (A E_r C)_i (B E_s D)_j k[r, s],  E_r = |r><r|.
 
-        K[(rho', rho), (s', s)] = sum_{r, q} weight B[rho', q] A[rho, r] k[r, q] D[q, s'] C[r, s].
+    With the factor outer products XY[r, (rho, s)] = X[rho, r] Y[r, s], a
+    term's ordered kernel in the layout [(rho', s'), (rho, s)] is
 
-    Per q this is the outer product of B[:, q] D[q, :] and A diag(k[:, q]) C,
-    one (M^2, M) @ (M, M^2) product per term, which stays serial at M = 9
-    where one product over the stacked terms would not; ``fold_kernel``
-    then sums it over the orderings of each pair.
+        sum_{r, q} B[rho', q] A[rho, r] k[r, q] D[q, s'] C[r, s] = BD^T (k^T AC).
+
+    Every distinct factor pair, told apart by object identity, gets its
+    outer product once for all operators.  The weighted right-hand sides
+    k^T AC of one batched product are summed over the terms of an operator
+    that share (B, D); then one product of the operator's stacked BD^T
+    against its stacked sums, in serial blocks (``_product``), gives its
+    ordered kernel, which ``_fold`` folds straight from that layout.
     """
-    kern = 0.0
-    for weight, k, a, c, b, d in terms:
-        a, c, b, d = (np.asarray(x, dtype=np.complex128) for x in (a, c, b, d))
-        m = a.shape[0]
-        right = b.T[:, :, None] * d[:, None, :]  # [q, rho', s']
-        left = weight * ((a * np.asarray(k).T[:, None, :]) @ c)  # [q, rho, s]
-        kern = kern + right.reshape(m, m * m).T @ left.reshape(m, m * m)
-    return fold_kernel(kern.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m))
+    slots: dict = {}  # (id X, id Y) -> (index of the outer product XY, X, Y)
+    groups: dict = {}  # (operator, index of BD) -> group, numbered operator by operator
+    spans, ks, acs, placed = [], [], [], []
+    for o, op in enumerate(operators):
+        first = len(groups)
+        for weight, k, a, c, b, d in op:
+            right = slots.setdefault((id(b), id(d)), (len(slots), b, d))[0]
+            placed.append((groups.setdefault((o, right), len(groups)), scale * weight))
+            ks.append(k)
+            acs.append(slots.setdefault((id(a), id(c)), (len(slots), a, c))[0])
+        spans.append((first, len(groups)))
+    xy = np.array([(x, y) for _, x, y in slots.values()], dtype=np.complex128)
+    m = xy.shape[-1]
+    outer = (xy[:, 0].transpose(0, 2, 1)[:, :, :, None] * xy[:, 1, :, None, :]).reshape(len(slots), m, m * m)
+    kac = (np.array(ks).transpose(0, 2, 1) @ outer[acs]).reshape(len(ks), m**3)
+    select = [[0.0] * len(ks) for _ in groups]  # [group, term]: the term's weight
+    for t, (g, w) in enumerate(placed):
+        select[g][t] = w
+    sums = (np.array(select) @ kac).reshape(len(groups) * m, m * m)
+    bd = outer[[f for _, f in groups]].reshape(len(groups) * m, m * m)
+    raw = np.empty((m * m, m * m), dtype=np.complex128)
+    kernels = []
+    for lo, hi in spans:
+        _product(bd[lo * m:hi * m].T, sums[lo * m:hi * m], raw)
+        kernels.append(_fold(raw))
+    return tuple(kernels)
+
+
+def two_body_sums(states, terms) -> list:
+    """Output i is sum over (K, j) in terms[i] of a^+ a^+ (K . a a states[j]),
+    for (P, P) pair-channel kernels K (``fold_kernel``, ``pair_kernels``)
+    and states on one space.
+
+    Each state is pair-annihilated to N - 2 particles once and each output
+    is created with one gather back up, whatever the number of terms; the
+    (P, P) @ (P, dim_{N-2}) products run in serial blocks
+    (``SERIAL_PRODUCT``).  Below two particles every output is zero.  A
+    kernel of another shape raises ``ValueError``.
+    """
+    space = states[0].space
+    pair = space.ladders[1]
+    shape = (pair.factor.shape[0],) * 2
+    down = np.empty((len(states), *pair.src.shape), dtype=np.complex128)
+    for psi, slot in zip(states, down):
+        if psi.space is not space:
+            raise ValueError("two-body sums need states on one space")
+        pair.annihilated(psi.amps, out=slot)
+    extra = None
+    out = []
+    for entries in terms:
+        if not entries:
+            pair.src.fill(0.0)
+        for n, (kernel, j) in enumerate(entries):
+            if kernel.shape != shape:
+                raise ValueError(f"pair kernel shape {kernel.shape} does not match {shape} "
+                                 f"of the M={space.sites} pair channels")
+            if n == 0:
+                _product(kernel, down[j], pair.src)
+                continue
+            if extra is None:
+                extra = np.empty_like(pair.src)
+            _product(kernel, down[j], extra)
+            pair.src += extra
+        out.append(FockState(pair.created(), space))
+    return out
 
 
 def two_body_apply(kernel, state: FockState) -> FockState:
@@ -353,12 +445,10 @@ def two_body_apply(kernel, state: FockState) -> FockState:
 
     One pair gather down to N - 2 particles, one (P, P) @ (P, dim_{N-2})
     product in serial blocks (``SERIAL_PRODUCT``) and one gather back
-    up, P * dim_{N-2} + P * dim_N gathered entries in all.  Below two
-    particles it is zero.
+    up, P * dim_{N-2} + P * dim_N gathered entries in all: the one-state
+    case of ``two_body_sums``.  Below two particles it is zero.
     """
-    pair = state.space.ladders[1]
-    _product(kernel, pair.annihilated(state.amps), pair.src)
-    return FockState(pair.created(), state.space)
+    return two_body_sums([state], [[(np.asarray(kernel), 0)]])[0]
 
 
 def pair_apply(x, y, state: FockState) -> FockState:

@@ -13,14 +13,19 @@ from the rank-one site expansion of the position-diagonal kernel,
 The tensor route takes 2M + 1 one-body lifts per term (two per r and one
 coincidence correction).  The occupation route sums an operator's terms into
 one (P, P) kernel over the P = M(M+1)/2 unordered pair channels
-(``fockstate.pair_kernel``), built once per ``EffectivePieces``, and applies
-it with one ``fockstate.two_body_apply``.
-The 1/(N-1) mean-field prefactor lives here and nowhere else.
+(``fockstate.pair_kernels``) and applies it with one pair gather down and one
+up.  ``apply_stage``, the generator of a whole hierarchy stage and of the
+auxiliary flow, takes the Htilde, C and Q kernels that ``EffectivePieces``
+builds once, in one pass, with 1/(N-1) folded in; it annihilates each member
+once and creates each derivative with one gather up.  The per-operator
+applies ``apply_Htilde``, ``apply_C`` and ``apply_Q`` keep one kernel per
+``PairTerms`` and scale the result by 1/(N-1).  The prefactor lives in this
+module and nowhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +45,7 @@ __all__ = [
     "apply_Htilde",
     "apply_C",
     "apply_Q",
+    "apply_stage",
     "decomposition_residual",
     "one_body_lift",
     "projected_pair_sum",
@@ -64,16 +70,25 @@ class PairTerms:
 
     @cached_property
     def ladder_kernel(self) -> np.ndarray:
-        return fs.pair_kernel(self.terms)
+        return fs.pair_kernels((self.terms,))[0]
 
 
-def projected_pair_sum(state, pairs: PairTerms):
+def projected_pair_sum(state, pairs):
     """The weighted sum of ``pairs.terms`` applied to ``state``.
+
+    Stage form, occupation route only: ``state`` is the list of a stage's
+    members and ``pairs`` holds, per output, a list of (kernel, source)
+    entries with (P, P) kernels (``EffectivePieces.ladder_kernels``);
+    output i sums a^+ a^+ (K . a a members[source]) over its entries, with
+    one pair gather down per member and one up per output
+    (``fockstate.two_body_sums``).
 
     The tensor route below is the occupation route's cross-check: per term
     and r it lifts G_r = B diag(kernel[r, :]) D, then the rank-one A E_r C,
     and subtracts the coincidence lift of A (kernel o C B) D.
     """
+    if isinstance(state, list):
+        return fs.two_body_sums(state, pairs)
     if not isinstance(state, ts.TensorState):
         return fs.two_body_apply(pairs.ladder_kernel, state)
     acc = 0.0 * state
@@ -114,6 +129,18 @@ class EffectivePieces:
     htilde_pairs: PairTerms
     cubic_pairs: PairTerms
     quartic_pairs: PairTerms
+    _kernels: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def ladder_kernels(self, particles: int) -> tuple:
+        """The (P, P) kernels of Htilde, C and Q on ``particles`` bosons with
+        the 1/(N-1) prefactor folded in, from one ``fockstate.pair_kernels``
+        build on first use, kept for later calls."""
+        kernels = self._kernels.get(particles)
+        if kernels is None:
+            operators = (self.htilde_pairs.terms, self.cubic_pairs.terms, self.quartic_pairs.terms)
+            kernels = fs.pair_kernels(operators, 1.0 / (particles - 1))
+            self._kernels[particles] = kernels
+        return kernels
 
 
 def pieces_from(cond: Condensate, model: Model) -> EffectivePieces:
@@ -179,6 +206,42 @@ def apply_Q(pieces: EffectivePieces, state, model: Model):
         return 0.0 * state
     n = state.particles
     return (1.0 / (n - 1)) * projected_pair_sum(state, pieces.quartic_pairs)
+
+
+def apply_stage(pieces: EffectivePieces, members: list, sources: list, model: Model) -> list:
+    """-i [Htilde psi_i + C psi_c(i) + Q psi_q(i)] for every member psi_i of a
+    hierarchy stage; ``sources[i]`` is the pair (c(i), q(i)) of member
+    indices, None where member i has no such source.
+
+    The occupation route lifts h1 once per member and reaches the two-body
+    part through one stage-form ``projected_pair_sum``: each member is
+    pair-annihilated once and each derivative created with one gather up,
+    through the Htilde, C and Q kernels of ``pieces.ladder_kernels``.  The
+    tensor route sums the per-operator applies, its cross-check.
+    """
+    _require_pairs(members[0])
+    if isinstance(members[0], ts.TensorState):
+        out = []
+        for psi, (c, q) in zip(members, sources):
+            acc = apply_Htilde(pieces, psi, model)
+            if c is not None:
+                acc = acc + apply_C(pieces, members[c], model)
+            if q is not None:
+                acc = acc + apply_Q(pieces, members[q], model)
+            out.append(-1j * acc)
+        return out
+    out = [one_body_lift(pieces.h1, psi) for psi in members]
+    if not model.pair.is_zero:
+        k_htilde, k_cubic, k_quartic = pieces.ladder_kernels(members[0].particles)
+        entries = [
+            [(k_htilde, i)] + [(kern, j) for kern, j in ((k_cubic, c), (k_quartic, q)) if j is not None]
+            for i, (c, q) in enumerate(sources)
+        ]
+        for lift, pair in zip(out, projected_pair_sum(members, entries)):
+            lift.amps += pair.amps
+    for lift in out:
+        lift.amps *= -1j
+    return out
 
 
 def decomposition_residual(t: float, cond: Condensate, state, model: Model) -> float:

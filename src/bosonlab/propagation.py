@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IntegratorError
-from .hamiltonians import apply_H, apply_Htilde, pieces_at
+from .hamiltonians import apply_H, apply_stage, pieces_at
 from .meanfield import DRIFT_ABORT, HartreeTrajectory, hartree_rhs
 from .model import Model
 
@@ -111,7 +111,7 @@ def evolve_aux(psi0, s: float, t: float, trajectory: HartreeTrajectory):
     def rhs(time, y):
         phi, psi = y
         pieces = pieces_at(phi, time, model)
-        return [hartree_rhs(pieces.cond, model), -1j * apply_Htilde(pieces, psi, model)]
+        return [hartree_rhs(pieces.cond, model), *apply_stage(pieces, [psi], [(None, None)], model)]
 
     y = march(rhs, [trajectory.phi(i0).copy(), psi0.copy()], i0, i1, trajectory.dt)
     return y[1]

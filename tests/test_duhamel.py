@@ -13,6 +13,7 @@ from bosonlab.duhamel import (
     quadrature_Tnk,
     tuple_set,
 )
+from bosonlab import fockstate as fs
 from bosonlab import hamiltonians, meanfield
 from bosonlab.errors import RangeError
 from bosonlab.experiments import build_product, default_phi0
@@ -98,6 +99,30 @@ class TestHierarchyShape:
         monkeypatch.setattr(hamiltonians, "condensate_at", counting)
         hierarchy_evolve(psi0, 3, 0.2, traj)
         assert len(calls) == 4 * traj.index_of(0.2)
+
+    def test_one_pair_gather_each_way_per_member_and_stage(self, setup):
+        model, phi0, psi0, traj, hier, full = setup
+        space = fs.FockSpace(psi0.space.basis, psi0.space.cell)
+        psi = fs.FockState(psi0.amps.copy(), space)
+        pair = space.ladders[1]
+        counts = {"annihilated": 0, "created": 0}
+
+        def counted(name):
+            method = getattr(pair, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        pair.annihilated, pair.created = counted("annihilated"), counted("created")
+        hierarchy_evolve(psi, 3, traj.dt, traj)
+        members = len(hierarchy_indices(3))
+        assert counts == {"annihilated": 4 * members, "created": 4 * members}
+        counts.update(annihilated=0, created=0)
+        evolve_aux(psi, 0.0, traj.dt, traj)
+        assert counts == {"annihilated": 4, "created": 4}
 
     def test_free_interaction_kills_sources(self):
         model = make_model(interaction_profile="zero")

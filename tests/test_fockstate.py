@@ -306,6 +306,112 @@ class TestPairChannels:
             assert rows * inner_dim * cols <= fs.SERIAL_PRODUCT
 
 
+def ordered_kernel_oracle(terms, scale=1.0):
+    """sum over terms of scale * weight * sum_{r, q} B[rho', q] A[rho, r] k[r, q] D[q, s'] C[r, s],
+    laid out as K[(rho', rho), (s', s)]."""
+    m = np.asarray(terms[0][1]).shape[0]
+    kern = np.zeros((m, m, m, m), dtype=complex)
+    for weight, k, a, c, b, d in terms:
+        kern += scale * weight * np.einsum("Pq,pr,rq,qS,rs->PpSs", b, a, k, d, c)
+    return kern.reshape(m * m, m * m)
+
+
+def fold_oracle(kernel, m):
+    """Pair-channel form by direct sums: channels s <= s' in row-major order,
+    each entry the sum over both orderings of both pairs, 1/2 per diagonal pair."""
+    k4 = kernel.reshape(m, m, m, m)
+    channels = list(itertools.combinations_with_replacement(range(m), 2))
+    out = np.zeros((len(channels), len(channels)), dtype=complex)
+    for i, (a, a2) in enumerate(channels):
+        for j, (b, b2) in enumerate(channels):
+            total = sum(k4[r2, r, s2, s] for r2, r in ((a, a2), (a2, a)) for s2, s in ((b, b2), (b2, b)))
+            out[i, j] = total * (0.5 if a == a2 else 1.0) * (0.5 if b == b2 else 1.0)
+    return out
+
+
+def random_pair_terms(m, rng, shared):
+    """Three operators of random non-Hermitian terms.  With ``shared`` the
+    terms reuse two factor objects x, y and one kernel object, as
+    ``pieces_from`` reuses p, q and w; otherwise every factor is its own
+    copy, so that no two terms share an object."""
+    def table():
+        return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+
+    x, y, w = table(), table(), rng.standard_normal((m, m))
+    z = rng.standard_normal((m, m))
+    own = (lambda v: v) if shared else (lambda v: v.copy())
+    return (
+        ((1.0, own(w), own(x), own(y), own(y), own(x)), (0.5, own(w), own(x), own(y), own(x), own(y)),
+         (0.5, own(w), own(y), own(x), own(y), own(x))),
+        ((1.0, own(z), own(y), own(y), own(y), own(x)), (-0.7, own(z), own(y), own(y), own(x), own(y))),
+        ((0.5 + 0.25j, own(w), own(y), own(y), own(y), own(y)), (0.3, own(z), table(), table(), table(), table())),
+    )
+
+
+class TestKernelBuild:
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "copies"])
+    @pytest.mark.parametrize("m", [1, 2, 4, 9])
+    def test_matches_ordered_formula(self, m, shared):
+        rng = np.random.default_rng(60 + m)
+        operators = random_pair_terms(m, rng, shared)
+        built = fs.pair_kernels(operators, 0.3)
+        assert len(built) == len(operators)
+        for kernel, terms in zip(built, operators):
+            expect = fold_oracle(ordered_kernel_oracle(terms, 0.3), m)
+            assert kernel.shape == (m * (m + 1) // 2,) * 2
+            assert np.abs(kernel - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
+
+    def test_products_stay_below_serial_bound(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        operators = random_pair_terms(9, rng, shared=True)
+        shapes, matmul = [], np.matmul
+
+        def recorded(a, b, out):
+            shapes.append((a.shape[0], a.shape[1], b.shape[1]))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        fs.pair_kernels(operators)
+        assert len(shapes) > len(operators)
+        for rows, inner_dim, cols in shapes:
+            assert rows >= 2 and cols >= 2
+            assert rows * inner_dim * cols <= fs.SERIAL_PRODUCT
+
+
+class TestKernelShapes:
+    @pytest.mark.parametrize("shape", [(10, 10), (6, 6), (9, 8), (0, 0), (3, 3, 3)])
+    def test_fold_kernel_needs_an_ordered_square_of_a_square(self, shape):
+        # (10, 10) and (6, 6) are already folded kernels of M = 4 and M = 3
+        with pytest.raises(ValueError, match=r"\(M\^2, M\^2\)"):
+            fs.fold_kernel(np.ones(shape))
+
+    def test_two_body_apply_needs_the_spaces_pair_channels(self, space):
+        rng = np.random.default_rng(72)
+        psi = fs.random_fock(space, rng)
+        folded_m4 = fs.fold_kernel(rng.standard_normal((16, 16)))
+        with pytest.raises(ValueError, match="M=3 pair channels"):
+            fs.two_body_apply(folded_m4, psi)
+        with pytest.raises(ValueError, match="M=3 pair channels"):
+            fs.two_body_apply(rng.standard_normal((9, 9)), psi)  # ordered, not folded
+        out = fs.two_body_apply(fs.fold_kernel(rng.standard_normal((9, 9))), psi)
+        assert out.amps.shape == psi.amps.shape
+
+    def test_two_body_sums_match_separate_applies(self, space):
+        rng = np.random.default_rng(73)
+        states = [fs.random_fock(space, rng) for _ in range(3)]
+        kernels = [fs.fold_kernel(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+                   for _ in range(3)]
+        terms = [[(kernels[0], 0)], [(kernels[0], 1), (kernels[1], 0)],
+                 [(kernels[2], 2), (kernels[1], 1), (kernels[0], 0)], []]
+        out = fs.two_body_sums(states, terms)
+        assert len(out) == len(terms)
+        for got, entries in zip(out, terms):
+            expect = np.zeros_like(got.amps)
+            for kernel, j in entries:
+                expect += fs.two_body_apply(kernel, states[j]).amps
+            assert np.abs(got.amps - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max())
+
+
 class TestPairDiagonal:
     def test_cached_read_only_and_equal_to_formula(self, space):
         rng = np.random.default_rng(32)

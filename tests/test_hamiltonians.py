@@ -9,11 +9,13 @@ from bosonlab.hamiltonians import (
     apply_H,
     apply_Htilde,
     apply_Q,
+    apply_stage,
     decomposition_residual,
     PairTerms,
     pieces_at,
     projected_pair_sum,
 )
+from bosonlab.duhamel import hierarchy_indices
 from bosonlab.meanfield import condensate_at, one_body_norm
 from bosonlab.model import build_model, validate_config
 
@@ -297,16 +299,25 @@ class TestProjectedPairSum:
         fock = projected_pair_sum(fs.extract(psi, space), pairs)
         assert np.abs(fs.embed(fock).amps - tensor.amps).max() <= 1e-11
 
-    def test_kernel_built_once_per_pieces(self):
+    def test_kernel_built_once_per_pieces(self, monkeypatch):
         model = make_model()
         rng = np.random.default_rng(23)
         pieces = pieces_at(random_phi(model, rng), 0.0, model)
         space = fs.FockSpace(fs.enumerate_basis(3, 3), model.cell)
-        psi = fs.random_fock(space, rng)
-        apply_Htilde(pieces, psi, model)
-        kernel = pieces.htilde_pairs.ladder_kernel
-        apply_Htilde(pieces, fs.random_fock(space, rng), model)
-        assert pieces.htilde_pairs.ladder_kernel is kernel
+        builds, build = [], fs.pair_kernels
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(fs, "pair_kernels", counting)
+        members = [fs.random_fock(space, rng) for _ in range(3)]
+        sources = [(None, None), (0, None), (None, 0)]
+        apply_stage(pieces, members, sources, model)
+        kernels = pieces.ladder_kernels(3)
+        apply_stage(pieces, [fs.random_fock(space, rng) for _ in range(3)], sources, model)
+        assert pieces.ladder_kernels(3) is kernels
+        assert len(builds) == 1
 
 
 class TestPieces:
@@ -332,3 +343,66 @@ class TestPieces:
             lambda s: apply_Q(pieces, s, model),
         ):
             assert (op(psi) - fs.embed(op(fpsi))).norm() <= 1e-11
+
+
+class TestApplyStage:
+    """The stage generator against the per-operator sum
+    -i (apply_Htilde psi_i + apply_C psi_c(i) + apply_Q psi_q(i))."""
+
+    @staticmethod
+    def stage(model, rep, rng):
+        m, n = model.config.site_count, model.config.particles
+        phi = 1.7 * random_phi(model, rng)  # a stage phi need not be normalised
+        pieces = pieces_at(phi, 0.3, model)
+        indices = hierarchy_indices(4)
+        pos = {key: i for i, key in enumerate(indices)}
+        sources = [(pos.get((a - 1, k - 1)), pos.get((a - 1, k - 2))) for a, k in indices]
+        assert sources[pos[(2, 3)]] == (pos[(1, 2)], pos[(1, 1)])
+        if rep == "tensor":
+            members = [ts.random_symmetric(m, n, model.cell, rng) for _ in indices]
+        else:
+            space = fs.FockSpace(fs.enumerate_basis(m, n), model.cell)
+            members = [fs.random_fock(space, rng) for _ in indices]
+        return pieces, members, sources
+
+    @pytest.mark.parametrize("rep", ["fock", "tensor"])
+    @pytest.mark.parametrize("lattice", ["1d-4", "2d-3x3"])
+    def test_matches_per_operator_sum(self, lattice, rep):
+        if lattice == "1d-4":
+            model = make_model(sites_per_dim=4, torus_length=4.0, particles=4)
+        else:
+            model = make_model(dimension=2, sites_per_dim=3, torus_length=3.0, particles=3)
+        rng = np.random.default_rng(80)
+        pieces, members, sources = self.stage(model, rep, rng)
+        out = apply_stage(pieces, members, sources, model)
+        assert len(out) == len(members)
+        for got, psi, (c, q) in zip(out, members, sources):
+            acc = apply_Htilde(pieces, psi, model)
+            if c is not None:
+                acc = acc + apply_C(pieces, members[c], model)
+            if q is not None:
+                acc = acc + apply_Q(pieces, members[q], model)
+            expect = -1j * acc
+            assert (got - expect).norm() <= 1e-12 * expect.norm()
+
+    @pytest.mark.parametrize("rep", ["fock", "tensor"])
+    def test_free_interaction_is_the_exact_lift(self, rep):
+        model = make_model(sites_per_dim=4, torus_length=4.0, particles=4, interaction_profile="zero")
+        rng = np.random.default_rng(81)
+        pieces, members, sources = self.stage(model, rep, rng)
+        out = apply_stage(pieces, members, sources, model)
+        for got, psi in zip(out, members):
+            expect = -1j * apply_Htilde(pieces, psi, model)
+            assert np.array_equal(got.amps, expect.amps)
+
+    @pytest.mark.parametrize("rep", ["fock", "tensor"])
+    def test_single_particle_rejected(self, rep):
+        model = make_model(particles=1)
+        rng = np.random.default_rng(82)
+        phi = random_phi(model, rng)
+        if rep == "tensor":
+            psi = ts.product_state(phi, 1, model.cell)
+        else:
+            psi = fs.product_fock(phi, fs.FockSpace(fs.enumerate_basis(3, 1), model.cell))
+        with pytest.raises(ConfigError):
+            apply_stage(pieces_at(phi, 0.0, model), [psi], [(None, None)], model)
