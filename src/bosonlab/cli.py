@@ -89,13 +89,14 @@ def _initial_state(args, cfg, model: Model):
 
 
 def _cmd_evolve(args) -> int:
+    if args.every < 1:
+        raise ConfigError(f"--every must be a positive integer, got {args.every}")
     cfg = _load_config(args)
     model = build_model(cfg)
     psi0 = _initial_state(args, cfg, model)
     traj = hartree_evolve(default_phi0(model), 0.0, cfg.t_final, model)
 
     lines: list[str] = []
-    every = max(1, args.every)
 
     if args.observable == "norm":
         lines.append("t,norm")
@@ -105,7 +106,7 @@ def _cmd_evolve(args) -> int:
         lines.append("t,order,m_moment,n_moment,excitation_moment")
 
     def observer(i, t, psi):
-        if i % every != 0:
+        if i % args.every != 0:
             return
         if args.observable == "norm":
             lines.append(f"{_fmt(t)},{_fmt(psi.norm())}")
@@ -173,6 +174,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
     cfg = _load_config(args, correction_run=True)
     grid = _parse_grid(args.grid)
     orders = [int(x) for x in args.orders.split(",")]

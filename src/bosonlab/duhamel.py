@@ -9,10 +9,13 @@ system
 
 with Phi_0^(0)(0) = psi_0 and every other member starting at zero; the
 simplex integrals satisfy exactly this recursion, so the hierarchy equals the
-integral definition.  Each stage's right-hand side is one
-``hamiltonians.apply_stage`` over all members, which builds the stage's
-Htilde, C and Q kernels once and, in the occupation basis, pair-annihilates
-each member once.  The system is stepped by the shared one-step kernel and guarded
+integral definition.  The state is the list of members alone, Phi_0^(0)
+first; the condensate is not stepped along.  Each stage's right-hand side
+(``propagation.stage_rhs``) is one ``hamiltonians.apply_stage`` over all
+members with the pieces of that stage, whose condensate comes from the
+Hartree trajectory and whose Htilde, C and Q kernels are built for many
+stages at once; in the occupation basis it pair-annihilates each member
+once.  The system is stepped by the shared one-step kernel and guarded
 after every step by the shared ``check_state``: every member must stay
 finite and Phi_0^(0), the lead state, must keep its norm.  Nested
 composite-trapezoid quadrature over the ordered simplex is kept as an
@@ -28,10 +31,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .hamiltonians import apply_C, apply_Q, apply_stage, pieces_at
-from .meanfield import HartreeTrajectory, hartree_evolve, hartree_rhs
+from .hamiltonians import apply_C, apply_Q, pieces_at
+from .meanfield import HartreeTrajectory, hartree_evolve
 from .model import Model, validate_config
-from .propagation import check_state, evolve_aux, evolve_full, rk4_step
+from .propagation import check_state, evolve_aux, evolve_full, rk4_step, stage_rhs
 
 __all__ = [
     "tuple_set",
@@ -87,32 +90,27 @@ def hierarchy_evolve(psi0, order: int, t: float, trajectory: HartreeTrajectory) 
     """Advance the full hierarchy from 0 to t as one synchronous staged system.
 
     Source states enter each stage at the same internal stage values as the
-    states they feed, preserving fourth-order accuracy of the coupled system.
+    states they feed, preserving fourth-order accuracy of the coupled system;
+    the stage condensates are those of the trajectory's own RK4 steps.
     """
     if order < 1:
         raise ValueError("hierarchy order must be >= 1")
-    model = trajectory.model
     indices = hierarchy_indices(order)
     pos = {key: i for i, key in enumerate(indices)}
     zero = 0.0 * psi0
-    states = [psi0.copy() if key == (0, 0) else zero.copy() for key in indices]
+    # (0, 0) comes first in ``indices``, so it is the lead state.
+    y = [psi0.copy() if key == (0, 0) else zero.copy() for key in indices]
 
     sources = [(pos.get((n - 1, k - 1)), pos.get((n - 1, k - 2))) for n, k in indices]
-
-    def rhs(time, y):
-        pieces = pieces_at(y[0], time, model)
-        return [hartree_rhs(pieces.cond, model)] + apply_stage(pieces, y[1:], sources, model)
-
     dt = trajectory.dt
     i1 = trajectory.index_of(t)
-    # (0, 0) comes first in ``indices``, so it is the lead state behind phi.
-    y = [trajectory.phi(0).copy()] + states
+    rhs = stage_rhs(trajectory, 0, i1, psi0.particles, sources)
     norm0 = psi0.norm()
     for i in range(i1):
         y = rk4_step(rhs, i * dt, y, dt)
         check_state(y, (i + 1) * dt, norm0)
 
-    entries = {key: state for key, state in zip(indices, y[1:])}
+    entries = {key: state for key, state in zip(indices, y)}
     return Hierarchy(order=order, entries=entries)
 
 

@@ -270,6 +270,12 @@ def sweep_scaling(
     delta = delta_exponent(config.beta, config.gamma, config.dimension)
 
     grid = [int(n) for n in particle_grid]
+    repeated = sorted({n for n in grid if grid.count(n) > 1})
+    if repeated:
+        listed = ", ".join(str(n) for n in repeated)
+        raise ConfigError(f"particle grid repeats N={listed}; grid points must be distinct")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be a positive integer, got {jobs}")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -394,6 +400,8 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
     Runs on a small tensor-grid configuration and needs no prior artifacts;
     every residual is reported, a single violated bound fails the suite.
     """
+    if n_seeds < 1:
+        raise ConfigError(f"the identity suite needs at least one random draw, got {n_seeds}")
     cfg = validate_config(config)
     n, m = cfg.particles, cfg.site_count
     if n > 5 or m > 4:

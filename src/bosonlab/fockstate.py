@@ -296,13 +296,15 @@ def _blocks(total: int, most: int) -> list:
 
 
 def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = a @ b in blocks of at most SERIAL_PRODUCT multiply-adds each.
+    """out = a @ b in blocks of at most SERIAL_PRODUCT multiply-adds per matrix.
 
+    Leading stage axes broadcast as in ``np.matmul``, which runs one BLAS
+    call per matrix of the stack, so the bound holds for each of them.
     Rows are split first, then columns.  A block keeps at least two rows
     and two columns, because numpy runs a one-row or one-column product as
     a matrix-vector call, which OpenBLAS threads from m * n = 9216 on.
     """
-    (m, k), n = a.shape, b.shape[1]
+    (m, k), n = a.shape[-2:], b.shape[-1]
     if m * k * n <= SERIAL_PRODUCT:
         np.matmul(a, b, out=out)
         return
@@ -310,7 +312,7 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     cols = min(n, max(2, SERIAL_PRODUCT // max(1, rows * k)))
     for i in _blocks(m, rows):
         for j in _blocks(n, cols):
-            np.matmul(a[i], b[:, j], out=out[i, j])
+            np.matmul(a[..., i, :], b[..., :, j], out=out[..., i, j])
 
 
 def dgamma_apply(op, state: FockState) -> FockState:
@@ -322,18 +324,19 @@ def dgamma_apply(op, state: FockState) -> FockState:
 
 def _fold(raw: np.ndarray) -> np.ndarray:
     """The (P, P) pair-channel form of an ordered kernel laid out as
-    [(rho', s'), (rho, s)]: four gathers through the fold tables of
-    ``_channels``, weighted by 1/2 per diagonal channel index.
+    [(rho', s'), (rho, s)], or of each kernel of a stack of them: four
+    gathers through the fold tables of ``_channels``, weighted by 1/2 per
+    diagonal channel index.
 
-    Every temporary is (P, P): one (4, P, P) gather (130 kB at M = 9) made
-    glibc grow and trim its heap on every build, thousands of fresh-page
-    faults per 2D solve; for the same reason the builds of one
-    ``pair_kernels`` call share one (M^2, M^2) product buffer."""
-    _, _, fold, weight = _channels(math.isqrt(raw.shape[0]))
-    flat = raw.ravel()
-    out = flat.take(fold[0])
+    Every temporary is (P, P) per kernel: one (4, P, P) gather (130 kB at
+    M = 9) made glibc grow and trim its heap on every build, thousands of
+    fresh-page faults per 2D solve; for the same reason the builds of one
+    ``pair_kernels`` call share one product buffer."""
+    _, _, fold, weight = _channels(math.isqrt(raw.shape[-1]))
+    flat = raw.reshape(*raw.shape[:-2], -1)
+    out = flat.take(fold[0], axis=-1)
     for index in fold[1:]:
-        out += flat.take(index)
+        out += flat.take(index, axis=-1)
     out *= weight
     return out
 
@@ -361,42 +364,76 @@ def pair_kernels(operators, scale: float = 1.0) -> tuple:
 
         scale * weight * sum_{i != j} (A E_r C)_i (B E_s D)_j k[r, s],  E_r = |r><r|.
 
+    The factors A, C, B, D of all terms share one shape: (M, M), or
+    (S, M, M) with a leading stage axis, and each kernel k is then either
+    stacked too or one (M, M) table for every stage; each returned kernel
+    is (S, P, P), one per stage.
+
     With the factor outer products XY[r, (rho, s)] = X[rho, r] Y[r, s], a
     term's ordered kernel in the layout [(rho', s'), (rho, s)] is
 
         sum_{r, q} B[rho', q] A[rho, r] k[r, q] D[q, s'] C[r, s] = BD^T (k^T AC).
 
-    Every distinct factor pair, told apart by object identity, gets its
-    outer product once for all operators.  The weighted right-hand sides
-    k^T AC of one batched product are summed over the terms of an operator
-    that share (B, D); then one product of the operator's stacked BD^T
-    against its stacked sums, in serial blocks (``_product``), gives its
-    ordered kernel, which ``_fold`` folds straight from that layout.
+    Factors and kernels are told apart by object identity.  Every distinct
+    factor pair gets its outer product once, and every distinct (k, AC) its
+    right-hand side k^T AC once, for all operators.  Within an operator the
+    weighted right-hand sides of terms that share (B, D) are summed, and the
+    left factors BD of sums that come out equal are summed as well; the
+    products BD^T (sum), in serial blocks (``_product``), accumulate into
+    the ordered kernel, which ``_fold`` folds straight from that layout.
     """
-    slots: dict = {}  # (id X, id Y) -> (index of the outer product XY, X, Y)
-    groups: dict = {}  # (operator, index of BD) -> group, numbered operator by operator
-    spans, ks, acs, placed = [], [], [], []
-    for o, op in enumerate(operators):
-        first = len(groups)
+    factors, factor_at = [], {}  # (X, Y) of each outer product XY; (id X, id Y) -> index
+    rights, right_at = [], {}  # (k, index of AC) of each k^T AC; (id k, index of AC) -> index
+    plans = []  # per operator: (BD indices, ((right-hand side, weight), ...)) per block
+
+    def position(found, at, key, item):
+        if key not in at:
+            at[key] = len(found)
+            found.append(item)
+        return at[key]
+
+    for op in operators:
+        sums: dict = {}  # BD index -> {right-hand side: summed weight}
         for weight, k, a, c, b, d in op:
-            right = slots.setdefault((id(b), id(d)), (len(slots), b, d))[0]
-            placed.append((groups.setdefault((o, right), len(groups)), scale * weight))
-            ks.append(k)
-            acs.append(slots.setdefault((id(a), id(c)), (len(slots), a, c))[0])
-        spans.append((first, len(groups)))
-    xy = np.array([(x, y) for _, x, y in slots.values()], dtype=np.complex128)
-    m = xy.shape[-1]
-    outer = (xy[:, 0].transpose(0, 2, 1)[:, :, :, None] * xy[:, 1, :, None, :]).reshape(len(slots), m, m * m)
-    kac = (np.array(ks).transpose(0, 2, 1) @ outer[acs]).reshape(len(ks), m**3)
-    select = [[0.0] * len(ks) for _ in groups]  # [group, term]: the term's weight
-    for t, (g, w) in enumerate(placed):
-        select[g][t] = w
-    sums = (np.array(select) @ kac).reshape(len(groups) * m, m * m)
-    bd = outer[[f for _, f in groups]].reshape(len(groups) * m, m * m)
-    raw = np.empty((m * m, m * m), dtype=np.complex128)
+            ac = position(factors, factor_at, (id(a), id(c)), (a, c))
+            bd = position(factors, factor_at, (id(b), id(d)), (b, d))
+            j = position(rights, right_at, (id(k), ac), (k, ac))
+            acc = sums.setdefault(bd, {})
+            acc[j] = acc.get(j, 0.0) + scale * weight
+        lefts: dict = {}  # equal weighted sums -> the BD indices they multiply
+        for bd, acc in sums.items():
+            lefts.setdefault(tuple(sorted(acc.items())), []).append(bd)
+        plans.append([(bds, acc) for acc, bds in lefts.items()])
+
+    xy = np.array(factors, dtype=np.complex128)  # (outer products, 2, *lead, M, M)
+    lead, m = xy.shape[2:-2], xy.shape[-1]
+    outer = (np.swapaxes(xy[:, 0], -1, -2)[..., None] * xy[:, 1, ..., None, :]).reshape(
+        len(factors), *lead, m, m * m)
+    kt = np.empty((len(rights), *lead, m, m), dtype=np.complex128)
+    for (k, _), out in zip(rights, kt):
+        out[...] = np.swapaxes(k, -1, -2)
+    kac = np.empty((len(rights), *lead, m, m * m), dtype=np.complex128)
+    _product(kt, outer[[ac for _, ac in rights]], kac)
+
+    raw = np.empty((*lead, m * m, m * m), dtype=np.complex128)
+    extra = None
     kernels = []
-    for lo, hi in spans:
-        _product(bd[lo * m:hi * m].T, sums[lo * m:hi * m], raw)
+    for plan in plans:
+        for n, (bds, acc) in enumerate(plan):
+            left = outer[bds[0]]
+            for f in bds[1:]:
+                left = left + outer[f]
+            (j, weight), *rest = acc
+            right = weight * kac[j]
+            for j, weight in rest:
+                right += weight * kac[j]
+            if n == 0:
+                _product(np.swapaxes(left, -1, -2), right, raw)
+                continue
+            if extra is None:
+                extra = np.empty_like(raw)
+            _product(np.swapaxes(left, -1, -2), right, extra)
+            raw += extra
         kernels.append(_fold(raw))
     return tuple(kernels)
 

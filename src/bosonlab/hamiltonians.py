@@ -15,12 +15,15 @@ coincidence correction).  The occupation route sums an operator's terms into
 one (P, P) kernel over the P = M(M+1)/2 unordered pair channels
 (``fockstate.pair_kernels``) and applies it with one pair gather down and one
 up.  ``apply_stage``, the generator of a whole hierarchy stage and of the
-auxiliary flow, takes the Htilde, C and Q kernels that ``EffectivePieces``
-builds once, in one pass, with 1/(N-1) folded in; it annihilates each member
-once and creates each derivative with one gather up.  The per-operator
-applies ``apply_Htilde``, ``apply_C`` and ``apply_Q`` keep one kernel per
-``PairTerms`` and scale the result by 1/(N-1).  The prefactor lives in this
-module and nowhere else.
+auxiliary flow, takes a stage's h1 and its Htilde, C and Q kernels with
+1/(N-1) folded in; it annihilates each member once and creates each
+derivative with one gather up.  ``stage_pieces`` builds h1 (with h0 at each
+stage's time) and the kernels of up to ``stage_batch`` stages at once, from
+a stack of stage condensates, in one ``fockstate.pair_kernels`` call;
+``pieces_from`` is its one-stage case, which builds the kernels on first
+use.  The per-operator applies ``apply_Htilde``, ``apply_C`` and ``apply_Q``
+keep one kernel per ``PairTerms`` and scale the result by 1/(N-1).  The
+prefactor lives in this module and nowhere else.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ __all__ = [
     "PairTerms",
     "pieces_at",
     "pieces_from",
+    "stage_pieces",
+    "stage_batch",
     "apply_H",
     "apply_Htilde",
     "apply_C",
@@ -110,63 +115,135 @@ def interaction_sum(state, model: Model):
     return fs.FockState(diag * state.amps, state.space)
 
 
+# Byte bound on the temporaries of one ``stage_pieces`` build (``stage_batch``):
+# 16 stages at M = 4, 1 at M = 9.  Building the stages of the 200 steps of
+# the N = 12, M = 4 benchmark solve took 27-32 ms at this bound, 41-47 ms at
+# 256 kB (8 stages) and 172-192 ms one stage at a time (best of 7 in one
+# process, three runs, shared 2-core VM).  At 768 kB (24 stages) it took
+# 26-29 ms, but glibc then grows and trims its heap around the larger
+# temporaries: ~1975 minor faults per fresh-process solve against ~57 here.
+STAGE_BATCH_BYTES = 512 * 1024
+
+
+def stage_batch(sites: int) -> int:
+    """Stages per ``stage_pieces`` build: as many as keep its temporaries
+    within ``STAGE_BATCH_BYTES``, and at least one.
+
+    Per stage, in complex entries: three factor outer products, the four
+    AC they feed to k^T AC, the four k^T AC and one block's summed left
+    factor, right-hand side and weighted term, (M, M^2) each; the ordered
+    product and its second block, (M^2, M^2) each; three kernels and one
+    fold gather, (P, P) each; and fifteen (M, M) tables (h1, p, q, the
+    centred kernels, the transposed kernels and the factor pairs).
+    """
+    m, p = sites, sites * (sites + 1) // 2
+    per_stage = 16 * (14 * m**3 + 2 * m**4 + 4 * p * p + 15 * m * m)
+    return max(1, STAGE_BATCH_BYTES // per_stage)
+
+
+def _h1(cond: Condensate, model: Model) -> np.ndarray:
+    """-Lap + V_ext(t) + diag(vbar) - mu at one condensate, or (S, M, M) at
+    each of a stack, with h0 at each one's time."""
+    diag = np.arange(cond.phi.shape[-1])
+    h1 = np.empty(cond.phi.shape + diag.shape, dtype=np.complex128)
+    h1[...] = model.h0(cond.t)
+    h1[..., diag, diag] += cond.vbar
+    h1[..., diag, diag] -= np.asarray(cond.mu)[..., None]
+    return h1
+
+
+def _pair_terms(cond: Condensate, model: Model) -> tuple:
+    """The pair terms of Htilde, C and Q without the 1/(N-1) prefactor, at
+    one condensate, or with factors p, q and the centred kernels stacked
+    (S, M, M) over a stack of them; w is shared."""
+    p, q = ts.projector_matrices(cond.phi, model.cell)
+    w = model.pair.mat
+    z_no_mu = w - cond.vbar[..., :, None] - cond.vbar[..., None, :]
+    z = z_no_mu + 2.0 * np.asarray(cond.mu)[..., None, None]
+    return (
+        # p_i q_j v q_i p_j summed with its adjoint over ordered pairs; then
+        # p_i p_j v q_i q_j and its adjoint, each symmetric under i <-> j
+        ((1.0, w, p, q, q, p), (0.5, w, p, q, p, q), (0.5, w, q, p, q, p)),
+        ((1.0, z_no_mu, q, q, q, p), (1.0, z_no_mu, q, q, p, q)),
+        ((0.5, z, q, q, q, q),),
+    )
+
+
 @dataclass(frozen=True)
 class EffectivePieces:
     """The one-body generator and pair terms at one condensate time stamp.
 
-    ``cond`` is the condensate they were built from, which a stage that
-    also steps phi reuses.  ``h1`` is the mean-field one-body generator
+    ``h1`` is the mean-field one-body generator
     -Lap + V_ext(t) + diag(vbar) - mu, the one M x M Hartree table, built
     here because the N-body lift in Htilde needs it.  The ``*_pairs``
-    fields hold the pair terms of Htilde, C and Q without the 1/(N-1)
-    prefactor.  Q uses the centred kernel w(r-s) - vbar(r) - vbar(s) + 2 mu;
-    C uses it without the 2 mu shift, which two orthogonal projector pairs
-    annihilate anyway.
+    properties hold the pair terms of Htilde, C and Q without the 1/(N-1)
+    prefactor, built from ``cond`` on first use.  Q uses the centred kernel
+    w(r-s) - vbar(r) - vbar(s) + 2 mu; C uses it without the 2 mu shift,
+    which two orthogonal projector pairs annihilate anyway.
     """
 
     cond: Condensate
     h1: np.ndarray
-    htilde_pairs: PairTerms
-    cubic_pairs: PairTerms
-    quartic_pairs: PairTerms
-    _kernels: dict = field(default_factory=dict, repr=False, compare=False)
+    model: Model = field(repr=False)
+    _kernels: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def _terms(self) -> tuple:
+        return _pair_terms(self.cond, self.model)
+
+    @cached_property
+    def htilde_pairs(self) -> PairTerms:
+        return PairTerms(self._terms[0])
+
+    @cached_property
+    def cubic_pairs(self) -> PairTerms:
+        return PairTerms(self._terms[1])
+
+    @cached_property
+    def quartic_pairs(self) -> PairTerms:
+        return PairTerms(self._terms[2])
 
     def ladder_kernels(self, particles: int) -> tuple:
         """The (P, P) kernels of Htilde, C and Q on ``particles`` bosons with
         the 1/(N-1) prefactor folded in, from one ``fockstate.pair_kernels``
-        build on first use, kept for later calls."""
+        build on first use (``stage_pieces`` builds them for a whole batch),
+        kept for later calls."""
         kernels = self._kernels.get(particles)
         if kernels is None:
-            operators = (self.htilde_pairs.terms, self.cubic_pairs.terms, self.quartic_pairs.terms)
-            kernels = fs.pair_kernels(operators, 1.0 / (particles - 1))
+            kernels = fs.pair_kernels(self._terms, 1.0 / (particles - 1))
             self._kernels[particles] = kernels
         return kernels
 
 
+def stage_pieces(cond: Condensate, model: Model, particles: int) -> list:
+    """The pieces of every stage of a stacked condensate (phi (S, M)), in
+    order, with the ladder kernels on ``particles`` bosons built for all S
+    stages in one ``fockstate.pair_kernels`` call.
+
+    S should not exceed ``stage_batch``.  Below two particles there is no
+    1/(N-1) and ``ConfigError`` is raised.
+    """
+    _require_pairs(particles)
+    kernels = zip(*fs.pair_kernels(_pair_terms(cond, model), 1.0 / (particles - 1)))
+    return [
+        EffectivePieces(Condensate(phi, t, vb, mu), h1, model, {particles: stage})
+        for phi, t, vb, mu, h1, stage in zip(
+            cond.phi, cond.t.tolist(), cond.vbar, cond.mu.tolist(), _h1(cond, model), kernels)
+    ]
+
+
 def pieces_from(cond: Condensate, model: Model) -> EffectivePieces:
-    p, q = ts.projector_matrices(cond.phi, model.cell)
-    w = model.pair.mat
-    z_no_mu = w - cond.vbar[:, None] - cond.vbar[None, :]
-    z = z_no_mu + 2.0 * cond.mu
-    h1 = (model.h0(cond.t) + np.diag(cond.vbar).astype(np.complex128)
-          - cond.mu * np.eye(cond.phi.size))
-    return EffectivePieces(
-        cond=cond,
-        h1=h1,
-        # p_i q_j v q_i p_j summed with its adjoint over ordered pairs; then
-        # p_i p_j v q_i q_j and its adjoint, each symmetric under i <-> j
-        htilde_pairs=PairTerms(((1.0, w, p, q, q, p), (0.5, w, p, q, p, q), (0.5, w, q, p, q, p))),
-        cubic_pairs=PairTerms(((1.0, z_no_mu, q, q, q, p), (1.0, z_no_mu, q, q, p, q))),
-        quartic_pairs=PairTerms(((0.5, z, q, q, q, q),)),
-    )
+    """The pieces at one condensate, the one-stage case of ``stage_pieces``,
+    with the ladder kernels built on first use."""
+    return EffectivePieces(cond, _h1(cond, model), model)
 
 
 def pieces_at(phi: np.ndarray, t: float, model: Model) -> EffectivePieces:
     return pieces_from(condensate_at(phi, t, model), model)
 
 
-def _require_pairs(state):
-    if state.particles < 2:
+def _require_pairs(particles: int):
+    if particles < 2:
         raise ConfigError("the effective decomposition needs at least two particles")
 
 
@@ -182,7 +259,7 @@ def apply_H(t: float, state, model: Model):
 def apply_Htilde(pieces: EffectivePieces, state, model: Model):
     """Quadratic effective generator: mean-field one-body sum plus the
     pair terms that exchange exactly two particles with the condensate."""
-    _require_pairs(state)
+    _require_pairs(state.particles)
     out = one_body_lift(pieces.h1, state)
     if model.pair.is_zero:
         return out
@@ -192,7 +269,7 @@ def apply_Htilde(pieces: EffectivePieces, state, model: Model):
 
 def apply_C(pieces: EffectivePieces, state, model: Model):
     """Cubic remainder: three complement projectors around the centred kernel."""
-    _require_pairs(state)
+    _require_pairs(state.particles)
     if model.pair.is_zero:
         return 0.0 * state
     n = state.particles
@@ -201,7 +278,7 @@ def apply_C(pieces: EffectivePieces, state, model: Model):
 
 def apply_Q(pieces: EffectivePieces, state, model: Model):
     """Quartic remainder: four complement projectors around the full kernel."""
-    _require_pairs(state)
+    _require_pairs(state.particles)
     if model.pair.is_zero:
         return 0.0 * state
     n = state.particles
@@ -219,7 +296,7 @@ def apply_stage(pieces: EffectivePieces, members: list, sources: list, model: Mo
     through the Htilde, C and Q kernels of ``pieces.ladder_kernels``.  The
     tensor route sums the per-operator applies, its cross-check.
     """
-    _require_pairs(members[0])
+    _require_pairs(members[0].particles)
     if isinstance(members[0], ts.TensorState):
         out = []
         for psi, (c, q) in zip(members, sources):

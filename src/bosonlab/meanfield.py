@@ -2,12 +2,15 @@
 
 The condensate obeys  i d/dt phi = (-Lap + V_ext(t) + vbar - mu) phi  with
 vbar the interaction smeared by |phi|^2 and mu a real phase fixing constant.
-``hartree_rhs`` is the one definition of this generator: the Hartree flow
-here, the auxiliary flow and the correction hierarchy all step phi with it,
-and it builds no M x M table.  The fixed-step classical fourth-order
-integrator stores phi and its norm at every grid time so that all N-body
-evolutions can consume the identical trajectory; the diagnostics mu and the
-Sobolev proxy along the trajectory are computed on demand.
+``hartree_rhs`` is the one definition of this generator and builds no M x M
+table beyond h0.  The fixed-step classical fourth-order integrator stores phi
+and its norm at every grid time so that all N-body evolutions can consume
+the identical trajectory; the diagnostics mu and the Sobolev proxy along the
+trajectory are computed on demand.  ``condensate_at`` and ``hartree_rhs``
+also take a stack (S, M) of condensates at S times, and ``rk4_stages``
+gives the four stage condensates of a step, or of many steps in one
+vectorised pass: the auxiliary flow and the correction hierarchy take their
+stage condensates from it instead of stepping phi along.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "mu",
     "condensate_at",
     "hartree_rhs",
+    "rk4_stages",
     "hartree_evolve",
     "hk_proxy",
     "one_body_norm",
@@ -40,14 +44,17 @@ def one_body_norm(phi: np.ndarray, cell: float) -> float:
 
 
 def vbar(phi: np.ndarray, pair, cell: float) -> np.ndarray:
-    """Mean-field potential (w * |phi|^2)(x) as a min-image lattice convolution."""
+    """Mean-field potential (w * |phi|^2)(x) as a min-image lattice convolution,
+    of one condensate or of each row of a stack (S, M)."""
     wmat = np.asarray(getattr(pair, "mat", pair))
     density = np.abs(np.asarray(phi)) ** 2
-    return cell * (wmat @ density)
+    return cell * (wmat @ density if density.ndim == 1 else density @ wmat.T)
 
 
-def _mu(phi: np.ndarray, vb: np.ndarray, cell: float) -> float:
-    return float(0.5 * cell * np.dot(np.abs(phi) ** 2, vb))
+def _mu(phi: np.ndarray, vb: np.ndarray, cell: float):
+    if phi.ndim == 1:
+        return float(0.5 * cell * np.dot(np.abs(phi) ** 2, vb))
+    return 0.5 * cell * np.einsum("sm,sm->s", np.abs(phi) ** 2, vb)
 
 
 def mu(phi: np.ndarray, pair, cell: float) -> float:
@@ -57,7 +64,11 @@ def mu(phi: np.ndarray, pair, cell: float) -> float:
 
 @dataclass(frozen=True)
 class Condensate:
-    """Condensate amplitudes at a time stamp with their mean field and mu."""
+    """Condensate amplitudes at a time stamp with their mean field and mu.
+
+    A stack of stage condensates holds phi and vbar as (S, M) arrays and t
+    and mu as (S,) arrays.
+    """
 
     phi: np.ndarray
     t: float
@@ -65,7 +76,8 @@ class Condensate:
     mu: float
 
 
-def condensate_at(phi: np.ndarray, t: float, model: Model) -> Condensate:
+def condensate_at(phi: np.ndarray, t, model: Model) -> Condensate:
+    """The condensate phi at time t, or a stack of them: phi (S, M), t (S,)."""
     phi = np.asarray(phi, dtype=np.complex128)
     vb = vbar(phi, model.pair, model.cell)
     return Condensate(phi=phi, t=t, vbar=vb, mu=_mu(phi, vb, model.cell))
@@ -74,17 +86,38 @@ def condensate_at(phi: np.ndarray, t: float, model: Model) -> Condensate:
 def hartree_rhs(cond: Condensate, model: Model) -> np.ndarray:
     """Right-hand side -i h[phi](t) phi = -i (h0(t) phi + (vbar - mu) phi).
 
-    The only definition of the condensate's generator.  It takes the stage's
-    condensate, which the effective pieces share, and builds no M x M table.
+    The only definition of the condensate's generator, for one condensate or
+    a stack of them (each with h0 at its own time).  It builds no M x M
+    table beyond h0.
     """
-    return -1j * (model.h0(cond.t) @ cond.phi + (cond.vbar - cond.mu) * cond.phi)
+    h0, phi = model.h0(cond.t), cond.phi
+    if phi.ndim == 1:
+        return -1j * (h0 @ phi + (cond.vbar - cond.mu) * phi)
+    h0_phi = phi @ h0.T if h0.ndim == 2 else np.matmul(h0, phi[..., None])[..., 0]
+    return -1j * (h0_phi + (cond.vbar - cond.mu[:, None]) * phi)
+
+
+def rk4_stages(phi: np.ndarray, t, dt: float, model: Model):
+    """The four stage condensates of one classical RK4 step of the Hartree
+    flow from phi at t, at phi, phi + dt/2 k1, phi + dt/2 k2 and phi + dt k3,
+    and the slopes (k1, k2, k3).
+
+    phi may be a stack (S, M) of grid condensates at the times t (S,): one
+    vectorised pass then gives the stages of S steps.
+    """
+    c1 = condensate_at(phi, t, model)
+    k1 = hartree_rhs(c1, model)
+    c2 = condensate_at(phi + 0.5 * dt * k1, t + 0.5 * dt, model)
+    k2 = hartree_rhs(c2, model)
+    c3 = condensate_at(phi + 0.5 * dt * k2, t + 0.5 * dt, model)
+    k3 = hartree_rhs(c3, model)
+    c4 = condensate_at(phi + dt * k3, t + dt, model)
+    return (c1, c2, c3, c4), (k1, k2, k3)
 
 
 def _rk4_phi(phi: np.ndarray, t: float, dt: float, model: Model) -> np.ndarray:
-    k1 = hartree_rhs(condensate_at(phi, t, model), model)
-    k2 = hartree_rhs(condensate_at(phi + 0.5 * dt * k1, t + 0.5 * dt, model), model)
-    k3 = hartree_rhs(condensate_at(phi + 0.5 * dt * k2, t + 0.5 * dt, model), model)
-    k4 = hartree_rhs(condensate_at(phi + dt * k3, t + dt, model), model)
+    stages, (k1, k2, k3) = rk4_stages(phi, t, dt, model)
+    k4 = hartree_rhs(stages[3], model)
     return phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -406,9 +406,13 @@ class Model:
         """One-body kinetic + external part, -Laplacian + diag(V_ext(t)).
 
         Only a tabulated potential depends on t; otherwise this is one
-        cached, read-only table.
+        cached, read-only table.  For an array of times a tabulated
+        potential gives one table per time, stacked (S, M, M); otherwise
+        the one static table, which broadcasts over them.
         """
         if self.config.potential_kind == "tabulated":
+            if np.ndim(t):
+                return np.stack([self._h0_at(float(s)) for s in t])
             return self._h0_at(t)
         return self._static_h0
 

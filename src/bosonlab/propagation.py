@@ -5,23 +5,29 @@ One classical explicit fourth-order kernel (``rk4_step``) and one grid loop
 auxiliary flow and the quadrature oracle's transports between nodes; the
 correction hierarchy runs the same kernel and the same guard
 (``check_state``) in its own loop.  Composite states are plain lists whose
-leaves support ``+`` and scalar ``*``; the condensate rides along as the
-first leaf wherever the generator depends on it, stepped by
-``meanfield.hartree_rhs``, so stage values of phi and of the N-body state
-stay synchronous within a step.  The lead state, whose norm drift is
-guarded, is the state itself or the leaf right behind the condensate.
+leaves support ``+`` and scalar ``*``; the lead state, whose norm drift is
+guarded, is the state itself or the first leaf.
+
+The auxiliary flow and the hierarchy step only their N-body members.  The
+condensate their generator needs at each RK4 stage never depends on the
+members, so ``stage_rhs`` takes it from the Hartree trajectory: for a chunk
+of grid steps one vectorised ``meanfield.rk4_stages`` pass gives the four
+stage condensates of each step from its grid phi, and
+``hamiltonians.stage_pieces`` builds their pieces ``stage_batch`` stages at
+a time.  The right-hand side consumes them in stage order and refuses a
+stage whose time is not the one it is called at.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import IntegratorError
-from .hamiltonians import apply_H, apply_stage, pieces_at
-from .meanfield import DRIFT_ABORT, HartreeTrajectory, hartree_rhs
+from .errors import ConsistencyError, IntegratorError
+from .hamiltonians import apply_H, apply_stage, stage_batch, stage_pieces
+from .meanfield import DRIFT_ABORT, Condensate, HartreeTrajectory, rk4_stages
 from .model import Model
 
-__all__ = ["rk4_step", "check_state", "march", "evolve_full", "evolve_aux"]
+__all__ = ["rk4_step", "check_state", "march", "stage_rhs", "evolve_full", "evolve_aux"]
 
 
 def _axpy(y, a, k):
@@ -38,7 +44,7 @@ def _leaf_finite(y) -> bool:
 
 
 def _lead(y):
-    return y[1] if isinstance(y, list) else y
+    return y[0] if isinstance(y, list) else y
 
 
 def rk4_step(rhs, t: float, y, dt: float):
@@ -81,6 +87,53 @@ def march(rhs, y, i0: int, i1: int, dt: float, observer=None):
     return y
 
 
+# Steps per ``rk4_stages`` pass at least.  A pass costs ~25 small numpy calls
+# however many steps it covers: at M = 9, one stage per build, the stage
+# condensates of a 20-step hierarchy took 2.9 ms one step at a time and
+# 0.6 ms eight at a time (best of 3 in one process, shared 2-core VM).
+SCHEDULE_STEPS = 8
+
+
+def _stage_schedule(trajectory: HartreeTrajectory, i0: int, i1: int, particles: int):
+    """The pieces of the four RK4 stages of each grid step i0 .. i1-1, in
+    stage order.  The stage condensates of a chunk of steps come from one
+    ``rk4_stages`` pass over their grid phis; a chunk is a multiple of
+    ``stage_batch`` steps, so its 4 x chunk stages make whole builds."""
+    model, dt = trajectory.model, trajectory.dt
+    batch = stage_batch(model.config.site_count)
+    chunk = batch * -(-SCHEDULE_STEPS // batch)
+    for lo in range(i0, i1, chunk):
+        hi = min(lo + chunk, i1)
+        stages, _ = rk4_stages(trajectory.phis[lo:hi], np.arange(lo, hi) * dt, dt, model)
+        # one stage axis in stage order: stage j of step i is entry 4 i + j
+        phi, t, vbar, mu = (np.stack(values, axis=1).reshape(-1, *values[0].shape[1:])
+                            for values in zip(*((c.phi, c.t, c.vbar, c.mu) for c in stages)))
+        for part in (slice(s, s + batch) for s in range(0, len(t), batch)):
+            yield from stage_pieces(Condensate(phi[part], t[part], vbar[part], mu[part]), model, particles)
+
+
+def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, particles: int, sources: list):
+    """The right-hand side -i [Htilde psi_i + C psi_c(i) + Q psi_q(i)] of a
+    list of members for ``rk4_step`` over the grid steps i0 .. i1-1.
+
+    ``sources`` is as in ``hamiltonians.apply_stage``.  The pieces of the
+    stages come precomputed from the trajectory, so the right-hand side
+    must be called once per stage, in order; a call at another time than
+    the next stage's raises ``ConsistencyError``.
+    """
+    schedule = _stage_schedule(trajectory, i0, i1, particles)
+    model = trajectory.model
+
+    def rhs(time, members):
+        pieces = next(schedule, None)
+        if pieces is None or abs(pieces.cond.t - time) > 1e-12:
+            expected = "no further stage" if pieces is None else f"the stage at t={pieces.cond.t}"
+            raise ConsistencyError(f"stage right-hand side called at t={time}, expected {expected}")
+        return apply_stage(pieces, members, sources, model)
+
+    return rhs
+
+
 def evolve_full(psi0, t1: float, model: Model, t0: float = 0.0, observer=None):
     """Propagate under the full Hamiltonian from t0 to t1 on the global grid.
 
@@ -96,22 +149,11 @@ def evolve_full(psi0, t1: float, model: Model, t0: float = 0.0, observer=None):
 
 
 def evolve_aux(psi0, s: float, t: float, trajectory: HartreeTrajectory):
-    """Auxiliary evolution from time s to t, restarting phi from the trajectory.
-
-    The condensate leaf evolves by its own Hartree flow (``hartree_rhs``)
-    inside the same staged step, so it agrees with the stored trajectory at
-    every grid time up to roundoff.
-    """
+    """Auxiliary evolution from time s to t under Htilde, whose condensate
+    at each stage is taken from the trajectory (``stage_rhs``)."""
     i0 = trajectory.index_of(s)
     i1 = trajectory.index_of(t)
     if i1 < i0:
         raise ValueError("t must be >= s")
-    model = trajectory.model
-
-    def rhs(time, y):
-        phi, psi = y
-        pieces = pieces_at(phi, time, model)
-        return [hartree_rhs(pieces.cond, model), *apply_stage(pieces, [psi], [(None, None)], model)]
-
-    y = march(rhs, [trajectory.phi(i0).copy(), psi0.copy()], i0, i1, trajectory.dt)
-    return y[1]
+    rhs = stage_rhs(trajectory, i0, i1, psi0.particles, [(None, None)])
+    return march(rhs, [psi0.copy()], i0, i1, trajectory.dt)[0]

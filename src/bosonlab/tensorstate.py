@@ -137,10 +137,11 @@ def apply_pair_diagonal(pair, psi: TensorState) -> TensorState:
 
 
 def projector_matrices(phi: np.ndarray, cell: float):
-    """Rank-one condensate projector p = |phi><phi| and its complement q."""
+    """Rank-one condensate projector p = |phi><phi| and its complement q, of
+    one condensate or of each row of a stack (S, M)."""
     phi = np.asarray(phi, dtype=np.complex128)
-    p = cell * np.outer(phi, phi.conj())
-    q = np.eye(phi.size, dtype=np.complex128) - p
+    p = cell * (phi[..., :, None] * phi.conj()[..., None, :])
+    q = np.eye(phi.shape[-1], dtype=np.complex128) - p
     return p, q
 
 

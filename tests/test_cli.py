@@ -52,6 +52,13 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "suite: PASS" in out
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_draws_exits_2(self, cfg_path, capsys, seeds):
+        assert main(["check", "--config", cfg_path, "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert "suite:" not in captured.out
+        assert "random draw" in captured.err
+
 
 class TestHartree:
     def test_csv_columns(self, cfg_path, capsys):
@@ -70,6 +77,13 @@ class TestHartree:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_non_positive_every_exits_2(self, cfg_path, capsys, every):
+        assert main(["evolve", "--config", cfg_path, "--every", every]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--every" in captured.err
+
     def test_norm_observable(self, cfg_path, capsys):
         assert main(["evolve", "--config", cfg_path, "--every", "20"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -230,6 +244,20 @@ class TestSweep:
 
     def test_bad_grid_rejected(self, cfg_path):
         assert main(["sweep", "--config", cfg_path, "--grid", "K=3,4"]) == 2
+
+    @pytest.mark.parametrize("grid", ["N=3,3,3", "N=3,3,4"])
+    def test_repeated_grid_point_exits_2(self, cfg_path, capsys, grid):
+        assert main(["sweep", "--config", cfg_path, "--grid", grid, "--orders", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "slope" not in captured.out
+        assert "repeats N=3" in captured.err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_exits_2(self, cfg_path, capsys, jobs):
+        assert main(["sweep", "--config", cfg_path, "--grid", "N=3,4", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs" in captured.err
 
     def test_seed_override_changes_nothing_deterministic(self, cfg_path, tmp_path):
         # the sweep at fixed config is seed-independent (no stochastic inputs)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,8 @@ from bosonlab.duhamel import (
     tuple_set,
 )
 from bosonlab import fockstate as fs
-from bosonlab import hamiltonians, meanfield
-from bosonlab.errors import RangeError
+from bosonlab import hamiltonians, meanfield, propagation
+from bosonlab.errors import ConfigError, ConsistencyError, RangeError
 from bosonlab.experiments import build_product, default_phi0
 from bosonlab.meanfield import hartree_evolve
 from bosonlab.model import build_model, validate_config
@@ -88,17 +89,25 @@ class TestHierarchyShape:
 
     def test_one_condensate_per_stage(self, setup, monkeypatch):
         model, phi0, psi0, traj, hier, full = setup
-        calls = []
-        original = meanfield.condensate_at
+        condensates, builds = [], []
+        original, build = meanfield.condensate_at, fs.pair_kernels
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def counting(phi, *args, **kwargs):
+            condensates.append(len(phi) if np.ndim(phi) == 2 else 1)
+            return original(phi, *args, **kwargs)
+
+        def counting_build(operators, *args):
+            p = operators[0][0][2]  # the stage projector of Htilde's first term
+            builds.append(len(p) if p.ndim == 3 else 1)
+            return build(operators, *args)
 
         monkeypatch.setattr(meanfield, "condensate_at", counting)
         monkeypatch.setattr(hamiltonians, "condensate_at", counting)
+        monkeypatch.setattr(fs, "pair_kernels", counting_build)
         hierarchy_evolve(psi0, 3, 0.2, traj)
-        assert len(calls) == 4 * traj.index_of(0.2)
+        stages = 4 * traj.index_of(0.2)
+        assert sum(condensates) == stages and len(condensates) < stages
+        assert sum(builds) == stages and len(builds) < stages
 
     def test_one_pair_gather_each_way_per_member_and_stage(self, setup):
         model, phi0, psi0, traj, hier, full = setup
@@ -133,6 +142,120 @@ class TestHierarchyShape:
         for (n, k), state in hier.entries.items():
             if n >= 1:
                 assert state.norm() <= 1e-14
+
+
+def tabulated_model(**over):
+    """A time-dependent external potential, linear in t between two tables."""
+    rng = np.random.default_rng(31)
+    table = tuple(tuple(row) for row in 3.0 * rng.random((2, 3)))
+    return make_model(potential_kind="tabulated", potential_table=((0.0, 0.1), table), **over)
+
+
+def relative_gap(a, b) -> float:
+    return (a - b).norm() / b.norm()
+
+
+class TestStageSchedule:
+    """The stage condensates and pieces come from the trajectory, built
+    ``hamiltonians.stage_batch`` stages at a time."""
+
+    @pytest.fixture(scope="class")
+    def tabulated(self):
+        model = tabulated_model()
+        phi0 = default_phi0(model)
+        traj = hartree_evolve(phi0, 0.0, 0.2, model)
+        return model, phi0, traj
+
+    def test_tabulated_potential_occupation_matches_tensor(self, tabulated):
+        model, phi0, traj = tabulated
+        fock = build_product(model, phi0, "fock")
+        tensor = build_product(model, phi0, "tensor")
+        hier_f = hierarchy_evolve(fock, 3, 0.05, traj)
+        hier_t = hierarchy_evolve(tensor, 3, 0.05, traj)
+        for key, state in hier_t.entries.items():
+            assert (fs.embed(hier_f.entries[key]) - state).norm() <= 1e-10
+        aux_f = evolve_aux(fock, 0.01, 0.05, traj)
+        aux_t = evolve_aux(tensor, 0.01, 0.05, traj)
+        assert (fs.embed(aux_f) - aux_t).norm() <= 1e-10
+
+    def test_batched_pieces_take_h0_at_each_stage_time(self, tabulated):
+        model, phi0, traj = tabulated
+        phis = traj.phis[:6] * np.linspace(1.0, 1.5, 6)[:, None]
+        times = np.array([0.0, 0.01, 0.015, 0.05, 0.07, 0.1])
+        batch = hamiltonians.stage_pieces(meanfield.condensate_at(phis, times, model), model, 3)
+        assert [pieces.cond.t for pieces in batch] == times.tolist()
+        for pieces, phi, t in zip(batch, phis, times):
+            alone = hamiltonians.pieces_at(phi, t, model)
+            assert np.abs(pieces.h1 - alone.h1).max() <= 1e-13
+            for got, expect in zip(pieces.ladder_kernels(3), alone.ladder_kernels(3)):
+                assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("flow", ["hierarchy", "aux"])
+    def test_results_do_not_depend_on_the_batch(self, tabulated, monkeypatch, flow):
+        model, phi0, traj = tabulated
+        psi0 = build_product(model, phi0, "fock")
+        stages = 4 * traj.index_of(0.047)
+        batch = hamiltonians.stage_batch(model.config.site_count)
+        assert batch > 4 and stages % batch != 0  # the last build is partial
+
+        def run():
+            if flow == "aux":
+                return [evolve_aux(psi0, 0.0, 0.047, traj)]
+            return list(hierarchy_evolve(psi0, 3, 0.047, traj).entries.values())
+
+        default = run()
+        monkeypatch.setattr(hamiltonians, "STAGE_BATCH_BYTES", 1)
+        assert hamiltonians.stage_batch(model.config.site_count) == 1
+        for a, b in zip(run(), default):
+            assert relative_gap(a, b) <= 1e-13
+
+    def test_aux_from_later_start_composes(self, tabulated):
+        model, phi0, traj = tabulated
+        psi0 = build_product(model, phi0, "fock")
+        whole = evolve_aux(psi0, 0.0, 0.05, traj)
+        middle = evolve_aux(psi0, 0.0, 0.023, traj)
+        assert relative_gap(evolve_aux(middle, 0.023, 0.05, traj), whole) <= 1e-13
+        assert (evolve_aux(middle, 0.023, 0.023, traj) - middle).norm() == 0.0
+        with pytest.raises(ValueError):
+            evolve_aux(psi0, 0.05, 0.023, traj)
+
+    def test_right_hand_side_refuses_an_unscheduled_stage(self, tabulated):
+        model, phi0, traj = tabulated
+        psi0 = build_product(model, phi0, "fock")
+        dt = traj.dt
+        rhs = propagation.stage_rhs(traj, 3, 4, 3, [(None, None)])
+        with pytest.raises(ConsistencyError, match="expected the stage at"):
+            rhs(3.5 * dt, [psi0])
+        rhs = propagation.stage_rhs(traj, 3, 4, 3, [(None, None)])
+        for t in (3 * dt, 3 * dt + 0.5 * dt, 3 * dt + 0.5 * dt, 3 * dt + dt):
+            rhs(t, [psi0])
+        with pytest.raises(ConsistencyError, match="no further stage"):
+            rhs(4 * dt, [psi0])
+
+    def test_zero_pair_table_is_the_exact_free_lift(self):
+        model = make_model(interaction_profile="zero")
+        phi0 = default_phi0(model)
+        psi0 = build_product(model, phi0, "fock")
+        traj = hartree_evolve(phi0, 0.0, 0.2, model)
+        cond = meanfield.condensate_at(traj.phis[:4], traj.times[:4], model)
+        members = [psi0, 0.5 * psi0]
+        for pieces in hamiltonians.stage_pieces(cond, model, 3):
+            out = hamiltonians.apply_stage(pieces, members, [(None, None), (0, 0)], model)
+            for got, psi in zip(out, members):
+                assert np.array_equal(got.amps, (-1j * fs.dgamma_apply(pieces.h1, psi)).amps)
+        hier = hierarchy_evolve(psi0, 3, 0.05, traj)
+        assert all(state.norm() == 0.0 for (n, _), state in hier.entries.items() if n >= 1)
+
+    @pytest.mark.parametrize("rep", ["fock", "tensor"])
+    def test_single_particle_refused_before_the_prefactor(self, rep):
+        model = make_model(particles=1)
+        phi0 = default_phi0(model)
+        psi0 = build_product(model, phi0, rep)
+        traj = hartree_evolve(phi0, 0.0, 0.2, model)
+        with pytest.raises(ConfigError, match="at least two particles"):
+            hierarchy_evolve(psi0, 2, 0.01, traj)
+        with pytest.raises(ConfigError, match="at least two particles"):
+            evolve_aux(psi0, 0.0, 0.01, traj)
 
 
 class TestQuadratureOracle:

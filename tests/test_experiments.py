@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosonlab import duhamel
+from bosonlab import propagation
 from bosonlab import projections as pj
 from bosonlab.errors import ConfigError, RangeError
 from bosonlab.experiments import (
@@ -151,6 +151,11 @@ class TestLemmaSuite:
         with pytest.raises(ConfigError):
             lemma_suite(base_config(particles=8))
 
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_no_draws_rejected(self, n_seeds):
+        with pytest.raises(ConfigError, match="at least one random draw"):
+            lemma_suite(base_config(), n_seeds=n_seeds)
+
     def test_report_lines_render(self):
         report = lemma_suite(base_config(), n_seeds=2)
         lines = list(report.to_lines())
@@ -257,10 +262,23 @@ class TestSweep:
         def broken(*args, **kwargs):
             raise TypeError("defect inside the hierarchy")
 
-        monkeypatch.setattr(duhamel, "pieces_at", broken)
+        monkeypatch.setattr(propagation, "stage_pieces", broken)
         cfg = base_config(t_final=0.1, dt=2e-3)
         with pytest.raises(TypeError, match="defect inside the hierarchy"):
             sweep_scaling(cfg, [3], [1], t=0.1)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_non_positive_jobs_rejected(self, jobs):
+        cfg = base_config(t_final=0.1, dt=2e-3)
+        with pytest.raises(ConfigError, match="jobs"):
+            sweep_scaling(cfg, [3, 4], [1], t=0.1, jobs=jobs)
+
+    @pytest.mark.parametrize("grid", [[3, 3, 3], [3, 3, 4], [4, 3, 4]])
+    def test_repeated_particle_number_rejected(self, grid):
+        # a repeated N is not a further point of the fit
+        cfg = base_config(t_final=0.1, dt=2e-3)
+        with pytest.raises(ConfigError, match="repeats N="):
+            sweep_scaling(cfg, grid, [1], t=0.1)
 
     def test_parallel_jobs_match_serial(self):
         cfg = base_config(t_final=0.1, dt=2e-3)

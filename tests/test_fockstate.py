@@ -377,6 +377,54 @@ class TestKernelBuild:
             assert rows >= 2 and cols >= 2
             assert rows * inner_dim * cols <= fs.SERIAL_PRODUCT
 
+    @staticmethod
+    def staged_terms(m, rng, stages):
+        """Three operators over factors x, y and kernel z with a leading
+        stage axis and one kernel w shared by every stage; C's two terms
+        have equal weights, so their left factors are summed."""
+        def table(*lead):
+            return rng.standard_normal((*lead, m, m)) + 1j * rng.standard_normal((*lead, m, m))
+
+        x, y, z = table(stages), table(stages), table(stages).real
+        w = rng.standard_normal((m, m))
+
+        def operators(x, y, z):
+            return (
+                ((1.0, w, x, y, y, x), (0.5, w, x, y, x, y), (0.5, w, y, x, y, x)),
+                ((1.0, z, y, y, y, x), (1.0, z, y, y, x, y)),
+                ((0.5 + 0.25j, w, y, y, y, y), (0.3, z, x, y, y, x)),
+            )
+
+        return operators(x, y, z), [operators(x[s], y[s], z[s]) for s in range(stages)]
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 9])
+    def test_stage_axis_builds_each_stage(self, m):
+        rng = np.random.default_rng(90 + m)
+        staged, alone = self.staged_terms(m, rng, 3)
+        built = fs.pair_kernels(staged, 0.3)
+        for s, operators in enumerate(alone):
+            for kernels, terms in zip(built, operators):
+                assert kernels.shape == (3,) + (m * (m + 1) // 2,) * 2
+                expect = fold_oracle(ordered_kernel_oracle(terms, 0.3), m)
+                assert np.abs(kernels[s] - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
+
+    def test_stage_axis_products_stay_below_serial_bound(self, monkeypatch):
+        """The bound holds for each matrix of a stacked product."""
+        rng = np.random.default_rng(72)
+        staged, _ = self.staged_terms(9, rng, 2)
+        shapes, matmul = [], np.matmul
+
+        def recorded(a, b, out):
+            shapes.append((a.shape[-2], a.shape[-1], b.shape[-1]))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        fs.pair_kernels(staged)
+        assert len(shapes) > len(staged)
+        for rows, inner_dim, cols in shapes:
+            assert rows >= 2 and cols >= 2
+            assert rows * inner_dim * cols <= fs.SERIAL_PRODUCT
+
 
 class TestKernelShapes:
     @pytest.mark.parametrize("shape", [(10, 10), (6, 6), (9, 8), (0, 0), (3, 3, 3)])

@@ -155,6 +155,40 @@ class TestHartreeRhs:
         assert np.abs(mf.hartree_rhs(mf.condensate_at(phi, t, model), model) - dense).max() <= 1e-14
 
 
+    @pytest.mark.parametrize("potential", ["none", "tabulated"])
+    def test_stacked_condensates_match_one_at_a_time(self, potential):
+        rng = np.random.default_rng(12)
+        over = {}
+        if potential == "tabulated":
+            table = tuple(tuple(row) for row in rng.random((2, 4)))
+            over.update(potential_kind="tabulated", potential_table=((0.0, 1.0), table))
+        model = make_model(**over)
+        phis = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        times = np.linspace(0.0, 0.8, 5)
+        stacked = mf.condensate_at(phis, times, model)
+        rhs = mf.hartree_rhs(stacked, model)
+        assert rhs.shape == phis.shape and stacked.mu.shape == times.shape
+        for phi, t, vb, mu, k in zip(phis, times, stacked.vbar, stacked.mu, rhs):
+            one = mf.condensate_at(phi, t, model)
+            assert np.abs(vb - one.vbar).max() <= 1e-14 and abs(mu - one.mu) <= 1e-14
+            assert np.abs(k - mf.hartree_rhs(one, model)).max() <= 1e-13
+
+    def test_rk4_stages_of_a_stack_are_those_of_each_step(self):
+        model = make_model()
+        wave = uniform_phi(model) * np.exp(0.3j * np.arange(4))
+        phis = mf.hartree_evolve(wave, 0.0, 0.01, model).phis[:4]
+        dt = model.config.dt
+        times = np.arange(4) * dt
+        stages, slopes = mf.rk4_stages(phis, times, dt, model)
+        for i, (phi, t) in enumerate(zip(phis, times)):
+            one, one_slopes = mf.rk4_stages(phi, t, dt, model)
+            for got, expect in zip(stages, one):
+                assert got.t[i] == expect.t
+                assert np.abs(got.phi[i] - expect.phi).max() <= 1e-14
+            for got, expect in zip(slopes, one_slopes):
+                assert np.abs(got[i] - expect).max() <= 1e-13
+
+
 class TestHartreeEvolve:
     def test_free_plane_wave_exact_phase(self):
         model = make_model(interaction_profile="zero", t_final=0.5)

@@ -73,20 +73,22 @@ class TestGuard:
         with pytest.raises(IntegratorError, match="drift"):
             march(lambda t, y: 0.5 * y, psi0, 0, 1, 1e-3)
 
-    def test_condensate_leaf_is_not_the_lead(self, setup):
-        # only the phi leaf of a [phi, psi] tree grows; the lead psi keeps its norm
-        _, phi0, psi0, _ = setup
-        out = march(lambda t, y: [0.5 * y[0], 0.0 * y[1]], [phi0.copy(), psi0], 0, 10, 1e-2)
-        assert np.linalg.norm(out[0]) > 1.04 * np.linalg.norm(phi0)
-        assert (out[1] - psi0).norm() == 0.0
+    def test_lead_is_the_first_leaf(self, setup):
+        # a trailing leaf may grow; the first leaf is the guarded lead
+        _, _, psi0, _ = setup
+        out = march(lambda t, y: [0.0 * y[0], 0.5 * y[1]], [psi0, psi0.copy()], 0, 10, 1e-2)
+        assert out[1].norm() > 1.04 * psi0.norm()
+        assert (out[0] - psi0).norm() == 0.0
+        with pytest.raises(IntegratorError, match="drift"):
+            march(lambda t, y: [0.5 * y[0], 0.0 * y[1]], [psi0, psi0.copy()], 0, 10, 1e-2)
 
     def test_nan_in_a_trailing_leaf_aborts(self, setup):
         _, phi0, psi0, _ = setup
         bad = psi0.copy()
         bad.amps[0] = np.nan
-        check_state([phi0, psi0, psi0], 0.0, psi0.norm())
+        check_state([psi0, phi0, psi0], 0.0, psi0.norm())
         with pytest.raises(IntegratorError, match="non-finite"):
-            check_state([phi0, psi0, bad], 0.0, psi0.norm())
+            check_state([psi0, phi0, bad], 0.0, psi0.norm())
 
 
 class TestEvolveFull:
