@@ -177,24 +177,28 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
     cfg = _load_config(args, correction_run=True)
-    grid = _parse_grid(args.grid)
-    orders = [int(x) for x in args.orders.split(",")]
-    result = sweep_scaling(cfg, grid, orders, jobs=args.jobs)
+    grid = args.grid
+    if "=" in grid:
+        key, _, grid = grid.partition("=")
+        if key.strip() != "N":
+            raise ConfigError(f"unknown grid variable {key.strip()!r}, expected N")
+    result = sweep_scaling(cfg, _int_list("--grid", grid), _int_list("--orders", args.orders),
+                           jobs=args.jobs)
     _emit(result.to_csv(), args.out)
     sys.stdout.write(result.summary())
     return 1 if any(row.failed for row in result.rows) else 0
 
 
-def _parse_grid(text: str) -> list[int]:
-    if "=" in text:
-        key, _, rest = text.partition("=")
-        if key.strip() != "N":
-            raise ConfigError(f"unknown grid variable {key.strip()!r}, expected N")
-        text = rest
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated list, skipping empty tokens; a
+    non-integer or an empty list raises ``ConfigError`` naming ``flag``."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse grid {text!r}") from exc
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
+    if not values:
+        raise ConfigError(f"{flag} lists no value")
+    return values
 
 
 # ---------------------------------------------------------------------------

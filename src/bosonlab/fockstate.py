@@ -21,8 +21,9 @@ down, one (P, P) product and one gather up: its kernel is folded over the
 orderings of each pair (``fold_kernel``), so an operator built from several
 projected pair terms costs one application.  ``pair_kernels`` builds the
 kernels of several such operators in one pass, with any prefactor folded in
-and each factor outer product computed once.  ``two_body_sums`` applies
-kernels to several states with one pair gather down per state and one up
+and each factor outer product computed once.  ``two_body_sums`` is the
+only two-body apply, one state being its one-member case: it applies
+kernels to a list of states with one pair gather down per state and one up
 per output, whatever the number of kernels an output sums.  Products run
 in blocks small enough that OpenBLAS keeps them on the calling thread
 (``SERIAL_PRODUCT``).  The scratch buffers belong to the FockSpace, which
@@ -52,8 +53,6 @@ __all__ = [
     "fold_kernel",
     "pair_kernels",
     "two_body_sums",
-    "two_body_apply",
-    "pair_apply",
     "embed",
     "extract",
     "inner",
@@ -281,13 +280,6 @@ def inner(a: FockState, b: FockState) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def _table(op, space: FockSpace) -> np.ndarray:
-    mat = np.asarray(getattr(op, "mat", op), dtype=np.complex128)
-    if mat.shape != (space.sites, space.sites):
-        raise ValueError(f"table shape {mat.shape} does not match M={space.sites}")
-    return mat
-
-
 def _blocks(total: int, most: int) -> list:
     """Slices of one length, at most ``most``, that cover range(total); the
     last one moves back to stay full, overlapping its neighbour."""
@@ -317,9 +309,12 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 def dgamma_apply(op, state: FockState) -> FockState:
     """Second-quantised lift of a one-body table: sum_j op acting on slot j."""
-    one = state.space.ladders[0]
-    _product(_table(op, state.space), one.annihilated(state.amps), one.src)
-    return FockState(one.created(), state.space)
+    space, mat = state.space, np.asarray(getattr(op, "mat", op), dtype=np.complex128)
+    if mat.shape != (space.sites, space.sites):
+        raise ValueError(f"table shape {mat.shape} does not match M={space.sites}")
+    one = space.ladders[0]
+    _product(mat, one.annihilated(state.amps), one.src)
+    return FockState(one.created(), space)
 
 
 def _fold(raw: np.ndarray) -> np.ndarray:
@@ -475,23 +470,6 @@ def two_body_sums(states, terms) -> list:
             pair.src += extra
         out.append(FockState(pair.created(), space))
     return out
-
-
-def two_body_apply(kernel, state: FockState) -> FockState:
-    """a^+ a^+ (K . a a psi) for a (P, P) pair-channel kernel K (``fold_kernel``).
-
-    One pair gather down to N - 2 particles, one (P, P) @ (P, dim_{N-2})
-    product in serial blocks (``SERIAL_PRODUCT``) and one gather back
-    up, P * dim_{N-2} + P * dim_N gathered entries in all: the one-state
-    case of ``two_body_sums``.  Below two particles it is zero.
-    """
-    return two_body_sums([state], [[(np.asarray(kernel), 0)]])[0]
-
-
-def pair_apply(x, y, state: FockState) -> FockState:
-    """sum_{i != j} X_i Y_j; ordered pairs counted."""
-    xmat, ymat = _table(x, state.space), _table(y, state.space)
-    return two_body_apply(fold_kernel(np.kron(ymat, xmat)), state)
 
 
 def pair_diagonal(space: FockSpace, pair) -> np.ndarray:

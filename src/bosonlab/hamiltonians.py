@@ -10,20 +10,17 @@ from the rank-one site expansion of the position-diagonal kernel,
 
     sum_{i != j} (A E_r C)_i (B E_s D)_j kernel[r, s].
 
-The tensor route takes 2M + 1 one-body lifts per term (two per r and one
-coincidence correction).  The occupation route sums an operator's terms into
-one (P, P) kernel over the P = M(M+1)/2 unordered pair channels
-(``fockstate.pair_kernels``) and applies it with one pair gather down and one
-up.  ``apply_stage``, the generator of a whole hierarchy stage and of the
-auxiliary flow, takes a stage's h1 and its Htilde, C and Q kernels with
-1/(N-1) folded in; it annihilates each member once and creates each
-derivative with one gather up.  ``stage_pieces`` builds h1 (with h0 at each
-stage's time) and the kernels of up to ``stage_batch`` stages at once, from
-a stack of stage condensates, in one ``fockstate.pair_kernels`` call;
-``pieces_from`` is its one-stage case, which builds the kernels on first
-use.  The per-operator applies ``apply_Htilde``, ``apply_C`` and ``apply_Q``
-keep one kernel per ``PairTerms`` and scale the result by 1/(N-1).  The
-prefactor lives in this module and nowhere else.
+``_split_sums`` is the one path to Htilde, C and Q; ``apply_Htilde``,
+``apply_C``, ``apply_Q`` and ``apply_stage`` (the generator of a hierarchy
+stage and of the auxiliary flow) call it.  The occupation route lifts h1 and
+reaches the two-body part through one stage-form ``projected_pair_sum``
+over the (P, P) kernels of the P = M(M+1)/2 unordered pair channels, with
+1/(N-1) folded in (``EffectivePieces.ladder_kernels``); the tensor route,
+its cross-check, takes 2M + 1 one-body lifts per term and scales by
+1/(N-1).  ``stage_pieces`` builds h1 (h0 at each stage's time) and the
+kernels of up to ``stage_batch`` stages in one ``fockstate.pair_kernels``
+call; ``pieces_at`` builds one condensate's pieces, its kernels on first
+use.  The prefactor lives in this module and nowhere else.
 """
 
 from __future__ import annotations
@@ -41,9 +38,7 @@ from .model import Model
 
 __all__ = [
     "EffectivePieces",
-    "PairTerms",
     "pieces_at",
-    "pieces_from",
     "stage_pieces",
     "stage_batch",
     "apply_H",
@@ -65,39 +60,24 @@ def one_body_lift(mat, state):
     return fs.dgamma_apply(mat, state)
 
 
-@dataclass(frozen=True, eq=False)
-class PairTerms:
-    """One operator's terms (weight, kernel, A, C, B, D), each standing for
-    weight * sum_{i != j} (A E_r C)_i (B E_s D)_j kernel[r, s] with E_r = |r><r|;
-    the occupation route's summed kernel is built on first use and kept."""
-
-    terms: tuple
-
-    @cached_property
-    def ladder_kernel(self) -> np.ndarray:
-        return fs.pair_kernels((self.terms,))[0]
-
-
 def projected_pair_sum(state, pairs):
-    """The weighted sum of ``pairs.terms`` applied to ``state``.
+    """Projected pair sums, in one of two forms.
 
-    Stage form, occupation route only: ``state`` is the list of a stage's
-    members and ``pairs`` holds, per output, a list of (kernel, source)
-    entries with (P, P) kernels (``EffectivePieces.ladder_kernels``);
-    output i sums a^+ a^+ (K . a a members[source]) over its entries, with
-    one pair gather down per member and one up per output
-    (``fockstate.two_body_sums``).
+    Stage form, occupation route: ``state`` is a list of states and
+    ``pairs`` holds, per output, a list of (kernel, source) entries with
+    (P, P) kernels (``EffectivePieces.ladder_kernels``); output i sums
+    a^+ a^+ (K . a a state[source]) over its entries, with one pair gather
+    down per state and one up per output (``fockstate.two_body_sums``).
 
-    The tensor route below is the occupation route's cross-check: per term
-    and r it lifts G_r = B diag(kernel[r, :]) D, then the rank-one A E_r C,
-    and subtracts the coincidence lift of A (kernel o C B) D.
+    Tensor route, the cross-check: ``pairs`` is a sequence of terms
+    (weight, kernel, A, C, B, D) applied to one tensor state; per term and
+    r it lifts G_r = B diag(kernel[r, :]) D, then the rank-one A E_r C, and
+    subtracts the coincidence lift of A (kernel o C B) D.
     """
     if isinstance(state, list):
         return fs.two_body_sums(state, pairs)
-    if not isinstance(state, ts.TensorState):
-        return fs.two_body_apply(pairs.ladder_kernel, state)
     acc = 0.0 * state
-    for weight, kernel, a, c, b, d in pairs.terms:
+    for weight, kernel, a, c, b, d in pairs:
         term = 0.0 * state
         for r in range(kernel.shape[0]):
             u = ts.apply_one_body_sum(b @ (kernel[r][:, None] * d), state)
@@ -175,8 +155,8 @@ class EffectivePieces:
 
     ``h1`` is the mean-field one-body generator
     -Lap + V_ext(t) + diag(vbar) - mu, the one M x M Hartree table, built
-    here because the N-body lift in Htilde needs it.  The ``*_pairs``
-    properties hold the pair terms of Htilde, C and Q without the 1/(N-1)
+    here because the N-body lift in Htilde needs it.  ``_terms`` holds the
+    pair terms of Htilde, C and Q, in that order, without the 1/(N-1)
     prefactor, built from ``cond`` on first use.  Q uses the centred kernel
     w(r-s) - vbar(r) - vbar(s) + 2 mu; C uses it without the 2 mu shift,
     which two orthogonal projector pairs annihilate anyway.
@@ -190,18 +170,6 @@ class EffectivePieces:
     @cached_property
     def _terms(self) -> tuple:
         return _pair_terms(self.cond, self.model)
-
-    @cached_property
-    def htilde_pairs(self) -> PairTerms:
-        return PairTerms(self._terms[0])
-
-    @cached_property
-    def cubic_pairs(self) -> PairTerms:
-        return PairTerms(self._terms[1])
-
-    @cached_property
-    def quartic_pairs(self) -> PairTerms:
-        return PairTerms(self._terms[2])
 
     def ladder_kernels(self, particles: int) -> tuple:
         """The (P, P) kernels of Htilde, C and Q on ``particles`` bosons with
@@ -232,14 +200,10 @@ def stage_pieces(cond: Condensate, model: Model, particles: int) -> list:
     ]
 
 
-def pieces_from(cond: Condensate, model: Model) -> EffectivePieces:
-    """The pieces at one condensate, the one-stage case of ``stage_pieces``,
-    with the ladder kernels built on first use."""
-    return EffectivePieces(cond, _h1(cond, model), model)
-
-
 def pieces_at(phi: np.ndarray, t: float, model: Model) -> EffectivePieces:
-    return pieces_from(condensate_at(phi, t, model), model)
+    """The pieces at one condensate, with the ladder kernels built on first use."""
+    cond = condensate_at(phi, t, model)
+    return EffectivePieces(cond, _h1(cond, model), model)
 
 
 def _require_pairs(particles: int):
@@ -256,68 +220,68 @@ def apply_H(t: float, state, model: Model):
     return out
 
 
+# The operators of ``_split_sums`` entries, indices into ``EffectivePieces._terms``
+# and ``EffectivePieces.ladder_kernels``.
+_HTILDE, _C, _Q = range(3)
+
+
+def _split_sums(pieces: EffectivePieces, members: list, entries: list, model: Model) -> list:
+    """Output i sums operator op (``_HTILDE``, ``_C`` or ``_Q``) applied to
+    members[j] over the (op, j) in ``entries[i]``, an Htilde entry first;
+    an entry whose source j is None is skipped.
+
+    The occupation route lifts h1 for the Htilde source and adds one
+    stage-form ``projected_pair_sum`` over ``pieces.ladder_kernels``; the
+    tensor route adds the entries in order, each through the pair terms
+    times 1/(N-1).
+    """
+    n = members[0].particles
+    _require_pairs(n)
+    free = model.pair.is_zero
+    if isinstance(members[0], ts.TensorState):
+        def part(op, psi):
+            pair = 0.0 * psi if free else (1.0 / (n - 1)) * projected_pair_sum(psi, pieces._terms[op])
+            return one_body_lift(pieces.h1, psi) + pair if op == _HTILDE else pair
+
+        parts = [[part(op, members[j]) for op, j in row if j is not None] for row in entries]
+        return [sum(row[1:], row[0]) for row in parts]
+    out = [one_body_lift(pieces.h1, members[row[0][1]]) if row[0][0] == _HTILDE
+           else members[0].space.zero_state() for row in entries]
+    if not free:
+        kernels = pieces.ladder_kernels(n)
+        terms = [[(kernels[op], j) for op, j in row if j is not None] for row in entries]
+        for acc, pair in zip(out, projected_pair_sum(members, terms)):
+            acc.amps += pair.amps
+    return out
+
+
 def apply_Htilde(pieces: EffectivePieces, state, model: Model):
     """Quadratic effective generator: mean-field one-body sum plus the
     pair terms that exchange exactly two particles with the condensate."""
-    _require_pairs(state.particles)
-    out = one_body_lift(pieces.h1, state)
-    if model.pair.is_zero:
-        return out
-    n = state.particles
-    return out + (1.0 / (n - 1)) * projected_pair_sum(state, pieces.htilde_pairs)
+    return _split_sums(pieces, [state], [[(_HTILDE, 0)]], model)[0]
 
 
 def apply_C(pieces: EffectivePieces, state, model: Model):
     """Cubic remainder: three complement projectors around the centred kernel."""
-    _require_pairs(state.particles)
-    if model.pair.is_zero:
-        return 0.0 * state
-    n = state.particles
-    return (1.0 / (n - 1)) * projected_pair_sum(state, pieces.cubic_pairs)
+    return _split_sums(pieces, [state], [[(_C, 0)]], model)[0]
 
 
 def apply_Q(pieces: EffectivePieces, state, model: Model):
     """Quartic remainder: four complement projectors around the full kernel."""
-    _require_pairs(state.particles)
-    if model.pair.is_zero:
-        return 0.0 * state
-    n = state.particles
-    return (1.0 / (n - 1)) * projected_pair_sum(state, pieces.quartic_pairs)
+    return _split_sums(pieces, [state], [[(_Q, 0)]], model)[0]
 
 
 def apply_stage(pieces: EffectivePieces, members: list, sources: list, model: Model) -> list:
     """-i [Htilde psi_i + C psi_c(i) + Q psi_q(i)] for every member psi_i of a
     hierarchy stage; ``sources[i]`` is the pair (c(i), q(i)) of member
-    indices, None where member i has no such source.
-
-    The occupation route lifts h1 once per member and reaches the two-body
-    part through one stage-form ``projected_pair_sum``: each member is
-    pair-annihilated once and each derivative created with one gather up,
-    through the Htilde, C and Q kernels of ``pieces.ladder_kernels``.  The
-    tensor route sums the per-operator applies, its cross-check.
+    indices, None where member i has no such source.  On the occupation
+    route each member is pair-annihilated once and each derivative created
+    with one gather up (``_split_sums``).
     """
-    _require_pairs(members[0].particles)
-    if isinstance(members[0], ts.TensorState):
-        out = []
-        for psi, (c, q) in zip(members, sources):
-            acc = apply_Htilde(pieces, psi, model)
-            if c is not None:
-                acc = acc + apply_C(pieces, members[c], model)
-            if q is not None:
-                acc = acc + apply_Q(pieces, members[q], model)
-            out.append(-1j * acc)
-        return out
-    out = [one_body_lift(pieces.h1, psi) for psi in members]
-    if not model.pair.is_zero:
-        k_htilde, k_cubic, k_quartic = pieces.ladder_kernels(members[0].particles)
-        entries = [
-            [(k_htilde, i)] + [(kern, j) for kern, j in ((k_cubic, c), (k_quartic, q)) if j is not None]
-            for i, (c, q) in enumerate(sources)
-        ]
-        for lift, pair in zip(out, projected_pair_sum(members, entries)):
-            lift.amps += pair.amps
-    for lift in out:
-        lift.amps *= -1j
+    entries = [[(_HTILDE, i), (_C, c), (_Q, q)] for i, (c, q) in enumerate(sources)]
+    out = _split_sums(pieces, members, entries, model)
+    for acc in out:
+        acc.amps *= -1j
     return out
 
 
@@ -331,7 +295,7 @@ def decomposition_residual(t: float, cond: Condensate, state, model: Model) -> f
         raise ConsistencyError(
             f"stale condensate cache: stamped t={cond.t}, requested t={t}"
         )
-    pieces = pieces_from(cond, model)
+    pieces = EffectivePieces(cond, _h1(cond, model), model)
     lhs = apply_H(t, state, model)
     rhs = apply_Htilde(pieces, state, model) + apply_C(pieces, state, model) + apply_Q(
         pieces, state, model

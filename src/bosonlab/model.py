@@ -9,6 +9,7 @@ h**d weight of the inner product is a scalar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -55,6 +56,7 @@ CONFIG_FILE_KEYS = {
 
 _INT_FIELDS = {"dimension", "sites_per_dim", "particles", "correction_order", "moment_order", "seed"}
 _STR_FIELDS = {"interaction_profile", "potential_kind"}
+_NUMBER_KEYS = {f: k for k, f in CONFIG_FILE_KEYS.items() if f not in _STR_FIELDS}
 
 _PROFILES = ("bump", "tophat", "zero", "tabulated")
 _POTENTIALS = ("none", "harmonic", "tabulated")
@@ -132,17 +134,19 @@ def parse_config_file(path) -> dict:
     return raw
 
 
-def _coerce(field: str, value):
+def _coerce(key: str, field: str, value):
     if field in _STR_FIELDS:
         return str(value)
-    if field in _INT_FIELDS:
-        if isinstance(value, str):
-            value = float(value)
-        ivalue = int(value)
-        if ivalue != float(value):
-            raise ConfigError(f"{field} must be an integer, got {value!r}")
-        return ivalue
-    return float(value)
+    try:
+        number = float(value)
+        if field not in _INT_FIELDS:
+            return number
+        ivalue = int(number if isinstance(value, str) else value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}") from None
+    if ivalue != number:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return ivalue
 
 
 def _normalise_raw(raw: Mapping) -> dict:
@@ -159,7 +163,7 @@ def _normalise_raw(raw: Mapping) -> dict:
         if field in ("interaction_samples", "potential_table") and value is not None:
             value = tuple(np.asarray(value).ravel().tolist()) if field == "interaction_samples" else value
         else:
-            value = _coerce(field, value)
+            value = _coerce(key, field, value)
         out[field] = value
     return out
 
@@ -173,6 +177,10 @@ def validate_config(raw, correction_run: bool = False) -> ModelConfig:
     beta < 1/(4d) and gamma > (2 + d*beta)/3.
     """
     cfg = raw if isinstance(raw, ModelConfig) else ModelConfig(**_normalise_raw(raw))
+    for field, key in _NUMBER_KEYS.items():
+        value = getattr(cfg, field)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
     d, L, N = cfg.dimension, cfg.sites_per_dim, cfg.particles
     if d not in (1, 2):

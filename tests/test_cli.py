@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bosonlab.cli import main
+from bosonlab.model import CONFIG_FILE_KEYS, ModelConfig
 
 SMALL_CFG = """
 dimension = 1
@@ -21,6 +22,18 @@ order = 2
 moment_order = 2
 seed = 11
 """
+
+
+NUMERIC_KEYS = [key for key, field in CONFIG_FILE_KEYS.items()
+                if ModelConfig.__dataclass_fields__[field].type in ("int", "float")]
+
+
+def with_value(key, value):
+    """SMALL_CFG with the line of ``key`` set to ``value``."""
+    rows = [f"{key} = {value}" if row.split(" = ")[0] == key else row
+            for row in SMALL_CFG.splitlines()]
+    assert f"{key} = {value}" in rows
+    return "\n".join(rows)
 
 
 @pytest.fixture()
@@ -208,6 +221,31 @@ class TestFailureExitCodes:
         assert "config files have no key" in err
 
 
+class TestMalformedConfigValues:
+    def test_every_numeric_key_is_covered(self):
+        assert len(NUMERIC_KEYS) == len(CONFIG_FILE_KEYS) - 2  # all but the two kinds
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        path = tmp_path / "malformed.cfg"
+        path.write_text(with_value(key, value))
+        capsys.readouterr()
+        assert main(["correct", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith(f"bosonlab: error: {key} must be ")
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_correct_t_exits_2(self, cfg_path, capsys, t):
+        capsys.readouterr()
+        assert main(["correct", "--config", cfg_path, "--t", t]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bosonlab: error: t_final must be a finite number")
+
+
 class TestMoments:
     def test_two_blocks(self, cfg_path, capsys):
         assert main(["moments", "--config", cfg_path]) == 0
@@ -251,6 +289,29 @@ class TestSweep:
         captured = capsys.readouterr()
         assert "slope" not in captured.out
         assert "repeats N=3" in captured.err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--orders", "abc"), ("--orders", ""), ("--grid", "N="), ("--grid", "N=3,x"),
+    ])
+    def test_unparsable_list_exits_2(self, cfg_path, capsys, flag, value):
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg_path, "--grid", "N=3", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"bosonlab: error: {flag} ")
+
+    def test_empty_order_tokens_are_skipped(self, cfg_path, tmp_path, capsys):
+        skipped, plain = tmp_path / "skipped.csv", tmp_path / "plain.csv"
+        assert main(["sweep", "--config", cfg_path, "--grid", "N=3,", "--orders", "1,,2",
+                     "--out", str(skipped)]) == 0
+        assert main(["sweep", "--config", cfg_path, "--grid", "N=3", "--orders", "1,2",
+                     "--out", str(plain)]) == 0
+
+        def strip_runtime(text):
+            return [",".join(line.split(",")[:-1]) for line in text.splitlines()]
+
+        assert strip_runtime(skipped.read_text()) == strip_runtime(plain.read_text())
+        assert len(plain.read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_non_positive_jobs_exits_2(self, cfg_path, capsys, jobs):

@@ -22,6 +22,17 @@ def random_phi(m, rng):
     return phi / np.sqrt(CELL * np.vdot(phi, phi).real)
 
 
+def two_body_apply(kernel, state):
+    """a^+ a^+ (K . a a psi) for a (P, P) pair-channel kernel K, the
+    one-state case of ``fs.two_body_sums``."""
+    return fs.two_body_sums([state], [[(np.asarray(kernel), 0)]])[0]
+
+
+def pair_apply(x, y, state):
+    """sum_{i != j} X_i Y_j; ordered pairs counted."""
+    return two_body_apply(fs.fold_kernel(np.kron(y, x)), state)
+
+
 class TestEnumerateBasis:
     def test_single_site(self):
         basis = fs.enumerate_basis(1, 5)
@@ -158,11 +169,11 @@ class TestDgamma:
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         first = fs.dgamma_apply(x, a)
         kept = first.amps.copy()
-        paired = fs.two_body_apply(fs.fold_kernel(np.kron(x, x.T)), a)
+        paired = two_body_apply(fs.fold_kernel(np.kron(x, x.T)), a)
         kept_pair = paired.amps.copy()
         fs.dgamma_apply(x.T, b)
-        fs.two_body_apply(fs.fold_kernel(np.kron(x.T, x)), b)
-        fs.pair_apply(x, x.T, b)
+        two_body_apply(fs.fold_kernel(np.kron(x.T, x)), b)
+        pair_apply(x, x.T, b)
         assert np.array_equal(first.amps, kept)
         assert np.array_equal(paired.amps, kept_pair)
 
@@ -174,8 +185,8 @@ class TestDgamma:
         moved = fs.FockState(psi.amps.copy(), copied)
         assert np.array_equal(fs.dgamma_apply(x, moved).amps, fs.dgamma_apply(x, psi).amps)
         kernel = fs.fold_kernel(np.kron(x, x.T))
-        assert np.array_equal(fs.two_body_apply(kernel, moved).amps,
-                              fs.two_body_apply(kernel, psi).amps)
+        assert np.array_equal(two_body_apply(kernel, moved).amps,
+                              two_body_apply(kernel, psi).amps)
 
     def test_non_contiguous_input(self, space):
         rng = np.random.default_rng(21)
@@ -195,7 +206,7 @@ class TestDgamma:
 class TestPairApply:
     def test_identity_pair_counts_ordered_pairs(self, space):
         psi = fs.random_fock(space, np.random.default_rng(3))
-        out = fs.pair_apply(np.eye(3), np.eye(3), psi)
+        out = pair_apply(np.eye(3), np.eye(3), psi)
         assert np.allclose(out.amps, 3 * 2 * psi.amps)
 
     def test_single_particle_has_no_pairs(self):
@@ -203,7 +214,7 @@ class TestPairApply:
         psi = fs.random_fock(single, np.random.default_rng(4))
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 3))
-        out = fs.pair_apply(x, x, psi)
+        out = pair_apply(x, x, psi)
         assert np.abs(out.amps).max() <= 1e-14
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -212,7 +223,7 @@ class TestPairApply:
         psi = fs.random_fock(small, np.random.default_rng(30))
         rng = np.random.default_rng(31)
         kernel = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        out = fs.two_body_apply(fs.fold_kernel(kernel), psi)
+        out = two_body_apply(fs.fold_kernel(kernel), psi)
         assert out.amps.shape == psi.amps.shape
         assert np.all(out.amps == 0)
 
@@ -227,7 +238,7 @@ class TestPairApply:
                 if i == j:
                     continue
                 expect += ts.apply_factor(x, i, ts.apply_factor(y, j, psi)).amps
-        via_fock = fs.embed(fs.pair_apply(x, y, fs.extract(psi, space)))
+        via_fock = fs.embed(pair_apply(x, y, fs.extract(psi, space)))
         assert np.abs(via_fock.amps - expect).max() <= 1e-12
 
     def test_pair_identity_against_composition(self, space):
@@ -236,7 +247,7 @@ class TestPairApply:
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         composed = fs.dgamma_apply(x, fs.dgamma_apply(y, psi))
-        recomposed = fs.pair_apply(x, y, psi) + fs.dgamma_apply(x @ y, psi)
+        recomposed = pair_apply(x, y, psi) + fs.dgamma_apply(x @ y, psi)
         assert (composed - recomposed).norm() <= 1e-11
 
 
@@ -267,7 +278,7 @@ class TestPairChannels:
         mixed = kernel @ pairs  # [(r', r), v]
         expect = sum(top[r2].T @ below[r].T @ mixed[r2 * m + r]
                      for r2 in range(m) for r in range(m))
-        out = fs.two_body_apply(fs.fold_kernel(kernel), psi)
+        out = two_body_apply(fs.fold_kernel(kernel), psi)
         assert np.abs(out.amps - expect).max() <= 1e-12
 
     def test_row_blocks_match_one_product(self, monkeypatch):
@@ -277,9 +288,9 @@ class TestPairChannels:
         kernel = fs.fold_kernel(rng.standard_normal((81, 81)) + 1j * rng.standard_normal((81, 81)))
         x = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         monkeypatch.setattr(fs, "SERIAL_PRODUCT", 10**9)
-        whole = fs.two_body_apply(kernel, psi), fs.dgamma_apply(x, psi)
+        whole = two_body_apply(kernel, psi), fs.dgamma_apply(x, psi)
         monkeypatch.setattr(fs, "SERIAL_PRODUCT", 1)  # the smallest blocks: 2 x 2
-        blocked = fs.two_body_apply(kernel, psi), fs.dgamma_apply(x, psi)
+        blocked = two_body_apply(kernel, psi), fs.dgamma_apply(x, psi)
         for one, split in zip(whole, blocked):
             assert np.abs(split.amps - one.amps).max() <= 1e-13 * np.abs(one.amps).max()
 
@@ -298,7 +309,7 @@ class TestPairChannels:
             return matmul(a, b, out=out)
 
         monkeypatch.setattr(np, "matmul", recorded)
-        fs.two_body_apply(kernel, psi)
+        two_body_apply(kernel, psi)
         fs.dgamma_apply(np.eye(9), psi)
         assert len(shapes) > 2
         for rows, inner_dim, cols in shapes:
@@ -332,8 +343,8 @@ def fold_oracle(kernel, m):
 def random_pair_terms(m, rng, shared):
     """Three operators of random non-Hermitian terms.  With ``shared`` the
     terms reuse two factor objects x, y and one kernel object, as
-    ``pieces_from`` reuses p, q and w; otherwise every factor is its own
-    copy, so that no two terms share an object."""
+    ``hamiltonians._pair_terms`` reuses p, q and w; otherwise every factor
+    is its own copy, so that no two terms share an object."""
     def table():
         return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
 
@@ -438,10 +449,10 @@ class TestKernelShapes:
         psi = fs.random_fock(space, rng)
         folded_m4 = fs.fold_kernel(rng.standard_normal((16, 16)))
         with pytest.raises(ValueError, match="M=3 pair channels"):
-            fs.two_body_apply(folded_m4, psi)
+            two_body_apply(folded_m4, psi)
         with pytest.raises(ValueError, match="M=3 pair channels"):
-            fs.two_body_apply(rng.standard_normal((9, 9)), psi)  # ordered, not folded
-        out = fs.two_body_apply(fs.fold_kernel(rng.standard_normal((9, 9))), psi)
+            two_body_apply(rng.standard_normal((9, 9)), psi)  # ordered, not folded
+        out = two_body_apply(fs.fold_kernel(rng.standard_normal((9, 9))), psi)
         assert out.amps.shape == psi.amps.shape
 
     def test_two_body_sums_match_separate_applies(self, space):
@@ -456,7 +467,7 @@ class TestKernelShapes:
         for got, entries in zip(out, terms):
             expect = np.zeros_like(got.amps)
             for kernel, j in entries:
-                expect += fs.two_body_apply(kernel, states[j]).amps
+                expect += two_body_apply(kernel, states[j]).amps
             assert np.abs(got.amps - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max())
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from bosonlab.errors import ConfigError, RangeError, ResolutionError
 from bosonlab.model import (
+    ModelConfig,
     OneBodyOperator,
     build_model,
     external_potential,
@@ -83,6 +84,17 @@ class TestValidateConfig:
     def test_rejects_d3(self):
         with pytest.raises(ConfigError):
             validate_config(small_raw(dimension=3))
+
+    @pytest.mark.parametrize("field,key", [
+        ("particles", "particles"), ("seed", "seed"), ("dt", "dt"),
+        ("interaction_radius", "interaction.radius"), ("potential_strength", "potential.strength"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_fields_rejected(self, field, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be a finite number"):
+            validate_config(small_raw(**{field: value}))
+        with pytest.raises(ConfigError, match=rf"^{key} must be a finite number"):
+            validate_config(ModelConfig(**{field: value}))
 
 
 class TestConfigFile:
