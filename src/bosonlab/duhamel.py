@@ -11,7 +11,7 @@ with Phi_0^(0)(0) = psi_0 and every other member starting at zero; the
 simplex integrals satisfy exactly this recursion, so the hierarchy equals the
 integral definition.  The state is the list of members alone, Phi_0^(0)
 first; the condensate is not stepped along.  Each stage's right-hand side
-(``propagation.stage_rhs``) is one ``hamiltonians.apply_stage`` over all
+(``propagation.stage_rhs``) is one ``hamiltonians.stage_derivatives`` over all
 members with the pieces of that stage, whose condensate comes from the
 Hartree trajectory and whose Htilde, C and Q kernels are built for many
 stages at once; in the occupation basis it pair-annihilates each member

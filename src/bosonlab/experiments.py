@@ -5,10 +5,20 @@ product initial data) where the predicted squared-error decay per correction
 order is steepest; slope thresholds asserted downstream are deliberately
 looser than the asymptotic exponents because desk-scale particle numbers
 carry strong subleading corrections.
+
+``build_product`` is the one place that picks the symmetry of the occupation
+route: the lattice reflections x_a -> c - x_a mod L and, in 2D, the axis
+swap that leave phi0, the pair table and a static h0 invariant to 1e-14.
+The Hartree, Htilde and full flows keep that symmetry, so the sweeps,
+corrections, moments and evolutions started from the product state run in
+its symmetric sector (``fockstate``).  Every other occupation space has no
+symmetry: ``fock_space``, random states, ``build_one_excitation``'s plane
+wave and runs with a tabulated potential.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -93,31 +103,75 @@ def orthogonal_mode(model: Model, phi0: np.ndarray) -> np.ndarray:
 
 
 def fock_space(model: Model) -> fs.FockSpace:
+    """The occupation space of the model's sites, without symmetry."""
     cfg = model.config
     return fs.FockSpace(fs.enumerate_basis(cfg.site_count, cfg.particles), model.cell)
 
 
+# Largest asymmetry max|x[pi] - x|, relative to max|x|, of phi0, the pair
+# table and h0 under a lattice symmetry pi that ``build_product`` keeps.
+SYMMETRY_DECISION_TOL = 1e-14
+
+
+def _symmetry(model: Model, phi0: np.ndarray) -> tuple:
+    """The lattice symmetries, as site permutations, that leave phi0, the
+    pair table and a static h0 invariant: in 2D the axis swap, and per axis
+    the reflection x_a -> c - x_a mod L of the first c = 0 .. L-1 that does.
+    None with a tabulated potential, whose h0 changes in time."""
+    cfg = model.config
+    if cfg.potential_kind == "tabulated":
+        return ()
+    size, d = cfg.sites_per_dim, cfg.dimension
+    site = np.arange(cfg.site_count).reshape((size,) * d)
+    tables = [(np.asarray(phi0), False), (model.pair.mat, True), (model.h0(0.0), True)]
+
+    def invariant(pi):
+        for x, square in tables:
+            moved = x[np.ix_(pi, pi)] if square else x[pi]
+            if np.abs(moved - x).max() > SYMMETRY_DECISION_TOL * np.abs(x).max():
+                return False
+        return True
+
+    swap = site.T.ravel()
+    found = [swap] if d == 2 and invariant(swap) else []
+    for axis in range(d):
+        mirrors = (np.take(site, (c - np.arange(size)) % size, axis=axis).ravel() for c in range(size))
+        found.extend(itertools.islice(filter(invariant, mirrors), 1))
+    return tuple(tuple(pi.tolist()) for pi in found)
+
+
 def build_product(model: Model, phi0: np.ndarray, representation: str = "fock"):
+    """The product state phi0^(x)N; on the occupation route in the symmetric
+    sector of the lattice symmetries that leave phi0, the pair table and h0
+    invariant (``_symmetry``)."""
+    return _product(model, phi0, representation, _symmetry(model, phi0))
+
+
+def _product(model: Model, phi0: np.ndarray, representation: str, symmetry=()):
     if representation == "tensor":
         return ts.product_state(phi0, model.config.particles, model.cell)
-    return fs.product_fock(phi0, fock_space(model))
+    cfg = model.config
+    basis = fs.enumerate_basis(cfg.site_count, cfg.particles, symmetry=symmetry)
+    return fs.product_fock(phi0, fs.FockSpace(basis, model.cell))
 
 
 def build_one_excitation(model: Model, phi0: np.ndarray, chi: np.ndarray | None = None,
                          representation: str = "fock"):
-    """Normalised symmetrisation of phi0^(N-1) (x) chi with chi orthogonal to phi0."""
+    """Normalised symmetrisation of phi0^(N-1) (x) chi with chi orthogonal to
+    phi0, in the occupation space without symmetry: the plane wave chi is
+    not reflection invariant."""
     n = model.config.particles
     if chi is None:
         chi = orthogonal_mode(model, phi0)
     hop = model.cell * np.outer(chi, phi0.conj())
-    base = build_product(model, phi0, representation)
+    base = _product(model, phi0, representation)
     out = (1.0 / math.sqrt(n)) * one_body_lift(hop, base)
     return (1.0 / out.norm()) * out
 
 
 def build_mixed(model: Model, phi0: np.ndarray, eps: float, chi: np.ndarray | None = None,
                 representation: str = "fock"):
-    base = build_product(model, phi0, representation)
+    base = _product(model, phi0, representation)
     exc = build_one_excitation(model, phi0, chi, representation)
     return (1.0 / math.sqrt(1.0 + eps**2)) * (base + eps * exc)
 

@@ -7,6 +7,21 @@ so tables pass between representations unchanged.  The compressed dimension
 C(N+M-1, N) is what makes particle numbers beyond the dense tensor ceiling
 reachable.
 
+A basis may also carry a group of site permutations (``enumerate_basis``'s
+``symmetry``): its states then live in the fully symmetric sector and are
+coefficients over the orthonormal orbit states |o> = |o|^(-1/2) sum_{t in o}
+|t>, one per orbit of occupation vectors, each represented by its first
+member in site order.  Tables stay in the site basis, so the position-
+diagonal pair sum stays diagonal; only the ladders' index tables change
+(``Ladder``), and the trivial group gives the plain basis's tables.  With
+reflection-symmetric inputs the sector is 252 of 455 vectors at M = 4,
+N = 12 (Z2), 525 of 969 at N = 16, and 84 of 495 on the 3 x 3 lattice at
+N = 4 (D4), which shrinks every gather, product and state vector alike.
+Every table that acts on a sector state must be invariant under its group,
+and states of different sectors do not combine (``ValueError`` both).
+``embed``, ``extract`` and ``FockSpace.site_amplitudes`` expand through the
+orbits, so the tensor grid and snapshots see the site basis.
+
 Operators act in normal-ordered ladder form.  A ``Ladder`` is a gather down
 to the basis with fewer particles and one back up, one row per occupation
 move: (a_s psi)[u] = sqrt(u_s + 1) psi[u + e_s] for the one-body ladder, and
@@ -73,6 +88,11 @@ BASIS_CEILING = 2_000_000
 # product in blocks, at p50 31-42 us against 25 us unblocked.
 SERIAL_PRODUCT = 65536
 
+# Largest asymmetry of a table that acts on a symmetric sector, relative to
+# the table's norm (``FockSpace.require_invariant``).  Tables built from an
+# invariant condensate differ from invariant by roundoff, ~1e-16.
+SYMMETRY_TOL = 1e-12
+
 
 def _rank(occ: np.ndarray, particles: int) -> np.ndarray:
     """Basis index of each occupation vector along the last axis, all summing to N.
@@ -80,15 +100,23 @@ def _rank(occ: np.ndarray, particles: int) -> np.ndarray:
     A composition precedes n in descending-lexicographic order when, at the
     first part j where they differ, its part exceeds n_j; with
     rest_j = N - 1 - (n_0 + ... + n_j) there are C(rest_j + M - 1 - j, M - 1 - j)
-    such compositions, none when rest_j < 0.  counts[a, k] = C(a + k, k).
+    such compositions, none when rest_j < 0.  counts[a + 1, k] = C(a + k, k)
+    and counts[0] = 0 cover rest_j >= -1, and one flat gather reads them.
     """
     sites = occ.shape[-1]
-    counts = np.ones((max(particles, 1), sites), dtype=np.int64)
+    rest = particles - np.cumsum(occ[..., :-1], axis=-1)  # rest_j + 1
+    return _counts(particles, sites).take(rest * sites + np.arange(sites - 1, 0, -1)).sum(axis=-1)
+
+
+@lru_cache(maxsize=32)
+def _counts(particles: int, sites: int) -> np.ndarray:
+    """The table of ``_rank``, flattened and read-only."""
+    counts = np.zeros((particles + 1, sites), dtype=np.int64)
+    counts[1:] = 1
     for k in range(1, sites):
-        counts[:, k] = np.cumsum(counts[:, k - 1])
-    rest = particles - 1 - np.cumsum(occ[..., :-1], axis=-1)
-    parts = np.arange(sites - 1, 0, -1)
-    return np.where(rest >= 0, counts[np.maximum(rest, 0), parts], 0).sum(axis=-1)
+        counts[1:, k] = np.cumsum(counts[1:, k - 1])
+    counts.flags.writeable = False
+    return counts.ravel()
 
 
 @lru_cache(maxsize=8)
@@ -116,31 +144,88 @@ def _channels(sites: int) -> tuple:
     return out
 
 
+@lru_cache(maxsize=16)
+def _group(generators: tuple, sites: int) -> tuple:
+    """The group of site permutations that ``generators`` generate, and the
+    generators that were needed.
+
+    A permutation pi acts on occupation vectors as n -> n[pi], so applying
+    rho and then pi is the permutation rho[pi].  The group is the sorted
+    tuple of its elements, which puts the identity first; a generator that
+    already lies in the group of the ones before it is dropped.
+    """
+    identity = tuple(range(sites))
+    group, kept = {identity}, []
+    for gen in generators:
+        if sorted(gen) != list(identity):
+            raise ValueError(f"{gen} is not a permutation of the {sites} sites")
+        if gen in group:
+            continue
+        kept.append(gen)
+        frontier = list(group)
+        while frontier:
+            frontier = list({tuple(rho[i] for i in pi) for rho in frontier for pi in kept} - group)
+            group.update(frontier)
+    return tuple(sorted(group)), tuple(kept)
+
+
 @dataclass(frozen=True)
 class OccupationBasis:
-    """Deterministic (lexicographically descending) occupation-vector basis."""
+    """Orbit basis of the occupation vectors with sum N under a group of
+    site permutations.
+
+    ``full`` holds every occupation vector in lexicographically descending
+    order (site order).  The basis vectors are the normalised orbit sums
+    |o> = |o|^(-1/2) sum_{t in o} |t>, one per orbit, each represented by
+    its first member in site order; ``occupations`` holds the
+    representatives, in site order.  For the vector at full index f,
+    ``orbit[f]`` is its orbit and ``group[to_rep[f]]`` a permutation that
+    takes it to its orbit's representative; ``sizes`` are the orbit sizes.
+    Without a group (the default) every orbit is one vector and
+    ``occupations`` is ``full``.
+    """
 
     occupations: np.ndarray  # (dim, M) int64, each row sums to N
     particles: int
     sites: int
+    group: tuple = None  # site permutations, the identity first
+    generators: tuple = ()
+    full: np.ndarray = None  # (C(N+M-1, N), M) int64
+    orbit: np.ndarray = None
+    to_rep: np.ndarray = None
+    sizes: np.ndarray = None
+
+    def __post_init__(self):
+        if self.group is None:
+            dim = self.occupations.shape[0]
+            for name, value in (("group", (tuple(range(self.sites)),)), ("full", self.occupations),
+                                ("orbit", np.arange(dim)), ("to_rep", np.zeros(dim, dtype=np.int64)),
+                                ("sizes", np.ones(dim, dtype=np.int64))):
+                object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]
 
     def index_of(self, occ) -> int:
+        """The basis index of the orbit of an occupation vector."""
         row = np.asarray(occ, dtype=np.int64)
         if row.shape != (self.sites,) or row.min() < 0 or row.sum() != self.particles:
             raise KeyError(tuple(int(x) for x in row.ravel()))
-        return int(_rank(row, self.particles))
+        return int(self.orbit[_rank(row, self.particles)])
 
 
-def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING) -> OccupationBasis:
-    """All occupation vectors (n_1 ... n_M) with sum N, descending lexicographic.
+def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING,
+                    symmetry=()) -> OccupationBasis:
+    """All occupation vectors (n_1 ... n_M) with sum N, descending
+    lexicographic, and their orbits under the group that the site
+    permutations ``symmetry`` generate.
 
     Stars and bars: the M - 1 bar positions among N + M - 1 slots, in
     ascending lexicographic order, give the parts as the gaps between bars
-    in ascending order; reversing the rows makes them descend.
+    in ascending order; reversing the rows makes them descend.  The orbits
+    come from one ``_rank`` pass over the stacked images pi . n of every
+    vector: its representative is the image of least index.
     """
     if sites < 1 or particles < 0:
         raise ConfigError(f"invalid basis request M={sites}, N={particles}")
@@ -158,23 +243,43 @@ def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING) ->
         itertools.chain.from_iterable(slots), dtype=np.int64, count=dim * bars
     ).reshape(dim, bars)
     occ = np.diff(edges, axis=1) - 1
-    return OccupationBasis(occupations=occ, particles=particles, sites=sites)
+    group, generators = _group(tuple(tuple(int(i) for i in gen) for gen in symmetry), sites)
+    if len(group) == 1:
+        return OccupationBasis(occupations=occ, particles=particles, sites=sites)
+    images = _rank(occ[:, np.array(group)], particles)  # (dim, G): index of pi . n
+    to_rep = images.argmin(axis=1)
+    reps = np.flatnonzero(to_rep == 0)
+    orbit = np.searchsorted(reps, images[np.arange(dim), to_rep])
+    sizes = len(group) // (images[reps] == reps[:, None]).sum(axis=1)
+    return OccupationBasis(occ[reps], particles, sites, group, generators, occ, orbit, to_rep, sizes)
 
 
 class Ladder:
-    """Annihilation and creation gathers between a basis and a lower one,
-    one row per occupation move.
+    """Annihilation and creation gathers between an orbit basis and the one
+    with fewer particles under the same group, one row per occupation move.
 
     ``moves`` is a (rows, M) table of occupation vectors with a common sum,
     the number of particles the ladder removes: the unit vectors e_s for the
     one-body ladder (N -> N-1), e_s + e_s' for the pair channels s <= s'
-    (N -> N-2).  For move p and lower row v, ``annihilate[p, v]`` is the
-    upper index of v + moves[p] and ``factor[p, v]`` the matrix element of
-    the move's annihilators, sqrt(v_s + 1) or sqrt((v_s + 1)(v_s' + 1 + delta_ss')),
-    stored complex so that weighting needs no cast.  For move p and upper
-    row t, ``create[p, t]`` is the position p * dim_lower + (index of
-    t - moves[p]) in ``_pad``, or its zero last slot when t - moves[p] has a
-    negative part; ``src`` is the view of ``_pad`` without that slot.
+    (N -> N-2).  The lower rows are the lower basis's representatives.
+
+    For move p and lower row v, ``annihilate[p, v]`` is the orbit of
+    v + moves[p] and ``factor[p, v]`` the matrix element of the move's
+    annihilators, sqrt(v_s + 1) or sqrt((v_s + 1)(v_s' + 1 + delta_ss')),
+    over the square root of that orbit's size, stored complex so that
+    weighting needs no cast.  For move p and upper row u, ``create[p, u]`` is
+    the position of the source slot (pi . p, rep(u - moves[p])) in ``_pad``,
+    pi = group[to_rep] taking u - moves[p] to its representative, or the zero
+    last slot when u - moves[p] has a negative part; ``src`` is the view of
+    ``_pad`` without that slot.  ``moved[g, p]`` is the row of the move
+    group[g] . moves[p].
+
+    On invariant states and tables this is exact: a lowered amplitude at
+    pi^-1 . v for move p equals the one at v for move pi . p, and every
+    created output is scaled by its orbit size (``scale``), which turns the
+    site amplitude times |o|^(-1/2) into the orbit coefficient.  For the
+    trivial group these are the tables of the plain occupation basis and
+    nothing is scaled.
     """
 
     def __init__(self, upper: OccupationBasis, moves):
@@ -183,17 +288,23 @@ class Ladder:
         drop = int(moves[0].sum())
         n = upper.particles - drop
         empty = OccupationBasis(np.zeros((0, m), dtype=np.int64), n, m)
-        self.lower = lower = enumerate_basis(m, n) if n >= 0 else empty
+        self.lower = lower = enumerate_basis(m, n, symmetry=upper.generators) if n >= 0 else empty
         size = lower.dim
-        self.annihilate = _rank(lower.occupations + moves[:, None, :], upper.particles)
+        row_of = np.zeros(math.comb(drop + m - 1, drop), dtype=np.int64)
+        row_of[_rank(moves, drop)] = np.arange(rows)
+        self.moved = row_of[_rank(moves[:, np.array(upper.group)], drop).T]
+        raised = _rank(lower.full + moves[:, None, :], upper.particles)  # upper index of w + move
+        self.annihilate = upper.orbit[raised[:, lower.to_rep == 0]]
         # each move's annihilated modes in ascending order; the i-th of them
         # sees its mode's occupation raised by the earlier ones in the move
         modes = np.repeat(np.tile(np.arange(m), rows), moves.ravel()).reshape(rows, drop)
         earlier = np.tril(modes[:, :, None] == modes[:, None, :], -1).sum(axis=-1)
-        raised = lower.occupations.T[modes] + (1 + earlier)[:, :, None]
-        self.factor = np.sqrt(raised.prod(axis=1)).astype(np.complex128)
+        product = (lower.occupations.T[modes] + (1 + earlier)[:, :, None]).prod(axis=1)
+        self.factor = np.sqrt(product / upper.sizes[self.annihilate]).astype(np.complex128)
         self.create = np.full((rows, upper.dim), rows * size, dtype=np.int64)
-        self.create[np.repeat(np.arange(rows), size), self.annihilate.ravel()] = np.arange(rows * size)
+        p, w = np.nonzero(upper.to_rep[raised] == 0)  # w + moves[p] is a representative
+        self.create[p, upper.orbit[raised[p, w]]] = self.moved[lower.to_rep[w], p] * size + lower.orbit[w]
+        self.scale = None if len(upper.group) == 1 else upper.sizes.astype(np.float64)
         self._down = np.empty((rows, size), dtype=np.complex128)
         self._pad = np.zeros(rows * size + 1, dtype=np.complex128)
         self.src = self._pad[:-1].reshape(rows, size)
@@ -210,33 +321,127 @@ class Ladder:
         """sum_p (a^moves[p])^+ src[p, :], for creation sources already written to ``src``."""
         self.src *= self.factor
         self._pad.take(self.create, out=self._up, mode="clip")
-        return self._up.sum(axis=0)
+        out = self._up.sum(axis=0)
+        if self.scale is not None:
+            out *= self.scale
+        return out
 
 
 class FockSpace:
-    """Occupation basis plus its one-body ladder (N -> N-1) and its pair
-    ladder (N -> N-2, one row per pair channel).
+    """Orbit basis plus its one-body ladder (N -> N-1) and its pair ladder
+    (N -> N-2, one row per pair channel).
+
+    ``sector`` is (M, N, group): states of two spaces combine only when
+    their sectors agree.  On a space with a nontrivial group every table,
+    kernel and condensate that acts on its states must be invariant under
+    the group, or ``ValueError`` is raised (``require_invariant``).  A
+    table is checked once and then known by identity, so it must not be
+    modified in place.
 
     The ladders' scratch makes a FockSpace unsafe to share between threads;
-    worker processes each hold their own copy.  Pickling rebuilds the space:
-    a copied ``src`` would no longer be a view of its ``_pad``.
+    worker processes each hold their own copy.  Pickling rebuilds the space
+    from its basis, which carries the group: a copied ``src`` would no
+    longer be a view of its ``_pad``.
     """
 
     def __init__(self, basis: OccupationBasis, cell: float):
         self.basis = basis
         self.cell = float(cell)
         self.particles = basis.particles
-        self.sites = basis.sites
-        unit = np.eye(basis.sites, dtype=np.int64)
-        s, t = _channels(basis.sites)[:2]
+        self.sites = m = basis.sites
+        self.sector = (m, basis.particles, basis.group)
+        unit = np.eye(m, dtype=np.int64)
+        s, t = _channels(m)[:2]
         self.ladders = (Ladder(basis, unit), Ladder(basis, unit[s] + unit[t]))
         self._pair_diagonal = (None, None)
+        self._invariant = {}  # id -> a table known to be invariant
+        self._batch = {}  # the same for the last table checked with its parts
+        self._probes = None
+        if basis.generators:
+            sites = np.array(basis.generators)
+            channels = self.ladders[1].moved[[basis.group.index(g) for g in basis.generators]]
+            self._probes = {"vector": _probe(sites, False), "table": _probe(sites, True),
+                            "kernel": _probe(channels, True)}
 
     def __reduce__(self):
         return FockSpace, (self.basis, self.cell)
 
     def zero_state(self) -> "FockState":
         return FockState(np.zeros(self.basis.dim, dtype=np.complex128), self)
+
+    def require_invariant(self, table, kind: str, values=None, parts=()) -> None:
+        """Raise ``ValueError`` unless ``table`` (its array ``values``, if
+        given) is invariant under the group: a site ``"vector"``, an (M, M)
+        ``"table"`` or a (P, P) pair-channel ``"kernel"``, or a stack of them
+        along leading axes.  The asymmetry is read through ``_probe`` and
+        must stay within ``SYMMETRY_TOL`` of the norm.  ``table`` is then
+        known by identity, and so are ``parts``, tables whose invariance
+        follows from its own, until the next check with parts: a stack of
+        tables is checked in one pass, and no more than one stack and eight
+        tables are kept alive."""
+        if self._probes is None or self._known(table):
+            return
+        probe = self._probes[kind]
+        flat = np.asarray(table if values is None else values).reshape(-1, probe.shape[0])
+        seen = flat @ probe
+        gap = np.vdot(seen, seen).real / max(np.vdot(flat, flat).real, 1e-300)
+        if gap > SYMMETRY_TOL**2:
+            raise ValueError(f"a table with asymmetry {math.sqrt(gap):.3g} under the symmetry group "
+                             f"of the occupation space cannot act on its sector")
+        if parts:
+            self._batch = {id(t): t for t in (table, *parts)}
+            return
+        if len(self._invariant) >= 8:
+            self._invariant.clear()
+        self._invariant[id(table)] = table
+
+    def _known(self, table) -> bool:
+        return self._batch.get(id(table)) is table or self._invariant.get(id(table)) is table
+
+    def site_amplitudes(self, amps) -> np.ndarray:
+        """The amplitudes over every occupation vector (``basis.full``) of
+        the state with orbit coefficients ``amps``."""
+        basis = self.basis
+        return np.asarray(amps)[basis.orbit] / np.sqrt(basis.sizes)[basis.orbit]
+
+    def orbit_amplitudes(self, site) -> np.ndarray:
+        """The orbit coefficients of the state with amplitudes ``site`` over
+        every occupation vector; ``ValueError`` unless the state is
+        invariant under the group to 1e-10 of its largest amplitude."""
+        basis, site = self.basis, np.asarray(site, dtype=np.complex128)
+        reps = site[basis.to_rep == 0]
+        if np.abs(site - reps[basis.orbit]).max(initial=0.0) > 1e-10 * np.abs(site).max(initial=0.0):
+            raise ValueError("the state is not invariant under the symmetry group of the occupation space")
+        return np.sqrt(basis.sizes) * reps
+
+
+def _probe(perms: np.ndarray, square: bool) -> np.ndarray:
+    """Unit probe columns, one per permutation sigma of ``perms``, for the
+    invariance of a vector x (x[sigma] = x) or of a square table T
+    (T[sigma][:, sigma] = T): for fixed irregular u and z (Weyl sequences),
+    column u - u[sigma^-1], or u z^T - u[sigma^-1] z[sigma^-1]^T flattened,
+    whose product with x or T vanishes on invariant ones.  On any other it
+    is u^T (x - x[sigma]) or u^T (T - T[sigma][:, sigma]) z, one linear
+    condition on the asymmetry that a table not built against u and z meets
+    with probability zero."""
+    steps = np.arange(1, perms.shape[1] + 1)
+    u, z = (steps * math.sqrt(2) % 1 - 0.5, steps * (math.sqrt(5) - 1) / 2 % 1 - 0.5)
+    back = np.argsort(perms, axis=1)
+    cols = (u[None, :, None] * z[None, None, :] - u[back][:, :, None] * z[back][:, None, :]
+            if square else u[None, :] - u[back]).reshape(len(perms), -1)
+    cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+    return np.ascontiguousarray(cols.T).astype(np.complex128)
+
+
+def _joint(a: FockSpace, b: FockSpace) -> FockSpace:
+    """``a``, the space of a result of states on ``a`` and ``b``; ValueError
+    unless their sectors agree."""
+    if a is not b and a.sector != b.sector:
+        (m, n, group), (m2, n2, group2) = a.sector, b.sector
+        raise ValueError(f"occupation states live in different sectors: M={m}, N={n} with a "
+                         f"group of order {len(group)} and M={m2}, N={n2} with one of order "
+                         f"{len(group2)}")
+    return a
 
 
 @dataclass
@@ -263,10 +468,12 @@ class FockState:
         return float(np.linalg.norm(self.amps))
 
     def __add__(self, other: "FockState") -> "FockState":
-        return FockState(self.amps + other.amps, self.space)
+        space = _joint(self.space, other.space)
+        return FockState(self.amps + other.amps, space)
 
     def __sub__(self, other: "FockState") -> "FockState":
-        return FockState(self.amps - other.amps, self.space)
+        space = _joint(self.space, other.space)
+        return FockState(self.amps - other.amps, space)
 
     def __mul__(self, scalar) -> "FockState":
         return FockState(self.amps * scalar, self.space)
@@ -275,8 +482,7 @@ class FockState:
 
 
 def inner(a: FockState, b: FockState) -> complex:
-    if a.amps.shape != b.amps.shape:
-        raise ValueError("occupation states live on different bases")
+    _joint(a.space, b.space)
     return complex(np.vdot(a.amps, b.amps))
 
 
@@ -312,6 +518,7 @@ def dgamma_apply(op, state: FockState) -> FockState:
     space, mat = state.space, np.asarray(getattr(op, "mat", op), dtype=np.complex128)
     if mat.shape != (space.sites, space.sites):
         raise ValueError(f"table shape {mat.shape} does not match M={space.sites}")
+    space.require_invariant(op, "table", mat)
     one = space.ladders[0]
     _product(mat, one.annihilated(state.amps), one.src)
     return FockState(one.created(), space)
@@ -442,15 +649,15 @@ def two_body_sums(states, terms) -> list:
     is created with one gather back up, whatever the number of terms; the
     (P, P) @ (P, dim_{N-2}) products run in serial blocks
     (``SERIAL_PRODUCT``).  Below two particles every output is zero.  A
-    kernel of another shape raises ``ValueError``.
+    kernel of another shape, states of different sectors and, on a
+    symmetric sector, a kernel that is not invariant raise ``ValueError``.
     """
     space = states[0].space
     pair = space.ladders[1]
     shape = (pair.factor.shape[0],) * 2
     down = np.empty((len(states), *pair.src.shape), dtype=np.complex128)
     for psi, slot in zip(states, down):
-        if psi.space is not space:
-            raise ValueError("two-body sums need states on one space")
+        _joint(space, psi.space)
         pair.annihilated(psi.amps, out=slot)
     extra = None
     out = []
@@ -461,6 +668,7 @@ def two_body_sums(states, terms) -> list:
             if kernel.shape != shape:
                 raise ValueError(f"pair kernel shape {kernel.shape} does not match {shape} "
                                  f"of the M={space.sites} pair channels")
+            space.require_invariant(kernel, "kernel")
             if n == 0:
                 _product(kernel, down[j], pair.src)
                 continue
@@ -478,10 +686,12 @@ def pair_diagonal(space: FockSpace, pair) -> np.ndarray:
     The position-diagonal kernel expands over rank-one site projectors, so
     the lift is (1/2) (n^T W n - sum_r W_rr n_r) per basis vector.  The
     space keeps the diagonal of the last ``pair`` it was asked for, keyed by
-    identity, so a pair table must not be modified in place.
+    identity, so a pair table must not be modified in place.  The pair
+    table must be invariant under the space's group.
     """
     if space._pair_diagonal[0] is not pair:
         wmat = np.asarray(getattr(pair, "mat", pair), dtype=float)
+        space.require_invariant(pair, "table", wmat)
         occ = space.basis.occupations.astype(float)
         diag = 0.5 * (np.einsum("bm,mn,bn->b", occ, wmat, occ) - occ @ np.diag(wmat))
         diag.flags.writeable = False
@@ -520,13 +730,13 @@ def _representative(occ) -> tuple:
 
 
 def embed(state: FockState) -> TensorState:
-    """Expand an occupation state onto the dense tensor grid (norm preserving)."""
+    """Expand an occupation state onto the dense tensor grid (norm preserving),
+    through the amplitudes of every occupation vector of its orbits."""
     space = state.space
     n, m, cell = space.particles, space.sites, space.cell
     amps = np.zeros((m,) * n, dtype=np.complex128)
     scale = cell ** (-n / 2)
-    for b, occ in enumerate(space.basis.occupations):
-        coeff = state.amps[b]
+    for coeff, occ in zip(space.site_amplitudes(state.amps), space.basis.full):
         if coeff == 0:
             continue
         value = coeff * scale / _occupation_sqrt_factor(occ)
@@ -536,26 +746,30 @@ def embed(state: FockState) -> TensorState:
 
 
 def extract(psi: TensorState, space: FockSpace) -> FockState:
-    """Compress a symmetric tensor state onto the occupation basis."""
+    """Compress a symmetric tensor state onto the occupation basis; on a
+    symmetric sector the state must also be invariant under its group."""
     if psi.particles != space.particles or psi.sites != space.sites:
         raise ValueError("tensor state does not match the occupation basis")
     if transposition_residual(psi) > 1e-10:
         raise ValueError("extract requires a symmetric tensor state")
     n, cell = space.particles, space.cell
     scale = cell ** (n / 2)
-    amps = np.empty(space.basis.dim, dtype=np.complex128)
-    for b, occ in enumerate(space.basis.occupations):
+    full = space.basis.full
+    site = np.empty(len(full), dtype=np.complex128)
+    for b, occ in enumerate(full):
         rep = _representative(occ)
-        amps[b] = psi.amps[rep] * _occupation_sqrt_factor(occ) * scale
-    return FockState(amps, space)
+        site[b] = psi.amps[rep] * _occupation_sqrt_factor(occ) * scale
+    return FockState(space.orbit_amplitudes(site), space)
 
 
 def product_fock(phi: np.ndarray, space: FockSpace) -> FockState:
-    """Occupation coefficients of the pure condensate phi^(x)N."""
+    """Occupation coefficients of the pure condensate phi^(x)N; on a
+    symmetric sector phi must be invariant under its group."""
     phi_modes = np.sqrt(space.cell) * np.asarray(phi, dtype=np.complex128)
+    space.require_invariant(phi, "vector", phi_modes)
     occ = space.basis.occupations
     monomials = np.prod(phi_modes[None, :] ** occ, axis=1)
-    weights = np.array([_occupation_sqrt_factor(row) for row in occ])
+    weights = np.array([_occupation_sqrt_factor(row) for row in occ]) * np.sqrt(space.basis.sizes)
     return FockState(weights * monomials, space)
 
 

@@ -11,9 +11,12 @@ from the rank-one site expansion of the position-diagonal kernel,
     sum_{i != j} (A E_r C)_i (B E_s D)_j kernel[r, s].
 
 ``_split_sums`` is the one path to Htilde, C and Q; ``apply_Htilde``,
-``apply_C``, ``apply_Q`` and ``apply_stage`` (the generator of a hierarchy
-stage and of the auxiliary flow) call it.  The occupation route lifts h1 and
-reaches the two-body part through one stage-form ``projected_pair_sum``
+``apply_C``, ``apply_Q`` and ``stage_derivatives`` (the generator of a
+hierarchy stage and of the auxiliary flow: ``apply_stage`` with the
+members' entries built once by ``stage_entries``) call it.  On a symmetric
+occupation sector the tables of a whole stage build are checked for
+invariance once (``EffectivePieces.batch``).  The occupation route lifts h1
+and reaches the two-body part through one stage-form ``projected_pair_sum``
 over the (P, P) kernels of the P = M(M+1)/2 unordered pair channels, with
 1/(N-1) folded in (``EffectivePieces.ladder_kernels``); the tensor route,
 its cross-check, takes 2M + 1 one-body lifts per term and scales by
@@ -46,6 +49,8 @@ __all__ = [
     "apply_C",
     "apply_Q",
     "apply_stage",
+    "stage_entries",
+    "stage_derivatives",
     "decomposition_residual",
     "one_body_lift",
     "projected_pair_sum",
@@ -121,12 +126,12 @@ def stage_batch(sites: int) -> int:
     return max(1, STAGE_BATCH_BYTES // per_stage)
 
 
-def _h1(cond: Condensate, model: Model) -> np.ndarray:
+def _h1(cond: Condensate, h0: np.ndarray) -> np.ndarray:
     """-Lap + V_ext(t) + diag(vbar) - mu at one condensate, or (S, M, M) at
-    each of a stack, with h0 at each one's time."""
+    each of a stack, from h0 = model.h0(cond.t) at each one's time."""
     diag = np.arange(cond.phi.shape[-1])
     h1 = np.empty(cond.phi.shape + diag.shape, dtype=np.complex128)
-    h1[...] = model.h0(cond.t)
+    h1[...] = h0
     h1[..., diag, diag] += cond.vbar
     h1[..., diag, diag] -= np.asarray(cond.mu)[..., None]
     return h1
@@ -160,12 +165,19 @@ class EffectivePieces:
     prefactor, built from ``cond`` on first use.  Q uses the centred kernel
     w(r-s) - vbar(r) - vbar(s) + 2 mu; C uses it without the 2 mu shift,
     which two orthogonal projector pairs annihilate anyway.
+
+    ``batch`` lets a symmetric occupation space check the tables of a whole
+    ``stage_pieces`` build at once: (table, kind, parts) triples for
+    ``FockSpace.require_invariant``, whose parts, the h1 tables and kernels
+    of the build's pieces, are invariant when the tables are: the pair
+    table, h0 and the stack of stage condensates.
     """
 
     cond: Condensate
     h1: np.ndarray
     model: Model = field(repr=False)
     _kernels: dict = field(default_factory=dict, repr=False)
+    batch: tuple = field(default=(), repr=False)
 
     @cached_property
     def _terms(self) -> tuple:
@@ -192,18 +204,25 @@ def stage_pieces(cond: Condensate, model: Model, particles: int) -> list:
     1/(N-1) and ``ConfigError`` is raised.
     """
     _require_pairs(particles)
-    kernels = zip(*fs.pair_kernels(_pair_terms(cond, model), 1.0 / (particles - 1)))
+    h0 = model.h0(cond.t)
+    h1s = tuple(_h1(cond, h0))
+    stages = list(zip(*fs.pair_kernels(_pair_terms(cond, model), 1.0 / (particles - 1))))
+    # h1 and the kernels are functions of h0, the pair table and the stage
+    # condensates (vbar and mu follow from phi), so they are invariant under
+    # a lattice symmetry when those are
+    batch = ((model.pair.mat, "table", ()), (h0, "table", ()),
+             (cond.phi, "vector", (*h1s, *(kernel for stage in stages for kernel in stage))))
     return [
-        EffectivePieces(Condensate(phi, t, vb, mu), h1, model, {particles: stage})
-        for phi, t, vb, mu, h1, stage in zip(
-            cond.phi, cond.t.tolist(), cond.vbar, cond.mu.tolist(), _h1(cond, model), kernels)
+        EffectivePieces(Condensate(phi, t, vb, mu), table, model, {particles: stage}, batch)
+        for phi, t, vb, mu, table, stage in zip(
+            cond.phi, cond.t.tolist(), cond.vbar, cond.mu.tolist(), h1s, stages)
     ]
 
 
 def pieces_at(phi: np.ndarray, t: float, model: Model) -> EffectivePieces:
     """The pieces at one condensate, with the ladder kernels built on first use."""
     cond = condensate_at(phi, t, model)
-    return EffectivePieces(cond, _h1(cond, model), model)
+    return EffectivePieces(cond, _h1(cond, model.h0(cond.t)), model)
 
 
 def _require_pairs(particles: int):
@@ -225,10 +244,9 @@ def apply_H(t: float, state, model: Model):
 _HTILDE, _C, _Q = range(3)
 
 
-def _split_sums(pieces: EffectivePieces, members: list, entries: list, model: Model) -> list:
+def _split_sums(pieces: EffectivePieces, members: list, entries, model: Model) -> list:
     """Output i sums operator op (``_HTILDE``, ``_C`` or ``_Q``) applied to
-    members[j] over the (op, j) in ``entries[i]``, an Htilde entry first;
-    an entry whose source j is None is skipped.
+    members[j] over the (op, j) in ``entries[i]``, an Htilde entry first.
 
     The occupation route lifts h1 for the Htilde source and adds one
     stage-form ``projected_pair_sum`` over ``pieces.ladder_kernels``; the
@@ -243,13 +261,16 @@ def _split_sums(pieces: EffectivePieces, members: list, entries: list, model: Mo
             pair = 0.0 * psi if free else (1.0 / (n - 1)) * projected_pair_sum(psi, pieces._terms[op])
             return one_body_lift(pieces.h1, psi) + pair if op == _HTILDE else pair
 
-        parts = [[part(op, members[j]) for op, j in row if j is not None] for row in entries]
+        parts = [[part(op, members[j]) for op, j in row] for row in entries]
         return [sum(row[1:], row[0]) for row in parts]
+    space = members[0].space
+    for stack, kind, views in pieces.batch:
+        space.require_invariant(stack, kind, parts=views)
     out = [one_body_lift(pieces.h1, members[row[0][1]]) if row[0][0] == _HTILDE
-           else members[0].space.zero_state() for row in entries]
+           else space.zero_state() for row in entries]
     if not free:
         kernels = pieces.ladder_kernels(n)
-        terms = [[(kernels[op], j) for op, j in row if j is not None] for row in entries]
+        terms = [[(kernels[op], j) for op, j in row] for row in entries]
         for acc, pair in zip(out, projected_pair_sum(members, terms)):
             acc.amps += pair.amps
     return out
@@ -258,17 +279,17 @@ def _split_sums(pieces: EffectivePieces, members: list, entries: list, model: Mo
 def apply_Htilde(pieces: EffectivePieces, state, model: Model):
     """Quadratic effective generator: mean-field one-body sum plus the
     pair terms that exchange exactly two particles with the condensate."""
-    return _split_sums(pieces, [state], [[(_HTILDE, 0)]], model)[0]
+    return _split_sums(pieces, [state], (((_HTILDE, 0),),), model)[0]
 
 
 def apply_C(pieces: EffectivePieces, state, model: Model):
     """Cubic remainder: three complement projectors around the centred kernel."""
-    return _split_sums(pieces, [state], [[(_C, 0)]], model)[0]
+    return _split_sums(pieces, [state], (((_C, 0),),), model)[0]
 
 
 def apply_Q(pieces: EffectivePieces, state, model: Model):
     """Quartic remainder: four complement projectors around the full kernel."""
-    return _split_sums(pieces, [state], [[(_Q, 0)]], model)[0]
+    return _split_sums(pieces, [state], (((_Q, 0),),), model)[0]
 
 
 def apply_stage(pieces: EffectivePieces, members: list, sources: list, model: Model) -> list:
@@ -278,7 +299,21 @@ def apply_stage(pieces: EffectivePieces, members: list, sources: list, model: Mo
     route each member is pair-annihilated once and each derivative created
     with one gather up (``_split_sums``).
     """
-    entries = [[(_HTILDE, i), (_C, c), (_Q, q)] for i, (c, q) in enumerate(sources)]
+    return stage_derivatives(pieces, members, stage_entries(sources), model)
+
+
+def stage_entries(sources: list) -> tuple:
+    """The (operator, source) entries of each member's stage derivative:
+    (Htilde, i), then (C, c(i)) and (Q, q(i)) where member i has them.  A
+    hierarchy's sources do not change, so ``propagation.stage_rhs`` builds
+    its entries once for all stages."""
+    return tuple(tuple((op, j) for op, j in ((_HTILDE, i), (_C, c), (_Q, q)) if j is not None)
+                 for i, (c, q) in enumerate(sources))
+
+
+def stage_derivatives(pieces: EffectivePieces, members: list, entries: tuple, model: Model) -> list:
+    """``apply_stage`` with the members' ``stage_entries`` already built: per
+    call only the stage's kernels are put into them."""
     out = _split_sums(pieces, members, entries, model)
     for acc in out:
         acc.amps *= -1j
@@ -295,7 +330,7 @@ def decomposition_residual(t: float, cond: Condensate, state, model: Model) -> f
         raise ConsistencyError(
             f"stale condensate cache: stamped t={cond.t}, requested t={t}"
         )
-    pieces = EffectivePieces(cond, _h1(cond, model), model)
+    pieces = EffectivePieces(cond, _h1(cond, model.h0(cond.t)), model)
     lhs = apply_H(t, state, model)
     rhs = apply_Htilde(pieces, state, model) + apply_C(pieces, state, model) + apply_Q(
         pieces, state, model

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, IntegratorError
-from .hamiltonians import apply_H, apply_stage, stage_batch, stage_pieces
+from .hamiltonians import apply_H, stage_batch, stage_derivatives, stage_entries, stage_pieces
 from .meanfield import DRIFT_ABORT, Condensate, HartreeTrajectory, rk4_stages
 from .model import Model
 
@@ -123,13 +123,14 @@ def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, particles: int, s
     """
     schedule = _stage_schedule(trajectory, i0, i1, particles)
     model = trajectory.model
+    entries = stage_entries(sources)
 
     def rhs(time, members):
         pieces = next(schedule, None)
         if pieces is None or abs(pieces.cond.t - time) > 1e-12:
             expected = "no further stage" if pieces is None else f"the stage at t={pieces.cond.t}"
             raise ConsistencyError(f"stage right-hand side called at t={time}, expected {expected}")
-        return apply_stage(pieces, members, sources, model)
+        return stage_derivatives(pieces, members, entries, model)
 
     return rhs
 

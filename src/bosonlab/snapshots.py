@@ -4,7 +4,9 @@ Layout: magic ``BLAB1``, one representation tag byte (0 = tensor grid,
 1 = occupation basis), then little-endian u32 fields d, L, N, little-endian
 f64 lattice spacing h, followed by the raw amplitudes as little-endian
 complex64 (re, im) pairs.  Tensor amplitudes are row-major over the
-(M,)*N grid; occupation amplitudes follow the deterministic basis order.
+(M,)*N grid; occupation amplitudes follow the deterministic basis order of
+every occupation vector, so a state of a symmetric sector is written
+expanded through its orbits and read back without symmetry.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ def save_state(path, state, dimension: int, sites_per_dim: int) -> None:
         tag = TAG_OCCUPATION
     else:
         raise ConfigError(f"cannot snapshot object of type {type(state).__name__}")
-    payload = np.ascontiguousarray(state.amps, dtype="<c8").tobytes()
+    amps = state.amps if tag == TAG_TENSOR else state.space.site_amplitudes(state.amps)
+    payload = np.ascontiguousarray(amps, dtype="<c8").tobytes()
     header = _HEADER.pack(MAGIC, tag, dimension, sites_per_dim, state.particles, spacing)
     with open(path, "wb") as fh:
         fh.write(header)
