@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     except BosonLabError as exc:
         print(f"bosonlab: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory where a file belongs, ...
         print(f"bosonlab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,18 +9,18 @@ system
 
 with Phi_0^(0)(0) = psi_0 and every other member starting at zero; the
 simplex integrals satisfy exactly this recursion, so the hierarchy equals the
-integral definition.  The state is the list of members alone, Phi_0^(0)
+integral definition.  The members are the rows of one block, Phi_0^(0)
 first; the condensate is not stepped along.  Each stage's right-hand side
-(``propagation.stage_rhs``) is one ``hamiltonians.stage_derivatives`` over all
-members with the pieces of that stage, whose condensate comes from the
+(``propagation.stage_rhs``) is one ``hamiltonians.apply_stage`` over the
+block with the pieces of that stage, whose condensate comes from the
 Hartree trajectory and whose Htilde, C and Q kernels are built for many
-stages at once; in the occupation basis it pair-annihilates each member
-once.  The system is stepped by the shared one-step kernel and guarded
-after every step by the shared ``check_state``: every member must stay
-finite and Phi_0^(0), the lead state, must keep its norm.  Nested
-composite-trapezoid quadrature over the ordered simplex is kept as an
-independent oracle for n <= 2; it transports between its nodes with
-``evolve_aux``.  ``correction_error`` is the one place that measures the
+stages at once; in the occupation basis it lifts h1 over the block in one
+call and pair-annihilates it in one gather.  The system is stepped by the
+shared one-step kernel and guarded after every step by the shared
+``check_state``: every member must stay finite and Phi_0^(0), the lead,
+must keep its norm.  Nested composite-trapezoid quadrature over the ordered
+simplex is kept as an independent oracle for n <= 2; it transports between
+its nodes with ``evolve_aux``.  ``correction_error`` is the one place that measures the
 approximants against the full evolution.
 """
 
@@ -97,9 +97,10 @@ def hierarchy_evolve(psi0, order: int, t: float, trajectory: HartreeTrajectory) 
         raise ValueError("hierarchy order must be >= 1")
     indices = hierarchy_indices(order)
     pos = {key: i for i, key in enumerate(indices)}
-    zero = 0.0 * psi0
-    # (0, 0) comes first in ``indices``, so it is the lead state.
-    y = [psi0.copy() if key == (0, 0) else zero.copy() for key in indices]
+    # (0, 0) comes first in ``indices``, so it is the lead, row 0 of the block.
+    amps = np.zeros((len(indices), *psi0.amps.shape), dtype=np.complex128)
+    amps[0] = psi0.amps
+    y = psi0.with_amps(amps)
 
     sources = [(pos.get((n - 1, k - 1)), pos.get((n - 1, k - 2))) for n, k in indices]
     dt = trajectory.dt
@@ -110,7 +111,7 @@ def hierarchy_evolve(psi0, order: int, t: float, trajectory: HartreeTrajectory) 
         y = rk4_step(rhs, i * dt, y, dt)
         check_state(y, (i + 1) * dt, norm0)
 
-    entries = {key: state for key, state in zip(indices, y)}
+    entries = {key: y.with_amps(row) for key, row in zip(indices, y.amps)}
     return Hierarchy(order=order, entries=entries)
 
 

@@ -37,13 +37,13 @@ orderings of each pair (``fold_kernel``), so an operator built from several
 projected pair terms costs one application.  ``pair_kernels`` builds the
 kernels of several such operators in one pass, with any prefactor folded in
 and each factor outer product computed once.  ``two_body_sums`` is the
-only two-body apply, one state being its one-member case: it applies
-kernels to a list of states with one pair gather down per state and one up
-per output, whatever the number of kernels an output sums.  Products run
-in blocks small enough that OpenBLAS keeps them on the calling thread
-(``SERIAL_PRODUCT``).  The scratch buffers belong to the FockSpace, which
-makes a FockSpace single-threaded; worker processes such as those of
-``sweep --jobs`` each build their own.
+only two-body apply: it applies kernels to a block of states, one
+(members, dim) array, with one pair gather down and one up, whatever the
+number of kernels an output sums; ``dgamma_apply`` also lifts a whole
+block at once.  Products run in blocks small enough that OpenBLAS keeps
+them on the calling thread (``SERIAL_PRODUCT``).  The scratch buffers
+belong to the FockSpace, which makes a FockSpace single-threaded; worker
+processes such as those of ``sweep --jobs`` each build their own.
 """
 
 from __future__ import annotations
@@ -268,11 +268,12 @@ class Ladder:
     annihilators, sqrt(v_s + 1) or sqrt((v_s + 1)(v_s' + 1 + delta_ss')),
     over the square root of that orbit's size, stored complex so that
     weighting needs no cast.  For move p and upper row u, ``create[p, u]`` is
-    the position of the source slot (pi . p, rep(u - moves[p])) in ``_pad``,
-    pi = group[to_rep] taking u - moves[p] to its representative, or the zero
-    last slot when u - moves[p] has a negative part; ``src`` is the view of
-    ``_pad`` without that slot.  ``moved[g, p]`` is the row of the move
-    group[g] . moves[p].
+    the flat position of the source slot (pi . p, rep(u - moves[p])) in the
+    (rows, lower dim) creation sources, pi = group[to_rep] taking
+    u - moves[p] to its representative, or the zero pad slot after them when
+    u - moves[p] has a negative part.  ``moved[g, p]`` is the row of the
+    move group[g] . moves[p].  Both gathers act on the last axis, so a block
+    of states moves in one gather each way.
 
     On invariant states and tables this is exact: a lowered amplitude at
     pi^-1 . v for move p equals the one at v for move pi . p, and every
@@ -305,23 +306,36 @@ class Ladder:
         p, w = np.nonzero(upper.to_rep[raised] == 0)  # w + moves[p] is a representative
         self.create[p, upper.orbit[raised[p, w]]] = self.moved[lower.to_rep[w], p] * size + lower.orbit[w]
         self.scale = None if len(upper.group) == 1 else upper.sizes.astype(np.float64)
-        self._down = np.empty((rows, size), dtype=np.complex128)
-        self._pad = np.zeros(rows * size + 1, dtype=np.complex128)
-        self.src = self._pad[:-1].reshape(rows, size)
-        self._up = np.empty((rows, upper.dim), dtype=np.complex128)
+        self._scratch = {}  # leading shape -> (down, src, pad, up), made on first use
 
-    def annihilated(self, amps, out=None) -> np.ndarray:
-        """(a^moves[p] amps)[p, v], in ``out`` or else in the ladder's scratch."""
-        out = self._down if out is None else out
-        np.asarray(amps, dtype=np.complex128).take(self.annihilate, out=out, mode="clip")
+    def scratch(self, lead: tuple) -> tuple:
+        """(down, src, pad, up) for amplitudes of leading shape ``lead``: lowered
+        rows and creation sources (*lead, rows, lower dim), ``src`` being ``pad``
+        without the zero last slot that impossible moves read, and raised rows."""
+        if lead not in self._scratch:
+            rows, size = self.annihilate.shape
+            pad = np.zeros((*lead, rows * size + 1), dtype=np.complex128)
+            self._scratch[lead] = (np.empty((*lead, rows, size), dtype=np.complex128),
+                                   pad[..., :-1].reshape(*lead, rows, size), pad,
+                                   np.empty((*lead, *self.create.shape), dtype=np.complex128))
+        return self._scratch[lead]
+
+    def annihilated(self, amps) -> np.ndarray:
+        """(a^moves[p] amps)[..., p, v] for amplitudes (..., upper dim), in the
+        ``down`` scratch of their leading shape."""
+        amps = np.asarray(amps, dtype=np.complex128)
+        out = self.scratch(amps.shape[:-1])[0]
+        amps.take(self.annihilate, axis=-1, out=out, mode="clip")
         out *= self.factor
         return out
 
-    def created(self) -> np.ndarray:
-        """sum_p (a^moves[p])^+ src[p, :], for creation sources already written to ``src``."""
-        self.src *= self.factor
-        self._pad.take(self.create, out=self._up, mode="clip")
-        out = self._up.sum(axis=0)
+    def created(self, lead: tuple) -> np.ndarray:
+        """sum_p (a^moves[p])^+ src[..., p, :] for creation sources written to the
+        ``src`` scratch of ``lead``, as fresh amplitudes (*lead, upper dim)."""
+        _, src, pad, up = self.scratch(lead)
+        src *= self.factor
+        pad.take(self.create, axis=-1, out=up, mode="clip")
+        out = up.sum(axis=-2)
         if self.scale is not None:
             out *= self.scale
         return out
@@ -340,8 +354,7 @@ class FockSpace:
 
     The ladders' scratch makes a FockSpace unsafe to share between threads;
     worker processes each hold their own copy.  Pickling rebuilds the space
-    from its basis, which carries the group: a copied ``src`` would no
-    longer be a view of its ``_pad``.
+    from its basis, which carries the group, and leaves the scratch behind.
     """
 
     def __init__(self, basis: OccupationBasis, cell: float):
@@ -365,9 +378,6 @@ class FockSpace:
 
     def __reduce__(self):
         return FockSpace, (self.basis, self.cell)
-
-    def zero_state(self) -> "FockState":
-        return FockState(np.zeros(self.basis.dim, dtype=np.complex128), self)
 
     def require_invariant(self, table, kind: str, values=None, parts=()) -> None:
         """Raise ``ValueError`` unless ``table`` (its array ``values``, if
@@ -464,6 +474,10 @@ class FockState:
     def copy(self) -> "FockState":
         return FockState(self.amps.copy(), self.space)
 
+    def with_amps(self, amps) -> "FockState":
+        """This space's state, or block of states, with amplitudes ``amps``."""
+        return FockState(amps, self.space)
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
@@ -514,14 +528,15 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 
 def dgamma_apply(op, state: FockState) -> FockState:
-    """Second-quantised lift of a one-body table: sum_j op acting on slot j."""
+    """Second-quantised lift of a one-body table: sum_j op acting on slot j,
+    of one state or of every row of a block (members, dim) at once."""
     space, mat = state.space, np.asarray(getattr(op, "mat", op), dtype=np.complex128)
     if mat.shape != (space.sites, space.sites):
         raise ValueError(f"table shape {mat.shape} does not match M={space.sites}")
     space.require_invariant(op, "table", mat)
-    one = space.ladders[0]
-    _product(mat, one.annihilated(state.amps), one.src)
-    return FockState(one.created(), space)
+    one, lead = space.ladders[0], state.amps.shape[:-1]
+    _product(mat, one.annihilated(state.amps), one.scratch(lead)[1])
+    return FockState(one.created(lead), space)
 
 
 def _fold(raw: np.ndarray) -> np.ndarray:
@@ -640,44 +655,40 @@ def pair_kernels(operators, scale: float = 1.0) -> tuple:
     return tuple(kernels)
 
 
-def two_body_sums(states, terms) -> list:
-    """Output i is sum over (K, j) in terms[i] of a^+ a^+ (K . a a states[j]),
-    for (P, P) pair-channel kernels K (``fold_kernel``, ``pair_kernels``)
-    and states on one space.
+def two_body_sums(block: FockState, terms) -> FockState:
+    """Row i of the result is the sum over (K, j) in terms[i] of
+    a^+ a^+ (K . a a block[j]), for (P, P) pair-channel kernels K
+    (``fold_kernel``, ``pair_kernels``) and a block of states (members, dim).
 
-    Each state is pair-annihilated to N - 2 particles once and each output
-    is created with one gather back up, whatever the number of terms; the
-    (P, P) @ (P, dim_{N-2}) products run in serial blocks
+    The block is pair-annihilated to N - 2 particles in one gather and the
+    outputs are created in one gather back up, whatever the number of terms;
+    the (P, P) @ (P, dim_{N-2}) products run in serial blocks
     (``SERIAL_PRODUCT``).  Below two particles every output is zero.  A
-    kernel of another shape, states of different sectors and, on a
-    symmetric sector, a kernel that is not invariant raise ``ValueError``.
+    kernel of another shape and, on a symmetric sector, a kernel that is not
+    invariant raise ``ValueError``.
     """
-    space = states[0].space
+    space = block.space
     pair = space.ladders[1]
     shape = (pair.factor.shape[0],) * 2
-    down = np.empty((len(states), *pair.src.shape), dtype=np.complex128)
-    for psi, slot in zip(states, down):
-        _joint(space, psi.space)
-        pair.annihilated(psi.amps, out=slot)
+    lead = (len(terms),)
+    down, src = pair.annihilated(block.amps), pair.scratch(lead)[1]
     extra = None
-    out = []
-    for entries in terms:
+    for out, entries in zip(src, terms):
         if not entries:
-            pair.src.fill(0.0)
+            out.fill(0.0)
         for n, (kernel, j) in enumerate(entries):
             if kernel.shape != shape:
                 raise ValueError(f"pair kernel shape {kernel.shape} does not match {shape} "
                                  f"of the M={space.sites} pair channels")
             space.require_invariant(kernel, "kernel")
             if n == 0:
-                _product(kernel, down[j], pair.src)
+                _product(kernel, down[j], out)
                 continue
             if extra is None:
-                extra = np.empty_like(pair.src)
+                extra = np.empty_like(out)
             _product(kernel, down[j], extra)
-            pair.src += extra
-        out.append(FockState(pair.created(), space))
-    return out
+            out += extra
+    return FockState(pair.created(lead), space)
 
 
 def pair_diagonal(space: FockSpace, pair) -> np.ndarray:
@@ -699,66 +710,40 @@ def pair_diagonal(space: FockSpace, pair) -> np.ndarray:
     return space._pair_diagonal[1]
 
 
-def _multiset_permutations(items):
-    """Distinct permutations of a sorted tuple, lexicographic order."""
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    seen = set()
-    for i, head in enumerate(items):
-        if head in seen:
-            continue
-        seen.add(head)
-        for rest in _multiset_permutations(items[:i] + items[i + 1 :]):
-            yield (head,) + rest
+def _sqrt_multinomials(occ) -> np.ndarray:
+    """sqrt(N! / prod_r n_r!) of each occupation vector, a row of ``occ``."""
+    return np.array([math.sqrt(math.factorial(int(sum(row)))
+                               / math.prod(math.factorial(int(k)) for k in row)) for row in occ])
 
 
-def _occupation_sqrt_factor(occ) -> float:
-    num = math.factorial(int(sum(occ)))
-    den = 1
-    for n in occ:
-        den *= math.factorial(int(n))
-    return math.sqrt(num / den)
-
-
-def _representative(occ) -> tuple:
-    sites = []
-    for r, n in enumerate(occ):
-        sites.extend([r] * int(n))
-    return tuple(sites)
+def _grid_orbits(space: FockSpace) -> np.ndarray:
+    """The full-basis index of the occupation vector of each tuple of the
+    (M,)*N tensor grid, in row-major order."""
+    m, n = space.sites, space.particles
+    sites = np.indices((m,) * n).reshape(n, m**n)
+    return _rank((sites[:, :, None] == np.arange(m)).sum(axis=0), n)
 
 
 def embed(state: FockState) -> TensorState:
     """Expand an occupation state onto the dense tensor grid (norm preserving),
     through the amplitudes of every occupation vector of its orbits."""
     space = state.space
-    n, m, cell = space.particles, space.sites, space.cell
-    amps = np.zeros((m,) * n, dtype=np.complex128)
-    scale = cell ** (-n / 2)
-    for coeff, occ in zip(space.site_amplitudes(state.amps), space.basis.full):
-        if coeff == 0:
-            continue
-        value = coeff * scale / _occupation_sqrt_factor(occ)
-        for arrangement in _multiset_permutations(_representative(occ)):
-            amps[arrangement] = value
-    return TensorState(amps, cell)
+    n, cell = space.particles, space.cell
+    site = space.site_amplitudes(state.amps) * cell ** (-n / 2) / _sqrt_multinomials(space.basis.full)
+    return TensorState(site[_grid_orbits(space)].reshape((space.sites,) * n), cell)
 
 
 def extract(psi: TensorState, space: FockSpace) -> FockState:
-    """Compress a symmetric tensor state onto the occupation basis; on a
-    symmetric sector the state must also be invariant under its group."""
+    """Compress a symmetric tensor state onto the occupation basis, reading
+    each occupation vector at its sorted grid tuple; on a symmetric sector
+    the state must also be invariant under its group."""
     if psi.particles != space.particles or psi.sites != space.sites:
         raise ValueError("tensor state does not match the occupation basis")
     if transposition_residual(psi) > 1e-10:
         raise ValueError("extract requires a symmetric tensor state")
-    n, cell = space.particles, space.cell
-    scale = cell ** (n / 2)
-    full = space.basis.full
-    site = np.empty(len(full), dtype=np.complex128)
-    for b, occ in enumerate(full):
-        rep = _representative(occ)
-        site[b] = psi.amps[rep] * _occupation_sqrt_factor(occ) * scale
+    _, first = np.unique(_grid_orbits(space), return_index=True)  # the sorted tuples
+    site = psi.amps.reshape(-1)[first] * _sqrt_multinomials(space.basis.full)
+    site *= space.cell ** (space.particles / 2)
     return FockState(space.orbit_amplitudes(site), space)
 
 
@@ -769,7 +754,7 @@ def product_fock(phi: np.ndarray, space: FockSpace) -> FockState:
     space.require_invariant(phi, "vector", phi_modes)
     occ = space.basis.occupations
     monomials = np.prod(phi_modes[None, :] ** occ, axis=1)
-    weights = np.array([_occupation_sqrt_factor(row) for row in occ]) * np.sqrt(space.basis.sizes)
+    weights = _sqrt_multinomials(occ) * np.sqrt(space.basis.sizes)
     return FockState(weights * monomials, space)
 
 

@@ -10,16 +10,18 @@ from the rank-one site expansion of the position-diagonal kernel,
 
     sum_{i != j} (A E_r C)_i (B E_s D)_j kernel[r, s].
 
-``_split_sums`` is the one path to Htilde, C and Q; ``apply_Htilde``,
-``apply_C``, ``apply_Q`` and ``stage_derivatives`` (the generator of a
-hierarchy stage and of the auxiliary flow: ``apply_stage`` with the
-members' entries built once by ``stage_entries``) call it.  On a symmetric
-occupation sector the tables of a whole stage build are checked for
-invariance once (``EffectivePieces.batch``).  The occupation route lifts h1
-and reaches the two-body part through one stage-form ``projected_pair_sum``
-over the (P, P) kernels of the P = M(M+1)/2 unordered pair channels, with
-1/(N-1) folded in (``EffectivePieces.ladder_kernels``); the tensor route,
-its cross-check, takes 2M + 1 one-body lifts per term and scales by
+``_split_sums`` is the one path to Htilde, C and Q.  It maps a block of
+members, a state whose amplitudes carry a leading member axis, to a block;
+``apply_stage``, the generator of a hierarchy stage and of the auxiliary
+flow, calls it with entries built once by ``stage_entries``, and
+``apply_Htilde``, ``apply_C`` and ``apply_Q`` call it on one row.  On a
+symmetric occupation sector the tables of a whole stage build are checked
+for invariance once (``EffectivePieces.batch``).  The occupation route lifts
+h1 over the whole block in one call and reaches the two-body part through
+one stage-form ``projected_pair_sum`` over the (P, P) kernels of the
+P = M(M+1)/2 unordered pair channels, with 1/(N-1) folded in
+(``EffectivePieces.ladder_kernels``); the tensor route, its cross-check,
+works row by row and takes 2M + 1 one-body lifts per term and scales by
 1/(N-1).  ``stage_pieces`` builds h1 (h0 at each stage's time) and the
 kernels of up to ``stage_batch`` stages in one ``fockstate.pair_kernels``
 call; ``pieces_at`` builds one condensate's pieces, its kernels on first
@@ -50,7 +52,6 @@ __all__ = [
     "apply_Q",
     "apply_stage",
     "stage_entries",
-    "stage_derivatives",
     "decomposition_residual",
     "one_body_lift",
     "projected_pair_sum",
@@ -68,18 +69,18 @@ def one_body_lift(mat, state):
 def projected_pair_sum(state, pairs):
     """Projected pair sums, in one of two forms.
 
-    Stage form, occupation route: ``state`` is a list of states and
+    Stage form, occupation route: ``state`` is a block (members, dim) and
     ``pairs`` holds, per output, a list of (kernel, source) entries with
-    (P, P) kernels (``EffectivePieces.ladder_kernels``); output i sums
+    (P, P) kernels (``EffectivePieces.ladder_kernels``); output row i sums
     a^+ a^+ (K . a a state[source]) over its entries, with one pair gather
-    down per state and one up per output (``fockstate.two_body_sums``).
+    each way for the block (``fockstate.two_body_sums``).
 
     Tensor route, the cross-check: ``pairs`` is a sequence of terms
     (weight, kernel, A, C, B, D) applied to one tensor state; per term and
     r it lifts G_r = B diag(kernel[r, :]) D, then the rank-one A E_r C, and
     subtracts the coincidence lift of A (kernel o C B) D.
     """
-    if isinstance(state, list):
+    if isinstance(state, fs.FockState):
         return fs.two_body_sums(state, pairs)
     acc = 0.0 * state
     for weight, kernel, a, c, b, d in pairs:
@@ -244,79 +245,77 @@ def apply_H(t: float, state, model: Model):
 _HTILDE, _C, _Q = range(3)
 
 
-def _split_sums(pieces: EffectivePieces, members: list, entries, model: Model) -> list:
-    """Output i sums operator op (``_HTILDE``, ``_C`` or ``_Q``) applied to
-    members[j] over the (op, j) in ``entries[i]``, an Htilde entry first.
-
-    The occupation route lifts h1 for the Htilde source and adds one
-    stage-form ``projected_pair_sum`` over ``pieces.ladder_kernels``; the
-    tensor route adds the entries in order, each through the pair terms
-    times 1/(N-1).
+def _split_sums(pieces: EffectivePieces, members, entries, model: Model):
+    """Row i of the result sums operator op (``_HTILDE``, ``_C`` or ``_Q``)
+    applied to row j of the block ``members`` over the (op, j) in
+    ``entries[i]``.  Htilde acts on an output's own member, as its first
+    entry, and on every output or on none.  The occupation route lifts h1
+    over the block in one call and adds one stage-form
+    ``projected_pair_sum`` over ``pieces.ladder_kernels``; the tensor route
+    adds the entries row by row, each through the pair terms times 1/(N-1).
     """
-    n = members[0].particles
-    _require_pairs(n)
     free = model.pair.is_zero
-    if isinstance(members[0], ts.TensorState):
+    if isinstance(members, ts.TensorState):
+        rows = [members.with_amps(amps) for amps in members.amps]
+        n = rows[0].particles
+        _require_pairs(n)
+
         def part(op, psi):
             pair = 0.0 * psi if free else (1.0 / (n - 1)) * projected_pair_sum(psi, pieces._terms[op])
             return one_body_lift(pieces.h1, psi) + pair if op == _HTILDE else pair
 
-        parts = [[part(op, members[j]) for op, j in row] for row in entries]
-        return [sum(row[1:], row[0]) for row in parts]
-    space = members[0].space
+        parts = [[part(op, rows[j]) for op, j in row] for row in entries]
+        return members.with_amps(np.stack([sum(row[1:], row[0]).amps for row in parts]))
+    n = members.particles
+    _require_pairs(n)
     for stack, kind, views in pieces.batch:
-        space.require_invariant(stack, kind, parts=views)
-    out = [one_body_lift(pieces.h1, members[row[0][1]]) if row[0][0] == _HTILDE
-           else space.zero_state() for row in entries]
+        members.space.require_invariant(stack, kind, parts=views)
+    out = one_body_lift(pieces.h1, members) if entries[0][0] == (_HTILDE, 0) else 0.0 * members
     if not free:
         kernels = pieces.ladder_kernels(n)
-        terms = [[(kernels[op], j) for op, j in row] for row in entries]
-        for acc, pair in zip(out, projected_pair_sum(members, terms)):
-            acc.amps += pair.amps
+        out.amps += projected_pair_sum(members, [[(kernels[op], j) for op, j in row]
+                                                 for row in entries]).amps
     return out
+
+
+def _one_member(pieces: EffectivePieces, state, op: int, model: Model):
+    """Operator op of ``_split_sums`` applied to one state, a block of one row."""
+    out = _split_sums(pieces, state.with_amps(state.amps[None]), (((op, 0),),), model)
+    return out.with_amps(out.amps[0])
 
 
 def apply_Htilde(pieces: EffectivePieces, state, model: Model):
     """Quadratic effective generator: mean-field one-body sum plus the
     pair terms that exchange exactly two particles with the condensate."""
-    return _split_sums(pieces, [state], (((_HTILDE, 0),),), model)[0]
+    return _one_member(pieces, state, _HTILDE, model)
 
 
 def apply_C(pieces: EffectivePieces, state, model: Model):
     """Cubic remainder: three complement projectors around the centred kernel."""
-    return _split_sums(pieces, [state], (((_C, 0),),), model)[0]
+    return _one_member(pieces, state, _C, model)
 
 
 def apply_Q(pieces: EffectivePieces, state, model: Model):
     """Quartic remainder: four complement projectors around the full kernel."""
-    return _split_sums(pieces, [state], (((_Q, 0),),), model)[0]
-
-
-def apply_stage(pieces: EffectivePieces, members: list, sources: list, model: Model) -> list:
-    """-i [Htilde psi_i + C psi_c(i) + Q psi_q(i)] for every member psi_i of a
-    hierarchy stage; ``sources[i]`` is the pair (c(i), q(i)) of member
-    indices, None where member i has no such source.  On the occupation
-    route each member is pair-annihilated once and each derivative created
-    with one gather up (``_split_sums``).
-    """
-    return stage_derivatives(pieces, members, stage_entries(sources), model)
+    return _one_member(pieces, state, _Q, model)
 
 
 def stage_entries(sources: list) -> tuple:
-    """The (operator, source) entries of each member's stage derivative:
-    (Htilde, i), then (C, c(i)) and (Q, q(i)) where member i has them.  A
-    hierarchy's sources do not change, so ``propagation.stage_rhs`` builds
-    its entries once for all stages."""
+    """The (operator, source) entries of each member's stage derivative for
+    ``apply_stage``: (Htilde, i), then (C, c(i)) and (Q, q(i)) where member
+    i has them; ``sources[i]`` is the pair (c(i), q(i)) of member indices,
+    None where member i has no such source.  A hierarchy's sources do not
+    change, so ``propagation.stage_rhs`` builds its entries once."""
     return tuple(tuple((op, j) for op, j in ((_HTILDE, i), (_C, c), (_Q, q)) if j is not None)
                  for i, (c, q) in enumerate(sources))
 
 
-def stage_derivatives(pieces: EffectivePieces, members: list, entries: tuple, model: Model) -> list:
-    """``apply_stage`` with the members' ``stage_entries`` already built: per
-    call only the stage's kernels are put into them."""
+def apply_stage(pieces: EffectivePieces, members, entries: tuple, model: Model):
+    """-i [Htilde psi_i + C psi_c(i) + Q psi_q(i)] for every member psi_i of a
+    hierarchy stage, the rows of the block ``members``, from their
+    ``stage_entries``, as one block (``_split_sums``)."""
     out = _split_sums(pieces, members, entries, model)
-    for acc in out:
-        acc.amps *= -1j
+    out.amps *= -1j
     return out
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IntegratorError
-from .model import Model
+from .model import Model, grid_index
 
 __all__ = [
     "Condensate",
@@ -148,8 +148,9 @@ class HartreeTrajectory:
         return self.model.config.dt
 
     def index_of(self, t: float) -> int:
-        i = int(round(t / self.dt))
-        if not 0 <= i < len(self.times) or abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
+        """The grid index of time t, which must be stored there; else ``ValueError``."""
+        i = grid_index(t, self.dt)
+        if not 0 <= i < len(self.times) or grid_index(self.times[i], self.dt) != i:
             raise ValueError(f"time {t} is not on the stored grid")
         return i
 
@@ -171,11 +172,11 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
     """Integrate the Hartree equation over the global grid, storing every step.
 
     No renormalisation is applied; the norm drift is a diagnostic, aborting
-    above 1e-6.
+    above 1e-6.  A time off the grid raises ``ValueError``.
     """
     cfg = model.config
     dt = cfg.dt
-    i0, i1 = int(round(t0 / dt)), int(round(t1 / dt))
+    i0, i1 = grid_index(t0, dt), grid_index(t1, dt)
     if i1 < i0:
         raise ValueError("t1 must be >= t0")
     steps = i1 - i0

@@ -31,8 +31,12 @@ __all__ = [
     "external_potential",
     "site_coordinates",
     "build_model",
+    "grid_index",
     "CONFIG_FILE_KEYS",
 ]
+
+# The one grid rule (``grid_index``) of t_final, evolution ends and trajectory lookups.
+GRID_TOL = 1e-6
 
 # Flat key=value file schema.  Keys map one-to-one onto ModelConfig fields.
 CONFIG_FILE_KEYS = {
@@ -242,13 +246,23 @@ def validate_config(raw, correction_run: bool = False) -> ModelConfig:
                 f"spans less than two lattice spacings (2h = {2 * cfg.spacing:.6g})"
             )
 
-    steps = cfg.step_count
-    if steps < 1 or abs(steps * cfg.dt - cfg.t_final) > 1e-6 * cfg.dt:
-        raise ConfigError(
-            f"dt={cfg.dt} does not divide t_final={cfg.t_final} up to rounding"
-        )
-
+    try:
+        steps = grid_index(cfg.t_final, cfg.dt)
+    except ValueError:
+        steps = 0
+    if steps < 1:
+        raise ConfigError(f"dt={cfg.dt} does not divide t_final={cfg.t_final} up to rounding")
     return cfg
+
+
+def grid_index(t: float, dt: float) -> int:
+    """The index i of time t on the grid i * dt, within ``GRID_TOL * dt``;
+    ``ValueError`` for a time off the grid."""
+    steps = t / dt
+    i = round(steps) if math.isfinite(steps) else 0
+    if not abs(i * dt - t) <= GRID_TOL * dt:
+        raise ValueError(f"time {t} is not on the grid of step dt={dt}")
+    return i
 
 
 def config_from_file(path, correction_run: bool = False) -> ModelConfig:

@@ -146,9 +146,7 @@ def _sector_krylov(phi: np.ndarray, psi):
     beta = np.zeros(n)
     steps = n + 1
     for j in range(n + 1):
-        vec = 0.0 * psi
-        vec.amps[...] = rows[j].reshape(psi.amps.shape)
-        r = number_apply(vec, phi).amps.reshape(-1)
+        r = number_apply(psi.with_amps(rows[j].reshape(psi.amps.shape)), phi).amps.reshape(-1)
         # two classical Gram-Schmidt passes; einsum, not a BLAS gemv, because
         # (j + 1) * dim above 4096 entries wakes OpenBLAS's thread pool
         for _ in range(2):

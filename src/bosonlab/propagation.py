@@ -4,9 +4,11 @@ One classical explicit fourth-order kernel (``rk4_step``) and one grid loop
 (``march``) drive the plain Schroedinger flow, the mean-field-coupled
 auxiliary flow and the quadrature oracle's transports between nodes; the
 correction hierarchy runs the same kernel and the same guard
-(``check_state``) in its own loop.  Composite states are plain lists whose
-leaves support ``+`` and scalar ``*``; the lead state, whose norm drift is
-guarded, is the state itself or the first leaf.
+(``check_state``) in its own loop.  Every evolution steps one block, a
+state whose amplitudes carry a leading member axis (one row for the full
+and auxiliary flows); the guard requires every member to be finite and the
+lead, row 0, to keep its norm.  Each step writes a fresh block, so a row
+handed out as a state is never overwritten.
 
 The auxiliary flow and the hierarchy step only their N-body members.  The
 condensate their generator needs at each RK4 stage never depends on the
@@ -23,46 +25,34 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, IntegratorError
-from .hamiltonians import apply_H, stage_batch, stage_derivatives, stage_entries, stage_pieces
+from .hamiltonians import apply_H, apply_stage, stage_batch, stage_entries, stage_pieces
 from .meanfield import DRIFT_ABORT, Condensate, HartreeTrajectory, rk4_stages
-from .model import Model
+from .model import Model, grid_index
 
 __all__ = ["rk4_step", "check_state", "march", "stage_rhs", "evolve_full", "evolve_aux"]
 
 
-def _axpy(y, a, k):
-    if isinstance(y, list):
-        return [_axpy(yi, a, ki) for yi, ki in zip(y, k)]
-    return y + a * k
-
-
-def _leaf_finite(y) -> bool:
-    if isinstance(y, list):
-        return all(_leaf_finite(yi) for yi in y)
-    amps = getattr(y, "amps", y)
-    return bool(np.all(np.isfinite(amps)))
-
-
 def _lead(y):
-    return y[0] if isinstance(y, list) else y
+    """Row 0 of a block, its lead, as a state."""
+    return y.with_amps(y.amps[0])
 
 
 def rk4_step(rhs, t: float, y, dt: float):
-    """One classical fourth-order step of y' = rhs(t, y) on a state tree."""
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, _axpy(y, 0.5 * dt, k1))
-    k3 = rhs(t + 0.5 * dt, _axpy(y, 0.5 * dt, k2))
-    k4 = rhs(t + dt, _axpy(y, dt, k3))
-    out = _axpy(y, dt / 6.0, k1)
-    out = _axpy(out, dt / 3.0, k2)
-    out = _axpy(out, dt / 3.0, k3)
-    return _axpy(out, dt / 6.0, k4)
+    """One classical fourth-order step of y' = rhs(t, y) on a block ``y``: a
+    state whose amplitudes carry a leading member axis.  ``rhs`` maps a block
+    to one of the same shape; the step returns a fresh block."""
+    k = rhs(t, y).amps
+    out = y.amps + (dt / 6.0) * k
+    for step, weight in ((0.5 * dt, dt / 3.0), (0.5 * dt, dt / 3.0), (dt, dt / 6.0)):
+        k = rhs(t + step, y.with_amps(y.amps + step * k)).amps
+        out += weight * k
+    return y.with_amps(out)
 
 
 def check_state(y, t: float, norm0: float):
-    """Abort unless every leaf of ``y`` is finite and the lead state's norm
-    lies within ``DRIFT_ABORT`` of ``norm0``."""
-    if not _leaf_finite(y):
+    """Abort unless every member of the block ``y`` is finite and its lead,
+    row 0, has a norm (as a state) within ``DRIFT_ABORT`` of ``norm0``."""
+    if not np.isfinite(y.amps).all():
         raise IntegratorError(f"non-finite amplitudes at t={t:.6g}")
     drift = abs(_lead(y).norm() - norm0)
     if drift > DRIFT_ABORT:
@@ -70,12 +60,14 @@ def check_state(y, t: float, norm0: float):
 
 
 def march(rhs, y, i0: int, i1: int, dt: float, observer=None):
-    """Advance y' = rhs(t, y) from grid index i0 to i1 in steps of dt.
+    """Advance the block y' = rhs(t, y) from grid index i0 to i1 in steps of dt.
 
-    The state is guarded by ``check_state`` against the lead norm at i0 and
-    then passed to ``observer(i, t, y)`` at every grid index including both
-    endpoints.  Returns the state at i1.
+    The block is guarded by ``check_state`` against its lead's norm at i0
+    and then passed to ``observer(i, t, y)`` at every grid index including
+    both endpoints.  Returns the block at i1; i1 < i0 raises ``ValueError``.
     """
+    if i1 < i0:
+        raise ValueError(f"cannot march back from grid index {i0} to {i1}")
     norm0 = _lead(y).norm()
     for i in range(i0, i1 + 1):
         t = i * dt
@@ -114,9 +106,9 @@ def _stage_schedule(trajectory: HartreeTrajectory, i0: int, i1: int, particles: 
 
 def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, particles: int, sources: list):
     """The right-hand side -i [Htilde psi_i + C psi_c(i) + Q psi_q(i)] of a
-    list of members for ``rk4_step`` over the grid steps i0 .. i1-1.
+    block of members for ``rk4_step`` over the grid steps i0 .. i1-1.
 
-    ``sources`` is as in ``hamiltonians.apply_stage``.  The pieces of the
+    ``sources`` is as in ``hamiltonians.stage_entries``.  The pieces of the
     stages come precomputed from the trajectory, so the right-hand side
     must be called once per stage, in order; a call at another time than
     the next stage's raises ``ConsistencyError``.
@@ -130,7 +122,7 @@ def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, particles: int, s
         if pieces is None or abs(pieces.cond.t - time) > 1e-12:
             expected = "no further stage" if pieces is None else f"the stage at t={pieces.cond.t}"
             raise ConsistencyError(f"stage right-hand side called at t={time}, expected {expected}")
-        return stage_derivatives(pieces, members, entries, model)
+        return apply_stage(pieces, members, entries, model)
 
     return rhs
 
@@ -140,13 +132,16 @@ def evolve_full(psi0, t1: float, model: Model, t0: float = 0.0, observer=None):
 
     ``observer(i, t, psi)`` is called at every stored grid index including the
     endpoints.  Returns the final state; cumulative norm drift beyond
-    ``DRIFT_ABORT`` aborts.
+    ``DRIFT_ABORT`` aborts, and a time off the grid raises ``ValueError``.
     """
     dt = model.config.dt
-    i0, i1 = int(round(t0 / dt)), int(round(t1 / dt))
-    if i1 < i0:
-        raise ValueError("t1 must be >= t0")
-    return march(lambda t, y: -1j * apply_H(t, y, model), psi0.copy(), i0, i1, dt, observer)
+    i0, i1 = grid_index(t0, dt), grid_index(t1, dt)
+
+    def rhs(t, y):
+        return y.with_amps(-1j * apply_H(t, _lead(y), model).amps[None])
+
+    watch = None if observer is None else lambda i, t, y: observer(i, t, _lead(y))
+    return _lead(march(rhs, psi0.with_amps(psi0.amps[None].copy()), i0, i1, dt, watch))
 
 
 def evolve_aux(psi0, s: float, t: float, trajectory: HartreeTrajectory):
@@ -154,7 +149,5 @@ def evolve_aux(psi0, s: float, t: float, trajectory: HartreeTrajectory):
     at each stage is taken from the trajectory (``stage_rhs``)."""
     i0 = trajectory.index_of(s)
     i1 = trajectory.index_of(t)
-    if i1 < i0:
-        raise ValueError("t must be >= s")
     rhs = stage_rhs(trajectory, i0, i1, psi0.particles, [(None, None)])
-    return march(rhs, [psi0.copy()], i0, i1, trajectory.dt)[0]
+    return _lead(march(rhs, psi0.with_amps(psi0.amps[None].copy()), i0, i1, trajectory.dt))

@@ -53,7 +53,10 @@ def load_state(path):
         magic, tag, dim, sites_per_dim, particles, spacing = _HEADER.unpack(head)
         if magic != MAGIC:
             raise ConfigError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        payload = np.frombuffer(fh.read(), dtype="<c8").astype(np.complex128)
+        raw = fh.read()
+    if len(raw) % 8:
+        raise ConfigError(f"{path}: {len(raw)} payload bytes hold no whole number of amplitudes")
+    payload = np.frombuffer(raw, dtype="<c8").astype(np.complex128)
 
     m = sites_per_dim**dim
     cell = spacing**dim

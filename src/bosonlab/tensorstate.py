@@ -53,6 +53,10 @@ class TensorState:
     def copy(self) -> "TensorState":
         return TensorState(self.amps.copy(), self.cell)
 
+    def with_amps(self, amps) -> "TensorState":
+        """This grid's state, or block of states, with amplitudes ``amps``."""
+        return TensorState(amps, self.cell)
+
     def norm(self) -> float:
         return float(np.sqrt(self.cell**self.particles * np.vdot(self.amps, self.amps).real))
 

@@ -32,7 +32,9 @@ from bosonlab.propagation import evolve_aux, evolve_full
 def pair_apply(x, y, state):
     """sum_{i != j} X_i Y_j on an occupation state, ordered pairs counted:
     one folded kernel through ``fs.two_body_sums``."""
-    return fs.two_body_sums([state], [[(fs.fold_kernel(np.kron(y, x)), 0)]])[0]
+    out = fs.two_body_sums(fs.FockState(state.amps[None], state.space),
+                           [[(fs.fold_kernel(np.kron(y, x)), 0)]])
+    return fs.FockState(out.amps[0], state.space)
 
 
 def report(number, name, started, cap_seconds):

@@ -55,8 +55,18 @@ class TestDispatch:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    def test_missing_config_file(self, capsys):
+    def test_missing_config_file(self, cfg_path, tmp_path, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
+        # a directory where a file belongs is refused the same way
+        folder = str(tmp_path)
+        for argv in (["hartree", "--config", folder],
+                     ["hartree", "--config", cfg_path, "--out", folder],
+                     ["evolve", "--config", cfg_path, "--save", folder],
+                     ["evolve", "--config", cfg_path, "--load", folder]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("bosonlab: error: ") and "Traceback" not in err
 
 
 class TestCheck:
@@ -162,6 +172,16 @@ class TestCorrect:
         err = capsys.readouterr().err
         assert err.startswith("bosonlab: error: ") and "does not divide" in err
 
+    def test_t_final_within_the_grid_tolerance_runs(self, tmp_path, capsys):
+        # 5e-9 off the grid of dt = 0.01, inside the config rule's 1e-6 dt
+        path = tmp_path / "near.cfg"
+        path.write_text(SMALL_CFG.replace("t_final = 0.1", "t_final = 0.500000005")
+                        .replace("dt = 0.001", "dt = 0.01"))
+        assert main(["correct", "--config", str(path)]) == 0
+        assert main(["sweep", "--config", str(path), "--grid", "N=3", "--orders", "1,2",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_on_grid_t_matches_t_final(self, cfg_path, tmp_path):
         by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
         assert main(["correct", "--config", cfg_path, "--t", "0.05",
@@ -195,6 +215,12 @@ class TestFailureExitCodes:
         other = ts.random_symmetric(3, 2, 1.0, np.random.default_rng(0))
         save_state(snap, other, dimension=1, sites_per_dim=3)
         assert main(["evolve", "--config", cfg_path, "--load", str(snap)]) == 2
+        # a payload of no whole number of amplitudes
+        snap.write_bytes(snap.read_bytes()[:-3])
+        capsys.readouterr()
+        assert main(["evolve", "--config", cfg_path, "--load", str(snap)]) == 2
+        err = capsys.readouterr().err
+        assert "wrong.blab" in err and "Traceback" not in err
 
     def test_derived_values_in_config_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "derived.cfg"

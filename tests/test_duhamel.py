@@ -110,28 +110,46 @@ class TestHierarchyShape:
         assert sum(builds) == stages and len(builds) < stages
 
     def test_one_pair_gather_each_way_per_member_and_stage(self, setup):
+        # gathered member rows: one pair gather down of the whole block and
+        # one gather up per member, at each of the 4 stages of a step
         model, phi0, psi0, traj, hier, full = setup
         space = fs.FockSpace(psi0.space.basis, psi0.space.cell)
         psi = fs.FockState(psi0.amps.copy(), space)
         pair = space.ladders[1]
-        counts = {"annihilated": 0, "created": 0}
+        counts = {"down calls": 0, "down rows": 0, "up rows": 0}
+        annihilated, created = pair.annihilated, pair.created
 
-        def counted(name):
-            method = getattr(pair, name)
+        def counted_down(amps):
+            counts["down calls"] += 1
+            counts["down rows"] += math.prod(amps.shape[:-1])
+            return annihilated(amps)
 
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return method(*args, **kwargs)
+        def counted_up(lead):
+            counts["up rows"] += math.prod(lead)
+            return created(lead)
 
-            return wrapper
-
-        pair.annihilated, pair.created = counted("annihilated"), counted("created")
+        pair.annihilated, pair.created = counted_down, counted_up
         hierarchy_evolve(psi, 3, traj.dt, traj)
         members = len(hierarchy_indices(3))
-        assert counts == {"annihilated": 4 * members, "created": 4 * members}
-        counts.update(annihilated=0, created=0)
+        assert counts == {"down calls": 4, "down rows": 4 * members, "up rows": 4 * members}
+        counts.update({key: 0 for key in counts})
         evolve_aux(psi, 0.0, traj.dt, traj)
-        assert counts == {"annihilated": 4, "created": 4}
+        assert counts == {"down calls": 4, "down rows": 4, "up rows": 4}
+
+    @pytest.mark.parametrize("rep", ["fock", "tensor"])
+    def test_entries_are_not_overwritten_by_later_steps(self, rep):
+        model = make_model()
+        phi0 = default_phi0(model)
+        psi0 = build_product(model, phi0, rep)
+        traj = hartree_evolve(phi0, 0.0, 0.2, model)
+        first = hierarchy_evolve(psi0, 3, 0.003, traj)
+        kept = {key: state.amps.copy() for key, state in first.entries.items()}
+        assert all(state.amps.shape == psi0.amps.shape for state in first.entries.values())
+        hierarchy_evolve(psi0, 3, 0.005, traj)
+        hierarchy_evolve(0.5 * psi0, 3, 0.003, traj)
+        evolve_aux(psi0, 0.0, 0.003, traj)
+        for key, state in first.entries.items():
+            assert np.array_equal(state.amps, kept[key]), key
 
     def test_free_interaction_kills_sources(self):
         model = make_model(interaction_profile="zero")
@@ -223,14 +241,15 @@ class TestStageSchedule:
         model, phi0, traj = tabulated
         psi0 = build_product(model, phi0, "fock")
         dt = traj.dt
+        members = fs.FockState(psi0.amps[None], psi0.space)
         rhs = propagation.stage_rhs(traj, 3, 4, 3, [(None, None)])
         with pytest.raises(ConsistencyError, match="expected the stage at"):
-            rhs(3.5 * dt, [psi0])
+            rhs(3.5 * dt, members)
         rhs = propagation.stage_rhs(traj, 3, 4, 3, [(None, None)])
         for t in (3 * dt, 3 * dt + 0.5 * dt, 3 * dt + 0.5 * dt, 3 * dt + dt):
-            rhs(t, [psi0])
+            rhs(t, members)
         with pytest.raises(ConsistencyError, match="no further stage"):
-            rhs(4 * dt, [psi0])
+            rhs(4 * dt, members)
 
     def test_zero_pair_table_is_the_exact_free_lift(self):
         model = make_model(interaction_profile="zero")
@@ -238,11 +257,11 @@ class TestStageSchedule:
         psi0 = build_product(model, phi0, "fock")
         traj = hartree_evolve(phi0, 0.0, 0.2, model)
         cond = meanfield.condensate_at(traj.phis[:4], traj.times[:4], model)
-        members = [psi0, 0.5 * psi0]
+        members = fs.FockState(np.stack([psi0.amps, 0.5 * psi0.amps]), psi0.space)
+        entries = hamiltonians.stage_entries([(None, None), (0, 0)])
         for pieces in hamiltonians.stage_pieces(cond, model, 3):
-            out = hamiltonians.apply_stage(pieces, members, [(None, None), (0, 0)], model)
-            for got, psi in zip(out, members):
-                assert np.array_equal(got.amps, (-1j * fs.dgamma_apply(pieces.h1, psi)).amps)
+            out = hamiltonians.apply_stage(pieces, members, entries, model)
+            assert np.array_equal(out.amps, (-1j * fs.dgamma_apply(pieces.h1, members)).amps)
         hier = hierarchy_evolve(psi0, 3, 0.05, traj)
         assert all(state.norm() == 0.0 for (n, _), state in hier.entries.items() if n >= 1)
 

@@ -22,10 +22,16 @@ def random_phi(m, rng):
     return phi / np.sqrt(CELL * np.vdot(phi, phi).real)
 
 
+def block(states):
+    """The block (members, dim) of states on one space."""
+    return fs.FockState(np.stack([psi.amps for psi in states]), states[0].space)
+
+
 def two_body_apply(kernel, state):
     """a^+ a^+ (K . a a psi) for a (P, P) pair-channel kernel K, the
-    one-state case of ``fs.two_body_sums``."""
-    return fs.two_body_sums([state], [[(np.asarray(kernel), 0)]])[0]
+    one-row case of ``fs.two_body_sums``."""
+    out = fs.two_body_sums(block([state]), [[(np.asarray(kernel), 0)]])
+    return fs.FockState(out.amps[0], state.space)
 
 
 def pair_apply(x, y, state):
@@ -138,7 +144,7 @@ class TestDgamma:
     def test_mode_number_operator(self, space):
         number = np.diag([0.0, 1.0, 0.0])
         for b, occ in enumerate(space.basis.occupations):
-            unit = space.zero_state()
+            unit = fs.FockState(np.zeros(space.basis.dim, dtype=complex), space)
             unit.amps[b] = 1.0
             out = fs.dgamma_apply(number, unit)
             assert out.amps[b] == pytest.approx(occ[1])
@@ -162,6 +168,16 @@ class TestDgamma:
         rhs = fs.inner(fs.dgamma_apply(herm, b), a)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
+
+    def test_block_lift_is_the_lift_of_each_row(self, space):
+        rng = np.random.default_rng(23)
+        states = [fs.random_fock(space, rng) for _ in range(3)]
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        out = fs.dgamma_apply(x, block(states))
+        assert out.amps.shape == (3, space.basis.dim)
+        for row, psi in zip(out.amps, states):
+            one = fs.dgamma_apply(x, psi).amps
+            assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
 
     def test_result_survives_later_lifts(self, space):
         rng = np.random.default_rng(20)
@@ -462,13 +478,13 @@ class TestKernelShapes:
                    for _ in range(3)]
         terms = [[(kernels[0], 0)], [(kernels[0], 1), (kernels[1], 0)],
                  [(kernels[2], 2), (kernels[1], 1), (kernels[0], 0)], []]
-        out = fs.two_body_sums(states, terms)
-        assert len(out) == len(terms)
-        for got, entries in zip(out, terms):
-            expect = np.zeros_like(got.amps)
+        out = fs.two_body_sums(block(states), terms)
+        assert out.amps.shape == (len(terms), space.basis.dim)
+        for got, entries in zip(out.amps, terms):
+            expect = np.zeros_like(got)
             for kernel, j in entries:
                 expect += two_body_apply(kernel, states[j]).amps
-            assert np.abs(got.amps - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max())
+            assert np.abs(got - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max())
 
 
 class TestPairDiagonal:
@@ -495,7 +511,7 @@ class TestPairDiagonal:
 
 class TestEmbedExtract:
     def test_condensed_mode_is_delta_product(self, space):
-        unit = space.zero_state()
+        unit = fs.FockState(np.zeros(space.basis.dim, dtype=complex), space)
         unit.amps[space.basis.index_of((3, 0, 0))] = 1.0
         psi = fs.embed(unit)
         expect = np.zeros((3, 3, 3), dtype=complex)

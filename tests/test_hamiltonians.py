@@ -13,6 +13,7 @@ from bosonlab.hamiltonians import (
     decomposition_residual,
     pieces_at,
     projected_pair_sum,
+    stage_entries,
 )
 from bosonlab.duhamel import hierarchy_indices
 from bosonlab.meanfield import condensate_at, one_body_norm
@@ -32,6 +33,16 @@ def make_model(**over):
     }
     raw.update(over)
     return build_model(validate_config(raw))
+
+
+def block(states):
+    """The block of states of one representation, one row per state."""
+    return states[0].with_amps(np.stack([psi.amps for psi in states]))
+
+
+def rows(members):
+    """The rows of a block as states."""
+    return [members.with_amps(amps) for amps in members.amps]
 
 
 def random_phi(model, rng):
@@ -296,7 +307,7 @@ class TestProjectedPairSum:
         space = fs.FockSpace(fs.enumerate_basis(m, 3), model.cell)
         tensor = projected_pair_sum(psi, terms)
         (summed,) = fs.pair_kernels((terms,))
-        (fock,) = projected_pair_sum([fs.extract(psi, space)], [[(summed, 0)]])
+        (fock,) = rows(projected_pair_sum(block([fs.extract(psi, space)]), [[(summed, 0)]]))
         assert np.abs(fs.embed(fock).amps - tensor.amps).max() <= 1e-11
 
     def test_kernel_built_once_per_pieces(self, monkeypatch):
@@ -311,11 +322,11 @@ class TestProjectedPairSum:
             return build(*args)
 
         monkeypatch.setattr(fs, "pair_kernels", counting)
-        members = [fs.random_fock(space, rng) for _ in range(3)]
-        sources = [(None, None), (0, None), (None, 0)]
-        apply_stage(pieces, members, sources, model)
+        members = block([fs.random_fock(space, rng) for _ in range(3)])
+        entries = stage_entries([(None, None), (0, None), (None, 0)])
+        apply_stage(pieces, members, entries, model)
         kernels = pieces.ladder_kernels(3)
-        apply_stage(pieces, [fs.random_fock(space, rng) for _ in range(3)], sources, model)
+        apply_stage(pieces, block([fs.random_fock(space, rng) for _ in range(3)]), entries, model)
         assert pieces.ladder_kernels(3) is kernels
         assert len(builds) == 1
 
@@ -365,7 +376,7 @@ class TestApplyStage:
         else:
             space = fs.FockSpace(fs.enumerate_basis(m, n), model.cell)
             members = [fs.random_fock(space, rng) for _ in indices]
-        return pieces, members, sources
+        return pieces, block(members), sources
 
     @pytest.mark.parametrize("rep", ["fock", "tensor"])
     @pytest.mark.parametrize("lattice", ["1d-4", "2d-3x3"])
@@ -376,8 +387,9 @@ class TestApplyStage:
             model = make_model(dimension=2, sites_per_dim=3, torus_length=3.0, particles=3)
         rng = np.random.default_rng(80)
         pieces, members, sources = self.stage(model, rep, rng)
-        out = apply_stage(pieces, members, sources, model)
-        assert len(out) == len(members)
+        out = apply_stage(pieces, members, stage_entries(sources), model)
+        assert out.amps.shape == members.amps.shape
+        out, members = rows(out), rows(members)
         if rep == "fock":
             out, members = [fs.embed(got) for got in out], [fs.embed(psi) for psi in members]
         for got, psi, (c, q) in zip(out, members, sources):
@@ -394,8 +406,8 @@ class TestApplyStage:
         model = make_model(sites_per_dim=4, torus_length=4.0, particles=4, interaction_profile="zero")
         rng = np.random.default_rng(81)
         pieces, members, sources = self.stage(model, rep, rng)
-        out = apply_stage(pieces, members, sources, model)
-        for got, psi in zip(out, members):
+        out = apply_stage(pieces, members, stage_entries(sources), model)
+        for got, psi in zip(rows(out), rows(members)):
             expect = -1j * apply_Htilde(pieces, psi, model)
             assert np.array_equal(got.amps, expect.amps)
 
@@ -409,4 +421,4 @@ class TestApplyStage:
         else:
             psi = fs.product_fock(phi, fs.FockSpace(fs.enumerate_basis(3, 1), model.cell))
         with pytest.raises(ConfigError):
-            apply_stage(pieces_at(phi, 0.0, model), [psi], [(None, None)], model)
+            apply_stage(pieces_at(phi, 0.0, model), block([psi]), stage_entries([(None, None)]), model)

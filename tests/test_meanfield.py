@@ -250,8 +250,17 @@ class TestTrajectory:
         model = make_model(t_final=0.2)
         traj = mf.hartree_evolve(uniform_phi(model), 0.0, 0.2, model)
         assert traj.index_of(0.1) == 100
+        assert traj.index_of(0.1 + 1e-10) == 100  # within the grid tolerance 1e-6 dt
         with pytest.raises(ValueError):
             traj.index_of(0.25)
+        with pytest.raises(ValueError, match="not on the grid"):
+            traj.index_of(0.1 + 1e-8)
+
+    @pytest.mark.parametrize("t0,t1", [(0.0, 0.00149), (0.0005, 0.01)])
+    def test_off_grid_times_raise(self, t0, t1):
+        model = make_model(t_final=0.2)
+        with pytest.raises(ValueError, match="not on the grid"):
+            mf.hartree_evolve(uniform_phi(model), t0, t1, model)
 
     def test_condensate_caches_consistent(self):
         model = make_model(t_final=0.1)

@@ -9,6 +9,7 @@ from bosonlab.model import (
     OneBodyOperator,
     build_model,
     external_potential,
+    grid_index,
     laplacian,
     parse_config_file,
     sample_interaction,
@@ -80,6 +81,18 @@ class TestValidateConfig:
     def test_dt_must_divide_t_final(self):
         with pytest.raises(ConfigError):
             validate_config(small_raw(dt=3e-3, t_final=0.5))
+
+    def test_grid_rule_is_the_one_of_grid_index(self):
+        # 5e-9 off the grid of dt = 0.01: inside GRID_TOL * dt = 1e-8
+        assert validate_config(small_raw(dt=0.01, t_final=0.500000005)).t_final == 0.500000005
+        assert grid_index(0.500000005, 0.01) == 50
+        for t in (0.50000002, 0.00149, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not on the grid"):
+                grid_index(t, 0.01)
+        with pytest.raises(ConfigError, match="does not divide"):
+            validate_config(small_raw(dt=0.01, t_final=0.50000002))
+        with pytest.raises(ConfigError, match="does not divide"):
+            validate_config(small_raw(dt=1e-320, t_final=1.0))
 
     def test_rejects_d3(self):
         with pytest.raises(ConfigError):

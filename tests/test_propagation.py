@@ -40,55 +40,109 @@ def setup():
     return model, phi0, psi0, traj
 
 
+def one_row(psi):
+    """The block of one row holding psi."""
+    return psi.with_amps(psi.amps[None].copy())
+
+
 class TestStep:
     def test_zero_generator_is_identity(self, setup):
         model, _, psi0, _ = setup
-        out = march(schroedinger(lambda t, y: 0.0 * y), psi0, 0, 1, 1e-3)
-        assert (out - psi0).norm() == 0.0
+        y0 = one_row(psi0)
+        out = march(schroedinger(lambda t, y: 0.0 * y), y0, 0, 1, 1e-3)
+        assert (out - y0).norm() == 0.0
 
     def test_scalar_phase_accuracy(self, setup):
         # diagonal generator: one step matches exp(-i lambda dt) to O(dt^5)
         model, _, psi0, _ = setup
         lam = 1.7
         dt = 1e-2
-        out = march(schroedinger(lambda t, y: lam * y), psi0, 0, 1, dt)
-        exact = np.exp(-1j * lam * dt) * psi0
+        y0 = one_row(psi0)
+        out = march(schroedinger(lambda t, y: lam * y), y0, 0, 1, dt)
+        exact = np.exp(-1j * lam * dt) * y0
         assert (out - exact).norm() <= (lam * dt) ** 5 / 120.0 * 1.01
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_detected(self, setup):
         model, _, psi0, _ = setup
         with pytest.raises(IntegratorError):
-            march(schroedinger(lambda t, y: float("inf") * y), psi0, 0, 1, 1e-3)
+            march(schroedinger(lambda t, y: float("inf") * y), one_row(psi0), 0, 1, 1e-3)
 
     def test_norm_drift_per_step(self, setup):
         model, _, psi0, _ = setup
-        out = march(schroedinger(lambda t, y: apply_H(t, y, model)), psi0, 0, 1, model.config.dt)
+        out = march(schroedinger(lambda t, y: apply_H(t, y, model)), one_row(psi0), 0, 1, model.config.dt)
         assert abs(out.norm() - psi0.norm()) <= 1e-12
+
+
+def rows_scaled(*rates):
+    """The generator that multiplies row i of a block by rates[i]."""
+    return lambda t, y: y.with_amps(y.amps * np.reshape(rates, (-1, 1)))
 
 
 class TestGuard:
     def test_lead_drift_aborts(self, setup):
         _, _, psi0, _ = setup
         with pytest.raises(IntegratorError, match="drift"):
-            march(lambda t, y: 0.5 * y, psi0, 0, 1, 1e-3)
+            march(lambda t, y: 0.5 * y, one_row(psi0), 0, 1, 1e-3)
 
-    def test_lead_is_the_first_leaf(self, setup):
-        # a trailing leaf may grow; the first leaf is the guarded lead
+    def test_lead_is_the_first_row(self, setup):
+        # a trailing row may grow; the first row is the guarded lead
         _, _, psi0, _ = setup
-        out = march(lambda t, y: [0.0 * y[0], 0.5 * y[1]], [psi0, psi0.copy()], 0, 10, 1e-2)
-        assert out[1].norm() > 1.04 * psi0.norm()
-        assert (out[0] - psi0).norm() == 0.0
+        y0 = psi0.with_amps(np.stack([psi0.amps, psi0.amps]))
+        out = march(rows_scaled(0.0, 0.5), y0, 0, 10, 1e-2)
+        assert np.linalg.norm(out.amps[1]) > 1.04 * psi0.norm()
+        assert np.array_equal(out.amps[0], psi0.amps)
         with pytest.raises(IntegratorError, match="drift"):
-            march(lambda t, y: [0.5 * y[0], 0.0 * y[1]], [psi0, psi0.copy()], 0, 10, 1e-2)
+            march(rows_scaled(0.5, 0.0), y0, 0, 10, 1e-2)
 
-    def test_nan_in_a_trailing_leaf_aborts(self, setup):
-        _, phi0, psi0, _ = setup
-        bad = psi0.copy()
-        bad.amps[0] = np.nan
-        check_state([psi0, phi0, psi0], 0.0, psi0.norm())
+    def test_nan_in_a_trailing_row_aborts(self, setup):
+        _, _, psi0, _ = setup
+        y = psi0.with_amps(np.stack([psi0.amps] * 3))
+        check_state(y, 0.0, psi0.norm())
+        y.amps[2, 0] = np.nan
         with pytest.raises(IntegratorError, match="non-finite"):
-            check_state([psi0, phi0, bad], 0.0, psi0.norm())
+            check_state(y, 0.0, psi0.norm())
+
+    def test_lead_drift_is_measured_in_the_state_norm(self):
+        # on the tensor grid a state's norm carries cell^N = 0.125 here
+        model = make_model(torus_length=2.0)
+        psi0 = build_product(model, default_phi0(model), "tensor")
+        y = one_row(psi0)
+        assert abs(np.linalg.norm(y.amps) - psi0.norm()) > 1.0
+        check_state(y, 0.0, psi0.norm())
+        with pytest.raises(IntegratorError, match="drift"):
+            check_state(y, 0.0, float(np.linalg.norm(y.amps)))
+
+
+class TestRowsHandedOut:
+    def test_observed_states_are_not_overwritten(self, setup):
+        model, _, psi0, _ = setup
+        seen = []
+        final = evolve_full(psi0, 0.01, model,
+                            observer=lambda i, t, psi: seen.append((psi, psi.amps.copy())))
+        assert len(seen) == 11
+        for psi, kept in seen:
+            assert psi.amps.shape == psi0.amps.shape
+            assert np.array_equal(psi.amps, kept)
+        assert np.array_equal(seen[-1][0].amps, final.amps)
+
+    def test_observed_blocks_are_not_overwritten(self, setup):
+        model, _, psi0, _ = setup
+        seen = []
+        y0 = psi0.with_amps(np.stack([psi0.amps, 0.5 * psi0.amps]))
+        march(schroedinger(lambda t, y: apply_H(t, y, model)), y0, 0, 5, model.config.dt,
+              observer=lambda i, t, y: seen.append((y, y.amps.copy())))
+        assert len(seen) == 6
+        for y, kept in seen:
+            assert np.array_equal(y.amps, kept)
+
+    def test_initial_state_is_not_modified(self, setup):
+        model, _, psi0, traj = setup
+        kept = psi0.amps.copy()
+        evolve_full(psi0, 0.01, model)
+        evolve_aux(psi0, 0.0, 0.01, traj)
+        evolve_aux(psi0, 0.01, 0.01, traj).amps[:] = 0.0
+        assert np.array_equal(psi0.amps, kept)
 
 
 class TestEvolveFull:
@@ -118,6 +172,17 @@ class TestEvolveFull:
         model, _, psi0, _ = setup
         out = evolve_full(psi0, 0.5, model)
         assert abs(out.norm() - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("t0,t1", [(0.0, 0.00149), (0.0005, 0.01)])
+    def test_off_grid_times_raise(self, setup, t0, t1):
+        model, _, psi0, _ = setup
+        with pytest.raises(ValueError, match="not on the grid"):
+            evolve_full(psi0, t1, model, t0=t0)
+
+    def test_backward_span_is_refused(self, setup):
+        model, _, psi0, _ = setup
+        with pytest.raises(ValueError, match="march back"):
+            evolve_full(psi0, 0.005, model, t0=0.01)
 
     def test_observer_called_on_grid(self, setup):
         model, _, psi0, _ = setup
@@ -170,9 +235,9 @@ class TestGeneratorConsistency:
         action = apply_H(0.0, psi0, model)
         defects = []
         for dt in (4e-3, 2e-3, 1e-3):
-            stepped = march(schroedinger(lambda t, y: apply_H(t, y, model)), psi0, 0, 1, dt)
-            quotient = (1j / dt) * (stepped - psi0)
-            defects.append((quotient - action).norm())
+            stepped = march(schroedinger(lambda t, y: apply_H(t, y, model)), one_row(psi0), 0, 1, dt)
+            quotient = (1j / dt) * (stepped.amps[0] - psi0.amps)
+            defects.append(np.linalg.norm(quotient - action.amps))
         assert defects[0] > defects[1] > defects[2]
 
     def test_step_order_at_least_3_8(self, setup):
@@ -181,7 +246,8 @@ class TestGeneratorConsistency:
         model, _, psi0, _ = setup
         rhs = schroedinger(lambda t, y: apply_H(t, y, model))
         dt = 4e-2
-        ref = march(rhs, psi0, 0, 32, dt / 32)
-        e1 = (march(rhs, psi0, 0, 1, dt) - ref).norm()
-        e2 = (march(rhs, psi0, 0, 2, dt / 2) - ref).norm()
+        y0 = one_row(psi0)
+        ref = march(rhs, y0, 0, 32, dt / 32)
+        e1 = (march(rhs, y0, 0, 1, dt) - ref).norm()
+        e2 = (march(rhs, y0, 0, 2, dt / 2) - ref).norm()
         assert np.log2(e1 / e2) >= 3.8

@@ -54,6 +54,9 @@ def test_payload_size_validated(tmp_path):
     path.write_bytes(data[:-8])  # drop one complex64 amplitude
     with pytest.raises(ConfigError):
         load_state(path)
+    path.write_bytes(data[:-3])  # and a payload of no whole number of amplitudes
+    with pytest.raises(ConfigError, match="state.blab"):
+        load_state(path)
 
 
 def test_2d_geometry_preserved(tmp_path):
