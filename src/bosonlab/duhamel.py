@@ -209,17 +209,21 @@ def quadrature_Tnk(n: int, k: int, t: float, psi0, trajectory: HartreeTrajectory
             add(i, outer_w[pos] * (-1j) * _insertion(label, node_pieces[i], chi[i], model))
         return _accumulate_to_end(contribs, nodes, trajectory)
 
+    # The inner trapezoid from node i weighs the insertion at a later node
+    # j by delta (delta/2 at the last node, and at j = i unless i is last),
+    # so by linearity of the flow one running sum R_j = sum_{i < j} w_i
+    # U(j, i) inner_i serves every outer node: node j inserts into
+    # delta R_j + delta/2 w_j inner_j, or delta/2 R_j at the last node.
+    last = len(nodes) - 1
     for j1, j2 in tuples:
-        for pos_i, i in enumerate(nodes):
-            tail = nodes[pos_i:]
-            inner_w = _trap_weights(len(tail), delta)
-            inner = (-1j) * _insertion(j1, node_pieces[i], chi[i], model)
-            for pos_j, j in enumerate(tail):
-                weight = outer_w[pos_i] * inner_w[pos_j]
-                if weight != 0.0:
-                    add(j, weight * (-1j) * _insertion(j2, node_pieces[j], inner, model))
-                if pos_j < len(tail) - 1:
-                    inner = evolve_aux(inner, j * dt, tail[pos_j + 1] * dt, trajectory)
+        running = 0.0 * psi0
+        for pos, i in enumerate(nodes):
+            if pos == last:
+                add(i, (-1j) * _insertion(j2, node_pieces[i], 0.5 * delta * running, model))
+                break
+            inner = outer_w[pos] * (-1j) * _insertion(j1, node_pieces[i], chi[i], model)
+            add(i, (-1j) * _insertion(j2, node_pieces[i], delta * running + 0.5 * delta * inner, model))
+            running = evolve_aux(running + inner, i * dt, nodes[pos + 1] * dt, trajectory)
     return _accumulate_to_end(contribs, nodes, trajectory)
 
 

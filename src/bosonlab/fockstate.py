@@ -34,10 +34,9 @@ lift dGamma(h) = sum h[r, s] a_r^+ a_s is two O(dim M) gathers around one
 M x M product.  A two-body operator a^+ a^+ (K . a a psi) is one pair gather
 down, one (P, P) product and one gather up: its kernel is folded over the
 orderings of each pair (``fold_kernel``), so an operator built from several
-projected pair terms costs one application.  ``pair_kernels`` builds the
-kernels of several such operators in one pass, with any prefactor folded in
-and each factor outer product computed once.  ``two_body_sums`` is the
-only two-body apply: it applies kernels to a block of states, one
+projected pair terms costs one application; ``hamiltonians`` builds the
+kernels of its split operators in that form directly.  ``two_body_sums`` is
+the only two-body apply: it applies kernels to a block of states, one
 (members, dim) array, with one pair gather down and one up, whatever the
 number of kernels an output sums; ``dgamma_apply`` also lifts a whole
 block at once.  Products run in blocks small enough that OpenBLAS keeps
@@ -66,7 +65,6 @@ __all__ = [
     "enumerate_basis",
     "dgamma_apply",
     "fold_kernel",
-    "pair_kernels",
     "two_body_sums",
     "embed",
     "extract",
@@ -126,8 +124,7 @@ def _channels(sites: int) -> tuple:
     1/2 per diagonal channel.
 
     The fold indices are four (P, P) tables of flat positions in an ordered
-    kernel laid out as [(rho', s'), (rho, s)], the layout of the product in
-    ``pair_kernels``: entry [(a, a'), (b, b')] of each table reads one of the
+    kernel laid out as [(rho', s'), (rho, s)]: entry [(a, a'), (b, b')] of each table reads one of the
     orderings (rho', rho) in {(a, a'), (a', a)}, (s', s) in {(b, b'), (b', b)}.
     """
     s, t = np.triu_indices(sites)
@@ -543,12 +540,7 @@ def _fold(raw: np.ndarray) -> np.ndarray:
     """The (P, P) pair-channel form of an ordered kernel laid out as
     [(rho', s'), (rho, s)], or of each kernel of a stack of them: four
     gathers through the fold tables of ``_channels``, weighted by 1/2 per
-    diagonal channel index.
-
-    Every temporary is (P, P) per kernel: one (4, P, P) gather (130 kB at
-    M = 9) made glibc grow and trim its heap on every build, thousands of
-    fresh-page faults per 2D solve; for the same reason the builds of one
-    ``pair_kernels`` call share one product buffer."""
+    diagonal channel index."""
     _, _, fold, weight = _channels(math.isqrt(raw.shape[-1]))
     flat = raw.reshape(*raw.shape[:-2], -1)
     out = flat.take(fold[0], axis=-1)
@@ -575,90 +567,10 @@ def fold_kernel(kernel) -> np.ndarray:
     return _fold(kern.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m))
 
 
-def pair_kernels(operators, scale: float = 1.0) -> tuple:
-    """(P, P) pair-channel kernels, one per operator.  An operator is a
-    sequence of terms (weight, k, A, C, B, D), each standing for
-
-        scale * weight * sum_{i != j} (A E_r C)_i (B E_s D)_j k[r, s],  E_r = |r><r|.
-
-    The factors A, C, B, D of all terms share one shape: (M, M), or
-    (S, M, M) with a leading stage axis, and each kernel k is then either
-    stacked too or one (M, M) table for every stage; each returned kernel
-    is (S, P, P), one per stage.
-
-    With the factor outer products XY[r, (rho, s)] = X[rho, r] Y[r, s], a
-    term's ordered kernel in the layout [(rho', s'), (rho, s)] is
-
-        sum_{r, q} B[rho', q] A[rho, r] k[r, q] D[q, s'] C[r, s] = BD^T (k^T AC).
-
-    Factors and kernels are told apart by object identity.  Every distinct
-    factor pair gets its outer product once, and every distinct (k, AC) its
-    right-hand side k^T AC once, for all operators.  Within an operator the
-    weighted right-hand sides of terms that share (B, D) are summed, and the
-    left factors BD of sums that come out equal are summed as well; the
-    products BD^T (sum), in serial blocks (``_product``), accumulate into
-    the ordered kernel, which ``_fold`` folds straight from that layout.
-    """
-    factors, factor_at = [], {}  # (X, Y) of each outer product XY; (id X, id Y) -> index
-    rights, right_at = [], {}  # (k, index of AC) of each k^T AC; (id k, index of AC) -> index
-    plans = []  # per operator: (BD indices, ((right-hand side, weight), ...)) per block
-
-    def position(found, at, key, item):
-        if key not in at:
-            at[key] = len(found)
-            found.append(item)
-        return at[key]
-
-    for op in operators:
-        sums: dict = {}  # BD index -> {right-hand side: summed weight}
-        for weight, k, a, c, b, d in op:
-            ac = position(factors, factor_at, (id(a), id(c)), (a, c))
-            bd = position(factors, factor_at, (id(b), id(d)), (b, d))
-            j = position(rights, right_at, (id(k), ac), (k, ac))
-            acc = sums.setdefault(bd, {})
-            acc[j] = acc.get(j, 0.0) + scale * weight
-        lefts: dict = {}  # equal weighted sums -> the BD indices they multiply
-        for bd, acc in sums.items():
-            lefts.setdefault(tuple(sorted(acc.items())), []).append(bd)
-        plans.append([(bds, acc) for acc, bds in lefts.items()])
-
-    xy = np.array(factors, dtype=np.complex128)  # (outer products, 2, *lead, M, M)
-    lead, m = xy.shape[2:-2], xy.shape[-1]
-    outer = (np.swapaxes(xy[:, 0], -1, -2)[..., None] * xy[:, 1, ..., None, :]).reshape(
-        len(factors), *lead, m, m * m)
-    kt = np.empty((len(rights), *lead, m, m), dtype=np.complex128)
-    for (k, _), out in zip(rights, kt):
-        out[...] = np.swapaxes(k, -1, -2)
-    kac = np.empty((len(rights), *lead, m, m * m), dtype=np.complex128)
-    _product(kt, outer[[ac for _, ac in rights]], kac)
-
-    raw = np.empty((*lead, m * m, m * m), dtype=np.complex128)
-    extra = None
-    kernels = []
-    for plan in plans:
-        for n, (bds, acc) in enumerate(plan):
-            left = outer[bds[0]]
-            for f in bds[1:]:
-                left = left + outer[f]
-            (j, weight), *rest = acc
-            right = weight * kac[j]
-            for j, weight in rest:
-                right += weight * kac[j]
-            if n == 0:
-                _product(np.swapaxes(left, -1, -2), right, raw)
-                continue
-            if extra is None:
-                extra = np.empty_like(raw)
-            _product(np.swapaxes(left, -1, -2), right, extra)
-            raw += extra
-        kernels.append(_fold(raw))
-    return tuple(kernels)
-
-
 def two_body_sums(block: FockState, terms) -> FockState:
     """Row i of the result is the sum over (K, j) in terms[i] of
     a^+ a^+ (K . a a block[j]), for (P, P) pair-channel kernels K
-    (``fold_kernel``, ``pair_kernels``) and a block of states (members, dim).
+    (``fold_kernel``, ``hamiltonians.EffectivePieces.ladder_kernels``) and a block of states (members, dim).
 
     The block is pair-annihilated to N - 2 particles in one gather and the
     outputs are created in one gather back up, whatever the number of terms;

@@ -23,9 +23,10 @@ P = M(M+1)/2 unordered pair channels, with 1/(N-1) folded in
 (``EffectivePieces.ladder_kernels``); the tensor route, its cross-check,
 works row by row and takes 2M + 1 one-body lifts per term and scales by
 1/(N-1).  ``stage_pieces`` builds h1 (h0 at each stage's time) and the
-kernels of up to ``stage_batch`` stages in one ``fockstate.pair_kernels``
-call; ``pieces_at`` builds one condensate's pieces, its kernels on first
-use.  The prefactor lives in this module and nowhere else.
+kernels of up to ``stage_batch`` stages in one closed-form build from the
+rank-one condensate projector (``_ladder_kernels``); ``pieces_at`` builds
+one condensate's pieces, its kernels on first use.  The prefactor lives in
+this module and nowhere else.
 """
 
 from __future__ import annotations
@@ -101,13 +102,10 @@ def interaction_sum(state, model: Model):
     return fs.FockState(diag * state.amps, state.space)
 
 
-# Byte bound on the temporaries of one ``stage_pieces`` build (``stage_batch``):
-# 16 stages at M = 4, 1 at M = 9.  Building the stages of the 200 steps of
-# the N = 12, M = 4 benchmark solve took 27-32 ms at this bound, 41-47 ms at
-# 256 kB (8 stages) and 172-192 ms one stage at a time (best of 7 in one
-# process, three runs, shared 2-core VM).  At 768 kB (24 stages) it took
-# 26-29 ms, but glibc then grows and trims its heap around the larger
-# temporaries: ~1975 minor faults per fresh-process solve against ~57 here.
+# Byte bound on the temporaries of one ``stage_pieces`` build (``stage_batch``).
+# At 768 kB glibc grew and trimmed its heap around an earlier build's
+# temporaries: ~1975 minor faults per fresh-process N = 12, M = 4 solve
+# against ~57 at this bound.
 STAGE_BATCH_BYTES = 512 * 1024
 
 
@@ -115,15 +113,15 @@ def stage_batch(sites: int) -> int:
     """Stages per ``stage_pieces`` build: as many as keep its temporaries
     within ``STAGE_BATCH_BYTES``, and at least one.
 
-    Per stage, in complex entries: three factor outer products, the four
-    AC they feed to k^T AC, the four k^T AC and one block's summed left
-    factor, right-hand side and weighted term, (M, M^2) each; the ordered
-    product and its second block, (M^2, M^2) each; three kernels and one
-    fold gather, (P, P) each; and fifteen (M, M) tables (h1, p, q, the
-    centred kernels, the transposed kernels and the factor pairs).
+    Per stage, what ``_ladder_kernels`` holds at its product, its peak, in
+    complex entries: three (P, P) kernels, the two factors, 3 x (2(M+1), P)
+    each, G^ (M+1, P), R 3 x (M+1, M+1) and the real tables 3 x (M, M), at
+    half the bytes; h1 (M, M); and 4 kB for the pieces' small arrays and
+    Python objects (measured with ``tracemalloc``: 21 kB per stage at M = 4,
+    207 kB at M = 9).
     """
     m, p = sites, sites * (sites + 1) // 2
-    per_stage = 16 * (14 * m**3 + 2 * m**4 + 4 * p * p + 15 * m * m)
+    per_stage = 16 * (3 * p * p + 13 * (m + 1) * p + 3 * (m + 1) ** 2 + 3 * m * m) + 4096
     return max(1, STAGE_BATCH_BYTES // per_stage)
 
 
@@ -138,21 +136,108 @@ def _h1(cond: Condensate, h0: np.ndarray) -> np.ndarray:
     return h1
 
 
+# The pair terms of Htilde, C and Q without the 1/(N-1) prefactor, as
+# (weight, AB, CD): weight * (A (x) B) diag(k) (C (x) D) on two particles,
+# summed over ordered pairs, with k = w, z0 and z in turn (``_tables``).
+_SPLIT = (
+    # p_i q_j v q_i p_j summed with its adjoint over ordered pairs; then
+    # p_i p_j v q_i q_j and its adjoint, each symmetric under i <-> j
+    ((1.0, "pq", "qp"), (0.5, "pp", "qq"), (0.5, "qq", "pp")),
+    ((1.0, "qq", "qp"), (1.0, "qp", "qq")),
+    ((0.5, "qq", "qq"),),
+)
+
+# (a, b1, b2, b3) of S(A (x) B) = a S + G (b1 E1^H + b2 E2^H) + b3 g e^H
+_EXPANSION = {"pp": (0, 0, 0, 1), "pq": (0, 1, 0, -1), "qp": (0, 0, 1, -1), "qq": (1, -1, -1, 1)}
+
+# c0 .. c9 of each operator (``_ladder_kernels``), (10, 3, 1)
+_SCALARS = np.array([sum(weight * np.array([a * c, a * (d1 + d2), a * d3, c * (b1 + b2), c * b3,
+                                            b1 * d1 + b2 * d2, b1 * d2 + b2 * d1, (b1 + b2) * d3,
+                                            b3 * (d1 + d2), b3 * d3])
+                         for weight, ab, cd in op
+                         for (a, b1, b2, b3), (c, d1, d2, d3) in [(_EXPANSION[ab], _EXPANSION[cd])])
+                     for op in _SPLIT]).T[..., None]
+
+
+def _tables(cond: Condensate, model: Model) -> np.ndarray:
+    """The kernels w, z0 and z of Htilde, C and Q, (3, M, M), or (S, 3, M, M)
+    over a stack of condensates: the pair table and the centred kernel
+    w(r-s) - vbar(r) - vbar(s) without and with 2 mu."""
+    w, vbar = model.pair.mat, cond.vbar
+    k = np.empty((*vbar.shape[:-1], 3, *w.shape))
+    k[..., 0, :, :] = w
+    k[..., 1, :, :] = w - vbar[..., :, None] - vbar[..., None, :]
+    k[..., 2, :, :] = k[..., 1, :, :] + 2.0 * np.asarray(cond.mu)[..., None, None]
+    return k
+
+
 def _pair_terms(cond: Condensate, model: Model) -> tuple:
-    """The pair terms of Htilde, C and Q without the 1/(N-1) prefactor, at
-    one condensate, or with factors p, q and the centred kernels stacked
-    (S, M, M) over a stack of them; w is shared."""
+    """The pair terms (weight, k, A, C, B, D) of Htilde, C and Q without the
+    1/(N-1) prefactor, at one condensate, or with factors p, q and kernels
+    stacked (S, M, M) over a stack of them."""
     p, q = ts.projector_matrices(cond.phi, model.cell)
-    w = model.pair.mat
-    z_no_mu = w - cond.vbar[..., :, None] - cond.vbar[..., None, :]
-    z = z_no_mu + 2.0 * np.asarray(cond.mu)[..., None, None]
-    return (
-        # p_i q_j v q_i p_j summed with its adjoint over ordered pairs; then
-        # p_i p_j v q_i q_j and its adjoint, each symmetric under i <-> j
-        ((1.0, w, p, q, q, p), (0.5, w, p, q, p, q), (0.5, w, q, p, q, p)),
-        ((1.0, z_no_mu, q, q, q, p), (1.0, z_no_mu, q, q, p, q)),
-        ((0.5, z, q, q, q, q),),
-    )
+    factor, k = {"p": p, "q": q}, _tables(cond, model)
+    return tuple(tuple((weight, k[..., i, :, :], factor[ab[0]], factor[cd[0]], factor[ab[1]], factor[cd[1]])
+                       for weight, ab, cd in op)
+                 for i, op in enumerate(_SPLIT))
+
+
+def _ladder_kernels(cond: Condensate, model: Model, scale: float) -> np.ndarray:
+    """The (P, P) pair-channel kernels of Htilde, C and Q times ``scale``,
+    (3, P, P) at one condensate or (S, 3, P, P) over a stack, in closed form.
+
+    u = sqrt(cell) phi gives p = u u^H, normalised or not.  S maps ordered
+    site pairs to the channels c = (s <= t), m_c = 2 for s < t and 1 for
+    s = t; G = S(u (x) 1) = S(1 (x) u) has G[c] = u_s e_t + u_t e_s (the
+    second for s < t) and g = S(u (x) u) = G u.  A term's kernel is
+    S (A (x) B) diag(k) (C (x) D) S^T, each factor pair expanding as in
+    ``_EXPANSION`` with E1 = u (x) 1, E2 = 1 (x) u and e = u (x) u.  For
+    real symmetric k (an even pair table, which ``validate_config``
+    requires) the pieces between are closed, with n = |u|^2:
+    S k S^T = diag(m_c k_st), S k E_i = diag(k_st) G, S k e = diag(k_st) g,
+    E_i^H k E_i = diag(k n), E1^H k E2 = (u u^H) o k, E_i^H k e = u o (k n)
+    and e^H k e = n^T k n.  So an operator's kernel is
+
+        diag(c0 m_c k_st) + [X + G^ M^ | G^] @ [G^H ; Y],  G^ = [G | g],
+
+    with X = diag(k_st) G^ diag(c1, .., c1, c2), Y = diag(c3, .., c3, c4)
+    G^H diag(k_st), M^ = [[c5 diag(k n) + c6 (u u^H) o k, c7 u o (k n)],
+    [c8 conj(u o (k n))^T, c9 n^T k n]] and ``_SCALARS`` c0 .. c9.  As
+    g = G u, G^ M^ = G (M^[:M] + u M^[M]), two rows per channel.  One
+    stacked product (``fockstate._product``) gives every kernel; nothing
+    is (M^2, M^2) and nothing is folded.
+    """
+    m = cond.phi.shape[-1]
+    s, t = fs._channels(m)[:2]
+    p, lead, c = len(s), cond.phi.shape[:-1], scale * _SCALARS
+    u = np.sqrt(model.cell) * cond.phi
+    n = (u * u.conj()).real
+    first, second = u[..., s], u[..., t] * (s != t)  # G[c] = first e_t + second e_s
+    hat = np.zeros((*lead, m + 1, p), dtype=np.complex128)  # G^ transposed
+    hat.reshape(*lead, -1)[..., t * p + np.arange(p)] = first
+    hat.reshape(*lead, -1)[..., s * p + np.arange(p)] += second
+    hat[..., m, :] = first * u[..., t] + second * u[..., s]
+    k = _tables(cond, model)
+    kc = k[..., None, s, t]  # (..., 3, 1, P)
+    kn = (k * n[..., None, None, :]).sum(axis=-1)
+    rows = np.zeros((*k.shape[:-2], m + 1, m + 1), dtype=np.complex128)  # R transposed, a zero column last
+    rows[..., :m, :m] = (c[6, :, :, None] * k + c[8, :, :, None] * kn[..., :, None]) * u.conj()[..., None, :, None]
+    rows[..., m, :m] = c[7] * kn + c[9] * (kn * n[..., None, :]).sum(axis=-1, keepdims=True)
+    rows[..., :m] *= u[..., None, None, :]
+    rows.reshape(*rows.shape[:-2], -1)[..., : m * (m + 2) : m + 2] += c[5] * kn
+    last = (np.arange(m + 1) == m)[:, None]  # the g row of G^ transposed
+    left = np.empty((*k.shape[:-2], 2 * m + 2, p), dtype=np.complex128)  # transposed
+    np.multiply(rows.take(t, axis=-1), first[..., None, None, :], out=left[..., : m + 1, :])
+    left[..., : m + 1, :] += rows.take(np.where(s != t, s, m), axis=-1) * second[..., None, None, :]
+    left[..., : m + 1, :] += np.where(last, c[2, :, :, None], c[1, :, :, None]) * kc * hat[..., None, :, :]
+    left[..., m + 1:, :] = hat[..., None, :, :]
+    right = np.empty_like(left)
+    right[..., : m + 1, :] = hat.conj()[..., None, :, :]
+    right[..., m + 1:, :] = np.where(last, c[4, :, :, None], c[3, :, :, None]) * kc * right[..., : m + 1, :]
+    out = np.empty((*k.shape[:-2], p, p), dtype=np.complex128)
+    fs._product(np.swapaxes(left, -1, -2), right, out)
+    out.reshape(*out.shape[:-2], -1)[..., :: p + 1] += c[0] * np.where(s == t, 1.0, 2.0) * kc[..., 0, :]
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,9 +248,10 @@ class EffectivePieces:
     -Lap + V_ext(t) + diag(vbar) - mu, the one M x M Hartree table, built
     here because the N-body lift in Htilde needs it.  ``_terms`` holds the
     pair terms of Htilde, C and Q, in that order, without the 1/(N-1)
-    prefactor, built from ``cond`` on first use.  Q uses the centred kernel
-    w(r-s) - vbar(r) - vbar(s) + 2 mu; C uses it without the 2 mu shift,
-    which two orthogonal projector pairs annihilate anyway.
+    prefactor, built from ``cond`` on first use for the tensor route.  Q
+    uses the centred kernel w(r-s) - vbar(r) - vbar(s) + 2 mu; C uses it
+    without the 2 mu shift, which two orthogonal projector pairs annihilate
+    anyway.
 
     ``batch`` lets a symmetric occupation space check the tables of a whole
     ``stage_pieces`` build at once: (table, kind, parts) triples for
@@ -186,12 +272,12 @@ class EffectivePieces:
 
     def ladder_kernels(self, particles: int) -> tuple:
         """The (P, P) kernels of Htilde, C and Q on ``particles`` bosons with
-        the 1/(N-1) prefactor folded in, from one ``fockstate.pair_kernels``
-        build on first use (``stage_pieces`` builds them for a whole batch),
-        kept for later calls."""
+        the 1/(N-1) prefactor folded in, from one ``_ladder_kernels`` build
+        on first use (``stage_pieces`` builds them for a whole batch), kept
+        for later calls."""
         kernels = self._kernels.get(particles)
         if kernels is None:
-            kernels = fs.pair_kernels(self._terms, 1.0 / (particles - 1))
+            kernels = tuple(_ladder_kernels(self.cond, self.model, 1.0 / (particles - 1)))
             self._kernels[particles] = kernels
         return kernels
 
@@ -199,7 +285,7 @@ class EffectivePieces:
 def stage_pieces(cond: Condensate, model: Model, particles: int) -> list:
     """The pieces of every stage of a stacked condensate (phi (S, M)), in
     order, with the ladder kernels on ``particles`` bosons built for all S
-    stages in one ``fockstate.pair_kernels`` call.
+    stages in one ``_ladder_kernels`` call.
 
     S should not exceed ``stage_batch``.  Below two particles there is no
     1/(N-1) and ``ConfigError`` is raised.
@@ -207,7 +293,7 @@ def stage_pieces(cond: Condensate, model: Model, particles: int) -> list:
     _require_pairs(particles)
     h0 = model.h0(cond.t)
     h1s = tuple(_h1(cond, h0))
-    stages = list(zip(*fs.pair_kernels(_pair_terms(cond, model), 1.0 / (particles - 1))))
+    stages = [tuple(stage) for stage in _ladder_kernels(cond, model, 1.0 / (particles - 1))]
     # h1 and the kernels are functions of h0, the pair table and the stage
     # condensates (vbar and mu follow from phi), so they are invariant under
     # a lattice symmetry when those are

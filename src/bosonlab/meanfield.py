@@ -172,14 +172,17 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
     """Integrate the Hartree equation over the global grid, storing every step.
 
     No renormalisation is applied; the norm drift is a diagnostic, aborting
-    above 1e-6.  A time off the grid raises ``ValueError``.
+    above 1e-6.  A time off the grid raises ``ValueError``, and so does a
+    start other than t0 = 0: a trajectory counts its grid indices from 0
+    (``HartreeTrajectory.index_of``, ``phi``).
     """
     cfg = model.config
     dt = cfg.dt
-    i0, i1 = grid_index(t0, dt), grid_index(t1, dt)
-    if i1 < i0:
+    if grid_index(t0, dt) != 0:
+        raise ValueError(f"a Hartree trajectory starts at t0 = 0, got t0={t0}")
+    steps = grid_index(t1, dt)
+    if steps < 0:
         raise ValueError("t1 must be >= t0")
-    steps = i1 - i0
     phi = np.asarray(phi0, dtype=np.complex128).copy()
     m = phi.size
     phis = np.empty((steps + 1, m), dtype=np.complex128)
@@ -187,7 +190,7 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
 
     norm0 = one_body_norm(phi, model.cell)
     for k in range(steps + 1):
-        t = (i0 + k) * dt
+        t = k * dt
         phis[k] = phi
         norms[k] = one_body_norm(phi, model.cell)
         if abs(norms[k] - norm0) > DRIFT_ABORT:
@@ -199,7 +202,7 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
             if not np.all(np.isfinite(phi)):
                 raise IntegratorError(f"non-finite condensate amplitudes after step at t={t:.6g}")
 
-    times = (np.arange(steps + 1) + i0) * dt
+    times = np.arange(steps + 1) * dt
     return HartreeTrajectory(model=model, times=times, phis=phis, norms=norms)
 
 

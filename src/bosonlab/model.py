@@ -218,6 +218,13 @@ def validate_config(raw, correction_run: bool = False) -> ModelConfig:
             f"tabulated interaction requires ModelConfig.interaction_samples{_API_ONLY}")
     if cfg.interaction_profile == "tabulated" and cfg.beta != 0.0:
         raise ConfigError("tabulated interaction samples support beta=0 only")
+    if cfg.interaction_profile == "tabulated" and len(cfg.interaction_samples) == cfg.site_count:
+        # w(x_a - x_b) = w(x_b - x_a): the exact split needs a symmetric pair table
+        values = np.asarray(cfg.interaction_samples, dtype=float).reshape((L,) * d)
+        gap = np.abs(values - values[np.ix_(*[-np.arange(L) % L] * d)]).max()
+        if gap > 1e-12 * np.abs(values).max():
+            raise ConfigError(f"interaction_samples must be even, values[delta] = values[-delta mod L] "
+                              f"in every component; they differ by {gap:.3g}")
     if cfg.potential_kind == "tabulated" and cfg.potential_table is None:
         raise ConfigError(f"tabulated potential requires ModelConfig.potential_table{_API_ONLY}")
 

@@ -16,8 +16,9 @@ members, so ``stage_rhs`` takes it from the Hartree trajectory: for a chunk
 of grid steps one vectorised ``meanfield.rk4_stages`` pass gives the four
 stage condensates of each step from its grid phi, and
 ``hamiltonians.stage_pieces`` builds their pieces ``stage_batch`` stages at
-a time.  The right-hand side consumes them in stage order and refuses a
-stage whose time is not the one it is called at.
+a time, the pair-channel kernels of a build in closed form from the stage
+condensates.  The right-hand side consumes them in stage order and refuses
+a stage whose time is not the one it is called at.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ def march(rhs, y, i0: int, i1: int, dt: float, observer=None):
 
 
 # Steps per ``rk4_stages`` pass at least.  A pass costs ~25 small numpy calls
-# however many steps it covers: at M = 9, one stage per build, the stage
-# condensates of a 20-step hierarchy took 2.9 ms one step at a time and
-# 0.6 ms eight at a time (best of 3 in one process, shared 2-core VM).
+# however many steps it covers: at M = 9 the stage condensates of a 20-step
+# hierarchy took 2.9 ms one step at a time and 0.6 ms eight at a time (best
+# of 3 in one process, shared 2-core VM).
 SCHEDULE_STEPS = 8
 
 

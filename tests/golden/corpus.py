@@ -2,10 +2,13 @@
 
 Each case runs one ``bosonlab`` subcommand on one of the configs in this
 directory and writes its CSV (and, for ``evolve-norm``, its ``--save``
-snapshot) as ``<config>.<case>.csv`` / ``.blab``.  A snapshot must match
-its record byte for byte.  A CSV must match line by line: text fields
-exactly, numbers within ``ABS_TOL`` and, where the recorded value exceeds
-``REL_FLOOR`` in magnitude, within ``REL_TOL`` relative.
+snapshot) as ``<config>.<case>.csv`` / ``.blab``.  For ``sweep`` the exit
+code and the stdout summary are kept too, as ``<config>.<case>.out``, and
+the wall-time column ``runtime_s`` of its CSV is masked.  Snapshots, ``.out``
+files and the CSVs of ``EXACT`` cases must match their records byte for
+byte.  Any other CSV must match line by line: text fields exactly, numbers
+within ``ABS_TOL`` and, where the recorded value exceeds ``REL_FLOOR`` in
+magnitude, within ``REL_TOL`` relative.
 
 ``record.py`` re-records every case; ``tests/test_golden.py`` compares.
 """
@@ -27,8 +30,13 @@ CASES = {
     "correct-tensor": ["correct", "--representation", "tensor", "--t", "0.005"],
     "evolve-weights": ["evolve", "--observable", "weights", "--every", "5"],
     "evolve-norm": ["evolve", "--observable", "norm", "--every", "5"],
+    "hartree": ["hartree"],
+    "sweep": ["sweep", "--grid", "N=3,4,5", "--orders", "1,2"],
 }
 SAVES = {"evolve-norm"}
+EXACT = {"hartree"}
+OUTPUTS = {"sweep"}  # cases whose exit code and stdout are recorded
+MASKED = {"sweep": "runtime_s"}  # case -> CSV column replaced by "masked"
 ABS_TOL, REL_TOL, REL_FLOOR = 1e-10, 1e-6, 1e-12
 SNAPSHOT_HEADER = 26  # bytes before the complex64 payload of a BLAB1 snapshot
 
@@ -40,11 +48,28 @@ def run_case(config: str, case: str, out_dir: Path) -> dict:
     if case in SAVES:
         paths.append(out_dir / f"{config}.{case}.blab")
         argv += ["--save", str(paths[1])]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
-    if code != 0:
+    if code != 0 and case not in OUTPUTS:
         raise RuntimeError(f"bosonlab {' '.join(argv)} exited {code}: {err.getvalue()}")
-    return {path.name: path.read_bytes() for path in paths}
+    found = {path.name: path.read_bytes() for path in paths}
+    if case in MASKED:
+        found[paths[0].name] = _mask(found[paths[0].name], MASKED[case])
+    if case in OUTPUTS:
+        found[f"{config}.{case}.out"] = f"exit {code}\n{out.getvalue()}".encode()
+    return found
+
+
+def _mask(csv: bytes, column: str) -> bytes:
+    """The CSV with every value of ``column`` replaced by ``masked``."""
+    header, *rows = csv.decode().splitlines()
+    at = header.split(",").index(column)
+    lines = [header]
+    for row in rows:
+        fields = row.split(",")
+        fields[at] = "masked"
+        lines.append(",".join(fields))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _numbers(line: str) -> list:
@@ -60,6 +85,8 @@ def _numbers(line: str) -> list:
 def compare(name: str, recorded: bytes, fresh: bytes) -> tuple:
     """(largest absolute move, largest relative move, problems) of ``fresh``
     against its record ``recorded``."""
+    if name.endswith(".out") or name.split(".")[1] in EXACT:
+        return 0.0, 0.0, [] if recorded == fresh else [f"{name}: differs from the record"]
     if name.endswith(".blab"):
         head = recorded[:SNAPSHOT_HEADER] == fresh[:SNAPSHOT_HEADER]
         if not head or len(recorded) != len(fresh):

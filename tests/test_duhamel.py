@@ -90,20 +90,19 @@ class TestHierarchyShape:
     def test_one_condensate_per_stage(self, setup, monkeypatch):
         model, phi0, psi0, traj, hier, full = setup
         condensates, builds = [], []
-        original, build = meanfield.condensate_at, fs.pair_kernels
+        original, build = meanfield.condensate_at, hamiltonians._ladder_kernels
 
         def counting(phi, *args, **kwargs):
             condensates.append(len(phi) if np.ndim(phi) == 2 else 1)
             return original(phi, *args, **kwargs)
 
-        def counting_build(operators, *args):
-            p = operators[0][0][2]  # the stage projector of Htilde's first term
-            builds.append(len(p) if p.ndim == 3 else 1)
-            return build(operators, *args)
+        def counting_build(cond, *args):
+            builds.append(len(cond.phi) if cond.phi.ndim == 2 else 1)
+            return build(cond, *args)
 
         monkeypatch.setattr(meanfield, "condensate_at", counting)
         monkeypatch.setattr(hamiltonians, "condensate_at", counting)
-        monkeypatch.setattr(fs, "pair_kernels", counting_build)
+        monkeypatch.setattr(hamiltonians, "_ladder_kernels", counting_build)
         hierarchy_evolve(psi0, 3, 0.2, traj)
         stages = 4 * traj.index_of(0.2)
         assert sum(condensates) == stages and len(condensates) < stages

@@ -1,13 +1,18 @@
 import itertools
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bosonlab import fockstate as fs
+from bosonlab import hamiltonians
 from bosonlab import tensorstate as ts
 from bosonlab.errors import ConfigError
+from bosonlab.experiments import default_phi0
+from bosonlab.meanfield import Condensate, hartree_evolve, one_body_norm, rk4_stages
+from bosonlab.model import build_model, validate_config
 
 CELL = 0.5
 
@@ -356,98 +361,126 @@ def fold_oracle(kernel, m):
     return out
 
 
-def random_pair_terms(m, rng, shared):
-    """Three operators of random non-Hermitian terms.  With ``shared`` the
-    terms reuse two factor objects x, y and one kernel object, as
-    ``hamiltonians._pair_terms`` reuses p, q and w; otherwise every factor
-    is its own copy, so that no two terms share an object."""
-    def table():
-        return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+def kernel_inputs(m, rng, stages):
+    """A stack of condensates with random phases and norms from 1.0 to 1.5,
+    real vbar and mu, and a stand-in model with a random symmetric pair
+    table: everything the closed-form kernel build reads."""
+    w = rng.standard_normal((m, m))
+    model = SimpleNamespace(pair=SimpleNamespace(mat=w + w.T), cell=CELL)
+    phi = rng.standard_normal((stages, m)) + 1j * rng.standard_normal((stages, m))
+    phi *= (np.linspace(1.0, 1.5, stages) / np.sqrt(CELL * (np.abs(phi) ** 2).sum(axis=1)))[:, None]
+    return Condensate(phi, np.zeros(stages), rng.standard_normal((stages, m)), rng.standard_normal(stages)), model
 
-    x, y, w = table(), table(), rng.standard_normal((m, m))
-    z = rng.standard_normal((m, m))
-    own = (lambda v: v) if shared else (lambda v: v.copy())
-    return (
-        ((1.0, own(w), own(x), own(y), own(y), own(x)), (0.5, own(w), own(x), own(y), own(x), own(y)),
-         (0.5, own(w), own(y), own(x), own(y), own(x))),
-        ((1.0, own(z), own(y), own(y), own(y), own(x)), (-0.7, own(z), own(y), own(y), own(x), own(y))),
-        ((0.5 + 0.25j, own(w), own(y), own(y), own(y), own(y)), (0.3, own(z), table(), table(), table(), table())),
-    )
+
+def one_stage(cond, i):
+    return Condensate(cond.phi[i], float(cond.t[i]), cond.vbar[i], float(cond.mu[i]))
+
+
+def assert_matches_oracle(kernels, cond, model, scale):
+    """Each stage's (3, P, P) kernels against the folded ordered kernels of
+    ``hamiltonians._pair_terms`` at that stage, to 1e-12 relative to the
+    size of a term, |scale| max|k| (1 + max|u|^2)^2, which bounds the entries
+    of p = u u^H and q; a kernel can vanish (q = 0 at M = 1), so its own
+    size is no reference."""
+    m = cond.phi.shape[-1]
+    assert len(kernels) == len(cond.phi)
+    for i, built in enumerate(kernels):
+        stage = one_stage(cond, i)
+        size = abs(scale) * (1.0 + model.cell * np.abs(stage.phi).max() ** 2) ** 2
+        for got, terms in zip(built, hamiltonians._pair_terms(stage, model), strict=True):
+            expect = fold_oracle(ordered_kernel_oracle(terms, scale), m)
+            assert got.shape == (m * (m + 1) // 2,) * 2
+            assert np.abs(got - expect).max() <= 1e-12 * size * np.abs(terms[0][1]).max()
+
+
+def tabulated_model(dimension, size, profile="tabulated"):
+    """An even tabulated pair table and a tabulated potential that changes in time."""
+    rng = np.random.default_rng(size + dimension)
+    raw = rng.random((size,) * dimension)
+    samples = raw + raw[np.ix_(*[(-np.arange(size)) % size] * dimension)]
+    table = 3.0 * rng.random((2, size**dimension))
+    return build_model(validate_config({
+        "dimension": dimension, "sites_per_dim": size, "torus_length": float(size), "particles": 2,
+        "interaction_profile": profile, "interaction_samples": tuple(samples.ravel()),
+        "potential_kind": "tabulated", "potential_table": ((0.0, 0.1), tuple(map(tuple, table))),
+        "dt": 0.01, "t_final": 0.1}))
 
 
 class TestKernelBuild:
+    """The closed-form pair-channel kernels of Htilde, C and Q
+    (``hamiltonians._ladder_kernels``) against the folded ordered oracle."""
+
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "copies"])
     @pytest.mark.parametrize("m", [1, 2, 4, 9])
     def test_matches_ordered_formula(self, m, shared):
-        rng = np.random.default_rng(60 + m)
-        operators = random_pair_terms(m, rng, shared)
-        built = fs.pair_kernels(operators, 0.3)
-        assert len(built) == len(operators)
-        for kernel, terms in zip(built, operators):
-            expect = fold_oracle(ordered_kernel_oracle(terms, 0.3), m)
-            assert kernel.shape == (m * (m + 1) // 2,) * 2
-            assert np.abs(kernel - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
+        # shared: the stages come from one stacked build; copies: each is built alone
+        cond, model = kernel_inputs(m, np.random.default_rng(60 + m), 3)
+        if shared:
+            kernels = hamiltonians._ladder_kernels(cond, model, 0.3)
+        else:
+            kernels = [hamiltonians._ladder_kernels(one_stage(cond, i), model, 0.3) for i in range(3)]
+        assert_matches_oracle(kernels, cond, model, 0.3)
 
-    def test_products_stay_below_serial_bound(self, monkeypatch):
-        rng = np.random.default_rng(71)
-        operators = random_pair_terms(9, rng, shared=True)
-        shapes, matmul = [], np.matmul
-
-        def recorded(a, b, out):
-            shapes.append((a.shape[0], a.shape[1], b.shape[1]))
-            return matmul(a, b, out=out)
-
-        monkeypatch.setattr(np, "matmul", recorded)
-        fs.pair_kernels(operators)
-        assert len(shapes) > len(operators)
-        for rows, inner_dim, cols in shapes:
-            assert rows >= 2 and cols >= 2
-            assert rows * inner_dim * cols <= fs.SERIAL_PRODUCT
+    @pytest.mark.parametrize("size,dimension,profile", [(2, 1, "tabulated"), (4, 1, "tabulated"),
+                                                        (3, 2, "tabulated"), (4, 1, "zero")])
+    def test_rk4_stage_condensates_match_the_ordered_formula(self, size, dimension, profile):
+        # the unnormalised stage condensates of RK4 steps, at N = 2, through stage_pieces
+        model = tabulated_model(dimension, size, profile)
+        traj = hartree_evolve(default_phi0(model), 0.0, 0.05, model)
+        stages, _ = rk4_stages(traj.phis[:2], traj.times[:2], traj.dt, model)
+        cond = Condensate(*(np.concatenate([getattr(c, key) for c in stages])
+                            for key in ("phi", "t", "vbar", "mu")))
+        assert abs(one_body_norm(cond.phi[-1], model.cell) - 1.0) > 1e-10  # not normalised
+        pieces = hamiltonians.stage_pieces(cond, model, 2)
+        assert_matches_oracle([piece.ladder_kernels(2) for piece in pieces], cond, model, 1.0)
+        if profile == "zero":
+            assert not any(np.any(kernel) for piece in pieces for kernel in piece.ladder_kernels(2))
 
     @staticmethod
-    def staged_terms(m, rng, stages):
-        """Three operators over factors x, y and kernel z with a leading
-        stage axis and one kernel w shared by every stage; C's two terms
-        have equal weights, so their left factors are summed."""
-        def table(*lead):
-            return rng.standard_normal((*lead, m, m)) + 1j * rng.standard_normal((*lead, m, m))
+    def recorded_build(monkeypatch, stages):
+        """The ``fockstate._product`` calls and the matrix shapes of one M = 9 build."""
+        cond, model = kernel_inputs(9, np.random.default_rng(71), stages)
+        products, shapes, product, matmul = [], [], fs._product, np.matmul
 
-        x, y, z = table(stages), table(stages), table(stages).real
-        w = rng.standard_normal((m, m))
-
-        def operators(x, y, z):
-            return (
-                ((1.0, w, x, y, y, x), (0.5, w, x, y, x, y), (0.5, w, y, x, y, x)),
-                ((1.0, z, y, y, y, x), (1.0, z, y, y, x, y)),
-                ((0.5 + 0.25j, w, y, y, y, y), (0.3, z, x, y, y, x)),
-            )
-
-        return operators(x, y, z), [operators(x[s], y[s], z[s]) for s in range(stages)]
-
-    @pytest.mark.parametrize("m", [1, 2, 4, 9])
-    def test_stage_axis_builds_each_stage(self, m):
-        rng = np.random.default_rng(90 + m)
-        staged, alone = self.staged_terms(m, rng, 3)
-        built = fs.pair_kernels(staged, 0.3)
-        for s, operators in enumerate(alone):
-            for kernels, terms in zip(built, operators):
-                assert kernels.shape == (3,) + (m * (m + 1) // 2,) * 2
-                expect = fold_oracle(ordered_kernel_oracle(terms, 0.3), m)
-                assert np.abs(kernels[s] - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
-
-    def test_stage_axis_products_stay_below_serial_bound(self, monkeypatch):
-        """The bound holds for each matrix of a stacked product."""
-        rng = np.random.default_rng(72)
-        staged, _ = self.staged_terms(9, rng, 2)
-        shapes, matmul = [], np.matmul
+        def counted(a, b, out):
+            products.append(a.shape)
+            return product(a, b, out)
 
         def recorded(a, b, out):
             shapes.append((a.shape[-2], a.shape[-1], b.shape[-1]))
             return matmul(a, b, out=out)
 
+        monkeypatch.setattr(fs, "_product", counted)
         monkeypatch.setattr(np, "matmul", recorded)
-        fs.pair_kernels(staged)
-        assert len(shapes) > len(staged)
+        hamiltonians._ladder_kernels(cond if stages > 1 else one_stage(cond, 0), model, 1.0)
+        return products, shapes
+
+    def test_products_stay_below_serial_bound(self, monkeypatch):
+        # one product for the three kernels of a build, each matrix in serial blocks
+        products, shapes = self.recorded_build(monkeypatch, 1)
+        assert products == [(3, 45, 20)]
+        assert len(shapes) >= 1
+        for rows, inner_dim, cols in shapes:
+            assert rows >= 2 and cols >= 2
+            assert rows * inner_dim * cols <= fs.SERIAL_PRODUCT
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 9])
+    def test_stage_axis_builds_each_stage(self, m):
+        cond, model = kernel_inputs(m, np.random.default_rng(90 + m), 5)
+        built = hamiltonians._ladder_kernels(cond, model, 0.3)
+        assert built.shape == (5, 3) + (m * (m + 1) // 2,) * 2
+        for i in range(5):
+            alone = hamiltonians._ladder_kernels(one_stage(cond, i), model, 0.3)
+            assert np.abs(built[i] - alone).max() <= 1e-13 * np.abs(alone).max()
+
+    def test_stage_axis_products_stay_below_serial_bound(self, monkeypatch):
+        """One stacked product for a whole build; the bound holds for each
+        matrix of it."""
+        stages = hamiltonians.stage_batch(9)
+        assert stages > 1
+        products, shapes = self.recorded_build(monkeypatch, stages)
+        assert products == [(stages, 3, 45, 20)]
+        assert len(shapes) >= 1
         for rows, inner_dim, cols in shapes:
             assert rows >= 2 and cols >= 2
             assert rows * inner_dim * cols <= fs.SERIAL_PRODUCT

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bosonlab import fockstate as fs
+from bosonlab import hamiltonians
 from bosonlab import tensorstate as ts
 from bosonlab.errors import ConfigError, ConsistencyError
 from bosonlab.hamiltonians import (
@@ -18,6 +19,7 @@ from bosonlab.hamiltonians import (
 from bosonlab.duhamel import hierarchy_indices
 from bosonlab.meanfield import condensate_at, one_body_norm
 from bosonlab.model import build_model, validate_config
+from test_fockstate import fold_oracle, ordered_kernel_oracle
 
 
 def make_model(**over):
@@ -306,7 +308,7 @@ class TestProjectedPairSum:
         terms = ((1.0, kernel, a, c, b, d), second)
         space = fs.FockSpace(fs.enumerate_basis(m, 3), model.cell)
         tensor = projected_pair_sum(psi, terms)
-        (summed,) = fs.pair_kernels((terms,))
+        summed = fold_oracle(ordered_kernel_oracle(terms), m)
         (fock,) = rows(projected_pair_sum(block([fs.extract(psi, space)]), [[(summed, 0)]]))
         assert np.abs(fs.embed(fock).amps - tensor.amps).max() <= 1e-11
 
@@ -315,13 +317,13 @@ class TestProjectedPairSum:
         rng = np.random.default_rng(23)
         pieces = pieces_at(random_phi(model, rng), 0.0, model)
         space = fs.FockSpace(fs.enumerate_basis(3, 3), model.cell)
-        builds, build = [], fs.pair_kernels
+        builds, build = [], hamiltonians._ladder_kernels
 
         def counting(*args):
             builds.append(args)
             return build(*args)
 
-        monkeypatch.setattr(fs, "pair_kernels", counting)
+        monkeypatch.setattr(hamiltonians, "_ladder_kernels", counting)
         members = block([fs.random_fock(space, rng) for _ in range(3)])
         entries = stage_entries([(None, None), (0, None), (None, 0)])
         apply_stage(pieces, members, entries, model)

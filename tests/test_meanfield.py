@@ -262,6 +262,14 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="not on the grid"):
             mf.hartree_evolve(uniform_phi(model), t0, t1, model)
 
+    def test_a_later_start_is_refused(self):
+        # a trajectory counts grid indices from 0, so one from t0 = 0.05
+        # could not look up its own times
+        model = make_model(t_final=0.2)
+        with pytest.raises(ValueError, match="t0=0.05"):
+            mf.hartree_evolve(uniform_phi(model), 0.05, 0.1, model)
+        assert mf.hartree_evolve(uniform_phi(model), 1e-12, 0.01, model).index_of(0.01) == 10
+
     def test_condensate_caches_consistent(self):
         model = make_model(t_final=0.1)
         traj = mf.hartree_evolve(uniform_phi(model), 0.0, 0.1, model)

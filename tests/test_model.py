@@ -61,6 +61,27 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(small_raw(dt=0.0))
 
+    @pytest.mark.parametrize("over", [
+        # values[1] = 0.7 against values[-1 mod 4] = 0.1
+        {"interaction_samples": (1.0, 0.7, 0.2, 0.1)},
+        # values[1, 0] = 0.5 against values[2, 0] = 0.4; the rest is even
+        {"dimension": 2, "sites_per_dim": 3, "torus_length": 3.0,
+         "interaction_samples": (1.0, 0.2, 0.2, 0.5, 0.3, 0.1, 0.4, 0.1, 0.3)},
+    ], ids=["1d", "2d"])
+    def test_rejects_odd_interaction_samples(self, over):
+        raw = small_raw(interaction_profile="tabulated", **over)
+        with pytest.raises(ConfigError, match="interaction_samples"):
+            validate_config(raw)
+
+    @pytest.mark.parametrize("over", [
+        {"interaction_samples": (1.0, 0.5, 0.2, 0.5)},
+        {"dimension": 2, "sites_per_dim": 3, "torus_length": 3.0,
+         "interaction_samples": (1.0, 0.2, 0.2, 0.5, 0.3, 0.1, 0.5, 0.1, 0.3)},
+    ], ids=["1d", "2d"])
+    def test_accepts_even_interaction_samples(self, over):
+        model = build_model(validate_config(small_raw(interaction_profile="tabulated", **over)))
+        assert np.array_equal(model.pair.mat, model.pair.mat.T)
+
     def test_rejects_unknown_key(self):
         with pytest.raises(ConfigError):
             validate_config(small_raw(coupling=2.0))

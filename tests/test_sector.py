@@ -8,6 +8,7 @@ import pytest
 
 from bosonlab import experiments
 from bosonlab import fockstate as fs
+from bosonlab import hamiltonians
 from bosonlab import projections as pj
 from bosonlab import tensorstate as ts
 from bosonlab.cli import main
@@ -196,9 +197,9 @@ class TestSectorOperators:
         monkeypatch.setattr(space, "_probes", Counting(space._probes))
         result = correction_error(psi0, phi0, 3, 0.01, model)
         assert all(np.isfinite(result.errors))
-        # 40 stages in builds of 16: each build's condensates once, and h0
-        # and the pair table, as a table and as a PairTable, once each
-        assert looked_up.count("vector") == 3
+        # 40 stages in builds of stage_batch: each build's condensates once,
+        # and h0 and the pair table, as a table and as a PairTable, once each
+        assert looked_up.count("vector") == -(-40 // hamiltonians.stage_batch(4)) > 1
         assert looked_up.count("table") <= 3
         assert "kernel" not in looked_up
 
@@ -301,7 +302,11 @@ class TestSectorChoice:
         assert len(build_product(model, default_phi0(model)).space.basis.group) == 1
 
     def test_asymmetric_pair_table_takes_the_site_route(self):
-        model = make_model(interaction_profile="tabulated", interaction_samples=(0.0, 0.5, 0.2, 0.1))
+        # an even table, as every valid one is, that no axis reflection and
+        # not the axis swap leaves invariant
+        samples = (0.0, 0.2, 0.2, 0.5, 0.3, 0.1, 0.5, 0.1, 0.3)
+        model = make_model(dimension=2, sites_per_dim=3, torus_length=3.0,
+                           interaction_profile="tabulated", interaction_samples=samples)
         assert len(build_product(model, default_phi0(model)).space.basis.group) == 1
 
 
