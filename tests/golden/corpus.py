@@ -30,6 +30,8 @@ CASES = {
     "correct-tensor": ["correct", "--representation", "tensor", "--t", "0.005"],
     "evolve-weights": ["evolve", "--observable", "weights", "--every", "5"],
     "evolve-norm": ["evolve", "--observable", "norm", "--every", "5"],
+    "evolve-moments": ["evolve", "--observable", "moments", "--every", "5"],
+    "evolve-norm-tensor": ["evolve", "--observable", "norm", "--representation", "tensor", "--every", "5"],
     "hartree": ["hartree"],
     "sweep": ["sweep", "--grid", "N=3,4,5", "--orders", "1,2"],
 }
