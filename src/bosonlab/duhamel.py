@@ -21,7 +21,8 @@ shared one-step kernel and guarded after every step by the shared
 must keep its norm.  Nested composite-trapezoid quadrature over the ordered
 simplex is kept as an independent oracle for n <= 2; it transports between
 its nodes with ``evolve_aux``.  ``correction_error`` is the one place that measures the
-approximants against the full evolution.
+approximants against the full evolution, which with a zero pair table is
+the hierarchy's lead, since Htilde = H there exactly.
 """
 
 from __future__ import annotations
@@ -287,12 +288,13 @@ def correction_error(
     trajectory: HartreeTrajectory | None = None,
 ) -> CorrectionResult:
     """Norm distance between the true evolution and each approximant a = 1..order,
-    from one hierarchy of ``order`` and one full evolution."""
+    from one hierarchy of ``order`` and one full evolution, which with a zero
+    pair table is the hierarchy's lead (vbar = mu = 0, so Htilde = H)."""
     validate_config(model.config, correction_run=True)
     if trajectory is None:
         trajectory = hartree_evolve(phi0, 0.0, t, model)
     hierarchy = hierarchy_evolve(psi0, order, t, trajectory)
-    full = evolve_full(psi0, t, model)
+    full = hierarchy.entries[(0, 0)] if model.pair.is_zero else evolve_full(psi0, t, model)
     approx = [assemble(hierarchy, a) for a in range(1, order + 1)]
     return CorrectionResult(
         errors=tuple((full - state).norm() for state in approx),

@@ -310,11 +310,11 @@ def sweep_scaling(
 ) -> SweepResult:
     """Correction errors over a particle-number grid, with per-order slope fits.
 
-    Grid points run independently (optionally in ``jobs`` worker processes);
-    rows are reduced in grid order, so the CSV is identical regardless of
-    parallelism.  Points that fail with a ``BosonLabError`` are recorded as
-    nan rows with their reason, listed in the summary, and the sweep
-    continues; other exceptions propagate.
+    Grid points run independently (optionally in ``jobs`` worker processes,
+    at most one per point); rows are reduced in grid order, so the CSV is
+    identical regardless of parallelism.  Points that fail with a
+    ``BosonLabError`` are recorded as nan rows with their reason, listed in
+    the summary, and the sweep continues; other exceptions propagate.
     """
     orders = tuple(sorted(set(int(a) for a in orders)))
     if not orders or orders[0] < 1:
@@ -330,10 +330,11 @@ def sweep_scaling(
         raise ConfigError(f"particle grid repeats N={listed}; grid points must be distinct")
     if jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs}")
-    if jobs > 1:
+    workers = min(jobs, len(grid))  # the executor forks them all at the first submit
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(
                 pool.map(_sweep_point, [config] * len(grid), grid,
                          [orders] * len(grid), [t] * len(grid))

@@ -39,10 +39,13 @@ kernels of its split operators in that form directly.  ``two_body_sums`` is
 the only two-body apply: it applies kernels to a block of states, one
 (members, dim) array, with one pair gather down and one up, whatever the
 number of kernels an output sums; ``dgamma_apply`` also lifts a whole
-block at once.  Products run in blocks small enough that OpenBLAS keeps
-them on the calling thread (``SERIAL_PRODUCT``).  The scratch buffers
-belong to the FockSpace, which makes a FockSpace single-threaded; worker
-processes such as those of ``sweep --jobs`` each build their own.
+block at once.  ``generator_table`` composes the full generator once from
+the one-body ladder's tables into one slot-major gather, the diagonal one
+of its slots, which the space keeps.  Products run in blocks small enough
+that OpenBLAS keeps them on the calling thread (``SERIAL_PRODUCT``).  The
+scratch buffers belong to the FockSpace, which makes a FockSpace
+single-threaded; worker processes such as those of ``sweep --jobs`` each
+build their own.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ __all__ = [
     "product_fock",
     "random_fock",
     "pair_diagonal",
+    "generator_table",
 ]
 
 BASIS_CEILING = 2_000_000
@@ -364,6 +368,7 @@ class FockSpace:
         s, t = _channels(m)[:2]
         self.ladders = (Ladder(basis, unit), Ladder(basis, unit[s] + unit[t]))
         self._pair_diagonal = (None, None)
+        self._generator = (None,) * 6  # hops, sources, values, h0, pair, coupling
         self._invariant = {}  # id -> a table known to be invariant
         self._batch = {}  # the same for the last table checked with its parts
         self._probes = None
@@ -620,6 +625,57 @@ def pair_diagonal(space: FockSpace, pair) -> np.ndarray:
         diag.flags.writeable = False
         space._pair_diagonal = (pair, diag)
     return space._pair_diagonal[1]
+
+
+def generator_table(space: FockSpace, hops, h0, pair, coupling: float) -> tuple:
+    """Slot-major (sources, values), (slots, dim), of H = dGamma(h0) + coupling
+    sum_{i<j} w(x_i - x_j): (H psi)[u] = sum_k values[k, u] psi[sources[k, u]].
+    Slot 0 is the diagonal, the rest the off-diagonal of dGamma(hops), which
+    must be h0's.  The space keeps the last table, keyed by the identity of
+    the (invariant, on a sector) tables, which must not change in place; a
+    new h0, as a tabulated potential gives, rewrites slot 0 in O(M dim)."""
+    old, sources, values, *diagonal = space._generator
+    if old is not hops:
+        space.require_invariant(hops, "table")
+        sources, values = _hop_slots(space.ladders[0], space.basis.dim, hops * (1 - np.eye(space.sites)))
+        diagonal = (None,) * 3
+    if diagonal[0] is not h0 or diagonal[1] is not pair or diagonal[2] != coupling:
+        space.require_invariant(h0, "table")
+        values[0] = space.basis.occupations @ np.diagonal(h0)
+        if coupling:
+            values[0] += coupling * pair_diagonal(space, pair)
+    space._generator = (hops, sources, values, h0, pair, coupling)
+    return sources, values
+
+
+def _hop_slots(one: Ladder, dim: int, hops: np.ndarray) -> tuple:
+    """(sources, values) of dGamma(hops), zero-diagonal hops, after an empty
+    slot 0.  As in ``dgamma_apply``, output u, move r and mode s with (r', v)
+    = divmod(create[r, u], lower dim) read annihilate[s, v] times
+    scale[u] factor[r', v] factor[s, v] hops[r', s].  Values of one output
+    and source are summed, zero sums dropped, and the rest fill slots 1, 2,
+    ..; an unused slot reads its own output with value 0."""
+    (m, size), pad = one.annihilate.shape, one.create == one.annihilate.size
+    count = max(1, int(np.count_nonzero(hops, axis=1).max()))
+    moved, v = np.divmod(np.where(pad, 0, one.create), size)  # r' and v of (r, u), (M, dim)
+    modes = np.argsort(hops == 0, axis=1, kind="stable")[:, :count].T[:, moved]  # s, (count, M, dim)
+    at = modes * size + v
+    value = one.factor.take(at) * hops[moved, modes] * one.factor.take(moved * size + v) * ~pad
+    if one.scale is not None:
+        value *= one.scale
+    key = (np.arange(dim) * dim + one.annihilate.take(at)).ravel()
+    order = key.argsort()
+    key, value = key[order], value.ravel()[order]
+    first = np.append(True, key[1:] != key[:-1])
+    group = first.cumsum() - 1
+    merged = np.bincount(group, value.real) + 1j * np.bincount(group, value.imag)
+    kept = merged != 0
+    out, source = np.divmod(key[first][kept], dim)
+    slot = 1 + np.arange(len(out)) - np.searchsorted(out, out)
+    sources = np.tile(np.arange(dim), (slot.max(initial=0) + 1, 1))
+    values = np.zeros(sources.shape, dtype=np.complex128)
+    sources[slot, out], values[slot, out] = source, merged[kept]
+    return sources, values
 
 
 def _sqrt_multinomials(occ) -> np.ndarray:

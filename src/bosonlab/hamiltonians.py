@@ -25,8 +25,9 @@ works row by row and takes 2M + 1 one-body lifts per term and scales by
 1/(N-1).  ``stage_pieces`` builds h1 (h0 at each stage's time) and the
 kernels of up to ``stage_batch`` stages in one closed-form build from the
 rank-one condensate projector (``_ladder_kernels``); ``pieces_at`` builds
-one condensate's pieces, its kernels on first use.  The prefactor lives in
-this module and nowhere else.
+one condensate's pieces, its kernels on first use.  ``apply_H`` is one
+cached gather on the occupation route (``fockstate.generator_table``).
+The prefactor lives in this module and nowhere else.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "decomposition_residual",
     "one_body_lift",
     "projected_pair_sum",
-    "interaction_sum",
 ]
 
 
@@ -92,14 +92,6 @@ def projected_pair_sum(state, pairs):
         correction = a @ (kernel * (c @ b)) @ d
         acc = acc + weight * (term - ts.apply_one_body_sum(correction, state))
     return acc
-
-
-def interaction_sum(state, model: Model):
-    """sum_{i<j} w(x_i - x_j) applied to ``state`` (no prefactor)."""
-    if isinstance(state, ts.TensorState):
-        return ts.apply_pair_diagonal(model.pair, state)
-    diag = fs.pair_diagonal(state.space, model.pair)
-    return fs.FockState(diag * state.amps, state.space)
 
 
 # Byte bound on the temporaries of one ``stage_pieces`` build (``stage_batch``).
@@ -318,12 +310,19 @@ def _require_pairs(particles: int):
 
 
 def apply_H(t: float, state, model: Model):
-    """Full generator: kinetic + external one-body sum + scaled pair interaction."""
-    out = one_body_lift(model.h0(t), state)
+    """Full generator dGamma(h0(t)) + sum_{i<j} w(x_i - x_j) / (N - 1).  The
+    occupation route is one gather (``fockstate.generator_table``) with the
+    hops of the Laplacian, which no potential changes, for a state or a
+    block; the tensor route, its cross-check, lifts h0(t)."""
     n = state.particles
-    if n >= 2 and not model.pair.is_zero:
-        out = out + (1.0 / (n - 1)) * interaction_sum(state, model)
-    return out
+    coupling = 1.0 / (n - 1) if n >= 2 and not model.pair.is_zero else 0.0
+    if isinstance(state, ts.TensorState):
+        out = ts.apply_one_body_sum(model.h0(t), state)
+        return out + coupling * ts.apply_pair_diagonal(model.pair, state) if coupling else out
+    sources, values = fs.generator_table(state.space, model.lap.mat, model.h0(t), model.pair, coupling)
+    gathered = state.amps.take(sources, axis=-1)
+    gathered *= values
+    return state.with_amps(gathered.sum(axis=-2))
 
 
 # The operators of ``_split_sums`` entries, indices into ``EffectivePieces._terms``

@@ -18,7 +18,8 @@ stage condensates of each step from its grid phi, and
 ``hamiltonians.stage_pieces`` builds their pieces ``stage_batch`` stages at
 a time, the pair-channel kernels of a build in closed form from the stage
 condensates.  The right-hand side consumes them in stage order and refuses
-a stage whose time is not the one it is called at.
+a stage whose time is not the one it is called at.  The full flow steps
+with ``hamiltonians.apply_H``, whose gather table is built on first use.
 """
 
 from __future__ import annotations

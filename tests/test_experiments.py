@@ -280,6 +280,34 @@ class TestSweep:
         with pytest.raises(ConfigError, match="repeats N="):
             sweep_scaling(cfg, grid, [1], t=0.1)
 
+    @pytest.mark.parametrize("jobs, grid, workers", [(5000, [3, 4], 2), (3, [3, 4, 5, 6], 3),
+                                                     (4, [3], None)])
+    def test_workers_are_capped_at_the_grid_size(self, monkeypatch, jobs, grid, workers):
+        # the executor forks every worker at the first submit, so --jobs 5000
+        # on two points would fork 5000 processes; a fake pool maps serially
+        import concurrent.futures
+
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        cfg = base_config(t_final=0.01, dt=2e-3)
+        result = sweep_scaling(cfg, grid, [1], t=0.01, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert [row.particles for row in result.rows] == grid
+
     def test_parallel_jobs_match_serial(self):
         cfg = base_config(t_final=0.1, dt=2e-3)
         serial = sweep_scaling(cfg, [3, 4], [1], t=0.1)

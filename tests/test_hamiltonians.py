@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,11 @@ from bosonlab.hamiltonians import (
 from bosonlab.duhamel import hierarchy_indices
 from bosonlab.meanfield import condensate_at, one_body_norm
 from bosonlab.model import build_model, validate_config
+from bosonlab import duhamel
+from bosonlab.experiments import build_product, default_phi0
+from bosonlab.model import OneBodyOperator
 from test_fockstate import fold_oracle, ordered_kernel_oracle
+from test_sector import lattice
 
 
 def make_model(**over):
@@ -106,6 +113,146 @@ class TestApplyH:
         expect = (dense @ psi.amps.ravel()).reshape(psi.amps.shape)
         out = apply_H(0.0, psi, model)
         assert np.abs(out.amps - expect).max() <= 1e-11
+
+
+def generator_oracle(t, state, model):
+    """The ladder lift of h0(t) plus the pair diagonal over N - 1."""
+    space, n = state.space, state.particles
+    out = fs.dgamma_apply(model.h0(t), state).amps
+    if n >= 2 and not model.pair.is_zero:
+        out = out + fs.pair_diagonal(space, model.pair) * state.amps / (n - 1)
+    return out
+
+
+def random_block(space, rng, members=()):
+    shape = (*members, space.basis.dim)
+    return fs.FockState(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), space)
+
+
+def assert_generator_matches(t, state, model):
+    want = generator_oracle(t, state, model)
+    got = apply_H(t, state, model).amps
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# (config overrides, particles, symmetry generators or None for the plain basis);
+# the harmonic potential is invariant under the lattice symmetries
+GENERATOR_SPACES = {
+    "1d-plain": ({}, 5, None),
+    "1d-z2": ({}, 5, lattice(4, 1)),
+    "1d-z2-n16": ({}, 16, lattice(4, 1)),
+    "2d-d4": ({"dimension": 2, "sites_per_dim": 3, "torus_length": 3.0}, 4, lattice(3, 2)),
+    "1d-n1": ({}, 1, lattice(4, 1)),
+    "1d-n2": ({}, 2, None),
+    "2d-n2": ({"dimension": 2, "sites_per_dim": 3, "torus_length": 3.0}, 2, lattice(3, 2)),
+}
+
+
+def generator_setup(name, **extra):
+    over, n, gens = GENERATOR_SPACES[name]
+    model = make_model(**{"sites_per_dim": 4, "torus_length": 4.0, "particles": n,
+                          "potential_kind": "harmonic", "potential_strength": 0.7, **over, **extra})
+    m = model.config.site_count
+    symmetry = () if gens is None else gens
+    return model, fs.FockSpace(fs.enumerate_basis(m, n, symmetry=symmetry), model.cell)
+
+
+class TestGeneratorTable:
+    """The occupation route of ``apply_H``: one gather through the table of
+    ``fockstate.generator_table``, against the ladder lift of h0 plus the
+    pair diagonal."""
+
+    @pytest.mark.parametrize("name", list(GENERATOR_SPACES))
+    def test_matches_ladder_oracle(self, name):
+        model, space = generator_setup(name)
+        rng = np.random.default_rng(5)
+        assert_generator_matches(0.0, random_block(space, rng), model)
+        assert_generator_matches(0.0, random_block(space, rng, (3,)), model)
+
+    @pytest.mark.parametrize("name", ["1d-plain", "1d-z2", "2d-d4"])
+    def test_zero_pair_table(self, name):
+        model, space = generator_setup(name, interaction_profile="zero")
+        assert_generator_matches(0.0, random_block(space, np.random.default_rng(6)), model)
+
+    def test_duplicate_sources_merge(self):
+        # on the sector, hops to mirror images land in one orbit; each output
+        # keeps one slot per distinct source, and the diagonal in slot 0
+        model, space = generator_setup("1d-z2-n16")
+        sources, values = fs.generator_table(space, model.lap.mat, model.h0(0.0), model.pair, 1 / 15)
+        assert sources.shape == values.shape == (9, space.basis.dim)
+        assert (sources[0] == np.arange(space.basis.dim)).all()
+        hops = sources[1:]
+        for u in range(space.basis.dim):
+            used = hops[values[1:, u] != 0, u]
+            assert len(set(used.tolist())) == len(used)
+
+    def test_tabulated_potential_refreshes_the_diagonal(self):
+        rng = np.random.default_rng(7)
+        table = tuple(tuple(row) for row in 3.0 * rng.random((2, 4)))
+        model, space = generator_setup("1d-plain", potential_kind="tabulated",
+                                       potential_table=((0.0, 0.1), table))
+        psi = random_block(space, rng)
+        tables = []
+        for t in (0.02, 0.07, 0.02):
+            assert_generator_matches(t, psi, model)
+            tables.append(space._generator[1])
+        # the hop slots are built once and kept
+        assert tables[0] is tables[1] is tables[2]
+
+    def test_new_tables_rebuild_the_cache(self):
+        model, space = generator_setup("1d-z2")
+        psi = random_block(space, np.random.default_rng(8))
+        assert_generator_matches(0.0, psi, model)
+        sources = space._generator[1]
+        # a new pair table on the same hops: only the diagonal is rebuilt
+        stronger = dataclasses.replace(model, pair=make_model(
+            sites_per_dim=4, torus_length=4.0, particles=5, interaction_amplitude=2.0).pair)
+        assert_generator_matches(0.0, psi, stronger)
+        assert space._generator[1] is sources
+        # a new hop table with other values: the hops are rebuilt
+        steeper = dataclasses.replace(model, lap=OneBodyOperator(2.0 * model.lap.mat, hermitian=True))
+        assert_generator_matches(0.0, psi, steeper)
+        assert space._generator[1] is not sources
+        assert_generator_matches(0.0, psi, model)
+
+    def test_non_invariant_hops_on_a_sector_raise(self):
+        model, space = generator_setup("1d-z2")
+        hops = model.lap.mat.copy()
+        hops[0, 1] = hops[1, 0] = -3.0  # site 1 mirrors site 3, whose hops stay -1
+        tilted = dataclasses.replace(model, lap=OneBodyOperator(hops, hermitian=True))
+        psi = random_block(space, np.random.default_rng(9))
+        with pytest.raises(ValueError, match="asymmetry"):
+            apply_H(0.0, psi, tilted)
+        with pytest.raises(ValueError, match="asymmetry"):
+            fs.generator_table(space, hops, model.h0(0.0), model.pair, 0.25)
+
+    def test_pickled_space_rebuilds_its_table(self):
+        model, space = generator_setup("2d-d4")
+        psi = random_block(space, np.random.default_rng(10))
+        first = apply_H(0.0, psi, model).amps
+        copy = pickle.loads(pickle.dumps(space))
+        assert copy._generator[0] is None
+        moved = psi.with_amps(psi.amps.copy())
+        moved.space = copy
+        assert_generator_matches(0.0, moved, model)
+        assert np.array_equal(apply_H(0.0, moved, model).amps, first)
+
+    def test_free_correction_takes_the_hierarchy_lead(self, monkeypatch):
+        # with a zero pair table Htilde = H, so no second evolution runs and
+        # every error is exactly zero
+        model = make_model(interaction_profile="zero", sites_per_dim=4, torus_length=4.0)
+        phi0 = default_phi0(model)
+        psi0 = build_product(model, phi0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve_full ran")
+
+        monkeypatch.setattr(duhamel, "evolve_full", refuse)
+        res = duhamel.correction_error(psi0, phi0, 3, 0.02, model)
+        assert res.errors == (0.0, 0.0, 0.0)
+        assert res.error_sq == 0.0
+        assert all(norm > 0.0 for norm in res.correction_norms)
 
 
 class TestApplyHtilde:

@@ -14,7 +14,6 @@ from bosonlab import tensorstate as ts
 from bosonlab.cli import main
 from bosonlab.duhamel import correction_error
 from bosonlab.experiments import build_one_excitation, build_product, default_phi0, fock_space
-from bosonlab.hamiltonians import interaction_sum
 from bosonlab.model import ModelConfig, build_model
 from bosonlab.propagation import evolve_full
 from bosonlab.snapshots import load_state, save_state
@@ -198,9 +197,10 @@ class TestSectorOperators:
         result = correction_error(psi0, phi0, 3, 0.01, model)
         assert all(np.isfinite(result.errors))
         # 40 stages in builds of stage_batch: each build's condensates once,
-        # and h0 and the pair table, as a table and as a PairTable, once each
+        # and h0, the Laplacian's hops and the pair table, as a table and as
+        # a PairTable, once each
         assert looked_up.count("vector") == -(-40 // hamiltonians.stage_batch(4)) > 1
-        assert looked_up.count("table") <= 3
+        assert looked_up.count("table") == 4
         assert "kernel" not in looked_up
 
 
@@ -337,7 +337,9 @@ class TestSiteRouteAgreement:
         sector = evolve_full(build_product(model, phi0), 0.05, model)
         site = evolve_full(fs.product_fock(phi0, fock_space(model)), 0.05, model)
         assert same_state(sector, site, 1e-11)
-        assert same_state(interaction_sum(sector, model), interaction_sum(site, model), 1e-11)
+        # the full generator, pair interaction included, on both routes
+        assert same_state(hamiltonians.apply_H(0.05, sector, model), hamiltonians.apply_H(0.05, site, model),
+                          1e-11)
         for got, want in zip(pj.spectral_weights(sector, phi0).weights,
                              pj.spectral_weights(site, phi0).weights):
             assert abs(got - want) <= 1e-12
