@@ -84,6 +84,11 @@ def _initial_state(args, cfg, model: Model):
                 f"snapshot geometry (d={dim}, L={sites}, N={state.particles}) "
                 f"does not match the configuration"
             )
+        # the header stores cell ** (1/d), so the spacing matches to roundoff
+        spacing = state.cell ** (1.0 / dim)
+        if not abs(spacing - cfg.spacing) <= 1e-12 * cfg.spacing:
+            raise ConfigError(f"snapshot lattice spacing {spacing!r} does not match the "
+                              f"configuration's spacing {cfg.spacing!r}")
         return state
     return build_product(model, default_phi0(model), args.representation)
 

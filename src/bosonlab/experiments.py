@@ -33,7 +33,6 @@ from .hamiltonians import (
     apply_C,
     apply_Q,
     decomposition_residual,
-    one_body_lift,
     pieces_at,
 )
 from .meanfield import condensate_at, hartree_evolve, hk_proxy, one_body_norm
@@ -47,7 +46,6 @@ from .projections import (
     number_apply,
     qchain_expectation,
     spectral_weights,
-    state_inner,
     weight_values,
     WeightFunction,
 )
@@ -165,7 +163,7 @@ def build_one_excitation(model: Model, phi0: np.ndarray, chi: np.ndarray | None 
         chi = orthogonal_mode(model, phi0)
     hop = model.cell * np.outer(chi, phi0.conj())
     base = _product(model, phi0, representation)
-    out = (1.0 / math.sqrt(n)) * one_body_lift(hop, base)
+    out = (1.0 / math.sqrt(n)) * base.lift(hop)
     return (1.0 / out.norm()) * out
 
 
@@ -488,12 +486,12 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
             total = total + pk
             track("pk_idempotent", (apply_Pk(k, phi, pk) - pk).norm())
             if k < n:
-                track("pk_orthogonal", abs(state_inner(pk, apply_Pk(k + 1, phi, psi))))
+                track("pk_orthogonal", abs(pk.inner(apply_Pk(k + 1, phi, psi))))
         track("pk_completeness", (total - psi).norm())
 
         # number identity: <n_hat^2> = (1/N) sum_j <q_j>
         lhs = n_moment(1, phi, psi, weights=weights)
-        rhs = state_inner(psi, number_apply(psi, phi)).real / n
+        rhs = psi.inner(number_apply(psi, phi)).real / n
         track("number_identity", abs(lhs - rhs))
 
         # chain monotony under n_hat insertions

@@ -32,8 +32,8 @@ for the pair ladder one row per unordered pair channel s <= s',
 of which there are P = M(M+1)/2, because annihilators commute.  A one-body
 lift dGamma(h) = sum h[r, s] a_r^+ a_s is two O(dim M) gathers around one
 M x M product.  A two-body operator a^+ a^+ (K . a a psi) is one pair gather
-down, one (P, P) product and one gather up: its kernel is folded over the
-orderings of each pair (``fold_kernel``), so an operator built from several
+down, one (P, P) product and one gather up: its kernel sums over the
+orderings of each pair, so an operator built from several
 projected pair terms costs one application; ``hamiltonians`` builds the
 kernels of its split operators in that form directly.  ``two_body_sums`` is
 the only two-body apply: it applies kernels to a block of states, one
@@ -45,7 +45,8 @@ of its slots, which the space keeps.  Products run in blocks small enough
 that OpenBLAS keeps them on the calling thread (``SERIAL_PRODUCT``).  The
 scratch buffers belong to the FockSpace, which makes a FockSpace
 single-threaded; worker processes such as those of ``sweep --jobs`` each
-build their own.
+build their own.  ``FockState`` reaches these functions through the state
+methods that ``tensorstate.TensorState`` also answers.
 """
 
 from __future__ import annotations
@@ -67,11 +68,9 @@ __all__ = [
     "FockState",
     "enumerate_basis",
     "dgamma_apply",
-    "fold_kernel",
     "two_body_sums",
     "embed",
     "extract",
-    "inner",
     "product_fock",
     "random_fock",
     "pair_diagonal",
@@ -123,23 +122,9 @@ def _counts(particles: int, sites: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _channels(sites: int) -> tuple:
-    """The pair channels s <= s' of M sites in channel order, as read-only
-    arrays: the modes s and s', the fold indices and the (P, P) weights,
-    1/2 per diagonal channel.
-
-    The fold indices are four (P, P) tables of flat positions in an ordered
-    kernel laid out as [(rho', s'), (rho, s)]: entry [(a, a'), (b, b')] of each table reads one of the
-    orderings (rho', rho) in {(a, a'), (a', a)}, (s', s) in {(b, b'), (b', b)}.
-    """
-    s, t = np.triu_indices(sites)
-    half = np.where(s == t, 0.5, 1.0)
-    m2 = sites * sites
-    fold = np.stack([
-        (lead * sites)[:, None] * m2 + (trail * sites)[:, None] + first[None, :] * m2 + second[None, :]
-        for lead, trail in ((s, t), (t, s))
-        for first, second in ((s, t), (t, s))
-    ])
-    out = (s, t, fold, np.outer(half, half))
+    """The modes s and s' of the pair channels s <= s' of M sites in channel
+    order, as read-only arrays."""
+    out = np.triu_indices(sites)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -365,7 +350,7 @@ class FockSpace:
         self.sites = m = basis.sites
         self.sector = (m, basis.particles, basis.group)
         unit = np.eye(m, dtype=np.int64)
-        s, t = _channels(m)[:2]
+        s, t = _channels(m)
         self.ladders = (Ladder(basis, unit), Ladder(basis, unit[s] + unit[t]))
         self._pair_diagonal = (None, None)
         self._generator = (None,) * 6  # hops, sources, values, h0, pair, coupling
@@ -496,10 +481,43 @@ class FockState:
 
     __rmul__ = __mul__
 
+    def inner(self, other: "FockState") -> complex:
+        """Sesquilinear product, conjugate-linear in this state."""
+        _joint(self.space, other.space)
+        return complex(np.vdot(self.amps, other.amps))
 
-def inner(a: FockState, b: FockState) -> complex:
-    _joint(a.space, b.space)
-    return complex(np.vdot(a.amps, b.amps))
+    def lift(self, op) -> "FockState":
+        """The one-body lift of ``op`` (``dgamma_apply``)."""
+        return dgamma_apply(op, self)
+
+    def generator(self, hops, h0, pair, coupling: float) -> "FockState":
+        """dGamma(h0) plus ``coupling`` times the pair diagonal, one gather
+        through the space's ``generator_table`` with the off-diagonal ``hops``."""
+        sources, values = generator_table(self.space, hops, h0, pair, coupling)
+        gathered = self.amps.take(sources, axis=-1)
+        gathered *= values
+        return self.with_amps(gathered.sum(axis=-2))
+
+    def pair_sums(self, pieces, entries) -> "FockState":
+        """Row i sums the pair part of operator op applied to row j of this
+        block over the (op, j) in ``entries[i]``: one ``two_body_sums`` over
+        the (P, P) kernels ``pieces.ladder_kernels(N)``, 1/(N-1) folded in."""
+        kernels = pieces.ladder_kernels(self.particles)
+        return two_body_sums(self, [[(kernels[op], j) for op, j in row] for row in entries])
+
+    def admit(self, batch) -> None:
+        """Check a stage build's (table, kind, parts) triples for invariance
+        once (``FockSpace.require_invariant``)."""
+        for table, kind, parts in batch:
+            self.space.require_invariant(table, kind, parts=parts)
+
+    def asymmetry(self) -> float:
+        """Zero: occupation states are symmetric by construction."""
+        return 0.0
+
+    def chain_expectation(self, a: int, phi: np.ndarray, spectral: float) -> float:
+        """<psi, q_1...q_a psi>, which is the spectral value ``spectral``."""
+        return spectral
 
 
 def _blocks(total: int, most: int) -> list:
@@ -541,41 +559,11 @@ def dgamma_apply(op, state: FockState) -> FockState:
     return FockState(one.created(lead), space)
 
 
-def _fold(raw: np.ndarray) -> np.ndarray:
-    """The (P, P) pair-channel form of an ordered kernel laid out as
-    [(rho', s'), (rho, s)], or of each kernel of a stack of them: four
-    gathers through the fold tables of ``_channels``, weighted by 1/2 per
-    diagonal channel index."""
-    _, _, fold, weight = _channels(math.isqrt(raw.shape[-1]))
-    flat = raw.reshape(*raw.shape[:-2], -1)
-    out = flat.take(fold[0], axis=-1)
-    for index in fold[1:]:
-        out += flat.take(index, axis=-1)
-    out *= weight
-    return out
-
-
-def fold_kernel(kernel) -> np.ndarray:
-    """The (P, P) pair-channel form of an ordered (M^2, M^2) kernel.
-
-    K[(rho', rho), (s', s)] multiplies a_rho'^+ a_rho^+ a_s' a_s.  Both
-    orderings of a pair give the same operator, so the entry of channels
-    (rho <= rho', s <= s') sums K over the orderings of both index pairs;
-    a diagonal pair has one ordering, which that sum counts twice, hence
-    a factor 1/2 on each diagonal index.  Any other shape, an already
-    folded kernel among them, raises ``ValueError``.
-    """
-    kern = np.asarray(kernel, dtype=np.complex128)
-    m = math.isqrt(kern.shape[0]) if kern.ndim == 2 else 0
-    if m == 0 or kern.shape != (m * m, m * m):
-        raise ValueError(f"an ordered pair kernel has shape (M^2, M^2), not {kern.shape}")
-    return _fold(kern.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m))
-
-
 def two_body_sums(block: FockState, terms) -> FockState:
     """Row i of the result is the sum over (K, j) in terms[i] of
     a^+ a^+ (K . a a block[j]), for (P, P) pair-channel kernels K
-    (``fold_kernel``, ``hamiltonians.EffectivePieces.ladder_kernels``) and a block of states (members, dim).
+    (``hamiltonians.EffectivePieces.ladder_kernels``) and a block of states
+    (members, dim).
 
     The block is pair-annihilated to N - 2 particles in one gather and the
     outputs are created in one gather back up, whatever the number of terms;

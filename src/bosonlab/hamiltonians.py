@@ -14,20 +14,18 @@ from the rank-one site expansion of the position-diagonal kernel,
 members, a state whose amplitudes carry a leading member axis, to a block;
 ``apply_stage``, the generator of a hierarchy stage and of the auxiliary
 flow, calls it with entries built once by ``stage_entries``, and
-``apply_Htilde``, ``apply_C`` and ``apply_Q`` call it on one row.  On a
-symmetric occupation sector the tables of a whole stage build are checked
-for invariance once (``EffectivePieces.batch``).  The occupation route lifts
-h1 over the whole block in one call and reaches the two-body part through
-one stage-form ``projected_pair_sum`` over the (P, P) kernels of the
-P = M(M+1)/2 unordered pair channels, with 1/(N-1) folded in
-(``EffectivePieces.ladder_kernels``); the tensor route, its cross-check,
-works row by row and takes 2M + 1 one-body lifts per term and scales by
-1/(N-1).  ``stage_pieces`` builds h1 (h0 at each stage's time) and the
-kernels of up to ``stage_batch`` stages in one closed-form build from the
-rank-one condensate projector (``_ladder_kernels``); ``pieces_at`` builds
-one condensate's pieces, its kernels on first use.  ``apply_H`` is one
-cached gather on the occupation route (``fockstate.generator_table``).
-The prefactor lives in this module and nowhere else.
+``apply_Htilde``, ``apply_C`` and ``apply_Q`` call it on one row.  It reaches
+the representation only through the state methods: ``admit`` for the
+invariance of a stage build's tables (``EffectivePieces.batch``), ``lift``
+for h1 and ``pair_sums`` (``projected_pair_sum``) for the pair terms, whose
+pieces offer both the (P, P) pair-channel kernels with 1/(N-1) folded in
+(``EffectivePieces.ladder_kernels``) and the terms themselves
+(``EffectivePieces.terms``).  ``stage_pieces`` builds h1 (h0 at each
+stage's time) and the kernels of up to ``stage_batch`` stages in one
+closed-form build from the rank-one condensate projector
+(``_ladder_kernels``); ``pieces_at`` builds one condensate's pieces, its
+kernels on first use.  ``apply_H`` computes the coupling 1/(N-1) and calls
+the state's ``generator``.
 """
 
 from __future__ import annotations
@@ -55,43 +53,15 @@ __all__ = [
     "apply_stage",
     "stage_entries",
     "decomposition_residual",
-    "one_body_lift",
     "projected_pair_sum",
 ]
 
 
-def one_body_lift(mat, state):
-    """sum_j (mat on coordinate j), dispatched on the representation."""
-    if isinstance(state, ts.TensorState):
-        return ts.apply_one_body_sum(mat, state)
-    return fs.dgamma_apply(mat, state)
-
-
-def projected_pair_sum(state, pairs):
-    """Projected pair sums, in one of two forms.
-
-    Stage form, occupation route: ``state`` is a block (members, dim) and
-    ``pairs`` holds, per output, a list of (kernel, source) entries with
-    (P, P) kernels (``EffectivePieces.ladder_kernels``); output row i sums
-    a^+ a^+ (K . a a state[source]) over its entries, with one pair gather
-    each way for the block (``fockstate.two_body_sums``).
-
-    Tensor route, the cross-check: ``pairs`` is a sequence of terms
-    (weight, kernel, A, C, B, D) applied to one tensor state; per term and
-    r it lifts G_r = B diag(kernel[r, :]) D, then the rank-one A E_r C, and
-    subtracts the coincidence lift of A (kernel o C B) D.
-    """
-    if isinstance(state, fs.FockState):
-        return fs.two_body_sums(state, pairs)
-    acc = 0.0 * state
-    for weight, kernel, a, c, b, d in pairs:
-        term = 0.0 * state
-        for r in range(kernel.shape[0]):
-            u = ts.apply_one_body_sum(b @ (kernel[r][:, None] * d), state)
-            term = term + ts.apply_one_body_sum(np.outer(a[:, r], c[r, :]), u)
-        correction = a @ (kernel * (c @ b)) @ d
-        acc = acc + weight * (term - ts.apply_one_body_sum(correction, state))
-    return acc
+def projected_pair_sum(block, pieces, entries):
+    """Row i of the result sums the pair part of operator op (``_HTILDE``,
+    ``_C`` or ``_Q``) of ``pieces`` applied to row j of ``block`` over the
+    (op, j) in ``entries[i]``, 1/(N-1) included (``pair_sums``)."""
+    return block.pair_sums(pieces, entries)
 
 
 # Byte bound on the temporaries of one ``stage_pieces`` build (``stage_batch``).
@@ -200,7 +170,7 @@ def _ladder_kernels(cond: Condensate, model: Model, scale: float) -> np.ndarray:
     is (M^2, M^2) and nothing is folded.
     """
     m = cond.phi.shape[-1]
-    s, t = fs._channels(m)[:2]
+    s, t = fs._channels(m)
     p, lead, c = len(s), cond.phi.shape[:-1], scale * _SCALARS
     u = np.sqrt(model.cell) * cond.phi
     n = (u * u.conj()).real
@@ -238,9 +208,9 @@ class EffectivePieces:
 
     ``h1`` is the mean-field one-body generator
     -Lap + V_ext(t) + diag(vbar) - mu, the one M x M Hartree table, built
-    here because the N-body lift in Htilde needs it.  ``_terms`` holds the
+    here because the N-body lift in Htilde needs it.  ``terms`` holds the
     pair terms of Htilde, C and Q, in that order, without the 1/(N-1)
-    prefactor, built from ``cond`` on first use for the tensor route.  Q
+    prefactor, built from ``cond`` on first use for the tensor grid.  Q
     uses the centred kernel w(r-s) - vbar(r) - vbar(s) + 2 mu; C uses it
     without the 2 mu shift, which two orthogonal projector pairs annihilate
     anyway.
@@ -259,7 +229,7 @@ class EffectivePieces:
     batch: tuple = field(default=(), repr=False)
 
     @cached_property
-    def _terms(self) -> tuple:
+    def terms(self) -> tuple:
         return _pair_terms(self.cond, self.model)
 
     def ladder_kernels(self, particles: int) -> tuple:
@@ -310,22 +280,15 @@ def _require_pairs(particles: int):
 
 
 def apply_H(t: float, state, model: Model):
-    """Full generator dGamma(h0(t)) + sum_{i<j} w(x_i - x_j) / (N - 1).  The
-    occupation route is one gather (``fockstate.generator_table``) with the
-    hops of the Laplacian, which no potential changes, for a state or a
-    block; the tensor route, its cross-check, lifts h0(t)."""
+    """Full generator dGamma(h0(t)) + sum_{i<j} w(x_i - x_j) / (N - 1) on a
+    state or a block (``generator``), with the hops of the Laplacian, which
+    no potential changes."""
     n = state.particles
     coupling = 1.0 / (n - 1) if n >= 2 and not model.pair.is_zero else 0.0
-    if isinstance(state, ts.TensorState):
-        out = ts.apply_one_body_sum(model.h0(t), state)
-        return out + coupling * ts.apply_pair_diagonal(model.pair, state) if coupling else out
-    sources, values = fs.generator_table(state.space, model.lap.mat, model.h0(t), model.pair, coupling)
-    gathered = state.amps.take(sources, axis=-1)
-    gathered *= values
-    return state.with_amps(gathered.sum(axis=-2))
+    return state.generator(model.lap.mat, model.h0(t), model.pair, coupling)
 
 
-# The operators of ``_split_sums`` entries, indices into ``EffectivePieces._terms``
+# The operators of ``_split_sums`` entries, indices into ``EffectivePieces.terms``
 # and ``EffectivePieces.ladder_kernels``.
 _HTILDE, _C, _Q = range(3)
 
@@ -334,32 +297,14 @@ def _split_sums(pieces: EffectivePieces, members, entries, model: Model):
     """Row i of the result sums operator op (``_HTILDE``, ``_C`` or ``_Q``)
     applied to row j of the block ``members`` over the (op, j) in
     ``entries[i]``.  Htilde acts on an output's own member, as its first
-    entry, and on every output or on none.  The occupation route lifts h1
-    over the block in one call and adds one stage-form
-    ``projected_pair_sum`` over ``pieces.ladder_kernels``; the tensor route
-    adds the entries row by row, each through the pair terms times 1/(N-1).
-    """
-    free = model.pair.is_zero
-    if isinstance(members, ts.TensorState):
-        rows = [members.with_amps(amps) for amps in members.amps]
-        n = rows[0].particles
-        _require_pairs(n)
-
-        def part(op, psi):
-            pair = 0.0 * psi if free else (1.0 / (n - 1)) * projected_pair_sum(psi, pieces._terms[op])
-            return one_body_lift(pieces.h1, psi) + pair if op == _HTILDE else pair
-
-        parts = [[part(op, rows[j]) for op, j in row] for row in entries]
-        return members.with_amps(np.stack([sum(row[1:], row[0]).amps for row in parts]))
-    n = members.particles
-    _require_pairs(n)
-    for stack, kind, views in pieces.batch:
-        members.space.require_invariant(stack, kind, parts=views)
-    out = one_body_lift(pieces.h1, members) if entries[0][0] == (_HTILDE, 0) else 0.0 * members
-    if not free:
-        kernels = pieces.ladder_kernels(n)
-        out.amps += projected_pair_sum(members, [[(kernels[op], j) for op, j in row]
-                                                 for row in entries]).amps
+    entry, and on every output or on none: h1 is lifted over the block in
+    one call, and the pair parts of every entry come from one
+    ``projected_pair_sum``."""
+    _require_pairs(members.particles)
+    members.admit(pieces.batch)
+    out = members.lift(pieces.h1) if entries[0][0] == (_HTILDE, 0) else 0.0 * members
+    if not model.pair.is_zero:
+        out.amps += projected_pair_sum(members, pieces, entries).amps
     return out
 
 

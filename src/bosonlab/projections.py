@@ -25,10 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import fockstate as fs
 from . import tensorstate as ts
 from .errors import ConsistencyError
-from .hamiltonians import one_body_lift
 
 # Largest accepted |sum_k ||P_k psi||^2 - ||psi||^2|, relative to max(1, ||psi||^2).
 SUM_RULE_TOL = 1e-8
@@ -58,24 +56,13 @@ __all__ = [
     "falling_factorial",
     "a3_report",
     "A3Report",
-    "state_inner",
 ]
-
-
-# ---------------------------------------------------------------------------
-# representation-neutral helpers
-# ---------------------------------------------------------------------------
-
-def state_inner(a, b) -> complex:
-    if isinstance(a, ts.TensorState):
-        return ts.inner(a, b)
-    return fs.inner(a, b)
 
 
 def number_apply(state, phi: np.ndarray):
     """Apply S = sum_j q_j = N - (one-body lift of p)."""
     p, _ = ts.projector_matrices(phi, state.cell)
-    return state.particles * state - one_body_lift(p, state)
+    return state.particles * state - state.lift(p)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +220,7 @@ def spectral_weights(psi, phi: np.ndarray) -> SpectralWeights:
     the integers that carries weight, or a sum-rule defect above
     SUM_RULE_TOL, raises ConsistencyError (exit 1).
     """
-    if isinstance(psi, ts.TensorState) and ts.transposition_residual(psi) > 1e-8:
+    if psi.asymmetry() > 1e-8:
         raise ValueError("spectral weights require a symmetric state")
     n = psi.particles
     labels, carried, _, _ = _sector_krylov(phi, psi)
@@ -291,26 +278,14 @@ def qchain_spectral(a: int, weights: SpectralWeights, n_particles: int) -> float
 
 
 def qchain_expectation(a: int, phi: np.ndarray, psi) -> float:
-    """<psi, q_1...q_a psi> for symmetric psi, cross-checked along two routes.
-
-    Tensor states compute both the direct slot projection and the spectral
-    falling-factorial value; disagreement beyond 1e-8 is an internal
-    consistency failure.  Occupation states use the spectral route.
-    """
+    """<psi, q_1...q_a psi> for symmetric psi from the spectral weights by the
+    falling-factorial rule, cross-checked by the state's
+    ``chain_expectation`` (on the tensor grid, the direct slot projection;
+    disagreement beyond 1e-8 is an internal consistency failure)."""
     if not 1 <= a <= psi.particles:
         raise ValueError(f"chain length a={a} out of range 1..{psi.particles}")
     spectral = qchain_spectral(a, spectral_weights(psi, phi), psi.particles)
-    if isinstance(psi, fs.FockState):
-        return spectral
-    if ts.transposition_residual(psi) > 1e-8:
-        raise ValueError("q-chain expectation requires a symmetric state")
-    pattern = ["q"] * a + ["id"] * (psi.particles - a)
-    direct = state_inner(psi, ts.apply_projector_chain(pattern, phi, psi)).real
-    if abs(direct - spectral) > 1e-8:
-        raise ConsistencyError(
-            f"q-chain routes disagree: direct={direct!r}, spectral={spectral!r}"
-        )
-    return direct
+    return psi.chain_expectation(a, phi, spectral)
 
 
 def excitation_extract(k: int, phi: np.ndarray, psi: ts.TensorState) -> ts.TensorState:

@@ -53,11 +53,11 @@ def rk4_step(rhs, t: float, y, dt: float):
 
 def check_state(y, t: float, norm0: float):
     """Abort unless every member of the block ``y`` is finite and its lead,
-    row 0, has a norm (as a state) within ``DRIFT_ABORT`` of ``norm0``."""
+    row 0, has a finite norm (as a state) within ``DRIFT_ABORT`` of ``norm0``."""
     if not np.isfinite(y.amps).all():
         raise IntegratorError(f"non-finite amplitudes at t={t:.6g}")
     drift = abs(_lead(y).norm() - norm0)
-    if drift > DRIFT_ABORT:
+    if not drift <= DRIFT_ABORT:  # a NaN drift aborts too
         raise IntegratorError(f"norm drift {drift:.3e} at t={t:.6g} exceeds {DRIFT_ABORT}")
 
 

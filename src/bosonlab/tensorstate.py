@@ -4,6 +4,9 @@ Amplitudes live on an (M,)*N complex array; the inner product carries the
 volume element ``cell = h**d`` once per particle coordinate.  All operator
 applications are matrix-free slot loops: an M x M table is contracted
 against one tensor leg at a time, never materialising M^N x M^N matrices.
+A block of states carries a leading member axis.  ``TensorState`` answers
+the state methods of ``fockstate.FockState`` with the grid's own
+algorithms, which cross-check the occupation basis.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from itertools import permutations
 
 import numpy as np
 
+from .errors import ConsistencyError
+
 __all__ = [
     "TensorState",
-    "inner",
     "apply_factor",
     "apply_one_body_sum",
     "apply_pair_diagonal",
@@ -33,54 +37,103 @@ __all__ = [
 
 @dataclass
 class TensorState:
-    """N-body amplitude tensor with its coordinate volume element.
+    """N-body amplitude tensor, or a block of them, with its coordinate
+    volume element.
 
-    Symmetry is not tracked per state; :func:`transposition_residual`
-    measures it on demand.
+    ``particles`` is N, the number of trailing coordinate axes: ``amps.ndim``
+    unless carried over from the state whose ``with_amps`` made a block.
+    Symmetry is not tracked per state; ``asymmetry`` measures it on demand.
     """
 
     amps: np.ndarray
     cell: float
+    particles: int = None
 
-    @property
-    def particles(self) -> int:
-        return self.amps.ndim
+    def __post_init__(self):
+        if self.particles is None:
+            self.particles = np.ndim(self.amps)
 
     @property
     def sites(self) -> int:
-        return self.amps.shape[0] if self.amps.ndim else 1
+        return self.amps.shape[-1] if self.particles else 1
 
     def copy(self) -> "TensorState":
-        return TensorState(self.amps.copy(), self.cell)
+        return self.with_amps(self.amps.copy())
 
     def with_amps(self, amps) -> "TensorState":
         """This grid's state, or block of states, with amplitudes ``amps``."""
-        return TensorState(amps, self.cell)
+        return TensorState(amps, self.cell, self.particles)
 
     def norm(self) -> float:
         return float(np.sqrt(self.cell**self.particles * np.vdot(self.amps, self.amps).real))
 
     def __add__(self, other: "TensorState") -> "TensorState":
-        return TensorState(self.amps + other.amps, self.cell)
+        return self.with_amps(self.amps + other.amps)
 
     def __sub__(self, other: "TensorState") -> "TensorState":
-        return TensorState(self.amps - other.amps, self.cell)
+        return self.with_amps(self.amps - other.amps)
 
     def __mul__(self, scalar) -> "TensorState":
-        return TensorState(self.amps * scalar, self.cell)
+        return self.with_amps(self.amps * scalar)
 
     __rmul__ = __mul__
+
+    def inner(self, other: "TensorState") -> complex:
+        """Weighted sesquilinear product, conjugate-linear in this state."""
+        if self.amps.shape != other.amps.shape or self.cell != other.cell:
+            raise ValueError("states live on different grids")
+        return complex(self.cell**self.particles * np.vdot(self.amps, other.amps))
+
+    def lift(self, op) -> "TensorState":
+        """The one-body sum of ``op`` over the coordinates (``apply_one_body_sum``)."""
+        return apply_one_body_sum(op, self)
+
+    def generator(self, hops, h0, pair, coupling: float) -> "TensorState":
+        """dGamma(h0) plus ``coupling`` times the pair diagonal; h0 is lifted
+        whole, so ``hops``, which the occupation gather tabulates, is unused."""
+        out = apply_one_body_sum(h0, self)
+        return out + coupling * apply_pair_diagonal(pair, self) if coupling else out
+
+    def pair_sums(self, pieces, entries) -> "TensorState":
+        """Row i sums the pair part of operator op applied to row j of this
+        block over the (op, j) in ``entries[i]``, through the pair terms
+        (weight, kernel, A, C, B, D) of ``pieces.terms[op]`` times 1/(N-1).
+        Per term and r it lifts G_r = B diag(kernel[r, :]) D, then the
+        rank-one A E_r C, and subtracts the coincidence lift of
+        A (kernel o C B) D: 2M + 1 lifts per term, each on the whole block."""
+        scale, done = 1.0 / (self.particles - 1), {}
+        for op in {op for row in entries for op, _ in row}:
+            acc = 0.0 * self
+            for weight, kernel, a, c, b, d in pieces.terms[op]:
+                term = 0.0 * self
+                for r in range(kernel.shape[0]):
+                    u = apply_one_body_sum(b @ (kernel[r][:, None] * d), self)
+                    term = term + apply_one_body_sum(np.outer(a[:, r], c[r, :]), u)
+                correction = a @ (kernel * (c @ b)) @ d
+                acc = acc + weight * (term - apply_one_body_sum(correction, self))
+            done[op] = scale * acc.amps
+        return self.with_amps(np.stack([sum(done[op][j] for op, j in row) for row in entries]))
+
+    def admit(self, batch) -> None:
+        """Nothing to check: a tensor grid has no symmetry sector."""
+
+    def asymmetry(self) -> float:
+        """The deviation under coordinate swaps (``transposition_residual``)."""
+        return transposition_residual(self)
+
+    def chain_expectation(self, a: int, phi: np.ndarray, spectral: float) -> float:
+        """<psi, q_1...q_a psi> by direct slot projection, checked against the
+        spectral value ``spectral``; disagreement beyond 1e-8 raises
+        ``ConsistencyError``."""
+        pattern = ["q"] * a + ["id"] * (self.particles - a)
+        direct = self.inner(apply_projector_chain(pattern, phi, self)).real
+        if abs(direct - spectral) > 1e-8:
+            raise ConsistencyError(f"q-chain routes disagree: direct={direct!r}, spectral={spectral!r}")
+        return direct
 
 
 def _as_matrix(op) -> np.ndarray:
     return np.asarray(getattr(op, "mat", op), dtype=np.complex128)
-
-
-def inner(psi: TensorState, chi: TensorState) -> complex:
-    """Weighted sesquilinear product, conjugate-linear in the first slot."""
-    if psi.amps.shape != chi.amps.shape or psi.cell != chi.cell:
-        raise ValueError("states live on different grids")
-    return complex(psi.cell**psi.particles * np.vdot(psi.amps, chi.amps))
 
 
 def apply_factor(op, slot: int, psi: TensorState) -> TensorState:
@@ -97,15 +150,13 @@ def apply_factor(op, slot: int, psi: TensorState) -> TensorState:
 
 
 def apply_one_body_sum(op, psi: TensorState) -> TensorState:
-    """Sum of the one-body table over all coordinates."""
+    """Sum of the one-body table over the N coordinates of a state, or of
+    every state of a block: one contraction per trailing axis."""
     mat = _as_matrix(op)
     out = np.zeros_like(psi.amps)
-    m = psi.sites
-    for slot in range(psi.particles):
-        work = np.moveaxis(psi.amps, slot, 0).reshape(m, -1)
-        piece = (mat @ work).reshape((m,) + psi.amps.shape[1:])
-        out += np.moveaxis(piece, 0, slot)
-    return TensorState(out, psi.cell)
+    for axis in range(psi.amps.ndim - psi.particles, psi.amps.ndim):
+        out += np.moveaxis(np.tensordot(psi.amps, mat, axes=([axis], [1])), -1, axis)
+    return psi.with_amps(out)
 
 
 def apply_two_slot(mat2, i: int, j: int, psi: TensorState) -> TensorState:
@@ -137,7 +188,7 @@ def pair_diagonal_field(pair, n_particles: int) -> np.ndarray:
 
 def apply_pair_diagonal(pair, psi: TensorState) -> TensorState:
     """Multiply amplitudes by sum_{i<j} w(x_i - x_j); no mean-field prefactor."""
-    return TensorState(psi.amps * pair_diagonal_field(pair, psi.particles), psi.cell)
+    return psi.with_amps(psi.amps * pair_diagonal_field(pair, psi.particles))
 
 
 def projector_matrices(phi: np.ndarray, cell: float):

@@ -2,7 +2,8 @@
 
 Each case runs one ``bosonlab`` subcommand on one of the configs in this
 directory and writes its CSV (and, for ``evolve-norm``, its ``--save``
-snapshot) as ``<config>.<case>.csv`` / ``.blab``.  For ``sweep`` the exit
+snapshot) as ``<config>.<case>.csv`` / ``.blab``; ``evolve-load`` starts from
+the recorded ``evolve-norm`` snapshot of its config.  For ``sweep`` the exit
 code and the stdout summary are kept too, as ``<config>.<case>.out``, and
 the wall-time column ``runtime_s`` of its CSV is masked.  Snapshots, ``.out``
 files and the CSVs of ``EXACT`` cases must match their records byte for
@@ -34,6 +35,9 @@ CASES = {
     "evolve-norm-tensor": ["evolve", "--observable", "norm", "--representation", "tensor", "--every", "5"],
     "hartree": ["hartree"],
     "sweep": ["sweep", "--grid", "N=3,4,5", "--orders", "1,2"],
+    "moments-fock": ["moments", "--representation", "fock"],
+    "moments-tensor": ["moments", "--representation", "tensor"],
+    "evolve-load": ["evolve", "--observable", "weights", "--every", "5", "--load", "{config}.evolve-norm.blab"],
 }
 SAVES = {"evolve-norm"}
 EXACT = {"hartree"}
@@ -46,7 +50,8 @@ SNAPSHOT_HEADER = 26  # bytes before the complex64 payload of a BLAB1 snapshot
 def run_case(config: str, case: str, out_dir: Path) -> dict:
     """Run one case with its outputs under ``out_dir``: file name -> bytes."""
     paths = [out_dir / f"{config}.{case}.csv"]
-    argv = [*CASES[case], "--config", str(HERE / f"{config}.cfg"), "--out", str(paths[0])]
+    argv = [arg.format(config=HERE / config) for arg in CASES[case]]
+    argv += ["--config", str(HERE / f"{config}.cfg"), "--out", str(paths[0])]
     if case in SAVES:
         paths.append(out_dir / f"{config}.{case}.blab")
         argv += ["--save", str(paths[1])]

@@ -222,6 +222,34 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert "wrong.blab" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("representation,observable", [("fock", "weights"), ("tensor", "norm")])
+    def test_snapshot_spacing_mismatch_exits_2(self, cfg_path, tmp_path, capsys, representation, observable):
+        snap = tmp_path / "state.blab"
+        assert main(["evolve", "--config", cfg_path, "--representation", representation,
+                     "--save", str(snap), "--every", "100"]) == 0
+        # same d, L and N on a grid of twice the spacing
+        wider = tmp_path / "wider.cfg"
+        wider.write_text(with_value("torus_length", "8.0").replace("radius = 1.5", "radius = 4.5"))
+        capsys.readouterr()
+        assert main(["evolve", "--config", str(wider), "--load", str(snap),
+                     "--observable", observable]) == 2
+        err = capsys.readouterr().err
+        assert "spacing" in err and "Traceback" not in err
+
+    def test_snapshot_with_nan_spacing_exits_2(self, cfg_path, tmp_path, capsys):
+        import struct
+
+        snap = tmp_path / "state.blab"
+        assert main(["evolve", "--config", cfg_path, "--representation", "tensor",
+                     "--save", str(snap), "--every", "100"]) == 0
+        raw = bytearray(snap.read_bytes())
+        raw[18:26] = struct.pack("<d", float("nan"))  # the f64 spacing of the header
+        snap.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["evolve", "--config", cfg_path, "--load", str(snap)]) == 2
+        err = capsys.readouterr().err
+        assert "spacing nan" in err and "Traceback" not in err
+
     def test_derived_values_in_config_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "derived.cfg"
         path.write_text(SMALL_CFG + "spacing = 7.0\nsite_count = 99\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,8 +102,8 @@ class TestApplyH:
         rng = np.random.default_rng(0)
         a = ts.random_symmetric(3, 3, model.cell, rng)
         b = ts.random_symmetric(3, 3, model.cell, rng)
-        lhs = ts.inner(b, apply_H(0.0, a, model))
-        rhs = ts.inner(apply_H(0.0, b, model), a)
+        lhs = b.inner(apply_H(0.0, a, model))
+        rhs = apply_H(0.0, b, model).inner(a)
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
     def test_matches_dense_matrix_oracle(self):
@@ -273,8 +274,8 @@ class TestApplyHtilde:
         pieces = pieces_at(phi, 0.0, model)
         a = ts.random_symmetric(3, 3, model.cell, rng)
         b = ts.random_symmetric(3, 3, model.cell, rng)
-        lhs = ts.inner(b, apply_Htilde(pieces, a, model))
-        rhs = ts.inner(apply_Htilde(pieces, b, model), a)
+        lhs = b.inner(apply_Htilde(pieces, a, model))
+        rhs = apply_Htilde(pieces, b, model).inner(a)
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
     def test_matches_slot_chain_oracle(self):
@@ -358,8 +359,8 @@ class TestRemainders:
         a = ts.random_symmetric(3, 3, model.cell, rng)
         b = ts.random_symmetric(3, 3, model.cell, rng)
         for op in (apply_C, apply_Q):
-            lhs = ts.inner(b, op(pieces, a, model))
-            rhs = ts.inner(op(pieces, b, model), a)
+            lhs = b.inner(op(pieces, a, model))
+            rhs = op(pieces, b, model).inner(a)
             assert lhs == pytest.approx(rhs, abs=1e-11)
             assert ts.transposition_residual(op(pieces, a, model)) <= 1e-11
 
@@ -453,10 +454,13 @@ class TestProjectedPairSum:
         psi = ts.random_symmetric(m, 3, model.cell, rng)
         second = (0.5, model.pair.mat + rng.standard_normal((m, m)), table(), table(), table(), table())
         terms = ((1.0, kernel, a, c, b, d), second)
+        # pieces of one operator: its terms for the tensor grid, their folded
+        # kernel with 1/(N-1) = 1/2 for the occupation basis
+        pieces = SimpleNamespace(terms=(terms,),
+                                 ladder_kernels=lambda n: (fold_oracle(ordered_kernel_oracle(terms, 0.5), m),))
         space = fs.FockSpace(fs.enumerate_basis(m, 3), model.cell)
-        tensor = projected_pair_sum(psi, terms)
-        summed = fold_oracle(ordered_kernel_oracle(terms), m)
-        (fock,) = rows(projected_pair_sum(block([fs.extract(psi, space)]), [[(summed, 0)]]))
+        (tensor,) = rows(projected_pair_sum(block([psi]), pieces, [[(0, 0)]]))
+        (fock,) = rows(projected_pair_sum(block([fs.extract(psi, space)]), pieces, [[(0, 0)]]))
         assert np.abs(fs.embed(fock).amps - tensor.amps).max() <= 1e-11
 
     def test_kernel_built_once_per_pieces(self, monkeypatch):

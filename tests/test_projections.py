@@ -82,7 +82,7 @@ class TestApplyPk:
         for k, pk in enumerate(sectors):
             assert (pj.apply_Pk(k, phi, pk) - pk).norm() <= 1e-10
             for other in sectors[k + 1 :]:
-                assert abs(pj.state_inner(pk, other)) <= 1e-10
+                assert abs(pk.inner(other)) <= 1e-10
 
     def test_resolution_of_identity(self):
         rng = np.random.default_rng(7)
@@ -326,7 +326,7 @@ class TestFqqIdentities:
         phi = random_phi(3, rng)
         psi = ts.random_symmetric(3, 4, CELL, rng)
         lhs = pj.n_moment(1, phi, psi)
-        rhs = pj.state_inner(psi, pj.number_apply(psi, phi)).real / 4
+        rhs = psi.inner(pj.number_apply(psi, phi)).real / 4
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_chain_bounded_by_nhat_insertions(self):

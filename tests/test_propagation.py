@@ -103,6 +103,14 @@ class TestGuard:
         with pytest.raises(IntegratorError, match="non-finite"):
             check_state(y, 0.0, psi0.norm())
 
+    def test_nan_cell_aborts(self):
+        # finite amplitudes on a grid whose cell is NaN have a NaN norm
+        model = make_model()
+        psi0 = build_product(model, default_phi0(model), "tensor")
+        y = ts.TensorState(psi0.amps, float("nan")).with_amps(np.stack([psi0.amps] * 3))
+        with pytest.raises(IntegratorError, match="drift nan"):
+            check_state(y, 0.0, psi0.norm())
+
     def test_lead_drift_is_measured_in_the_state_norm(self):
         # on the tensor grid a state's norm carries cell^N = 0.125 here
         model = make_model(torus_length=2.0)
@@ -220,7 +228,7 @@ class TestEvolveAux:
         i_end = traj.index_of(0.5)
         reference = build_product(model, traj.phi(i_end) / np.sqrt(
             model.cell * np.vdot(traj.phi(i_end), traj.phi(i_end)).real), "fock")
-        overlap = abs(fs.inner(reference, out))
+        overlap = abs(reference.inner(out))
         assert 0.9 <= overlap <= 1.0 + 1e-12
 
     def test_trajectory_gap_rejected(self, setup):

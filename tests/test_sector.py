@@ -154,7 +154,7 @@ class TestSectorOperators:
         got = fs.pair_diagonal(sector, pair) * a_sector.amps
         assert same_state(fs.FockState(got, sector),
                           fs.FockState(fs.pair_diagonal(site, pair) * a_site.amps, site))
-        assert fs.inner(a_sector, b_sector) == pytest.approx(fs.inner(a_site, b_site), abs=1e-12)
+        assert a_sector.inner(b_sector) == pytest.approx(a_site.inner(b_site), abs=1e-12)
         assert a_sector.norm() == pytest.approx(a_site.norm(), abs=1e-12)
 
     def test_asymmetric_tables_are_refused(self, pair_of_spaces):
@@ -212,21 +212,21 @@ class TestSectorSpaces:
         site = fs.product_fock(phi0, fock_space(model))
         assert sector.space.sector != site.space.sector
         assert sector.amps.shape != site.amps.shape
-        for combine in (lambda a, b: a + b, lambda a, b: a - b, fs.inner):
+        for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a.inner(b)):
             with pytest.raises(ValueError, match="different sectors"):
                 combine(sector, site)
         # a different group of the same order is another sector too
         other = fs.FockSpace(fs.enumerate_basis(4, 3, symmetry=[(2, 1, 0, 3)]), model.cell)
         assert other.basis.dim == sector.space.basis.dim
         with pytest.raises(ValueError, match="different sectors"):
-            fs.inner(sector, fs.FockState(np.zeros(other.basis.dim, dtype=complex), other))
+            sector.inner(fs.FockState(np.zeros(other.basis.dim, dtype=complex), other))
 
     def test_states_of_one_sector_combine_across_builds(self):
         model = make_model()
         phi0 = default_phi0(model)
         a, b = build_product(model, phi0), build_product(model, phi0)
         assert a.space is not b.space
-        assert fs.inner(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert a.inner(b) == pytest.approx(1.0, abs=1e-12)
         assert (a - b).norm() == 0.0
 
     def test_pickled_sector_space_works(self):

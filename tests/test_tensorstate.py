@@ -31,13 +31,13 @@ def random_phi(m, cell, rng):
 class TestInner:
     def test_normalised_state(self, model):
         psi = ts.random_symmetric(3, 3, model.cell, np.random.default_rng(0))
-        assert ts.inner(psi, psi).real == pytest.approx(1.0, abs=1e-12)
+        assert psi.inner(psi).real == pytest.approx(1.0, abs=1e-12)
 
     def test_conjugate_symmetry(self, model):
         rng = np.random.default_rng(1)
         a = ts.random_symmetric(3, 3, model.cell, rng)
         b = ts.random_symmetric(3, 3, model.cell, rng)
-        assert ts.inner(a, b) == pytest.approx(np.conj(ts.inner(b, a)), abs=1e-13)
+        assert a.inner(b) == pytest.approx(np.conj(b.inner(a)), abs=1e-13)
 
     def test_grid_deltas_orthogonal(self, model):
         amps = np.zeros((3, 3, 3), dtype=complex)
@@ -46,13 +46,13 @@ class TestInner:
         amps2 = np.zeros((3, 3, 3), dtype=complex)
         amps2[1, 1, 2] = 1.0
         delta2 = ts.TensorState(amps2, model.cell)
-        assert ts.inner(delta1, delta2) == 0.0
+        assert delta1.inner(delta2) == 0.0
 
     def test_shape_mismatch_rejected(self, model):
         a = ts.random_symmetric(3, 3, model.cell, np.random.default_rng(2))
         b = ts.random_symmetric(3, 2, model.cell, np.random.default_rng(2))
         with pytest.raises(ValueError):
-            ts.inner(a, b)
+            a.inner(b)
 
 
 class TestApplyFactor:
@@ -212,8 +212,8 @@ class TestHermiticity:
             "q_chain": lambda s: ts.apply_projector_chain(["q", "q", "id"], phi, s),
         }
         for name, op in candidates.items():
-            lhs = ts.inner(b, op(a))
-            rhs = ts.inner(op(b), a)
+            lhs = b.inner(op(a))
+            rhs = op(b).inner(a)
             assert lhs == pytest.approx(rhs, abs=1e-12), name
 
     def test_operators_preserve_symmetric_subspace(self, model):
