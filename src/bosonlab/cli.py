@@ -32,7 +32,7 @@ from .projections import (
     spectral_weights,
 )
 from .propagation import evolve_full
-from .snapshots import MAGIC, load_state, save_state
+from .snapshots import MAGIC, load_state, representation, save_state
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -79,6 +79,9 @@ def _cmd_hartree(args) -> int:
 def _initial_state(args, cfg, model: Model):
     if args.load:
         state, dim, sites = load_state(args.load)
+        if args.representation not in (None, representation(state)):
+            raise ConfigError(f"--representation {args.representation} does not match the "
+                              f"snapshot's {representation(state)} representation")
         if dim != cfg.dimension or sites != cfg.sites_per_dim or state.particles != cfg.particles:
             raise ConfigError(
                 f"snapshot geometry (d={dim}, L={sites}, N={state.particles}) "
@@ -90,7 +93,7 @@ def _initial_state(args, cfg, model: Model):
             raise ConfigError(f"snapshot lattice spacing {spacing!r} does not match the "
                               f"configuration's spacing {cfg.spacing!r}")
         return state
-    return build_product(model, default_phi0(model), args.representation)
+    return build_product(model, default_phi0(model), args.representation or "fock")
 
 
 def _cmd_evolve(args) -> int:
@@ -217,7 +220,7 @@ def _add_common(sub, representation: bool = True):
     if representation:
         sub.add_argument(
             "--representation", choices=("fock", "tensor"), default="fock",
-            help="N-body state representation (default: fock)",
+            help="N-body state representation (default: fock, or a loaded snapshot's)",
         )
 
 
@@ -247,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--load", default=None, help="snapshot path for the initial state")
     p.add_argument("--observable", choices=("norm", "weights", "moments"), default="norm")
     p.add_argument("--every", type=int, default=1, help="emit every K-th step")
-    p.set_defaults(func=_cmd_evolve)
+    p.set_defaults(func=_cmd_evolve, representation=None)  # unset follows a --load snapshot
 
     p = subs.add_parser("correct", help="evaluate the correction hierarchy error")
     _add_common(p)

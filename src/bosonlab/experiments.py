@@ -46,7 +46,6 @@ from .projections import (
     number_apply,
     qchain_expectation,
     spectral_weights,
-    weight_values,
     WeightFunction,
 )
 from .propagation import evolve_aux, evolve_full
@@ -467,11 +466,19 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
     def track(name, value):
         worst[name] = max(worst.get(name, 0.0), value)
 
+    def project(pair, state):
+        # the first factor of ``pair`` on slot 0, the second on slot 1
+        return ts.apply_factor(pair[1], 1, ts.apply_factor(pair[0], 0, state))
+
     a_max = min(4, n)
     for s in range(n_seeds):
         rng = np.random.default_rng(cfg.seed + 7919 * s)
         phi = _random_phi(m, cell, rng)
         psi = ts.random_symmetric(m, n, cell, rng)
+
+        p1, q1 = ts.projector_matrices(phi, cell)
+        # chains[a] = <psi, q_1...q_a psi>
+        chains = {a: qchain_expectation(a, phi, psi) for a in range(1, a_max + 1)}
 
         cond = condensate_at(phi, 0.0, model)
         track("decomposition_residual", decomposition_residual(0.0, cond, psi, model))
@@ -480,53 +487,42 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
         track("identity_resolution", abs(weights.total - psi.norm() ** 2))
 
         # restored state from all sectors
-        total = 0.0 * psi
-        for k in range(n + 1):
-            pk = apply_Pk(k, phi, psi)
-            total = total + pk
+        sectors = [apply_Pk(k, phi, psi) for k in range(n + 1)]
+        for k, pk in enumerate(sectors):
             track("pk_idempotent", (apply_Pk(k, phi, pk) - pk).norm())
             if k < n:
-                track("pk_orthogonal", abs(pk.inner(apply_Pk(k + 1, phi, psi))))
-        track("pk_completeness", (total - psi).norm())
+                track("pk_orthogonal", abs(pk.inner(sectors[k + 1])))
+        track("pk_completeness", (sum(sectors[1:], sectors[0]) - psi).norm())
 
         # number identity: <n_hat^2> = (1/N) sum_j <q_j>
         lhs = n_moment(1, phi, psi, weights=weights)
-        rhs = psi.inner(number_apply(psi, phi)).real / n
+        rhs = psi.inner(number_apply(psi, p1)).real / n
         track("number_identity", abs(lhs - rhs))
 
         # chain monotony under n_hat insertions
         for a in range(1, a_max + 1):
-            chain_sq = qchain_expectation(a, phi, psi)
             for j in range(0, a + 1):
-                pattern = ["q"] * j + ["id"] * (n - j)
-                part = ts.apply_projector_chain(pattern, phi, psi)
-                nw = weight_values(WeightFunction(lambda k: (k / n) ** ((a - j) / 2.0)), n)
-                bounded = apply_weight(WeightFunction(lambda k: nw[k]), phi, part)
-                track("chain_vs_nhat", max(0.0, chain_sq - bounded.norm() ** 2))
+                part = ts.apply_projector_chain(["q"] * j + ["id"] * (n - j), phi, psi)
+                bounded = apply_weight(lambda k: (k / n) ** ((a - j) / 2.0), phi, part)
+                track("chain_vs_nhat", max(0.0, chains[a] - bounded.norm() ** 2))
 
         # explicit-constant sandwich between chains and m-weights
         for a in range(1, a_max + 1):
-            chain_sq = qchain_expectation(a, phi, psi)
             m_sq = m_moment(a, phi, psi, weights=weights)
-            track("chain_below_m", max(0.0, chain_sq - m_sq))
+            track("chain_below_m", max(0.0, chains[a] - m_sq))
             budget = float(n) ** (-a) + sum(
-                (4.0**a) * math.factorial(a) * float(n) ** (-a + j) * qchain_expectation(j, phi, psi)
-                for j in range(1, a + 1)
-            )
+                (4.0**a) * math.factorial(a) * float(n) ** (-a + j) * chains[j] for j in range(1, a + 1))
             track("m_below_chain_budget", max(0.0, m_sq - budget))
             exc = weights.moment(a)
             track("exc_below_scaled_m", max(0.0, exc - float(n) ** a * m_sq))
             track("scaled_m_below_exc_budget", max(0.0, float(n) ** a * m_sq - (1.0 + 2.0**a * exc)))
 
         # excitation vectors: orthogonality per coordinate and norm match
-        if n <= 5:
-            for k in range(n + 1):
-                xi = excitation_extract(k, phi, psi)
-                track("excitation_norm_match", abs(xi.norm() ** 2 - weights.weights[k]))
-                if k >= 1:
-                    p, _ = ts.projector_matrices(phi, cell)
-                    for slot in range(k):
-                        track("excitation_orthogonality", ts.apply_factor(p, slot, xi).norm())
+        for k in range(n + 1):
+            xi = excitation_extract(k, phi, psi)
+            track("excitation_norm_match", abs(xi.norm() ** 2 - weights.weights[k]))
+            for slot in range(k):
+                track("excitation_orthogonality", ts.apply_factor(p1, slot, xi).norm())
 
         # weight shift across a two-coordinate operator
         fvals = rng.random(n + 1) + 0.1
@@ -536,18 +532,11 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
             rng.standard_normal((m,) * n) + 1j * rng.standard_normal((m,) * n), cell
         )
         raw = (1.0 / raw.norm()) * raw
-        p1, q1 = ts.projector_matrices(phi, cell)
-        sandwiches = {0: [("p", "p")], 1: [("p", "q"), ("q", "p")], 2: [("q", "q")]}
+        sandwiches = {0: [(p1, p1)], 1: [(p1, q1), (q1, p1)], 2: [(q1, q1)]}
         for mu_idx, mu_list in sandwiches.items():
             for nu_idx, nu_list in sandwiches.items():
                 qm = mu_list[(s + mu_idx) % len(mu_list)]
                 qn = nu_list[(s + nu_idx) % len(nu_list)]
-
-                def project(tags, state):
-                    mats = {"p": p1, "q": q1}
-                    out = ts.apply_factor(mats[tags[0]], 0, state)
-                    return ts.apply_factor(mats[tags[1]], 1, out)
-
                 right = project(qn, raw)
                 lhs_state = project(qm, apply_weight(fweight, phi, ts.apply_two_slot(tmat, 0, 1, right)))
                 shifted = fweight.shifted(mu_idx - nu_idx)

@@ -59,9 +59,8 @@ __all__ = [
 ]
 
 
-def number_apply(state, phi: np.ndarray):
-    """Apply S = sum_j q_j = N - (one-body lift of p)."""
-    p, _ = ts.projector_matrices(phi, state.cell)
+def number_apply(state, p: np.ndarray):
+    """Apply S = sum_j q_j = N - (one-body lift of the condensate projector p)."""
     return state.particles * state - state.lift(p)
 
 
@@ -116,8 +115,10 @@ def _sector_krylov(phi: np.ndarray, psi):
     of each Ritz value, the weight ||psi||^2 ritz[0, j]^2 each Ritz pair
     carries, the orthonormal Krylov rows (flattened amplitudes, one per step)
     and the eigenvectors of the tridiagonal matrix as columns of ``ritz``.  It
-    stops after N + 1 steps, or earlier once the residual is roundoff.  The
-    rows hold O((N + 1) * dim) complex entries (263 KB at N = 16, dim 969).
+    stops after N + 1 steps, or earlier once the residual is roundoff; every
+    step lifts the one projector p built for the pass, so a symmetric sector
+    checks p once.  The rows hold O((N + 1) * dim) complex entries (263 KB
+    at N = 16, dim 969).
     Raises ConsistencyError when a Ritz value that carries weight lies off the
     integers 0..N, i.e. when S does not have the spectrum it must have.
     """
@@ -127,13 +128,14 @@ def _sector_krylov(phi: np.ndarray, psi):
     scale = np.linalg.norm(flat)
     if scale == 0.0:
         return np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, flat.size)), np.zeros((0, 0))
+    p, _ = ts.projector_matrices(phi, psi.cell)
     rows = np.zeros((n + 1, flat.size), dtype=np.complex128)
     rows[0] = flat / scale
     alpha = np.zeros(n + 1)
     beta = np.zeros(n)
     steps = n + 1
     for j in range(n + 1):
-        r = number_apply(psi.with_amps(rows[j].reshape(psi.amps.shape)), phi).amps.reshape(-1)
+        r = number_apply(psi.with_amps(rows[j].reshape(psi.amps.shape)), p).amps.reshape(-1)
         # two classical Gram-Schmidt passes; einsum, not a BLAS gemv, because
         # (j + 1) * dim above 4096 entries wakes OpenBLAS's thread pool
         for _ in range(2):

@@ -12,9 +12,9 @@ handed out as a state is never overwritten.
 
 The auxiliary flow and the hierarchy step only their N-body members.  The
 condensate their generator needs at each RK4 stage never depends on the
-members, so ``stage_rhs`` takes it from the Hartree trajectory: for a chunk
-of grid steps one vectorised ``meanfield.rk4_stages`` pass gives the four
-stage condensates of each step from its grid phi, and
+members, so ``stage_rhs`` takes it from the Hartree trajectory: one
+vectorised ``meanfield.rk4_stages`` pass per evolution gives the four stage
+condensates of each of its steps from their grid phis, and
 ``hamiltonians.stage_pieces`` builds their pieces ``stage_batch`` stages at
 a time, the pair-channel kernels of a build in closed form from the stage
 condensates.  The right-hand side consumes them in stage order and refuses
@@ -81,29 +81,19 @@ def march(rhs, y, i0: int, i1: int, dt: float, observer=None):
     return y
 
 
-# Steps per ``rk4_stages`` pass at least.  A pass costs ~25 small numpy calls
-# however many steps it covers: at M = 9 the stage condensates of a 20-step
-# hierarchy took 2.9 ms one step at a time and 0.6 ms eight at a time (best
-# of 3 in one process, shared 2-core VM).
-SCHEDULE_STEPS = 8
-
-
 def _stage_schedule(trajectory: HartreeTrajectory, i0: int, i1: int, particles: int):
     """The pieces of the four RK4 stages of each grid step i0 .. i1-1, in
-    stage order.  The stage condensates of a chunk of steps come from one
-    ``rk4_stages`` pass over their grid phis; a chunk is a multiple of
-    ``stage_batch`` steps, so its 4 x chunk stages make whole builds."""
+    stage order.  The stage condensates of every step come from one
+    ``rk4_stages`` pass over their grid phis, made at the first stage asked
+    for, so a zero-step evolution makes none."""
     model, dt = trajectory.model, trajectory.dt
+    stages, _ = rk4_stages(trajectory.phis[i0:i1], np.arange(i0, i1) * dt, dt, model)
+    # one stage axis in stage order: stage j of step i is entry 4 i + j
+    phi, t, vbar, mu = (np.stack(values, axis=1).reshape(-1, *values[0].shape[1:])
+                        for values in zip(*((c.phi, c.t, c.vbar, c.mu) for c in stages)))
     batch = stage_batch(model.config.site_count)
-    chunk = batch * -(-SCHEDULE_STEPS // batch)
-    for lo in range(i0, i1, chunk):
-        hi = min(lo + chunk, i1)
-        stages, _ = rk4_stages(trajectory.phis[lo:hi], np.arange(lo, hi) * dt, dt, model)
-        # one stage axis in stage order: stage j of step i is entry 4 i + j
-        phi, t, vbar, mu = (np.stack(values, axis=1).reshape(-1, *values[0].shape[1:])
-                            for values in zip(*((c.phi, c.t, c.vbar, c.mu) for c in stages)))
-        for part in (slice(s, s + batch) for s in range(0, len(t), batch)):
-            yield from stage_pieces(Condensate(phi[part], t[part], vbar[part], mu[part]), model, particles)
+    for part in (slice(s, s + batch) for s in range(0, len(t), batch)):
+        yield from stage_pieces(Condensate(phi[part], t[part], vbar[part], mu[part]), model, particles)
 
 
 def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, particles: int, sources: list):
@@ -140,7 +130,7 @@ def evolve_full(psi0, t1: float, model: Model, t0: float = 0.0, observer=None):
     i0, i1 = grid_index(t0, dt), grid_index(t1, dt)
 
     def rhs(t, y):
-        return y.with_amps(-1j * apply_H(t, _lead(y), model).amps[None])
+        return -1j * apply_H(t, y, model)
 
     watch = None if observer is None else lambda i, t, y: observer(i, t, _lead(y))
     return _lead(march(rhs, psi0.with_amps(psi0.amps[None].copy()), i0, i1, dt, watch))

@@ -19,7 +19,7 @@ from . import fockstate as fs
 from . import tensorstate as ts
 from .errors import ConfigError
 
-__all__ = ["save_state", "load_state", "MAGIC"]
+__all__ = ["save_state", "load_state", "representation", "MAGIC"]
 
 MAGIC = b"BLAB1"
 _HEADER = struct.Struct("<5sBIIId")
@@ -28,14 +28,18 @@ TAG_TENSOR = 0
 TAG_OCCUPATION = 1
 
 
+def representation(state) -> str:
+    """``--representation``'s name for the class of ``state``: "tensor" or "fock"."""
+    if isinstance(state, ts.TensorState):
+        return "tensor"
+    if isinstance(state, fs.FockState):
+        return "fock"
+    raise ConfigError(f"cannot snapshot object of type {type(state).__name__}")
+
+
 def save_state(path, state, dimension: int, sites_per_dim: int) -> None:
     spacing = state.cell ** (1.0 / dimension)
-    if isinstance(state, ts.TensorState):
-        tag = TAG_TENSOR
-    elif isinstance(state, fs.FockState):
-        tag = TAG_OCCUPATION
-    else:
-        raise ConfigError(f"cannot snapshot object of type {type(state).__name__}")
+    tag = TAG_TENSOR if representation(state) == "tensor" else TAG_OCCUPATION
     amps = state.amps if tag == TAG_TENSOR else state.space.site_amplitudes(state.amps)
     payload = np.ascontiguousarray(amps, dtype="<c8").tobytes()
     header = _HEADER.pack(MAGIC, tag, dimension, sites_per_dim, state.particles, spacing)

@@ -11,7 +11,8 @@ byte.  Any other CSV must match line by line: text fields exactly, numbers
 within ``ABS_TOL`` and, where the recorded value exceeds ``REL_FLOOR`` in
 magnitude, within ``REL_TOL`` relative.
 
-``record.py`` re-records every case; ``tests/test_golden.py`` compares.
+``record.py`` runs every case and writes an output only where it has no
+record or fails ``compare``; ``tests/test_golden.py`` compares.
 """
 
 from __future__ import annotations

@@ -100,13 +100,6 @@ class TestHartree:
 
 
 class TestEvolve:
-    @pytest.mark.parametrize("every", ["0", "-3"])
-    def test_non_positive_every_exits_2(self, cfg_path, capsys, every):
-        assert main(["evolve", "--config", cfg_path, "--every", every]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--every" in captured.err
-
     def test_norm_observable(self, cfg_path, capsys):
         assert main(["evolve", "--config", cfg_path, "--every", "20"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -155,6 +148,18 @@ class TestEvolve:
                      "--every", "100"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert float(lines[1].split(",")[1]) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("representation", ["fock", "tensor"])
+    def test_load_follows_the_snapshot_representation(self, cfg_path, tmp_path, representation):
+        snap = tmp_path / "state.blab"
+        assert main(["evolve", "--config", cfg_path, "--representation", representation,
+                     "--save", str(snap), "--every", "100"]) == 0
+        named, unnamed = tmp_path / "named.csv", tmp_path / "unnamed.csv"
+        load = ["evolve", "--config", cfg_path, "--load", str(snap), "--observable", "weights",
+                "--every", "50"]
+        assert main([*load, "--representation", representation, "--out", str(named)]) == 0
+        assert main([*load, "--out", str(unnamed)]) == 0
+        assert named.read_bytes() == unnamed.read_bytes()
 
 
 class TestCorrect:
@@ -236,6 +241,18 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert "spacing" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("saved,loaded", [("fock", "tensor"), ("tensor", "fock")])
+    def test_snapshot_of_another_representation_exits_2(self, cfg_path, tmp_path, capsys, saved, loaded):
+        snap = tmp_path / "state.blab"
+        assert main(["evolve", "--config", cfg_path, "--representation", saved,
+                     "--save", str(snap), "--every", "100"]) == 0
+        capsys.readouterr()
+        assert main(["evolve", "--config", cfg_path, "--load", str(snap),
+                     "--representation", loaded]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "--representation" in captured.err and saved in captured.err
+
     def test_snapshot_with_nan_spacing_exits_2(self, cfg_path, tmp_path, capsys):
         import struct
 
@@ -298,6 +315,36 @@ class TestMalformedConfigValues:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("bosonlab: error: t_final must be a finite number")
+
+
+# (argv, the flag or the config key it overrides that the message must name)
+REFUSALS = [
+    *((["correct", "--order", value], "order") for value in ("0", "-2", "x")),
+    *((["correct", "--t", value], "t_final") for value in ("0", "-1")),
+    *(([command, "--seed", value], "seed")
+      for command in ("check", "hartree", "moments") for value in ("-1", "x")),
+    (["moments", "--representation", "bogus"], "--representation"),
+    (["evolve", "--observable", "bogus"], "--observable"),
+    *((["sweep", "--grid", "N=3", "--orders", value], "orders") for value in ("0", "-1")),
+    (["sweep", "--grid", "M=3,4"], "grid"),
+    (["check", "--seeds", "x"], "--seeds"),
+    *((["evolve", "--every", value], "--every") for value in ("0", "-3")),
+]
+
+
+class TestRefusalGrid:
+    """Flag values below range, of the wrong type or off the choices: exit 2,
+    no traceback, and a last stderr line (argparse prints its usage above it)
+    that names the flag or the config key it overrides."""
+
+    @pytest.mark.parametrize("argv,name", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
+    def test_exits_2_naming_the_flag(self, cfg_path, capsys, argv, name):
+        capsys.readouterr()
+        assert main([*argv, "--config", cfg_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert name in captured.err.strip().splitlines()[-1]
 
 
 class TestMoments:

@@ -105,7 +105,8 @@ class TestHierarchyShape:
         monkeypatch.setattr(hamiltonians, "_ladder_kernels", counting_build)
         hierarchy_evolve(psi0, 3, 0.2, traj)
         stages = 4 * traj.index_of(0.2)
-        assert sum(condensates) == stages and len(condensates) < stages
+        # one rk4_stages pass: one stacked condensate per RK4 stage kind
+        assert sum(condensates) == stages and len(condensates) == 4
         assert sum(builds) == stages and len(builds) < stages
 
     def test_one_pair_gather_each_way_per_member_and_stage(self, setup):

@@ -203,6 +203,30 @@ class TestSectorOperators:
         assert looked_up.count("table") == 4
         assert "kernel" not in looked_up
 
+    def test_a_lanczos_pass_checks_its_projector_once(self, monkeypatch):
+        model = make_model(particles=4)
+        phi0 = default_phi0(model)
+        product = build_product(model, phi0)
+        rng = np.random.default_rng(8)
+        dim = product.amps.size
+        psi = product.with_amps(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        looked_up = []
+
+        class Counting(dict):
+            def __getitem__(self, kind):
+                looked_up.append(kind)
+                return dict.__getitem__(self, kind)
+
+        monkeypatch.setattr(psi.space, "_probes", Counting(psi.space._probes))
+        lifts = []
+        number_apply = pj.number_apply
+        monkeypatch.setattr(pj, "number_apply", lambda state, p: lifts.append(1) or number_apply(state, p))
+        weights = pj.spectral_weights(psi, phi0)
+        assert weights.total == pytest.approx(psi.norm() ** 2, rel=1e-10)
+        # N + 1 Lanczos steps lift one projector, checked at its first lift
+        assert len(lifts) == 5
+        assert looked_up == ["table"]
+
 
 class TestSectorSpaces:
     def test_states_of_different_sectors_do_not_mix(self):
