@@ -3,13 +3,16 @@
 Each case runs one ``bosonlab`` subcommand on one of the configs in this
 directory and writes its CSV (and, for ``evolve-norm``, its ``--save``
 snapshot) as ``<config>.<case>.csv`` / ``.blab``; ``evolve-load`` starts from
-the recorded ``evolve-norm`` snapshot of its config.  For ``sweep`` the exit
-code and the stdout summary are kept too, as ``<config>.<case>.out``, and
-the wall-time column ``runtime_s`` of its CSV is masked.  Snapshots, ``.out``
-files and the CSVs of ``EXACT`` cases must match their records byte for
-byte.  Any other CSV must match line by line: text fields exactly, numbers
-within ``ABS_TOL`` and, where the recorded value exceeds ``REL_FLOOR`` in
-magnitude, within ``REL_TOL`` relative.
+the recorded ``evolve-norm`` snapshot of its config.  For ``sweep``,
+``check`` and ``--version`` the exit code and stdout are kept, as
+``<config>.<case>.out``; ``check`` and ``version`` write no CSV, and the
+wall-time column ``runtime_s`` of the ``sweep`` CSV is masked.  Snapshots,
+``.out`` files other than ``check``'s and the CSVs of ``EXACT`` cases must
+match their records byte for byte.  Any other CSV, and ``check``'s stdout
+split at spaces (``SEPARATORS``), must match line by line: text fields (the
+PASS/FAIL words and the check names) exactly, numbers (the residuals and
+the exit code) within ``ABS_TOL`` and, where the recorded value exceeds
+``REL_FLOOR`` in magnitude, within ``REL_TOL`` relative.
 
 ``record.py`` runs every case and writes an output only where it has no
 record or fails ``compare``; ``tests/test_golden.py`` compares.
@@ -39,10 +42,14 @@ CASES = {
     "moments-fock": ["moments", "--representation", "fock"],
     "moments-tensor": ["moments", "--representation", "tensor"],
     "evolve-load": ["evolve", "--observable", "weights", "--every", "5", "--load", "{config}.evolve-norm.blab"],
+    "check": ["check"],
+    "version": ["--version"],
 }
 SAVES = {"evolve-norm"}
 EXACT = {"hartree"}
-OUTPUTS = {"sweep"}  # cases whose exit code and stdout are recorded
+OUTPUTS = {"sweep", "check", "version"}  # cases whose exit code and stdout are recorded
+NO_CSV = {"check", "version"}
+SEPARATORS = {"check": " "}  # case -> field separator of a stdout compared field by field
 MASKED = {"sweep": "runtime_s"}  # case -> CSV column replaced by "masked"
 ABS_TOL, REL_TOL, REL_FLOOR = 1e-10, 1e-6, 1e-12
 SNAPSHOT_HEADER = 26  # bytes before the complex64 payload of a BLAB1 snapshot
@@ -50,9 +57,11 @@ SNAPSHOT_HEADER = 26  # bytes before the complex64 payload of a BLAB1 snapshot
 
 def run_case(config: str, case: str, out_dir: Path) -> dict:
     """Run one case with its outputs under ``out_dir``: file name -> bytes."""
-    paths = [out_dir / f"{config}.{case}.csv"]
+    paths = [] if case in NO_CSV else [out_dir / f"{config}.{case}.csv"]
     argv = [arg.format(config=HERE / config) for arg in CASES[case]]
-    argv += ["--config", str(HERE / f"{config}.cfg"), "--out", str(paths[0])]
+    argv += ["--config", str(HERE / f"{config}.cfg")]
+    if paths:
+        argv += ["--out", str(paths[0])]
     if case in SAVES:
         paths.append(out_dir / f"{config}.{case}.blab")
         argv += ["--save", str(paths[1])]
@@ -80,9 +89,9 @@ def _mask(csv: bytes, column: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _numbers(line: str) -> list:
+def _numbers(line: str, separator: str) -> list:
     out = []
-    for field in line.split(","):
+    for field in line.split(separator):
         try:
             out.append(float(field))
         except ValueError:
@@ -93,7 +102,9 @@ def _numbers(line: str) -> list:
 def compare(name: str, recorded: bytes, fresh: bytes) -> tuple:
     """(largest absolute move, largest relative move, problems) of ``fresh``
     against its record ``recorded``."""
-    if name.endswith(".out") or name.split(".")[1] in EXACT:
+    case = name.split(".")[1]
+    separator = SEPARATORS.get(case, ",")
+    if name.endswith(".out") and case not in SEPARATORS or case in EXACT:
         return 0.0, 0.0, [] if recorded == fresh else [f"{name}: differs from the record"]
     if name.endswith(".blab"):
         head = recorded[:SNAPSHOT_HEADER] == fresh[:SNAPSHOT_HEADER]
@@ -108,7 +119,7 @@ def compare(name: str, recorded: bytes, fresh: bytes) -> tuple:
         return np.inf, np.inf, [f"{name}: {len(new_lines)} lines, recorded {len(old_lines)}"]
     worst_abs, worst_rel, problems = 0.0, 0.0, []
     for row, (old_line, new_line) in enumerate(zip(old_lines, new_lines), start=1):
-        old, new = _numbers(old_line), _numbers(new_line)
+        old, new = _numbers(old_line, separator), _numbers(new_line, separator)
         if len(old) != len(new):
             problems.append(f"{name}:{row}: {new_line!r}, recorded {old_line!r}")
             continue
