@@ -55,6 +55,8 @@ def _load_config(args, correction_run: bool = False):
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be a positive number of random draws, got {args.seeds}")
     cfg = _load_config(args)
     report = lemma_suite(cfg, n_seeds=args.seeds)
     for line in report.to_lines():
@@ -189,7 +191,7 @@ def _cmd_sweep(args) -> int:
     if "=" in grid:
         key, _, grid = grid.partition("=")
         if key.strip() != "N":
-            raise ConfigError(f"unknown grid variable {key.strip()!r}, expected N")
+            raise ConfigError(f"--grid names an unknown variable {key.strip()!r}, expected N")
     result = sweep_scaling(cfg, _int_list("--grid", grid), _int_list("--orders", args.orders),
                            jobs=args.jobs)
     _emit(result.to_csv(), args.out)

@@ -106,7 +106,7 @@ def hierarchy_evolve(psi0, order: int, t: float, trajectory: HartreeTrajectory) 
     sources = [(pos.get((n - 1, k - 1)), pos.get((n - 1, k - 2))) for n, k in indices]
     dt = trajectory.dt
     i1 = trajectory.index_of(t)
-    rhs = stage_rhs(trajectory, 0, i1, psi0.particles, sources)
+    rhs = stage_rhs(trajectory, 0, i1, sources)
     norm0 = psi0.norm()
     for i in range(i1):
         y = rk4_step(rhs, i * dt, y, dt)

@@ -477,13 +477,13 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
         psi = ts.random_symmetric(m, n, cell, rng)
 
         p1, q1 = ts.projector_matrices(phi, cell)
+        weights = spectral_weights(psi, phi)
         # chains[a] = <psi, q_1...q_a psi>
-        chains = {a: qchain_expectation(a, phi, psi) for a in range(1, a_max + 1)}
+        chains = {a: qchain_expectation(a, phi, psi, weights=weights) for a in range(1, a_max + 1)}
 
         cond = condensate_at(phi, 0.0, model)
         track("decomposition_residual", decomposition_residual(0.0, cond, psi, model))
 
-        weights = spectral_weights(psi, phi)
         track("identity_resolution", abs(weights.total - psi.norm() ** 2))
 
         # restored state from all sectors

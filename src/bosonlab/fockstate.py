@@ -500,10 +500,9 @@ class FockState:
 
     def pair_sums(self, pieces, entries) -> "FockState":
         """Row i sums the pair part of operator op applied to row j of this
-        block over the (op, j) in ``entries[i]``: one ``two_body_sums`` over
-        the (P, P) kernels ``pieces.ladder_kernels(N)``, 1/(N-1) folded in."""
-        kernels = pieces.ladder_kernels(self.particles)
-        return two_body_sums(self, [[(kernels[op], j) for op, j in row] for row in entries])
+        block over the (op, j) in ``entries[i]``, without the 1/(N-1): one
+        ``two_body_sums`` over the (P, P) kernels ``pieces.kernels``."""
+        return two_body_sums(self, [[(pieces.kernels[op], j) for op, j in row] for row in entries])
 
     def admit(self, batch) -> None:
         """Check a stage build's (table, kind, parts) triples for invariance
@@ -562,7 +561,7 @@ def dgamma_apply(op, state: FockState) -> FockState:
 def two_body_sums(block: FockState, terms) -> FockState:
     """Row i of the result is the sum over (K, j) in terms[i] of
     a^+ a^+ (K . a a block[j]), for (P, P) pair-channel kernels K
-    (``hamiltonians.EffectivePieces.ladder_kernels``) and a block of states
+    (``hamiltonians.EffectivePieces.kernels``) and a block of states
     (members, dim).
 
     The block is pair-annihilated to N - 2 particles in one gather and the

@@ -18,14 +18,14 @@ flow, calls it with entries built once by ``stage_entries``, and
 the representation only through the state methods: ``admit`` for the
 invariance of a stage build's tables (``EffectivePieces.batch``), ``lift``
 for h1 and ``pair_sums`` (``projected_pair_sum``) for the pair terms, whose
-pieces offer both the (P, P) pair-channel kernels with 1/(N-1) folded in
-(``EffectivePieces.ladder_kernels``) and the terms themselves
-(``EffectivePieces.terms``).  ``stage_pieces`` builds h1 (h0 at each
-stage's time) and the kernels of up to ``stage_batch`` stages in one
-closed-form build from the rank-one condensate projector
-(``_ladder_kernels``); ``pieces_at`` builds one condensate's pieces, its
-kernels on first use.  ``apply_H`` computes the coupling 1/(N-1) and calls
-the state's ``generator``.
+pieces offer both the (P, P) pair-channel kernels (``EffectivePieces.kernels``)
+and the terms themselves (``EffectivePieces.terms``), neither with the
+1/(N-1) that ``_split_sums`` applies once, so pieces serve any N.
+``stage_pieces``, the one builder of pieces, builds h1 (h0 at each stage's
+time) and the kernels of up to ``stage_batch`` stages in one closed-form
+build from the rank-one condensate projector (``_ladder_kernels``);
+``pieces_at`` is a one-stage build.  ``apply_H`` computes the coupling
+1/(N-1) and calls the state's ``generator``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ __all__ = [
 def projected_pair_sum(block, pieces, entries):
     """Row i of the result sums the pair part of operator op (``_HTILDE``,
     ``_C`` or ``_Q``) of ``pieces`` applied to row j of ``block`` over the
-    (op, j) in ``entries[i]``, 1/(N-1) included (``pair_sums``)."""
+    (op, j) in ``entries[i]``, without the 1/(N-1) (``pair_sums``)."""
     return block.pair_sums(pieces, entries)
 
 
@@ -144,8 +144,8 @@ def _pair_terms(cond: Condensate, model: Model) -> tuple:
                  for i, op in enumerate(_SPLIT))
 
 
-def _ladder_kernels(cond: Condensate, model: Model, scale: float) -> np.ndarray:
-    """The (P, P) pair-channel kernels of Htilde, C and Q times ``scale``,
+def _ladder_kernels(cond: Condensate, model: Model) -> np.ndarray:
+    """The (P, P) pair-channel kernels of Htilde, C and Q without the 1/(N-1),
     (3, P, P) at one condensate or (S, 3, P, P) over a stack, in closed form.
 
     u = sqrt(cell) phi gives p = u u^H, normalised or not.  S maps ordered
@@ -171,7 +171,7 @@ def _ladder_kernels(cond: Condensate, model: Model, scale: float) -> np.ndarray:
     """
     m = cond.phi.shape[-1]
     s, t = fs._channels(m)
-    p, lead, c = len(s), cond.phi.shape[:-1], scale * _SCALARS
+    p, lead, c = len(s), cond.phi.shape[:-1], _SCALARS
     u = np.sqrt(model.cell) * cond.phi
     n = (u * u.conj()).real
     first, second = u[..., s], u[..., t] * (s != t)  # G[c] = first e_t + second e_s
@@ -208,12 +208,12 @@ class EffectivePieces:
 
     ``h1`` is the mean-field one-body generator
     -Lap + V_ext(t) + diag(vbar) - mu, the one M x M Hartree table, built
-    here because the N-body lift in Htilde needs it.  ``terms`` holds the
-    pair terms of Htilde, C and Q, in that order, without the 1/(N-1)
-    prefactor, built from ``cond`` on first use for the tensor grid.  Q
-    uses the centred kernel w(r-s) - vbar(r) - vbar(s) + 2 mu; C uses it
-    without the 2 mu shift, which two orthogonal projector pairs annihilate
-    anyway.
+    here because the N-body lift in Htilde needs it.  ``kernels`` holds the
+    (P, P) kernels of Htilde, C and Q (``_ladder_kernels``) and ``terms``
+    their pair terms, built from ``cond`` on first use for the tensor grid,
+    both without the 1/(N-1) prefactor, so the pieces serve any N.  Q uses
+    the centred kernel w(r-s) - vbar(r) - vbar(s) + 2 mu; C uses it without
+    the 2 mu shift, which two orthogonal projector pairs annihilate anyway.
 
     ``batch`` lets a symmetric occupation space check the tables of a whole
     ``stage_pieces`` build at once: (table, kind, parts) triples for
@@ -224,59 +224,38 @@ class EffectivePieces:
 
     cond: Condensate
     h1: np.ndarray
+    kernels: tuple = field(repr=False)
     model: Model = field(repr=False)
-    _kernels: dict = field(default_factory=dict, repr=False)
-    batch: tuple = field(default=(), repr=False)
+    batch: tuple = field(repr=False)
 
     @cached_property
     def terms(self) -> tuple:
         return _pair_terms(self.cond, self.model)
 
-    def ladder_kernels(self, particles: int) -> tuple:
-        """The (P, P) kernels of Htilde, C and Q on ``particles`` bosons with
-        the 1/(N-1) prefactor folded in, from one ``_ladder_kernels`` build
-        on first use (``stage_pieces`` builds them for a whole batch), kept
-        for later calls."""
-        kernels = self._kernels.get(particles)
-        if kernels is None:
-            kernels = tuple(_ladder_kernels(self.cond, self.model, 1.0 / (particles - 1)))
-            self._kernels[particles] = kernels
-        return kernels
 
-
-def stage_pieces(cond: Condensate, model: Model, particles: int) -> list:
+def stage_pieces(cond: Condensate, model: Model) -> list:
     """The pieces of every stage of a stacked condensate (phi (S, M)), in
-    order, with the ladder kernels on ``particles`` bosons built for all S
-    stages in one ``_ladder_kernels`` call.
-
-    S should not exceed ``stage_batch``.  Below two particles there is no
-    1/(N-1) and ``ConfigError`` is raised.
-    """
-    _require_pairs(particles)
+    order, with the ladder kernels built for all S stages in one
+    ``_ladder_kernels`` call; S should not exceed ``stage_batch``.  The
+    pieces do not depend on the number of particles."""
     h0 = model.h0(cond.t)
     h1s = tuple(_h1(cond, h0))
-    stages = [tuple(stage) for stage in _ladder_kernels(cond, model, 1.0 / (particles - 1))]
+    stages = [tuple(stage) for stage in _ladder_kernels(cond, model)]
     # h1 and the kernels are functions of h0, the pair table and the stage
     # condensates (vbar and mu follow from phi), so they are invariant under
     # a lattice symmetry when those are
     batch = ((model.pair.mat, "table", ()), (h0, "table", ()),
              (cond.phi, "vector", (*h1s, *(kernel for stage in stages for kernel in stage))))
     return [
-        EffectivePieces(Condensate(phi, t, vb, mu), table, model, {particles: stage}, batch)
+        EffectivePieces(Condensate(phi, t, vb, mu), table, stage, model, batch)
         for phi, t, vb, mu, table, stage in zip(
             cond.phi, cond.t.tolist(), cond.vbar, cond.mu.tolist(), h1s, stages)
     ]
 
 
 def pieces_at(phi: np.ndarray, t: float, model: Model) -> EffectivePieces:
-    """The pieces at one condensate, with the ladder kernels built on first use."""
-    cond = condensate_at(phi, t, model)
-    return EffectivePieces(cond, _h1(cond, model.h0(cond.t)), model)
-
-
-def _require_pairs(particles: int):
-    if particles < 2:
-        raise ConfigError("the effective decomposition needs at least two particles")
+    """The pieces at one condensate: a one-stage ``stage_pieces`` build."""
+    return stage_pieces(condensate_at(np.asarray(phi)[None], np.array([float(t)]), model), model)[0]
 
 
 def apply_H(t: float, state, model: Model):
@@ -289,7 +268,7 @@ def apply_H(t: float, state, model: Model):
 
 
 # The operators of ``_split_sums`` entries, indices into ``EffectivePieces.terms``
-# and ``EffectivePieces.ladder_kernels``.
+# and ``EffectivePieces.kernels``.
 _HTILDE, _C, _Q = range(3)
 
 
@@ -299,12 +278,13 @@ def _split_sums(pieces: EffectivePieces, members, entries, model: Model):
     ``entries[i]``.  Htilde acts on an output's own member, as its first
     entry, and on every output or on none: h1 is lifted over the block in
     one call, and the pair parts of every entry come from one
-    ``projected_pair_sum``."""
-    _require_pairs(members.particles)
+    ``projected_pair_sum``, times 1/(N-1) (``ConfigError`` below N = 2)."""
+    if members.particles < 2:
+        raise ConfigError("the effective decomposition needs at least two particles")
     members.admit(pieces.batch)
     out = members.lift(pieces.h1) if entries[0][0] == (_HTILDE, 0) else 0.0 * members
     if not model.pair.is_zero:
-        out.amps += projected_pair_sum(members, pieces, entries).amps
+        out.amps += projected_pair_sum(members, pieces, entries).amps / (members.particles - 1)
     return out
 
 
@@ -359,7 +339,7 @@ def decomposition_residual(t: float, cond: Condensate, state, model: Model) -> f
         raise ConsistencyError(
             f"stale condensate cache: stamped t={cond.t}, requested t={t}"
         )
-    pieces = EffectivePieces(cond, _h1(cond, model.h0(cond.t)), model)
+    pieces = pieces_at(cond.phi, cond.t, model)
     lhs = apply_H(t, state, model)
     rhs = apply_Htilde(pieces, state, model) + apply_C(pieces, state, model) + apply_Q(
         pieces, state, model

@@ -211,6 +211,10 @@ def validate_config(raw, correction_run: bool = False) -> ModelConfig:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.interaction_profile not in _PROFILES:
         raise ConfigError(f"interaction.profile must be one of {_PROFILES}")
+    # an empty support would be a free model; a tophat of radius 0 is on-site
+    profile, radius = cfg.interaction_profile, cfg.interaction_radius
+    if profile == "bump" and radius <= 0 or profile == "tophat" and radius < 0:
+        raise ConfigError(f"interaction.radius must be > 0 (>= 0 for a tophat), got {radius}")
     if cfg.potential_kind not in _POTENTIALS:
         raise ConfigError(f"potential.kind must be one of {_POTENTIALS}")
     if cfg.interaction_profile == "tabulated" and cfg.interaction_samples is None:

@@ -279,14 +279,16 @@ def qchain_spectral(a: int, weights: SpectralWeights, n_particles: int) -> float
     return float(np.dot(coeff, weights.weights))
 
 
-def qchain_expectation(a: int, phi: np.ndarray, psi) -> float:
+def qchain_expectation(a: int, phi: np.ndarray, psi, weights: SpectralWeights | None = None) -> float:
     """<psi, q_1...q_a psi> for symmetric psi from the spectral weights by the
     falling-factorial rule, cross-checked by the state's
     ``chain_expectation`` (on the tensor grid, the direct slot projection;
     disagreement beyond 1e-8 is an internal consistency failure)."""
     if not 1 <= a <= psi.particles:
         raise ValueError(f"chain length a={a} out of range 1..{psi.particles}")
-    spectral = qchain_spectral(a, spectral_weights(psi, phi), psi.particles)
+    if weights is None:
+        weights = spectral_weights(psi, phi)
+    spectral = qchain_spectral(a, weights, psi.particles)
     return psi.chain_expectation(a, phi, spectral)
 
 

@@ -81,7 +81,7 @@ def march(rhs, y, i0: int, i1: int, dt: float, observer=None):
     return y
 
 
-def _stage_schedule(trajectory: HartreeTrajectory, i0: int, i1: int, particles: int):
+def _stage_schedule(trajectory: HartreeTrajectory, i0: int, i1: int):
     """The pieces of the four RK4 stages of each grid step i0 .. i1-1, in
     stage order.  The stage condensates of every step come from one
     ``rk4_stages`` pass over their grid phis, made at the first stage asked
@@ -93,19 +93,19 @@ def _stage_schedule(trajectory: HartreeTrajectory, i0: int, i1: int, particles: 
                         for values in zip(*((c.phi, c.t, c.vbar, c.mu) for c in stages)))
     batch = stage_batch(model.config.site_count)
     for part in (slice(s, s + batch) for s in range(0, len(t), batch)):
-        yield from stage_pieces(Condensate(phi[part], t[part], vbar[part], mu[part]), model, particles)
+        yield from stage_pieces(Condensate(phi[part], t[part], vbar[part], mu[part]), model)
 
 
-def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, particles: int, sources: list):
+def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, sources: list):
     """The right-hand side -i [Htilde psi_i + C psi_c(i) + Q psi_q(i)] of a
     block of members for ``rk4_step`` over the grid steps i0 .. i1-1.
 
     ``sources`` is as in ``hamiltonians.stage_entries``.  The pieces of the
-    stages come precomputed from the trajectory, so the right-hand side
-    must be called once per stage, in order; a call at another time than
-    the next stage's raises ``ConsistencyError``.
+    stages come precomputed from the trajectory, for any N, so the right-
+    hand side must be called once per stage, in order; a call at another
+    time than the next stage's raises ``ConsistencyError``.
     """
-    schedule = _stage_schedule(trajectory, i0, i1, particles)
+    schedule = _stage_schedule(trajectory, i0, i1)
     model = trajectory.model
     entries = stage_entries(sources)
 
@@ -141,5 +141,5 @@ def evolve_aux(psi0, s: float, t: float, trajectory: HartreeTrajectory):
     at each stage is taken from the trajectory (``stage_rhs``)."""
     i0 = trajectory.index_of(s)
     i1 = trajectory.index_of(t)
-    rhs = stage_rhs(trajectory, i0, i1, psi0.particles, [(None, None)])
+    rhs = stage_rhs(trajectory, i0, i1, [(None, None)])
     return _lead(march(rhs, psi0.with_amps(psi0.amps[None].copy()), i0, i1, trajectory.dt))

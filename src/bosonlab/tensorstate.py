@@ -97,11 +97,11 @@ class TensorState:
     def pair_sums(self, pieces, entries) -> "TensorState":
         """Row i sums the pair part of operator op applied to row j of this
         block over the (op, j) in ``entries[i]``, through the pair terms
-        (weight, kernel, A, C, B, D) of ``pieces.terms[op]`` times 1/(N-1).
-        Per term and r it lifts G_r = B diag(kernel[r, :]) D, then the
-        rank-one A E_r C, and subtracts the coincidence lift of
+        (weight, kernel, A, C, B, D) of ``pieces.terms[op]``, without the
+        1/(N-1).  Per term and r it lifts G_r = B diag(kernel[r, :]) D, then
+        the rank-one A E_r C, and subtracts the coincidence lift of
         A (kernel o C B) D: 2M + 1 lifts per term, each on the whole block."""
-        scale, done = 1.0 / (self.particles - 1), {}
+        done = {}
         for op in {op for row in entries for op, _ in row}:
             acc = 0.0 * self
             for weight, kernel, a, c, b, d in pieces.terms[op]:
@@ -111,7 +111,7 @@ class TensorState:
                     term = term + apply_one_body_sum(np.outer(a[:, r], c[r, :]), u)
                 correction = a @ (kernel * (c @ b)) @ d
                 acc = acc + weight * (term - apply_one_body_sum(correction, self))
-            done[op] = scale * acc.amps
+            done[op] = acc.amps
         return self.with_amps(np.stack([sum(done[op][j] for op, j in row) for row in entries]))
 
     def admit(self, batch) -> None:

@@ -308,6 +308,29 @@ class TestMalformedConfigValues:
         assert "Traceback" not in captured.err
         assert captured.err.startswith(f"bosonlab: error: {key} must be ")
 
+    @pytest.mark.parametrize("profile,radius", [("bump", "0"), ("bump", "-1.5"), ("tophat", "-1.5")])
+    def test_empty_interaction_support_exits_2(self, tmp_path, capsys, profile, radius):
+        # w = 0 on an empty support: a free model under an interacting name
+        path = tmp_path / "empty.cfg"
+        path.write_text(with_value("interaction.radius", radius).replace(
+            "interaction.profile = bump", f"interaction.profile = {profile}"))
+        capsys.readouterr()
+        assert main(["correct", "--config", str(path), "--order", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("bosonlab: error: interaction.radius must be ")
+
+    def test_on_site_tophat_is_an_interaction(self, tmp_path, capsys):
+        # a tophat of radius 0 keeps its own site: a contact interaction
+        path = tmp_path / "contact.cfg"
+        path.write_text(with_value("interaction.radius", "0").replace(
+            "interaction.profile = bump", "interaction.profile = tophat"))
+        capsys.readouterr()
+        assert main(["correct", "--config", str(path), "--order", "2", "--t", "0.02"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert float(dict(line.split(",") for line in captured.out.splitlines())["error"]) > 0.0
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_correct_t_exits_2(self, cfg_path, capsys, t):
         capsys.readouterr()
@@ -326,8 +349,8 @@ REFUSALS = [
     (["moments", "--representation", "bogus"], "--representation"),
     (["evolve", "--observable", "bogus"], "--observable"),
     *((["sweep", "--grid", "N=3", "--orders", value], "orders") for value in ("0", "-1")),
-    (["sweep", "--grid", "M=3,4"], "grid"),
-    (["check", "--seeds", "x"], "--seeds"),
+    (["sweep", "--grid", "M=3,4"], "--grid"),
+    *((["check", "--seeds", value], "--seeds") for value in ("x", "0", "-2")),
     *((["evolve", "--every", value], "--every") for value in ("0", "-3")),
 ]
 

@@ -200,12 +200,12 @@ class TestStageSchedule:
         model, phi0, traj = tabulated
         phis = traj.phis[:6] * np.linspace(1.0, 1.5, 6)[:, None]
         times = np.array([0.0, 0.01, 0.015, 0.05, 0.07, 0.1])
-        batch = hamiltonians.stage_pieces(meanfield.condensate_at(phis, times, model), model, 3)
+        batch = hamiltonians.stage_pieces(meanfield.condensate_at(phis, times, model), model)
         assert [pieces.cond.t for pieces in batch] == times.tolist()
         for pieces, phi, t in zip(batch, phis, times):
             alone = hamiltonians.pieces_at(phi, t, model)
             assert np.abs(pieces.h1 - alone.h1).max() <= 1e-13
-            for got, expect in zip(pieces.ladder_kernels(3), alone.ladder_kernels(3)):
+            for got, expect in zip(pieces.kernels, alone.kernels):
                 assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
     @pytest.mark.parametrize("flow", ["hierarchy", "aux"])
@@ -242,10 +242,10 @@ class TestStageSchedule:
         psi0 = build_product(model, phi0, "fock")
         dt = traj.dt
         members = fs.FockState(psi0.amps[None], psi0.space)
-        rhs = propagation.stage_rhs(traj, 3, 4, 3, [(None, None)])
+        rhs = propagation.stage_rhs(traj, 3, 4, [(None, None)])
         with pytest.raises(ConsistencyError, match="expected the stage at"):
             rhs(3.5 * dt, members)
-        rhs = propagation.stage_rhs(traj, 3, 4, 3, [(None, None)])
+        rhs = propagation.stage_rhs(traj, 3, 4, [(None, None)])
         for t in (3 * dt, 3 * dt + 0.5 * dt, 3 * dt + 0.5 * dt, 3 * dt + dt):
             rhs(t, members)
         with pytest.raises(ConsistencyError, match="no further stage"):
@@ -259,7 +259,7 @@ class TestStageSchedule:
         cond = meanfield.condensate_at(traj.phis[:4], traj.times[:4], model)
         members = fs.FockState(np.stack([psi0.amps, 0.5 * psi0.amps]), psi0.space)
         entries = hamiltonians.stage_entries([(None, None), (0, 0)])
-        for pieces in hamiltonians.stage_pieces(cond, model, 3):
+        for pieces in hamiltonians.stage_pieces(cond, model):
             out = hamiltonians.apply_stage(pieces, members, entries, model)
             assert np.array_equal(out.amps, (-1j * fs.dgamma_apply(pieces.h1, members)).amps)
         hier = hierarchy_evolve(psi0, 3, 0.05, traj)

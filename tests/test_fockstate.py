@@ -416,10 +416,10 @@ class TestKernelBuild:
         # shared: the stages come from one stacked build; copies: each is built alone
         cond, model = kernel_inputs(m, np.random.default_rng(60 + m), 3)
         if shared:
-            kernels = hamiltonians._ladder_kernels(cond, model, 0.3)
+            kernels = hamiltonians._ladder_kernels(cond, model)
         else:
-            kernels = [hamiltonians._ladder_kernels(one_stage(cond, i), model, 0.3) for i in range(3)]
-        assert_matches_oracle(kernels, cond, model, 0.3)
+            kernels = [hamiltonians._ladder_kernels(one_stage(cond, i), model) for i in range(3)]
+        assert_matches_oracle(kernels, cond, model, 1.0)
 
     @pytest.mark.parametrize("size,dimension,profile", [(2, 1, "tabulated"), (4, 1, "tabulated"),
                                                         (3, 2, "tabulated"), (4, 1, "zero")])
@@ -431,10 +431,10 @@ class TestKernelBuild:
         cond = Condensate(*(np.concatenate([getattr(c, key) for c in stages])
                             for key in ("phi", "t", "vbar", "mu")))
         assert abs(one_body_norm(cond.phi[-1], model.cell) - 1.0) > 1e-10  # not normalised
-        pieces = hamiltonians.stage_pieces(cond, model, 2)
-        assert_matches_oracle([piece.ladder_kernels(2) for piece in pieces], cond, model, 1.0)
+        pieces = hamiltonians.stage_pieces(cond, model)
+        assert_matches_oracle([piece.kernels for piece in pieces], cond, model, 1.0)
         if profile == "zero":
-            assert not any(np.any(kernel) for piece in pieces for kernel in piece.ladder_kernels(2))
+            assert not any(np.any(kernel) for piece in pieces for kernel in piece.kernels)
 
     @staticmethod
     def recorded_build(monkeypatch, stages):
@@ -452,7 +452,7 @@ class TestKernelBuild:
 
         monkeypatch.setattr(fs, "_product", counted)
         monkeypatch.setattr(np, "matmul", recorded)
-        hamiltonians._ladder_kernels(cond if stages > 1 else one_stage(cond, 0), model, 1.0)
+        hamiltonians._ladder_kernels(cond if stages > 1 else one_stage(cond, 0), model)
         return products, shapes
 
     def test_products_stay_below_serial_bound(self, monkeypatch):
@@ -467,10 +467,10 @@ class TestKernelBuild:
     @pytest.mark.parametrize("m", [1, 2, 4, 9])
     def test_stage_axis_builds_each_stage(self, m):
         cond, model = kernel_inputs(m, np.random.default_rng(90 + m), 5)
-        built = hamiltonians._ladder_kernels(cond, model, 0.3)
+        built = hamiltonians._ladder_kernels(cond, model)
         assert built.shape == (5, 3) + (m * (m + 1) // 2,) * 2
         for i in range(5):
-            alone = hamiltonians._ladder_kernels(one_stage(cond, i), model, 0.3)
+            alone = hamiltonians._ladder_kernels(one_stage(cond, i), model)
             assert np.abs(built[i] - alone).max() <= 1e-13 * np.abs(alone).max()
 
     def test_stage_axis_products_stay_below_serial_bound(self, monkeypatch):

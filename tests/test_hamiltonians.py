@@ -455,19 +455,18 @@ class TestProjectedPairSum:
         second = (0.5, model.pair.mat + rng.standard_normal((m, m)), table(), table(), table(), table())
         terms = ((1.0, kernel, a, c, b, d), second)
         # pieces of one operator: its terms for the tensor grid, their folded
-        # kernel with 1/(N-1) = 1/2 for the occupation basis
-        pieces = SimpleNamespace(terms=(terms,),
-                                 ladder_kernels=lambda n: (fold_oracle(ordered_kernel_oracle(terms, 0.5), m),))
+        # kernel at scale 1 for the occupation basis; neither route applies
+        # the 1/(N-1) of the pair terms
+        pieces = SimpleNamespace(terms=(terms,), kernels=(fold_oracle(ordered_kernel_oracle(terms, 1.0), m),))
         space = fs.FockSpace(fs.enumerate_basis(m, 3), model.cell)
         (tensor,) = rows(projected_pair_sum(block([psi]), pieces, [[(0, 0)]]))
         (fock,) = rows(projected_pair_sum(block([fs.extract(psi, space)]), pieces, [[(0, 0)]]))
         assert np.abs(fs.embed(fock).amps - tensor.amps).max() <= 1e-11
 
     def test_kernel_built_once_per_pieces(self, monkeypatch):
+        # pieces_at builds the kernels once; applies on any N build none
         model = make_model()
         rng = np.random.default_rng(23)
-        pieces = pieces_at(random_phi(model, rng), 0.0, model)
-        space = fs.FockSpace(fs.enumerate_basis(3, 3), model.cell)
         builds, build = [], hamiltonians._ladder_kernels
 
         def counting(*args):
@@ -475,12 +474,12 @@ class TestProjectedPairSum:
             return build(*args)
 
         monkeypatch.setattr(hamiltonians, "_ladder_kernels", counting)
-        members = block([fs.random_fock(space, rng) for _ in range(3)])
+        pieces = pieces_at(random_phi(model, rng), 0.0, model)
+        assert len(builds) == 1
         entries = stage_entries([(None, None), (0, None), (None, 0)])
-        apply_stage(pieces, members, entries, model)
-        kernels = pieces.ladder_kernels(3)
-        apply_stage(pieces, block([fs.random_fock(space, rng) for _ in range(3)]), entries, model)
-        assert pieces.ladder_kernels(3) is kernels
+        for n in (3, 3, 4):
+            space = fs.FockSpace(fs.enumerate_basis(3, n), model.cell)
+            apply_stage(pieces, block([fs.random_fock(space, rng) for _ in range(3)]), entries, model)
         assert len(builds) == 1
 
 

@@ -259,6 +259,19 @@ class TestQChain:
             spectral = pj.qchain_spectral(a, w, 4)
             assert direct == pytest.approx(spectral, abs=1e-10)
 
+    def test_given_weights_make_no_lanczos_pass(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        phi = random_phi(3, rng)
+        psi = ts.random_symmetric(3, 4, CELL, rng)
+        w = pj.spectral_weights(psi, phi)
+        passes = []
+        krylov = pj._sector_krylov
+        monkeypatch.setattr(pj, "_sector_krylov", lambda *args: passes.append(1) or krylov(*args))
+        given = [pj.qchain_expectation(a, phi, psi, weights=w) for a in (1, 2, 3, 4)]
+        assert not passes
+        assert given == [pj.qchain_expectation(a, phi, psi) for a in (1, 2, 3, 4)]
+        assert len(passes) == 4
+
     def test_chain_out_of_range(self):
         rng = np.random.default_rng(16)
         phi = random_phi(3, rng)

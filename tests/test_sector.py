@@ -12,8 +12,9 @@ from bosonlab import hamiltonians
 from bosonlab import projections as pj
 from bosonlab import tensorstate as ts
 from bosonlab.cli import main
-from bosonlab.duhamel import correction_error
+from bosonlab.duhamel import correction_error, quadrature_Tnk
 from bosonlab.experiments import build_one_excitation, build_product, default_phi0, fock_space
+from bosonlab.meanfield import hartree_evolve
 from bosonlab.model import ModelConfig, build_model
 from bosonlab.propagation import evolve_full
 from bosonlab.snapshots import load_state, save_state
@@ -49,6 +50,19 @@ def symmetrise(table, perms):
     if table.ndim == 1:
         return sum(table[p] for p in perms) / len(perms)
     return sum(table[np.ix_(p, p)] for p in perms) / len(perms)
+
+
+def probe_lookups(monkeypatch, space) -> list:
+    """The kinds of the sector probes ``space`` looks up from now on, in order."""
+    looked_up = []
+
+    class Counting(dict):
+        def __getitem__(self, kind):
+            looked_up.append(kind)
+            return dict.__getitem__(self, kind)
+
+    monkeypatch.setattr(space, "_probes", Counting(space._probes))
+    return looked_up
 
 
 @pytest.fixture(scope="module", params=list(SECTORS))
@@ -185,15 +199,7 @@ class TestSectorOperators:
         model = make_model(particles=4, t_final=0.01)
         phi0 = default_phi0(model)
         psi0 = build_product(model, phi0)
-        looked_up = []
-
-        class Counting(dict):
-            def __getitem__(self, kind):
-                looked_up.append(kind)
-                return dict.__getitem__(self, kind)
-
-        space = psi0.space
-        monkeypatch.setattr(space, "_probes", Counting(space._probes))
+        looked_up = probe_lookups(monkeypatch, psi0.space)
         result = correction_error(psi0, phi0, 3, 0.01, model)
         assert all(np.isfinite(result.errors))
         # 40 stages in builds of stage_batch: each build's condensates once,
@@ -203,6 +209,18 @@ class TestSectorOperators:
         assert looked_up.count("table") == 4
         assert "kernel" not in looked_up
 
+    def test_quadrature_node_pieces_are_checked_by_their_condensate(self, monkeypatch):
+        # pieces_at is a one-stage build, so a node's kernels are admitted
+        # with its condensate and never probed themselves
+        model = make_model(particles=4, t_final=0.02)
+        phi0 = default_phi0(model)
+        psi0 = build_product(model, phi0)
+        traj = hartree_evolve(phi0, 0.0, 0.02, model)
+        looked_up = probe_lookups(monkeypatch, psi0.space)
+        assert quadrature_Tnk(1, 1, 0.02, psi0, traj, stride=4).norm() > 0.0
+        assert looked_up.count("vector") > 0
+        assert "kernel" not in looked_up
+
     def test_a_lanczos_pass_checks_its_projector_once(self, monkeypatch):
         model = make_model(particles=4)
         phi0 = default_phi0(model)
@@ -210,14 +228,7 @@ class TestSectorOperators:
         rng = np.random.default_rng(8)
         dim = product.amps.size
         psi = product.with_amps(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        looked_up = []
-
-        class Counting(dict):
-            def __getitem__(self, kind):
-                looked_up.append(kind)
-                return dict.__getitem__(self, kind)
-
-        monkeypatch.setattr(psi.space, "_probes", Counting(psi.space._probes))
+        looked_up = probe_lookups(monkeypatch, psi.space)
         lifts = []
         number_apply = pj.number_apply
         monkeypatch.setattr(pj, "number_apply", lambda state, p: lifts.append(1) or number_apply(state, p))
