@@ -59,9 +59,8 @@ def _cmd_check(args) -> int:
         raise ConfigError(f"--seeds must be a positive number of random draws, got {args.seeds}")
     cfg = _load_config(args)
     report = lemma_suite(cfg, n_seeds=args.seeds)
-    for line in report.to_lines():
-        print(line)
-    print("suite:", "PASS" if report.ok else "FAIL")
+    lines = [*report.to_lines(), f"suite: {'PASS' if report.ok else 'FAIL'}"]
+    _emit("\n".join(lines) + "\n", args.out)
     return 0 if report.ok else 1
 
 
@@ -218,7 +217,7 @@ def _int_list(flag: str, text: str) -> list[int]:
 def _add_common(sub, representation: bool = True):
     sub.add_argument("--config", required=True, help="flat key=value configuration file")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--out", default=None, help="write CSV here instead of stdout")
+    sub.add_argument("--out", default=None, help="write the CSV or report here instead of stdout")
     if representation:
         sub.add_argument(
             "--representation", choices=("fock", "tensor"), default="fock",

@@ -339,7 +339,10 @@ def decomposition_residual(t: float, cond: Condensate, state, model: Model) -> f
         raise ConsistencyError(
             f"stale condensate cache: stamped t={cond.t}, requested t={t}"
         )
-    pieces = pieces_at(cond.phi, cond.t, model)
+    # a one-stage build that reuses the condensate's vbar and mu
+    one = Condensate(cond.phi[None], np.array([float(cond.t)]), cond.vbar[None],
+                     np.array([cond.mu]))
+    pieces = stage_pieces(one, model)[0]
     lhs = apply_H(t, state, model)
     rhs = apply_Htilde(pieces, state, model) + apply_C(pieces, state, model) + apply_Q(
         pieces, state, model

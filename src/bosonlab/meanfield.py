@@ -2,16 +2,18 @@
 
 The condensate obeys  i d/dt phi = (-Lap + V_ext(t) + vbar - mu) phi  with
 vbar the interaction smeared by |phi|^2 and mu a real phase fixing constant.
-``hartree_rhs`` is the one definition of this generator and builds no M x M
-table beyond h0.  The fixed-step classical fourth-order integrator stores phi
-and its norm at every grid time so that all N-body evolutions can consume
-the identical trajectory; the diagnostics mu and the Sobolev proxy along the
-trajectory are computed on demand.  ``condensate_at`` and ``hartree_rhs``
-also take a stack (S, M) of condensates at S times, and ``rk4_stages``
-gives the four stage condensates of a step, or of many steps in one
-vectorised pass: the auxiliary flow and the correction hierarchy take their
-stage condensates from it instead of stepping phi along.
-"""
+Two private array primitives define this generator once: ``_mean_field``
+gives (vbar, mu) from one |phi|^2 and ``_slope`` gives -i (h0 phi + (vbar -
+mu) phi), with no M x M table beyond h0.  The fixed-step classical
+fourth-order march ``hartree_evolve`` calls them directly, builds no
+per-stage object, and stores phi and its norm at every grid time so that
+all N-body evolutions consume the identical trajectory; the diagnostics mu
+and the Sobolev proxy along it are computed on demand.  ``condensate_at``
+and ``hartree_rhs``, built on the same primitives, also take a stack (S, M)
+of condensates at S times, and ``rk4_stages`` gives the four stage
+condensates of a step, or of many steps in one vectorised pass: the
+auxiliary flow and the correction hierarchy take their stage condensates
+from it instead of stepping phi along."""
 
 from __future__ import annotations
 
@@ -43,23 +45,36 @@ def one_body_norm(phi: np.ndarray, cell: float) -> float:
     return float(np.sqrt(cell * np.vdot(phi, phi).real))
 
 
+def _mean_field(phi: np.ndarray, wmat: np.ndarray, cell: float):
+    """(vbar, mu) of one condensate or of each row of a stack (S, M), both
+    from one |phi|^2; mu is a float, or (S,) for a stack."""
+    # ndarray.dot: the BLAS call of @ (same bits) at half its overhead at small M
+    density = np.abs(phi) ** 2
+    if density.ndim == 1:
+        vb = cell * wmat.dot(density)
+        return vb, float(0.5 * cell * density.dot(vb))
+    vb = cell * (density @ wmat.T)
+    return vb, 0.5 * cell * np.einsum("sm,sm->s", density, vb)
+
+
+def _slope(h0: np.ndarray, phi: np.ndarray, vb: np.ndarray, mu) -> np.ndarray:
+    """-i (h0 phi + (vbar - mu) phi) of one condensate, or of a stack (S, M)
+    with h0 one table (M, M) or one per row (S, M, M)."""
+    if phi.ndim == 1:
+        return -1j * (h0.dot(phi) + (vb - mu) * phi)
+    h0_phi = phi @ h0.T if h0.ndim == 2 else np.matmul(h0, phi[..., None])[..., 0]
+    return -1j * (h0_phi + (vb - mu[:, None]) * phi)
+
+
 def vbar(phi: np.ndarray, pair, cell: float) -> np.ndarray:
     """Mean-field potential (w * |phi|^2)(x) as a min-image lattice convolution,
     of one condensate or of each row of a stack (S, M)."""
-    wmat = np.asarray(getattr(pair, "mat", pair))
-    density = np.abs(np.asarray(phi)) ** 2
-    return cell * (wmat @ density if density.ndim == 1 else density @ wmat.T)
-
-
-def _mu(phi: np.ndarray, vb: np.ndarray, cell: float):
-    if phi.ndim == 1:
-        return float(0.5 * cell * np.dot(np.abs(phi) ** 2, vb))
-    return 0.5 * cell * np.einsum("sm,sm->s", np.abs(phi) ** 2, vb)
+    return _mean_field(np.asarray(phi), np.asarray(getattr(pair, "mat", pair)), cell)[0]
 
 
 def mu(phi: np.ndarray, pair, cell: float) -> float:
     """Phase-fixing constant: half the interaction energy of the density."""
-    return _mu(phi, vbar(phi, pair, cell), cell)
+    return _mean_field(np.asarray(phi), np.asarray(getattr(pair, "mat", pair)), cell)[1]
 
 
 @dataclass(frozen=True)
@@ -79,22 +94,16 @@ class Condensate:
 def condensate_at(phi: np.ndarray, t, model: Model) -> Condensate:
     """The condensate phi at time t, or a stack of them: phi (S, M), t (S,)."""
     phi = np.asarray(phi, dtype=np.complex128)
-    vb = vbar(phi, model.pair, model.cell)
-    return Condensate(phi=phi, t=t, vbar=vb, mu=_mu(phi, vb, model.cell))
+    return Condensate(phi, t, *_mean_field(phi, model.pair.mat, model.cell))
 
 
 def hartree_rhs(cond: Condensate, model: Model) -> np.ndarray:
     """Right-hand side -i h[phi](t) phi = -i (h0(t) phi + (vbar - mu) phi).
 
-    The only definition of the condensate's generator, for one condensate or
-    a stack of them (each with h0 at its own time).  It builds no M x M
-    table beyond h0.
+    The condensate's generator, for one condensate or a stack of them (each
+    with h0 at its own time).  It builds no M x M table beyond h0.
     """
-    h0, phi = model.h0(cond.t), cond.phi
-    if phi.ndim == 1:
-        return -1j * (h0 @ phi + (cond.vbar - cond.mu) * phi)
-    h0_phi = phi @ h0.T if h0.ndim == 2 else np.matmul(h0, phi[..., None])[..., 0]
-    return -1j * (h0_phi + (cond.vbar - cond.mu[:, None]) * phi)
+    return _slope(model.h0(cond.t), cond.phi, cond.vbar, cond.mu)
 
 
 def rk4_stages(phi: np.ndarray, t, dt: float, model: Model):
@@ -113,12 +122,6 @@ def rk4_stages(phi: np.ndarray, t, dt: float, model: Model):
     k3 = hartree_rhs(c3, model)
     c4 = condensate_at(phi + dt * k3, t + dt, model)
     return (c1, c2, c3, c4), (k1, k2, k3)
-
-
-def _rk4_phi(phi: np.ndarray, t: float, dt: float, model: Model) -> np.ndarray:
-    stages, (k1, k2, k3) = rk4_stages(phi, t, dt, model)
-    k4 = hartree_rhs(stages[3], model)
-    return phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -188,18 +191,28 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
     phis = np.empty((steps + 1, m), dtype=np.complex128)
     norms = np.empty(steps + 1)
 
-    norm0 = one_body_norm(phi, model.cell)
+    wmat, cell, h0 = model.pair.mat, model.cell, model.h0
+    norm0 = one_body_norm(phi, cell)
     for k in range(steps + 1):
         t = k * dt
         phis[k] = phi
-        norms[k] = one_body_norm(phi, model.cell)
+        norms[k] = one_body_norm(phi, cell)
         if abs(norms[k] - norm0) > DRIFT_ABORT:
             raise IntegratorError(
                 f"condensate norm drift {abs(norms[k] - norm0):.3e} at t={t:.6g} exceeds {DRIFT_ABORT}"
             )
         if k < steps:
-            phi = _rk4_phi(phi, t, dt, model)
-            if not np.all(np.isfinite(phi)):
+            # the stages of ``rk4_stages``, on arrays: h0 at t, t + dt/2 and t + dt
+            h_mid = h0(t + 0.5 * dt)
+            k1 = _slope(h0(t), phi, *_mean_field(phi, wmat, cell))
+            stage = phi + 0.5 * dt * k1
+            k2 = _slope(h_mid, stage, *_mean_field(stage, wmat, cell))
+            stage = phi + 0.5 * dt * k2
+            k3 = _slope(h_mid, stage, *_mean_field(stage, wmat, cell))
+            stage = phi + dt * k3
+            k4 = _slope(h0(t + dt), stage, *_mean_field(stage, wmat, cell))
+            phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(phi).all():
                 raise IntegratorError(f"non-finite condensate amplitudes after step at t={t:.6g}")
 
     times = np.arange(steps + 1) * dt

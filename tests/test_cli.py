@@ -75,6 +75,16 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "suite: PASS" in out
 
+    def test_out_holds_the_report(self, cfg_path, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["check", "--config", cfg_path, "--seeds", "2"]) == 0
+        printed = capsys.readouterr().out
+        report = tmp_path / "check.txt"
+        assert main(["check", "--config", cfg_path, "--seeds", "2", "--out", str(report)]) == 0
+        assert capsys.readouterr().out == ""
+        assert report.read_text() == printed
+        assert printed.endswith("suite: PASS\n")
+
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_no_draws_exits_2(self, cfg_path, capsys, seeds):
         assert main(["check", "--config", cfg_path, "--seeds", seeds]) == 2
@@ -355,10 +365,31 @@ REFUSALS = [
 ]
 
 
+# Config values the key grid below runs rather than refuses, each with the
+# reason it is valid.
+ACCEPTED = {
+    ("beta", "0"): "the unscaled interaction, which the paper's window includes",
+    ("interaction.amplitude", "0"): "w = 0 asked for by value: the free model of profile zero",
+    ("interaction.amplitude", "-1"): "an attractive pair interaction, as bounded as a repulsive one",
+    ("potential.strength", "0"): "no external potential",
+    ("potential.strength", "-1"): "unused: the base config's potential.kind is none",
+    ("seed", "0"): "the first seed",
+}
+# Keys bounded by the paper's parameter window: refused as out of range, exit 3.
+RANGE_KEYS = {"beta", "gamma"}
+# (key, value, exit code): zero, negative and a number word for every numeric key
+KEY_ROWS = [
+    (key, value, 0 if (key, value) in ACCEPTED else 3 if key in RANGE_KEYS and value != "two" else 2)
+    for key in NUMERIC_KEYS for value in ("0", "-1", "two")
+]
+
+
 class TestRefusalGrid:
     """Flag values below range, of the wrong type or off the choices: exit 2,
     no traceback, and a last stderr line (argparse prints its usage above it)
-    that names the flag or the config key it overrides."""
+    that names the flag or the config key it overrides.  Config-key values
+    (``KEY_ROWS``) are refused the same way, with exit 3 for the range keys,
+    or run to exit 0 where ``ACCEPTED`` says why they are valid."""
 
     @pytest.mark.parametrize("argv,name", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
     def test_exits_2_naming_the_flag(self, cfg_path, capsys, argv, name):
@@ -368,6 +399,20 @@ class TestRefusalGrid:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert name in captured.err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("key,value,code", KEY_ROWS, ids=[f"{k}={v}" for k, v, _ in KEY_ROWS])
+    def test_config_key_values(self, tmp_path, capsys, key, value, code):
+        path = tmp_path / "grid.cfg"
+        path.write_text(with_value(key, value))
+        capsys.readouterr()
+        assert main(["correct", "--config", str(path)]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code:
+            assert captured.out == ""
+            assert key in captured.err.strip().splitlines()[-1]
+        else:
+            assert captured.err == "" and captured.out.startswith("quantity,value\n")
 
 
 class TestMoments:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosonlab import propagation
+from bosonlab import experiments, hamiltonians, meanfield, propagation
 from bosonlab import projections as pj
 from bosonlab.errors import ConfigError, RangeError
 from bosonlab.experiments import (
@@ -161,6 +161,20 @@ class TestLemmaSuite:
         lines = list(report.to_lines())
         assert len(lines) == len(report.checks)
         assert all(line.startswith(("PASS", "FAIL")) for line in lines)
+
+    def test_one_condensate_per_draw(self, monkeypatch):
+        # decomposition_residual builds its pieces from the condensate it is given
+        calls = []
+        original = meanfield.condensate_at
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (meanfield, hamiltonians, experiments):
+            monkeypatch.setattr(module, "condensate_at", counting)
+        assert lemma_suite(base_config(), n_seeds=2).ok
+        assert len(calls) == 2
 
 
 class TestMomentGrowth:

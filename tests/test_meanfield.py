@@ -235,6 +235,41 @@ class TestHartreeEvolve:
         b = mf.hartree_evolve(phi0, 0.0, 0.1, model)
         assert np.array_equal(a.phis, b.phis)
 
+    @pytest.mark.parametrize("dimension,sites", [(1, 4), (2, 3)])
+    @pytest.mark.parametrize("potential", ["none", "harmonic", "tabulated"])
+    def test_march_is_bit_identical_to_public_stages(self, monkeypatch, dimension, sites, potential):
+        # the reference steps one condensate at a time with the public stage
+        # pass and generator; the march must give the same bits without them
+        m = sites**dimension
+        rng = np.random.default_rng(20 + dimension)
+        over = {"dimension": dimension, "sites_per_dim": sites, "torus_length": float(sites),
+                "t_final": 0.02}
+        if potential == "harmonic":
+            over.update(potential_kind="harmonic", potential_strength=0.4)
+        elif potential == "tabulated":
+            # a table that moves within each step, so every stage time matters
+            table = tuple(tuple(row) for row in 5.0 * rng.random((3, m)))
+            over.update(potential_kind="tabulated", potential_table=((0.0, 0.0105, 0.02), table))
+        model = make_model(**over)
+        phi0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        phi0 /= mf.one_body_norm(phi0, model.cell)
+        dt, steps = model.config.dt, 20
+
+        phis = [phi0]
+        for k in range(steps):
+            stages, (k1, k2, k3) = mf.rk4_stages(phis[-1], k * dt, dt, model)
+            k4 = mf.hartree_rhs(stages[3], model)
+            phis.append(phis[-1] + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        norms = [mf.one_body_norm(phi, model.cell) for phi in phis]
+
+        calls = []
+        original = mf.condensate_at
+        monkeypatch.setattr(mf, "condensate_at", lambda *a: calls.append(1) or original(*a))
+        traj = mf.hartree_evolve(phi0, 0.0, 0.02, model)
+        assert calls == []
+        assert np.array_equal(traj.phis, np.array(phis))
+        assert np.array_equal(traj.norms, np.array(norms))
+
     def test_drift_abort(self):
         # an unstable step size triggers the integrator guard
         model = make_model(dt=0.25, t_final=5.0)
