@@ -29,13 +29,8 @@ from . import fockstate as fs
 from . import tensorstate as ts
 from .duhamel import correction_error
 from .errors import BosonLabError, ConfigError, RangeError
-from .hamiltonians import (
-    apply_C,
-    apply_Q,
-    decomposition_residual,
-    pieces_at,
-)
-from .meanfield import condensate_at, hartree_evolve, hk_proxy, one_body_norm
+from .hamiltonians import decomposition_residual
+from .meanfield import condensate_at, hartree_evolve, one_body_norm
 from .model import Model, ModelConfig, build_model, validate_config
 from .projections import (
     apply_Pk,
@@ -67,7 +62,6 @@ __all__ = [
     "LemmaCheck",
     "LemmaReport",
     "lemma_suite",
-    "qc_ratio_table",
 ]
 
 
@@ -565,41 +559,3 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
         for name, bound in bounds.items()
     )
     return LemmaReport(checks=checks)
-
-
-# ---------------------------------------------------------------------------
-# cubic/quartic size diagnostics
-# ---------------------------------------------------------------------------
-
-def qc_ratio_table(config: ModelConfig, particle_grid, j_list=(0, 1)) -> dict:
-    """Size ratios of the remainders against their moment budgets, per N.
-
-    r_Q(j) = ||m^j Q psi||^2 / (N^(2+2db) ||m^(4+j) psi||^2) and the cubic
-    analogue with the 4^j Sobolev-weighted budget.  Reference constants are
-    empirical; the table is meant for boundedness checks across N.
-    """
-    out = {}
-    for n_particles in particle_grid:
-        cfg = validate_config(replace(config, particles=int(n_particles)))
-        model = build_model(cfg)
-        phi0 = default_phi0(model)
-        rng = np.random.default_rng(cfg.seed + 13)
-        space = fock_space(model)
-        psi = fs.random_fock(space, rng)
-        pieces = pieces_at(phi0, 0.0, model)
-        d, beta, n = cfg.dimension, cfg.beta, cfg.particles
-        sobolev = hk_proxy(phi0, model)
-        weights = spectral_weights(psi, phi0)
-        entry = {}
-        cpsi = apply_C(pieces, psi, model)
-        qpsi = apply_Q(pieces, psi, model)
-        for j in j_list:
-            num_q = m_moment(j, phi0, qpsi) if qpsi.norm() > 0 else 0.0
-            num_c = m_moment(j, phi0, cpsi) if cpsi.norm() > 0 else 0.0
-            den_q = float(n) ** (2 + 2 * d * beta) * m_moment(4 + j, phi0, psi, weights=weights)
-            den_c = (4.0**j) * sobolev * float(n) ** (2 + d * beta) * m_moment(
-                3 + j, phi0, psi, weights=weights
-            )
-            entry[j] = {"r_Q": num_q / den_q, "r_C": num_c / den_c}
-        out[int(n_particles)] = entry
-    return out

@@ -6,14 +6,12 @@ Two private array primitives define this generator once: ``_mean_field``
 gives (vbar, mu) from one |phi|^2 and ``_slope`` gives -i (h0 phi + (vbar -
 mu) phi), with no M x M table beyond h0.  The fixed-step classical
 fourth-order march ``hartree_evolve`` calls them directly, builds no
-per-stage object, and stores phi and its norm at every grid time so that
-all N-body evolutions consume the identical trajectory; the diagnostics mu
-and the Sobolev proxy along it are computed on demand.  ``condensate_at``
-and ``hartree_rhs``, built on the same primitives, also take a stack (S, M)
-of condensates at S times, and ``rk4_stages`` gives the four stage
-condensates of a step, or of many steps in one vectorised pass: the
-auxiliary flow and the correction hierarchy take their stage condensates
-from it instead of stepping phi along."""
+per-stage object, and stores phi and its norm at every grid time and the
+four stage condensates of every step, so that all N-body evolutions consume
+the identical trajectory and its stages (``HartreeTrajectory.stage_phis``
+and ``stage_times``) without stepping phi again; the diagnostics mu and the
+Sobolev proxy along it are computed on demand.  ``condensate_at`` adds
+vbar and mu to one condensate or to a stack (S, M) of them at S times."""
 
 from __future__ import annotations
 
@@ -31,8 +29,6 @@ __all__ = [
     "vbar",
     "mu",
     "condensate_at",
-    "hartree_rhs",
-    "rk4_stages",
     "hartree_evolve",
     "hk_proxy",
     "one_body_norm",
@@ -57,13 +53,9 @@ def _mean_field(phi: np.ndarray, wmat: np.ndarray, cell: float):
     return vb, 0.5 * cell * np.einsum("sm,sm->s", density, vb)
 
 
-def _slope(h0: np.ndarray, phi: np.ndarray, vb: np.ndarray, mu) -> np.ndarray:
-    """-i (h0 phi + (vbar - mu) phi) of one condensate, or of a stack (S, M)
-    with h0 one table (M, M) or one per row (S, M, M)."""
-    if phi.ndim == 1:
-        return -1j * (h0.dot(phi) + (vb - mu) * phi)
-    h0_phi = phi @ h0.T if h0.ndim == 2 else np.matmul(h0, phi[..., None])[..., 0]
-    return -1j * (h0_phi + (vb - mu[:, None]) * phi)
+def _slope(h0: np.ndarray, phi: np.ndarray, vb: np.ndarray, mu: float) -> np.ndarray:
+    """-i (h0 phi + (vbar - mu) phi) of one condensate."""
+    return -1j * (h0.dot(phi) + (vb - mu) * phi)
 
 
 def vbar(phi: np.ndarray, pair, cell: float) -> np.ndarray:
@@ -97,37 +89,13 @@ def condensate_at(phi: np.ndarray, t, model: Model) -> Condensate:
     return Condensate(phi, t, *_mean_field(phi, model.pair.mat, model.cell))
 
 
-def hartree_rhs(cond: Condensate, model: Model) -> np.ndarray:
-    """Right-hand side -i h[phi](t) phi = -i (h0(t) phi + (vbar - mu) phi).
-
-    The condensate's generator, for one condensate or a stack of them (each
-    with h0 at its own time).  It builds no M x M table beyond h0.
-    """
-    return _slope(model.h0(cond.t), cond.phi, cond.vbar, cond.mu)
-
-
-def rk4_stages(phi: np.ndarray, t, dt: float, model: Model):
-    """The four stage condensates of one classical RK4 step of the Hartree
-    flow from phi at t, at phi, phi + dt/2 k1, phi + dt/2 k2 and phi + dt k3,
-    and the slopes (k1, k2, k3).
-
-    phi may be a stack (S, M) of grid condensates at the times t (S,): one
-    vectorised pass then gives the stages of S steps.
-    """
-    c1 = condensate_at(phi, t, model)
-    k1 = hartree_rhs(c1, model)
-    c2 = condensate_at(phi + 0.5 * dt * k1, t + 0.5 * dt, model)
-    k2 = hartree_rhs(c2, model)
-    c3 = condensate_at(phi + 0.5 * dt * k2, t + 0.5 * dt, model)
-    k3 = hartree_rhs(c3, model)
-    c4 = condensate_at(phi + dt * k3, t + dt, model)
-    return (c1, c2, c3, c4), (k1, k2, k3)
-
-
 @dataclass(frozen=True)
 class HartreeTrajectory:
-    """Condensate and its norm stored at every grid time.
+    """Condensate and its norm stored at every grid time, and the four RK4
+    stage condensates of every step.
 
+    Stage j of step k, the condensate at which the march evaluated its j-th
+    slope, is row 4k + j of ``stage_phis``, at time ``stage_times[4k + j]``.
     ``mus`` and ``hk`` (the discrete Sobolev proxy) are per-step diagnostics
     that the flow itself does not need; each is computed from ``phis`` on
     first access and kept.
@@ -137,6 +105,7 @@ class HartreeTrajectory:
     times: np.ndarray
     phis: np.ndarray     # (steps+1, M)
     norms: np.ndarray
+    stage_phis: np.ndarray  # (4 steps, M)
 
     @cached_property
     def mus(self) -> np.ndarray:
@@ -149,6 +118,11 @@ class HartreeTrajectory:
     @property
     def dt(self) -> float:
         return self.model.config.dt
+
+    @property
+    def stage_times(self) -> np.ndarray:
+        """The time of each row of ``stage_phis``: t_k + (0, dt/2, dt/2, dt)."""
+        return (self.times[:-1, None] + self.dt * np.array([0.0, 0.5, 0.5, 1.0])).ravel()
 
     def index_of(self, t: float) -> int:
         """The grid index of time t, which must be stored there; else ``ValueError``."""
@@ -172,7 +146,8 @@ class HartreeTrajectory:
 
 
 def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> HartreeTrajectory:
-    """Integrate the Hartree equation over the global grid, storing every step.
+    """Integrate the Hartree equation over the global grid, storing every step
+    and its four stage condensates.
 
     No renormalisation is applied; the norm drift is a diagnostic, aborting
     above 1e-6.  A time off the grid raises ``ValueError``, and so does a
@@ -186,37 +161,40 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
     steps = grid_index(t1, dt)
     if steps < 0:
         raise ValueError("t1 must be >= t0")
-    phi = np.asarray(phi0, dtype=np.complex128).copy()
-    m = phi.size
+    m = np.size(phi0)
     phis = np.empty((steps + 1, m), dtype=np.complex128)
     norms = np.empty(steps + 1)
+    stage_phis = np.empty((4 * steps, m), dtype=np.complex128)
+    phis[0] = phi0
+    phi = phis[0]
 
     wmat, cell, h0 = model.pair.mat, model.cell, model.h0
     norm0 = one_body_norm(phi, cell)
     for k in range(steps + 1):
         t = k * dt
-        phis[k] = phi
         norms[k] = one_body_norm(phi, cell)
         if abs(norms[k] - norm0) > DRIFT_ABORT:
             raise IntegratorError(
                 f"condensate norm drift {abs(norms[k] - norm0):.3e} at t={t:.6g} exceeds {DRIFT_ABORT}"
             )
         if k < steps:
-            # the stages of ``rk4_stages``, on arrays: h0 at t, t + dt/2 and t + dt
+            # stage j is written in place to row 4k + j (``stage_times``)
+            i = 4 * k
+            stage_phis[i] = phi
             h_mid = h0(t + 0.5 * dt)
             k1 = _slope(h0(t), phi, *_mean_field(phi, wmat, cell))
-            stage = phi + 0.5 * dt * k1
+            stage = np.add(phi, 0.5 * dt * k1, out=stage_phis[i + 1])
             k2 = _slope(h_mid, stage, *_mean_field(stage, wmat, cell))
-            stage = phi + 0.5 * dt * k2
+            stage = np.add(phi, 0.5 * dt * k2, out=stage_phis[i + 2])
             k3 = _slope(h_mid, stage, *_mean_field(stage, wmat, cell))
-            stage = phi + dt * k3
+            stage = np.add(phi, dt * k3, out=stage_phis[i + 3])
             k4 = _slope(h0(t + dt), stage, *_mean_field(stage, wmat, cell))
-            phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            phi = np.add(phi, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=phis[k + 1])
             if not np.isfinite(phi).all():
                 raise IntegratorError(f"non-finite condensate amplitudes after step at t={t:.6g}")
 
     times = np.arange(steps + 1) * dt
-    return HartreeTrajectory(model=model, times=times, phis=phis, norms=norms)
+    return HartreeTrajectory(model, times, phis, norms, stage_phis)
 
 
 def hk_proxy(phi: np.ndarray, model: Model) -> float:

@@ -217,6 +217,9 @@ def validate_config(raw, correction_run: bool = False) -> ModelConfig:
         raise ConfigError(f"interaction.radius must be > 0 (>= 0 for a tophat), got {radius}")
     if cfg.potential_kind not in _POTENTIALS:
         raise ConfigError(f"potential.kind must be one of {_POTENTIALS}")
+    if cfg.potential_strength != 0.0 and cfg.potential_kind != "harmonic":
+        raise ConfigError(f"potential.strength must be 0 unless potential.kind = harmonic, "
+                          f"got {cfg.potential_strength} with potential.kind = {cfg.potential_kind}")
     if cfg.interaction_profile == "tabulated" and cfg.interaction_samples is None:
         raise ConfigError(
             f"tabulated interaction requires ModelConfig.interaction_samples{_API_ONLY}")

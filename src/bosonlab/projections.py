@@ -40,7 +40,6 @@ WEIGHT_FLOOR = 1e-14
 __all__ = [
     "WeightFunction",
     "SpectralWeights",
-    "weight_w_lambda",
     "weight_values",
     "number_apply",
     "apply_Pk",
@@ -81,12 +80,6 @@ class WeightFunction:
 
     def shifted(self, offset: int) -> "WeightFunction":
         return WeightFunction(self.fn, self.shift + offset)
-
-
-def weight_w_lambda(lam: float, n_particles: int) -> WeightFunction:
-    """Capped linear family: (k+1)/N^lam below the cap index, 1 beyond."""
-    cap = n_particles**lam
-    return WeightFunction(lambda k: (k + 1) / cap if k <= cap - 1 else 1.0)
 
 
 def weight_values(f: WeightFunction | Callable, n_particles: int) -> np.ndarray:

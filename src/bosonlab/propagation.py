@@ -12,13 +12,12 @@ handed out as a state is never overwritten.
 
 The auxiliary flow and the hierarchy step only their N-body members.  The
 condensate their generator needs at each RK4 stage never depends on the
-members, so ``stage_rhs`` takes it from the Hartree trajectory: one
-vectorised ``meanfield.rk4_stages`` pass per evolution gives the four stage
-condensates of each of its steps from their grid phis, and
-``hamiltonians.stage_pieces`` builds their pieces ``stage_batch`` stages at
-a time, the pair-channel kernels of a build in closed form from the stage
-condensates.  The right-hand side consumes them in stage order and refuses
-a stage whose time is not the one it is called at.  The full flow steps
+members, so ``stage_rhs`` takes it from the Hartree trajectory, which
+stores the four stage condensates of each step (``stage_phis``, at
+``stage_times``): ``hamiltonians.stage_pieces`` builds their pieces
+``stage_batch`` stages at a time, with vbar and mu from one
+``condensate_at`` per build.  The right-hand side consumes them in stage
+order and refuses a stage whose time is not the one it is called at.  The full flow steps
 with ``hamiltonians.apply_H``, whose gather table is built on first use.
 """
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import ConsistencyError, IntegratorError
 from .hamiltonians import apply_H, apply_stage, stage_batch, stage_entries, stage_pieces
-from .meanfield import DRIFT_ABORT, Condensate, HartreeTrajectory, rk4_stages
+from .meanfield import DRIFT_ABORT, HartreeTrajectory, condensate_at
 from .model import Model, grid_index
 
 __all__ = ["rk4_step", "check_state", "march", "stage_rhs", "evolve_full", "evolve_aux"]
@@ -83,17 +82,14 @@ def march(rhs, y, i0: int, i1: int, dt: float, observer=None):
 
 def _stage_schedule(trajectory: HartreeTrajectory, i0: int, i1: int):
     """The pieces of the four RK4 stages of each grid step i0 .. i1-1, in
-    stage order.  The stage condensates of every step come from one
-    ``rk4_stages`` pass over their grid phis, made at the first stage asked
-    for, so a zero-step evolution makes none."""
-    model, dt = trajectory.model, trajectory.dt
-    stages, _ = rk4_stages(trajectory.phis[i0:i1], np.arange(i0, i1) * dt, dt, model)
-    # one stage axis in stage order: stage j of step i is entry 4 i + j
-    phi, t, vbar, mu = (np.stack(values, axis=1).reshape(-1, *values[0].shape[1:])
-                        for values in zip(*((c.phi, c.t, c.vbar, c.mu) for c in stages)))
+    stage order, built from the trajectory's stored stage condensates as
+    they are asked for."""
+    model = trajectory.model
+    phis = trajectory.stage_phis[4 * i0 : 4 * i1]
+    times = trajectory.stage_times[4 * i0 : 4 * i1]
     batch = stage_batch(model.config.site_count)
-    for part in (slice(s, s + batch) for s in range(0, len(t), batch)):
-        yield from stage_pieces(Condensate(phi[part], t[part], vbar[part], mu[part]), model)
+    for s in range(0, len(times), batch):
+        yield from stage_pieces(condensate_at(phis[s : s + batch], times[s : s + batch], model), model)
 
 
 def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, sources: list):

@@ -372,7 +372,6 @@ ACCEPTED = {
     ("interaction.amplitude", "0"): "w = 0 asked for by value: the free model of profile zero",
     ("interaction.amplitude", "-1"): "an attractive pair interaction, as bounded as a repulsive one",
     ("potential.strength", "0"): "no external potential",
-    ("potential.strength", "-1"): "unused: the base config's potential.kind is none",
     ("seed", "0"): "the first seed",
 }
 # Keys bounded by the paper's parameter window: refused as out of range, exit 3.
@@ -381,6 +380,9 @@ RANGE_KEYS = {"beta", "gamma"}
 KEY_ROWS = [
     (key, value, 0 if (key, value) in ACCEPTED else 3 if key in RANGE_KEYS and value != "two" else 2)
     for key in NUMERIC_KEYS for value in ("0", "-1", "two")
+] + [
+    # the correction window's open floor, gamma = (2 + d beta)/3 at d = 1, beta = 0
+    ("gamma", repr(2.0 / 3.0), 3),
 ]
 
 

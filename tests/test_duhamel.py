@@ -88,9 +88,11 @@ class TestHierarchyShape:
         assert (assemble(hier, 1) - aux).norm() <= 1e-12
 
     def test_one_condensate_per_stage(self, setup, monkeypatch):
+        # each stage build takes vbar and mu of its stored stage condensates
+        # from one condensate_at call, and nothing steps the Hartree flow again
         model, phi0, psi0, traj, hier, full = setup
-        condensates, builds = [], []
-        original, build = meanfield.condensate_at, hamiltonians._ladder_kernels
+        condensates, builds, slopes = [], [], []
+        original, build, slope = meanfield.condensate_at, hamiltonians._ladder_kernels, meanfield._slope
 
         def counting(phi, *args, **kwargs):
             condensates.append(len(phi) if np.ndim(phi) == 2 else 1)
@@ -100,14 +102,14 @@ class TestHierarchyShape:
             builds.append(len(cond.phi) if cond.phi.ndim == 2 else 1)
             return build(cond, *args)
 
-        monkeypatch.setattr(meanfield, "condensate_at", counting)
-        monkeypatch.setattr(hamiltonians, "condensate_at", counting)
+        for module in (meanfield, hamiltonians, propagation):
+            monkeypatch.setattr(module, "condensate_at", counting)
         monkeypatch.setattr(hamiltonians, "_ladder_kernels", counting_build)
+        monkeypatch.setattr(meanfield, "_slope", lambda *args: slopes.append(1) or slope(*args))
         hierarchy_evolve(psi0, 3, 0.2, traj)
         stages = 4 * traj.index_of(0.2)
-        # one rk4_stages pass: one stacked condensate per RK4 stage kind
-        assert sum(condensates) == stages and len(condensates) == 4
-        assert sum(builds) == stages and len(builds) < stages
+        assert sum(condensates) == stages and condensates == builds
+        assert len(builds) < stages and slopes == []
 
     def test_one_pair_gather_each_way_per_member_and_stage(self, setup):
         # gathered member rows: one pair gather down of the whole block and
@@ -236,6 +238,20 @@ class TestStageSchedule:
         assert (evolve_aux(middle, 0.023, 0.023, traj) - middle).norm() == 0.0
         with pytest.raises(ValueError):
             evolve_aux(psi0, 0.05, 0.023, traj)
+
+    def test_pieces_carry_the_stored_stages(self, tabulated, monkeypatch):
+        # stage_rhs consumes the trajectory's stage condensates and times as stored
+        model, phi0, traj = tabulated
+        psi0 = build_product(model, phi0, "fock")
+        members = fs.FockState(psi0.amps[None], psi0.space)
+        consumed, apply_stage = [], propagation.apply_stage
+        monkeypatch.setattr(propagation, "apply_stage",
+                            lambda pieces, *args: consumed.append(pieces) or apply_stage(pieces, *args))
+        rhs = propagation.stage_rhs(traj, 3, 7, [(None, None)])
+        for t in traj.stage_times[12:28]:
+            rhs(t, members)
+        assert np.array_equal(np.array([p.cond.phi for p in consumed]), traj.stage_phis[12:28])
+        assert [p.cond.t for p in consumed] == traj.stage_times[12:28].tolist()
 
     def test_right_hand_side_refuses_an_unscheduled_stage(self, tabulated):
         model, phi0, traj = tabulated

@@ -15,7 +15,6 @@ from bosonlab.experiments import (
     fit_slope,
     lemma_suite,
     moment_growth,
-    qc_ratio_table,
     sweep_scaling,
 )
 from bosonlab.model import build_model, validate_config
@@ -203,18 +202,6 @@ class TestMomentGrowth:
     def test_off_grid_time_rejected(self):
         with pytest.raises(ConfigError):
             moment_growth(base_config(), orders=(1, 2), t=0.0101)
-
-
-class TestQCRatios:
-    def test_ratios_bounded_across_particle_sweep(self):
-        table = qc_ratio_table(base_config(), [4, 6, 8], j_list=(0, 1))
-        smallest = table[4]
-        for n, entry in table.items():
-            for j, vals in entry.items():
-                assert math.isfinite(vals["r_Q"]) and vals["r_Q"] >= 0.0
-                assert math.isfinite(vals["r_C"]) and vals["r_C"] >= 0.0
-                assert vals["r_Q"] <= 10.0 * smallest[j]["r_Q"]
-                assert vals["r_C"] <= 10.0 * smallest[j]["r_C"]
 
 
 class TestSweep:

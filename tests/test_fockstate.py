@@ -11,7 +11,7 @@ from bosonlab import hamiltonians
 from bosonlab import tensorstate as ts
 from bosonlab.errors import ConfigError
 from bosonlab.experiments import default_phi0
-from bosonlab.meanfield import Condensate, hartree_evolve, one_body_norm, rk4_stages
+from bosonlab.meanfield import Condensate, condensate_at, hartree_evolve, one_body_norm
 from bosonlab.model import build_model, validate_config
 
 CELL = 0.5
@@ -427,9 +427,7 @@ class TestKernelBuild:
         # the unnormalised stage condensates of RK4 steps, at N = 2, through stage_pieces
         model = tabulated_model(dimension, size, profile)
         traj = hartree_evolve(default_phi0(model), 0.0, 0.05, model)
-        stages, _ = rk4_stages(traj.phis[:2], traj.times[:2], traj.dt, model)
-        cond = Condensate(*(np.concatenate([getattr(c, key) for c in stages])
-                            for key in ("phi", "t", "vbar", "mu")))
+        cond = condensate_at(traj.stage_phis[:8], traj.stage_times[:8], model)
         assert abs(one_body_norm(cond.phi[-1], model.cell) - 1.0) > 1e-10  # not normalised
         pieces = hamiltonians.stage_pieces(cond, model)
         assert_matches_oracle([piece.kernels for piece in pieces], cond, model, 1.0)

@@ -191,7 +191,7 @@ class TestGeneratorTable:
     def test_tabulated_potential_refreshes_the_diagonal(self):
         rng = np.random.default_rng(7)
         table = tuple(tuple(row) for row in 3.0 * rng.random((2, 4)))
-        model, space = generator_setup("1d-plain", potential_kind="tabulated",
+        model, space = generator_setup("1d-plain", potential_kind="tabulated", potential_strength=0.0,
                                        potential_table=((0.0, 0.1), table))
         psi = random_block(space, rng)
         tables = []

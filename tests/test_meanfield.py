@@ -23,6 +23,11 @@ def make_model(**over):
     return build_model(validate_config(raw))
 
 
+def generator(phi, t, model):
+    """-i h[phi](t) phi from the march's private primitives."""
+    return mf._slope(model.h0(t), phi, *mf._mean_field(phi, model.pair.mat, model.cell))
+
+
 def uniform_phi(model):
     m = model.config.site_count
     phi = np.ones(m, dtype=complex)
@@ -114,13 +119,13 @@ class TestHartreeRhs:
         wave = np.exp(2j * np.pi * np.arange(4) / 4).astype(complex)
         wave /= mf.one_body_norm(wave, model.cell)
         eps = (2 - 2 * np.cos(2 * np.pi / 4)) / model.config.spacing**2
-        rhs = mf.hartree_rhs(mf.condensate_at(wave, 0.0, model), model)
+        rhs = generator(wave, 0.0, model)
         assert np.allclose(rhs, -1j * eps * wave, atol=1e-13)
 
     def test_uniform_state_stationary_up_to_phase(self):
         model = make_model()
         phi = uniform_phi(model)
-        rhs = mf.hartree_rhs(mf.condensate_at(phi, 0.0, model), model)
+        rhs = generator(phi, 0.0, model)
         vb = mf.vbar(phi, model.pair, model.cell)
         m = mf.mu(phi, model.pair, model.cell)
         assert np.allclose(rhs, -1j * (vb[0] - m) * phi, atol=1e-14)
@@ -130,30 +135,58 @@ class TestHartreeRhs:
         rng = np.random.default_rng(4)
         phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         phi /= mf.one_body_norm(phi, model.cell)
-        rhs = mf.hartree_rhs(mf.condensate_at(phi, 0.0, model), model)
+        rhs = generator(phi, 0.0, model)
         overlap = model.cell * np.vdot(phi, rhs)
         assert abs(overlap.real) <= 1e-13
 
     @pytest.mark.parametrize("dimension,sites", [(1, 4), (2, 3)])
-    @pytest.mark.parametrize("potential", ["harmonic", "tabulated"])
-    def test_matches_dense_generator(self, dimension, sites, potential):
+    @pytest.mark.parametrize("potential", ["none", "harmonic", "tabulated"])
+    def test_matches_dense_generator(self, monkeypatch, dimension, sites, potential):
+        # the march and its stored stages against RK4 on the dense generator
+        # h0(t) + diag(vbar) - mu, with each stage at its own time
         m = sites**dimension
-        rng = np.random.default_rng(9 + dimension)
-        over = {"dimension": dimension, "sites_per_dim": sites, "torus_length": float(sites)}
+        rng = np.random.default_rng(20 + dimension)
+        over = {"dimension": dimension, "sites_per_dim": sites, "torus_length": float(sites),
+                "t_final": 0.02}
         if potential == "harmonic":
             over.update(potential_kind="harmonic", potential_strength=0.4)
-        else:
-            table = tuple(tuple(row) for row in rng.random((2, m)))
-            over.update(potential_kind="tabulated", potential_table=((0.0, 1.0), table))
+        elif potential == "tabulated":
+            # a table that moves within each step, so every stage time matters
+            table = tuple(tuple(row) for row in 5.0 * rng.random((3, m)))
+            over.update(potential_kind="tabulated", potential_table=((0.0, 0.0105, 0.02), table))
         model = make_model(**over)
-        phi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        phi /= mf.one_body_norm(phi, model.cell)
-        t = 0.3
-        vb = mf.vbar(phi, model.pair, model.cell)
-        shift = mf.mu(phi, model.pair, model.cell)
-        dense = -1j * (model.h0(t) + np.diag(vb) - shift * np.eye(m)) @ phi
-        assert np.abs(mf.hartree_rhs(mf.condensate_at(phi, t, model), model) - dense).max() <= 1e-14
+        phi0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        phi0 /= mf.one_body_norm(phi0, model.cell)
+        dt, steps = model.config.dt, 20
 
+        def dense(phi, t):
+            vb = mf.vbar(phi, model.pair, model.cell)
+            shift = mf.mu(phi, model.pair, model.cell)
+            return -1j * (model.h0(t) + np.diag(vb) - shift * np.eye(m)) @ phi
+
+        phis, stages, times = [phi0], [], []
+        for k in range(steps):
+            phi, t = phis[-1], k * dt
+            stage, slopes = [phi], [dense(phi, t)]
+            for step in (0.5 * dt, 0.5 * dt, dt):
+                stage.append(phi + step * slopes[-1])
+                slopes.append(dense(stage[-1], t + step))
+            k1, k2, k3, k4 = slopes
+            phis.append(phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            stages += stage
+            times += [t, t + 0.5 * dt, t + 0.5 * dt, t + dt]
+
+        calls = []
+        original = mf.condensate_at
+        monkeypatch.setattr(mf, "condensate_at", lambda *a: calls.append(1) or original(*a))
+        traj = mf.hartree_evolve(phi0, 0.0, 0.02, model)
+        assert calls == []
+        assert traj.stage_phis.shape == (4 * steps, m)
+        assert np.abs(traj.phis - np.array(phis)).max() <= 1e-14
+        assert np.abs(traj.stage_phis - np.array(stages)).max() <= 1e-14
+        assert np.array_equal(traj.stage_times, np.array(times))
+        norms = [mf.one_body_norm(phi, model.cell) for phi in traj.phis]
+        assert np.array_equal(traj.norms, np.array(norms))
 
     @pytest.mark.parametrize("potential", ["none", "tabulated"])
     def test_stacked_condensates_match_one_at_a_time(self, potential):
@@ -166,27 +199,10 @@ class TestHartreeRhs:
         phis = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
         times = np.linspace(0.0, 0.8, 5)
         stacked = mf.condensate_at(phis, times, model)
-        rhs = mf.hartree_rhs(stacked, model)
-        assert rhs.shape == phis.shape and stacked.mu.shape == times.shape
-        for phi, t, vb, mu, k in zip(phis, times, stacked.vbar, stacked.mu, rhs):
+        assert stacked.vbar.shape == phis.shape and stacked.mu.shape == times.shape
+        for phi, t, vb, mu in zip(phis, times, stacked.vbar, stacked.mu):
             one = mf.condensate_at(phi, t, model)
             assert np.abs(vb - one.vbar).max() <= 1e-14 and abs(mu - one.mu) <= 1e-14
-            assert np.abs(k - mf.hartree_rhs(one, model)).max() <= 1e-13
-
-    def test_rk4_stages_of_a_stack_are_those_of_each_step(self):
-        model = make_model()
-        wave = uniform_phi(model) * np.exp(0.3j * np.arange(4))
-        phis = mf.hartree_evolve(wave, 0.0, 0.01, model).phis[:4]
-        dt = model.config.dt
-        times = np.arange(4) * dt
-        stages, slopes = mf.rk4_stages(phis, times, dt, model)
-        for i, (phi, t) in enumerate(zip(phis, times)):
-            one, one_slopes = mf.rk4_stages(phi, t, dt, model)
-            for got, expect in zip(stages, one):
-                assert got.t[i] == expect.t
-                assert np.abs(got.phi[i] - expect.phi).max() <= 1e-14
-            for got, expect in zip(slopes, one_slopes):
-                assert np.abs(got[i] - expect).max() <= 1e-13
 
 
 class TestHartreeEvolve:
@@ -238,8 +254,8 @@ class TestHartreeEvolve:
     @pytest.mark.parametrize("dimension,sites", [(1, 4), (2, 3)])
     @pytest.mark.parametrize("potential", ["none", "harmonic", "tabulated"])
     def test_march_is_bit_identical_to_public_stages(self, monkeypatch, dimension, sites, potential):
-        # the reference steps one condensate at a time with the public stage
-        # pass and generator; the march must give the same bits without them
+        # the reference steps one condensate at a time through the public
+        # condensate_at and h0; the march must give the same bits without them
         m = sites**dimension
         rng = np.random.default_rng(20 + dimension)
         over = {"dimension": dimension, "sites_per_dim": sites, "torus_length": float(sites),
@@ -255,11 +271,22 @@ class TestHartreeEvolve:
         phi0 /= mf.one_body_norm(phi0, model.cell)
         dt, steps = model.config.dt, 20
 
-        phis = [phi0]
+        def rhs(phi, t):
+            cond = mf.condensate_at(phi, t, model)
+            return -1j * (model.h0(t).dot(cond.phi) + (cond.vbar - cond.mu) * cond.phi)
+
+        phis, stages = [phi0], []
         for k in range(steps):
-            stages, (k1, k2, k3) = mf.rk4_stages(phis[-1], k * dt, dt, model)
-            k4 = mf.hartree_rhs(stages[3], model)
-            phis.append(phis[-1] + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            phi, t = phis[-1], k * dt
+            k1 = rhs(phi, t)
+            s2 = phi + 0.5 * dt * k1
+            k2 = rhs(s2, t + 0.5 * dt)
+            s3 = phi + 0.5 * dt * k2
+            k3 = rhs(s3, t + 0.5 * dt)
+            s4 = phi + dt * k3
+            k4 = rhs(s4, t + dt)
+            phis.append(phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            stages += [phi, s2, s3, s4]
         norms = [mf.one_body_norm(phi, model.cell) for phi in phis]
 
         calls = []
@@ -268,6 +295,7 @@ class TestHartreeEvolve:
         traj = mf.hartree_evolve(phi0, 0.0, 0.02, model)
         assert calls == []
         assert np.array_equal(traj.phis, np.array(phis))
+        assert np.array_equal(traj.stage_phis, np.array(stages))
         assert np.array_equal(traj.norms, np.array(norms))
 
     def test_drift_abort(self):

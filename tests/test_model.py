@@ -57,6 +57,15 @@ class TestValidateConfig:
         with pytest.raises(RangeError):
             validate_config(small_raw(gamma=0.5), correction_run=True)
 
+    @pytest.mark.parametrize("dimension,beta", [(1, 0.0), (1, 0.2), (2, 0.1)])
+    def test_correction_run_refuses_gamma_at_its_floor(self, dimension, beta):
+        # the window gamma > (2 + d*beta)/3 is open: the floor itself is refused
+        floor = (2.0 + dimension * beta) / 3.0
+        raw = small_raw(dimension=dimension, beta=beta, interaction_radius=3.0)
+        with pytest.raises(RangeError, match="gamma"):
+            validate_config({**raw, "gamma": floor}, correction_run=True)
+        validate_config({**raw, "gamma": float(np.nextafter(floor, 1.0))}, correction_run=True)
+
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ConfigError):
             validate_config(small_raw(dt=0.0))
@@ -309,6 +318,15 @@ class TestPotential:
         # clamped outside the stored window
         assert np.allclose(external_potential(cfg, 2.0), table[1])
 
+    @pytest.mark.parametrize("kind", ["none", "tabulated"])
+    def test_strength_needs_the_harmonic_kind(self, kind):
+        raw = small_raw(potential_kind=kind)
+        if kind == "tabulated":
+            raw["potential_table"] = ((0.0, 1.0), ((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 3.0, 4.0)))
+        validate_config(raw)
+        with pytest.raises(ConfigError, match="potential.strength"):
+            validate_config({**raw, "potential_strength": 2.0})
+
     def test_tabulated_requires_table(self):
         with pytest.raises(ConfigError):
             validate_config(small_raw(potential_kind="tabulated"))
@@ -320,9 +338,9 @@ class TestPotential:
 
 
 class TestH0:
-    @pytest.mark.parametrize("kind", ["none", "harmonic"])
-    def test_static_potential_shares_one_table(self, kind):
-        model = build_model(validate_config(small_raw(potential_kind=kind, potential_strength=2.0)))
+    @pytest.mark.parametrize("kind,strength", [("none", 0.0), ("harmonic", 2.0)], ids=["none", "harmonic"])
+    def test_static_potential_shares_one_table(self, kind, strength):
+        model = build_model(validate_config(small_raw(potential_kind=kind, potential_strength=strength)))
         h = model.h0(0.0)
         assert model.h0(0.37) is h
         expect = model.lap.mat + np.diag(external_potential(model.config, 0.0))

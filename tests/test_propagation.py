@@ -95,6 +95,15 @@ class TestGuard:
         with pytest.raises(IntegratorError, match="drift"):
             march(rows_scaled(0.5, 0.0), y0, 0, 10, 1e-2)
 
+    def test_drift_bound_is_drift_abort(self, setup):
+        # DRIFT_ABORT = 1e-6: half of it passes, twice it aborts with exit code 4
+        _, _, psi0, _ = setup
+        y = one_row(psi0)
+        check_state(y, 0.0, psi0.norm() - 5e-7)
+        with pytest.raises(IntegratorError, match="exceeds 1e-06") as info:
+            check_state(y, 0.0, psi0.norm() - 2e-6)
+        assert info.value.exit_code == 4
+
     def test_nan_in_a_trailing_row_aborts(self, setup):
         _, _, psi0, _ = setup
         y = psi0.with_amps(np.stack([psi0.amps] * 3))
