@@ -294,7 +294,7 @@ def correction_error(
     if trajectory is None:
         trajectory = hartree_evolve(phi0, 0.0, t, model)
     hierarchy = hierarchy_evolve(psi0, order, t, trajectory)
-    full = hierarchy.entries[(0, 0)] if model.pair.is_zero else evolve_full(psi0, t, model)
+    full = hierarchy.entries[(0, 0)] if model.free else evolve_full(psi0, t, model)
     approx = [assemble(hierarchy, a) for a in range(1, order + 1)]
     return CorrectionResult(
         errors=tuple((full - state).norm() for state in approx),

@@ -114,7 +114,7 @@ def _symmetry(model: Model, phi0: np.ndarray) -> tuple:
         return ()
     size, d = cfg.sites_per_dim, cfg.dimension
     site = np.arange(cfg.site_count).reshape((size,) * d)
-    tables = [(np.asarray(phi0), False), (model.pair.mat, True), (model.h0(0.0), True)]
+    tables = [(np.asarray(phi0), False), (model.pair, True), (model.h0(0.0), True)]
 
     def invariant(pi):
         for x, square in tables:

@@ -366,20 +366,21 @@ class FockSpace:
     def __reduce__(self):
         return FockSpace, (self.basis, self.cell)
 
-    def require_invariant(self, table, kind: str, values=None, parts=()) -> None:
-        """Raise ``ValueError`` unless ``table`` (its array ``values``, if
-        given) is invariant under the group: a site ``"vector"``, an (M, M)
-        ``"table"`` or a (P, P) pair-channel ``"kernel"``, or a stack of them
-        along leading axes.  The asymmetry is read through ``_probe`` and
-        must stay within ``SYMMETRY_TOL`` of the norm.  ``table`` is then
-        known by identity, and so are ``parts``, tables whose invariance
-        follows from its own, until the next check with parts: a stack of
-        tables is checked in one pass, and no more than one stack and eight
-        tables are kept alive."""
+    def require_invariant(self, table, kind: str, parts=()) -> None:
+        """Raise ``ValueError`` unless the array ``table`` is invariant under
+        the group: a site ``"vector"``, an (M, M) ``"table"`` or a (P, P)
+        pair-channel ``"kernel"``, or a stack of them along leading axes.
+        The asymmetry is read through ``_probe`` and must stay within
+        ``SYMMETRY_TOL`` of the norm.  ``table`` is then known by identity,
+        and so are ``parts``, tables whose invariance follows from its own,
+        until the next check with parts: a stack of tables is checked in one
+        pass, and no more than one stack and eight tables are kept alive.
+        The model's tables are read-only, so their identity keeps standing
+        for their values."""
         if self._probes is None or self._known(table):
             return
         probe = self._probes[kind]
-        flat = np.asarray(table if values is None else values).reshape(-1, probe.shape[0])
+        flat = np.asarray(table).reshape(-1, probe.shape[0])
         seen = flat @ probe
         gap = np.vdot(seen, seen).real / max(np.vdot(flat, flat).real, 1e-300)
         if gap > SYMMETRY_TOL**2:
@@ -549,10 +550,10 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 def dgamma_apply(op, state: FockState) -> FockState:
     """Second-quantised lift of a one-body table: sum_j op acting on slot j,
     of one state or of every row of a block (members, dim) at once."""
-    space, mat = state.space, np.asarray(getattr(op, "mat", op), dtype=np.complex128)
+    space, mat = state.space, np.asarray(op, dtype=np.complex128)
     if mat.shape != (space.sites, space.sites):
         raise ValueError(f"table shape {mat.shape} does not match M={space.sites}")
-    space.require_invariant(op, "table", mat)
+    space.require_invariant(op, "table")
     one, lead = space.ladders[0], state.amps.shape[:-1]
     _product(mat, one.annihilated(state.amps), one.scratch(lead)[1])
     return FockState(one.created(lead), space)
@@ -605,8 +606,8 @@ def pair_diagonal(space: FockSpace, pair) -> np.ndarray:
     table must be invariant under the space's group.
     """
     if space._pair_diagonal[0] is not pair:
-        wmat = np.asarray(getattr(pair, "mat", pair), dtype=float)
-        space.require_invariant(pair, "table", wmat)
+        wmat = np.asarray(pair, dtype=float)
+        space.require_invariant(pair, "table")
         occ = space.basis.occupations.astype(float)
         diag = 0.5 * (np.einsum("bm,mn,bn->b", occ, wmat, occ) - occ @ np.diag(wmat))
         diag.flags.writeable = False
@@ -706,7 +707,7 @@ def product_fock(phi: np.ndarray, space: FockSpace) -> FockState:
     """Occupation coefficients of the pure condensate phi^(x)N; on a
     symmetric sector phi must be invariant under its group."""
     phi_modes = np.sqrt(space.cell) * np.asarray(phi, dtype=np.complex128)
-    space.require_invariant(phi, "vector", phi_modes)
+    space.require_invariant(phi, "vector")
     occ = space.basis.occupations
     monomials = np.prod(phi_modes[None, :] ** occ, axis=1)
     weights = _sqrt_multinomials(occ) * np.sqrt(space.basis.sizes)

@@ -125,7 +125,7 @@ def _tables(cond: Condensate, model: Model) -> np.ndarray:
     """The kernels w, z0 and z of Htilde, C and Q, (3, M, M), or (S, 3, M, M)
     over a stack of condensates: the pair table and the centred kernel
     w(r-s) - vbar(r) - vbar(s) without and with 2 mu."""
-    w, vbar = model.pair.mat, cond.vbar
+    w, vbar = model.pair, cond.vbar
     k = np.empty((*vbar.shape[:-1], 3, *w.shape))
     k[..., 0, :, :] = w
     k[..., 1, :, :] = w - vbar[..., :, None] - vbar[..., None, :]
@@ -244,7 +244,7 @@ def stage_pieces(cond: Condensate, model: Model) -> list:
     # h1 and the kernels are functions of h0, the pair table and the stage
     # condensates (vbar and mu follow from phi), so they are invariant under
     # a lattice symmetry when those are
-    batch = ((model.pair.mat, "table", ()), (h0, "table", ()),
+    batch = ((model.pair, "table", ()), (h0, "table", ()),
              (cond.phi, "vector", (*h1s, *(kernel for stage in stages for kernel in stage))))
     return [
         EffectivePieces(Condensate(phi, t, vb, mu), table, stage, model, batch)
@@ -263,8 +263,8 @@ def apply_H(t: float, state, model: Model):
     state or a block (``generator``), with the hops of the Laplacian, which
     no potential changes."""
     n = state.particles
-    coupling = 1.0 / (n - 1) if n >= 2 and not model.pair.is_zero else 0.0
-    return state.generator(model.lap.mat, model.h0(t), model.pair, coupling)
+    coupling = 1.0 / (n - 1) if n >= 2 and not model.free else 0.0
+    return state.generator(model.lap, model.h0(t), model.pair, coupling)
 
 
 # The operators of ``_split_sums`` entries, indices into ``EffectivePieces.terms``
@@ -283,7 +283,7 @@ def _split_sums(pieces: EffectivePieces, members, entries, model: Model):
         raise ConfigError("the effective decomposition needs at least two particles")
     members.admit(pieces.batch)
     out = members.lift(pieces.h1) if entries[0][0] == (_HTILDE, 0) else 0.0 * members
-    if not model.pair.is_zero:
+    if not model.free:
         out.amps += projected_pair_sum(members, pieces, entries).amps / (members.particles - 1)
     return out
 

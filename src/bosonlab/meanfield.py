@@ -61,12 +61,12 @@ def _slope(h0: np.ndarray, phi: np.ndarray, vb: np.ndarray, mu: float) -> np.nda
 def vbar(phi: np.ndarray, pair, cell: float) -> np.ndarray:
     """Mean-field potential (w * |phi|^2)(x) as a min-image lattice convolution,
     of one condensate or of each row of a stack (S, M)."""
-    return _mean_field(np.asarray(phi), np.asarray(getattr(pair, "mat", pair)), cell)[0]
+    return _mean_field(np.asarray(phi), np.asarray(pair), cell)[0]
 
 
 def mu(phi: np.ndarray, pair, cell: float) -> float:
     """Phase-fixing constant: half the interaction energy of the density."""
-    return _mean_field(np.asarray(phi), np.asarray(getattr(pair, "mat", pair)), cell)[1]
+    return _mean_field(np.asarray(phi), np.asarray(pair), cell)[1]
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class Condensate:
 def condensate_at(phi: np.ndarray, t, model: Model) -> Condensate:
     """The condensate phi at time t, or a stack of them: phi (S, M), t (S,)."""
     phi = np.asarray(phi, dtype=np.complex128)
-    return Condensate(phi, t, *_mean_field(phi, model.pair.mat, model.cell))
+    return Condensate(phi, t, *_mean_field(phi, model.pair, model.cell))
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,6 @@ class HartreeTrajectory:
     def phi(self, i: int) -> np.ndarray:
         return self.phis[i]
 
-    def condensate(self, i: int) -> Condensate:
-        return condensate_at(self.phis[i], float(self.times[i]), self.model)
-
     def hk_integral(self, i0: int, i1: int) -> float:
         """Trapezoid of the Sobolev proxy over [t_i0, t_i1]."""
         if i1 == i0:
@@ -168,7 +165,7 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
     phis[0] = phi0
     phi = phis[0]
 
-    wmat, cell, h0 = model.pair.mat, model.cell, model.h0
+    wmat, cell, h0 = model.pair, model.cell, model.h0
     norm0 = one_body_norm(phi, cell)
     for k in range(steps + 1):
         t = k * dt

@@ -4,7 +4,9 @@ The simulation domain is a d-dimensional torus with L sites per dimension and
 spacing h = torus_length / L.  Every one-body operator is a dense M x M
 complex table (M = L**d flattened sites) acting on raw amplitude vectors;
 hermiticity of a table is plain conjugate-transpose symmetry because the
-h**d weight of the inner product is a scalar.
+h**d weight of the inner product is a scalar.  The model's tables, the
+Laplacian, the pair table w(x_a - x_b) and a static h0, are plain read-only
+ndarrays: consumers cache what they derive from a table by its identity.
 """
 
 from __future__ import annotations
@@ -16,12 +18,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, RangeError, ResolutionError
+from .errors import ConfigError, RangeError, ResolutionError
 
 __all__ = [
     "ModelConfig",
-    "OneBodyOperator",
-    "PairTable",
     "Model",
     "validate_config",
     "parse_config_file",
@@ -283,36 +283,16 @@ def config_from_file(path, correction_run: bool = False) -> ModelConfig:
     return validate_config(parse_config_file(path), correction_run=correction_run)
 
 
-@dataclass(frozen=True)
-class OneBodyOperator:
-    """Dense M x M complex coefficient table with an optional hermitian flag."""
-
-    mat: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=np.complex128)
-        object.__setattr__(self, "mat", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ConsistencyError(f"one-body table must be square, got shape {mat.shape}")
-        if self.hermitian:
-            scale = max(np.abs(mat).max(), 1.0)
-            if np.abs(mat - mat.conj().T).max() > 1e-14 * scale:
-                raise ConsistencyError("hermitian flag set but table is not self-adjoint")
+def _site_index_grid(config: ModelConfig) -> np.ndarray:
+    """Integer lattice indices of the flattened sites, shape (M, d)."""
+    L, d = config.sites_per_dim, config.dimension
+    grids = np.meshgrid(*([np.arange(L)] * d), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def site_coordinates(config: ModelConfig) -> np.ndarray:
     """Physical coordinates of the flattened sites, shape (M, d)."""
-    L, d, h = config.sites_per_dim, config.dimension, config.spacing
-    axes = [np.arange(L) * h] * d
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def _site_index_grid(config: ModelConfig) -> np.ndarray:
-    L, d = config.sites_per_dim, config.dimension
-    grids = np.meshgrid(*([np.arange(L)] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return _site_index_grid(config) * config.spacing
 
 
 def _min_image_distance(delta_idx: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -338,50 +318,38 @@ def _profile(config: ModelConfig, dist: np.ndarray) -> np.ndarray:
     raise ConfigError(f"profile {kind!r} has no closed-form evaluator")
 
 
-@dataclass(frozen=True)
-class PairTable:
-    """Scaled two-body interaction w(r) = N^(d*beta) v(N^beta r) on displacements.
-
-    ``values`` is indexed by the displacement modulo L per component, so
-    values[(a - b) % L] is the interaction between sites a and b.  ``mat``
-    is the same data as an M x M matrix over flattened site pairs.
-    """
-
-    values: np.ndarray
-    mat: np.ndarray
-
-    @cached_property
-    def is_zero(self) -> bool:
-        """Whether every value vanishes; computed once, so ``values`` must not be modified in place."""
-        return not np.any(self.values)
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
-def sample_interaction(config: ModelConfig) -> PairTable:
-    """Tabulate the scaled interaction over all min-image displacements."""
+def sample_interaction(config: ModelConfig) -> np.ndarray:
+    """The scaled interaction w(r) = N^(d*beta) v(N^beta r) between every
+    pair of sites, a read-only (M, M) table: entry (a, b) is w at the
+    min-image displacement x_a - x_b."""
     L, d, N = config.sites_per_dim, config.dimension, config.particles
 
-    offsets = _site_index_grid(config)  # all displacement classes, shape (M, d)
-    dist = _min_image_distance(offsets, config)
+    idx = _site_index_grid(config)  # also every displacement class mod L
+    dist = _min_image_distance(idx, config)
     if config.interaction_profile == "tabulated":
         samples = np.asarray(config.interaction_samples, dtype=float)
         if samples.size != config.site_count:
             raise ConfigError(
                 f"interaction_samples must provide {config.site_count} values, got {samples.size}"
             )
-        values = samples.reshape((L,) * d)
+        values = samples
     else:
         scale = float(N) ** (d * config.beta)
-        values = (scale * _profile(config, dist * N**config.beta)).reshape((L,) * d)
+        values = scale * _profile(config, dist * N**config.beta)
 
-    idx = _site_index_grid(config)
     delta = (idx[:, None, :] - idx[None, :, :]) % L
     flat = np.ravel_multi_index(tuple(delta[..., k] for k in range(d)), (L,) * d)
-    mat = values.ravel()[flat]
-    return PairTable(values=values, mat=mat)
+    return _read_only(values[flat])
 
 
-def laplacian(config: ModelConfig) -> OneBodyOperator:
-    """Positive semidefinite -Laplacian: periodic second differences / h**2."""
+def laplacian(config: ModelConfig) -> np.ndarray:
+    """Positive semidefinite -Laplacian, periodic second differences / h**2,
+    a read-only complex (M, M) table."""
     L, d, h = config.sites_per_dim, config.dimension, config.spacing
     one = np.zeros((L, L))
     for i in range(L):
@@ -394,7 +362,7 @@ def laplacian(config: ModelConfig) -> OneBodyOperator:
     else:
         eye = np.eye(L)
         mat = np.kron(one, eye) + np.kron(eye, one)
-    return OneBodyOperator(mat=mat.astype(np.complex128), hermitian=True)
+    return _read_only(mat.astype(np.complex128))
 
 
 def external_potential(config: ModelConfig, t: float) -> np.ndarray:
@@ -424,16 +392,23 @@ def external_potential(config: ModelConfig, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable bundle of the validated config and its coefficient tables."""
+    """Immutable bundle of the validated config and its read-only
+    coefficient tables: ``lap`` the -Laplacian and ``pair`` the pair table,
+    both (M, M)."""
 
     config: ModelConfig
-    lap: OneBodyOperator
-    pair: PairTable
+    lap: np.ndarray
+    pair: np.ndarray
     coords: np.ndarray
 
     @property
     def cell(self) -> float:
         return self.config.cell
+
+    @cached_property
+    def free(self) -> bool:
+        """Whether the pair table vanishes, computed once."""
+        return not np.any(self.pair)
 
     def potential(self, t: float) -> np.ndarray:
         return external_potential(self.config, t)
@@ -453,13 +428,11 @@ class Model:
         return self._static_h0
 
     def _h0_at(self, t: float) -> np.ndarray:
-        return self.lap.mat + np.diag(self.potential(t)).astype(np.complex128)
+        return self.lap + np.diag(self.potential(t)).astype(np.complex128)
 
     @cached_property
     def _static_h0(self) -> np.ndarray:
-        table = self._h0_at(0.0)
-        table.flags.writeable = False
-        return table
+        return _read_only(self._h0_at(0.0))
 
 
 def build_model(config: ModelConfig) -> Model:

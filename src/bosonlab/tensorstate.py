@@ -132,16 +132,12 @@ class TensorState:
         return direct
 
 
-def _as_matrix(op) -> np.ndarray:
-    return np.asarray(getattr(op, "mat", op), dtype=np.complex128)
-
-
 def apply_factor(op, slot: int, psi: TensorState) -> TensorState:
     """Apply a one-body table on coordinate ``slot`` (0-based), identity elsewhere."""
     n = psi.particles
     if not 0 <= slot < n:
         raise IndexError(f"slot {slot} out of range for {n} particles")
-    mat = _as_matrix(op)
+    mat = np.asarray(op, dtype=np.complex128)
     m = psi.sites
     work = np.moveaxis(psi.amps, slot, 0).reshape(m, -1)
     out = mat @ work
@@ -152,7 +148,7 @@ def apply_factor(op, slot: int, psi: TensorState) -> TensorState:
 def apply_one_body_sum(op, psi: TensorState) -> TensorState:
     """Sum of the one-body table over the N coordinates of a state, or of
     every state of a block: one contraction per trailing axis."""
-    mat = _as_matrix(op)
+    mat = np.asarray(op, dtype=np.complex128)
     out = np.zeros_like(psi.amps)
     for axis in range(psi.amps.ndim - psi.particles, psi.amps.ndim):
         out += np.moveaxis(np.tensordot(psi.amps, mat, axes=([axis], [1])), -1, axis)
@@ -173,7 +169,7 @@ def apply_two_slot(mat2, i: int, j: int, psi: TensorState) -> TensorState:
 
 def pair_diagonal_field(pair, n_particles: int) -> np.ndarray:
     """Multiplicative field sum_{i<j} w(x_i - x_j) on the (M,)*N grid."""
-    wmat = np.asarray(getattr(pair, "mat", pair))
+    wmat = np.asarray(pair)
     m = wmat.shape[0]
     shape = (m,) * n_particles
     total = np.zeros(shape)

@@ -383,6 +383,8 @@ KEY_ROWS = [
 ] + [
     # the correction window's open floor, gamma = (2 + d beta)/3 at d = 1, beta = 0
     ("gamma", repr(2.0 / 3.0), 3),
+    # and its open cap, beta = 1/(4d) at d = 1
+    ("beta", "0.25", 3),
 ]
 
 

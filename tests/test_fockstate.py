@@ -366,7 +366,7 @@ def kernel_inputs(m, rng, stages):
     real vbar and mu, and a stand-in model with a random symmetric pair
     table: everything the closed-form kernel build reads."""
     w = rng.standard_normal((m, m))
-    model = SimpleNamespace(pair=SimpleNamespace(mat=w + w.T), cell=CELL)
+    model = SimpleNamespace(pair=w + w.T, cell=CELL)
     phi = rng.standard_normal((stages, m)) + 1j * rng.standard_normal((stages, m))
     phi *= (np.linspace(1.0, 1.5, stages) / np.sqrt(CELL * (np.abs(phi) ** 2).sum(axis=1)))[:, None]
     return Condensate(phi, np.zeros(stages), rng.standard_normal((stages, m)), rng.standard_normal(stages)), model

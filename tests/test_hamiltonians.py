@@ -25,7 +25,6 @@ from bosonlab.meanfield import condensate_at, one_body_norm
 from bosonlab.model import build_model, validate_config
 from bosonlab import duhamel
 from bosonlab.experiments import build_product, default_phi0
-from bosonlab.model import OneBodyOperator
 from test_fockstate import fold_oracle, ordered_kernel_oracle
 from test_sector import lattice
 
@@ -75,7 +74,7 @@ def dense_h_matrix(model, t=0.0):
         for f in factors[1:]:
             term = np.kron(term, f)
         mat += term
-    w = model.pair.mat
+    w = model.pair
     for i in range(n):
         for j in range(i + 1, n):
             # v_ij is diagonal on the grid; assemble it index-wise
@@ -120,7 +119,7 @@ def generator_oracle(t, state, model):
     """The ladder lift of h0(t) plus the pair diagonal over N - 1."""
     space, n = state.space, state.particles
     out = fs.dgamma_apply(model.h0(t), state).amps
-    if n >= 2 and not model.pair.is_zero:
+    if n >= 2 and not model.free:
         out = out + fs.pair_diagonal(space, model.pair) * state.amps / (n - 1)
     return out
 
@@ -180,7 +179,7 @@ class TestGeneratorTable:
         # on the sector, hops to mirror images land in one orbit; each output
         # keeps one slot per distinct source, and the diagonal in slot 0
         model, space = generator_setup("1d-z2-n16")
-        sources, values = fs.generator_table(space, model.lap.mat, model.h0(0.0), model.pair, 1 / 15)
+        sources, values = fs.generator_table(space, model.lap, model.h0(0.0), model.pair, 1 / 15)
         assert sources.shape == values.shape == (9, space.basis.dim)
         assert (sources[0] == np.arange(space.basis.dim)).all()
         hops = sources[1:]
@@ -212,16 +211,16 @@ class TestGeneratorTable:
         assert_generator_matches(0.0, psi, stronger)
         assert space._generator[1] is sources
         # a new hop table with other values: the hops are rebuilt
-        steeper = dataclasses.replace(model, lap=OneBodyOperator(2.0 * model.lap.mat, hermitian=True))
+        steeper = dataclasses.replace(model, lap=2.0 * model.lap)
         assert_generator_matches(0.0, psi, steeper)
         assert space._generator[1] is not sources
         assert_generator_matches(0.0, psi, model)
 
     def test_non_invariant_hops_on_a_sector_raise(self):
         model, space = generator_setup("1d-z2")
-        hops = model.lap.mat.copy()
+        hops = model.lap.copy()
         hops[0, 1] = hops[1, 0] = -3.0  # site 1 mirrors site 3, whose hops stay -1
-        tilted = dataclasses.replace(model, lap=OneBodyOperator(hops, hermitian=True))
+        tilted = dataclasses.replace(model, lap=hops)
         psi = random_block(space, np.random.default_rng(9))
         with pytest.raises(ValueError, match="asymmetry"):
             apply_H(0.0, psi, tilted)
@@ -289,7 +288,7 @@ class TestApplyHtilde:
         w2 = np.zeros((m * m, m * m), dtype=complex)
         for r in range(m):
             for s in range(m):
-                w2[r * m + s, r * m + s] = model.pair.mat[r, s]
+                w2[r * m + s, r * m + s] = model.pair[r, s]
         acc = ts.apply_one_body_sum(pieces.h1, psi)
         for i in range(n):
             for j in range(i + 1, n):
@@ -328,7 +327,7 @@ class TestRemainders:
         pieces = pieces_at(phi, 0.0, model)
         p, q = ts.projector_matrices(phi, model.cell)
         cond = condensate_at(phi, 0.0, model)
-        z_no_mu = model.pair.mat - cond.vbar[:, None] - cond.vbar[None, :]
+        z_no_mu = model.pair - cond.vbar[:, None] - cond.vbar[None, :]
         z = z_no_mu + 2.0 * cond.mu
         m, n = 3, 3
         z2 = np.zeros((m * m, m * m), dtype=complex)
@@ -450,9 +449,9 @@ class TestProjectedPairSum:
             return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
 
         a, c, b, d = (table() for _ in range(4))
-        kernel = model.pair.mat + rng.standard_normal((m, m))
+        kernel = model.pair + rng.standard_normal((m, m))
         psi = ts.random_symmetric(m, 3, model.cell, rng)
-        second = (0.5, model.pair.mat + rng.standard_normal((m, m)), table(), table(), table(), table())
+        second = (0.5, model.pair + rng.standard_normal((m, m)), table(), table(), table(), table())
         terms = ((1.0, kernel, a, c, b, d), second)
         # pieces of one operator: its terms for the tensor grid, their folded
         # kernel at scale 1 for the occupation basis; neither route applies

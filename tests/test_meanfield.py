@@ -25,7 +25,7 @@ def make_model(**over):
 
 def generator(phi, t, model):
     """-i h[phi](t) phi from the march's private primitives."""
-    return mf._slope(model.h0(t), phi, *mf._mean_field(phi, model.pair.mat, model.cell))
+    return mf._slope(model.h0(t), phi, *mf._mean_field(phi, model.pair, model.cell))
 
 
 def uniform_phi(model):
@@ -45,7 +45,7 @@ class TestVbar:
         phi = uniform_phi(model)
         vb = mf.vbar(phi, model.pair, model.cell)
         m = model.config.site_count
-        w = model.pair.mat
+        w = model.pair
         density = np.abs(phi) ** 2
         oracle = np.array(
             [model.cell * sum(w[x, y] * density[y] for y in range(m)) for x in range(m)]
@@ -91,7 +91,7 @@ class TestMu:
         model = make_model(interaction_profile="tophat")
         phi = uniform_phi(model)
         density = np.abs(phi) ** 2
-        w = model.pair.mat
+        w = model.pair
         oracle = 0.5 * model.cell**2 * float(density @ w @ density)
         assert mf.mu(phi, model.pair, model.cell) == pytest.approx(oracle, abs=1e-15)
 
@@ -336,7 +336,7 @@ class TestTrajectory:
     def test_condensate_caches_consistent(self):
         model = make_model(t_final=0.1)
         traj = mf.hartree_evolve(uniform_phi(model), 0.0, 0.1, model)
-        cond = traj.condensate(50)
+        cond = mf.condensate_at(traj.phis[50], float(traj.times[50]), model)
         assert cond.t == pytest.approx(0.05)
         assert cond.mu == pytest.approx(traj.mus[50], abs=1e-14)
 

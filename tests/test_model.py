@@ -6,7 +6,6 @@ import pytest
 from bosonlab.errors import ConfigError, RangeError, ResolutionError
 from bosonlab.model import (
     ModelConfig,
-    OneBodyOperator,
     build_model,
     external_potential,
     grid_index,
@@ -89,7 +88,7 @@ class TestValidateConfig:
     ], ids=["1d", "2d"])
     def test_accepts_even_interaction_samples(self, over):
         model = build_model(validate_config(small_raw(interaction_profile="tabulated", **over)))
-        assert np.array_equal(model.pair.mat, model.pair.mat.T)
+        assert np.array_equal(model.pair, model.pair.T)
 
     def test_rejects_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -189,18 +188,19 @@ class TestInteraction:
         for delta in range(4):
             dist = min(delta, 4 - delta) * cfg.spacing
             expect = g * np.exp(-1.0 / (1.0 - (dist / R) ** 2)) if dist < R else 0.0
-            assert table.values[delta] == pytest.approx(expect, abs=0.0)
+            assert table[delta, 0] == pytest.approx(expect, abs=0.0)
 
     def test_zero_profile(self):
-        cfg = validate_config(small_raw(interaction_profile="zero"))
-        assert sample_interaction(cfg).is_zero
+        model = build_model(validate_config(small_raw(interaction_profile="zero")))
+        assert model.free
+        assert not np.any(model.pair)
 
     @pytest.mark.parametrize("profile,zero", [("zero", True), ("bump", False)])
-    def test_is_zero_computed_once(self, profile, zero, monkeypatch):
-        table = sample_interaction(validate_config(small_raw(interaction_profile=profile)))
-        assert table.is_zero is zero
+    def test_free_computed_once(self, profile, zero, monkeypatch):
+        model = build_model(validate_config(small_raw(interaction_profile=profile)))
+        assert model.free is zero
         monkeypatch.setattr(np, "any", lambda *args, **kwargs: pytest.fail("recomputed"))
-        assert table.is_zero is zero
+        assert model.free is zero
 
     def test_scaled_tophat_matches_pointwise_oracle(self):
         # w(r) = N^0.2 g on |r| <= R N^-0.2, zero outside
@@ -220,19 +220,19 @@ class TestInteraction:
         for delta in range(16):
             dist = min(delta, 16 - delta) * cfg.spacing
             expect = scale * 0.7 if dist * scale <= 1.3 else 0.0
-            assert table.values[delta] == pytest.approx(expect, abs=0.0)
+            assert table[delta, 0] == pytest.approx(expect, abs=0.0)
 
     def test_even_exactly(self):
         cfg = validate_config(small_raw(sites_per_dim=5, torus_length=5.0))
         table = sample_interaction(cfg)
         for delta in range(5):
-            assert table.values[delta] == table.values[-delta % 5]
-        assert np.array_equal(table.mat, table.mat.T)
+            assert table[delta, 0] == table[-delta % 5, 0]
+        assert np.array_equal(table, table.T)
 
     def test_even_exactly_2d(self):
         cfg = validate_config(small_raw(dimension=2, sites_per_dim=3, torus_length=3.0))
         table = sample_interaction(cfg)
-        assert np.array_equal(table.mat, table.mat.T)
+        assert np.array_equal(table, table.T)
 
 
 class TestLaplacian:
@@ -240,7 +240,7 @@ class TestLaplacian:
         cfg = validate_config(small_raw())
         lap = laplacian(cfg)
         const = np.ones(4)
-        assert np.abs(lap.mat @ const).max() <= 1e-12 * np.abs(lap.mat).max()
+        assert np.abs(lap @ const).max() <= 1e-12 * np.abs(lap).max()
 
     def test_plane_wave_eigenvector(self):
         cfg = validate_config(small_raw(sites_per_dim=6, torus_length=3.0))
@@ -249,7 +249,7 @@ class TestLaplacian:
         for k in range(6):
             wave = np.exp(2j * np.pi * k * np.arange(6) / 6)
             expect = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / 6)) / h**2
-            assert np.allclose(lap.mat @ wave, expect * wave, atol=1e-12)
+            assert np.allclose(lap @ wave, expect * wave, atol=1e-12)
 
     def test_plane_wave_eigenvector_2d(self):
         cfg = validate_config(small_raw(dimension=2, sites_per_dim=3, torus_length=3.0))
@@ -258,13 +258,12 @@ class TestLaplacian:
         idx = np.arange(3)
         wave = np.exp(2j * np.pi * (1 * idx[:, None] + 2 * idx[None, :]) / 3).ravel()
         expect = ((2 - 2 * np.cos(2 * np.pi / 3)) + (2 - 2 * np.cos(4 * np.pi / 3))) / h**2
-        assert np.allclose(lap.mat @ wave, expect * wave, atol=1e-12)
+        assert np.allclose(lap @ wave, expect * wave, atol=1e-12)
 
-    def test_hermitian_flag_checked(self):
+    def test_self_adjoint(self):
         cfg = validate_config(small_raw())
         lap = laplacian(cfg)
-        assert lap.hermitian
-        assert np.abs(lap.mat - lap.mat.conj().T).max() <= 1e-14 * np.abs(lap.mat).max()
+        assert np.abs(lap - lap.conj().T).max() <= 1e-14 * np.abs(lap).max()
 
     def test_positive_semidefinite(self):
         cfg = validate_config(small_raw(sites_per_dim=5, torus_length=5.0))
@@ -272,14 +271,8 @@ class TestLaplacian:
         rng = np.random.default_rng(3)
         for _ in range(100):
             f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            val = np.vdot(f, lap.mat @ f).real
+            val = np.vdot(f, lap @ f).real
             assert val >= -1e-12
-
-    def test_one_body_operator_validates_hermitian_flag(self):
-        from bosonlab.errors import ConsistencyError
-
-        with pytest.raises(ConsistencyError):
-            OneBodyOperator(mat=np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
 
 
 class TestPotential:
@@ -343,8 +336,16 @@ class TestH0:
         model = build_model(validate_config(small_raw(potential_kind=kind, potential_strength=strength)))
         h = model.h0(0.0)
         assert model.h0(0.37) is h
-        expect = model.lap.mat + np.diag(external_potential(model.config, 0.0))
+        expect = model.lap + np.diag(external_potential(model.config, 0.0))
         assert np.array_equal(h, expect)
+
+    @pytest.mark.parametrize("name", ["lap", "pair"])
+    def test_model_tables_are_read_only(self, name):
+        table = getattr(build_model(validate_config(small_raw())), name)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table *= 2.0
 
     def test_static_table_is_read_only(self):
         h = build_model(validate_config(small_raw())).h0(0.0)
@@ -361,10 +362,18 @@ class TestH0:
 
 def test_build_model_bundles_tables():
     model = build_model(validate_config(small_raw()))
-    assert model.lap.hermitian
+    assert np.array_equal(model.lap, model.lap.conj().T)
     assert model.coords.shape == (4, 1)
     assert model.h0(0.0).shape == (4, 4)
     assert model.cell == 1.0
+
+
+@pytest.mark.parametrize("dimension,spacing", [(1, 1.0), (1, 3.3 / 7), (2, 2.0), (2, 2.7 / 5)])
+def test_site_coordinates_scale_the_index_grid_exactly(dimension, spacing):
+    cfg = validate_config(small_raw(dimension=dimension, sites_per_dim=5, torus_length=5 * spacing))
+    axes = [np.arange(5) * cfg.spacing] * dimension
+    grids = np.meshgrid(*axes, indexing="ij")
+    assert np.array_equal(site_coordinates(cfg), np.stack([g.ravel() for g in grids], axis=-1))
 
 
 def test_site_coordinates_2d():

@@ -203,10 +203,9 @@ class TestSectorOperators:
         result = correction_error(psi0, phi0, 3, 0.01, model)
         assert all(np.isfinite(result.errors))
         # 40 stages in builds of stage_batch: each build's condensates once,
-        # and h0, the Laplacian's hops and the pair table, as a table and as
-        # a PairTable, once each
+        # and h0, the Laplacian's hops and the pair table once each
         assert looked_up.count("vector") == -(-40 // hamiltonians.stage_batch(4)) > 1
-        assert looked_up.count("table") == 4
+        assert looked_up.count("table") == 3
         assert "kernel" not in looked_up
 
     def test_quadrature_node_pieces_are_checked_by_their_condensate(self, monkeypatch):

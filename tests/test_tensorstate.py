@@ -78,7 +78,7 @@ class TestApplyFactor:
         rng = np.random.default_rng(6)
         phi = random_phi(3, model.cell, rng)
         prod = ts.product_state(phi, 3, model.cell)
-        lap = model.lap.mat
+        lap = model.lap
         out = ts.apply_factor(lap, 0, prod)
         oracle = ts.product_state(phi, 1, model.cell)
         expect = np.multiply.outer(np.multiply.outer(lap @ phi, phi), phi)
@@ -97,7 +97,7 @@ class TestOneBodySum:
         wave /= np.sqrt(model.cell * np.vdot(wave, wave).real)
         lam = (2 - 2 * np.cos(2 * np.pi / 3)) / model.config.spacing**2
         prod = ts.product_state(wave, 3, model.cell)
-        out = ts.apply_one_body_sum(model.lap.mat, prod)
+        out = ts.apply_one_body_sum(model.lap, prod)
         assert np.allclose(out.amps, 3 * lam * prod.amps, atol=1e-12)
 
     def test_preserves_symmetry(self, model):
@@ -115,7 +115,7 @@ class TestPairDiagonal:
         assert out.norm() == 0.0
 
     def test_two_particle_delta(self, model):
-        w = model.pair.mat
+        w = model.pair
         amps = np.zeros((3, 3), dtype=complex)
         amps[0, 2] = 1.0
         psi = ts.TensorState(amps, model.cell)
@@ -125,7 +125,7 @@ class TestPairDiagonal:
     def test_matches_brute_force_pair_loop(self, model):
         rng = np.random.default_rng(10)
         psi = ts.random_symmetric(3, 3, model.cell, rng)
-        w = model.pair.mat
+        w = model.pair
         expect = np.zeros_like(psi.amps)
         for a in range(3):
             for b in range(3):
@@ -223,6 +223,6 @@ class TestHermiticity:
         for op in (
             lambda s: ts.apply_pair_diagonal(model.pair, s),
             lambda s: ts.apply_projector_chain(["q", "q", "q"], phi, s),
-            lambda s: ts.apply_one_body_sum(model.lap.mat, s),
+            lambda s: ts.apply_one_body_sum(model.lap, s),
         ):
             assert ts.transposition_residual(op(psi)) <= 1e-12
