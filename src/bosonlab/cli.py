@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from . import __version__
 from .duhamel import correction_error
-from .errors import BosonLabError, ConfigError
+from .errors import BosonLabError, ConfigError, IntegratorError
 from .experiments import (
     _fmt,
     build_product,
@@ -284,6 +284,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
+    except IntegratorError as exc:  # a stepper abort: the step is too coarse for the drift bound
+        step = config_from_file(args.config).dt
+        print(f"bosonlab: error: {exc}; the step dt = {step:g} is too coarse", file=sys.stderr)
+        return exc.exit_code
     except BosonLabError as exc:
         print(f"bosonlab: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -490,7 +490,7 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
 
         # number identity: <n_hat^2> = (1/N) sum_j <q_j>
         lhs = n_moment(1, phi, psi, weights=weights)
-        rhs = psi.inner(number_apply(psi, p1)).real / n
+        rhs = psi.inner(number_apply(psi, q1)).real / n
         track("number_identity", abs(lhs - rhs))
 
         # chain monotony under n_hat insertions

@@ -89,6 +89,11 @@ BASIS_CEILING = 2_000_000
 # product in blocks, at p50 31-42 us against 25 us unblocked.
 SERIAL_PRODUCT = 65536
 
+# Largest m*n of one complex matrix-vector product.  OpenBLAS threads zgemv
+# from 4096 on: measured as above, 3000 calls of (16, 256) @ (256,) took
+# over 1 ms in 18-20 per process, and (16, 255) and (4, 1023) in none.
+SERIAL_MATVEC = 4095
+
 # Largest asymmetry of a table that acts on a symmetric sector, relative to
 # the table's norm (``FockSpace.require_invariant``).  Tables built from an
 # invariant condensate differ from invariant by roundoff, ~1e-16.
@@ -534,7 +539,7 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     call per matrix of the stack, so the bound holds for each of them.
     Rows are split first, then columns.  A block keeps at least two rows
     and two columns, because numpy runs a one-row or one-column product as
-    a matrix-vector call, which OpenBLAS threads from m * n = 9216 on.
+    a matrix-vector call, which OpenBLAS threads above SERIAL_MATVEC.
     """
     (m, k), n = a.shape[-2:], b.shape[-1]
     if m * k * n <= SERIAL_PRODUCT:

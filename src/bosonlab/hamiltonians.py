@@ -12,8 +12,8 @@ from the rank-one site expansion of the position-diagonal kernel,
 
 ``_split_sums`` is the one path to Htilde, C and Q.  It maps a block of
 members, a state whose amplitudes carry a leading member axis, to a block;
-``apply_stage``, the generator of a hierarchy stage and of the auxiliary
-flow, calls it with entries built once by ``stage_entries``, and
+``apply_stage`` (Htilde psi_i + C psi_c(i) + Q psi_q(i), a hierarchy stage's
+right-hand side) calls it with entries built once by ``stage_entries``, and
 ``apply_Htilde``, ``apply_C`` and ``apply_Q`` call it on one row.  It reaches
 the representation only through the state methods: ``admit`` for the
 invariance of a stage build's tables (``EffectivePieces.batch``), ``lift``
@@ -321,12 +321,10 @@ def stage_entries(sources: list) -> tuple:
 
 
 def apply_stage(pieces: EffectivePieces, members, entries: tuple, model: Model):
-    """-i [Htilde psi_i + C psi_c(i) + Q psi_q(i)] for every member psi_i of a
-    hierarchy stage, the rows of the block ``members``, from their
-    ``stage_entries``, as one block (``_split_sums``)."""
-    out = _split_sums(pieces, members, entries, model)
-    out.amps *= -1j
-    return out
+    """Htilde psi_i + C psi_c(i) + Q psi_q(i), the hierarchy equation's
+    right-hand side, for every member psi_i of a hierarchy stage, the rows of
+    the block ``members``, from their ``stage_entries`` (``_split_sums``)."""
+    return _split_sums(pieces, members, entries, model)
 
 
 def decomposition_residual(t: float, cond: Condensate, state, model: Model) -> float:

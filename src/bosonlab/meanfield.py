@@ -3,10 +3,10 @@
 The condensate obeys  i d/dt phi = (-Lap + V_ext(t) + vbar - mu) phi  with
 vbar the interaction smeared by |phi|^2 and mu a real phase fixing constant.
 Two private array primitives define this generator once: ``_mean_field``
-gives (vbar, mu) from one |phi|^2 and ``_slope`` gives -i (h0 phi + (vbar -
-mu) phi), with no M x M table beyond h0.  The fixed-step classical
-fourth-order march ``hartree_evolve`` calls them directly, builds no
-per-stage object, and stores phi and its norm at every grid time and the
+gives (vbar, mu) from one |phi|^2 and ``_slope`` gives h[phi] phi = h0 phi +
+(vbar - mu) phi, with no M x M table beyond h0.  The fixed-step classical
+fourth-order march ``hartree_evolve`` calls them directly, folds -i into its
+step scalars, builds no per-stage object, and stores phi and its norm at every grid time and the
 four stage condensates of every step, so that all N-body evolutions consume
 the identical trajectory and its stages (``HartreeTrajectory.stage_phis``
 and ``stage_times``) without stepping phi again; the diagnostics mu and the
@@ -54,8 +54,8 @@ def _mean_field(phi: np.ndarray, wmat: np.ndarray, cell: float):
 
 
 def _slope(h0: np.ndarray, phi: np.ndarray, vb: np.ndarray, mu: float) -> np.ndarray:
-    """-i (h0 phi + (vbar - mu) phi) of one condensate."""
-    return -1j * (h0.dot(phi) + (vb - mu) * phi)
+    """h[phi] phi = h0 phi + (vbar - mu) phi of one condensate."""
+    return h0.dot(phi) + (vb - mu) * phi
 
 
 def vbar(phi: np.ndarray, pair, cell: float) -> np.ndarray:
@@ -180,13 +180,13 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
             stage_phis[i] = phi
             h_mid = h0(t + 0.5 * dt)
             k1 = _slope(h0(t), phi, *_mean_field(phi, wmat, cell))
-            stage = np.add(phi, 0.5 * dt * k1, out=stage_phis[i + 1])
+            stage = np.add(phi, -0.5j * dt * k1, out=stage_phis[i + 1])
             k2 = _slope(h_mid, stage, *_mean_field(stage, wmat, cell))
-            stage = np.add(phi, 0.5 * dt * k2, out=stage_phis[i + 2])
+            stage = np.add(phi, -0.5j * dt * k2, out=stage_phis[i + 2])
             k3 = _slope(h_mid, stage, *_mean_field(stage, wmat, cell))
-            stage = np.add(phi, dt * k3, out=stage_phis[i + 3])
+            stage = np.add(phi, -1j * dt * k3, out=stage_phis[i + 3])
             k4 = _slope(h0(t + dt), stage, *_mean_field(stage, wmat, cell))
-            phi = np.add(phi, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=phis[k + 1])
+            phi = np.add(phi, ((-1j * dt) / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=phis[k + 1])
             if not np.isfinite(phi).all():
                 raise IntegratorError(f"non-finite condensate amplitudes after step at t={t:.6g}")
 

@@ -2,7 +2,8 @@
 
 For a normalised condensate phi, P_k projects an N-body state onto the
 sector with exactly k particles outside phi, i.e. onto the eigenspace k of
-the excitation-number observable S = sum_j q_j, whose spectrum is {0, ..., N}.
+the excitation-number observable S = sum_j q_j = dGamma(q), the one-body lift
+of q = 1 - p, whose spectrum is {0, ..., N}.
 
 Every function of S applied to one state goes through a single Lanczos pass
 of S from that state.  Because S has at most N + 1 distinct eigenvalues, at
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import tensorstate as ts
 from .errors import ConsistencyError
+from .fockstate import SERIAL_MATVEC
 
 # Largest accepted |sum_k ||P_k psi||^2 - ||psi||^2|, relative to max(1, ||psi||^2).
 SUM_RULE_TOL = 1e-8
@@ -58,9 +60,9 @@ __all__ = [
 ]
 
 
-def number_apply(state, p: np.ndarray):
-    """Apply S = sum_j q_j = N - (one-body lift of the condensate projector p)."""
-    return state.particles * state - state.lift(p)
+def number_apply(state, q: np.ndarray):
+    """Apply S = sum_j q_j = dGamma(q), the lift of q = 1 - p (p the condensate's)."""
+    return state.lift(q)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +111,9 @@ def _sector_krylov(phi: np.ndarray, psi):
     carries, the orthonormal Krylov rows (flattened amplitudes, one per step)
     and the eigenvectors of the tridiagonal matrix as columns of ``ritz``.  It
     stops after N + 1 steps, or earlier once the residual is roundoff; every
-    step lifts the one projector p built for the pass, so a symmetric sector
-    checks p once.  The rows hold O((N + 1) * dim) complex entries (263 KB
-    at N = 16, dim 969).
+    step lifts the one complement q built for the pass, so a symmetric
+    sector checks q once.  The rows and their conjugates hold 2 (N + 1) * dim
+    complex entries (527 KB at N = 16, dim 969).
     Raises ConsistencyError when a Ritz value that carries weight lies off the
     integers 0..N, i.e. when S does not have the spectrum it must have.
     """
@@ -121,19 +123,24 @@ def _sector_krylov(phi: np.ndarray, psi):
     scale = np.linalg.norm(flat)
     if scale == 0.0:
         return np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, flat.size)), np.zeros((0, 0))
-    p, _ = ts.projector_matrices(phi, psi.cell)
+    _, q = ts.projector_matrices(phi, psi.cell)
     rows = np.zeros((n + 1, flat.size), dtype=np.complex128)
     rows[0] = flat / scale
+    conj = rows.conj()
     alpha = np.zeros(n + 1)
     beta = np.zeros(n)
     steps = n + 1
     for j in range(n + 1):
-        r = number_apply(psi.with_amps(rows[j].reshape(psi.amps.shape)), p).amps.reshape(-1)
-        # two classical Gram-Schmidt passes; einsum, not a BLAS gemv, because
-        # (j + 1) * dim above 4096 entries wakes OpenBLAS's thread pool
+        r = number_apply(psi.with_amps(rows[j].reshape(psi.amps.shape)), q).amps.reshape(-1)
+        # two classical Gram-Schmidt passes, c = conj(V) r and r -= c V, as BLAS
+        # matrix-vector products of at most fockstate.SERIAL_MATVEC entries
+        width = max(1, SERIAL_MATVEC // (j + 1))
+        blocks = [(rows[: j + 1, b], conj[: j + 1, b], r[b])
+                  for b in (slice(lo, lo + width) for lo in range(0, flat.size, width))]
         for _ in range(2):
-            c = np.einsum("ij,j->i", rows[: j + 1], r.conj()).conj()
-            r = r - np.einsum("i,ij->j", c, rows[: j + 1])
+            c = sum(np.matmul(dual, part) for _, dual, part in blocks)
+            for basis, _, part in blocks:
+                part -= np.matmul(c, basis)
             alpha[j] += c[j].real
         if j == n:
             break
@@ -141,7 +148,8 @@ def _sector_krylov(phi: np.ndarray, psi):
         if beta[j] <= KRYLOV_STOP * max(1, n):
             steps = j + 1
             break
-        rows[j + 1] = r / beta[j]
+        np.divide(r, beta[j], out=rows[j + 1])
+        np.conjugate(rows[j + 1], out=conj[j + 1])
     off_diag = beta[: steps - 1]
     ritz_values, ritz = np.linalg.eigh(
         np.diag(alpha[:steps]) + np.diag(off_diag, 1) + np.diag(off_diag, -1)
@@ -211,7 +219,7 @@ def spectral_weights(psi, phi: np.ndarray) -> SpectralWeights:
     One Lanczos pass of S from psi (at most N + 1 lifts, see
     ``_sector_krylov``) gives each weight as the sum of the Ritz weights with
     label k; it matches a dense eigendecomposition of S to roundoff at any N
-    and holds (N + 1) * dim complex entries while it runs.  A Ritz value off
+    and holds 2 (N + 1) * dim complex entries while it runs.  A Ritz value off
     the integers that carries weight, or a sum-rule defect above
     SUM_RULE_TOL, raises ConsistencyError (exit 1).
     """

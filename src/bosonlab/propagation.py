@@ -4,11 +4,13 @@ One classical explicit fourth-order kernel (``rk4_step``) and one grid loop
 (``march``) drive the plain Schroedinger flow, the mean-field-coupled
 auxiliary flow and the quadrature oracle's transports between nodes; the
 correction hierarchy runs the same kernel and the same guard
-(``check_state``) in its own loop.  Every evolution steps one block, a
-state whose amplitudes carry a leading member axis (one row for the full
-and auxiliary flows); the guard requires every member to be finite and the
-lead, row 0, to keep its norm.  Each step writes a fresh block, so a row
-handed out as a state is never overwritten.
+(``check_state``) in its own loop.  It steps i y' = rhs(t, y) with -i in its
+step scalars, so a right-hand side is the generator's action, as the
+equations read.  Every evolution steps one block, a state whose amplitudes
+carry a leading member axis (one row for the full and auxiliary flows); the
+guard requires every member to be finite and the lead, row 0, to keep its
+norm.  Each step writes a fresh block, so a row handed out as a state is
+never overwritten.
 
 The auxiliary flow and the hierarchy step only their N-body members.  The
 condensate their generator needs at each RK4 stage never depends on the
@@ -17,8 +19,8 @@ stores the four stage condensates of each step (``stage_phis``, at
 ``stage_times``): ``hamiltonians.stage_pieces`` builds their pieces
 ``stage_batch`` stages at a time, with vbar and mu from one
 ``condensate_at`` per build.  The right-hand side consumes them in stage
-order and refuses a stage whose time is not the one it is called at.  The full flow steps
-with ``hamiltonians.apply_H``, whose gather table is built on first use.
+order and refuses a stage whose time is not the one it is called at.  The
+gather table of the full flow's ``apply_H`` is built on first use.
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ def _lead(y):
 
 
 def rk4_step(rhs, t: float, y, dt: float):
-    """One classical fourth-order step of y' = rhs(t, y) on a block ``y``: a
-    state whose amplitudes carry a leading member axis.  ``rhs`` maps a block
-    to one of the same shape; the step returns a fresh block."""
+    """One classical fourth-order step of i y' = rhs(t, y), -i folded into the
+    step scalars, on a block ``y`` (amplitudes with a leading member axis).
+    ``rhs`` maps a block to one of the same shape; the step returns a fresh block."""
+    h = -1j * dt
     k = rhs(t, y).amps
-    out = y.amps + (dt / 6.0) * k
-    for step, weight in ((0.5 * dt, dt / 3.0), (0.5 * dt, dt / 3.0), (dt, dt / 6.0)):
-        k = rhs(t + step, y.with_amps(y.amps + step * k)).amps
+    out = y.amps + (h / 6.0) * k
+    for frac, weight in ((0.5, h / 3.0), (0.5, h / 3.0), (1.0, h / 6.0)):
+        k = rhs(t + frac * dt, y.with_amps(y.amps + (frac * h) * k)).amps
         out += weight * k
     return y.with_amps(out)
 
@@ -61,7 +64,7 @@ def check_state(y, t: float, norm0: float):
 
 
 def march(rhs, y, i0: int, i1: int, dt: float, observer=None):
-    """Advance the block y' = rhs(t, y) from grid index i0 to i1 in steps of dt.
+    """Advance the block i y' = rhs(t, y) from grid index i0 to i1 in steps of dt.
 
     The block is guarded by ``check_state`` against its lead's norm at i0
     and then passed to ``observer(i, t, y)`` at every grid index including
@@ -93,8 +96,8 @@ def _stage_schedule(trajectory: HartreeTrajectory, i0: int, i1: int):
 
 
 def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, sources: list):
-    """The right-hand side -i [Htilde psi_i + C psi_c(i) + Q psi_q(i)] of a
-    block of members for ``rk4_step`` over the grid steps i0 .. i1-1.
+    """The hierarchy equation's right-hand side Htilde psi_i + C psi_c(i) +
+    Q psi_q(i) of a block of members for ``rk4_step`` over grid steps i0 .. i1-1.
 
     ``sources`` is as in ``hamiltonians.stage_entries``.  The pieces of the
     stages come precomputed from the trajectory, for any N, so the right-
@@ -124,12 +127,9 @@ def evolve_full(psi0, t1: float, model: Model, t0: float = 0.0, observer=None):
     """
     dt = model.config.dt
     i0, i1 = grid_index(t0, dt), grid_index(t1, dt)
-
-    def rhs(t, y):
-        return -1j * apply_H(t, y, model)
-
     watch = None if observer is None else lambda i, t, y: observer(i, t, _lead(y))
-    return _lead(march(rhs, psi0.with_amps(psi0.amps[None].copy()), i0, i1, dt, watch))
+    return _lead(march(lambda t, y: apply_H(t, y, model), psi0.with_amps(psi0.amps[None].copy()),
+                       i0, i1, dt, watch))
 
 
 def evolve_aux(psi0, s: float, t: float, trajectory: HartreeTrajectory):

@@ -119,7 +119,7 @@ def test_criterion_2_projection_calculus():
 
         # number identity: <n_hat^2> = (1/N) sum_j <q_j>
         lhs = pj.n_moment(1, phi, psi, weights=weights)
-        rhs = psi.inner(pj.number_apply(psi, ts.projector_matrices(phi, psi.cell)[0])).real / n
+        rhs = psi.inner(pj.number_apply(psi, ts.projector_matrices(phi, psi.cell)[1])).real / n
         assert abs(lhs - rhs) <= 1e-12
 
         chains = [1.0] + [pj.qchain_expectation(a, phi, psi) for a in range(1, 5)]

@@ -385,6 +385,8 @@ KEY_ROWS = [
     ("gamma", repr(2.0 / 3.0), 3),
     # and its open cap, beta = 1/(4d) at d = 1
     ("beta", "0.25", 3),
+    # one step as long as the run (t_final = 0.1): too coarse for the drift bound
+    ("dt", "0.1", 4),
 ]
 
 
@@ -392,8 +394,9 @@ class TestRefusalGrid:
     """Flag values below range, of the wrong type or off the choices: exit 2,
     no traceback, and a last stderr line (argparse prints its usage above it)
     that names the flag or the config key it overrides.  Config-key values
-    (``KEY_ROWS``) are refused the same way, with exit 3 for the range keys,
-    or run to exit 0 where ``ACCEPTED`` says why they are valid."""
+    (``KEY_ROWS``) are refused the same way, with exit 3 for the range keys
+    and exit 4 for a step too coarse for the drift bound, or run to exit 0
+    where ``ACCEPTED`` says why they are valid."""
 
     @pytest.mark.parametrize("argv,name", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
     def test_exits_2_naming_the_flag(self, cfg_path, capsys, argv, name):

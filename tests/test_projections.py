@@ -186,13 +186,13 @@ class TestLargeParticleNumber:
         phi = random_phi(m, rng)
         psi = fs.random_fock(space, rng)
         dim = space.basis.dim
-        p, _ = ts.projector_matrices(phi, CELL)
+        _, q = ts.projector_matrices(phi, CELL)
         # dense S, column by column from the lift on unit vectors
         s_mat = np.empty((dim, dim), dtype=np.complex128)
         for col in range(dim):
             unit = np.zeros(dim, dtype=np.complex128)
             unit[col] = 1.0
-            s_mat[:, col] = pj.number_apply(fs.FockState(unit, space), p).amps
+            s_mat[:, col] = pj.number_apply(fs.FockState(unit, space), q).amps
         evals, evecs = np.linalg.eigh(0.5 * (s_mat + s_mat.conj().T))
         labels = np.rint(evals).astype(int)
         assert np.abs(evals - labels).max() <= 1e-9
@@ -210,7 +210,7 @@ class TestLargeParticleNumber:
         psi = fs.random_fock(space, rng)
         number_apply = pj.number_apply
         monkeypatch.setattr(pj, "number_apply",
-                            lambda state, p: number_apply(state, p) + 0.3 * state)
+                            lambda state, q: number_apply(state, q) + 0.3 * state)
         with pytest.raises(ConsistencyError) as info:
             pj.spectral_weights(psi, phi)
         assert info.value.exit_code == 1
@@ -224,13 +224,71 @@ class TestLargeParticleNumber:
         calls = []
         number_apply = pj.number_apply
 
-        def counted(state, p):
+        def counted(state, q):
             calls.append(1)
-            return number_apply(state, p)
+            return number_apply(state, q)
 
         monkeypatch.setattr(pj, "number_apply", counted)
         pj.spectral_weights(psi, phi)
         assert 0 < len(calls) <= n + 1
+
+
+    def test_gram_schmidt_products_stay_below_serial_bound(self, monkeypatch):
+        """At N = 16, M = 4 a Krylov basis of N + 1 rows of dim 969 holds more
+        than SERIAL_MATVEC entries, so reorthogonalisation runs in column
+        blocks: every matrix-vector product stays within SERIAL_MATVEC, and
+        every matrix product of the lifts within SERIAL_PRODUCT."""
+        n = 16
+        space = fs.FockSpace(fs.enumerate_basis(4, n), CELL)
+        assert (n + 1) * space.basis.dim > fs.SERIAL_MATVEC
+        rng = np.random.default_rng(33)
+        phi = random_phi(4, rng)
+        psi = fs.random_fock(space, rng)
+        matvec, matmat, matmul = [], [], np.matmul
+
+        def recorded(a, b, **kw):
+            if min(np.ndim(a), np.ndim(b)) == 1:
+                matvec.append(max(np.size(a), np.size(b)))
+            else:
+                matmat.append((*np.shape(a)[-2:], np.shape(b)[-1]))
+            return matmul(a, b, **kw)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        w = pj.spectral_weights(psi, phi)
+        assert w.total == pytest.approx(psi.norm() ** 2, rel=1e-10)
+        # two products per Gram-Schmidt pass, two passes per step, some in blocks
+        assert len(matvec) > 4 * (n + 1)
+        assert max(matvec) <= fs.SERIAL_MATVEC
+        assert matmat and all(m * k * c <= fs.SERIAL_PRODUCT for m, k, c in matmat)
+
+
+def z2_sector_state(rng):
+    """A random state of the reflection-symmetric sector of 5 particles on
+    4 sites, and a condensate invariant under the reflection."""
+    mirror = -np.arange(4) % 4
+    space = fs.FockSpace(fs.enumerate_basis(4, 5, symmetry=(mirror,)), CELL)
+    raw = random_phi(4, rng)
+    phi = raw + raw[mirror]
+    return fs.random_fock(space, rng), phi / np.sqrt(CELL * np.vdot(phi, phi).real)
+
+
+class TestNumberApply:
+    @pytest.mark.parametrize("rep", ["tensor", "fock", "z2-sector"])
+    def test_lift_of_q_is_n_minus_lift_of_p(self, rep):
+        # S = dGamma(q) = N - dGamma(p), since p + q = 1
+        rng = np.random.default_rng(34)
+        if rep == "z2-sector":
+            psi, phi = z2_sector_state(rng)
+        else:
+            phi = random_phi(3, rng)
+            psi = ts.random_symmetric(3, 4, CELL, rng)
+            if rep == "fock":
+                psi = fs.extract(psi, fs.FockSpace(fs.enumerate_basis(3, 4), CELL))
+        p, q = ts.projector_matrices(phi, CELL)
+        got = pj.number_apply(psi, q)
+        expect = psi.particles * psi - psi.lift(p)
+        assert got.amps.shape == psi.amps.shape
+        assert (got - expect).norm() <= 1e-13 * expect.norm()
 
 
 class TestQChain:
@@ -341,7 +399,7 @@ class TestFqqIdentities:
         phi = random_phi(3, rng)
         psi = ts.random_symmetric(3, 4, CELL, rng)
         lhs = pj.n_moment(1, phi, psi)
-        rhs = psi.inner(pj.number_apply(psi, ts.projector_matrices(phi, CELL)[0])).real / 4
+        rhs = psi.inner(pj.number_apply(psi, ts.projector_matrices(phi, CELL)[1])).real / 4
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_chain_bounded_by_nhat_insertions(self):

@@ -8,7 +8,7 @@ from bosonlab.experiments import build_product, default_phi0
 from bosonlab.hamiltonians import apply_H
 from bosonlab.meanfield import hartree_evolve
 from bosonlab.model import build_model, validate_config
-from bosonlab.propagation import check_state, evolve_aux, evolve_full, march
+from bosonlab.propagation import check_state, evolve_aux, evolve_full, march, rk4_step
 
 
 def make_model(**over):
@@ -24,11 +24,6 @@ def make_model(**over):
     }
     raw.update(over)
     return build_model(validate_config(raw))
-
-
-def schroedinger(generator):
-    """Right-hand side of i dpsi/dt = generator(t, psi)."""
-    return lambda t, y: -1j * generator(t, y)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +44,7 @@ class TestStep:
     def test_zero_generator_is_identity(self, setup):
         model, _, psi0, _ = setup
         y0 = one_row(psi0)
-        out = march(schroedinger(lambda t, y: 0.0 * y), y0, 0, 1, 1e-3)
+        out = march(lambda t, y: 0.0 * y, y0, 0, 1, 1e-3)
         assert (out - y0).norm() == 0.0
 
     def test_scalar_phase_accuracy(self, setup):
@@ -58,7 +53,7 @@ class TestStep:
         lam = 1.7
         dt = 1e-2
         y0 = one_row(psi0)
-        out = march(schroedinger(lambda t, y: lam * y), y0, 0, 1, dt)
+        out = march(lambda t, y: lam * y, y0, 0, 1, dt)
         exact = np.exp(-1j * lam * dt) * y0
         assert (out - exact).norm() <= (lam * dt) ** 5 / 120.0 * 1.01
 
@@ -66,16 +61,42 @@ class TestStep:
     def test_nonfinite_detected(self, setup):
         model, _, psi0, _ = setup
         with pytest.raises(IntegratorError):
-            march(schroedinger(lambda t, y: float("inf") * y), one_row(psi0), 0, 1, 1e-3)
+            march(lambda t, y: float("inf") * y, one_row(psi0), 0, 1, 1e-3)
 
     def test_norm_drift_per_step(self, setup):
         model, _, psi0, _ = setup
-        out = march(schroedinger(lambda t, y: apply_H(t, y, model)), one_row(psi0), 0, 1, model.config.dt)
+        out = march(lambda t, y: apply_H(t, y, model), one_row(psi0), 0, 1, model.config.dt)
         assert abs(out.norm() - psi0.norm()) <= 1e-12
 
 
+    @pytest.mark.parametrize("rep", ["fock", "tensor"])
+    def test_matches_classical_rk4_of_the_schroedinger_form(self, rep):
+        # y' = -i H(t) y stepped as written out, on a two-row block with an
+        # external potential that moves within the step: the same bits
+        table = ((0.0, 0.12, 0.5), tuple(tuple(row) for row in ((0.0, 1.0, 2.0, 0.5),
+                                                                  (3.0, 0.2, 1.5, 0.0),
+                                                                  (1.0, 1.0, 0.0, 2.5))))
+        model = make_model(potential_kind="tabulated", potential_table=table)
+        psi0 = build_product(model, default_phi0(model), rep)
+        y = psi0.with_amps(np.stack([psi0.amps, 0.5j * psi0.amps]))
+        t, dt = 0.1, 0.05
+
+        def slope(time, amps):
+            return -1j * apply_H(time, y.with_amps(amps), model).amps
+
+        k1 = slope(t, y.amps)
+        k2 = slope(t + 0.5 * dt, y.amps + 0.5 * dt * k1)
+        k3 = slope(t + 0.5 * dt, y.amps + 0.5 * dt * k2)
+        k4 = slope(t + dt, y.amps + dt * k3)
+        expect = y.amps + (dt / 6.0) * k1 + (dt / 3.0) * k2 + (dt / 3.0) * k3 + (dt / 6.0) * k4
+        out = rk4_step(lambda time, block: apply_H(time, block, model), t, y, dt)
+        assert np.array_equal(out.amps, expect)
+        assert not np.array_equal(out.amps, y.amps)
+
+
 def rows_scaled(*rates):
-    """The generator that multiplies row i of a block by rates[i]."""
+    """The generator that multiplies row i of a block by rates[i]; under
+    i y' = rate y, a rate 0.5j grows a row as exp(0.5 t)."""
     return lambda t, y: y.with_amps(y.amps * np.reshape(rates, (-1, 1)))
 
 
@@ -83,17 +104,17 @@ class TestGuard:
     def test_lead_drift_aborts(self, setup):
         _, _, psi0, _ = setup
         with pytest.raises(IntegratorError, match="drift"):
-            march(lambda t, y: 0.5 * y, one_row(psi0), 0, 1, 1e-3)
+            march(lambda t, y: 0.5j * y, one_row(psi0), 0, 1, 1e-3)
 
     def test_lead_is_the_first_row(self, setup):
         # a trailing row may grow; the first row is the guarded lead
         _, _, psi0, _ = setup
         y0 = psi0.with_amps(np.stack([psi0.amps, psi0.amps]))
-        out = march(rows_scaled(0.0, 0.5), y0, 0, 10, 1e-2)
+        out = march(rows_scaled(0.0, 0.5j), y0, 0, 10, 1e-2)
         assert np.linalg.norm(out.amps[1]) > 1.04 * psi0.norm()
         assert np.array_equal(out.amps[0], psi0.amps)
         with pytest.raises(IntegratorError, match="drift"):
-            march(rows_scaled(0.5, 0.0), y0, 0, 10, 1e-2)
+            march(rows_scaled(0.5j, 0.0), y0, 0, 10, 1e-2)
 
     def test_drift_bound_is_drift_abort(self, setup):
         # DRIFT_ABORT = 1e-6: half of it passes, twice it aborts with exit code 4
@@ -147,7 +168,7 @@ class TestRowsHandedOut:
         model, _, psi0, _ = setup
         seen = []
         y0 = psi0.with_amps(np.stack([psi0.amps, 0.5 * psi0.amps]))
-        march(schroedinger(lambda t, y: apply_H(t, y, model)), y0, 0, 5, model.config.dt,
+        march(lambda t, y: apply_H(t, y, model), y0, 0, 5, model.config.dt,
               observer=lambda i, t, y: seen.append((y, y.amps.copy())))
         assert len(seen) == 6
         for y, kept in seen:
@@ -252,7 +273,7 @@ class TestGeneratorConsistency:
         action = apply_H(0.0, psi0, model)
         defects = []
         for dt in (4e-3, 2e-3, 1e-3):
-            stepped = march(schroedinger(lambda t, y: apply_H(t, y, model)), one_row(psi0), 0, 1, dt)
+            stepped = march(lambda t, y: apply_H(t, y, model), one_row(psi0), 0, 1, dt)
             quotient = (1j / dt) * (stepped.amps[0] - psi0.amps)
             defects.append(np.linalg.norm(quotient - action.amps))
         assert defects[0] > defects[1] > defects[2]
@@ -261,7 +282,10 @@ class TestGeneratorConsistency:
         # local error must sit well above roundoff for the ratio to be clean,
         # so the step here is much coarser than production dt
         model, _, psi0, _ = setup
-        rhs = schroedinger(lambda t, y: apply_H(t, y, model))
+
+        def rhs(t, y):
+            return apply_H(t, y, model)
+
         dt = 4e-2
         y0 = one_row(psi0)
         ref = march(rhs, y0, 0, 32, dt / 32)

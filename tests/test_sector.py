@@ -230,7 +230,7 @@ class TestSectorOperators:
         looked_up = probe_lookups(monkeypatch, psi.space)
         lifts = []
         number_apply = pj.number_apply
-        monkeypatch.setattr(pj, "number_apply", lambda state, p: lifts.append(1) or number_apply(state, p))
+        monkeypatch.setattr(pj, "number_apply", lambda state, q: lifts.append(1) or number_apply(state, q))
         weights = pj.spectral_weights(psi, phi0)
         assert weights.total == pytest.approx(psi.norm() ** 2, rel=1e-10)
         # N + 1 Lanczos steps lift one projector, checked at its first lift
