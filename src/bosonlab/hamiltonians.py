@@ -23,15 +23,16 @@ and the terms themselves (``EffectivePieces.terms``), neither with the
 1/(N-1) that ``_split_sums`` applies once, so pieces serve any N.
 ``stage_pieces``, the one builder of pieces, builds h1 (h0 at each stage's
 time) and the kernels of up to ``stage_batch`` stages in one closed-form
-build from the rank-one condensate projector (``_ladder_kernels``);
-``pieces_at`` is a one-stage build.  ``apply_H`` computes the coupling
-1/(N-1) and calls the state's ``generator``.
+build from the rank-one condensate projector (``_ladder_kernels``, from
+``_plan``), of only the kernels its flow consumes, a leading run of Htilde,
+C and Q; ``pieces_at`` is a one-stage build of all three.  ``apply_H``
+computes the coupling 1/(N-1) and calls the state's ``generator``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -71,19 +72,19 @@ def projected_pair_sum(block, pieces, entries):
 STAGE_BATCH_BYTES = 512 * 1024
 
 
-def stage_batch(sites: int) -> int:
-    """Stages per ``stage_pieces`` build: as many as keep its temporaries
-    within ``STAGE_BATCH_BYTES``, and at least one.
+def stage_batch(sites: int, kernels: int) -> int:
+    """Stages per ``stage_pieces`` build of ``kernels`` kernels: as many as
+    keep its temporaries within ``STAGE_BATCH_BYTES``, and at least one.
 
     Per stage, what ``_ladder_kernels`` holds at its product, its peak, in
-    complex entries: three (P, P) kernels, the two factors, 3 x (2(M+1), P)
-    each, G^ (M+1, P), R 3 x (M+1, M+1) and the real tables 3 x (M, M), at
-    half the bytes; h1 (M, M); and 4 kB for the pieces' small arrays and
-    Python objects (measured with ``tracemalloc``: 21 kB per stage at M = 4,
-    207 kB at M = 9).
+    complex entries: per kernel, the (P, P) kernel, the two factors
+    2(M+1) x P each, R (M+1, M+1) and the real table and k n (M, M) at half
+    the bytes; G^ (M+1, P); and 4 kB for h1, small arrays and Python
+    objects (``tracemalloc`` per stage at one, two and three kernels: 8, 15
+    and 21 kB at M = 4, 75, 140 and 205 kB at M = 9).
     """
     m, p = sites, sites * (sites + 1) // 2
-    per_stage = 16 * (3 * p * p + 13 * (m + 1) * p + 3 * (m + 1) ** 2 + 3 * m * m) + 4096
+    per_stage = 16 * (kernels * (p * p + 4 * (m + 1) * p + (m + 1) ** 2 + m * m) + (m + 1) * p) + 4096
     return max(1, STAGE_BATCH_BYTES // per_stage)
 
 
@@ -121,15 +122,15 @@ _SCALARS = np.array([sum(weight * np.array([a * c, a * (d1 + d2), a * d3, c * (b
                      for op in _SPLIT]).T[..., None]
 
 
-def _tables(cond: Condensate, model: Model) -> np.ndarray:
-    """The kernels w, z0 and z of Htilde, C and Q, (3, M, M), or (S, 3, M, M)
-    over a stack of condensates: the pair table and the centred kernel
-    w(r-s) - vbar(r) - vbar(s) without and with 2 mu."""
+def _tables(cond: Condensate, model: Model, count: int = 3) -> np.ndarray:
+    """The first ``count`` kernels w, z0 and z of Htilde, C and Q, (count, M, M)
+    or (S, count, M, M) over a stack of condensates: the pair table and the
+    centred kernel w(r-s) - vbar(r) - vbar(s) without and with 2 mu."""
     w, vbar = model.pair, cond.vbar
-    k = np.empty((*vbar.shape[:-1], 3, *w.shape))
+    k = np.empty((*vbar.shape[:-1], count, *w.shape))
     k[..., 0, :, :] = w
-    k[..., 1, :, :] = w - vbar[..., :, None] - vbar[..., None, :]
-    k[..., 2, :, :] = k[..., 1, :, :] + 2.0 * np.asarray(cond.mu)[..., None, None]
+    k[..., 1:, :, :] = (w - vbar[..., :, None] - vbar[..., None, :])[..., None, :, :]
+    k[..., 2:, :, :] += 2.0 * np.asarray(cond.mu)[..., None, None, None]
     return k
 
 
@@ -144,9 +145,24 @@ def _pair_terms(cond: Condensate, model: Model) -> tuple:
                  for i, op in enumerate(_SPLIT))
 
 
-def _ladder_kernels(cond: Condensate, model: Model) -> np.ndarray:
-    """The (P, P) pair-channel kernels of Htilde, C and Q without the 1/(N-1),
-    (3, P, P) at one condensate or (S, 3, P, P) over a stack, in closed form.
+@lru_cache(maxsize=8)
+def _plan(sites: int) -> tuple:
+    """The read-only lattice constants of ``_ladder_kernels`` at M sites: s, t,
+    the flat positions of G^'s two entries, s != t, R's column for the second
+    (M for s = t), the scalar columns of X and Y (3, M+1, 1) and c0 m_c (3, P)."""
+    s, t = fs._channels(sites)
+    p, c, last = len(s), _SCALARS, (np.arange(sites + 1) == sites)[:, None]
+    out = (s, t, t * p + np.arange(p), s * p + np.arange(p), s != t, np.where(s != t, s, sites),
+           np.where(last, c[2, :, :, None], c[1, :, :, None]),
+           np.where(last, c[4, :, :, None], c[3, :, :, None]), c[0] * np.where(s == t, 1.0, 2.0))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _ladder_kernels(cond: Condensate, model: Model, count: int) -> np.ndarray:
+    """The (P, P) pair-channel kernels of the first ``count`` of Htilde, C and Q
+    without the 1/(N-1), (count, P, P) or (S, count, P, P) over a stack, in closed form.
 
     u = sqrt(cell) phi gives p = u u^H, normalised or not.  S maps ordered
     site pairs to the channels c = (s <= t), m_c = 2 for s < t and 1 for
@@ -170,35 +186,34 @@ def _ladder_kernels(cond: Condensate, model: Model) -> np.ndarray:
     is (M^2, M^2) and nothing is folded.
     """
     m = cond.phi.shape[-1]
-    s, t = fs._channels(m)
-    p, lead, c = len(s), cond.phi.shape[:-1], _SCALARS
+    s, t, at_first, at_second, distinct, cross, left_ends, right_ends, diagonal = _plan(m)
+    p, lead, c = len(s), cond.phi.shape[:-1], _SCALARS[:, :count]
     u = np.sqrt(model.cell) * cond.phi
     n = (u * u.conj()).real
-    first, second = u[..., s], u[..., t] * (s != t)  # G[c] = first e_t + second e_s
+    first, second = u[..., s], u[..., t] * distinct  # G[c] = first e_t + second e_s
     hat = np.zeros((*lead, m + 1, p), dtype=np.complex128)  # G^ transposed
-    hat.reshape(*lead, -1)[..., t * p + np.arange(p)] = first
-    hat.reshape(*lead, -1)[..., s * p + np.arange(p)] += second
+    hat.reshape(*lead, -1)[..., at_first] = first
+    hat.reshape(*lead, -1)[..., at_second] += second
     hat[..., m, :] = first * u[..., t] + second * u[..., s]
-    k = _tables(cond, model)
-    kc = k[..., None, s, t]  # (..., 3, 1, P)
+    k = _tables(cond, model, count)
+    kc = k[..., None, s, t]  # (..., count, 1, P)
     kn = (k * n[..., None, None, :]).sum(axis=-1)
     rows = np.zeros((*k.shape[:-2], m + 1, m + 1), dtype=np.complex128)  # R transposed, a zero column last
     rows[..., :m, :m] = (c[6, :, :, None] * k + c[8, :, :, None] * kn[..., :, None]) * u.conj()[..., None, :, None]
     rows[..., m, :m] = c[7] * kn + c[9] * (kn * n[..., None, :]).sum(axis=-1, keepdims=True)
     rows[..., :m] *= u[..., None, None, :]
     rows.reshape(*rows.shape[:-2], -1)[..., : m * (m + 2) : m + 2] += c[5] * kn
-    last = (np.arange(m + 1) == m)[:, None]  # the g row of G^ transposed
     left = np.empty((*k.shape[:-2], 2 * m + 2, p), dtype=np.complex128)  # transposed
     np.multiply(rows.take(t, axis=-1), first[..., None, None, :], out=left[..., : m + 1, :])
-    left[..., : m + 1, :] += rows.take(np.where(s != t, s, m), axis=-1) * second[..., None, None, :]
-    left[..., : m + 1, :] += np.where(last, c[2, :, :, None], c[1, :, :, None]) * kc * hat[..., None, :, :]
+    left[..., : m + 1, :] += rows.take(cross, axis=-1) * second[..., None, None, :]
+    left[..., : m + 1, :] += left_ends[:count] * kc * hat[..., None, :, :]
     left[..., m + 1:, :] = hat[..., None, :, :]
     right = np.empty_like(left)
     right[..., : m + 1, :] = hat.conj()[..., None, :, :]
-    right[..., m + 1:, :] = np.where(last, c[4, :, :, None], c[3, :, :, None]) * kc * right[..., : m + 1, :]
+    right[..., m + 1:, :] = right_ends[:count] * kc * right[..., : m + 1, :]
     out = np.empty((*k.shape[:-2], p, p), dtype=np.complex128)
     fs._product(np.swapaxes(left, -1, -2), right, out)
-    out.reshape(*out.shape[:-2], -1)[..., :: p + 1] += c[0] * np.where(s == t, 1.0, 2.0) * kc[..., 0, :]
+    out.reshape(*out.shape[:-2], -1)[..., :: p + 1] += diagonal[:count] * kc[..., 0, :]
     return out
 
 
@@ -209,16 +224,17 @@ class EffectivePieces:
     ``h1`` is the mean-field one-body generator
     -Lap + V_ext(t) + diag(vbar) - mu, the one M x M Hartree table, built
     here because the N-body lift in Htilde needs it.  ``kernels`` holds the
-    (P, P) kernels of Htilde, C and Q (``_ladder_kernels``) and ``terms``
-    their pair terms, built from ``cond`` on first use for the tensor grid,
+    (P, P) kernels (``_ladder_kernels``) its build made, a leading run of
+    Htilde, C and Q, and ``terms`` the pair terms of all three, built from
+    ``cond`` on first use for the tensor grid,
     both without the 1/(N-1) prefactor, so the pieces serve any N.  Q uses
     the centred kernel w(r-s) - vbar(r) - vbar(s) + 2 mu; C uses it without
     the 2 mu shift, which two orthogonal projector pairs annihilate anyway.
 
     ``batch`` lets a symmetric occupation space check the tables of a whole
     ``stage_pieces`` build at once: (table, kind, parts) triples for
-    ``FockSpace.require_invariant``, whose parts, the h1 tables and kernels
-    of the build's pieces, are invariant when the tables are: the pair
+    ``FockSpace.require_invariant``, whose parts, the h1 tables and the
+    kernels the build made, are invariant when the tables are: the pair
     table, h0 and the stack of stage condensates.
     """
 
@@ -233,14 +249,15 @@ class EffectivePieces:
         return _pair_terms(self.cond, self.model)
 
 
-def stage_pieces(cond: Condensate, model: Model) -> list:
+def stage_pieces(cond: Condensate, model: Model, kernels: int = len(_SPLIT)) -> list:
     """The pieces of every stage of a stacked condensate (phi (S, M)), in
-    order, with the ladder kernels built for all S stages in one
-    ``_ladder_kernels`` call; S should not exceed ``stage_batch``.  The
+    order, with the ladder kernels of the first ``kernels`` of Htilde, C and
+    Q built for all S stages in one ``_ladder_kernels`` call; S should not
+    exceed ``stage_batch``.  The
     pieces do not depend on the number of particles."""
     h0 = model.h0(cond.t)
     h1s = tuple(_h1(cond, h0))
-    stages = [tuple(stage) for stage in _ladder_kernels(cond, model)]
+    stages = [tuple(stage) for stage in _ladder_kernels(cond, model, kernels)]
     # h1 and the kernels are functions of h0, the pair table and the stage
     # condensates (vbar and mu follow from phi), so they are invariant under
     # a lattice symmetry when those are

@@ -164,6 +164,8 @@ def _normalise_raw(raw: Mapping) -> dict:
             field = key
         else:
             raise ConfigError(f"unknown configuration key {key!r}")
+        if field in out:
+            raise ConfigError(f"duplicate key {key!r}: another key already sets {field}")
         if field in ("interaction_samples", "potential_table") and value is not None:
             value = tuple(np.asarray(value).ravel().tolist()) if field == "interaction_samples" else value
         else:
@@ -247,8 +249,11 @@ def validate_config(raw, correction_run: bool = False) -> ModelConfig:
                 f"correction run requires gamma > (2+d*beta)/3 = {gamma_floor}, got gamma={cfg.gamma}"
             )
 
-    if cfg.spacing <= 0:
-        raise ConfigError("lattice spacing must be strictly positive")
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        h = np.float64(cfg.spacing)
+        if not all(0.0 < scale < np.inf for scale in (2.0 * d / h**2, h**d)):
+            raise ConfigError(f"torus_length = {cfg.torus_length!r} gives the lattice spacing h = {h:.6g}, "
+                              f"whose 2d/h^2 or cell h^d is not a finite positive number")
 
     # Scaled support must span at least two lattice spacings, otherwise the
     # potential collapses to a single-site spike and the scaling is vacuous.

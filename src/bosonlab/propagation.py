@@ -18,9 +18,11 @@ members, so ``stage_rhs`` takes it from the Hartree trajectory, which
 stores the four stage condensates of each step (``stage_phis``, at
 ``stage_times``): ``hamiltonians.stage_pieces`` builds their pieces
 ``stage_batch`` stages at a time, with vbar and mu from one
-``condensate_at`` per build.  The right-hand side consumes them in stage
-order and refuses a stage whose time is not the one it is called at.  The
-gather table of the full flow's ``apply_H`` is built on first use.
+``condensate_at`` per build, of only the split kernels the flow consumes
+(Htilde, with C at order 2, all three from order 3).  The right-hand side
+consumes them in stage order and refuses a stage whose time is not the one
+it is called at.  The gather table of the full flow's ``apply_H`` is built
+on first use.
 """
 
 from __future__ import annotations
@@ -83,16 +85,16 @@ def march(rhs, y, i0: int, i1: int, dt: float, observer=None):
     return y
 
 
-def _stage_schedule(trajectory: HartreeTrajectory, i0: int, i1: int):
+def _stage_schedule(trajectory: HartreeTrajectory, i0: int, i1: int, kernels: int):
     """The pieces of the four RK4 stages of each grid step i0 .. i1-1, in
-    stage order, built from the trajectory's stored stage condensates as
-    they are asked for."""
+    stage order, with the first ``kernels`` split kernels, built from the
+    trajectory's stored stage condensates as they are asked for."""
     model = trajectory.model
     phis = trajectory.stage_phis[4 * i0 : 4 * i1]
     times = trajectory.stage_times[4 * i0 : 4 * i1]
-    batch = stage_batch(model.config.site_count)
+    batch = stage_batch(model.config.site_count, kernels)
     for s in range(0, len(times), batch):
-        yield from stage_pieces(condensate_at(phis[s : s + batch], times[s : s + batch], model), model)
+        yield from stage_pieces(condensate_at(phis[s : s + batch], times[s : s + batch], model), model, kernels)
 
 
 def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, sources: list):
@@ -104,9 +106,10 @@ def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, sources: list):
     hand side must be called once per stage, in order; a call at another
     time than the next stage's raises ``ConsistencyError``.
     """
-    schedule = _stage_schedule(trajectory, i0, i1)
     model = trajectory.model
     entries = stage_entries(sources)
+    # the entries' operators index the kernels, Htilde first: build the run they reach
+    schedule = _stage_schedule(trajectory, i0, i1, 1 + max(op for row in entries for op, _ in row))
 
     def rhs(time, members):
         pieces = next(schedule, None)

@@ -387,6 +387,19 @@ KEY_ROWS = [
     ("beta", "0.25", 3),
     # one step as long as the run (t_final = 0.1): too coarse for the drift bound
     ("dt", "0.1", 4),
+    # spacings whose 2d/h^2 overflows or whose h^2 underflows to 0
+    ("torus_length", "1e300", 2),
+    ("torus_length", "1e-200", 2),
+]
+# (config text, the key its refusal must name): every key of SMALL_CFG given
+# twice, every file key repeated under its field name, and unknown keys (a
+# misspelling, another case, a derived quantity)
+SMALL_KEYS = dict(row.split(" = ") for row in SMALL_CFG.strip().splitlines())
+LINE_ROWS = [
+    *((f"{SMALL_CFG}{key} = {value}\n", key) for key, value in SMALL_KEYS.items()),
+    *((f"{SMALL_CFG}{field} = {SMALL_KEYS[key]}\n", field)
+      for key, field in CONFIG_FILE_KEYS.items() if field != key),
+    *((f"{SMALL_CFG}{key} = 1\n", key) for key in ("torus_lenght", "Particles", "spacing")),
 ]
 
 
@@ -396,7 +409,8 @@ class TestRefusalGrid:
     that names the flag or the config key it overrides.  Config-key values
     (``KEY_ROWS``) are refused the same way, with exit 3 for the range keys
     and exit 4 for a step too coarse for the drift bound, or run to exit 0
-    where ``ACCEPTED`` says why they are valid."""
+    where ``ACCEPTED`` says why they are valid.  A key given twice or an
+    unknown key (``LINE_ROWS``) exits 2 naming it."""
 
     @pytest.mark.parametrize("argv,name", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
     def test_exits_2_naming_the_flag(self, cfg_path, capsys, argv, name):
@@ -420,6 +434,17 @@ class TestRefusalGrid:
             assert key in captured.err.strip().splitlines()[-1]
         else:
             assert captured.err == "" and captured.out.startswith("quantity,value\n")
+
+
+    @pytest.mark.parametrize("text,key", LINE_ROWS, ids=[text.splitlines()[-1] for text, _ in LINE_ROWS])
+    def test_repeated_and_unknown_keys(self, tmp_path, capsys, text, key):
+        path = tmp_path / "grid.cfg"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["correct", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert repr(key) in captured.err.strip().splitlines()[-1]
 
 
 class TestMoments:

@@ -91,16 +91,17 @@ class TestHierarchyShape:
         # each stage build takes vbar and mu of its stored stage condensates
         # from one condensate_at call, and nothing steps the Hartree flow again
         model, phi0, psi0, traj, hier, full = setup
-        condensates, builds, slopes = [], [], []
+        condensates, builds, counts, slopes = [], [], [], []
         original, build, slope = meanfield.condensate_at, hamiltonians._ladder_kernels, meanfield._slope
 
         def counting(phi, *args, **kwargs):
             condensates.append(len(phi) if np.ndim(phi) == 2 else 1)
             return original(phi, *args, **kwargs)
 
-        def counting_build(cond, *args):
+        def counting_build(cond, model, count):
             builds.append(len(cond.phi) if cond.phi.ndim == 2 else 1)
-            return build(cond, *args)
+            counts.append(count)
+            return build(cond, model, count)
 
         for module in (meanfield, hamiltonians, propagation):
             monkeypatch.setattr(module, "condensate_at", counting)
@@ -110,6 +111,7 @@ class TestHierarchyShape:
         stages = 4 * traj.index_of(0.2)
         assert sum(condensates) == stages and condensates == builds
         assert len(builds) < stages and slopes == []
+        assert set(counts) == {3}  # an order-3 hierarchy consumes Htilde, C and Q
 
     def test_one_pair_gather_each_way_per_member_and_stage(self, setup):
         # gathered member rows: one pair gather down of the whole block and
@@ -215,7 +217,8 @@ class TestStageSchedule:
         model, phi0, traj = tabulated
         psi0 = build_product(model, phi0, "fock")
         stages = 4 * traj.index_of(0.047)
-        batch = hamiltonians.stage_batch(model.config.site_count)
+        # the aux flow builds Htilde alone, the order-3 hierarchy all three kernels
+        batch = hamiltonians.stage_batch(model.config.site_count, 1 if flow == "aux" else 3)
         assert batch > 4 and stages % batch != 0  # the last build is partial
 
         def run():
@@ -225,9 +228,49 @@ class TestStageSchedule:
 
         default = run()
         monkeypatch.setattr(hamiltonians, "STAGE_BATCH_BYTES", 1)
-        assert hamiltonians.stage_batch(model.config.site_count) == 1
+        assert all(hamiltonians.stage_batch(model.config.site_count, k) == 1 for k in (1, 2, 3))
         for a, b in zip(run(), default):
             assert relative_gap(a, b) <= 1e-13
+
+    @pytest.mark.parametrize("order,kernels", [(None, 1), (2, 2), (3, 3)], ids=["aux", "order2", "order3"])
+    def test_a_flow_builds_only_the_kernels_it_consumes(self, monkeypatch, order, kernels):
+        # the M = 9 stage builds of the aux flow and of order-2 and order-3
+        # hierarchies, seen by their stacked products (stages, kernels, P, 2(M+1))
+        model = make_model(dimension=2, particles=2, t_final=0.01)
+        phi0 = default_phi0(model)
+        psi0 = build_product(model, phi0, "fock")
+        traj = hartree_evolve(phi0, 0.0, 0.01, model)
+        products, matrices, inside = [], [], []
+        build, product, matmul = hamiltonians._ladder_kernels, fs._product, np.matmul
+
+        def inside_build(*args):
+            inside.append(True)
+            try:
+                return build(*args)
+            finally:
+                inside.pop()
+
+        def counted(a, b, out):
+            if inside:
+                products.append(a.shape)
+            return product(a, b, out)
+
+        def recorded(a, b, **kwargs):
+            if inside:
+                matrices.append((a.shape[-2], a.shape[-1], b.shape[-1]))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(hamiltonians, "_ladder_kernels", inside_build)
+        monkeypatch.setattr(fs, "_product", counted)
+        monkeypatch.setattr(np, "matmul", recorded)
+        if order is None:
+            evolve_aux(psi0, 0.0, 0.01, traj)
+        else:
+            hierarchy_evolve(psi0, order, 0.01, traj)
+        batch = hamiltonians.stage_batch(9, kernels)
+        assert products == [(min(batch, 40 - s), kernels, 45, 20) for s in range(0, 40, batch)]
+        assert matrices and all(rows >= 2 and cols >= 2 and rows * inner * cols <= fs.SERIAL_PRODUCT
+                                for rows, inner, cols in matrices)
 
     def test_aux_from_later_start_composes(self, tabulated):
         model, phi0, traj = tabulated

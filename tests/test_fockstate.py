@@ -416,10 +416,31 @@ class TestKernelBuild:
         # shared: the stages come from one stacked build; copies: each is built alone
         cond, model = kernel_inputs(m, np.random.default_rng(60 + m), 3)
         if shared:
-            kernels = hamiltonians._ladder_kernels(cond, model)
+            kernels = hamiltonians._ladder_kernels(cond, model, 3)
         else:
-            kernels = [hamiltonians._ladder_kernels(one_stage(cond, i), model) for i in range(3)]
+            kernels = [hamiltonians._ladder_kernels(one_stage(cond, i), model, 3) for i in range(3)]
         assert_matches_oracle(kernels, cond, model, 1.0)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 4, 9])
+    def test_reduced_build_is_the_leading_kernels(self, m, count):
+        # a build of the first count kernels is the same arithmetic, stacked and alone
+        cond, model = kernel_inputs(m, np.random.default_rng(80 + m), 3)
+        full, reduced = (hamiltonians._ladder_kernels(cond, model, k) for k in (3, count))
+        assert reduced.shape == (3, count) + full.shape[2:]
+        assert np.array_equal(reduced, full[:, :count])
+        for i in range(3):
+            alone = hamiltonians._ladder_kernels(one_stage(cond, i), model, count)
+            assert np.array_equal(alone, hamiltonians._ladder_kernels(one_stage(cond, i), model, 3)[:count])
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 9])
+    def test_plan_is_read_only(self, m):
+        plan = hamiltonians._plan(m)
+        assert hamiltonians._plan(m) is plan
+        for arr in plan:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr.reshape(-1)[0] = 0
 
     @pytest.mark.parametrize("size,dimension,profile", [(2, 1, "tabulated"), (4, 1, "tabulated"),
                                                         (3, 2, "tabulated"), (4, 1, "zero")])
@@ -435,8 +456,9 @@ class TestKernelBuild:
             assert not any(np.any(kernel) for piece in pieces for kernel in piece.kernels)
 
     @staticmethod
-    def recorded_build(monkeypatch, stages):
-        """The ``fockstate._product`` calls and the matrix shapes of one M = 9 build."""
+    def recorded_build(monkeypatch, stages, count):
+        """The ``fockstate._product`` calls and the matrix shapes of one M = 9
+        build of ``count`` kernels."""
         cond, model = kernel_inputs(9, np.random.default_rng(71), stages)
         products, shapes, product, matmul = [], [], fs._product, np.matmul
 
@@ -450,12 +472,12 @@ class TestKernelBuild:
 
         monkeypatch.setattr(fs, "_product", counted)
         monkeypatch.setattr(np, "matmul", recorded)
-        hamiltonians._ladder_kernels(cond if stages > 1 else one_stage(cond, 0), model)
+        hamiltonians._ladder_kernels(cond if stages > 1 else one_stage(cond, 0), model, count)
         return products, shapes
 
     def test_products_stay_below_serial_bound(self, monkeypatch):
         # one product for the three kernels of a build, each matrix in serial blocks
-        products, shapes = self.recorded_build(monkeypatch, 1)
+        products, shapes = self.recorded_build(monkeypatch, 1, 3)
         assert products == [(3, 45, 20)]
         assert len(shapes) >= 1
         for rows, inner_dim, cols in shapes:
@@ -465,23 +487,25 @@ class TestKernelBuild:
     @pytest.mark.parametrize("m", [1, 2, 4, 9])
     def test_stage_axis_builds_each_stage(self, m):
         cond, model = kernel_inputs(m, np.random.default_rng(90 + m), 5)
-        built = hamiltonians._ladder_kernels(cond, model)
+        built = hamiltonians._ladder_kernels(cond, model, 3)
         assert built.shape == (5, 3) + (m * (m + 1) // 2,) * 2
         for i in range(5):
-            alone = hamiltonians._ladder_kernels(one_stage(cond, i), model)
+            alone = hamiltonians._ladder_kernels(one_stage(cond, i), model, 3)
             assert np.abs(built[i] - alone).max() <= 1e-13 * np.abs(alone).max()
 
     def test_stage_axis_products_stay_below_serial_bound(self, monkeypatch):
-        """One stacked product for a whole build; the bound holds for each
-        matrix of it."""
-        stages = hamiltonians.stage_batch(9)
-        assert stages > 1
-        products, shapes = self.recorded_build(monkeypatch, stages)
-        assert products == [(stages, 3, 45, 20)]
-        assert len(shapes) >= 1
-        for rows, inner_dim, cols in shapes:
-            assert rows >= 2 and cols >= 2
-            assert rows * inner_dim * cols <= fs.SERIAL_PRODUCT
+        """One stacked product for a whole build of one, two or three
+        kernels, at its batch; the bound holds for each matrix of it."""
+        for count in (1, 2, 3):
+            stages = hamiltonians.stage_batch(9, count)
+            assert stages > 1
+            with monkeypatch.context() as patch:
+                products, shapes = self.recorded_build(patch, stages, count)
+            assert products == [(stages, count, 45, 20)]
+            assert len(shapes) >= 1
+            for rows, inner_dim, cols in shapes:
+                assert rows >= 2 and cols >= 2
+                assert rows * inner_dim * cols <= fs.SERIAL_PRODUCT
 
 
 class TestKernelShapes:

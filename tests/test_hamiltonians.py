@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -474,7 +475,7 @@ class TestProjectedPairSum:
 
         monkeypatch.setattr(hamiltonians, "_ladder_kernels", counting)
         pieces = pieces_at(random_phi(model, rng), 0.0, model)
-        assert len(builds) == 1
+        assert len(builds) == 1 and builds[0][2] == 3  # a one-stage build makes all three
         entries = stage_entries([(None, None), (0, None), (None, 0)])
         for n in (3, 3, 4):
             space = fs.FockSpace(fs.enumerate_basis(3, n), model.cell)
@@ -505,6 +506,28 @@ class TestPieces:
             lambda s: apply_Q(pieces, s, model),
         ):
             assert (op(psi) - fs.embed(op(fpsi))).norm() <= 1e-11
+
+
+class TestStageBatch:
+    @pytest.mark.parametrize("kernels", [1, 2, 3])
+    @pytest.mark.parametrize("dimension,size", [(1, 4), (2, 3)], ids=["M4", "M9"])
+    def test_build_peak_stays_within_the_bound(self, dimension, size, kernels):
+        # tracemalloc's peak over one stage_pieces build of the batch that
+        # stage_batch chooses for the kernel count; the warm-up build makes
+        # the lattice's plan, which outlives the build
+        model = make_model(dimension=dimension, sites_per_dim=size, torus_length=float(size))
+        batch = hamiltonians.stage_batch(model.config.site_count, kernels)
+        phis = default_phi0(model) * np.linspace(1.0, 1.5, batch)[:, None]
+        cond = condensate_at(phis, np.zeros(batch), model)
+        hamiltonians.stage_pieces(cond, model, kernels)
+        tracemalloc.start()
+        try:
+            pieces = hamiltonians.stage_pieces(cond, model, kernels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pieces) == batch and all(len(piece.kernels) == kernels for piece in pieces)
+        assert peak <= hamiltonians.STAGE_BATCH_BYTES
 
 
 class TestApplyStage:

@@ -202,9 +202,9 @@ class TestSectorOperators:
         looked_up = probe_lookups(monkeypatch, psi0.space)
         result = correction_error(psi0, phi0, 3, 0.01, model)
         assert all(np.isfinite(result.errors))
-        # 40 stages in builds of stage_batch: each build's condensates once,
+        # 40 stages of three kernels in builds of stage_batch: each build's condensates once,
         # and h0, the Laplacian's hops and the pair table once each
-        assert looked_up.count("vector") == -(-40 // hamiltonians.stage_batch(4)) > 1
+        assert looked_up.count("vector") == -(-40 // hamiltonians.stage_batch(4, 3)) > 1
         assert looked_up.count("table") == 3
         assert "kernel" not in looked_up
 
