@@ -45,7 +45,7 @@ for name, psi in (
     ("mixed eps=0.2", build_mixed(model, phi0, 0.2, representation="tensor")),
     ("mixed eps=0.8", build_mixed(model, phi0, 0.8, representation="tensor")),
 ):
-    c_norm = apply_C(pieces, psi, model).norm()
-    q_norm = apply_Q(pieces, psi, model).norm()
+    c_norm = apply_C(pieces, psi).norm()
+    q_norm = apply_Q(pieces, psi).norm()
     print(f"  {name:<14} ||C psi|| = {c_norm:.6f}   ||Q psi|| = {q_norm:.6f}")
 print("\nthe quartic part vanishes on the pure condensate (four q's hit phi)")

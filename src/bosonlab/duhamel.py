@@ -137,8 +137,8 @@ def assemble(hierarchy: Hierarchy, order: int):
 # quadrature oracle
 # ---------------------------------------------------------------------------
 
-def _insertion(label: int, pieces, state, model):
-    return apply_C(pieces, state, model) if label == 1 else apply_Q(pieces, state, model)
+def _insertion(label: int, pieces, state):
+    return apply_C(pieces, state) if label == 1 else apply_Q(pieces, state)
 
 
 def _node_indices(i_end: int, stride: int) -> list[int]:
@@ -207,7 +207,7 @@ def quadrature_Tnk(n: int, k: int, t: float, psi0, trajectory: HartreeTrajectory
     if n == 1:
         (label,) = tuples[0]
         for pos, i in enumerate(nodes):
-            add(i, outer_w[pos] * (-1j) * _insertion(label, node_pieces[i], chi[i], model))
+            add(i, outer_w[pos] * (-1j) * _insertion(label, node_pieces[i], chi[i]))
         return _accumulate_to_end(contribs, nodes, trajectory)
 
     # The inner trapezoid from node i weighs the insertion at a later node
@@ -220,10 +220,10 @@ def quadrature_Tnk(n: int, k: int, t: float, psi0, trajectory: HartreeTrajectory
         running = 0.0 * psi0
         for pos, i in enumerate(nodes):
             if pos == last:
-                add(i, (-1j) * _insertion(j2, node_pieces[i], 0.5 * delta * running, model))
+                add(i, (-1j) * _insertion(j2, node_pieces[i], 0.5 * delta * running))
                 break
-            inner = outer_w[pos] * (-1j) * _insertion(j1, node_pieces[i], chi[i], model)
-            add(i, (-1j) * _insertion(j2, node_pieces[i], delta * running + 0.5 * delta * inner, model))
+            inner = outer_w[pos] * (-1j) * _insertion(j1, node_pieces[i], chi[i])
+            add(i, (-1j) * _insertion(j2, node_pieces[i], delta * running + 0.5 * delta * inner))
             running = evolve_aux(running + inner, i * dt, nodes[pos + 1] * dt, trajectory)
     return _accumulate_to_end(contribs, nodes, trajectory)
 
@@ -246,7 +246,7 @@ def first_order_defect_quadrature(psi0, t: float, trajectory: HartreeTrajectory,
     acc = 0.0 * psi0
     for pos, i in enumerate(nodes):
         pieces = pieces_at(trajectory.phi(i), i * dt, model)
-        kick = apply_C(pieces, chi[i], model) + apply_Q(pieces, chi[i], model)
+        kick = apply_C(pieces, chi[i]) + apply_Q(pieces, chi[i])
         acc = acc + outer_w[pos] * (-1j) * kick
         if pos < len(nodes) - 1:
             acc = evolve_full(acc, nodes[pos + 1] * dt, model, t0=i * dt)

@@ -33,20 +33,20 @@ of which there are P = M(M+1)/2, because annihilators commute.  A one-body
 lift dGamma(h) = sum h[r, s] a_r^+ a_s is two O(dim M) gathers around one
 M x M product.  A two-body operator a^+ a^+ (K . a a psi) is one pair gather
 down, one (P, P) product and one gather up: its kernel sums over the
-orderings of each pair, so an operator built from several
-projected pair terms costs one application; ``hamiltonians`` builds the
-kernels of its split operators in that form directly.  ``two_body_sums`` is
-the only two-body apply: it applies kernels to a block of states, one
-(members, dim) array, with one pair gather down and one up, whatever the
-number of kernels an output sums; ``dgamma_apply`` also lifts a whole
-block at once.  ``generator_table`` composes the full generator once from
-the one-body ladder's tables into one slot-major gather, the diagonal one
-of its slots, which the space keeps.  Products run in blocks small enough
-that OpenBLAS keeps them on the calling thread (``SERIAL_PRODUCT``).  The
-scratch buffers belong to the FockSpace, which makes a FockSpace
-single-threaded; worker processes such as those of ``sweep --jobs`` each
-build their own.  ``FockState`` reaches these functions through the state
-methods that ``tensorstate.TensorState`` also answers.
+orderings of each pair, so an operator built from several projected pair
+terms costs one application; ``hamiltonians`` builds the kernels of its
+split operators in that form, one (count, P, P) stack per stage.
+``two_body_sums`` is the only two-body apply: it applies a stack to a block
+of states, one (members, dim) array, by (op, member) entries, with one pair
+gather down and one up, whatever the number of kernels an output sums;
+``dgamma_apply`` also lifts a whole block at once.  ``generator_table``
+composes the full generator once from the one-body ladder's tables into one
+slot-major gather, the diagonal one of its slots, which the space keeps.
+Products run in blocks small enough that OpenBLAS keeps them on the calling
+thread (``SERIAL_PRODUCT``).  The scratch buffers belong to the FockSpace,
+which makes it single-threaded; the workers of ``sweep --jobs`` each build
+their own.  ``FockState`` reaches these functions through the state methods
+that ``tensorstate.TensorState`` also answers.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .tensorstate import TensorState, transposition_residual
+from .tensorstate import TensorState, check_entries, transposition_residual
 
 __all__ = [
     "OccupationBasis",
@@ -507,8 +507,8 @@ class FockState:
     def pair_sums(self, pieces, entries) -> "FockState":
         """Row i sums the pair part of operator op applied to row j of this
         block over the (op, j) in ``entries[i]``, without the 1/(N-1): one
-        ``two_body_sums`` over the (P, P) kernels ``pieces.kernels``."""
-        return two_body_sums(self, [[(pieces.kernels[op], j) for op, j in row] for row in entries])
+        ``two_body_sums`` over the kernel stack ``pieces.kernels``."""
+        return two_body_sums(self, pieces.kernels, entries)
 
     def admit(self, batch) -> None:
         """Check a stage build's (table, kind, parts) triples for invariance
@@ -564,39 +564,41 @@ def dgamma_apply(op, state: FockState) -> FockState:
     return FockState(one.created(lead), space)
 
 
-def two_body_sums(block: FockState, terms) -> FockState:
-    """Row i of the result is the sum over (K, j) in terms[i] of
-    a^+ a^+ (K . a a block[j]), for (P, P) pair-channel kernels K
-    (``hamiltonians.EffectivePieces.kernels``) and a block of states
+def two_body_sums(block: FockState, kernels, entries) -> FockState:
+    """Row i of the result is the sum over (op, j) in entries[i] of
+    a^+ a^+ (kernels[op] . a a block[j]), for a stack of (P, P) pair-channel
+    kernels (``hamiltonians.EffectivePieces.kernels``) and a block of states
     (members, dim).
 
     The block is pair-annihilated to N - 2 particles in one gather and the
-    outputs are created in one gather back up, whatever the number of terms;
-    the (P, P) @ (P, dim_{N-2}) products run in serial blocks
+    outputs are created in one gather back up, whatever the number of
+    entries; the (P, P) @ (P, dim_{N-2}) products run in serial blocks
     (``SERIAL_PRODUCT``).  Below two particles every output is zero.  A
-    kernel of another shape and, on a symmetric sector, a kernel that is not
-    invariant raise ``ValueError``.
+    stack of another shape and, on a symmetric sector, a stack that is not
+    invariant raise ``ValueError``, once per call, as do bad entries
+    (``check_entries``).
     """
     space = block.space
     pair = space.ladders[1]
     shape = (pair.factor.shape[0],) * 2
-    lead = (len(terms),)
+    if np.ndim(kernels) != 3 or np.shape(kernels)[1:] != shape:
+        raise ValueError(f"pair kernel stack shape {np.shape(kernels)} does not match (count, *{shape}) "
+                         f"of the M={space.sites} pair channels")
+    check_entries(entries, len(kernels), len(block.amps))
+    space.require_invariant(kernels, "kernel")
+    lead = (len(entries),)
     down, src = pair.annihilated(block.amps), pair.scratch(lead)[1]
     extra = None
-    for out, entries in zip(src, terms):
-        if not entries:
+    for out, row in zip(src, entries):
+        if not row:
             out.fill(0.0)
-        for n, (kernel, j) in enumerate(entries):
-            if kernel.shape != shape:
-                raise ValueError(f"pair kernel shape {kernel.shape} does not match {shape} "
-                                 f"of the M={space.sites} pair channels")
-            space.require_invariant(kernel, "kernel")
+        for n, (op, j) in enumerate(row):
             if n == 0:
-                _product(kernel, down[j], out)
+                _product(kernels[op], down[j], out)
                 continue
             if extra is None:
                 extra = np.empty_like(out)
-            _product(kernel, down[j], extra)
+            _product(kernels[op], down[j], extra)
             out += extra
     return FockState(pair.created(lead), space)
 

@@ -10,23 +10,23 @@ from the rank-one site expansion of the position-diagonal kernel,
 
     sum_{i != j} (A E_r C)_i (B E_s D)_j kernel[r, s].
 
-``_split_sums`` is the one path to Htilde, C and Q.  It maps a block of
-members, a state whose amplitudes carry a leading member axis, to a block;
-``apply_stage`` (Htilde psi_i + C psi_c(i) + Q psi_q(i), a hierarchy stage's
-right-hand side) calls it with entries built once by ``stage_entries``, and
-``apply_Htilde``, ``apply_C`` and ``apply_Q`` call it on one row.  It reaches
-the representation only through the state methods: ``admit`` for the
-invariance of a stage build's tables (``EffectivePieces.batch``), ``lift``
-for h1 and ``pair_sums`` (``projected_pair_sum``) for the pair terms, whose
-pieces offer both the (P, P) pair-channel kernels (``EffectivePieces.kernels``)
-and the terms themselves (``EffectivePieces.terms``), neither with the
-1/(N-1) that ``_split_sums`` applies once, so pieces serve any N.
-``stage_pieces``, the one builder of pieces, builds h1 (h0 at each stage's
-time) and the kernels of up to ``stage_batch`` stages in one closed-form
-build from the rank-one condensate projector (``_ladder_kernels``, from
-``_plan``), of only the kernels its flow consumes, a leading run of Htilde,
-C and Q; ``pieces_at`` is a one-stage build of all three.  ``apply_H``
-computes the coupling 1/(N-1) and calls the state's ``generator``.
+``apply_stage`` is the one path to Htilde, C and Q.  It maps a block of
+members, a state whose amplitudes carry a leading member axis, to a block by
+(op, member) entries, built once for a hierarchy stage by ``stage_entries``
+(Htilde psi_i + C psi_c(i) + Q psi_q(i)); ``apply_Htilde``, ``apply_C`` and
+``apply_Q`` call it on one row.  It reaches the representation only through
+the state methods: ``admit`` for the invariance of a stage build's tables
+(``EffectivePieces.batch``), ``lift`` for h1 and ``pair_sums`` with the same
+entries for the pair terms: the stage's kernel stack, one (count, P, P)
+array indexed by op (``EffectivePieces.kernels``), or the terms
+(``EffectivePieces.terms``), neither with the 1/(N-1) that ``apply_stage``
+applies once, so pieces serve any N and carry the model they were built
+from.  ``stage_pieces``, the one builder of pieces, builds h1 (h0 at each
+stage's time) and the kernel stacks of up to ``stage_batch`` stages in one
+closed-form build from the rank-one condensate projector (``_ladder_kernels``,
+from ``_plan``), of only the kernels its flow consumes, a leading run of
+Htilde, C and Q; ``pieces_at`` is a one-stage build of all three.
+``apply_H`` computes the coupling 1/(N-1) and calls the state's ``generator``.
 """
 
 from __future__ import annotations
@@ -223,24 +223,24 @@ class EffectivePieces:
 
     ``h1`` is the mean-field one-body generator
     -Lap + V_ext(t) + diag(vbar) - mu, the one M x M Hartree table, built
-    here because the N-body lift in Htilde needs it.  ``kernels`` holds the
-    (P, P) kernels (``_ladder_kernels``) its build made, a leading run of
-    Htilde, C and Q, and ``terms`` the pair terms of all three, built from
-    ``cond`` on first use for the tensor grid,
-    both without the 1/(N-1) prefactor, so the pieces serve any N.  Q uses
-    the centred kernel w(r-s) - vbar(r) - vbar(s) + 2 mu; C uses it without
-    the 2 mu shift, which two orthogonal projector pairs annihilate anyway.
+    here because the N-body lift in Htilde needs it.  ``kernels`` is the
+    stage's kernel stack (``_ladder_kernels``), (count, P, P), a leading run
+    of Htilde, C and Q, and ``terms`` the pair terms of all three, built
+    from ``cond`` on first use for the tensor grid, both without the
+    1/(N-1) prefactor, so the pieces serve any N.  Q uses the centred kernel
+    w(r-s) - vbar(r) - vbar(s) + 2 mu; C uses it without the 2 mu shift,
+    which two orthogonal projector pairs annihilate anyway.
 
     ``batch`` lets a symmetric occupation space check the tables of a whole
     ``stage_pieces`` build at once: (table, kind, parts) triples for
     ``FockSpace.require_invariant``, whose parts, the h1 tables and the
-    kernels the build made, are invariant when the tables are: the pair
+    kernel stacks of the build, are invariant when the tables are: the pair
     table, h0 and the stack of stage condensates.
     """
 
     cond: Condensate
     h1: np.ndarray
-    kernels: tuple = field(repr=False)
+    kernels: np.ndarray = field(repr=False)
     model: Model = field(repr=False)
     batch: tuple = field(repr=False)
 
@@ -251,22 +251,20 @@ class EffectivePieces:
 
 def stage_pieces(cond: Condensate, model: Model, kernels: int = len(_SPLIT)) -> list:
     """The pieces of every stage of a stacked condensate (phi (S, M)), in
-    order, with the ladder kernels of the first ``kernels`` of Htilde, C and
+    order, with the kernel stacks of the first ``kernels`` of Htilde, C and
     Q built for all S stages in one ``_ladder_kernels`` call; S should not
-    exceed ``stage_batch``.  The
-    pieces do not depend on the number of particles."""
+    exceed ``stage_batch``.  The pieces do not depend on N."""
     h0 = model.h0(cond.t)
     h1s = tuple(_h1(cond, h0))
-    stages = [tuple(stage) for stage in _ladder_kernels(cond, model, kernels)]
+    stacks = tuple(_ladder_kernels(cond, model, kernels))
     # h1 and the kernels are functions of h0, the pair table and the stage
     # condensates (vbar and mu follow from phi), so they are invariant under
     # a lattice symmetry when those are
-    batch = ((model.pair, "table", ()), (h0, "table", ()),
-             (cond.phi, "vector", (*h1s, *(kernel for stage in stages for kernel in stage))))
+    batch = ((model.pair, "table", ()), (h0, "table", ()), (cond.phi, "vector", h1s + stacks))
     return [
-        EffectivePieces(Condensate(phi, t, vb, mu), table, stage, model, batch)
-        for phi, t, vb, mu, table, stage in zip(
-            cond.phi, cond.t.tolist(), cond.vbar, cond.mu.tolist(), h1s, stages)
+        EffectivePieces(Condensate(phi, t, vb, mu), table, stack, model, batch)
+        for phi, t, vb, mu, table, stack in zip(
+            cond.phi, cond.t.tolist(), cond.vbar, cond.mu.tolist(), h1s, stacks)
     ]
 
 
@@ -284,47 +282,31 @@ def apply_H(t: float, state, model: Model):
     return state.generator(model.lap, model.h0(t), model.pair, coupling)
 
 
-# The operators of ``_split_sums`` entries, indices into ``EffectivePieces.terms``
-# and ``EffectivePieces.kernels``.
+# The operators of stage entries, indices into ``EffectivePieces.kernels``
+# and ``EffectivePieces.terms``.
 _HTILDE, _C, _Q = range(3)
 
 
-def _split_sums(pieces: EffectivePieces, members, entries, model: Model):
-    """Row i of the result sums operator op (``_HTILDE``, ``_C`` or ``_Q``)
-    applied to row j of the block ``members`` over the (op, j) in
-    ``entries[i]``.  Htilde acts on an output's own member, as its first
-    entry, and on every output or on none: h1 is lifted over the block in
-    one call, and the pair parts of every entry come from one
-    ``projected_pair_sum``, times 1/(N-1) (``ConfigError`` below N = 2)."""
-    if members.particles < 2:
-        raise ConfigError("the effective decomposition needs at least two particles")
-    members.admit(pieces.batch)
-    out = members.lift(pieces.h1) if entries[0][0] == (_HTILDE, 0) else 0.0 * members
-    if not model.free:
-        out.amps += projected_pair_sum(members, pieces, entries).amps / (members.particles - 1)
-    return out
-
-
-def _one_member(pieces: EffectivePieces, state, op: int, model: Model):
-    """Operator op of ``_split_sums`` applied to one state, a block of one row."""
-    out = _split_sums(pieces, state.with_amps(state.amps[None]), (((op, 0),),), model)
+def _one_member(pieces: EffectivePieces, state, op: int):
+    """Operator op of ``apply_stage`` applied to one state, a block of one row."""
+    out = apply_stage(pieces, state.with_amps(state.amps[None]), (((op, 0),),))
     return out.with_amps(out.amps[0])
 
 
-def apply_Htilde(pieces: EffectivePieces, state, model: Model):
+def apply_Htilde(pieces: EffectivePieces, state):
     """Quadratic effective generator: mean-field one-body sum plus the
     pair terms that exchange exactly two particles with the condensate."""
-    return _one_member(pieces, state, _HTILDE, model)
+    return _one_member(pieces, state, _HTILDE)
 
 
-def apply_C(pieces: EffectivePieces, state, model: Model):
+def apply_C(pieces: EffectivePieces, state):
     """Cubic remainder: three complement projectors around the centred kernel."""
-    return _one_member(pieces, state, _C, model)
+    return _one_member(pieces, state, _C)
 
 
-def apply_Q(pieces: EffectivePieces, state, model: Model):
+def apply_Q(pieces: EffectivePieces, state):
     """Quartic remainder: four complement projectors around the full kernel."""
-    return _one_member(pieces, state, _Q, model)
+    return _one_member(pieces, state, _Q)
 
 
 def stage_entries(sources: list) -> tuple:
@@ -337,11 +319,32 @@ def stage_entries(sources: list) -> tuple:
                  for i, (c, q) in enumerate(sources))
 
 
-def apply_stage(pieces: EffectivePieces, members, entries: tuple, model: Model):
-    """Htilde psi_i + C psi_c(i) + Q psi_q(i), the hierarchy equation's
-    right-hand side, for every member psi_i of a hierarchy stage, the rows of
-    the block ``members``, from their ``stage_entries`` (``_split_sums``)."""
-    return _split_sums(pieces, members, entries, model)
+def apply_stage(pieces: EffectivePieces, members, entries: tuple):
+    """Row i of the result sums operator op (``_HTILDE``, ``_C`` or ``_Q``)
+    applied to row j of the block ``members`` over the (op, j) in
+    ``entries[i]``, as ``stage_entries`` builds them for a hierarchy stage:
+    Htilde psi_i + C psi_c(i) + Q psi_q(i).  Htilde acts on an output's own
+    member, as its first entry, and on every output or on none: h1 is
+    lifted over the block in one call, and the pair parts of every entry
+    come from one ``projected_pair_sum``, times 1/(N-1) (``ConfigError``
+    below N = 2).  ``ValueError`` refuses another row count than the
+    block's and names a row that breaks this layout or ``check_entries``."""
+    if members.particles < 2:
+        raise ConfigError("the effective decomposition needs at least two particles")
+    rows = len(members.amps)
+    if len(entries) != rows:
+        raise ValueError(f"{len(entries)} stage entry rows for a block of {rows} members")
+    ts.check_entries(entries, len(pieces.kernels), rows)
+    lifted = entries[0][:1] == ((_HTILDE, 0),)
+    for i, row in enumerate(entries):
+        if [op for op, _ in row].count(_HTILDE) != lifted or lifted and row[0] != (_HTILDE, i):
+            raise ValueError(f"stage entry row {i} {row}: Htilde must come first, on member {i}, "
+                             f"in every row or in none")
+    members.admit(pieces.batch)
+    out = members.lift(pieces.h1) if lifted else 0.0 * members
+    if not pieces.model.free:
+        out.amps += projected_pair_sum(members, pieces, entries).amps / (members.particles - 1)
+    return out
 
 
 def decomposition_residual(t: float, cond: Condensate, state, model: Model) -> float:
@@ -359,7 +362,5 @@ def decomposition_residual(t: float, cond: Condensate, state, model: Model) -> f
                      np.array([cond.mu]))
     pieces = stage_pieces(one, model)[0]
     lhs = apply_H(t, state, model)
-    rhs = apply_Htilde(pieces, state, model) + apply_C(pieces, state, model) + apply_Q(
-        pieces, state, model
-    )
+    rhs = apply_Htilde(pieces, state) + apply_C(pieces, state) + apply_Q(pieces, state)
     return (lhs - rhs).norm() / state.norm()

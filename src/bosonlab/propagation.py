@@ -106,7 +106,6 @@ def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, sources: list):
     hand side must be called once per stage, in order; a call at another
     time than the next stage's raises ``ConsistencyError``.
     """
-    model = trajectory.model
     entries = stage_entries(sources)
     # the entries' operators index the kernels, Htilde first: build the run they reach
     schedule = _stage_schedule(trajectory, i0, i1, 1 + max(op for row in entries for op, _ in row))
@@ -116,7 +115,7 @@ def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, sources: list):
         if pieces is None or abs(pieces.cond.t - time) > 1e-12:
             expected = "no further stage" if pieces is None else f"the stage at t={pieces.cond.t}"
             raise ConsistencyError(f"stage right-hand side called at t={time}, expected {expected}")
-        return apply_stage(pieces, members, entries, model)
+        return apply_stage(pieces, members, entries)
 
     return rhs
 

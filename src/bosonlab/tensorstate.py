@@ -32,6 +32,7 @@ __all__ = [
     "random_symmetric",
     "projector_matrices",
     "check_normalised",
+    "check_entries",
 ]
 
 
@@ -96,23 +97,28 @@ class TensorState:
 
     def pair_sums(self, pieces, entries) -> "TensorState":
         """Row i sums the pair part of operator op applied to row j of this
-        block over the (op, j) in ``entries[i]``, through the pair terms
-        (weight, kernel, A, C, B, D) of ``pieces.terms[op]``, without the
-        1/(N-1).  Per term and r it lifts G_r = B diag(kernel[r, :]) D, then
-        the rank-one A E_r C, and subtracts the coincidence lift of
-        A (kernel o C B) D: 2M + 1 lifts per term, each on the whole block."""
+        block over the (op, j) in ``entries[i]`` (``check_entries``), through
+        the pair terms (weight, kernel, A, C, B, D) of ``pieces.terms[op]``,
+        without the 1/(N-1).  Each operator acts only on the members its
+        entries name, as one sub-block: per term and r it lifts
+        G_r = B diag(kernel[r, :]) D, then the rank-one A E_r C, and
+        subtracts the coincidence lift of A (kernel o C B) D: 2M + 1 lifts
+        per term, each on the whole sub-block."""
+        check_entries(entries, len(pieces.terms), len(self.amps))
         done = {}
         for op in {op for row in entries for op, _ in row}:
-            acc = 0.0 * self
+            named = sorted({j for row in entries for o, j in row if o == op})
+            members = self.with_amps(self.amps[named])
+            acc = 0.0 * members
             for weight, kernel, a, c, b, d in pieces.terms[op]:
-                term = 0.0 * self
+                term = 0.0 * members
                 for r in range(kernel.shape[0]):
-                    u = apply_one_body_sum(b @ (kernel[r][:, None] * d), self)
+                    u = apply_one_body_sum(b @ (kernel[r][:, None] * d), members)
                     term = term + apply_one_body_sum(np.outer(a[:, r], c[r, :]), u)
                 correction = a @ (kernel * (c @ b)) @ d
-                acc = acc + weight * (term - apply_one_body_sum(correction, self))
-            done[op] = acc.amps
-        return self.with_amps(np.stack([sum(done[op][j] for op, j in row) for row in entries]))
+                acc = acc + weight * (term - apply_one_body_sum(correction, members))
+            done.update(((op, j), amps) for j, amps in zip(named, acc.amps))
+        return self.with_amps(np.stack([sum((done[e] for e in row), 0.0 * self.amps[0]) for row in entries]))
 
     def admit(self, batch) -> None:
         """Nothing to check: a tensor grid has no symmetry sector."""
@@ -201,6 +207,17 @@ def check_normalised(phi: np.ndarray, cell: float):
     norm = np.sqrt(cell * np.vdot(phi, phi).real)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"condensate must be normalised, |norm - 1| = {abs(norm - 1.0):.3g}")
+
+
+def check_entries(entries, operators: int, members: int) -> None:
+    """Raise ``ValueError`` naming the first row of the (op, member) rows
+    ``entries`` with an op outside 0..operators-1 or a member outside
+    0..members-1, which an index would otherwise wrap or read past."""
+    for i, row in enumerate(entries):
+        for op, j in row:
+            if not (0 <= op < operators and 0 <= j < members):
+                raise ValueError(f"entry row {i} {row} needs operators in 0..{operators - 1} "
+                                 f"and members in 0..{members - 1}")
 
 
 def apply_projector_chain(pattern, phi: np.ndarray, psi: TensorState) -> TensorState:

@@ -34,7 +34,7 @@ def pair_apply(x, y, state):
     """sum_{i != j} X_i Y_j on an occupation state, ordered pairs counted:
     one folded kernel through ``fs.two_body_sums``."""
     out = fs.two_body_sums(fs.FockState(state.amps[None], state.space),
-                           [[(fold_oracle(np.kron(y, x), x.shape[0]), 0)]])
+                           fold_oracle(np.kron(y, x), x.shape[0])[None], [[(0, 0)]])
     return fs.FockState(out.amps[0], state.space)
 
 

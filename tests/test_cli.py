@@ -390,6 +390,9 @@ KEY_ROWS = [
     # spacings whose 2d/h^2 overflows or whose h^2 underflows to 0
     ("torus_length", "1e300", 2),
     ("torus_length", "1e-200", 2),
+    # off the step grid of t_final = 0.1, dt = 0.001: dt must divide t_final up to rounding
+    ("t_final", "0.1005", 2),
+    ("dt", "0.03", 2),
 ]
 # (config text, the key its refusal must name): every key of SMALL_CFG given
 # twice, every file key repeated under its field name, and unknown keys (a

@@ -319,7 +319,7 @@ class TestStageSchedule:
         members = fs.FockState(np.stack([psi0.amps, 0.5 * psi0.amps]), psi0.space)
         entries = hamiltonians.stage_entries([(None, None), (0, 0)])
         for pieces in hamiltonians.stage_pieces(cond, model):
-            out = hamiltonians.apply_stage(pieces, members, entries, model)
+            out = hamiltonians.apply_stage(pieces, members, entries)
             assert np.array_equal(out.amps, fs.dgamma_apply(pieces.h1, members).amps)
         hier = hierarchy_evolve(psi0, 3, 0.05, traj)
         assert all(state.norm() == 0.0 for (n, _), state in hier.entries.items() if n >= 1)

@@ -34,8 +34,8 @@ def block(states):
 
 def two_body_apply(kernel, state):
     """a^+ a^+ (K . a a psi) for a (P, P) pair-channel kernel K, the
-    one-row case of ``fs.two_body_sums``."""
-    out = fs.two_body_sums(block([state]), [[(np.asarray(kernel), 0)]])
+    one-row case of ``fs.two_body_sums``, a stack of one kernel."""
+    out = fs.two_body_sums(block([state]), np.asarray(kernel)[None], [[(0, 0)]])
     return fs.FockState(out.amps[0], state.space)
 
 
@@ -523,16 +523,15 @@ class TestKernelShapes:
     def test_two_body_sums_match_separate_applies(self, space):
         rng = np.random.default_rng(73)
         states = [fs.random_fock(space, rng) for _ in range(3)]
-        kernels = [fold_oracle(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)), 3)
-                   for _ in range(3)]
-        terms = [[(kernels[0], 0)], [(kernels[0], 1), (kernels[1], 0)],
-                 [(kernels[2], 2), (kernels[1], 1), (kernels[0], 0)], []]
-        out = fs.two_body_sums(block(states), terms)
+        kernels = np.stack([fold_oracle(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)), 3)
+                            for _ in range(3)])
+        terms = [[(0, 0)], [(0, 1), (1, 0)], [(2, 2), (1, 1), (0, 0)], []]
+        out = fs.two_body_sums(block(states), kernels, terms)
         assert out.amps.shape == (len(terms), space.basis.dim)
         for got, entries in zip(out.amps, terms):
             expect = np.zeros_like(got)
-            for kernel, j in entries:
-                expect += two_body_apply(kernel, states[j]).amps
+            for op, j in entries:
+                expect += two_body_apply(kernels[op], states[j]).amps
             assert np.abs(got - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max())
 
 

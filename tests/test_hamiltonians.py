@@ -263,7 +263,7 @@ class TestApplyHtilde:
         phi = random_phi(model, rng)
         psi = ts.random_symmetric(3, 3, model.cell, rng)
         pieces = pieces_at(phi, 0.0, model)
-        out = apply_Htilde(pieces, psi, model)
+        out = apply_Htilde(pieces, psi)
         expect = ts.apply_one_body_sum(model.h0(0.0), psi)
         assert (out - expect).norm() <= 1e-12
 
@@ -274,8 +274,8 @@ class TestApplyHtilde:
         pieces = pieces_at(phi, 0.0, model)
         a = ts.random_symmetric(3, 3, model.cell, rng)
         b = ts.random_symmetric(3, 3, model.cell, rng)
-        lhs = b.inner(apply_Htilde(pieces, a, model))
-        rhs = apply_Htilde(pieces, b, model).inner(a)
+        lhs = b.inner(apply_Htilde(pieces, a))
+        rhs = apply_Htilde(pieces, b).inner(a)
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
     def test_matches_slot_chain_oracle(self):
@@ -298,7 +298,7 @@ class TestApplyHtilde:
                 ):
                     mat = np.kron(left_i, left_j) @ w2 @ np.kron(right_i, right_j)
                     acc = acc + (1.0 / (n - 1)) * ts.apply_two_slot(mat, i, j, psi)
-        out = apply_Htilde(pieces, psi, model)
+        out = apply_Htilde(pieces, psi)
         assert (out - acc).norm() <= 1e-12
 
 
@@ -309,7 +309,7 @@ class TestRemainders:
         phi = random_phi(model, rng)
         prod = ts.product_state(phi, 3, model.cell)
         pieces = pieces_at(phi, 0.0, model)
-        assert apply_Q(pieces, prod, model).norm() <= 1e-12
+        assert apply_Q(pieces, prod).norm() <= 1e-12
 
     def test_free_interaction_zeroes_both(self):
         model = make_model(interaction_profile="zero")
@@ -317,8 +317,8 @@ class TestRemainders:
         phi = random_phi(model, rng)
         psi = ts.random_symmetric(3, 3, model.cell, rng)
         pieces = pieces_at(phi, 0.0, model)
-        assert apply_C(pieces, psi, model).norm() == 0.0
-        assert apply_Q(pieces, psi, model).norm() == 0.0
+        assert apply_C(pieces, psi).norm() == 0.0
+        assert apply_Q(pieces, psi).norm() == 0.0
 
     def test_match_slot_chain_oracles(self):
         model = make_model()
@@ -348,8 +348,8 @@ class TestRemainders:
                     acc_c = acc_c + (1.0 / (n - 1)) * ts.apply_two_slot(mat, i, j, psi)
                 mat_q = np.kron(q, q) @ z2 @ np.kron(q, q)
                 acc_q = acc_q + (1.0 / (n - 1)) * ts.apply_two_slot(mat_q, i, j, psi)
-        assert (apply_C(pieces, psi, model) - acc_c).norm() <= 1e-12
-        assert (apply_Q(pieces, psi, model) - acc_q).norm() <= 1e-12
+        assert (apply_C(pieces, psi) - acc_c).norm() <= 1e-12
+        assert (apply_Q(pieces, psi) - acc_q).norm() <= 1e-12
 
     def test_hermitian_and_symmetry_preserving(self):
         model = make_model()
@@ -359,10 +359,10 @@ class TestRemainders:
         a = ts.random_symmetric(3, 3, model.cell, rng)
         b = ts.random_symmetric(3, 3, model.cell, rng)
         for op in (apply_C, apply_Q):
-            lhs = b.inner(op(pieces, a, model))
-            rhs = op(pieces, b, model).inner(a)
+            lhs = b.inner(op(pieces, a))
+            rhs = op(pieces, b).inner(a)
             assert lhs == pytest.approx(rhs, abs=1e-11)
-            assert ts.transposition_residual(op(pieces, a, model)) <= 1e-11
+            assert ts.transposition_residual(op(pieces, a)) <= 1e-11
 
     def test_single_particle_rejected(self):
         model = make_model(particles=1)
@@ -371,7 +371,7 @@ class TestRemainders:
         psi = ts.product_state(phi, 1, model.cell)
         pieces = pieces_at(phi, 0.0, model)
         with pytest.raises(ConfigError):
-            apply_Htilde(pieces, psi, model)
+            apply_Htilde(pieces, psi)
 
 
 class TestDecomposition:
@@ -457,7 +457,7 @@ class TestProjectedPairSum:
         # pieces of one operator: its terms for the tensor grid, their folded
         # kernel at scale 1 for the occupation basis; neither route applies
         # the 1/(N-1) of the pair terms
-        pieces = SimpleNamespace(terms=(terms,), kernels=(fold_oracle(ordered_kernel_oracle(terms, 1.0), m),))
+        pieces = SimpleNamespace(terms=(terms,), kernels=fold_oracle(ordered_kernel_oracle(terms, 1.0), m)[None])
         space = fs.FockSpace(fs.enumerate_basis(m, 3), model.cell)
         (tensor,) = rows(projected_pair_sum(block([psi]), pieces, [[(0, 0)]]))
         (fock,) = rows(projected_pair_sum(block([fs.extract(psi, space)]), pieces, [[(0, 0)]]))
@@ -479,7 +479,7 @@ class TestProjectedPairSum:
         entries = stage_entries([(None, None), (0, None), (None, 0)])
         for n in (3, 3, 4):
             space = fs.FockSpace(fs.enumerate_basis(3, n), model.cell)
-            apply_stage(pieces, block([fs.random_fock(space, rng) for _ in range(3)]), entries, model)
+            apply_stage(pieces, block([fs.random_fock(space, rng) for _ in range(3)]), entries)
         assert len(builds) == 1
 
 
@@ -501,9 +501,9 @@ class TestPieces:
         pieces = pieces_at(phi, 0.0, model)
         for op in (
             lambda s: apply_H(0.0, s, model),
-            lambda s: apply_Htilde(pieces, s, model),
-            lambda s: apply_C(pieces, s, model),
-            lambda s: apply_Q(pieces, s, model),
+            lambda s: apply_Htilde(pieces, s),
+            lambda s: apply_C(pieces, s),
+            lambda s: apply_Q(pieces, s),
         ):
             assert (op(psi) - fs.embed(op(fpsi))).norm() <= 1e-11
 
@@ -561,17 +561,17 @@ class TestApplyStage:
             model = make_model(dimension=2, sites_per_dim=3, torus_length=3.0, particles=3)
         rng = np.random.default_rng(80)
         pieces, members, sources = self.stage(model, rep, rng)
-        out = apply_stage(pieces, members, stage_entries(sources), model)
+        out = apply_stage(pieces, members, stage_entries(sources))
         assert out.amps.shape == members.amps.shape
         out, members = rows(out), rows(members)
         if rep == "fock":
             out, members = [fs.embed(got) for got in out], [fs.embed(psi) for psi in members]
         for got, psi, (c, q) in zip(out, members, sources):
-            acc = apply_Htilde(pieces, psi, model)
+            acc = apply_Htilde(pieces, psi)
             if c is not None:
-                acc = acc + apply_C(pieces, members[c], model)
+                acc = acc + apply_C(pieces, members[c])
             if q is not None:
-                acc = acc + apply_Q(pieces, members[q], model)
+                acc = acc + apply_Q(pieces, members[q])
             assert (got - acc).norm() <= 1e-12 * acc.norm()
 
     @pytest.mark.parametrize("rep", ["fock", "tensor"])
@@ -579,9 +579,9 @@ class TestApplyStage:
         model = make_model(sites_per_dim=4, torus_length=4.0, particles=4, interaction_profile="zero")
         rng = np.random.default_rng(81)
         pieces, members, sources = self.stage(model, rep, rng)
-        out = apply_stage(pieces, members, stage_entries(sources), model)
+        out = apply_stage(pieces, members, stage_entries(sources))
         for got, psi in zip(rows(out), rows(members)):
-            assert np.array_equal(got.amps, apply_Htilde(pieces, psi, model).amps)
+            assert np.array_equal(got.amps, apply_Htilde(pieces, psi).amps)
 
     @pytest.mark.parametrize("rep", ["fock", "tensor"])
     def test_single_particle_rejected(self, rep):
@@ -593,4 +593,71 @@ class TestApplyStage:
         else:
             psi = fs.product_fock(phi, fs.FockSpace(fs.enumerate_basis(3, 1), model.cell))
         with pytest.raises(ConfigError):
-            apply_stage(pieces_at(phi, 0.0, model), block([psi]), stage_entries([(None, None)]), model)
+            apply_stage(pieces_at(phi, 0.0, model), block([psi]), stage_entries([(None, None)]))
+
+
+class TestMalformedEntries:
+    """Entries that name no operator the pieces hold, no member of the block,
+    or Htilde other than first on the row's own member in every row or in
+    none, are refused with a ``ValueError`` naming the row, on both
+    representations: each of them would otherwise return a wrong number,
+    such as h1 lifted over a member whose row names only C."""
+
+    @staticmethod
+    def pieces_and_block(rep, members=2):
+        model = make_model(sites_per_dim=4, torus_length=4.0, particles=4)
+        rng = np.random.default_rng(90)
+        pieces = pieces_at(random_phi(model, rng), 0.0, model)
+        if rep == "tensor":
+            states = [ts.random_symmetric(4, 4, model.cell, rng) for _ in range(members)]
+        else:
+            space = fs.FockSpace(fs.enumerate_basis(4, 4), model.cell)
+            states = [fs.random_fock(space, rng) for _ in range(members)]
+        return pieces, block(states)
+
+    @pytest.mark.parametrize("rep", ["fock", "tensor"])
+    @pytest.mark.parametrize("entries,row", [
+        ((((0, 0),), ((1, 0),)), 1),  # Htilde lifted over row 0 only
+        ((((1, 0),), ((0, 1),)), 1),  # Htilde in a later row only
+        ((((0, 1),), ((0, 0),)), 0),  # Htilde on another member
+        ((((0, 0), (0, 1)), ((0, 1),)), 0),  # a second Htilde entry
+        ((((0, 0),), ((0, 1), (3, 0))), 1),  # no fourth operator
+        ((((0, 0),), ((0, 1), (-1, 0))), 1),  # a negative operator
+        ((((0, 0),), ((0, 1), (1, 2))), 1),  # a member past the block
+        ((((0, 0),), ((0, 1), (1, -1))), 1),  # a negative member
+    ], ids=["lifted-row-0-only", "htilde-later", "htilde-other-member", "second-htilde",
+            "operator-3", "operator-minus-1", "member-2", "member-minus-1"])
+    def test_apply_stage_names_the_row(self, rep, entries, row):
+        pieces, members = self.pieces_and_block(rep)
+        with pytest.raises(ValueError, match=f"row {row} "):
+            apply_stage(pieces, members, entries)
+
+    @pytest.mark.parametrize("rep", ["fock", "tensor"])
+    def test_apply_stage_needs_one_row_per_member(self, rep):
+        pieces, members = self.pieces_and_block(rep)
+        with pytest.raises(ValueError, match="1 stage entry rows for a block of 2 members"):
+            apply_stage(pieces, members, (((0, 0),),))
+
+    @pytest.mark.parametrize("rep", ["fock", "tensor"])
+    def test_an_operator_the_build_did_not_make_is_refused(self, rep):
+        # an auxiliary-flow build holds Htilde alone, on both representations
+        model = make_model(sites_per_dim=4, torus_length=4.0, particles=4)
+        _, members = self.pieces_and_block(rep)
+        cond = condensate_at(default_phi0(model)[None], np.zeros(1), model)
+        (pieces,) = hamiltonians.stage_pieces(cond, model, 1)
+        with pytest.raises(ValueError, match="row 1 "):
+            apply_stage(pieces, members, stage_entries([(None, None), (0, None)]))
+
+    @pytest.mark.parametrize("rep", ["fock", "tensor"])
+    @pytest.mark.parametrize("entry", [(-1, 0), (3, 0), (1, -1), (1, 2)])
+    def test_pair_sums_name_the_row(self, rep, entry):
+        pieces, members = self.pieces_and_block(rep)
+        with pytest.raises(ValueError, match="row 1 "):
+            projected_pair_sum(members, pieces, [[(1, 0)], [entry]])
+
+    def test_two_body_sums_refuse_a_member_index_that_would_wrap(self):
+        pieces, members = self.pieces_and_block("fock")
+        with pytest.raises(ValueError, match="row 0 "):
+            fs.two_body_sums(members, pieces.kernels, [[(1, -1)]])
+        with pytest.raises(ValueError, match="row 0 "):
+            fs.two_body_sums(members, pieces.kernels[:1], [[(1, 0)]])

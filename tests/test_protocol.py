@@ -81,9 +81,25 @@ class TestTensorBlocks:
         space = fs.FockSpace(fs.enumerate_basis(3, 3), model.cell)
         states = [ts.random_symmetric(3, 3, model.cell, rng) for _ in range(3)]
         entries = stage_entries([(None, None), (0, None), (2, 0)])
-        tensor = apply_stage(pieces, block(states), entries, model)
-        fock = apply_stage(pieces, block([fs.extract(psi, space) for psi in states]), entries, model)
+        tensor = apply_stage(pieces, block(states), entries)
+        fock = apply_stage(pieces, block([fs.extract(psi, space) for psi in states]), entries)
         assert tensor.particles == 3
         for got, expect in zip(rows(tensor), rows(fock)):
             expect = fs.embed(expect).amps
             assert np.abs(got.amps - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
+
+    def test_tensor_pair_sums_apply_each_operator_to_its_named_members(self, monkeypatch):
+        # an order-3 stage reads Htilde on 4 members, C on 2 and Q on 1: the
+        # oracle's 2M + 1 lifts per pair term run on those rows only, 7 of
+        # the 12 member-operator applications of every operator on every member
+        model = make_model()
+        rng = np.random.default_rng(5)
+        pieces = pieces_at(random_phi(model, rng), 0.0, model)
+        states = [ts.random_symmetric(3, 3, model.cell, rng) for _ in range(4)]
+        lifted, lift = [], ts.apply_one_body_sum
+        monkeypatch.setattr(ts, "apply_one_body_sum",
+                            lambda op, psi: lifted.append(len(psi.amps)) or lift(op, psi))
+        block(states).pair_sums(pieces, stage_entries([(None, None), (0, None), (None, 0), (1, None)]))
+        terms = [len(op) for op in pieces.terms]
+        assert sum(lifted) == (2 * 3 + 1) * (4 * terms[0] + 2 * terms[1] + 1 * terms[2])
+

@@ -149,12 +149,12 @@ class TestSectorOperators:
         a_site, a_sector = invariant_state(site, sector, rng)
         b_site, b_sector = invariant_state(site, sector, rng)
         channels = sector.ladders[1].moved
-        kernels = [symmetrise(rng.standard_normal((len(channels[0]),) * 2)
-                              + 1j * rng.standard_normal((len(channels[0]),) * 2), channels)
-                   for _ in range(2)]
-        terms = [[(kernels[0], 0), (kernels[1], 1)], [(kernels[1], 0)]]
-        got = fs.two_body_sums(fs.FockState(np.stack([a_sector.amps, b_sector.amps]), sector), terms)
-        expect = fs.two_body_sums(fs.FockState(np.stack([a_site.amps, b_site.amps]), site), terms)
+        kernels = np.stack([symmetrise(rng.standard_normal((len(channels[0]),) * 2)
+                                       + 1j * rng.standard_normal((len(channels[0]),) * 2), channels)
+                            for _ in range(2)])
+        terms = [[(0, 0), (1, 1)], [(1, 0)]]
+        got = fs.two_body_sums(fs.FockState(np.stack([a_sector.amps, b_sector.amps]), sector), kernels, terms)
+        expect = fs.two_body_sums(fs.FockState(np.stack([a_site.amps, b_site.amps]), site), kernels, terms)
         for got_row, expect_row in zip(got.amps, expect.amps):
             assert same_state(fs.FockState(got_row, sector), fs.FockState(expect_row, site))
 
@@ -180,7 +180,7 @@ class TestSectorOperators:
             fs.dgamma_apply(rng.standard_normal((m, m)), psi)
         with pytest.raises(ValueError, match="asymmetry"):
             fs.two_body_sums(fs.FockState(psi.amps[None], sector),
-                             [[(rng.standard_normal((p, p)) + 0j, 0)]])
+                             (rng.standard_normal((p, p)) + 0j)[None], [[(0, 0)]])
         with pytest.raises(ValueError, match="asymmetry"):
             fs.pair_diagonal(sector, rng.standard_normal((m, m)))
         # a table off invariant by roundoff passes
@@ -207,6 +207,23 @@ class TestSectorOperators:
         assert looked_up.count("vector") == -(-40 // hamiltonians.stage_batch(4, 3)) > 1
         assert looked_up.count("table") == 3
         assert "kernel" not in looked_up
+
+    def test_a_hierarchy_stage_makes_five_checks(self, monkeypatch):
+        # an order-3 stage: 3 checks from admit (the pair table, h0 and the
+        # build's condensates with their parts), one for h1 in the lift and
+        # one for the stage's kernel stack, not one per (op, member) entry
+        model = make_model(particles=4)
+        phi0 = default_phi0(model)
+        psi0 = build_product(model, phi0)
+        assert psi0.space.basis.generators
+        calls, check = [], fs.FockSpace.require_invariant
+        monkeypatch.setattr(fs.FockSpace, "require_invariant",
+                            lambda space, *args, **kw: calls.append(args[1]) or check(space, *args, **kw))
+        pieces = hamiltonians.pieces_at(phi0, 0.0, model)
+        entries = hamiltonians.stage_entries([(None, None), (0, None), (None, 0), (1, None)])
+        members = psi0.with_amps(np.stack([psi0.amps] * len(entries)))
+        assert np.isfinite(hamiltonians.apply_stage(pieces, members, entries).amps).all()
+        assert calls == ["table", "table", "vector", "table", "kernel"]
 
     def test_quadrature_node_pieces_are_checked_by_their_condensate(self, monkeypatch):
         # pieces_at is a one-stage build, so a node's kernels are admitted
