@@ -50,7 +50,7 @@ psi = ts.random_symmetric(config.site_count, n, model.cell, rng)
 w = pj.spectral_weights(psi, phi0)
 for a in (1, 2, 3):
     direct = pj.qchain_expectation(a, phi0, psi)  # raises if the routes disagree
-    spectral = pj.qchain_spectral(a, w, n)
+    spectral = w.qchain(a)
     print(f"  a={a}: direct={direct:.12f}  spectral={spectral:.12f}")
 
 # initial-data budget: c_a = ||m_hat^a psi||^2 N^(gamma a)

@@ -25,12 +25,7 @@ from .experiments import (
 )
 from .meanfield import hartree_energy, hartree_evolve
 from .model import Model, build_model, config_from_file, validate_config
-from .projections import (
-    excitation_moment,
-    m_moment,
-    n_moment,
-    spectral_weights,
-)
+from .projections import spectral_weights
 from .propagation import evolve_full
 from .snapshots import MAGIC, load_state, representation, save_state
 
@@ -124,12 +119,10 @@ def _cmd_evolve(args) -> int:
         if args.observable == "weights":
             lines.append(f"{_fmt(t)}," + ",".join(_fmt(w) for w in weights.weights))
         else:
-            phi = traj.phi(i)
             for a in range(1, cfg.moment_order + 1):
                 lines.append(
-                    f"{_fmt(t)},{a},{_fmt(m_moment(a, phi, psi, weights=weights))},"
-                    f"{_fmt(n_moment(a, phi, psi, weights=weights))},"
-                    f"{_fmt(excitation_moment(a, phi, psi, weights=weights))}"
+                    f"{_fmt(t)},{a},{_fmt(weights.m_moment(a))},"
+                    f"{_fmt(weights.n_moment(a))},{_fmt(weights.moment(a))}"
                 )
 
     final = evolve_full(psi0, cfg.t_final, model, observer=observer)
@@ -172,10 +165,9 @@ def _cmd_moments(args) -> int:
     lines.append("a,m_moment,n_moment,excitation_moment,c_a")
     n = cfg.particles
     for a in range(0, min(cfg.moment_order, n) + 1):
-        mm = m_moment(a, phi0, psi0, weights=weights)
+        mm = weights.m_moment(a)
         lines.append(
-            f"{a},{_fmt(mm)},{_fmt(n_moment(a, phi0, psi0, weights=weights))},"
-            f"{_fmt(excitation_moment(a, phi0, psi0, weights=weights))},"
+            f"{a},{_fmt(mm)},{_fmt(weights.n_moment(a))},{_fmt(weights.moment(a))},"
             f"{_fmt(mm * float(n) ** (cfg.gamma * a))}"
         )
     _emit("\n".join(lines) + "\n", args.out)

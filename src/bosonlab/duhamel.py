@@ -119,16 +119,17 @@ def hierarchy_evolve(psi0, order: int, t: float, trajectory: HartreeTrajectory) 
 def assemble(hierarchy: Hierarchy, order: int):
     """Partial sum psi^(a) = sum_{k=0}^{a-1} sum_{n=ceil(k/2)}^{k} T_n^(k).
 
-    The result is a raw Duhamel partial sum; no normalisation is applied.
+    The result is a raw Duhamel partial sum; no normalisation is applied.  A
+    hierarchy that lacks a member of the sum raises ValueError.
     """
     if order < 1 or order > hierarchy.order:
         raise ValueError(f"order {order} exceeds hierarchy order {hierarchy.order}")
     total = None
     for k in range(order):
         for n in range((k + 1) // 2, k + 1):
-            state = hierarchy.entries.get((n, k))
-            if state is None:
-                continue
+            if (n, k) not in hierarchy.entries:
+                raise ValueError(f"hierarchy has no member (n, k) = {(n, k)} for order {order}")
+            state = hierarchy.entries[(n, k)]
             total = state.copy() if total is None else total + state
     return total
 

@@ -36,8 +36,6 @@ from .projections import (
     apply_Pk,
     apply_weight,
     excitation_extract,
-    m_moment,
-    n_moment,
     number_apply,
     qchain_expectation,
     spectral_weights,
@@ -382,7 +380,7 @@ def moment_growth(config: ModelConfig, orders, t: float | None = None) -> list[M
 
     w0 = spectral_weights(psi0, phi0)
     jmax = orders[-1] if orders else 0
-    m_init = [m_moment(j, phi0, psi0, weights=w0) for j in range(jmax + 1)]
+    m_init = [w0.m_moment(j) for j in range(jmax + 1)]
 
     full = evolve_full(psi0, t, model)
     aux = evolve_aux(psi0, 0.0, t, traj)
@@ -392,9 +390,9 @@ def moment_growth(config: ModelConfig, orders, t: float | None = None) -> list[M
 
     d, n, beta = cfg.dimension, cfg.particles, cfg.beta
     rows = []
-    for label, weights, state in (("full", w_full, full), ("aux", w_aux, aux)):
+    for label, weights in (("full", w_full), ("aux", w_aux)):
         for j in orders:
-            lhs = m_moment(j, phi_t, state, weights=weights)
+            lhs = weights.m_moment(j)
             budget = sum(
                 float(n) ** (nn * (-1.0 + d * beta)) * m_init[j - nn] for nn in range(j + 1)
             )
@@ -489,7 +487,7 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
         track("pk_completeness", (sum(sectors[1:], sectors[0]) - psi).norm())
 
         # number identity: <n_hat^2> = (1/N) sum_j <q_j>
-        lhs = n_moment(1, phi, psi, weights=weights)
+        lhs = weights.n_moment(1)
         rhs = psi.inner(number_apply(psi, q1)).real / n
         track("number_identity", abs(lhs - rhs))
 
@@ -502,7 +500,7 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
 
         # explicit-constant sandwich between chains and m-weights
         for a in range(1, a_max + 1):
-            m_sq = m_moment(a, phi, psi, weights=weights)
+            m_sq = weights.m_moment(a)
             track("chain_below_m", max(0.0, chains[a] - m_sq))
             budget = float(n) ** (-a) + sum(
                 (4.0**a) * math.factorial(a) * float(n) ** (-a + j) * chains[j] for j in range(1, a + 1))

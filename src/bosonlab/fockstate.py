@@ -23,9 +23,10 @@ and states of different sectors do not combine (``ValueError`` both).
 orbits, so the tensor grid and snapshots see the site basis.
 
 Operators act in normal-ordered ladder form.  A ``Ladder`` is a gather down
-to the basis with fewer particles and one back up, one row per occupation
-move: (a_s psi)[u] = sqrt(u_s + 1) psi[u + e_s] for the one-body ladder, and
-for the pair ladder one row per unordered pair channel s <= s',
+to the basis with fewer particles, one row per occupation move, and one back
+up, whose slots list for each output only the moves that can create it:
+(a_s psi)[u] = sqrt(u_s + 1) psi[u + e_s] for the one-body ladder, and for
+the pair ladder one row per unordered pair channel s <= s',
 
     (a_s a_s' psi)[v] = sqrt((v_s + 1)(v_s' + 1 + delta_ss')) psi[v + e_s + e_s'],
 
@@ -247,7 +248,8 @@ def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING,
 
 class Ladder:
     """Annihilation and creation gathers between an orbit basis and the one
-    with fewer particles under the same group, one row per occupation move.
+    with fewer particles under the same group: the annihilation tables have
+    one row per occupation move, the creation table one row per slot.
 
     ``moves`` is a (rows, M) table of occupation vectors with a common sum,
     the number of particles the ladder removes: the unit vectors e_s for the
@@ -258,11 +260,14 @@ class Ladder:
     v + moves[p] and ``factor[p, v]`` the matrix element of the move's
     annihilators, sqrt(v_s + 1) or sqrt((v_s + 1)(v_s' + 1 + delta_ss')),
     over the square root of that orbit's size, stored complex so that
-    weighting needs no cast.  For move p and upper row u, ``create[p, u]`` is
-    the flat position of the source slot (pi . p, rep(u - moves[p])) in the
-    (rows, lower dim) creation sources, pi = group[to_rep] taking
-    u - moves[p] to its representative, or the zero pad slot after them when
-    u - moves[p] has a negative part.  ``moved[g, p]`` is the row of the
+    weighting needs no cast.  Each move p with u - moves[p] free of negative
+    parts creates upper row u from the source (pi . p, rep(u - moves[p])) of
+    the (rows, lower dim) creation sources, pi = group[to_rep] taking
+    u - moves[p] to its representative.  Column u of ``create`` lists the
+    flat positions of those sources in move order, then the zero pad slot
+    after them, up to the largest number of moves that create one row (at
+    least one slot): 6 slots for the 45 pair channels on the 3 x 3 lattice
+    at N = 4, all 10 for M = 4, N = 12.  ``moved[g, p]`` is the row of the
     move group[g] . moves[p].  Both gathers act on the last axis, so a block
     of states moves in one gather each way.
 
@@ -293,9 +298,14 @@ class Ladder:
         earlier = np.tril(modes[:, :, None] == modes[:, None, :], -1).sum(axis=-1)
         product = (lower.occupations.T[modes] + (1 + earlier)[:, :, None]).prod(axis=1)
         self.factor = np.sqrt(product / upper.sizes[self.annihilate]).astype(np.complex128)
-        self.create = np.full((rows, upper.dim), rows * size, dtype=np.int64)
+        create = np.full((rows, upper.dim), rows * size, dtype=np.int64)
         p, w = np.nonzero(upper.to_rep[raised] == 0)  # w + moves[p] is a representative
-        self.create[p, upper.orbit[raised[p, w]]] = self.moved[lower.to_rep[w], p] * size + lower.orbit[w]
+        create[p, upper.orbit[raised[p, w]]] = self.moved[lower.to_rep[w], p] * size + lower.orbit[w]
+        # each output's sources first, in move order, then pad slots up to the
+        # largest number of sources of any output
+        pad = create == rows * size
+        slots = max(1, int((~pad).sum(axis=0).max(initial=0)))
+        self.create = np.take_along_axis(create, pad.argsort(axis=0, kind="stable"), axis=0)[:slots]
         self.scale = None if len(upper.group) == 1 else upper.sizes.astype(np.float64)
         self._scratch = {}  # leading shape -> (down, src, pad, up), made on first use
 
@@ -645,8 +655,8 @@ def generator_table(space: FockSpace, hops, h0, pair, coupling: float) -> tuple:
 
 def _hop_slots(one: Ladder, dim: int, hops: np.ndarray) -> tuple:
     """(sources, values) of dGamma(hops), zero-diagonal hops, after an empty
-    slot 0.  As in ``dgamma_apply``, output u, move r and mode s with (r', v)
-    = divmod(create[r, u], lower dim) read annihilate[s, v] times
+    slot 0.  As in ``dgamma_apply``, output u, creation slot r and mode s with
+    (r', v) = divmod(create[r, u], lower dim) read annihilate[s, v] times
     scale[u] factor[r', v] factor[s, v] hops[r', s].  Values of one output
     and source are summed, zero sums dropped, and the rest fill slots 1, 2,
     ..; an unused slot reads its own output with value 0."""

@@ -48,12 +48,8 @@ __all__ = [
     "apply_Pk_subset",
     "spectral_weights",
     "apply_weight",
-    "m_moment",
-    "n_moment",
     "qchain_expectation",
-    "qchain_spectral",
     "excitation_extract",
-    "excitation_moment",
     "falling_factorial",
     "a3_report",
     "A3Report",
@@ -200,17 +196,44 @@ def apply_Pk_subset(k: int, phi: np.ndarray, psi: ts.TensorState) -> ts.TensorSt
 
 @dataclass(frozen=True)
 class SpectralWeights:
-    """Distribution ||P_k psi||^2 over the excitation number k = 0..N."""
+    """Distribution w_k = ||P_k psi||^2 over the excitation number k = 0..N.
+
+    Every excitation statistic of psi is read from this one array, so a
+    moment cannot be paired with weights of another state or particle count.
+    """
 
     weights: np.ndarray
+
+    @property
+    def particles(self) -> int:
+        return len(self.weights) - 1
 
     @property
     def total(self) -> float:
         return float(self.weights.sum())
 
     def moment(self, a: int) -> float:
+        """sum_k k^a w_k, the a-th moment of the excitation number."""
         k = np.arange(len(self.weights))
         return float(np.sum(k**a * self.weights))
+
+    def m_moment(self, a: int) -> float:
+        """||m_hat^a psi||^2 = sum_k ((k+1)/N)^a w_k."""
+        k = np.arange(len(self.weights))
+        return float(np.sum(((k + 1) / self.particles) ** a * self.weights))
+
+    def n_moment(self, a: int) -> float:
+        """||n_hat^a psi||^2 = sum_k (k/N)^a w_k."""
+        k = np.arange(len(self.weights))
+        return float(np.sum((k / self.particles) ** a * self.weights))
+
+    def qchain(self, a: int) -> float:
+        """<psi, q_1...q_a psi> = sum_k w_k k!/(k-a)! / (N!/(N-a)!), for 0 <= a <= N."""
+        n = self.particles
+        if not 0 <= a <= n:
+            raise ValueError(f"chain length a={a} out of range 0..{n}")
+        coeff = np.array([falling_factorial(k, a) for k in range(n + 1)]) / falling_factorial(n, a)
+        return float(np.dot(coeff, self.weights))
 
 
 def spectral_weights(psi, phi: np.ndarray) -> SpectralWeights:
@@ -244,24 +267,6 @@ def apply_weight(f: WeightFunction | Callable, phi: np.ndarray, psi):
     return _apply_sector_values(weight_values(f, psi.particles), phi, psi)
 
 
-def m_moment(a: int, phi: np.ndarray, psi, weights: SpectralWeights | None = None) -> float:
-    """||m_hat^a psi||^2 = sum_k ((k+1)/N)^a ||P_k psi||^2."""
-    if weights is None:
-        weights = spectral_weights(psi, phi)
-    n = psi.particles
-    k = np.arange(n + 1)
-    return float(np.sum(((k + 1) / n) ** a * weights.weights))
-
-
-def n_moment(a: int, phi: np.ndarray, psi, weights: SpectralWeights | None = None) -> float:
-    """||n_hat^a psi||^2 = sum_k (k/N)^a ||P_k psi||^2."""
-    if weights is None:
-        weights = spectral_weights(psi, phi)
-    n = psi.particles
-    k = np.arange(n + 1)
-    return float(np.sum((k / n) ** a * weights.weights))
-
-
 # ---------------------------------------------------------------------------
 # q-chains and excitation vectors
 # ---------------------------------------------------------------------------
@@ -273,13 +278,6 @@ def falling_factorial(x: int, a: int) -> float:
     return out
 
 
-def qchain_spectral(a: int, weights: SpectralWeights, n_particles: int) -> float:
-    """<psi, q_1...q_a psi> from spectral weights via the falling-factorial rule."""
-    k = np.arange(n_particles + 1)
-    coeff = np.array([falling_factorial(int(kk), a) for kk in k]) / falling_factorial(n_particles, a)
-    return float(np.dot(coeff, weights.weights))
-
-
 def qchain_expectation(a: int, phi: np.ndarray, psi, weights: SpectralWeights | None = None) -> float:
     """<psi, q_1...q_a psi> for symmetric psi from the spectral weights by the
     falling-factorial rule, cross-checked by the state's
@@ -289,8 +287,11 @@ def qchain_expectation(a: int, phi: np.ndarray, psi, weights: SpectralWeights | 
         raise ValueError(f"chain length a={a} out of range 1..{psi.particles}")
     if weights is None:
         weights = spectral_weights(psi, phi)
-    spectral = qchain_spectral(a, weights, psi.particles)
-    return psi.chain_expectation(a, phi, spectral)
+    elif weights.particles != psi.particles:
+        raise ValueError(
+            f"weights over N={weights.particles} do not belong to a state of N={psi.particles}"
+        )
+    return psi.chain_expectation(a, phi, weights.qchain(a))
 
 
 def excitation_extract(k: int, phi: np.ndarray, psi: ts.TensorState) -> ts.TensorState:
@@ -317,13 +318,6 @@ def excitation_extract(k: int, phi: np.ndarray, psi: ts.TensorState) -> ts.Tenso
         for slot in range(k):
             out = ts.apply_factor(q, slot, out)
     return math.sqrt(math.comb(n, k)) * out
-
-
-def excitation_moment(a: int, phi: np.ndarray, psi, weights: SpectralWeights | None = None) -> float:
-    """a-th moment sum_k k^a ||P_k psi||^2 of the excitation number."""
-    if weights is None:
-        weights = spectral_weights(psi, phi)
-    return weights.moment(a)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +368,8 @@ def a3_report(psi0, phi0: np.ndarray, gamma: float, order_cap: int, cap: float =
         raise ValueError(f"moment order {order_cap} exceeds particle count {n}")
     w = spectral_weights(psi0, phi0)
     orders = np.arange(order_cap + 1)
-    m_moms = np.array([m_moment(int(a), phi0, psi0, weights=w) for a in orders])
-    qvals = np.array(
-        [1.0] + [qchain_spectral(int(a), w, n) for a in orders[1:]]
-    )
+    m_moms = np.array([w.m_moment(int(a)) for a in orders])
+    qvals = np.array([1.0] + [w.qchain(int(a)) for a in orders[1:]])
     evals = np.array([w.moment(int(a)) for a in orders])
     c_a = m_moms * float(n) ** (gamma * orders)
     c_p = qvals * float(n) ** (gamma * orders)

@@ -49,7 +49,8 @@ def save_state(path, state, dimension: int, sites_per_dim: int) -> None:
 
 
 def load_state(path):
-    """Read a snapshot, returning (state, dimension, sites_per_dim)."""
+    """Read a snapshot, returning (state, dimension, sites_per_dim); a tensor
+    snapshot that is not symmetric under particle exchange raises ConfigError."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -69,6 +70,12 @@ def load_state(path):
         if payload.size != expected:
             raise ConfigError(f"{path}: expected {expected} amplitudes, found {payload.size}")
         state = ts.TensorState(payload.reshape((m,) * particles), cell)
+        residual = ts.transposition_residual(state)
+        if residual > 1e-10:  # the tolerance of fockstate.extract
+            raise ConfigError(
+                f"{path}: tensor amplitudes are not symmetric under particle exchange "
+                f"(relative residual {residual:.3g})"
+            )
     elif tag == TAG_OCCUPATION:
         space = fs.FockSpace(fs.enumerate_basis(m, particles), cell)
         if payload.size != space.basis.dim:

@@ -118,7 +118,7 @@ def test_criterion_2_projection_calculus():
             assert abs(xi.norm() ** 2 - weights.weights[k]) <= 1e-10
 
         # number identity: <n_hat^2> = (1/N) sum_j <q_j>
-        lhs = pj.n_moment(1, phi, psi, weights=weights)
+        lhs = weights.n_moment(1)
         rhs = psi.inner(pj.number_apply(psi, ts.projector_matrices(phi, psi.cell)[1])).real / n
         assert abs(lhs - rhs) <= 1e-12
 
@@ -132,7 +132,7 @@ def test_criterion_2_projection_calculus():
                 )
                 assert chains[a] <= weighted.norm() ** 2 + 1e-12
             # explicit-constant sandwich against m-weights
-            msq = pj.m_moment(a, phi, psi, weights=weights)
+            msq = weights.m_moment(a)
             assert chains[a] <= msq + 1e-12
             budget = float(n) ** (-a) + sum(
                 (4.0**a) * math.factorial(a) * float(n) ** (-a + j) * chains[j]
@@ -301,6 +301,51 @@ def test_criterion_7_moment_diagnostics():
         for v in violations:
             print("  N=%d j=%d lhs=%.3e log_rhs=%.3f ratio=%.3f" % v)
     report(7, "moment diagnostics", started, 600)
+
+
+def bogoliubov_excitations(model, t):
+    """<S>_B(t) = sum_{j=1}^{M-1} (g_j / w_j)^2 sin^2(w_j t), w_j^2 = eps_j^2 + 2 eps_j g_j:
+    the Bogoliubov limit of the excitation number of a uniform condensate's
+    product state, one two-mode squeezer per plane wave e_j, with eps_j and
+    g_j = (h / L) e_j^H W e_j its h0 and pair-table matrix elements (1D)."""
+    cfg = model.config
+    x = np.arange(cfg.site_count)
+    total = 0.0
+    for j in range(1, cfg.site_count):
+        e = np.exp(2j * np.pi * j * x / cfg.site_count) / math.sqrt(cfg.site_count)
+        eps = (e.conj() @ model.h0(0.0) @ e).real
+        g = cfg.spacing / cfg.torus_length * (e.conj() @ model.pair @ e).real
+        omega = math.sqrt(eps**2 + 2.0 * eps * g)
+        total += (g / omega) ** 2 * math.sin(omega * t) ** 2
+    return total
+
+
+def test_bogoliubov_limit_of_the_auxiliary_flow():
+    # Lewin-Nam-Schlein: the fluctuations around the Hartree flow tend to a
+    # Bogoliubov evolution, so N (<S>_aux - <S>_B) tends to a constant.
+    t, m = 0.5, 4
+    deviations = []
+    for n in (8, 16, 32):
+        model = build_model(make_config(particles=n, dt=5e-4, t_final=t))
+        phi0 = np.full(m, 1.0 / math.sqrt(model.config.torus_length), dtype=np.complex128)
+        # the dihedral group of the ring: rotation and reflection
+        basis = fs.enumerate_basis(m, n, symmetry=((1, 2, 3, 0), (0, 3, 2, 1)))
+        psi0 = fs.product_fock(phi0, fs.FockSpace(basis, model.cell))
+        traj = hartree_evolve(phi0, 0.0, t, model)
+        aux = evolve_aux(psi0, 0.0, t, traj)
+        s_aux = pj.spectral_weights(aux, traj.phi(traj.index_of(t))).moment(1)
+        deviations.append(n * (s_aux - bogoliubov_excitations(model, t)))
+    assert all(7.0e-4 <= d <= 9.0e-4 for d in deviations), deviations
+    assert deviations[0] > deviations[1] > deviations[2], deviations
+
+    # parity: in the moving frame Htilde changes the excitation number by 0
+    # or 2, so from a product state the odd weights stay at the RK4 defect
+    model = build_model(make_config(particles=8, dt=5e-4, t_final=t))
+    phi0 = default_phi0(model)
+    traj = hartree_evolve(phi0, 0.0, t, model)
+    aux = evolve_aux(build_product(model, phi0), 0.0, t, traj)
+    weights = pj.spectral_weights(aux, traj.phi(traj.index_of(t))).weights
+    assert weights[1] <= 1e-21 and weights[3] <= 1e-21, weights
 
 
 def _as_raw(cfg):

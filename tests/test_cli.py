@@ -263,6 +263,21 @@ class TestFailureExitCodes:
         assert captured.out == "" and "Traceback" not in captured.err
         assert "--representation" in captured.err and saved in captured.err
 
+    @pytest.mark.parametrize("observable", ["norm", "weights", "moments"])
+    def test_asymmetric_tensor_snapshot_exits_2(self, cfg_path, tmp_path, capsys, observable):
+        from bosonlab import tensorstate as ts
+        from bosonlab.snapshots import save_state
+
+        rng = np.random.default_rng(7)
+        amps = rng.standard_normal((4,) * 3) + 1j * rng.standard_normal((4,) * 3)
+        snap = tmp_path / "asymmetric.blab"
+        save_state(snap, ts.TensorState(amps / np.linalg.norm(amps), 1.0), 1, 4)
+        capsys.readouterr()
+        assert main(["evolve", "--config", cfg_path, "--load", str(snap),
+                     "--observable", observable]) == 2
+        err = capsys.readouterr().err
+        assert "asymmetric.blab" in err and "symmetric" in err and "Traceback" not in err
+
     def test_snapshot_with_nan_spacing_exits_2(self, cfg_path, tmp_path, capsys):
         import struct
 

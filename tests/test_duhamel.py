@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonlab.duhamel import (
+    Hierarchy,
     assemble,
     correction_error,
     first_order_defect_quadrature,
@@ -399,6 +400,13 @@ class TestAssemble:
         model, phi0, psi0, traj, hier, full = setup
         with pytest.raises(ValueError):
             assemble(hier, 6)
+
+    def test_missing_member_is_refused(self, setup):
+        model, phi0, psi0, traj, hier, full = setup
+        partial = Hierarchy(order=2, entries={(0, 0): hier.entries[(0, 0)]})
+        assert (assemble(partial, 1) - hier.entries[(0, 0)]).norm() == 0.0
+        with pytest.raises(ValueError, match=r"\(1, 1\)"):
+            assemble(partial, 2)
 
     def test_free_case_recovers_exact_state(self):
         model = make_model(interaction_profile="zero")

@@ -94,12 +94,17 @@ def brute_force_ladder(m, n, moves):
                     weight *= math.sqrt(raised[s])
             annihilate[p, u] = up_index[tuple(raised)]
             factor[p, u] = weight
-    create = np.full((len(moves), len(upper)), len(moves) * len(lower), dtype=np.int64)
-    for t, row in enumerate(upper):
-        for p, move in enumerate(moves):
-            lowered = tuple(a - b for a, b in zip(row, move))
-            if min(lowered) >= 0:
-                create[p, t] = p * len(lower) + low_index[lowered]
+    # per upper row, the creation sources of the moves that reach it, in move
+    # order, padded with the pad slot to the longest such list (at least one)
+    sources = []
+    for row in upper:
+        lowered = [tuple(a - b for a, b in zip(row, move)) for move in moves]
+        sources.append([p * len(lower) + low_index[low]
+                        for p, low in enumerate(lowered) if min(low) >= 0])
+    slots = max([1] + [len(col) for col in sources])
+    create = np.full((slots, len(upper)), len(moves) * len(lower), dtype=np.int64)
+    for t, col in enumerate(sources):
+        create[: len(col), t] = col
     return lower, annihilate, factor, create
 
 

@@ -116,8 +116,9 @@ class TestWeights:
         phi = random_phi(3, rng)
         n = 4
         prod = ts.product_state(phi, n, CELL)
+        w = pj.spectral_weights(prod, phi)
         for a in range(4):
-            assert pj.m_moment(a, phi, prod) == pytest.approx(n ** (-a), abs=1e-12)
+            assert w.m_moment(a) == pytest.approx(n ** (-a), abs=1e-12)
 
     def test_negative_weight_rejected(self):
         rng = np.random.default_rng(11)
@@ -136,8 +137,8 @@ class TestWeights:
             psi = fs.random_fock(space, rng)
             w = pj.spectral_weights(psi, phi)
             for a in (1, 2):
-                nm = pj.n_moment(a, phi, psi, weights=w)
-                mm = pj.m_moment(a, phi, psi, weights=w)
+                nm = w.n_moment(a)
+                mm = w.m_moment(a)
                 assert nm <= mm + 1e-12
                 assert mm <= 2**a * nm + n ** (-a) + 1e-12
 
@@ -315,7 +316,7 @@ class TestQChain:
         w = pj.spectral_weights(psi, phi)
         for a in (1, 2, 3, 4):
             direct = pj.qchain_expectation(a, phi, psi)
-            spectral = pj.qchain_spectral(a, w, 4)
+            spectral = w.qchain(a)
             assert direct == pytest.approx(spectral, abs=1e-10)
 
     def test_given_weights_make_no_lanczos_pass(self, monkeypatch):
@@ -330,6 +331,17 @@ class TestQChain:
         assert not passes
         assert given == [pj.qchain_expectation(a, phi, psi) for a in (1, 2, 3, 4)]
         assert len(passes) == 4
+
+    def test_weights_of_another_particle_count_are_refused(self):
+        rng = np.random.default_rng(25)
+        phi = random_phi(3, rng)
+        psi = ts.random_symmetric(3, 4, CELL, rng)
+        other = pj.spectral_weights(ts.random_symmetric(3, 3, CELL, rng), phi)
+        assert other.particles == 3
+        with pytest.raises(ValueError, match="N=3"):
+            pj.qchain_expectation(1, phi, psi, weights=other)
+        with pytest.raises(ValueError, match="out of range"):
+            other.qchain(4)
 
     def test_chain_out_of_range(self):
         rng = np.random.default_rng(16)
@@ -374,10 +386,10 @@ class TestExcitations:
         rng = np.random.default_rng(20)
         phi = random_phi(3, rng)
         prod = ts.product_state(phi, 3, CELL)
-        assert pj.excitation_moment(1, phi, prod) <= 1e-12
+        assert pj.spectral_weights(prod, phi).moment(1) <= 1e-12
         chi = orthogonalise(rng.standard_normal(3) + 1j * rng.standard_normal(3), phi)
         exc = one_excitation_tensor(phi, chi, 3)
-        assert pj.excitation_moment(1, phi, exc) == pytest.approx(1.0, abs=1e-10)
+        assert pj.spectral_weights(exc, phi).moment(1) == pytest.approx(1.0, abs=1e-10)
 
     def test_moment_sandwich(self):
         # <N^a> <= N^a ||m^a psi||^2 <= 1 + 2^a <N^a> on normalised states
@@ -388,7 +400,7 @@ class TestExcitations:
             w = pj.spectral_weights(psi, phi)
             for a in (1, 2, 3):
                 exc = w.moment(a)
-                scaled = 4**a * pj.m_moment(a, phi, psi, weights=w)
+                scaled = 4**a * w.m_moment(a)
                 assert exc <= scaled + 1e-10
                 assert scaled <= 1.0 + 2**a * exc + 1e-10
 
@@ -398,7 +410,7 @@ class TestFqqIdentities:
         rng = np.random.default_rng(22)
         phi = random_phi(3, rng)
         psi = ts.random_symmetric(3, 4, CELL, rng)
-        lhs = pj.n_moment(1, phi, psi)
+        lhs = pj.spectral_weights(psi, phi).n_moment(1)
         rhs = psi.inner(pj.number_apply(psi, ts.projector_matrices(phi, CELL)[1])).real / 4
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -424,7 +436,7 @@ class TestFqqIdentities:
         w = pj.spectral_weights(psi, phi)
         for a in (1, 2, 3, 4):
             chain = pj.qchain_expectation(a, phi, psi)
-            msq = pj.m_moment(a, phi, psi, weights=w)
+            msq = w.m_moment(a)
             assert chain <= msq + 1e-12
             budget = n ** (-a) + sum(
                 4**a * math.factorial(a) * n ** (-a + j) * pj.qchain_expectation(j, phi, psi)
