@@ -56,6 +56,6 @@ for a in (1, 2, 3):
 # initial-data budget: c_a = ||m_hat^a psi||^2 N^(gamma a)
 print("\nmoment budget at gamma = 1 (cap 1.0):")
 for name, psi in states.items():
-    rep = pj.a3_report(psi, phi0, gamma=1.0, order_cap=3)
-    cs = "  ".join(f"c_{int(a)}={c:.3f}" for a, c in zip(rep.orders, rep.c_a))
-    print(f"{name:<17} {cs}   largest admissible gamma: {rep.gamma_max:.3f}")
+    w = pj.spectral_weights(psi, phi0)
+    cs = "  ".join(f"c_{a}={w.budget(a, 1.0):.3f}" for a in range(4))
+    print(f"{name:<17} {cs}   largest admissible gamma: {w.gamma_max(3):.3f}")

@@ -163,12 +163,10 @@ def _cmd_moments(args) -> int:
         lines.append(f"{k},{_fmt(w)}")
     lines.append("")
     lines.append("a,m_moment,n_moment,excitation_moment,c_a")
-    n = cfg.particles
-    for a in range(0, min(cfg.moment_order, n) + 1):
-        mm = weights.m_moment(a)
+    for a in range(0, min(cfg.moment_order, cfg.particles) + 1):
         lines.append(
-            f"{a},{_fmt(mm)},{_fmt(weights.n_moment(a))},{_fmt(weights.moment(a))},"
-            f"{_fmt(mm * float(n) ** (cfg.gamma * a))}"
+            f"{a},{_fmt(weights.m_moment(a))},{_fmt(weights.n_moment(a))},{_fmt(weights.moment(a))},"
+            f"{_fmt(weights.budget(a, cfg.gamma))}"
         )
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -284,7 +282,11 @@ def main(argv=None) -> int:
         print(f"bosonlab: error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:  # a missing file, a directory where a file belongs, ...
-        print(f"bosonlab: error: {exc}", file=sys.stderr)
+        # name the file flag whose value the failed call opened
+        flags = [f"--{name}" for name in ("config", "out", "save", "load")
+                 if exc.filename is not None and getattr(args, name, None) == exc.filename]
+        what = f"{flags[0]} {exc.filename}: {exc.strerror}" if flags else exc
+        print(f"bosonlab: error: {what}", file=sys.stderr)
         return 2
 
 

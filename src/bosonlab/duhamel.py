@@ -290,10 +290,17 @@ def correction_error(
 ) -> CorrectionResult:
     """Norm distance between the true evolution and each approximant a = 1..order,
     from one hierarchy of ``order`` and one full evolution, which with a zero
-    pair table is the hierarchy's lead (vbar = mu = 0, so Htilde = H)."""
+    pair table is the hierarchy's lead (vbar = mu = 0, so Htilde = H).  A
+    ``trajectory`` evolved under another config or from a condensate other
+    than ``phi0`` raises ``ValueError``: the hierarchy follows the
+    trajectory's model, so its errors would measure the mismatch."""
     validate_config(model.config, correction_run=True)
     if trajectory is None:
         trajectory = hartree_evolve(phi0, 0.0, t, model)
+    elif trajectory.model.config != model.config:
+        raise ValueError("the trajectory was evolved under another model config")
+    elif not np.array_equal(trajectory.phis[0], phi0):
+        raise ValueError("the trajectory does not start at phi0")
     hierarchy = hierarchy_evolve(psi0, order, t, trajectory)
     full = hierarchy.entries[(0, 0)] if model.free else evolve_full(psi0, t, model)
     approx = [assemble(hierarchy, a) for a in range(1, order + 1)]

@@ -105,8 +105,10 @@ SYMMETRY_DECISION_TOL = 1e-14
 def _symmetry(model: Model, phi0: np.ndarray) -> tuple:
     """The lattice symmetries, as site permutations, that leave phi0, the
     pair table and a static h0 invariant: in 2D the axis swap, and per axis
-    the reflection x_a -> c - x_a mod L of the first c = 0 .. L-1 that does.
-    None with a tabulated potential, whose h0 changes in time."""
+    the unit translation x_a -> x_a + 1 mod L and the reflection
+    x_a -> c - x_a mod L of the first c = 0 .. L-1 that does.  A uniform
+    phi0 thus keeps the translations with the point group.  None with a
+    tabulated potential, whose h0 changes in time."""
     cfg = model.config
     if cfg.potential_kind == "tabulated":
         return ()
@@ -124,6 +126,8 @@ def _symmetry(model: Model, phi0: np.ndarray) -> tuple:
     swap = site.T.ravel()
     found = [swap] if d == 2 and invariant(swap) else []
     for axis in range(d):
+        shift = np.roll(site, 1, axis=axis).ravel()
+        found.extend([shift] if invariant(shift) else [])
         mirrors = (np.take(site, (c - np.arange(size)) % size, axis=axis).ravel() for c in range(size))
         found.extend(itertools.islice(filter(invariant, mirrors), 1))
     return tuple(tuple(pi.tolist()) for pi in found)

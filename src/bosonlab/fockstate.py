@@ -684,9 +684,14 @@ def _hop_slots(one: Ladder, dim: int, hops: np.ndarray) -> tuple:
 
 
 def _sqrt_multinomials(occ) -> np.ndarray:
-    """sqrt(N! / prod_r n_r!) of each occupation vector, a row of ``occ``."""
-    return np.array([math.sqrt(math.factorial(int(sum(row)))
-                               / math.prod(math.factorial(int(k)) for k in row)) for row in occ])
+    """sqrt(N! / prod_r n_r!) of each occupation vector, a row of ``occ``.
+
+    The exact integer quotient depends only on the multiset of occupations,
+    so it is evaluated once per distinct sorted row."""
+    patterns, inverse = np.unique(np.sort(occ, axis=1), axis=0, return_inverse=True)
+    values = np.array([math.sqrt(math.factorial(int(sum(row)))
+                                 / math.prod(math.factorial(int(k)) for k in row)) for row in patterns])
+    return values[inverse.reshape(-1)]
 
 
 def _grid_orbits(space: FockSpace) -> np.ndarray:

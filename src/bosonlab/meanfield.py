@@ -6,12 +6,15 @@ Two private array primitives define this generator once: ``_mean_field``
 gives (vbar, mu) from one |phi|^2 and ``_slope`` gives h[phi] phi = h0 phi +
 (vbar - mu) phi, with no M x M table beyond h0.  The fixed-step classical
 fourth-order march ``hartree_evolve`` calls them directly, folds -i into its
-step scalars, builds no per-stage object, and stores phi and its norm at every grid time and the
-four stage condensates of every step, so that all N-body evolutions consume
-the identical trajectory and its stages (``HartreeTrajectory.stage_phis``
-and ``stage_times``) without stepping phi again; the diagnostics mu and the
-Sobolev proxy along it are computed on demand.  ``condensate_at`` adds
-vbar and mu to one condensate or to a stack (S, M) of them at S times."""
+step scalars, builds no per-stage object, and writes phi at every grid time
+and the four stage condensates of every step into one (steps + 1, 4, M)
+buffer, of which ``phis`` and ``stage_phis`` are views, so that all N-body
+evolutions consume the identical trajectory and its stages
+(``HartreeTrajectory.stage_phis`` and ``stage_times``) without stepping phi
+again; a norm that drifts by more than ``DRIFT_ABORT`` or is not finite
+aborts the march.  The diagnostics mu and the Sobolev proxy along it are
+computed on demand.  ``condensate_at`` adds vbar and mu to one condensate
+or to a stack (S, M) of them at S times."""
 
 from __future__ import annotations
 
@@ -95,7 +98,8 @@ class HartreeTrajectory:
     stage condensates of every step.
 
     Stage j of step k, the condensate at which the march evaluated its j-th
-    slope, is row 4k + j of ``stage_phis``, at time ``stage_times[4k + j]``.
+    slope, is row 4k + j of ``stage_phis``, at time ``stage_times[4k + j]``;
+    row 4k is phi_k, since both arrays are views of one buffer.
     ``mus`` and ``hk`` (the discrete Sobolev proxy) are per-step diagnostics
     that the flow itself does not need; each is computed from ``phis`` on
     first access and kept.
@@ -147,9 +151,9 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
     and its four stage condensates.
 
     No renormalisation is applied; the norm drift is a diagnostic, aborting
-    above 1e-6.  A time off the grid raises ``ValueError``, and so does a
-    start other than t0 = 0: a trajectory counts its grid indices from 0
-    (``HartreeTrajectory.index_of``, ``phi``).
+    above 1e-6 or when the norm is not finite.  A time off the grid raises
+    ``ValueError``, and so does a start other than t0 = 0: a trajectory
+    counts its grid indices from 0 (``HartreeTrajectory.index_of``, ``phi``).
     """
     cfg = model.config
     dt = cfg.dt
@@ -158,10 +162,12 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
     steps = grid_index(t1, dt)
     if steps < 0:
         raise ValueError("t1 must be >= t0")
+    # row k holds phi_k and the three later stage condensates of step k, so
+    # the stage rows 4k..4k+3 of ``stage_phis`` start with phi_k itself
     m = np.size(phi0)
-    phis = np.empty((steps + 1, m), dtype=np.complex128)
+    buf = np.empty((steps + 1, 4, m), dtype=np.complex128)
+    phis = buf[:, 0]
     norms = np.empty(steps + 1)
-    stage_phis = np.empty((4 * steps, m), dtype=np.complex128)
     phis[0] = phi0
     phi = phis[0]
 
@@ -170,28 +176,26 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
     for k in range(steps + 1):
         t = k * dt
         norms[k] = one_body_norm(phi, cell)
-        if abs(norms[k] - norm0) > DRIFT_ABORT:
+        if not abs(norms[k] - norm0) <= DRIFT_ABORT:
+            if not np.isfinite(norms[k]):
+                raise IntegratorError(f"non-finite condensate amplitudes at t={t:.6g}")
             raise IntegratorError(
                 f"condensate norm drift {abs(norms[k] - norm0):.3e} at t={t:.6g} exceeds {DRIFT_ABORT}"
             )
         if k < steps:
-            # stage j is written in place to row 4k + j (``stage_times``)
-            i = 4 * k
-            stage_phis[i] = phi
+            stages = buf[k]
             h_mid = h0(t + 0.5 * dt)
             k1 = _slope(h0(t), phi, *_mean_field(phi, wmat, cell))
-            stage = np.add(phi, -0.5j * dt * k1, out=stage_phis[i + 1])
+            stage = np.add(phi, -0.5j * dt * k1, out=stages[1])
             k2 = _slope(h_mid, stage, *_mean_field(stage, wmat, cell))
-            stage = np.add(phi, -0.5j * dt * k2, out=stage_phis[i + 2])
+            stage = np.add(phi, -0.5j * dt * k2, out=stages[2])
             k3 = _slope(h_mid, stage, *_mean_field(stage, wmat, cell))
-            stage = np.add(phi, -1j * dt * k3, out=stage_phis[i + 3])
+            stage = np.add(phi, -1j * dt * k3, out=stages[3])
             k4 = _slope(h0(t + dt), stage, *_mean_field(stage, wmat, cell))
             phi = np.add(phi, ((-1j * dt) / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=phis[k + 1])
-            if not np.isfinite(phi).all():
-                raise IntegratorError(f"non-finite condensate amplitudes after step at t={t:.6g}")
 
     times = np.arange(steps + 1) * dt
-    return HartreeTrajectory(model, times, phis, norms, stage_phis)
+    return HartreeTrajectory(model, times, phis, norms, buf[:-1].reshape(4 * steps, m))
 
 
 def hk_proxy(phi: np.ndarray, model: Model) -> float:

@@ -51,8 +51,6 @@ __all__ = [
     "qchain_expectation",
     "excitation_extract",
     "falling_factorial",
-    "a3_report",
-    "A3Report",
 ]
 
 
@@ -235,6 +233,27 @@ class SpectralWeights:
         coeff = np.array([falling_factorial(k, a) for k in range(n + 1)]) / falling_factorial(n, a)
         return float(np.dot(coeff, self.weights))
 
+    def budget(self, a: int, gamma: float) -> float:
+        """c_a = ||m_hat^a psi||^2 N^(gamma a), the initial-data budget of order a."""
+        return self.m_moment(a) * float(self.particles) ** (gamma * a)
+
+    def gamma_max(self, order_cap: int) -> float:
+        """The largest gamma in (0, 1] at which c_a <= 1 for every a = 1..order_cap;
+        0.0 when no gamma qualifies.  An order above N raises ``ValueError``."""
+        n = self.particles
+        if order_cap > n:
+            raise ValueError(f"moment order {order_cap} exceeds particle count {n}")
+        gmax = 1.0
+        for a in range(1, order_cap + 1):
+            mom = self.m_moment(a)
+            if mom <= 0:
+                continue
+            if n > 1:
+                gmax = min(gmax, math.log(1.0 / mom) / (a * math.log(n)))
+            elif mom > 1.0:  # N^(gamma a) = 1, so c_a = mom at every gamma
+                gmax = 0.0
+        return max(gmax, 0.0)
+
 
 def spectral_weights(psi, phi: np.ndarray) -> SpectralWeights:
     """||P_k psi||^2 for every k; entries are nonnegative and sum to ||psi||^2.
@@ -318,81 +337,3 @@ def excitation_extract(k: int, phi: np.ndarray, psi: ts.TensorState) -> ts.Tenso
         for slot in range(k):
             out = ts.apply_factor(q, slot, out)
     return math.sqrt(math.comb(n, k)) * out
-
-
-# ---------------------------------------------------------------------------
-# initial-data diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class A3Report:
-    """Moment-budget table for an initial state at a given gamma.
-
-    Rows carry, per order a: the m-weight moment and its constant
-    c_a = moment * N^(gamma a), the q-chain analogue c'_a, and the raw
-    excitation moment with its constant c''_a = moment * N^(-(1-gamma) a).
-    """
-
-    gamma: float
-    cap: float
-    orders: np.ndarray
-    m_moments: np.ndarray
-    c_a: np.ndarray
-    qchain: np.ndarray
-    c_a_prime: np.ndarray
-    exc_moments: np.ndarray
-    c_a_dprime: np.ndarray
-    gamma_max: float
-
-    def rows(self):
-        for i, a in enumerate(self.orders):
-            yield (
-                int(a),
-                self.m_moments[i],
-                self.c_a[i],
-                self.qchain[i],
-                self.c_a_prime[i],
-                self.exc_moments[i],
-                self.c_a_dprime[i],
-            )
-
-
-def a3_report(psi0, phi0: np.ndarray, gamma: float, order_cap: int, cap: float = 1.0) -> A3Report:
-    """Tabulate initial-excitation constants for a = 0..order_cap.
-
-    The verdict ``gamma_max`` is the largest gamma in (0, 1] at which every
-    c_a stays below ``cap``; 0.0 means no admissible gamma.
-    """
-    n = psi0.particles
-    if order_cap > n:
-        raise ValueError(f"moment order {order_cap} exceeds particle count {n}")
-    w = spectral_weights(psi0, phi0)
-    orders = np.arange(order_cap + 1)
-    m_moms = np.array([w.m_moment(int(a)) for a in orders])
-    qvals = np.array([1.0] + [w.qchain(int(a)) for a in orders[1:]])
-    evals = np.array([w.moment(int(a)) for a in orders])
-    c_a = m_moms * float(n) ** (gamma * orders)
-    c_p = qvals * float(n) ** (gamma * orders)
-    c_pp = evals * float(n) ** (-(1.0 - gamma) * orders)
-
-    logn = math.log(n) if n > 1 else 1.0
-    gmax = 1.0
-    for a, mom in zip(orders[1:], m_moms[1:]):
-        if mom <= 0:
-            continue
-        bound = math.log(cap / mom) / (a * logn)
-        gmax = min(gmax, bound)
-    gamma_max = float(min(max(gmax, 0.0), 1.0))
-
-    return A3Report(
-        gamma=gamma,
-        cap=cap,
-        orders=orders,
-        m_moments=m_moms,
-        c_a=c_a,
-        qchain=qvals,
-        c_a_prime=c_p,
-        exc_moments=evals,
-        c_a_dprime=c_pp,
-        gamma_max=gamma_max,
-    )

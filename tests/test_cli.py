@@ -56,17 +56,20 @@ class TestDispatch:
         assert main(["frobnicate"]) == 2
 
     def test_missing_config_file(self, cfg_path, tmp_path, capsys):
-        assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
-        # a directory where a file belongs is refused the same way
-        folder = str(tmp_path)
-        for argv in (["hartree", "--config", folder],
-                     ["hartree", "--config", cfg_path, "--out", folder],
-                     ["evolve", "--config", cfg_path, "--save", folder],
-                     ["evolve", "--config", cfg_path, "--load", folder]):
+        # a missing file, or a directory where a file belongs, is refused
+        # naming the flag that gave it
+        folder, missing = str(tmp_path), str(tmp_path / "missing")
+        for argv, named in ((["sweep", "--config", "/nonexistent/x.cfg"], "--config /nonexistent/x.cfg"),
+                            (["hartree", "--config", folder], f"--config {folder}"),
+                            (["hartree", "--config", cfg_path, "--out", folder], f"--out {folder}"),
+                            (["evolve", "--config", cfg_path, "--save", folder], f"--save {folder}"),
+                            (["evolve", "--config", cfg_path, "--load", folder], f"--load {folder}"),
+                            (["evolve", "--config", cfg_path, "--load", missing], f"--load {missing}")):
             capsys.readouterr()
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("bosonlab: error: ") and "Traceback" not in err
+            assert err.strip().splitlines()[-1].startswith(f"bosonlab: error: {named}: "), err
 
 
 class TestCheck:
@@ -388,6 +391,7 @@ ACCEPTED = {
     ("interaction.amplitude", "-1"): "an attractive pair interaction, as bounded as a repulsive one",
     ("potential.strength", "0"): "no external potential",
     ("seed", "0"): "the first seed",
+    ("gamma", "1"): "the closed top of the paper's window 0 < gamma <= 1",
 }
 # Keys bounded by the paper's parameter window: refused as out of range, exit 3.
 RANGE_KEYS = {"beta", "gamma"}
@@ -395,6 +399,9 @@ RANGE_KEYS = {"beta", "gamma"}
 KEY_ROWS = [
     (key, value, 0 if (key, value) in ACCEPTED else 3 if key in RANGE_KEYS and value != "two" else 2)
     for key in NUMERIC_KEYS for value in ("0", "-1", "two")
+] + [
+    # accepted values off that grid
+    (key, value, 0) for key, value in ACCEPTED if value not in ("0", "-1", "two")
 ] + [
     # the correction window's open floor, gamma = (2 + d beta)/3 at d = 1, beta = 0
     ("gamma", repr(2.0 / 3.0), 3),

@@ -457,6 +457,22 @@ class TestCorrectionError:
         with pytest.raises(RangeError):
             correction_error(psi0, phi0, 1, 0.2, model)
 
+    def test_foreign_trajectory_is_refused(self, setup):
+        model, phi0, psi0, traj, hier, full = setup
+        other = make_model(interaction_amplitude=0.8)
+        with pytest.raises(ValueError, match="another model config"):
+            correction_error(psi0, phi0, 1, 0.2, model, trajectory=hartree_evolve(phi0, 0.0, 0.2, other))
+        shifted = np.roll(phi0, 1) * np.exp(0.3j)
+        with pytest.raises(ValueError, match="does not start at phi0"):
+            correction_error(psi0, phi0, 1, 0.2, model, trajectory=hartree_evolve(shifted, 0.0, 0.2, model))
+
+    def test_benchmark_call_shape_is_accepted(self, setup):
+        # the benchmark evolves the trajectory from the same model and phi0
+        # before it times the solve; an equal copy of phi0 passes as well
+        model, phi0, psi0, traj, hier, full = setup
+        res = correction_error(psi0, phi0.copy(), 2, 0.2, build_model(model.config), trajectory=traj)
+        assert res.errors == correction_error(psi0, phi0, 2, 0.2, model).errors
+
     def test_term_norms_reported(self, setup):
         model, phi0, psi0, traj, hier, full = setup
         res = correction_error(psi0, phi0, 2, 0.2, model, trajectory=traj)

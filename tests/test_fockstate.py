@@ -613,3 +613,11 @@ class TestProductFock:
         rng = np.random.default_rng(13)
         phi = random_phi(3, rng)
         assert fs.product_fock(phi, space).norm() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m,n", [(4, 16), (9, 4)])
+    def test_multinomials_match_the_per_row_formula(self, m, n):
+        # one evaluation per distinct multiset gives every row's bits
+        occ = fs.enumerate_basis(m, n).occupations
+        per_row = np.array([math.sqrt(math.factorial(int(sum(row)))
+                                      / math.prod(math.factorial(int(k)) for k in row)) for row in occ])
+        assert np.array_equal(fs._sqrt_multinomials(occ), per_row)

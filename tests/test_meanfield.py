@@ -308,6 +308,21 @@ class TestHartreeEvolve:
         with pytest.raises(IntegratorError):
             mf.hartree_evolve(phi0, 0.0, 5.0, model)
 
+    def test_non_finite_condensate_aborts(self):
+        model = make_model(t_final=0.01)
+        phi0 = uniform_phi(model)
+        phi0[1] = np.nan
+        with pytest.raises(IntegratorError, match="non-finite condensate amplitudes at t=0"):
+            mf.hartree_evolve(phi0, 0.0, 0.01, model)
+
+    def test_stage_rows_share_the_trajectory_buffer(self):
+        model = make_model(t_final=0.02)
+        traj = mf.hartree_evolve(uniform_phi(model), 0.0, 0.02, model)
+        assert np.shares_memory(traj.phis, traj.stage_phis)
+        assert np.array_equal(traj.stage_phis[::4], traj.phis[:-1])
+        empty = mf.hartree_evolve(uniform_phi(model), 0.0, 0.0, model)
+        assert empty.stage_phis.shape == (0, model.config.site_count)
+
 
 class TestTrajectory:
     def test_index_lookup(self):

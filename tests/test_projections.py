@@ -474,30 +474,48 @@ class TestShiftIdentity:
                         assert (lhs - rhs).norm() <= 1e-10
 
 
-class TestA3Report:
+class TestBudget:
     def test_product_state_constants(self):
         rng = np.random.default_rng(26)
         phi = random_phi(3, rng)
         n, gamma = 4, 0.8
-        prod = ts.product_state(phi, n, CELL)
-        report = pj.a3_report(prod, phi, gamma, 3)
-        assert report.c_a[0] == pytest.approx(1.0, abs=1e-12)
-        for i, a in enumerate(report.orders):
-            assert report.c_a[i] == pytest.approx(n ** ((gamma - 1.0) * a), abs=1e-10)
-        assert report.gamma_max == pytest.approx(1.0)
+        w = pj.spectral_weights(ts.product_state(phi, n, CELL), phi)
+        assert w.budget(0, gamma) == pytest.approx(1.0, abs=1e-12)
+        for a in range(4):
+            assert w.budget(a, gamma) == pytest.approx(n ** ((gamma - 1.0) * a), abs=1e-10)
+        assert w.gamma_max(3) == pytest.approx(1.0)
 
     def test_one_excitation_constant_is_two(self):
         rng = np.random.default_rng(27)
         phi = random_phi(3, rng)
         chi = orthogonalise(rng.standard_normal(3) + 1j * rng.standard_normal(3), phi)
         n = 4
-        state = one_excitation_tensor(phi, chi, n)
-        report = pj.a3_report(state, phi, 1.0, 1)
-        assert report.c_a[1] == pytest.approx(2.0, abs=1e-10)
+        w = pj.spectral_weights(one_excitation_tensor(phi, chi, n), phi)
+        assert w.budget(1, 1.0) == pytest.approx(2.0, abs=1e-10)
 
     def test_order_capped_by_particles(self):
         rng = np.random.default_rng(28)
         phi = random_phi(3, rng)
-        prod = ts.product_state(phi, 3, CELL)
+        w = pj.spectral_weights(ts.product_state(phi, 3, CELL), phi)
         with pytest.raises(ValueError):
-            pj.a3_report(prod, phi, 1.0, 4)
+            w.gamma_max(4)
+
+    def test_gamma_max_is_where_the_largest_budget_reaches_one(self):
+        # one excitation at N = 4: c_a = (4^gamma / 2)^a reaches 1 at gamma = 1/2
+        assert pj.SpectralWeights(np.array([0.0, 1.0, 0.0, 0.0, 0.0])).gamma_max(3) == pytest.approx(0.5)
+        # half of it: the bound log(1 / m_a) / (a log N) is smallest at a = 3
+        w = pj.SpectralWeights(np.array([0.5, 0.5, 0.0, 0.0, 0.0]))
+        g = w.gamma_max(3)
+        assert g == pytest.approx(math.log(1.0 / w.m_moment(3)) / (3 * math.log(4)))
+        assert g < w.gamma_max(2) < w.gamma_max(1) < 1.0
+        assert max(w.budget(a, g) for a in (1, 2, 3)) == pytest.approx(1.0, abs=1e-12)
+        assert all(w.budget(a, g) <= 1.0 + 1e-12 for a in (1, 2, 3))
+
+    def test_gamma_max_is_zero_when_no_gamma_qualifies(self):
+        # at N = 2 with all weight at k = 2, c_1 = 3/2 already at gamma -> 0
+        assert pj.SpectralWeights(np.array([0.0, 0.0, 1.0])).gamma_max(2) == 0.0
+
+    def test_one_particle_budget_is_independent_of_gamma(self):
+        # N^(gamma a) = 1 at N = 1, so c_a = ||m_hat^a psi||^2 at every gamma
+        assert pj.SpectralWeights(np.array([1.0, 0.0])).gamma_max(1) == 1.0
+        assert pj.SpectralWeights(np.array([0.5, 0.5])).gamma_max(1) == 0.0

@@ -16,7 +16,7 @@ from bosonlab.duhamel import correction_error, quadrature_Tnk
 from bosonlab.experiments import build_one_excitation, build_product, default_phi0, fock_space
 from bosonlab.meanfield import hartree_evolve
 from bosonlab.model import ModelConfig, build_model
-from bosonlab.propagation import evolve_full
+from bosonlab.propagation import evolve_aux, evolve_full
 from bosonlab.snapshots import load_state, save_state
 
 CELL = 0.5
@@ -80,6 +80,11 @@ def invariant_state(site, sector, rng):
     raw = rng.standard_normal(site.basis.dim) + 1j * rng.standard_normal(site.basis.dim)
     amps = (np.bincount(orbit, raw.real) + 1j * np.bincount(orbit, raw.imag))[orbit]
     return fs.FockState(amps, site), fs.FockState(sector.orbit_amplitudes(amps), sector)
+
+
+def uniform_phi(model):
+    m = model.config.site_count
+    return np.full(m, 1.0 / np.sqrt(m * model.cell), dtype=complex)
 
 
 def same_state(sector_state, site_state, tol=1e-12):
@@ -330,6 +335,17 @@ class TestSectorChoice:
         model = make_model(**over)
         assert len(build_product(model, default_phi0(model)).space.basis.group) == order
 
+    @pytest.mark.parametrize("over,bump,uniform", [({}, (2, 95), (8, 29)),
+                                                   ({"dimension": 2, "sites_per_dim": 3,
+                                                     "torus_length": 3.0}, (8, 1766), (72, 238))])
+    def test_a_uniform_condensate_adds_the_translations(self, over, bump, uniform):
+        # (group order, sector dim) at N = 8: the bump keeps the point group,
+        # the uniform condensate the translations too
+        model = make_model(particles=8, **over)
+        for phi, want in ((default_phi0(model), bump), (uniform_phi(model), uniform)):
+            basis = build_product(model, phi).space.basis
+            assert (len(basis.group), basis.dim) == want
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_one_excitation_takes_the_site_route(self, d):
         size = 4 if d == 1 else 3
@@ -368,6 +384,20 @@ def relative_match(got, want, floor=0.0):
 
 
 class TestSiteRouteAgreement:
+    def test_uniform_condensate_weights_match(self):
+        model = make_model(particles=8, t_final=0.02)
+        phi0 = uniform_phi(model)
+        traj = hartree_evolve(phi0, 0.0, 0.02, model)
+        sector_psi0 = build_product(model, phi0)
+        assert len(sector_psi0.space.basis.group) == 8
+        sector = evolve_aux(sector_psi0, 0.0, 0.02, traj)
+        site = evolve_aux(fs.product_fock(phi0, fock_space(model)), 0.0, 0.02, traj)
+        assert same_state(sector, site, 1e-11)
+        phi = traj.phis[-1]
+        for got, want in zip(pj.spectral_weights(sector, phi).weights,
+                             pj.spectral_weights(site, phi).weights):
+            assert abs(got - want) <= 1e-12
+
     @pytest.mark.parametrize("over", [{"particles": 6}, {"dimension": 2, "sites_per_dim": 3,
                                                           "torus_length": 3.0, "correction_order": 2}])
     def test_correction_error_matches(self, over):
