@@ -90,11 +90,6 @@ BASIS_CEILING = 2_000_000
 # product in blocks, at p50 31-42 us against 25 us unblocked.
 SERIAL_PRODUCT = 65536
 
-# Largest m*n of one complex matrix-vector product.  OpenBLAS threads zgemv
-# from 4096 on: measured as above, 3000 calls of (16, 256) @ (256,) took
-# over 1 ms in 18-20 per process, and (16, 255) and (4, 1023) in none.
-SERIAL_MATVEC = 4095
-
 # Largest asymmetry of a table that acts on a symmetric sector, relative to
 # the table's norm (``FockSpace.require_invariant``).  Tables built from an
 # invariant condensate differ from invariant by roundoff, ~1e-16.
@@ -207,6 +202,16 @@ class OccupationBasis:
         return int(self.orbit[_rank(row, self.particles)])
 
 
+def _compositions(sites: int, particles: int) -> np.ndarray:
+    """The occupation vectors of ``enumerate_basis``, without its checks."""
+    dim, bars = math.comb(particles + sites - 1, particles), sites - 1
+    edges = np.empty((dim, sites + 1), dtype=np.int64)
+    edges[:, 0], edges[:, -1] = -1, particles + bars
+    slots = itertools.chain.from_iterable(itertools.combinations(range(particles + bars), bars))
+    edges[::-1, 1:-1] = np.fromiter(slots, dtype=np.int64, count=dim * bars).reshape(dim, bars)
+    return np.diff(edges, axis=1) - 1
+
+
 def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING,
                     symmetry=()) -> OccupationBasis:
     """All occupation vectors (n_1 ... n_M) with sum N, descending
@@ -227,14 +232,7 @@ def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING,
             f"occupation basis dimension C({particles + sites - 1},{particles}) = {dim} "
             f"exceeds ceiling {ceiling}"
         )
-    bars = sites - 1
-    slots = itertools.combinations(range(particles + bars), bars)
-    edges = np.empty((dim, sites + 1), dtype=np.int64)
-    edges[:, 0], edges[:, -1] = -1, particles + bars
-    edges[::-1, 1:-1] = np.fromiter(
-        itertools.chain.from_iterable(slots), dtype=np.int64, count=dim * bars
-    ).reshape(dim, bars)
-    occ = np.diff(edges, axis=1) - 1
+    occ = _compositions(sites, particles)
     group, generators = _group(tuple(tuple(int(i) for i in gen) for gen in symmetry), sites)
     if len(group) == 1:
         return OccupationBasis(occupations=occ, particles=particles, sites=sites)
@@ -520,6 +518,15 @@ class FockState:
         ``two_body_sums`` over the kernel stack ``pieces.kernels``."""
         return two_body_sums(self, pieces.kernels, entries)
 
+    def to_frame(self, phi) -> tuple:
+        """(Gamma(W) psi over ``basis.full``, N - n'_0 of each) for the frame W of ``_frame_map``."""
+        amps = _frame_map(self.space, phi, self.space.site_amplitudes(self.amps))
+        return amps, _frame_plan(self.sites, self.particles)[1]
+
+    def from_frame(self, phi, amps) -> "FockState":
+        """The state whose ``to_frame`` amplitudes are ``amps`` (``orbit_amplitudes`` checks a sector)."""
+        return self.with_amps(self.space.orbit_amplitudes(_frame_map(self.space, phi, amps, back=True)))
+
     def admit(self, batch) -> None:
         """Check a stage build's (table, kind, parts) triples for invariance
         once (``FockSpace.require_invariant``)."""
@@ -549,7 +556,7 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     call per matrix of the stack, so the bound holds for each of them.
     Rows are split first, then columns.  A block keeps at least two rows
     and two columns, because numpy runs a one-row or one-column product as
-    a matrix-vector call, which OpenBLAS threads above SERIAL_MATVEC.
+    a matrix-vector call, which OpenBLAS threads from m*n = 4096 on.
     """
     (m, k), n = a.shape[-2:], b.shape[-1]
     if m * k * n <= SERIAL_PRODUCT:
@@ -560,6 +567,90 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     for i in _blocks(m, rows):
         for j in _blocks(n, cols):
             np.matmul(a[..., i, :], b[..., :, j], out=out[..., i, j])
+
+
+def _kac(n: int) -> np.ndarray:
+    """Eigenvectors of T_n (``_frame_plan``), column j for n - 2j, correctly rounded:
+    K_j(x) sqrt(C(n, x) / (C(n, j) 2^n)), with exact integer Krawtchouk values K_j(x)
+    (``eigh``'s vectors err by ~n ulp and moved 1e-12 weights by 3e-9 at N = 16)."""
+    x, k = np.arange(n + 1, dtype=object), np.zeros((n + 1, n + 1), dtype=object)
+    k[0] = 1
+    for j in range(n):
+        k[j + 1] = ((n - 2 * x) * k[j] - (n - j + 1) * (k[j - 1] if j else 0)) // (j + 1)
+    comb = np.array([math.comb(n, i) for i in range(n + 1)], dtype=object)
+    size = np.sqrt((k.T**2 * comb[:, None] / (comb << n)).astype(float))
+    return np.where(k.T < 0, -size, size)
+
+
+@lru_cache(maxsize=8)
+def _frame_plan(sites: int, particles: int) -> tuple:
+    """Read-only constants of ``FockState.to_frame`` at M sites, N particles.
+    A rotation exp(-i beta (a_a^+ a_b + h.c.)) acts on the vectors with
+    n_a + n_b = n and the other parts fixed as exp(-i beta T_n) = O diag(e^(-i
+    beta mu)) O^T over j = n_a, T[j+1, j] = T[j, j+1] = sqrt((j+1)(n-j)), mu =
+    n - 2j.  One product takes a run n = lo..hi of blocks padded to (n, j, g),
+    g ranking the other parts at that n, while that costs at most ten times the
+    exact products (one run at N = 16, M = 4; two at N = 8, M = 9).  Returns
+    the occupations by mode, N - n_0, the runs (span, O, O^T, N + mu) and per
+    rotation, a = M-2 first, its gather into the runs (a zero appended) and inverse."""
+    full = _compositions(sites, particles)
+    n, dim, base = particles, len(full), (particles + 1) ** max(sites - 2, 0)
+    count = np.array([math.comb(n - b + sites - 3, n - b) if sites > 2 else int(b == n) for b in range(n + 1)])
+    exact, runs, lo, size = np.arange(1, n + 2) ** 2 * count, [], 0, 0
+    first, width = np.zeros((2, n + 1), dtype=np.int64)
+    for hi in range(n + 1):
+        if hi < n and (hi + 2 - lo) * (hi + 2) ** 2 * count[lo : hi + 2].max() <= 10 * exact[lo : hi + 2].sum():
+            continue
+        width[lo : hi + 1] = g = count[lo : hi + 1].max()
+        first[lo : hi + 1] = size + np.arange(hi + 1 - lo) * (hi + 1) * g
+        if g:  # else no vector has these n (M = 2 has only n = N)
+            vecs = np.zeros((hi + 1 - lo, hi + 1, hi + 1))
+            for b in range(lo, hi + 1):
+                vecs[b - lo, : b + 1, : b + 1] = _kac(b)
+            mu = np.clip(n + np.arange(lo, hi + 1)[:, None] - 2 * np.arange(hi + 1), 0, 2 * n)  # j > n: O is 0
+            runs.append((slice(size, size + vecs.size // (hi + 1) * g), vecs, vecs.transpose(0, 2, 1).copy(), mu))
+            size = runs[-1][0].stop
+        lo = hi + 1
+    places = np.zeros((max(sites - 1, 0), dim), dtype=np.int64)
+    for row, a in zip(places, range(sites - 2, -1, -1)):
+        pair, others = full[:, a] + full[:, a + 1], np.delete(full, [a, a + 1], 1) @ (n + 1) ** np.arange(sites - 2)
+        keys, group = np.unique(pair * base + others, return_inverse=True)
+        row[:] = first[pair] + full[:, a] * width[pair] + group.ravel() - np.searchsorted(keys, pair * base)
+    gathers = np.full((len(places), size), dim)
+    np.put_along_axis(gathers, places, np.arange(dim), axis=1)
+    occ, excited = np.ascontiguousarray(full.T), n - full[:, 0]
+    for arr in (occ, excited, gathers, places, *(arr for run in runs for arr in run[1:])):
+        arr.flags.writeable = False
+    return occ, excited, tuple(runs), gathers, places
+
+
+def _frame_map(space: FockSpace, phi, site: np.ndarray, back: bool = False) -> np.ndarray:
+    """Gamma(W) on full-basis amplitudes ``site``, or Gamma(W)^H (``back``), for
+    the frame W = G_0 ... G_{M-2} diag(e^(i alpha)) with W u = e_0 up to a phase,
+    u = sqrt(cell) phi: diag(e^(i alpha)), a phase per vector, gives u_j the
+    phase (-i)^(M-1-j), and G_a = exp(-i beta_a (|a><a+1| + |a+1><a|)), a = M-2
+    first, carries mode a + 1, a quarter turn ahead, into mode a at beta_a =
+    atan2(||u_{a+1:}||, |u_a|), as O (e^(-i beta mu) O^T x) on the plan's runs."""
+    n, (occ, _, runs, gathers, places) = space.particles, _frame_plan(space.sites, space.particles)
+    u = np.sqrt(space.cell) * np.asarray(phi, dtype=np.complex128)
+    tail = np.sqrt(np.cumsum(np.abs(u[::-1]) ** 2))[::-1]
+    alpha = -np.angle(u) - np.arange(len(u) - 1, -1, -1) * np.pi / 2
+    beta = np.arctan2(tail[1:], np.abs(u[:-1]))
+    powers = np.exp((-1j if back else 1j) * np.outer(np.append(alpha, -beta[::-1]), np.arange(-n, n + 1)))
+    phase = powers[0, n:].take(occ[0])
+    for row, counts in zip(powers[1 : len(alpha), n:], occ[1:]):
+        phase *= row.take(counts)
+    buf = np.append(site if back else site * phase, 0.0).astype(np.complex128, copy=False)
+    for gather, place, turns in list(zip(gathers, places, powers[len(alpha) :]))[:: -1 if back else 1]:
+        out = np.empty(len(gather), dtype=np.complex128)
+        for span, vecs, vecs_t, mu in runs:
+            x = buf.take(gather[span]).reshape(*vecs.shape[:2], -1)
+            t = np.empty_like(x)
+            _product(vecs_t, x.view(np.float64), t.view(np.float64))
+            t *= turns.take(mu)[..., None]
+            _product(vecs, t.view(np.float64), out[span].reshape(x.shape).view(np.float64))
+        out.take(place, out=buf[:-1])
+    return buf[:-1] * phase if back else buf[:-1]
 
 
 def dgamma_apply(op, state: FockState) -> FockState:

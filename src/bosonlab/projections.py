@@ -5,16 +5,13 @@ sector with exactly k particles outside phi, i.e. onto the eigenspace k of
 the excitation-number observable S = sum_j q_j = dGamma(q), the one-body lift
 of q = 1 - p, whose spectrum is {0, ..., N}.
 
-Every function of S applied to one state goes through a single Lanczos pass
-of S from that state.  Because S has at most N + 1 distinct eigenvalues, at
-most N + 1 steps (N + 1 one-body lifts) span an S-invariant Krylov space, on
-which the tridiagonal Ritz values are the sector labels k and the squared
-first components of its eigenvectors are the weights ||P_k psi||^2 / ||psi||^2
-(Golub-Welsch).  The basis is fully reorthogonalised, so the weights are exact
-to roundoff at any N; the Krylov rows cost O((N + 1) * dim) complex entries
-of memory.  A Ritz value off the integers that carries weight is an
-inconsistency and raises ConsistencyError.  The subset-sum definition (all
-placements of k complement projectors) is retained only as a small-N oracle.
+Every function of S is read in the condensate frame (the excitation map of
+Lewin-Nam-Serfaty-Solovej): over a one-body basis whose mode 0 is u =
+sqrt(cell) phi, k is the number of particles outside mode 0, so P_k is a
+mask on the amplitudes that ``to_frame`` gives and ``from_frame`` maps back,
+exact to roundoff at any N.  One lift of S per call checks the first two
+moments of the weights.  The subset-sum definition (all placements of k
+complement projectors) is retained only as a small-N oracle.
 """
 
 from __future__ import annotations
@@ -28,16 +25,9 @@ import numpy as np
 
 from . import tensorstate as ts
 from .errors import ConsistencyError
-from .fockstate import SERIAL_MATVEC
 
 # Largest accepted |sum_k ||P_k psi||^2 - ||psi||^2|, relative to max(1, ||psi||^2).
 SUM_RULE_TOL = 1e-8
-# The Lanczos pass stops once the residual norm is below this times max(1, N).
-KRYLOV_STOP = 1e-12
-# A Ritz value farther than RITZ_TOL from an integer in 0..N that carries more
-# than WEIGHT_FLOOR * max(1, ||psi||^2) raises ConsistencyError.
-RITZ_TOL = 1e-8
-WEIGHT_FLOOR = 1e-14
 
 __all__ = [
     "WeightFunction",
@@ -97,87 +87,28 @@ def weight_values(f: WeightFunction | Callable, n_particles: int) -> np.ndarray:
 # spectral projectors
 # ---------------------------------------------------------------------------
 
-def _sector_krylov(phi: np.ndarray, psi):
-    """Lanczos pass of S from psi / ||psi||: the spectral data of S seen by psi.
-
-    Returns ``(labels, carried, rows, ritz)``: the integer label round(theta_j)
-    of each Ritz value, the weight ||psi||^2 ritz[0, j]^2 each Ritz pair
-    carries, the orthonormal Krylov rows (flattened amplitudes, one per step)
-    and the eigenvectors of the tridiagonal matrix as columns of ``ritz``.  It
-    stops after N + 1 steps, or earlier once the residual is roundoff; every
-    step lifts the one complement q built for the pass, so a symmetric
-    sector checks q once.  The rows and their conjugates hold 2 (N + 1) * dim
-    complex entries (527 KB at N = 16, dim 969).
-    Raises ConsistencyError when a Ritz value that carries weight lies off the
-    integers 0..N, i.e. when S does not have the spectrum it must have.
-    """
+def _frame(phi: np.ndarray, psi) -> tuple:
+    """(c, k, w): psi's frame amplitudes and excitation numbers (``to_frame``)
+    and the weights w_k, the sums of |c|^2 by k, whose first two moments must
+    match <psi, S psi> and ||S psi||^2 from one lift of S to SUM_RULE_TOL N^2
+    max(1, ||psi||^2), or ConsistencyError.  The lift refuses a condensate of
+    another length with ``ValueError``."""
     ts.check_normalised(phi, psi.cell)
-    n = psi.particles
-    flat = psi.amps.reshape(-1)
-    scale = np.linalg.norm(flat)
-    if scale == 0.0:
-        return np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, flat.size)), np.zeros((0, 0))
-    _, q = ts.projector_matrices(phi, psi.cell)
-    rows = np.zeros((n + 1, flat.size), dtype=np.complex128)
-    rows[0] = flat / scale
-    conj = rows.conj()
-    alpha = np.zeros(n + 1)
-    beta = np.zeros(n)
-    steps = n + 1
-    for j in range(n + 1):
-        r = number_apply(psi.with_amps(rows[j].reshape(psi.amps.shape)), q).amps.reshape(-1)
-        # two classical Gram-Schmidt passes, c = conj(V) r and r -= c V, as BLAS
-        # matrix-vector products of at most fockstate.SERIAL_MATVEC entries
-        width = max(1, SERIAL_MATVEC // (j + 1))
-        blocks = [(rows[: j + 1, b], conj[: j + 1, b], r[b])
-                  for b in (slice(lo, lo + width) for lo in range(0, flat.size, width))]
-        for _ in range(2):
-            c = sum(np.matmul(dual, part) for _, dual, part in blocks)
-            for basis, _, part in blocks:
-                part -= np.matmul(c, basis)
-            alpha[j] += c[j].real
-        if j == n:
-            break
-        beta[j] = np.linalg.norm(r)
-        if beta[j] <= KRYLOV_STOP * max(1, n):
-            steps = j + 1
-            break
-        np.divide(r, beta[j], out=rows[j + 1])
-        np.conjugate(rows[j + 1], out=conj[j + 1])
-    off_diag = beta[: steps - 1]
-    ritz_values, ritz = np.linalg.eigh(
-        np.diag(alpha[:steps]) + np.diag(off_diag, 1) + np.diag(off_diag, -1)
-    )
-    norm_sq = psi.norm() ** 2
-    carried = norm_sq * ritz[0] ** 2
-    labels = np.rint(ritz_values)
-    off = (np.abs(ritz_values - labels) > RITZ_TOL) | (labels < 0) | (labels > n)
-    if np.any(off & (carried > WEIGHT_FLOOR * max(1.0, norm_sq))):
-        bad = ritz_values[off][np.argmax(carried[off])]
-        raise ConsistencyError(
-            f"S = sum_j q_j has a Ritz value {bad!r} off the integers 0..{n} "
-            f"that carries weight; the excitation-number spectrum is inconsistent"
-        )
-    return np.clip(labels, 0, n).astype(int), carried, rows[:steps], ritz
-
-
-def _apply_sector_values(vals: np.ndarray, phi: np.ndarray, psi):
-    """sum_k vals[k] P_k psi, rebuilt as ||psi|| V Y diag(vals[k_j]) Y[0]."""
-    labels, _, rows, ritz = _sector_krylov(phi, psi)
-    out = 0.0 * psi
-    if len(labels):
-        coeff = np.linalg.norm(psi.amps) * (ritz @ (vals[labels] * ritz[0]))
-        out.amps[...] = np.einsum("i,ij->j", coeff, rows).reshape(psi.amps.shape)
-    return out
+    n, lifted = psi.particles, number_apply(psi, ts.projector_matrices(phi, psi.cell)[1])
+    amps, k = psi.to_frame(phi)
+    w = np.bincount(np.ravel(k), (amps * amps.conj()).real.ravel(), minlength=n + 1)
+    tol = SUM_RULE_TOL * max(1, n * n) * max(1.0, psi.norm() ** 2)
+    for a, want in ((1, psi.inner(lifted).real), (2, lifted.norm() ** 2)):
+        got = float(np.arange(n + 1) ** a @ w)
+        if abs(got - want) > tol:
+            raise ConsistencyError(f"the weights give sum_k k^{a} w_k = {got!r}, but one lift of S gives {want!r} "
+                                   f"at N={n}; the excitation-number spectrum is inconsistent")
+    return amps, k, w
 
 
 def apply_Pk(k: int, phi: np.ndarray, state):
     """Project onto the k-excitation sector; zero state for k outside [0, N]."""
-    n = state.particles
-    if k < 0 or k > n:
-        ts.check_normalised(phi, state.cell)
-        return 0.0 * state
-    return _apply_sector_values(np.eye(n + 1)[k], phi, state)
+    return apply_weight(lambda j: float(j == k), phi, state)
 
 
 def apply_Pk_subset(k: int, phi: np.ndarray, psi: ts.TensorState) -> ts.TensorState:
@@ -258,19 +189,16 @@ class SpectralWeights:
 def spectral_weights(psi, phi: np.ndarray) -> SpectralWeights:
     """||P_k psi||^2 for every k; entries are nonnegative and sum to ||psi||^2.
 
-    One Lanczos pass of S from psi (at most N + 1 lifts, see
-    ``_sector_krylov``) gives each weight as the sum of the Ritz weights with
-    label k; it matches a dense eigendecomposition of S to roundoff at any N
-    and holds 2 (N + 1) * dim complex entries while it runs.  A Ritz value off
-    the integers that carries weight, or a sum-rule defect above
-    SUM_RULE_TOL, raises ConsistencyError (exit 1).
+    The squared amplitudes of psi in the condensate frame, summed by k
+    (``_frame``): one map into the frame and one lift of S that checks the
+    first two moments; exact to roundoff at any N.  A moment that misses its
+    lift, or a sum-rule defect above SUM_RULE_TOL, raises ConsistencyError
+    (exit 1); an asymmetric state or a bad condensate raises ``ValueError``.
     """
     if psi.asymmetry() > 1e-8:
         raise ValueError("spectral weights require a symmetric state")
     n = psi.particles
-    labels, carried, _, _ = _sector_krylov(phi, psi)
-    w = np.zeros(n + 1)
-    np.add.at(w, labels, carried)
+    _, _, w = _frame(phi, psi)
     norm_sq = psi.norm() ** 2
     defect = abs(w.sum() - norm_sq)
     if defect > SUM_RULE_TOL * max(1.0, norm_sq):
@@ -282,8 +210,9 @@ def spectral_weights(psi, phi: np.ndarray) -> SpectralWeights:
 
 
 def apply_weight(f: WeightFunction | Callable, phi: np.ndarray, psi):
-    """Weight operator sum_k f(k) P_k applied to psi."""
-    return _apply_sector_values(weight_values(f, psi.particles), phi, psi)
+    """Weight operator sum_k f(k) P_k applied to psi, as f(k) on its frame amplitudes."""
+    amps, k, _ = _frame(phi, psi)
+    return psi.from_frame(phi, amps * weight_values(f, psi.particles)[k])
 
 
 # ---------------------------------------------------------------------------

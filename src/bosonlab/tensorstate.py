@@ -120,6 +120,15 @@ class TensorState:
             done.update(((op, j), amps) for j, amps in zip(named, acc.amps))
         return self.with_amps(np.stack([sum((done[e] for e in row), 0.0 * self.amps[0]) for row in entries]))
 
+    def to_frame(self, phi) -> tuple:
+        """(cell^(N/2) W^(x)N psi, the legs off mode 0 at each point) for the W of ``_frame_legs``."""
+        n = self.particles
+        return self.cell ** (n / 2) * _frame_legs(self, phi).amps, (np.indices((self.sites,) * n) != 0).sum(axis=0)
+
+    def from_frame(self, phi, amps) -> "TensorState":
+        """The state whose ``to_frame`` amplitudes are ``amps``."""
+        return _frame_legs(self.with_amps(amps * self.cell ** (-self.particles / 2)), phi)
+
     def admit(self, batch) -> None:
         """Nothing to check: a tensor grid has no symmetry sector."""
 
@@ -136,6 +145,17 @@ class TensorState:
         if abs(direct - spectral) > 1e-8:
             raise ConsistencyError(f"q-chain routes disagree: direct={direct!r}, spectral={spectral!r}")
         return direct
+
+
+def _frame_legs(psi: TensorState, phi: np.ndarray) -> TensorState:
+    """psi with every leg reflected by W = 1 - 2 v v^H / |v|^2, v = u + e^(i arg u_0) e_0,
+    which takes u = sqrt(cell) phi to mode 0 and is its own inverse (Householder)."""
+    v = np.sqrt(psi.cell) * np.asarray(phi, dtype=np.complex128)
+    v[0] += np.exp(1j * np.angle(v[0]))
+    w = np.eye(len(v)) - 2 * np.outer(v, v.conj()) / np.vdot(v, v).real
+    for slot in range(psi.particles):
+        psi = apply_factor(w, slot, psi)
+    return psi
 
 
 def apply_factor(op, slot: int, psi: TensorState) -> TensorState:

@@ -393,6 +393,13 @@ ACCEPTED = {
     ("seed", "0"): "the first seed",
     ("gamma", "1"): "the closed top of the paper's window 0 < gamma <= 1",
 }
+# Config values accepted only together with another key's value, each with the
+# reason it is valid: ((other key, its value), (key, value)).
+ACCEPTED_WITH = {
+    (("interaction.profile", "tophat"), ("interaction.radius", "0")):
+        "a tophat of radius 0 keeps its own site: an on-site contact interaction, "
+        "valid at beta = 0, where no scaled support has to span two spacings",
+}
 # Keys bounded by the paper's parameter window: refused as out of range, exit 3.
 RANGE_KEYS = {"beta", "gamma"}
 # (key, value, exit code): zero, negative and a number word for every numeric key
@@ -434,8 +441,9 @@ class TestRefusalGrid:
     that names the flag or the config key it overrides.  Config-key values
     (``KEY_ROWS``) are refused the same way, with exit 3 for the range keys
     and exit 4 for a step too coarse for the drift bound, or run to exit 0
-    where ``ACCEPTED`` says why they are valid.  A key given twice or an
-    unknown key (``LINE_ROWS``) exits 2 naming it."""
+    where ``ACCEPTED`` says why they are valid, or ``ACCEPTED_WITH`` with
+    the other key they need.  A key given twice or an unknown key
+    (``LINE_ROWS``) exits 2 naming it."""
 
     @pytest.mark.parametrize("argv,name", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
     def test_exits_2_naming_the_flag(self, cfg_path, capsys, argv, name):
@@ -460,6 +468,19 @@ class TestRefusalGrid:
         else:
             assert captured.err == "" and captured.out.startswith("quantity,value\n")
 
+    @pytest.mark.parametrize("other,row", list(ACCEPTED_WITH),
+                             ids=[f"{k}={v},{ok}={ov}" for (ok, ov), (k, v) in ACCEPTED_WITH])
+    def test_config_values_accepted_with_another_key(self, tmp_path, capsys, other, row):
+        text = with_value(*row)
+        default = f"{other[0]} = {SMALL_KEYS[other[0]]}"
+        assert default in text.splitlines()
+        path = tmp_path / "grid.cfg"
+        path.write_text(text.replace(default, " = ".join(other)))
+        capsys.readouterr()
+        assert main(["correct", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err == "" and captured.out.startswith("quantity,value\n")
 
     @pytest.mark.parametrize("text,key", LINE_ROWS, ids=[text.splitlines()[-1] for text, _ in LINE_ROWS])
     def test_repeated_and_unknown_keys(self, tmp_path, capsys, text, key):

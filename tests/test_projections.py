@@ -6,6 +6,8 @@ import pytest
 from bosonlab import fockstate as fs
 from bosonlab import projections as pj
 from bosonlab import tensorstate as ts
+from bosonlab.experiments import build_product, default_phi0
+from bosonlab.model import ModelConfig, build_model
 
 CELL = 1.0
 
@@ -234,33 +236,159 @@ class TestLargeParticleNumber:
         assert 0 < len(calls) <= n + 1
 
 
-    def test_gram_schmidt_products_stay_below_serial_bound(self, monkeypatch):
-        """At N = 16, M = 4 a Krylov basis of N + 1 rows of dim 969 holds more
-        than SERIAL_MATVEC entries, so reorthogonalisation runs in column
-        blocks: every matrix-vector product stays within SERIAL_MATVEC, and
-        every matrix product of the lifts within SERIAL_PRODUCT."""
-        n = 16
+    @pytest.mark.parametrize("n", [16, 40])
+    def test_frame_products_stay_below_serial_bound(self, monkeypatch, n):
+        """The frame's rotations run as real products O @ x of the two-mode
+        generator's eigenvectors (B, B) on a run's blocks (B, 2 g): at N = 40
+        one such product would exceed SERIAL_PRODUCT multiply-adds, so it runs
+        in blocks.  Every product of the call, the check lift's included,
+        stays within SERIAL_PRODUCT, and none is a matrix-vector product."""
         space = fs.FockSpace(fs.enumerate_basis(4, n), CELL)
-        assert (n + 1) * space.basis.dim > fs.SERIAL_MATVEC
+        runs = fs._frame_plan(4, n)[2]  # (span, O (members, B, B), O^T, phases)
+        largest = max(o.shape[1] * 2 * (span.stop - span.start) // o.shape[0] for span, o, _, _ in runs)
+        assert (largest > fs.SERIAL_PRODUCT) == (n == 40)
         rng = np.random.default_rng(33)
         phi = random_phi(4, rng)
         psi = fs.random_fock(space, rng)
-        matvec, matmat, matmul = [], [], np.matmul
+        shapes, matmul = [], np.matmul
 
         def recorded(a, b, **kw):
-            if min(np.ndim(a), np.ndim(b)) == 1:
-                matvec.append(max(np.size(a), np.size(b)))
-            else:
-                matmat.append((*np.shape(a)[-2:], np.shape(b)[-1]))
+            shapes.append((np.ndim(a), np.ndim(b), *np.shape(a)[-2:], np.shape(b)[-1]))
             return matmul(a, b, **kw)
 
         monkeypatch.setattr(np, "matmul", recorded)
         w = pj.spectral_weights(psi, phi)
         assert w.total == pytest.approx(psi.norm() ** 2, rel=1e-10)
-        # two products per Gram-Schmidt pass, two passes per step, some in blocks
-        assert len(matvec) > 4 * (n + 1)
-        assert max(matvec) <= fs.SERIAL_MATVEC
-        assert matmat and all(m * k * c <= fs.SERIAL_PRODUCT for m, k, c in matmat)
+        frame = [s for s in shapes if s[:2] == (3, 3)]
+        # two products per run and rotation, M - 1 = 3 rotations; one run at N = 16
+        assert len(frame) >= 6 * len(runs) and (len(frame) > 6) == (n == 40)
+        assert all(min(s[:2]) > 1 for s in shapes)
+        assert all(m * k * c <= fs.SERIAL_PRODUCT for _, _, m, k, c in shapes)
+
+
+class TestFrame:
+    """``to_frame`` / ``from_frame``: the state over a one-body basis whose
+    mode 0 is u = sqrt(cell) phi, on both representations."""
+
+    @staticmethod
+    def sector_state(rng, **over):
+        """A random state of the sector ``build_product`` picks for the
+        model, and its condensate."""
+        raw = dict(dimension=1, sites_per_dim=4, torus_length=4.0, particles=16)
+        raw.update(over)
+        uniform = raw.pop("uniform", False)
+        model = build_model(ModelConfig(**raw))
+        phi = default_phi0(model)
+        if uniform:
+            phi = np.full(model.config.site_count, 1.0 / math.sqrt(model.config.site_count * model.cell),
+                          dtype=complex)
+        product = build_product(model, phi)
+        dim = product.amps.size
+        return product.with_amps(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)), phi
+
+    @pytest.mark.parametrize("over,order,dim", [
+        ({}, 2, 525),  # the Z2 sector of the weights benchmark, N = 16, M = 4
+        # a uniform phi keeps the dihedral group D6
+        ({"sites_per_dim": 6, "torus_length": 6.0, "particles": 8, "uniform": True}, 12, 126),
+        ({"dimension": 2, "sites_per_dim": 3, "torus_length": 3.0, "particles": 4}, 8, 84),  # D4, 3 x 3
+    ], ids=["z2-n16-m4", "dihedral-n8-m6", "d4-n4-3x3"])
+    def test_sector_weights_match_dense_oracle(self, over, order, dim):
+        psi, phi = self.sector_state(np.random.default_rng(40 + dim), **over)
+        space = psi.space
+        assert (len(space.basis.group), space.basis.dim) == (order, dim)
+        n = space.particles
+        _, q = ts.projector_matrices(phi, space.cell)
+        s_mat = np.stack([pj.number_apply(psi.with_amps(unit), q).amps
+                          for unit in np.eye(dim, dtype=np.complex128)], axis=1)
+        evals, evecs = np.linalg.eigh(0.5 * (s_mat + s_mat.conj().T))
+        labels = np.rint(evals).astype(int)
+        assert np.abs(evals - labels).max() <= 1e-9
+        dense = np.bincount(labels, weights=np.abs(evecs.conj().T @ psi.amps) ** 2, minlength=n + 1)
+        w = pj.spectral_weights(psi, phi)
+        assert np.abs(w.weights - dense).max() <= 1e-11 * psi.norm() ** 2
+
+    def test_pk_of_a_non_symmetric_tensor_matches_subset_sum(self):
+        # lemma_suite hands apply_weight such two-slot images
+        rng = np.random.default_rng(41)
+        m, n = 3, 3
+        phi = random_phi(m, rng)
+        tmat = rng.standard_normal((m * m, m * m)) + 1j * rng.standard_normal((m * m, m * m))
+        psi = ts.apply_two_slot(tmat, 0, 1, ts.random_symmetric(m, n, CELL, rng))
+        assert psi.asymmetry() > 0.1
+        total = 0.0 * psi
+        for k in range(n + 1):
+            fast = pj.apply_Pk(k, phi, psi)
+            assert (fast - pj.apply_Pk_subset(k, phi, psi)).norm() <= 1e-12 * psi.norm()
+            total = total + fast
+        assert (total - psi).norm() <= 1e-12 * psi.norm()
+
+    @pytest.mark.parametrize("rep", ["tensor", "tensor-asymmetric", "fock", "z2-sector", "m1"])
+    def test_round_trip(self, rep):
+        rng = np.random.default_rng(42)
+        if rep == "z2-sector":
+            psi, phi = z2_sector_state(rng)
+        elif rep == "m1":
+            phi = random_phi(1, rng)
+            psi = fs.random_fock(fs.FockSpace(fs.enumerate_basis(1, 5), CELL), rng)
+        else:
+            phi = random_phi(3, rng)
+            psi = ts.random_symmetric(3, 4, CELL, rng)
+            if rep == "tensor-asymmetric":
+                psi = ts.apply_factor(rng.standard_normal((3, 3)), 0, psi)
+            if rep == "fock":
+                psi = fs.extract(psi, fs.FockSpace(fs.enumerate_basis(3, 4), CELL))
+        amps, k = psi.to_frame(phi)
+        assert np.shape(k) == np.shape(amps) and np.vdot(amps, amps).real == pytest.approx(psi.norm() ** 2)
+        back = psi.from_frame(phi, amps)
+        assert type(back) is type(psi) and back.amps.shape == psi.amps.shape
+        assert np.abs(back.amps - psi.amps).max() <= 1e-14 * max(1.0, np.abs(psi.amps).max())
+
+    @pytest.mark.parametrize("rep", ["tensor", "fock"])
+    def test_the_condensate_is_mode_0(self, rep):
+        """phi^(x)N has all its weight on the frame's vacuum, k = 0, and one
+        excitation chi sits on k = 1."""
+        rng = np.random.default_rng(43)
+        phi = random_phi(3, rng)
+        chi = orthogonalise(rng.standard_normal(3) + 1j * rng.standard_normal(3), phi)
+        for state, level in ((ts.product_state(phi, 4, CELL), 0), (one_excitation_tensor(phi, chi, 4), 1)):
+            if rep == "fock":
+                state = fs.extract(state, fs.FockSpace(fs.enumerate_basis(3, 4), CELL))
+            amps, k = state.to_frame(phi)
+            on_level = np.broadcast_to(k, np.shape(amps)) == level
+            assert np.abs(amps[~on_level]).max() <= 1e-14
+            assert np.sum(np.abs(amps[on_level]) ** 2) == pytest.approx(1.0, abs=1e-14)
+
+    def test_plan_is_built_once_per_lattice_and_particle_count(self):
+        fs._frame_plan.cache_clear()
+        rng = np.random.default_rng(44)
+        sector, phi = z2_sector_state(rng)
+        site = fs.random_fock(fs.FockSpace(fs.enumerate_basis(4, 5), CELL), rng)
+        pj.spectral_weights(sector, phi)
+        pj.spectral_weights(site, phi)
+        pj.apply_Pk(2, phi, sector)
+        assert fs._frame_plan.cache_info()[1:2] == (1,)  # misses: one plan for (M, N) = (4, 5)
+        pj.spectral_weights(fs.random_fock(fs.FockSpace(fs.enumerate_basis(4, 6), CELL), rng), phi)
+        assert fs._frame_plan.cache_info().misses == 2
+
+    @pytest.mark.parametrize("rep", ["tensor", "fock", "z2-sector"])
+    def test_bad_condensates_and_states_are_refused(self, rep):
+        rng = np.random.default_rng(45)
+        if rep == "z2-sector":
+            psi, phi = z2_sector_state(rng)
+        else:
+            phi = random_phi(3, rng)
+            psi = ts.random_symmetric(3, 3, CELL, rng)
+            if rep == "fock":
+                psi = fs.extract(psi, fs.FockSpace(fs.enumerate_basis(3, 3), CELL))
+        longer = np.append(phi, 0.0)
+        for call in (pj.spectral_weights, lambda s, f: pj.apply_Pk(1, f, s)):
+            with pytest.raises(ValueError):
+                call(psi, longer)
+            with pytest.raises(ValueError, match="normalised"):
+                call(psi, 2.0 * phi)
+        if rep == "tensor":
+            with pytest.raises(ValueError, match="spectral weights require a symmetric state"):
+                pj.spectral_weights(ts.apply_factor(rng.standard_normal((3, 3)), 0, psi), phi)
 
 
 def z2_sector_state(rng):
@@ -319,18 +447,18 @@ class TestQChain:
             spectral = w.qchain(a)
             assert direct == pytest.approx(spectral, abs=1e-10)
 
-    def test_given_weights_make_no_lanczos_pass(self, monkeypatch):
+    def test_given_weights_make_no_frame_transform(self, monkeypatch):
         rng = np.random.default_rng(18)
         phi = random_phi(3, rng)
         psi = ts.random_symmetric(3, 4, CELL, rng)
         w = pj.spectral_weights(psi, phi)
-        passes = []
-        krylov = pj._sector_krylov
-        monkeypatch.setattr(pj, "_sector_krylov", lambda *args: passes.append(1) or krylov(*args))
+        transforms = []
+        frame = pj._frame
+        monkeypatch.setattr(pj, "_frame", lambda *args: transforms.append(1) or frame(*args))
         given = [pj.qchain_expectation(a, phi, psi, weights=w) for a in (1, 2, 3, 4)]
-        assert not passes
+        assert not transforms
         assert given == [pj.qchain_expectation(a, phi, psi) for a in (1, 2, 3, 4)]
-        assert len(passes) == 4
+        assert len(transforms) == 4
 
     def test_weights_of_another_particle_count_are_refused(self):
         rng = np.random.default_rng(25)
