@@ -521,7 +521,7 @@ class FockState:
     def to_frame(self, phi) -> tuple:
         """(Gamma(W) psi over ``basis.full``, N - n'_0 of each) for the frame W of ``_frame_map``."""
         amps = _frame_map(self.space, phi, self.space.site_amplitudes(self.amps))
-        return amps, _frame_plan(self.sites, self.particles)[1]
+        return amps, _frame_plan(self.sites, self.particles)[0]
 
     def from_frame(self, phi, amps) -> "FockState":
         """The state whose ``to_frame`` amplitudes are ``amps`` (``orbit_amplitudes`` checks a sector)."""
@@ -585,72 +585,71 @@ def _kac(n: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _frame_plan(sites: int, particles: int) -> tuple:
     """Read-only constants of ``FockState.to_frame`` at M sites, N particles.
-    A rotation exp(-i beta (a_a^+ a_b + h.c.)) acts on the vectors with
-    n_a + n_b = n and the other parts fixed as exp(-i beta T_n) = O diag(e^(-i
-    beta mu)) O^T over j = n_a, T[j+1, j] = T[j, j+1] = sqrt((j+1)(n-j)), mu =
-    n - 2j.  One product takes a run n = lo..hi of blocks padded to (n, j, g),
-    g ranking the other parts at that n, while that costs at most ten times the
-    exact products (one run at N = 16, M = 4; two at N = 8, M = 9).  Returns
-    the occupations by mode, N - n_0, the runs (span, O, O^T, N + mu) and per
-    rotation, a = M-2 first, its gather into the runs (a zero appended) and inverse."""
+    A rotation exp(-i beta (a_a^+ a_b + h.c.)), b = a + 1, acts on each block of
+    vectors with n_a + n_b = n and the other parts fixed as R_n = exp(-i beta T_n)
+    = O diag(e^(-i beta mu)) O^T over j = n_a, T[j+1, j] = T[j, j+1] =
+    sqrt((j+1)(n-j)), mu = n - 2j, and leaves n = 0 alone.  Returns N - n_0 of
+    every vector, O and O^T zero-padded to (N+1, N+1, N+1), N + mu by (n, j),
+    and per rotation, a = M-2 first, the basis indices of its blocks with n > 0
+    by n, j and block, and each n's (n, span, (n + 1, blocks)).  Member j of a
+    block differs from its j = 0 member only in the a-th term of ``_rank``."""
     full = _compositions(sites, particles)
-    n, dim, base = particles, len(full), (particles + 1) ** max(sites - 2, 0)
-    count = np.array([math.comb(n - b + sites - 3, n - b) if sites > 2 else int(b == n) for b in range(n + 1)])
-    exact, runs, lo, size = np.arange(1, n + 2) ** 2 * count, [], 0, 0
-    first, width = np.zeros((2, n + 1), dtype=np.int64)
-    for hi in range(n + 1):
-        if hi < n and (hi + 2 - lo) * (hi + 2) ** 2 * count[lo : hi + 2].max() <= 10 * exact[lo : hi + 2].sum():
-            continue
-        width[lo : hi + 1] = g = count[lo : hi + 1].max()
-        first[lo : hi + 1] = size + np.arange(hi + 1 - lo) * (hi + 1) * g
-        if g:  # else no vector has these n (M = 2 has only n = N)
-            vecs = np.zeros((hi + 1 - lo, hi + 1, hi + 1))
-            for b in range(lo, hi + 1):
-                vecs[b - lo, : b + 1, : b + 1] = _kac(b)
-            mu = np.clip(n + np.arange(lo, hi + 1)[:, None] - 2 * np.arange(hi + 1), 0, 2 * n)  # j > n: O is 0
-            runs.append((slice(size, size + vecs.size // (hi + 1) * g), vecs, vecs.transpose(0, 2, 1).copy(), mu))
-            size = runs[-1][0].stop
-        lo = hi + 1
-    places = np.zeros((max(sites - 1, 0), dim), dtype=np.int64)
-    for row, a in zip(places, range(sites - 2, -1, -1)):
-        pair, others = full[:, a] + full[:, a + 1], np.delete(full, [a, a + 1], 1) @ (n + 1) ** np.arange(sites - 2)
-        keys, group = np.unique(pair * base + others, return_inverse=True)
-        row[:] = first[pair] + full[:, a] * width[pair] + group.ravel() - np.searchsorted(keys, pair * base)
-    gathers = np.full((len(places), size), dim)
-    np.put_along_axis(gathers, places, np.arange(dim), axis=1)
-    occ, excited = np.ascontiguousarray(full.T), n - full[:, 0]
-    for arr in (occ, excited, gathers, places, *(arr for run in runs for arr in run[1:])):
+    n, size = particles, particles + 1
+    vecs = np.zeros((size, size, size))
+    for b in range(size):
+        vecs[b, : b + 1, : b + 1] = _kac(b)
+    mu = np.clip(n + np.arange(size)[:, None] - 2 * np.arange(size), 0, 2 * n)  # j > n: O is 0
+    prefix, counts, rotations = np.cumsum(full, axis=1), _counts(n, sites), []
+    for a in range(sites - 2, -1, -1):
+        pair, table = full[:, a] + full[:, a + 1], counts[sites - 1 - a :: sites]
+        heads = np.flatnonzero((full[:, a] == 0) & (pair > 0))
+        order, blocks, lo = [np.zeros(0, dtype=np.int64)], [], 0
+        for b in range(1, size):
+            head = heads[pair[heads] == b]
+            rest = n - prefix[head, a]
+            order.append((head + table[rest - np.arange(b + 1)[:, None]] - table[rest]).ravel())
+            blocks.append((b, slice(lo, lo + order[-1].size), (b + 1, len(head))))
+            lo += order[-1].size
+        rotations.append((np.concatenate(order), tuple(block for block in blocks if block[2][1])))
+    excited, vecs_t = n - full[:, 0], vecs.transpose(0, 2, 1).copy()
+    for arr in (excited, vecs, vecs_t, mu, *(order for order, _ in rotations)):
         arr.flags.writeable = False
-    return occ, excited, tuple(runs), gathers, places
+    return excited, vecs, vecs_t, mu, tuple(rotations)
 
 
 def _frame_map(space: FockSpace, phi, site: np.ndarray, back: bool = False) -> np.ndarray:
     """Gamma(W) on full-basis amplitudes ``site``, or Gamma(W)^H (``back``), for
-    the frame W = G_0 ... G_{M-2} diag(e^(i alpha)) with W u = e_0 up to a phase,
-    u = sqrt(cell) phi: diag(e^(i alpha)), a phase per vector, gives u_j the
-    phase (-i)^(M-1-j), and G_a = exp(-i beta_a (|a><a+1| + |a+1><a|)), a = M-2
-    first, carries mode a + 1, a quarter turn ahead, into mode a at beta_a =
-    atan2(||u_{a+1:}||, |u_a|), as O (e^(-i beta mu) O^T x) on the plan's runs."""
-    n, (occ, _, runs, gathers, places) = space.particles, _frame_plan(space.sites, space.particles)
+    the frame W = G_0 D_0 G_1 D_1 ... G_{M-2} D_{M-2} D_{M-1} with W u = e_0 up to
+    a phase, u = sqrt(cell) phi: D_s = e^(i alpha_s) on mode s gives u_j the phase
+    (-i)^(M-1-j), and G_a = exp(-i beta_a (|a><a+1| + |a+1><a|)), a = M-2 first,
+    carries mode a + 1, a quarter turn ahead, into mode a at beta_a =
+    atan2(||u_{a+1:}||, |u_a|).  D_a commutes with the G that act before it, so
+    each rotation takes it on its blocks' j = n_a (the first also D_{M-1} on
+    n - j): one product by R_n diag(e^(i alpha j)) per n of the plan's blocks,
+    R_n = O diag(e^(-i beta mu)) O^T, and by its adjoint on the way back."""
+    n, (_, vecs, vecs_t, mu, rotations) = space.particles, _frame_plan(space.sites, space.particles)
     u = np.sqrt(space.cell) * np.asarray(phi, dtype=np.complex128)
     tail = np.sqrt(np.cumsum(np.abs(u[::-1]) ** 2))[::-1]
     alpha = -np.angle(u) - np.arange(len(u) - 1, -1, -1) * np.pi / 2
     beta = np.arctan2(tail[1:], np.abs(u[:-1]))
-    powers = np.exp((-1j if back else 1j) * np.outer(np.append(alpha, -beta[::-1]), np.arange(-n, n + 1)))
-    phase = powers[0, n:].take(occ[0])
-    for row, counts in zip(powers[1 : len(alpha), n:], occ[1:]):
-        phase *= row.take(counts)
-    buf = np.append(site if back else site * phase, 0.0).astype(np.complex128, copy=False)
-    for gather, place, turns in list(zip(gathers, places, powers[len(alpha) :]))[:: -1 if back else 1]:
-        out = np.empty(len(gather), dtype=np.complex128)
-        for span, vecs, vecs_t, mu in runs:
-            x = buf.take(gather[span]).reshape(*vecs.shape[:2], -1)
-            t = np.empty_like(x)
-            _product(vecs_t, x.view(np.float64), t.view(np.float64))
-            t *= turns.take(mu)[..., None]
-            _product(vecs, t.view(np.float64), out[span].reshape(x.shape).view(np.float64))
-        out.take(place, out=buf[:-1])
-    return buf[:-1] * phase if back else buf[:-1]
+    powers = np.exp(1j * np.outer(np.append(-beta[::-1], alpha), np.arange(-n, n + 1)))
+    turns, spins, j = powers[: len(beta)], powers[len(beta) :], np.arange(n + 1)
+    side = np.repeat(spins[-2::-1, None, n:], n + 1, axis=1)  # rotation, n, j
+    side[:1] *= spins[-1].take(n + j[:, None] - j)
+    phases, out = turns.take(mu, axis=1), np.array(site, dtype=np.complex128)
+    turned, rotation = np.empty(vecs.shape, dtype=np.complex128), np.empty(vecs.shape, dtype=np.complex128)
+    for r in range(len(rotations))[:: -1 if back else 1]:
+        np.multiply(phases[r][..., None], vecs_t, out=turned)
+        turned *= side[r][:, None, :]
+        _product(vecs, turned.view(np.float64), rotation.view(np.float64))  # R_n diag(e^(i alpha j))
+        step = rotation.conj().swapaxes(-1, -2) if back else rotation
+        order, blocks = rotations[r]
+        x = out.take(order)
+        y = np.empty_like(x)
+        for b, span, shape in blocks:
+            _product(step[b, : b + 1, : b + 1], x[span].reshape(shape), y[span].reshape(shape))
+        out[order] = y
+    return out
 
 
 def dgamma_apply(op, state: FockState) -> FockState:

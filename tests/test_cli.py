@@ -28,11 +28,13 @@ NUMERIC_KEYS = [key for key, field in CONFIG_FILE_KEYS.items()
                 if ModelConfig.__dataclass_fields__[field].type in ("int", "float")]
 
 
-def with_value(key, value):
-    """SMALL_CFG with the line of ``key`` set to ``value``."""
-    rows = [f"{key} = {value}" if row.split(" = ")[0] == key else row
+def with_value(key, value, *others):
+    """SMALL_CFG with the line of ``key`` set to ``value``, and the line of
+    each (key, value) pair of ``others`` likewise."""
+    values = dict([(key, value), *others])
+    rows = [f"{row.split(' = ')[0]} = {values[row.split(' = ')[0]]}" if row.split(" = ")[0] in values else row
             for row in SMALL_CFG.splitlines()]
-    assert f"{key} = {value}" in rows
+    assert all(f"{k} = {v}" in rows for k, v in values.items())
     return "\n".join(rows)
 
 
@@ -384,7 +386,7 @@ REFUSALS = [
 
 
 # Config values the key grid below runs rather than refuses, each with the
-# reason it is valid.
+# reason it is valid; a third entry is another key's value it needs.
 ACCEPTED = {
     ("beta", "0"): "the unscaled interaction, which the paper's window includes",
     ("interaction.amplitude", "0"): "w = 0 asked for by value: the free model of profile zero",
@@ -392,24 +394,22 @@ ACCEPTED = {
     ("potential.strength", "0"): "no external potential",
     ("seed", "0"): "the first seed",
     ("gamma", "1"): "the closed top of the paper's window 0 < gamma <= 1",
-}
-# Config values accepted only together with another key's value, each with the
-# reason it is valid: ((other key, its value), (key, value)).
-ACCEPTED_WITH = {
-    (("interaction.profile", "tophat"), ("interaction.radius", "0")):
+    ("interaction.radius", "0", ("interaction.profile", "tophat")):
         "a tophat of radius 0 keeps its own site: an on-site contact interaction, "
         "valid at beta = 0, where no scaled support has to span two spacings",
 }
 # Keys bounded by the paper's parameter window: refused as out of range, exit 3.
 RANGE_KEYS = {"beta", "gamma"}
-# (key, value, exit code): zero, negative and a number word for every numeric key
+# (key, value, exit code, other (key, value) pairs): zero, negative and a
+# number word for every numeric key
 KEY_ROWS = [
-    (key, value, 0 if (key, value) in ACCEPTED else 3 if key in RANGE_KEYS and value != "two" else 2)
+    (key, value, 0 if (key, value) in ACCEPTED else 3 if key in RANGE_KEYS and value != "two" else 2, ())
     for key in NUMERIC_KEYS for value in ("0", "-1", "two")
 ] + [
-    # accepted values off that grid
-    (key, value, 0) for key, value in ACCEPTED if value not in ("0", "-1", "two")
-] + [
+    # accepted values off that grid, or with another key's value
+    (key, value, 0, tuple(others)) for key, value, *others in ACCEPTED
+    if value not in ("0", "-1", "two") or others
+] + [(key, value, code, ()) for key, value, code in [
     # the correction window's open floor, gamma = (2 + d beta)/3 at d = 1, beta = 0
     ("gamma", repr(2.0 / 3.0), 3),
     # and its open cap, beta = 1/(4d) at d = 1
@@ -422,7 +422,7 @@ KEY_ROWS = [
     # off the step grid of t_final = 0.1, dt = 0.001: dt must divide t_final up to rounding
     ("t_final", "0.1005", 2),
     ("dt", "0.03", 2),
-]
+]]
 # (config text, the key its refusal must name): every key of SMALL_CFG given
 # twice, every file key repeated under its field name, and unknown keys (a
 # misspelling, another case, a derived quantity)
@@ -441,8 +441,8 @@ class TestRefusalGrid:
     that names the flag or the config key it overrides.  Config-key values
     (``KEY_ROWS``) are refused the same way, with exit 3 for the range keys
     and exit 4 for a step too coarse for the drift bound, or run to exit 0
-    where ``ACCEPTED`` says why they are valid, or ``ACCEPTED_WITH`` with
-    the other key they need.  A key given twice or an unknown key
+    where ``ACCEPTED`` says why they are valid, set together with any other
+    key's value they need.  A key given twice or an unknown key
     (``LINE_ROWS``) exits 2 naming it."""
 
     @pytest.mark.parametrize("argv,name", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
@@ -454,10 +454,11 @@ class TestRefusalGrid:
         assert "Traceback" not in captured.err
         assert name in captured.err.strip().splitlines()[-1]
 
-    @pytest.mark.parametrize("key,value,code", KEY_ROWS, ids=[f"{k}={v}" for k, v, _ in KEY_ROWS])
-    def test_config_key_values(self, tmp_path, capsys, key, value, code):
+    @pytest.mark.parametrize("key,value,code,others", KEY_ROWS, ids=[
+        f"{k}={v}" + "".join(f",{ok}={ov}" for ok, ov in others) for k, v, _, others in KEY_ROWS])
+    def test_config_key_values(self, tmp_path, capsys, key, value, code, others):
         path = tmp_path / "grid.cfg"
-        path.write_text(with_value(key, value))
+        path.write_text(with_value(key, value, *others))
         capsys.readouterr()
         assert main(["correct", "--config", str(path)]) == code
         captured = capsys.readouterr()
@@ -467,20 +468,6 @@ class TestRefusalGrid:
             assert key in captured.err.strip().splitlines()[-1]
         else:
             assert captured.err == "" and captured.out.startswith("quantity,value\n")
-
-    @pytest.mark.parametrize("other,row", list(ACCEPTED_WITH),
-                             ids=[f"{k}={v},{ok}={ov}" for (ok, ov), (k, v) in ACCEPTED_WITH])
-    def test_config_values_accepted_with_another_key(self, tmp_path, capsys, other, row):
-        text = with_value(*row)
-        default = f"{other[0]} = {SMALL_KEYS[other[0]]}"
-        assert default in text.splitlines()
-        path = tmp_path / "grid.cfg"
-        path.write_text(text.replace(default, " = ".join(other)))
-        capsys.readouterr()
-        assert main(["correct", "--config", str(path)]) == 0
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.err
-        assert captured.err == "" and captured.out.startswith("quantity,value\n")
 
     @pytest.mark.parametrize("text,key", LINE_ROWS, ids=[text.splitlines()[-1] for text, _ in LINE_ROWS])
     def test_repeated_and_unknown_keys(self, tmp_path, capsys, text, key):
