@@ -7,8 +7,9 @@ looser than the asymptotic exponents because desk-scale particle numbers
 carry strong subleading corrections.
 
 ``build_product`` is the one place that picks the symmetry of the occupation
-route: the lattice reflections x_a -> c - x_a mod L and, in 2D, the axis
-swap that leave phi0, the pair table and a static h0 invariant to 1e-14.
+route: the unit translations, the lattice reflections x_a -> c - x_a mod L
+and, in 2D, the axis swap that leave phi0, the pair table and a static h0
+invariant to 1e-14 by the sector's own test (``fockstate.invariance_gap``).
 The Hartree, Htilde and full flows keep that symmetry, so the sweeps,
 corrections, moments and evolutions started from the product state run in
 its symmetric sector (``fockstate``).  Every other occupation space has no
@@ -97,8 +98,8 @@ def fock_space(model: Model) -> fs.FockSpace:
     return fs.FockSpace(fs.enumerate_basis(cfg.site_count, cfg.particles), model.cell)
 
 
-# Largest asymmetry max|x[pi] - x|, relative to max|x|, of phi0, the pair
-# table and h0 under a lattice symmetry pi that ``build_product`` keeps.
+# Largest ``fockstate.invariance_gap`` of phi0, the pair table and h0 under a
+# lattice symmetry that ``build_product`` keeps; stricter than ``SYMMETRY_TOL``.
 SYMMETRY_DECISION_TOL = 1e-14
 
 
@@ -114,14 +115,10 @@ def _symmetry(model: Model, phi0: np.ndarray) -> tuple:
         return ()
     size, d = cfg.sites_per_dim, cfg.dimension
     site = np.arange(cfg.site_count).reshape((size,) * d)
-    tables = [(np.asarray(phi0), False), (model.pair, True), (model.h0(0.0), True)]
+    tables = [(phi0, False), (model.pair, True), (model.h0(0.0), True)]
 
     def invariant(pi):
-        for x, square in tables:
-            moved = x[np.ix_(pi, pi)] if square else x[pi]
-            if np.abs(moved - x).max() > SYMMETRY_DECISION_TOL * np.abs(x).max():
-                return False
-        return True
+        return all(fs.invariance_gap(x, [pi], square) <= SYMMETRY_DECISION_TOL for x, square in tables)
 
     swap = site.T.ravel()
     found = [swap] if d == 2 and invariant(swap) else []

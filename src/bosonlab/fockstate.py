@@ -18,7 +18,8 @@ reflection-symmetric inputs the sector is 252 of 455 vectors at M = 4,
 N = 12 (Z2), 525 of 969 at N = 16, and 84 of 495 on the 3 x 3 lattice at
 N = 4 (D4), which shrinks every gather, product and state vector alike.
 Every table that acts on a sector state must be invariant under its group,
-and states of different sectors do not combine (``ValueError`` both).
+and states of different sectors do not combine (``ValueError`` both); the
+check reads the exact gap ||x - x_sigma|| / ||x|| (``invariance_gap``).
 ``embed``, ``extract`` and ``FockSpace.site_amplitudes`` expand through the
 orbits, so the tensor grid and snapshots see the site basis.
 
@@ -42,7 +43,8 @@ of states, one (members, dim) array, by (op, member) entries, with one pair
 gather down and one up, whatever the number of kernels an output sums;
 ``dgamma_apply`` also lifts a whole block at once.  ``generator_table``
 composes the full generator once from the one-body ladder's tables into one
-slot-major gather, the diagonal one of its slots, which the space keeps.
+slot-major gather, the diagonal one of its slots, which the space keeps, as
+it keeps the plan of ``FockState.to_frame``, read from its full basis.
 Products run in blocks small enough that OpenBLAS keeps them on the calling
 thread (``SERIAL_PRODUCT``).  The scratch buffers belong to the FockSpace,
 which makes it single-threaded; the workers of ``sweep --jobs`` each build
@@ -55,7 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,6 +78,7 @@ __all__ = [
     "random_fock",
     "pair_diagonal",
     "generator_table",
+    "invariance_gap",
 ]
 
 BASIS_CEILING = 2_000_000
@@ -156,6 +159,16 @@ def _group(generators: tuple, sites: int) -> tuple:
     return tuple(sorted(group)), tuple(kept)
 
 
+def invariance_gap(x, perms, square: bool = False) -> float:
+    """Largest ||x - x_sigma|| / ||x|| (0 for x = 0) over the rows sigma of ``perms``, where
+    x_sigma[i] = x[sigma_i] or, ``square``, x_sigma[i, j] = x[sigma_i, sigma_j] on the last
+    axes: zero when x, a vector or square table or a stack of them, is invariant under their group."""
+    x = np.asarray(x)
+    gaps = (x - (x.take(p, axis=-2) if square else x).take(p, axis=-1) for p in np.asarray(perms))
+    gap, norm = max(np.vdot(d, d).real for d in gaps), np.vdot(x, x).real
+    return math.sqrt(gap / norm) if norm else 0.0
+
+
 @dataclass(frozen=True)
 class OccupationBasis:
     """Orbit basis of the occupation vectors with sum N under a group of
@@ -202,16 +215,6 @@ class OccupationBasis:
         return int(self.orbit[_rank(row, self.particles)])
 
 
-def _compositions(sites: int, particles: int) -> np.ndarray:
-    """The occupation vectors of ``enumerate_basis``, without its checks."""
-    dim, bars = math.comb(particles + sites - 1, particles), sites - 1
-    edges = np.empty((dim, sites + 1), dtype=np.int64)
-    edges[:, 0], edges[:, -1] = -1, particles + bars
-    slots = itertools.chain.from_iterable(itertools.combinations(range(particles + bars), bars))
-    edges[::-1, 1:-1] = np.fromiter(slots, dtype=np.int64, count=dim * bars).reshape(dim, bars)
-    return np.diff(edges, axis=1) - 1
-
-
 def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING,
                     symmetry=()) -> OccupationBasis:
     """All occupation vectors (n_1 ... n_M) with sum N, descending
@@ -232,7 +235,9 @@ def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING,
             f"occupation basis dimension C({particles + sites - 1},{particles}) = {dim} "
             f"exceeds ceiling {ceiling}"
         )
-    occ = _compositions(sites, particles)
+    bars = itertools.chain.from_iterable(itertools.combinations(range(particles + sites - 1), sites - 1))
+    cuts = np.fromiter(bars, dtype=np.int64, count=dim * (sites - 1)).reshape(dim, sites - 1)[::-1]
+    occ = np.diff(cuts, axis=1, prepend=-1, append=particles + sites - 1) - 1
     group, generators = _group(tuple(tuple(int(i) for i in gen) for gen in symmetry), sites)
     if len(group) == 1:
         return OccupationBasis(occupations=occ, particles=particles, sites=sites)
@@ -349,7 +354,7 @@ class FockSpace:
     kernel and condensate that acts on its states must be invariant under
     the group, or ``ValueError`` is raised (``require_invariant``).  A
     table is checked once and then known by identity, so it must not be
-    modified in place.
+    modified in place.  The space keeps its frame plan, built on first use.
 
     The ladders' scratch makes a FockSpace unsafe to share between threads;
     worker processes each hold their own copy.  Pickling rebuilds the space
@@ -369,35 +374,35 @@ class FockSpace:
         self._generator = (None,) * 6  # hops, sources, values, h0, pair, coupling
         self._invariant = {}  # id -> a table known to be invariant
         self._batch = {}  # the same for the last table checked with its parts
-        self._probes = None
+        self._perms = None
         if basis.generators:
             sites = np.array(basis.generators)
             channels = self.ladders[1].moved[[basis.group.index(g) for g in basis.generators]]
-            self._probes = {"vector": _probe(sites, False), "table": _probe(sites, True),
-                            "kernel": _probe(channels, True)}
+            self._perms = {"vector": (sites, False), "table": (sites, True), "kernel": (channels, True)}
 
     def __reduce__(self):
         return FockSpace, (self.basis, self.cell)
+
+    @cached_property
+    def _frame(self) -> tuple:
+        return _frame_plan(self.basis.full, self.particles)
 
     def require_invariant(self, table, kind: str, parts=()) -> None:
         """Raise ``ValueError`` unless the array ``table`` is invariant under
         the group: a site ``"vector"``, an (M, M) ``"table"`` or a (P, P)
         pair-channel ``"kernel"``, or a stack of them along leading axes.
-        The asymmetry is read through ``_probe`` and must stay within
-        ``SYMMETRY_TOL`` of the norm.  ``table`` is then known by identity,
-        and so are ``parts``, tables whose invariance follows from its own,
-        until the next check with parts: a stack of tables is checked in one
-        pass, and no more than one stack and eight tables are kept alive.
-        The model's tables are read-only, so their identity keeps standing
-        for their values."""
-        if self._probes is None or self._known(table):
+        Its ``invariance_gap`` under the generators, on sites or pair channels
+        (``Ladder.moved``), must stay within ``SYMMETRY_TOL``.  ``table`` is
+        then known by identity, and so are ``parts``, tables whose invariance
+        follows from its own, until the next check with parts: a stack of
+        tables is checked in one pass, and no more than one stack and eight
+        tables are kept alive.  The model's tables are read-only, so their
+        identity keeps standing for their values."""
+        if self._perms is None or self._known(table):
             return
-        probe = self._probes[kind]
-        flat = np.asarray(table).reshape(-1, probe.shape[0])
-        seen = flat @ probe
-        gap = np.vdot(seen, seen).real / max(np.vdot(flat, flat).real, 1e-300)
-        if gap > SYMMETRY_TOL**2:
-            raise ValueError(f"a table with asymmetry {math.sqrt(gap):.3g} under the symmetry group "
+        gap = invariance_gap(table, *self._perms[kind])
+        if gap > SYMMETRY_TOL:
+            raise ValueError(f"a table with asymmetry {gap:.3g} under the symmetry group "
                              f"of the occupation space cannot act on its sector")
         if parts:
             self._batch = {id(t): t for t in (table, *parts)}
@@ -424,24 +429,6 @@ class FockSpace:
         if np.abs(site - reps[basis.orbit]).max(initial=0.0) > 1e-10 * np.abs(site).max(initial=0.0):
             raise ValueError("the state is not invariant under the symmetry group of the occupation space")
         return np.sqrt(basis.sizes) * reps
-
-
-def _probe(perms: np.ndarray, square: bool) -> np.ndarray:
-    """Unit probe columns, one per permutation sigma of ``perms``, for the
-    invariance of a vector x (x[sigma] = x) or of a square table T
-    (T[sigma][:, sigma] = T): for fixed irregular u and z (Weyl sequences),
-    column u - u[sigma^-1], or u z^T - u[sigma^-1] z[sigma^-1]^T flattened,
-    whose product with x or T vanishes on invariant ones.  On any other it
-    is u^T (x - x[sigma]) or u^T (T - T[sigma][:, sigma]) z, one linear
-    condition on the asymmetry that a table not built against u and z meets
-    with probability zero."""
-    steps = np.arange(1, perms.shape[1] + 1)
-    u, z = (steps * math.sqrt(2) % 1 - 0.5, steps * (math.sqrt(5) - 1) / 2 % 1 - 0.5)
-    back = np.argsort(perms, axis=1)
-    cols = (u[None, :, None] * z[None, None, :] - u[back][:, :, None] * z[back][:, None, :]
-            if square else u[None, :] - u[back]).reshape(len(perms), -1)
-    cols /= np.linalg.norm(cols, axis=1, keepdims=True)
-    return np.ascontiguousarray(cols.T).astype(np.complex128)
 
 
 def _joint(a: FockSpace, b: FockSpace) -> FockSpace:
@@ -521,7 +508,7 @@ class FockState:
     def to_frame(self, phi) -> tuple:
         """(Gamma(W) psi over ``basis.full``, N - n'_0 of each) for the frame W of ``_frame_map``."""
         amps = _frame_map(self.space, phi, self.space.site_amplitudes(self.amps))
-        return amps, _frame_plan(self.sites, self.particles)[0]
+        return amps, self.space._frame[0]
 
     def from_frame(self, phi, amps) -> "FockState":
         """The state whose ``to_frame`` amplitudes are ``amps`` (``orbit_amplitudes`` checks a sector)."""
@@ -582,9 +569,8 @@ def _kac(n: int) -> np.ndarray:
     return np.where(k.T < 0, -size, size)
 
 
-@lru_cache(maxsize=8)
-def _frame_plan(sites: int, particles: int) -> tuple:
-    """Read-only constants of ``FockState.to_frame`` at M sites, N particles.
+def _frame_plan(full: np.ndarray, particles: int) -> tuple:
+    """Read-only constants of ``FockState.to_frame`` on the vectors ``full`` of N particles.
     A rotation exp(-i beta (a_a^+ a_b + h.c.)), b = a + 1, acts on each block of
     vectors with n_a + n_b = n and the other parts fixed as R_n = exp(-i beta T_n)
     = O diag(e^(-i beta mu)) O^T over j = n_a, T[j+1, j] = T[j, j+1] =
@@ -593,8 +579,7 @@ def _frame_plan(sites: int, particles: int) -> tuple:
     and per rotation, a = M-2 first, the basis indices of its blocks with n > 0
     by n, j and block, and each n's (n, span, (n + 1, blocks)).  Member j of a
     block differs from its j = 0 member only in the a-th term of ``_rank``."""
-    full = _compositions(sites, particles)
-    n, size = particles, particles + 1
+    sites, n, size = full.shape[1], particles, particles + 1
     vecs = np.zeros((size, size, size))
     for b in range(size):
         vecs[b, : b + 1, : b + 1] = _kac(b)
@@ -627,7 +612,7 @@ def _frame_map(space: FockSpace, phi, site: np.ndarray, back: bool = False) -> n
     each rotation takes it on its blocks' j = n_a (the first also D_{M-1} on
     n - j): one product by R_n diag(e^(i alpha j)) per n of the plan's blocks,
     R_n = O diag(e^(-i beta mu)) O^T, and by its adjoint on the way back."""
-    n, (_, vecs, vecs_t, mu, rotations) = space.particles, _frame_plan(space.sites, space.particles)
+    n, (_, vecs, vecs_t, mu, rotations) = space.particles, space._frame
     u = np.sqrt(space.cell) * np.asarray(phi, dtype=np.complex128)
     tail = np.sqrt(np.cumsum(np.abs(u[::-1]) ** 2))[::-1]
     alpha = -np.angle(u) - np.arange(len(u) - 1, -1, -1) * np.pi / 2

@@ -360,17 +360,23 @@ class TestFrame:
             assert np.abs(amps[~on_level]).max() <= 1e-14
             assert np.sum(np.abs(amps[on_level]) ** 2) == pytest.approx(1.0, abs=1e-14)
 
-    def test_plan_is_built_once_per_lattice_and_particle_count(self):
-        fs._frame_plan.cache_clear()
+    def test_plan_is_built_once_per_space(self, monkeypatch):
+        built, plan = [], fs._frame_plan
+        monkeypatch.setattr(fs, "_frame_plan", lambda full, n: built.append(full) or plan(full, n))
         rng = np.random.default_rng(44)
         sector, phi = z2_sector_state(rng)
         site = fs.random_fock(fs.FockSpace(fs.enumerate_basis(4, 5), CELL), rng)
         pj.spectral_weights(sector, phi)
-        pj.spectral_weights(site, phi)
+        pj.spectral_weights(sector, phi)
         pj.apply_Pk(2, phi, sector)
-        assert fs._frame_plan.cache_info()[1:2] == (1,)  # misses: one plan for (M, N) = (4, 5)
+        # one plan for the sector's space, read from the full basis it holds
+        assert len(built) == 1 and built[0] is sector.space.basis.full
+        pj.spectral_weights(site, phi)
+        pj.apply_Pk(2, phi, site)
+        # a second space of the same (M, N) builds its own, once
+        assert len(built) == 2 and built[1] is site.space.basis.full
         pj.spectral_weights(fs.random_fock(fs.FockSpace(fs.enumerate_basis(4, 6), CELL), rng), phi)
-        assert fs._frame_plan.cache_info().misses == 2
+        assert len(built) == 3
 
     @pytest.mark.parametrize("rep", ["tensor", "fock", "z2-sector"])
     def test_bad_condensates_and_states_are_refused(self, rep):

@@ -52,8 +52,9 @@ def symmetrise(table, perms):
     return sum(table[np.ix_(p, p)] for p in perms) / len(perms)
 
 
-def probe_lookups(monkeypatch, space) -> list:
-    """The kinds of the sector probes ``space`` looks up from now on, in order."""
+def permutation_lookups(monkeypatch, space) -> list:
+    """The kinds whose permutation table ``space`` looks up from now on, in
+    order: one lookup per invariance check that reads a table's entries."""
     looked_up = []
 
     class Counting(dict):
@@ -61,8 +62,27 @@ def probe_lookups(monkeypatch, space) -> list:
             looked_up.append(kind)
             return dict.__getitem__(self, kind)
 
-    monkeypatch.setattr(space, "_probes", Counting(space._probes))
+    monkeypatch.setattr(space, "_perms", Counting(space._perms))
     return looked_up
+
+
+def probe_blind(raw, group, gens):
+    """The invariant part of the square table ``raw`` under the index
+    permutations ``group`` plus its asymmetric part projected off the unit
+    columns u z^T - u[s^-1] z[s^-1]^T of the generators s of ``gens``, for the
+    Weyl sequences u_i = (i sqrt(2) mod 1) - 1/2 and z_i = (i (sqrt(5) - 1)/2
+    mod 1) - 1/2, i = 1 .. n: a table whose asymmetry these columns read as 0."""
+    steps = np.arange(1, len(raw) + 1)
+    u, z = steps * np.sqrt(2) % 1 - 0.5, steps * (np.sqrt(5) - 1) / 2 % 1 - 0.5
+    back = np.argsort(gens, axis=1)
+    cols = (u[:, None] * z - u[back][:, :, None] * z[back][:, None, :]).reshape(len(gens), -1).T
+    basis, _ = np.linalg.qr(cols)
+    invariant = symmetrise(raw, group)
+    part = (raw - invariant).ravel()
+    part -= basis @ (basis.T @ part)
+    table = invariant + part.reshape(raw.shape)
+    assert np.abs(cols.T @ table.ravel()).max() <= 1e-12 * np.linalg.norm(table)
+    return table
 
 
 @pytest.fixture(scope="module", params=list(SECTORS))
@@ -191,6 +211,20 @@ class TestSectorOperators:
         # a table off invariant by roundoff passes
         mat = symmetrise(rng.standard_normal((m, m)), sector.basis.group)
         fs.dgamma_apply(mat + 1e-15 * rng.standard_normal((m, m)), psi)
+        # asymmetric tables and kernels that one Weyl-sequence probe column per
+        # generator cannot see are refused, with their true asymmetry
+        gens = [sector.basis.group.index(g) for g in sector.basis.generators]
+        channels = sector.ladders[1].moved
+        site_perms = np.array(sector.basis.group)
+        for kind, perms, apply in (
+                ("table", site_perms, lambda t: fs.dgamma_apply(t, psi)),
+                ("kernel", channels, lambda k: fs.two_body_sums(fs.FockState(psi.amps[None], sector),
+                                                                k[None], [[(0, 0)]]))):
+            table = probe_blind(rng.standard_normal((len(perms[0]),) * 2) + 0j, perms, perms[gens])
+            gap = max(np.linalg.norm(table - table[np.ix_(g, g)]) for g in perms[gens]) / np.linalg.norm(table)
+            assert gap > 0.1, kind
+            with pytest.raises(ValueError, match=f"asymmetry {gap:.3g} "):
+                apply(table)
 
     def test_plane_wave_hop_is_refused(self):
         model = make_model()
@@ -204,7 +238,7 @@ class TestSectorOperators:
         model = make_model(particles=4, t_final=0.01)
         phi0 = default_phi0(model)
         psi0 = build_product(model, phi0)
-        looked_up = probe_lookups(monkeypatch, psi0.space)
+        looked_up = permutation_lookups(monkeypatch, psi0.space)
         result = correction_error(psi0, phi0, 3, 0.01, model)
         assert all(np.isfinite(result.errors))
         # 40 stages of three kernels in builds of stage_batch: each build's condensates once,
@@ -232,12 +266,12 @@ class TestSectorOperators:
 
     def test_quadrature_node_pieces_are_checked_by_their_condensate(self, monkeypatch):
         # pieces_at is a one-stage build, so a node's kernels are admitted
-        # with its condensate and never probed themselves
+        # with its condensate and never checked themselves
         model = make_model(particles=4, t_final=0.02)
         phi0 = default_phi0(model)
         psi0 = build_product(model, phi0)
         traj = hartree_evolve(phi0, 0.0, 0.02, model)
-        looked_up = probe_lookups(monkeypatch, psi0.space)
+        looked_up = permutation_lookups(monkeypatch, psi0.space)
         assert quadrature_Tnk(1, 1, 0.02, psi0, traj, stride=4).norm() > 0.0
         assert looked_up.count("vector") > 0
         assert "kernel" not in looked_up
@@ -249,7 +283,7 @@ class TestSectorOperators:
         rng = np.random.default_rng(8)
         dim = product.amps.size
         psi = product.with_amps(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        looked_up = probe_lookups(monkeypatch, psi.space)
+        looked_up = permutation_lookups(monkeypatch, psi.space)
         lifts = []
         number_apply = pj.number_apply
         monkeypatch.setattr(pj, "number_apply", lambda state, q: lifts.append(1) or number_apply(state, q))
