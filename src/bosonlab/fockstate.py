@@ -42,9 +42,10 @@ split operators in that form, one (count, P, P) stack per stage.
 of states, one (members, dim) array, by (op, member) entries, with one pair
 gather down and one up, whatever the number of kernels an output sums;
 ``dgamma_apply`` also lifts a whole block at once.  ``generator_table``
-composes the full generator once from the one-body ladder's tables into one
-slot-major gather, the diagonal one of its slots, which the space keeps, as
-it keeps the plan of ``FockState.to_frame``, read from its full basis.
+composes the full generator from h0 and the pair table alone into one
+slot-major gather, its hops read off h0's off-diagonal and its diagonal one
+of its slots; the space keeps it in one record with the pair diagonal, as it
+keeps the plan of ``FockState.to_frame``, read from its full basis.
 Products run in blocks small enough that OpenBLAS keeps them on the calling
 thread (``SERIAL_PRODUCT``).  The scratch buffers belong to the FockSpace,
 which makes it single-threaded; the workers of ``sweep --jobs`` each build
@@ -76,7 +77,6 @@ __all__ = [
     "extract",
     "product_fock",
     "random_fock",
-    "pair_diagonal",
     "generator_table",
     "invariance_gap",
 ]
@@ -215,8 +215,7 @@ class OccupationBasis:
         return int(self.orbit[_rank(row, self.particles)])
 
 
-def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING,
-                    symmetry=()) -> OccupationBasis:
+def enumerate_basis(sites: int, particles: int, symmetry=()) -> OccupationBasis:
     """All occupation vectors (n_1 ... n_M) with sum N, descending
     lexicographic, and their orbits under the group that the site
     permutations ``symmetry`` generate.
@@ -230,10 +229,10 @@ def enumerate_basis(sites: int, particles: int, ceiling: int = BASIS_CEILING,
     if sites < 1 or particles < 0:
         raise ConfigError(f"invalid basis request M={sites}, N={particles}")
     dim = math.comb(particles + sites - 1, particles)
-    if dim > ceiling:
+    if dim > BASIS_CEILING:
         raise ConfigError(
             f"occupation basis dimension C({particles + sites - 1},{particles}) = {dim} "
-            f"exceeds ceiling {ceiling}"
+            f"exceeds ceiling {BASIS_CEILING}"
         )
     bars = itertools.chain.from_iterable(itertools.combinations(range(particles + sites - 1), sites - 1))
     cuts = np.fromiter(bars, dtype=np.int64, count=dim * (sites - 1)).reshape(dim, sites - 1)[::-1]
@@ -370,8 +369,7 @@ class FockSpace:
         unit = np.eye(m, dtype=np.int64)
         s, t = _channels(m)
         self.ladders = (Ladder(basis, unit), Ladder(basis, unit[s] + unit[t]))
-        self._pair_diagonal = (None, None)
-        self._generator = (None,) * 6  # hops, sources, values, h0, pair, coupling
+        self._generator = (None,) * 7  # hops, sources, values, h0, pair, coupling, pair diagonal
         self._invariant = {}  # id -> a table known to be invariant
         self._batch = {}  # the same for the last table checked with its parts
         self._perms = None
@@ -491,10 +489,10 @@ class FockState:
         """The one-body lift of ``op`` (``dgamma_apply``)."""
         return dgamma_apply(op, self)
 
-    def generator(self, hops, h0, pair, coupling: float) -> "FockState":
+    def generator(self, h0, pair, coupling: float) -> "FockState":
         """dGamma(h0) plus ``coupling`` times the pair diagonal, one gather
-        through the space's ``generator_table`` with the off-diagonal ``hops``."""
-        sources, values = generator_table(self.space, hops, h0, pair, coupling)
+        through the space's ``generator_table``."""
+        sources, values = generator_table(self.space, h0, pair, coupling)
         gathered = self.amps.take(sources, axis=-1)
         gathered *= values
         return self.with_amps(gathered.sum(axis=-2))
@@ -688,43 +686,34 @@ def two_body_sums(block: FockState, kernels, entries) -> FockState:
     return FockState(pair.created(lead), space)
 
 
-def pair_diagonal(space: FockSpace, pair) -> np.ndarray:
-    """Diagonal of sum_{i<j} w(x_i - x_j) over the occupation basis, read-only.
-
-    The position-diagonal kernel expands over rank-one site projectors, so
-    the lift is (1/2) (n^T W n - sum_r W_rr n_r) per basis vector.  The
-    space keeps the diagonal of the last ``pair`` it was asked for, keyed by
-    identity, so a pair table must not be modified in place.  The pair
-    table must be invariant under the space's group.
-    """
-    if space._pair_diagonal[0] is not pair:
-        wmat = np.asarray(pair, dtype=float)
-        space.require_invariant(pair, "table")
-        occ = space.basis.occupations.astype(float)
-        diag = 0.5 * (np.einsum("bm,mn,bn->b", occ, wmat, occ) - occ @ np.diag(wmat))
-        diag.flags.writeable = False
-        space._pair_diagonal = (pair, diag)
-    return space._pair_diagonal[1]
-
-
-def generator_table(space: FockSpace, hops, h0, pair, coupling: float) -> tuple:
+def generator_table(space: FockSpace, h0, pair, coupling: float) -> tuple:
     """Slot-major (sources, values), (slots, dim), of H = dGamma(h0) + coupling
     sum_{i<j} w(x_i - x_j): (H psi)[u] = sum_k values[k, u] psi[sources[k, u]].
-    Slot 0 is the diagonal, the rest the off-diagonal of dGamma(hops), which
-    must be h0's.  The space keeps the last table, keyed by the identity of
-    the (invariant, on a sector) tables, which must not change in place; a
-    new h0, as a tabulated potential gives, rewrites slot 0 in O(M dim)."""
-    old, sources, values, *diagonal = space._generator
-    if old is not hops:
-        space.require_invariant(hops, "table")
-        sources, values = _hop_slots(space.ladders[0], space.basis.dim, hops * (1 - np.eye(space.sites)))
-        diagonal = (None,) * 3
-    if diagonal[0] is not h0 or diagonal[1] is not pair or diagonal[2] != coupling:
+    Slot 0 is the diagonal, the rest the off-diagonal of dGamma(h0).  The
+    position-diagonal pair sum lifts to (1/2) (n^T W n - sum_r W_rr n_r) per
+    basis vector.  The space keeps one record: the hop slots, kept while a
+    new h0 has the same off-diagonal, as a tabulated potential gives, so
+    only slot 0 is rewritten (O(M dim)), and the pair diagonal of the last
+    pair table.  Tables are keyed by identity, so they must be invariant on
+    a sector and must not change in place."""
+    hops, sources, values, old_h0, old_pair, old_coupling, diagonal = space._generator
+    if h0 is old_h0 and pair is old_pair and coupling == old_coupling:
+        return sources, values
+    if h0 is not old_h0:
         space.require_invariant(h0, "table")
-        values[0] = space.basis.occupations @ np.diagonal(h0)
-        if coupling:
-            values[0] += coupling * pair_diagonal(space, pair)
-    space._generator = (hops, sources, values, h0, pair, coupling)
+        off = h0 * (1 - np.eye(space.sites))
+        if not np.array_equal(off, hops):
+            hops, (sources, values) = off, _hop_slots(space.ladders[0], space.basis.dim, off)
+    if pair is not old_pair:
+        diagonal = None
+    if coupling and diagonal is None:
+        space.require_invariant(pair, "table")
+        occ, wmat = space.basis.occupations.astype(float), np.asarray(pair, dtype=float)
+        diagonal = 0.5 * (np.einsum("bm,mn,bn->b", occ, wmat, occ) - occ @ np.diag(wmat))
+    values[0] = space.basis.occupations @ np.diagonal(h0)
+    if coupling:
+        values[0] += coupling * diagonal
+    space._generator = (hops, sources, values, h0, pair, coupling, diagonal)
     return sources, values
 
 

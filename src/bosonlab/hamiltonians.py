@@ -275,11 +275,10 @@ def pieces_at(phi: np.ndarray, t: float, model: Model) -> EffectivePieces:
 
 def apply_H(t: float, state, model: Model):
     """Full generator dGamma(h0(t)) + sum_{i<j} w(x_i - x_j) / (N - 1) on a
-    state or a block (``generator``), with the hops of the Laplacian, which
-    no potential changes."""
+    state or a block (``generator``)."""
     n = state.particles
     coupling = 1.0 / (n - 1) if n >= 2 and not model.free else 0.0
-    return state.generator(model.lap, model.h0(t), model.pair, coupling)
+    return state.generator(model.h0(t), model.pair, coupling)
 
 
 # The operators of stage entries, indices into ``EffectivePieces.kernels``

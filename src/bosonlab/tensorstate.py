@@ -89,9 +89,8 @@ class TensorState:
         """The one-body sum of ``op`` over the coordinates (``apply_one_body_sum``)."""
         return apply_one_body_sum(op, self)
 
-    def generator(self, hops, h0, pair, coupling: float) -> "TensorState":
-        """dGamma(h0) plus ``coupling`` times the pair diagonal; h0 is lifted
-        whole, so ``hops``, which the occupation gather tabulates, is unused."""
+    def generator(self, h0, pair, coupling: float) -> "TensorState":
+        """dGamma(h0) plus ``coupling`` times the pair diagonal."""
         out = apply_one_body_sum(h0, self)
         return out + coupling * apply_pair_diagonal(pair, self) if coupling else out
 
@@ -260,21 +259,12 @@ def apply_projector_chain(pattern, phi: np.ndarray, psi: TensorState) -> TensorS
     return out
 
 
-def _canonical_index(shape, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat index of the sorted-digit representative for every grid tuple."""
-    n = len(shape)
-    dim = m**n
-    idx = np.arange(dim)
-    digits = np.empty((dim, n), dtype=np.int64)
-    rem = idx
-    for pos in range(n - 1, -1, -1):
-        digits[:, pos] = rem % m
-        rem = rem // m
-    digits.sort(axis=1)
-    powers = m ** np.arange(n - 1, -1, -1)
-    canon = digits @ powers
-    counts = np.bincount(canon, minlength=dim)
-    return canon, counts
+def _canonical_index(shape) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index of the sorted-digit representative for every grid tuple,
+    and the size of each representative's orbit."""
+    digits = np.sort(np.indices(shape).reshape(len(shape), -1), axis=0)
+    canon = np.ravel_multi_index(digits, shape)
+    return canon, np.bincount(canon, minlength=canon.size)
 
 
 def symmetrize(psi: TensorState) -> TensorState:
@@ -285,11 +275,10 @@ def symmetrize(psi: TensorState) -> TensorState:
     orbit mean is scattered back.  Equivalent to the explicit N!-term average
     and idempotent by construction.
     """
-    m, n = psi.sites, psi.particles
-    if n <= 1:
+    if psi.particles <= 1:
         return TensorState(psi.amps.copy(), psi.cell)
     flat = psi.amps.ravel()
-    canon, counts = _canonical_index(psi.amps.shape, m)
+    canon, counts = _canonical_index(psi.amps.shape)
     dim = flat.size
     sums = np.bincount(canon, weights=flat.real, minlength=dim) + 1j * np.bincount(
         canon, weights=flat.imag, minlength=dim

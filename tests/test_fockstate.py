@@ -66,7 +66,7 @@ class TestEnumerateBasis:
 
     def test_ceiling_guard(self):
         with pytest.raises(ConfigError):
-            fs.enumerate_basis(30, 30, ceiling=1000)
+            fs.enumerate_basis(30, 30)
 
 
 def brute_force_basis(m, n):
@@ -540,26 +540,36 @@ class TestKernelShapes:
             assert np.abs(got - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max())
 
 
+def pair_diagonal(space, pair):
+    """The pair diagonal held in the space's generator record, after a
+    ``generator_table`` call on a new zero h0 at coupling 1."""
+    fs.generator_table(space, np.zeros((space.sites,) * 2), pair, 1.0)
+    return space._generator[6]
+
+
 class TestPairDiagonal:
-    def test_cached_read_only_and_equal_to_formula(self, space):
+    """The pair diagonal, kept in the generator record of the space."""
+
+    def test_cached_and_equal_to_formula(self, space):
         rng = np.random.default_rng(32)
         pair = rng.standard_normal((3, 3))
         pair = pair + pair.T
-        first = fs.pair_diagonal(space, pair)
-        assert fs.pair_diagonal(space, pair) is first
-        assert not first.flags.writeable
+        first = pair_diagonal(space, pair)
+        # a new h0 rewrites slot 0 but keeps the pair diagonal of the same table
+        assert pair_diagonal(space, pair) is first
         occ = space.basis.occupations.astype(float)
         expect = 0.5 * (np.einsum("bm,mn,bn->b", occ, pair, occ) - occ @ np.diag(pair))
         assert np.array_equal(first, expect)
+        assert np.array_equal(space._generator[2][0], expect)
 
     def test_new_table_replaces_cache(self, space):
         rng = np.random.default_rng(33)
         one, two = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        first = fs.pair_diagonal(space, one)
-        second = fs.pair_diagonal(space, two)
+        first = pair_diagonal(space, one)
+        second = pair_diagonal(space, two)
         assert second is not first
         assert not np.array_equal(first, second)
-        assert np.array_equal(fs.pair_diagonal(space, one), first)
+        assert np.array_equal(pair_diagonal(space, one), first)
 
 
 class TestEmbedExtract:

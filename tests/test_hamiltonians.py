@@ -117,11 +117,14 @@ class TestApplyH:
 
 
 def generator_oracle(t, state, model):
-    """The ladder lift of h0(t) plus the pair diagonal over N - 1."""
-    space, n = state.space, state.particles
+    """The ladder lift of h0(t) plus the pair diagonal over N - 1, counted
+    pair by pair: n_r n_s w_rs for each r < s and n_r (n_r - 1) / 2 w_rr."""
+    n = state.particles
     out = fs.dgamma_apply(model.h0(t), state).amps
     if n >= 2 and not model.free:
-        out = out + fs.pair_diagonal(space, model.pair) * state.amps / (n - 1)
+        occ, w = state.space.basis.occupations.astype(float), model.pair
+        pairs = np.einsum("br,rs,bs->b", occ, np.triu(w, 1), occ) + (occ * (occ - 1) / 2) @ np.diag(w)
+        out = out + pairs * state.amps / (n - 1)
     return out
 
 
@@ -180,7 +183,7 @@ class TestGeneratorTable:
         # on the sector, hops to mirror images land in one orbit; each output
         # keeps one slot per distinct source, and the diagonal in slot 0
         model, space = generator_setup("1d-z2-n16")
-        sources, values = fs.generator_table(space, model.lap, model.h0(0.0), model.pair, 1 / 15)
+        sources, values = fs.generator_table(space, model.h0(0.0), model.pair, 1 / 15)
         assert sources.shape == values.shape == (9, space.basis.dim)
         assert (sources[0] == np.arange(space.basis.dim)).all()
         hops = sources[1:]
@@ -206,12 +209,12 @@ class TestGeneratorTable:
         psi = random_block(space, np.random.default_rng(8))
         assert_generator_matches(0.0, psi, model)
         sources = space._generator[1]
-        # a new pair table on the same hops: only the diagonal is rebuilt
+        # a new pair table on the same h0: only the diagonal is rebuilt
         stronger = dataclasses.replace(model, pair=make_model(
             sites_per_dim=4, torus_length=4.0, particles=5, interaction_amplitude=2.0).pair)
         assert_generator_matches(0.0, psi, stronger)
         assert space._generator[1] is sources
-        # a new hop table with other values: the hops are rebuilt
+        # an h0 whose off-diagonal has other values: the hops are rebuilt
         steeper = dataclasses.replace(model, lap=2.0 * model.lap)
         assert_generator_matches(0.0, psi, steeper)
         assert space._generator[1] is not sources
@@ -219,14 +222,37 @@ class TestGeneratorTable:
 
     def test_non_invariant_hops_on_a_sector_raise(self):
         model, space = generator_setup("1d-z2")
-        hops = model.lap.copy()
-        hops[0, 1] = hops[1, 0] = -3.0  # site 1 mirrors site 3, whose hops stay -1
-        tilted = dataclasses.replace(model, lap=hops)
+        lap = model.lap.copy()
+        lap[0, 1] = lap[1, 0] = -3.0  # site 1 mirrors site 3, whose hops stay -1
+        tilted = dataclasses.replace(model, lap=lap)
         psi = random_block(space, np.random.default_rng(9))
         with pytest.raises(ValueError, match="asymmetry"):
             apply_H(0.0, psi, tilted)
         with pytest.raises(ValueError, match="asymmetry"):
-            fs.generator_table(space, hops, model.h0(0.0), model.pair, 0.25)
+            fs.generator_table(space, tilted.h0(0.0), model.pair, 0.25)
+
+    def test_fock_and_tensor_generators_agree(self):
+        # h0 alone gives the hops: a harmonic h0 builds the hop slots, a
+        # tabulated h0 with the same off-diagonal keeps them at every time,
+        # and an h0 from a scaled Laplacian rebuilds them
+        rng = np.random.default_rng(11)
+        table = tuple(tuple(row) for row in 3.0 * rng.random((2, 4)))
+        harmonic, space = generator_setup("1d-plain")
+        tabulated, _ = generator_setup("1d-plain", potential_kind="tabulated", potential_strength=0.0,
+                                       potential_table=((0.0, 0.1), table))
+        psi = random_block(space, rng)
+        tensor = fs.embed(psi)
+
+        def hop_slots(h0):
+            want = fs.extract(tensor.generator(h0, harmonic.pair, 0.25), space).amps
+            got = psi.generator(h0, harmonic.pair, 0.25).amps
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            return space._generator[1]
+
+        first = hop_slots(harmonic.h0(0.0))
+        assert hop_slots(tabulated.h0(0.02)) is first
+        assert hop_slots(tabulated.h0(0.07)) is first
+        assert hop_slots(2.0 * harmonic.lap) is not first
 
     def test_pickled_space_rebuilds_its_table(self):
         model, space = generator_setup("2d-d4")

@@ -3,6 +3,7 @@ methods, and the rest of the package reaches the representation only
 through them."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,10 @@ def methods(cls) -> set:
 def test_both_representations_define_the_same_methods():
     assert methods(fs.FockState) == methods(ts.TensorState)
     assert PROTOCOL <= methods(fs.FockState)
+    for name in methods(fs.FockState):
+        fock, tensor = (list(inspect.signature(getattr(cls, name)).parameters)
+                        for cls in (fs.FockState, ts.TensorState))
+        assert fock == tensor, name
 
 
 class TestTensorBlocks:

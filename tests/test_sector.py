@@ -190,9 +190,8 @@ class TestSectorOperators:
         b_site, b_sector = invariant_state(site, sector, rng)
         pair = symmetrise(rng.standard_normal((site.sites,) * 2), sector.basis.group)
         pair = pair + pair.T
-        got = fs.pair_diagonal(sector, pair) * a_sector.amps
-        assert same_state(fs.FockState(got, sector),
-                          fs.FockState(fs.pair_diagonal(site, pair) * a_site.amps, site))
+        zero = np.zeros((site.sites,) * 2)
+        assert same_state(a_sector.generator(zero, pair, 1.0), a_site.generator(zero, pair, 1.0))
         assert a_sector.inner(b_sector) == pytest.approx(a_site.inner(b_site), abs=1e-12)
         assert a_sector.norm() == pytest.approx(a_site.norm(), abs=1e-12)
 
@@ -207,7 +206,7 @@ class TestSectorOperators:
             fs.two_body_sums(fs.FockState(psi.amps[None], sector),
                              (rng.standard_normal((p, p)) + 0j)[None], [[(0, 0)]])
         with pytest.raises(ValueError, match="asymmetry"):
-            fs.pair_diagonal(sector, rng.standard_normal((m, m)))
+            fs.generator_table(sector, np.zeros((m, m)), rng.standard_normal((m, m)), 1.0)
         # a table off invariant by roundoff passes
         mat = symmetrise(rng.standard_normal((m, m)), sector.basis.group)
         fs.dgamma_apply(mat + 1e-15 * rng.standard_normal((m, m)), psi)
@@ -242,9 +241,9 @@ class TestSectorOperators:
         result = correction_error(psi0, phi0, 3, 0.01, model)
         assert all(np.isfinite(result.errors))
         # 40 stages of three kernels in builds of stage_batch: each build's condensates once,
-        # and h0, the Laplacian's hops and the pair table once each
+        # and h0 and the pair table once each
         assert looked_up.count("vector") == -(-40 // hamiltonians.stage_batch(4, 3)) > 1
-        assert looked_up.count("table") == 3
+        assert looked_up.count("table") == 2
         assert "kernel" not in looked_up
 
     def test_a_hierarchy_stage_makes_five_checks(self, monkeypatch):
