@@ -3,17 +3,20 @@
 The many-body Hamiltonian decomposes exactly, at every condensate time
 stamp, as H = Htilde + C + Q, where the pieces carry zero-to-two, three, and
 four complement projectors respectively.  On the lattice this is an identity
-of finite matrices, so the residual below is pure roundoff.  The remainder
+of finite matrices, so the residual below is pure roundoff; it is read from
+the pieces at the condensate and its time alone (``pieces_at``), as are the
+remainders, and a zero pair table takes the same path.  The remainder
 norms also show the size ordering that drives the correction hierarchy: the
 cubic term dominates the quartic one on near-condensed states.
 """
+
+import dataclasses
 
 import numpy as np
 
 from bosonlab import tensorstate as ts
 from bosonlab.experiments import build_mixed, build_product, default_phi0
 from bosonlab.hamiltonians import apply_C, apply_Q, decomposition_residual, pieces_at
-from bosonlab.meanfield import condensate_at
 from bosonlab.model import build_model, validate_config
 
 config = validate_config(
@@ -33,10 +36,11 @@ phi0 = default_phi0(model)
 
 print("decomposition residual ||(H - Htilde - C - Q) psi|| / ||psi||:")
 rng = np.random.default_rng(1)
-cond = condensate_at(phi0, 0.0, model)
 for trial in range(5):
     psi = ts.random_symmetric(config.site_count, config.particles, model.cell, rng)
-    print(f"  random symmetric state {trial}: {decomposition_residual(0.0, cond, psi, model):.3e}")
+    print(f"  random symmetric state {trial}: {decomposition_residual(phi0, 0.0, psi, model):.3e}")
+free = build_model(validate_config(dataclasses.replace(config, interaction_profile="zero")))
+print(f"  the last state, zero pair table: {decomposition_residual(phi0, 0.0, psi, free):.3e}")
 
 pieces = pieces_at(phi0, 0.0, model)
 print("\nremainder norms on structured states:")

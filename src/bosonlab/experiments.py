@@ -31,7 +31,7 @@ from . import tensorstate as ts
 from .duhamel import correction_error
 from .errors import BosonLabError, ConfigError, RangeError
 from .hamiltonians import decomposition_residual
-from .meanfield import condensate_at, hartree_evolve, one_body_norm
+from .meanfield import hartree_evolve, one_body_norm
 from .model import Model, ModelConfig, build_model, validate_config
 from .projections import (
     apply_Pk,
@@ -474,8 +474,7 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
         # chains[a] = <psi, q_1...q_a psi>
         chains = {a: qchain_expectation(a, phi, psi, weights=weights) for a in range(1, a_max + 1)}
 
-        cond = condensate_at(phi, 0.0, model)
-        track("decomposition_residual", decomposition_residual(0.0, cond, psi, model))
+        track("decomposition_residual", decomposition_residual(phi, 0.0, psi, model))
 
         track("identity_resolution", abs(weights.total - psi.norm() ** 2))
 

@@ -159,6 +159,14 @@ def _group(generators: tuple, sites: int) -> tuple:
     return tuple(sorted(group)), tuple(kept)
 
 
+def _frozen(x) -> bool:
+    """Whether ``x`` is an array that an identity cache may keep: it and every
+    array it views are read-only, so its values cannot change in place."""
+    while isinstance(x, np.ndarray) and not x.flags.writeable:
+        x = x.base
+    return x is None
+
+
 def invariance_gap(x, perms, square: bool = False) -> float:
     """Largest ||x - x_sigma|| / ||x|| (0 for x = 0) over the rows sigma of ``perms``, where
     x_sigma[i] = x[sigma_i] or, ``square``, x_sigma[i, j] = x[sigma_i, sigma_j] on the last
@@ -351,9 +359,9 @@ class FockSpace:
     ``sector`` is (M, N, group): states of two spaces combine only when
     their sectors agree.  On a space with a nontrivial group every table,
     kernel and condensate that acts on its states must be invariant under
-    the group, or ``ValueError`` is raised (``require_invariant``).  A
-    table is checked once and then known by identity, so it must not be
-    modified in place.  The space keeps its frame plan, built on first use.
+    the group, or ``ValueError`` is raised (``require_invariant``), once
+    for a read-only table, at every use for a writeable one.  The space
+    keeps its frame plan, built on first use.
 
     The ladders' scratch makes a FockSpace unsafe to share between threads;
     worker processes each hold their own copy.  Pickling rebuilds the space
@@ -394,23 +402,20 @@ class FockSpace:
         then known by identity, and so are ``parts``, tables whose invariance
         follows from its own, until the next check with parts: a stack of
         tables is checked in one pass, and no more than one stack and eight
-        tables are kept alive.  The model's tables are read-only, so their
-        identity keeps standing for their values."""
-        if self._perms is None or self._known(table):
+        tables are kept alive.  Only arrays read-only down to the memory they
+        view are kept (``_frozen``); any other is checked at every call."""
+        if self._perms is None or self._batch.get(id(table)) is table or self._invariant.get(id(table)) is table:
             return
         gap = invariance_gap(table, *self._perms[kind])
         if gap > SYMMETRY_TOL:
             raise ValueError(f"a table with asymmetry {gap:.3g} under the symmetry group "
                              f"of the occupation space cannot act on its sector")
         if parts:
-            self._batch = {id(t): t for t in (table, *parts)}
-            return
-        if len(self._invariant) >= 8:
-            self._invariant.clear()
-        self._invariant[id(table)] = table
-
-    def _known(self, table) -> bool:
-        return self._batch.get(id(table)) is table or self._invariant.get(id(table)) is table
+            self._batch = {id(t): t for t in (table, *parts) if _frozen(t)}
+        elif _frozen(table):
+            if len(self._invariant) >= 8:
+                self._invariant.clear()
+            self._invariant[id(table)] = table
 
     def site_amplitudes(self, amps) -> np.ndarray:
         """The amplitudes over every occupation vector (``basis.full``) of
@@ -694,8 +699,8 @@ def generator_table(space: FockSpace, h0, pair, coupling: float) -> tuple:
     basis vector.  The space keeps one record: the hop slots, kept while a
     new h0 has the same off-diagonal, as a tabulated potential gives, so
     only slot 0 is rewritten (O(M dim)), and the pair diagonal of the last
-    pair table.  Tables are keyed by identity, so they must be invariant on
-    a sector and must not change in place."""
+    pair table.  On a sector both must be invariant.  Only read-only tables
+    are known by identity; writeable ones are read again at every call."""
     hops, sources, values, old_h0, old_pair, old_coupling, diagonal = space._generator
     if h0 is old_h0 and pair is old_pair and coupling == old_coupling:
         return sources, values
@@ -705,14 +710,12 @@ def generator_table(space: FockSpace, h0, pair, coupling: float) -> tuple:
         if not np.array_equal(off, hops):
             hops, (sources, values) = off, _hop_slots(space.ladders[0], space.basis.dim, off)
     if pair is not old_pair:
-        diagonal = None
-    if coupling and diagonal is None:
         space.require_invariant(pair, "table")
         occ, wmat = space.basis.occupations.astype(float), np.asarray(pair, dtype=float)
         diagonal = 0.5 * (np.einsum("bm,mn,bn->b", occ, wmat, occ) - occ @ np.diag(wmat))
     values[0] = space.basis.occupations @ np.diagonal(h0)
-    if coupling:
-        values[0] += coupling * diagonal
+    values[0] += coupling * diagonal
+    h0, pair = (x if _frozen(x) else None for x in (h0, pair))
     space._generator = (hops, sources, values, h0, pair, coupling, diagonal)
     return sources, values
 

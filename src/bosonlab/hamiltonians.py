@@ -25,7 +25,7 @@ from.  ``stage_pieces``, the one builder of pieces, builds h1 (h0 at each
 stage's time) and the kernel stacks of up to ``stage_batch`` stages in one
 closed-form build from the rank-one condensate projector (``_ladder_kernels``,
 from ``_plan``), of only the kernels its flow consumes, a leading run of
-Htilde, C and Q; ``pieces_at`` is a one-stage build of all three.
+Htilde, C and Q, read-only; ``pieces_at`` is a one-stage build of all three.
 ``apply_H`` computes the coupling 1/(N-1) and calls the state's ``generator``.
 """
 
@@ -38,9 +38,9 @@ import numpy as np
 
 from . import fockstate as fs
 from . import tensorstate as ts
-from .errors import ConfigError, ConsistencyError
+from .errors import ConfigError
 from .meanfield import Condensate, condensate_at
-from .model import Model
+from .model import Model, _read_only
 
 __all__ = [
     "EffectivePieces",
@@ -255,11 +255,11 @@ def stage_pieces(cond: Condensate, model: Model, kernels: int = len(_SPLIT)) -> 
     Q built for all S stages in one ``_ladder_kernels`` call; S should not
     exceed ``stage_batch``.  The pieces do not depend on N."""
     h0 = model.h0(cond.t)
-    h1s = tuple(_h1(cond, h0))
-    stacks = tuple(_ladder_kernels(cond, model, kernels))
+    h1s = tuple(_read_only(_h1(cond, h0)))
+    stacks = tuple(_read_only(_ladder_kernels(cond, model, kernels)))
     # h1 and the kernels are functions of h0, the pair table and the stage
     # condensates (vbar and mu follow from phi), so they are invariant under
-    # a lattice symmetry when those are
+    # a lattice symmetry when those are; read-only, they stay known by identity
     batch = ((model.pair, "table", ()), (h0, "table", ()), (cond.phi, "vector", h1s + stacks))
     return [
         EffectivePieces(Condensate(phi, t, vb, mu), table, stack, model, batch)
@@ -275,10 +275,9 @@ def pieces_at(phi: np.ndarray, t: float, model: Model) -> EffectivePieces:
 
 def apply_H(t: float, state, model: Model):
     """Full generator dGamma(h0(t)) + sum_{i<j} w(x_i - x_j) / (N - 1) on a
-    state or a block (``generator``)."""
+    state or a block (``generator``); a zero pair table adds exactly 0.0."""
     n = state.particles
-    coupling = 1.0 / (n - 1) if n >= 2 and not model.free else 0.0
-    return state.generator(model.h0(t), model.pair, coupling)
+    return state.generator(model.h0(t), model.pair, 1.0 / (n - 1) if n >= 2 else 0.0)
 
 
 # The operators of stage entries, indices into ``EffectivePieces.kernels``
@@ -326,8 +325,9 @@ def apply_stage(pieces: EffectivePieces, members, entries: tuple):
     member, as its first entry, and on every output or on none: h1 is
     lifted over the block in one call, and the pair parts of every entry
     come from one ``projected_pair_sum``, times 1/(N-1) (``ConfigError``
-    below N = 2).  ``ValueError`` refuses another row count than the
-    block's and names a row that breaks this layout or ``check_entries``."""
+    below N = 2; exactly 0.0 for a zero pair table).  ``ValueError``
+    refuses another row count than the block's and names a row that breaks
+    this layout or ``check_entries``."""
     if members.particles < 2:
         raise ConfigError("the effective decomposition needs at least two particles")
     rows = len(members.amps)
@@ -341,25 +341,18 @@ def apply_stage(pieces: EffectivePieces, members, entries: tuple):
                              f"in every row or in none")
     members.admit(pieces.batch)
     out = members.lift(pieces.h1) if lifted else 0.0 * members
-    if not pieces.model.free:
-        out.amps += projected_pair_sum(members, pieces, entries).amps / (members.particles - 1)
+    out.amps += projected_pair_sum(members, pieces, entries).amps / (members.particles - 1)
     return out
 
 
-def decomposition_residual(t: float, cond: Condensate, state, model: Model) -> float:
-    """Relative residual of H = Htilde + C + Q at the condensate time stamp.
+def decomposition_residual(phi: np.ndarray, t: float, state, model: Model) -> float:
+    """Relative residual of H = Htilde + C + Q at the condensate phi at time t
+    (``pieces_at``).
 
     The identity is exact on the lattice; anything above 1e-10 indicates an
     implementation defect, not a discretisation artefact.
     """
-    if abs(cond.t - t) > 1e-12:
-        raise ConsistencyError(
-            f"stale condensate cache: stamped t={cond.t}, requested t={t}"
-        )
-    # a one-stage build that reuses the condensate's vbar and mu
-    one = Condensate(cond.phi[None], np.array([float(cond.t)]), cond.vbar[None],
-                     np.array([cond.mu]))
-    pieces = stage_pieces(one, model)[0]
+    pieces = pieces_at(phi, t, model)
     lhs = apply_H(t, state, model)
     rhs = apply_Htilde(pieces, state) + apply_C(pieces, state) + apply_Q(pieces, state)
     return (lhs - rhs).norm() / state.norm()

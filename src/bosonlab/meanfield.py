@@ -8,8 +8,8 @@ gives (vbar, mu) from one |phi|^2 and ``_slope`` gives h[phi] phi = h0 phi +
 fourth-order march ``hartree_evolve`` calls them directly, folds -i into its
 step scalars, builds no per-stage object, and writes phi at every grid time
 and the four stage condensates of every step into one (steps + 1, 4, M)
-buffer, of which ``phis`` and ``stage_phis`` are views, so that all N-body
-evolutions consume the identical trajectory and its stages
+buffer, of which ``phis`` and ``stage_phis`` are read-only views, so that all
+N-body evolutions consume the identical trajectory and its stages
 (``HartreeTrajectory.stage_phis`` and ``stage_times``) without stepping phi
 again; a norm that drifts by more than ``DRIFT_ABORT`` or is not finite
 aborts the march.  The diagnostics mu and the Sobolev proxy along it are
@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IntegratorError
-from .model import Model, grid_index
+from .model import Model, _read_only, grid_index
 
 __all__ = [
     "Condensate",
@@ -194,8 +194,9 @@ def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> Hart
             k4 = _slope(h0(t + dt), stage, *_mean_field(stage, wmat, cell))
             phi = np.add(phi, ((-1j * dt) / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=phis[k + 1])
 
+    _read_only(buf)  # so that a symmetric sector knows each stage build's condensates by identity
     times = np.arange(steps + 1) * dt
-    return HartreeTrajectory(model, times, phis, norms, buf[:-1].reshape(4 * steps, m))
+    return HartreeTrajectory(model, times, buf[:, 0], norms, buf[:-1].reshape(4 * steps, m))
 
 
 def hk_proxy(phi: np.ndarray, model: Model) -> float:

@@ -9,8 +9,8 @@ Every function of S is read in the condensate frame (the excitation map of
 Lewin-Nam-Serfaty-Solovej): over a one-body basis whose mode 0 is u =
 sqrt(cell) phi, k is the number of particles outside mode 0, so P_k is a
 mask on the amplitudes that ``to_frame`` gives and ``from_frame`` maps back,
-exact to roundoff at any N.  One lift of S per call checks the first two
-moments of the weights.  The subset-sum definition (all placements of k
+exact to roundoff at any N.  Each call checks the weights' total and first
+two moments (``_frame``).  The subset-sum definition (all placements of k
 complement projectors) is retained only as a small-N oracle.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 from . import tensorstate as ts
 from .errors import ConsistencyError
 
-# Largest accepted |sum_k ||P_k psi||^2 - ||psi||^2|, relative to max(1, ||psi||^2).
+# Largest accepted gap of a weight moment a = 0, 1, 2 per max(1, N)^a max(1, ||psi||^2).
 SUM_RULE_TOL = 1e-8
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "apply_weight",
     "qchain_expectation",
     "excitation_extract",
-    "falling_factorial",
 ]
 
 
@@ -89,19 +88,20 @@ def weight_values(f: WeightFunction | Callable, n_particles: int) -> np.ndarray:
 
 def _frame(phi: np.ndarray, psi) -> tuple:
     """(c, k, w): psi's frame amplitudes and excitation numbers (``to_frame``)
-    and the weights w_k, the sums of |c|^2 by k, whose first two moments must
-    match <psi, S psi> and ||S psi||^2 from one lift of S to SUM_RULE_TOL N^2
-    max(1, ||psi||^2), or ConsistencyError.  The lift refuses a condensate of
-    another length with ``ValueError``."""
+    and the weights w_k, the sums of |c|^2 by k, whose moments a = 0, 1 and 2
+    must match ||psi||^2, then <psi, S psi> and ||S psi||^2 from one lift of
+    S, to SUM_RULE_TOL max(1, N)^a max(1, ||psi||^2), or ConsistencyError.
+    The lift refuses a condensate of another length with ``ValueError``."""
     ts.check_normalised(phi, psi.cell)
     n, lifted = psi.particles, number_apply(psi, ts.projector_matrices(phi, psi.cell)[1])
     amps, k = psi.to_frame(phi)
     w = np.bincount(np.ravel(k), (amps * amps.conj()).real.ravel(), minlength=n + 1)
-    tol = SUM_RULE_TOL * max(1, n * n) * max(1.0, psi.norm() ** 2)
-    for a, want in ((1, psi.inner(lifted).real), (2, lifted.norm() ** 2)):
+    norm_sq = psi.norm() ** 2
+    for a, name, want in ((0, "||psi||^2", norm_sq), (1, "<psi, S psi>", psi.inner(lifted).real),
+                          (2, "||S psi||^2", lifted.norm() ** 2)):
         got = float(np.arange(n + 1) ** a @ w)
-        if abs(got - want) > tol:
-            raise ConsistencyError(f"the weights give sum_k k^{a} w_k = {got!r}, but one lift of S gives {want!r} "
+        if abs(got - want) > SUM_RULE_TOL * max(1, n) ** a * max(1.0, norm_sq):
+            raise ConsistencyError(f"the weights give sum_k k^{a} w_k = {got!r}, not {name} = {want!r} "
                                    f"at N={n}; the excitation-number spectrum is inconsistent")
     return amps, k, w
 
@@ -161,7 +161,7 @@ class SpectralWeights:
         n = self.particles
         if not 0 <= a <= n:
             raise ValueError(f"chain length a={a} out of range 0..{n}")
-        coeff = np.array([falling_factorial(k, a) for k in range(n + 1)]) / falling_factorial(n, a)
+        coeff = np.array([math.perm(k, a) / math.perm(n, a) for k in range(n + 1)])
         return float(np.dot(coeff, self.weights))
 
     def budget(self, a: int, gamma: float) -> float:
@@ -190,27 +190,16 @@ def spectral_weights(psi, phi: np.ndarray) -> SpectralWeights:
     """||P_k psi||^2 for every k; entries are nonnegative and sum to ||psi||^2.
 
     The squared amplitudes of psi in the condensate frame, summed by k
-    (``_frame``): one map into the frame and one lift of S that checks the
-    first two moments; exact to roundoff at any N.  A moment that misses its
-    lift, or a sum-rule defect above SUM_RULE_TOL, raises ConsistencyError
-    (exit 1); an asymmetric state or a bad condensate raises ``ValueError``.
+    (``_frame``, whose moment checks raise ConsistencyError, exit 1); exact to
+    roundoff at any N.  An asymmetric state or a bad condensate raises ``ValueError``.
     """
     if psi.asymmetry() > 1e-8:
         raise ValueError("spectral weights require a symmetric state")
-    n = psi.particles
-    _, _, w = _frame(phi, psi)
-    norm_sq = psi.norm() ** 2
-    defect = abs(w.sum() - norm_sq)
-    if defect > SUM_RULE_TOL * max(1.0, norm_sq):
-        raise ConsistencyError(
-            f"spectral weights sum to {w.sum()!r}, not ||psi||^2 = {norm_sq!r} "
-            f"(defect {defect:.3g}) at N={n}"
-        )
-    return SpectralWeights(weights=w)
+    return SpectralWeights(weights=_frame(phi, psi)[2])
 
 
 def apply_weight(f: WeightFunction | Callable, phi: np.ndarray, psi):
-    """Weight operator sum_k f(k) P_k applied to psi, as f(k) on its frame amplitudes."""
+    """Weight operator sum_k f(k) P_k applied to psi, as f(k) on its checked frame amplitudes."""
     amps, k, _ = _frame(phi, psi)
     return psi.from_frame(phi, amps * weight_values(f, psi.particles)[k])
 
@@ -218,13 +207,6 @@ def apply_weight(f: WeightFunction | Callable, phi: np.ndarray, psi):
 # ---------------------------------------------------------------------------
 # q-chains and excitation vectors
 # ---------------------------------------------------------------------------
-
-def falling_factorial(x: int, a: int) -> float:
-    out = 1.0
-    for j in range(a):
-        out *= x - j
-    return out
-
 
 def qchain_expectation(a: int, phi: np.ndarray, psi, weights: SpectralWeights | None = None) -> float:
     """<psi, q_1...q_a psi> for symmetric psi from the spectral weights by the

@@ -91,8 +91,7 @@ class TensorState:
 
     def generator(self, h0, pair, coupling: float) -> "TensorState":
         """dGamma(h0) plus ``coupling`` times the pair diagonal."""
-        out = apply_one_body_sum(h0, self)
-        return out + coupling * apply_pair_diagonal(pair, self) if coupling else out
+        return apply_one_body_sum(h0, self) + coupling * apply_pair_diagonal(pair, self)
 
     def pair_sums(self, pieces, entries) -> "TensorState":
         """Row i sums the pair part of operator op applied to row j of this

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosonlab import experiments, hamiltonians, meanfield, propagation
+from bosonlab import hamiltonians, meanfield, propagation
 from bosonlab import projections as pj
 from bosonlab.errors import ConfigError, RangeError
 from bosonlab.experiments import (
@@ -162,7 +162,7 @@ class TestLemmaSuite:
         assert all(line.startswith(("PASS", "FAIL")) for line in lines)
 
     def test_one_condensate_per_draw(self, monkeypatch):
-        # decomposition_residual builds its pieces from the condensate it is given
+        # decomposition_residual builds its pieces from one condensate (pieces_at)
         calls = []
         original = meanfield.condensate_at
 
@@ -170,7 +170,7 @@ class TestLemmaSuite:
             calls.append(1)
             return original(*args)
 
-        for module in (meanfield, hamiltonians, experiments):
+        for module in (meanfield, hamiltonians):
             monkeypatch.setattr(module, "condensate_at", counting)
         assert lemma_suite(base_config(), n_seeds=2).ok
         assert len(calls) == 2

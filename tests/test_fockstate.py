@@ -554,8 +554,10 @@ class TestPairDiagonal:
         rng = np.random.default_rng(32)
         pair = rng.standard_normal((3, 3))
         pair = pair + pair.T
+        pair.flags.writeable = False
         first = pair_diagonal(space, pair)
-        # a new h0 rewrites slot 0 but keeps the pair diagonal of the same table
+        # a new h0 rewrites slot 0 but keeps the pair diagonal of the same
+        # read-only table
         assert pair_diagonal(space, pair) is first
         occ = space.basis.occupations.astype(float)
         expect = 0.5 * (np.einsum("bm,mn,bn->b", occ, pair, occ) - occ @ np.diag(pair))

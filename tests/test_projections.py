@@ -6,7 +6,7 @@ import pytest
 from bosonlab import fockstate as fs
 from bosonlab import projections as pj
 from bosonlab import tensorstate as ts
-from bosonlab.experiments import build_product, default_phi0
+from bosonlab.experiments import build_mixed, build_product, default_phi0
 from bosonlab.model import ModelConfig, build_model
 
 CELL = 1.0
@@ -219,6 +219,31 @@ class TestLargeParticleNumber:
         with pytest.raises(ConsistencyError) as info:
             pj.spectral_weights(psi, phi)
         assert info.value.exit_code == 1
+
+    @pytest.mark.parametrize("rep", ["fock", "tensor"])
+    def test_weight_moved_into_k0_is_refused(self, monkeypatch, rep):
+        # doubling one k = 0 amplitude moves weight into k = 0 only, which
+        # leaves moments 1 and 2 as they were: only the total can see it
+        from bosonlab.errors import ConsistencyError
+
+        rng = np.random.default_rng(34)
+        phi = random_phi(3, rng)
+        psi = ts.random_symmetric(3, 4, CELL, rng)
+        if rep == "fock":
+            psi = fs.extract(psi, fs.FockSpace(fs.enumerate_basis(3, 4), CELL))
+        to_frame = type(psi).to_frame
+
+        def moved(state, phi):
+            amps, k = to_frame(state, phi)
+            amps = amps.copy()
+            amps.flat[np.argmax(np.where(k == 0, np.abs(amps), 0.0))] *= 2.0
+            return amps, k
+
+        monkeypatch.setattr(type(psi), "to_frame", moved)
+        for call in (lambda: pj.spectral_weights(psi, phi), lambda: pj.apply_weight(lambda k: 1.0, phi, psi),
+                     lambda: pj.apply_Pk(0, phi, psi)):
+            with pytest.raises(ConsistencyError, match=r"not \|\|psi\|\|\^2 = "):
+                call()
 
     def test_weights_cost_at_most_n_plus_one_lifts(self, monkeypatch):
         n = 16
@@ -454,6 +479,16 @@ class TestQChain:
             direct = pj.qchain_expectation(a, phi, psi)
             spectral = w.qchain(a)
             assert direct == pytest.approx(spectral, abs=1e-10)
+
+    def test_occupation_state_agrees_with_its_embedding(self):
+        model = build_model(ModelConfig(dimension=1, sites_per_dim=4, torus_length=4.0, particles=4))
+        phi = default_phi0(model)
+        psi = build_mixed(model, phi, 0.5, representation="fock")
+        weights = pj.spectral_weights(psi, phi)
+        for a in range(1, 5):
+            fock = pj.qchain_expectation(a, phi, psi)
+            assert fock == pytest.approx(pj.qchain_expectation(a, phi, fs.embed(psi)), abs=1e-12)
+            assert fock == pytest.approx(weights.qchain(a), abs=1e-12)
 
     def test_given_weights_make_no_frame_transform(self, monkeypatch):
         rng = np.random.default_rng(18)

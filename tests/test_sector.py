@@ -225,6 +225,31 @@ class TestSectorOperators:
             with pytest.raises(ValueError, match=f"asymmetry {gap:.3g} "):
                 apply(table)
 
+    def test_a_table_changed_in_place_is_checked_again(self):
+        # only read-only tables are known by identity: a writeable one that
+        # turns asymmetric in place is refused like a copy of it
+        space = fs.FockSpace(fs.enumerate_basis(4, 3, symmetry=[(3, 2, 1, 0)]), CELL)
+        psi = fs.random_fock(space, np.random.default_rng(5))
+        op = np.diag([1.0, 2.0, 2.0, 1.0])
+        psi.lift(op)
+        op[0, 1] = 5.0
+        with pytest.raises(ValueError, match="asymmetry 1.2 "):
+            psi.lift(op.copy())
+        with pytest.raises(ValueError, match="asymmetry 1.2 "):
+            psi.lift(op)
+        # nor is a read-only view of a writeable array
+        op[0, 1] = 0.0
+        view = op.view()
+        view.flags.writeable = False
+        psi.lift(view)
+        op[0, 1] = 5.0
+        with pytest.raises(ValueError, match="asymmetry 1.2 "):
+            psi.lift(view)
+        op[0, 1] = 0.0
+        op.flags.writeable = False
+        psi.lift(op)
+        assert space._invariant[id(op)] is op
+
     def test_plane_wave_hop_is_refused(self):
         model = make_model()
         phi0 = default_phi0(model)
