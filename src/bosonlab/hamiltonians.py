@@ -275,7 +275,8 @@ def pieces_at(phi: np.ndarray, t: float, model: Model) -> EffectivePieces:
 
 def apply_H(t: float, state, model: Model):
     """Full generator dGamma(h0(t)) + sum_{i<j} w(x_i - x_j) / (N - 1) on a
-    state or a block (``generator``); a zero pair table adds exactly 0.0."""
+    state or a block (``generator``), which knows the model's read-only
+    tables by identity; a zero pair table adds exactly 0.0."""
     n = state.particles
     return state.generator(model.h0(t), model.pair, 1.0 / (n - 1) if n >= 2 else 0.0)
 
@@ -322,8 +323,9 @@ def apply_stage(pieces: EffectivePieces, members, entries: tuple):
     applied to row j of the block ``members`` over the (op, j) in
     ``entries[i]``, as ``stage_entries`` builds them for a hierarchy stage:
     Htilde psi_i + C psi_c(i) + Q psi_q(i).  Htilde acts on an output's own
-    member, as its first entry, and on every output or on none: h1 is
-    lifted over the block in one call, and the pair parts of every entry
+    member, as its first entry, and on every output or on none: the
+    pieces' read-only tables are admitted once per build, h1 is lifted
+    over the block in one call, and the pair parts of every entry
     come from one ``projected_pair_sum``, times 1/(N-1) (``ConfigError``
     below N = 2; exactly 0.0 for a zero pair table).  ``ValueError``
     refuses another row count than the block's and names a row that breaks
