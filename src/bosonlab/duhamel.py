@@ -291,10 +291,14 @@ def correction_error(
     """Norm distance between the true evolution and each approximant a = 1..order,
     from one hierarchy of ``order`` and one full evolution, which with a zero
     pair table is the hierarchy's lead (vbar = mu = 0, so Htilde = H).  A
+    ``psi0`` of another particle or site count than ``model.config``, or a
     ``trajectory`` evolved under another config or from a condensate other
-    than ``phi0`` raises ``ValueError``: the hierarchy follows the
+    than ``phi0``, raises ``ValueError``: the hierarchy follows the
     trajectory's model, so its errors would measure the mismatch."""
-    validate_config(model.config, correction_run=True)
+    cfg = validate_config(model.config, correction_run=True)
+    if (psi0.particles, psi0.sites) != (cfg.particles, cfg.site_count):
+        raise ValueError(f"psi0 holds N={psi0.particles} on M={psi0.sites} sites, "
+                         f"the model config N={cfg.particles} on M={cfg.site_count}")
     if trajectory is None:
         trajectory = hartree_evolve(phi0, 0.0, t, model)
     elif trajectory.model.config != model.config:

@@ -145,24 +145,20 @@ def _product(model: Model, phi0: np.ndarray, representation: str, symmetry=()):
     return fs.product_fock(phi0, fs.FockSpace(basis, model.cell))
 
 
-def build_one_excitation(model: Model, phi0: np.ndarray, chi: np.ndarray | None = None,
-                         representation: str = "fock"):
-    """Normalised symmetrisation of phi0^(N-1) (x) chi with chi orthogonal to
-    phi0, in the occupation space without symmetry: the plane wave chi is
-    not reflection invariant."""
+def build_one_excitation(model: Model, phi0: np.ndarray, representation: str = "fock"):
+    """Normalised symmetrisation of phi0^(N-1) (x) chi with chi the plane wave
+    of ``orthogonal_mode``, in the occupation space without symmetry: the
+    plane wave is not reflection invariant."""
     n = model.config.particles
-    if chi is None:
-        chi = orthogonal_mode(model, phi0)
-    hop = model.cell * np.outer(chi, phi0.conj())
+    hop = model.cell * np.outer(orthogonal_mode(model, phi0), phi0.conj())
     base = _product(model, phi0, representation)
     out = (1.0 / math.sqrt(n)) * base.lift(hop)
     return (1.0 / out.norm()) * out
 
 
-def build_mixed(model: Model, phi0: np.ndarray, eps: float, chi: np.ndarray | None = None,
-                representation: str = "fock"):
+def build_mixed(model: Model, phi0: np.ndarray, eps: float, representation: str = "fock"):
     base = _product(model, phi0, representation)
-    exc = build_one_excitation(model, phi0, chi, representation)
+    exc = build_one_excitation(model, phi0, representation)
     return (1.0 / math.sqrt(1.0 + eps**2)) * (base + eps * exc)
 
 
@@ -472,7 +468,7 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
         p1, q1 = ts.projector_matrices(phi, cell)
         weights = spectral_weights(psi, phi)
         # chains[a] = <psi, q_1...q_a psi>
-        chains = {a: qchain_expectation(a, phi, psi, weights=weights) for a in range(1, a_max + 1)}
+        chains = {a: qchain_expectation(a, phi, psi) for a in range(1, a_max + 1)}
 
         track("decomposition_residual", decomposition_residual(phi, 0.0, psi, model))
 

@@ -166,8 +166,14 @@ def _normalise_raw(raw: Mapping) -> dict:
             raise ConfigError(f"unknown configuration key {key!r}")
         if field in out:
             raise ConfigError(f"duplicate key {key!r}: another key already sets {field}")
-        if field in ("interaction_samples", "potential_table") and value is not None:
-            value = tuple(np.asarray(value).ravel().tolist()) if field == "interaction_samples" else value
+        if field == "interaction_samples" and value is not None:
+            value = tuple(np.asarray(value).ravel().tolist())
+        elif field == "potential_table" and value is not None:
+            try:
+                times, rows = value
+                value = tuple(map(float, times)), tuple(tuple(map(float, row)) for row in rows)
+            except (TypeError, ValueError):
+                raise ConfigError("potential_table must be a pair (times, rows) of numbers") from None
         else:
             value = _coerce(key, field, value)
         out[field] = value
@@ -234,8 +240,16 @@ def validate_config(raw, correction_run: bool = False) -> ModelConfig:
         if gap > 1e-12 * np.abs(values).max():
             raise ConfigError(f"interaction_samples must be even, values[delta] = values[-delta mod L] "
                               f"in every component; they differ by {gap:.3g}")
-    if cfg.potential_kind == "tabulated" and cfg.potential_table is None:
-        raise ConfigError(f"tabulated potential requires ModelConfig.potential_table{_API_ONLY}")
+    if cfg.potential_kind == "tabulated":
+        if cfg.potential_table is None:
+            raise ConfigError(f"tabulated potential requires ModelConfig.potential_table{_API_ONLY}")
+        times, rows = cfg.potential_table
+        if len(times) < 2 or not all(b > a for a, b in zip(times, times[1:])):
+            raise ConfigError(f"potential_table needs at least two strictly increasing times, got {times}")
+        if len(rows) != len(times) or any(len(row) != cfg.site_count for row in rows):
+            raise ConfigError(f"potential_table needs one row of M = {cfg.site_count} values per time")
+        if not (np.isfinite(times).all() and np.isfinite(rows).all()):
+            raise ConfigError("potential_table values must be finite")
 
     if correction_run:
         beta_cap = 1.0 / (4 * d)
@@ -384,15 +398,9 @@ def external_potential(config: ModelConfig, t: float) -> np.ndarray:
         ell = config.torus_length
         delta = (delta + 0.5 * ell) % ell - 0.5 * ell
         return strength * np.sum(delta**2, axis=-1)
-    # tabulated: linear interpolation in time on the stored grid
-    times, table = config.potential_table
-    times = np.asarray(times, dtype=float)
-    table = np.asarray(table, dtype=float).reshape(len(times), M)
-    t_clip = min(max(t, times[0]), times[-1])
-    j = int(np.searchsorted(times, t_clip, side="right")) - 1
-    j = min(max(j, 0), len(times) - 2)
-    w = (t_clip - times[j]) / (times[j + 1] - times[j])
-    return (1 - w) * table[j] + w * table[j + 1]
+    # tabulated: linear in time between the stored rows, held at the first and last
+    times, rows = config.potential_table
+    return np.array([np.interp(t, times, column) for column in zip(*rows)])
 
 
 @dataclass(frozen=True)

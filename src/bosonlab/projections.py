@@ -208,20 +208,14 @@ def apply_weight(f: WeightFunction | Callable, phi: np.ndarray, psi):
 # q-chains and excitation vectors
 # ---------------------------------------------------------------------------
 
-def qchain_expectation(a: int, phi: np.ndarray, psi, weights: SpectralWeights | None = None) -> float:
-    """<psi, q_1...q_a psi> for symmetric psi from the spectral weights by the
+def qchain_expectation(a: int, phi: np.ndarray, psi) -> float:
+    """<psi, q_1...q_a psi> for symmetric psi from its spectral weights by the
     falling-factorial rule, cross-checked by the state's
     ``chain_expectation`` (on the tensor grid, the direct slot projection;
     disagreement beyond 1e-8 is an internal consistency failure)."""
     if not 1 <= a <= psi.particles:
         raise ValueError(f"chain length a={a} out of range 1..{psi.particles}")
-    if weights is None:
-        weights = spectral_weights(psi, phi)
-    elif weights.particles != psi.particles:
-        raise ValueError(
-            f"weights over N={weights.particles} do not belong to a state of N={psi.particles}"
-        )
-    return psi.chain_expectation(a, phi, weights.qchain(a))
+    return psi.chain_expectation(a, phi, spectral_weights(psi, phi).qchain(a))
 
 
 def excitation_extract(k: int, phi: np.ndarray, psi: ts.TensorState) -> ts.TensorState:

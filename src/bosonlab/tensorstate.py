@@ -2,8 +2,8 @@
 
 Amplitudes live on an (M,)*N complex array; the inner product carries the
 volume element ``cell = h**d`` once per particle coordinate.  All operator
-applications are matrix-free slot loops: an M x M table is contracted
-against one tensor leg at a time, never materialising M^N x M^N matrices.
+applications are matrix-free slot loops: an (M^k, M^k) table is contracted
+against k tensor legs at a time, never materialising M^N x M^N matrices.
 A block of states carries a leading member axis.  ``TensorState`` answers
 the state methods of ``fockstate.FockState`` with the grid's own
 algorithms, which cross-check the occupation basis.
@@ -68,11 +68,17 @@ class TensorState:
     def norm(self) -> float:
         return float(np.sqrt(self.cell**self.particles * np.vdot(self.amps, self.amps).real))
 
+    def _grid_amps(self, other: "TensorState") -> np.ndarray:
+        """The amplitudes of ``other``; ``ValueError`` unless it lives on this grid."""
+        if (self.amps.shape, self.cell, self.particles) != (other.amps.shape, other.cell, other.particles):
+            raise ValueError("states live on different grids")
+        return other.amps
+
     def __add__(self, other: "TensorState") -> "TensorState":
-        return self.with_amps(self.amps + other.amps)
+        return self.with_amps(self.amps + self._grid_amps(other))
 
     def __sub__(self, other: "TensorState") -> "TensorState":
-        return self.with_amps(self.amps - other.amps)
+        return self.with_amps(self.amps - self._grid_amps(other))
 
     def __mul__(self, scalar) -> "TensorState":
         return self.with_amps(self.amps * scalar)
@@ -81,9 +87,7 @@ class TensorState:
 
     def inner(self, other: "TensorState") -> complex:
         """Weighted sesquilinear product, conjugate-linear in this state."""
-        if self.amps.shape != other.amps.shape or self.cell != other.cell:
-            raise ValueError("states live on different grids")
-        return complex(self.cell**self.particles * np.vdot(self.amps, other.amps))
+        return complex(self.cell**self.particles * np.vdot(self.amps, self._grid_amps(other)))
 
     def lift(self, op) -> "TensorState":
         """The one-body sum of ``op`` over the coordinates (``apply_one_body_sum``)."""
@@ -95,27 +99,20 @@ class TensorState:
 
     def pair_sums(self, pieces, entries) -> "TensorState":
         """Row i sums the pair part of operator op applied to row j of this
-        block over the (op, j) in ``entries[i]`` (``check_entries``), through
-        the pair terms (weight, kernel, A, C, B, D) of ``pieces.terms[op]``,
-        without the 1/(N-1).  Each operator acts only on the members its
-        entries name, as one sub-block: per term and r it lifts
-        G_r = B diag(kernel[r, :]) D, then the rank-one A E_r C, and
-        subtracts the coincidence lift of A (kernel o C B) D: 2M + 1 lifts
-        per term, each on the whole sub-block."""
+        block over the (op, j) in ``entries[i]`` (``check_entries``), without
+        the 1/(N-1), each operator on the sub-block of the members it names:
+        one (M^2, M^2) table, weight (A (x) B) diag(vec kernel) (C (x) D) summed
+        over ``pieces.terms[op]``, on each of the N(N-1) ordered coordinate pairs."""
         check_entries(entries, len(pieces.terms), len(self.amps))
         done = {}
         for op in {op for row in entries for op, _ in row}:
             named = sorted({j for row in entries for o, j in row if o == op})
             members = self.with_amps(self.amps[named])
-            acc = 0.0 * members
-            for weight, kernel, a, c, b, d in pieces.terms[op]:
-                term = 0.0 * members
-                for r in range(kernel.shape[0]):
-                    u = apply_one_body_sum(b @ (kernel[r][:, None] * d), members)
-                    term = term + apply_one_body_sum(np.outer(a[:, r], c[r, :]), u)
-                correction = a @ (kernel * (c @ b)) @ d
-                acc = acc + weight * (term - apply_one_body_sum(correction, members))
-            done.update(((op, j), amps) for j, amps in zip(named, acc.amps))
+            table = sum(weight * np.kron(a, b) @ (kernel.reshape(-1, 1) * np.kron(c, d))
+                        for weight, kernel, a, c, b, d in pieces.terms[op])
+            acc = sum((_apply_slots(table, pair, members).amps for pair in permutations(range(self.particles), 2)),
+                      np.zeros_like(members.amps))
+            done.update(zip(((op, j) for j in named), acc))
         return self.with_amps(np.stack([sum((done[e] for e in row), 0.0 * self.amps[0]) for row in entries]))
 
     def to_frame(self, phi) -> tuple:
@@ -156,17 +153,21 @@ def _frame_legs(psi: TensorState, phi: np.ndarray) -> TensorState:
     return psi
 
 
+def _apply_slots(table, slots, psi: TensorState) -> TensorState:
+    """Apply an (M^k, M^k) table on k distinct coordinate ``slots``, 0-based from
+    the first particle axis, of a state or of every state of a block."""
+    n, k = psi.particles, len(slots)
+    if len(set(slots)) < k or not all(0 <= slot < n for slot in slots):
+        raise IndexError(f"slots {slots} need distinct coordinates in 0..{n - 1}")
+    axes = tuple(psi.amps.ndim - n + slot for slot in slots)
+    table = np.asarray(table, dtype=np.complex128).reshape((psi.sites,) * 2 * k)
+    out = np.tensordot(table, psi.amps, axes=(range(k, 2 * k), axes))
+    return psi.with_amps(np.ascontiguousarray(np.moveaxis(out, range(k), axes)))
+
+
 def apply_factor(op, slot: int, psi: TensorState) -> TensorState:
     """Apply a one-body table on coordinate ``slot`` (0-based), identity elsewhere."""
-    n = psi.particles
-    if not 0 <= slot < n:
-        raise IndexError(f"slot {slot} out of range for {n} particles")
-    mat = np.asarray(op, dtype=np.complex128)
-    m = psi.sites
-    work = np.moveaxis(psi.amps, slot, 0).reshape(m, -1)
-    out = mat @ work
-    out = np.moveaxis(out.reshape((m,) + psi.amps.shape[:slot] + psi.amps.shape[slot + 1 :]), 0, slot)
-    return TensorState(np.ascontiguousarray(out), psi.cell)
+    return _apply_slots(op, (slot,), psi)
 
 
 def apply_one_body_sum(op, psi: TensorState) -> TensorState:
@@ -180,15 +181,8 @@ def apply_one_body_sum(op, psi: TensorState) -> TensorState:
 
 
 def apply_two_slot(mat2, i: int, j: int, psi: TensorState) -> TensorState:
-    """Apply an M^2 x M^2 table on the ordered coordinate pair (i, j)."""
-    if i == j:
-        raise IndexError("two-slot operator needs distinct coordinates")
-    n, m = psi.particles, psi.sites
-    work = np.moveaxis(psi.amps, (i, j), (0, 1)).reshape(m * m, -1)
-    out = np.asarray(mat2, dtype=np.complex128) @ work
-    rest = tuple(psi.amps.shape[k] for k in range(n) if k not in (i, j))
-    out = np.moveaxis(out.reshape((m, m) + rest), (0, 1), (i, j))
-    return TensorState(np.ascontiguousarray(out), psi.cell)
+    """Apply an M^2 x M^2 table on the ordered pair (i, j) of distinct coordinates."""
+    return _apply_slots(mat2, (i, j), psi)
 
 
 def pair_diagonal_field(pair, n_particles: int) -> np.ndarray:

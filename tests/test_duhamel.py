@@ -466,6 +466,20 @@ class TestCorrectionError:
         with pytest.raises(ValueError, match="does not start at phi0"):
             correction_error(psi0, phi0, 1, 0.2, model, trajectory=hartree_evolve(shifted, 0.0, 0.2, model))
 
+    def test_initial_state_of_another_model_is_refused(self):
+        # an N = 4 state under the N = 3 model returned the errors
+        # (1.545e-5, 3.99e-6), not its own model's (1.639e-5, 4.25e-6)
+        base = {"sites_per_dim": 8, "torus_length": 4.0, "beta": 0.05, "interaction_radius": 2.0}
+        model, four = (make_model(particles=n, **base) for n in (3, 4))
+        phi0 = default_phi0(model)
+        with pytest.raises(ValueError, match="N=4 on M=8"):
+            correction_error(build_product(four, phi0, "fock"), phi0, 2, 0.1, model)
+        other = make_model(sites_per_dim=4, torus_length=4.0, particles=3)
+        with pytest.raises(ValueError, match="N=3 on M=4"):
+            correction_error(build_product(other, default_phi0(other), "tensor"), phi0, 2, 0.1, model)
+        errors = correction_error(build_product(four, phi0, "fock"), phi0, 2, 0.1, four).errors
+        assert errors == pytest.approx((1.639e-5, 4.25e-6), rel=1e-3)
+
     def test_benchmark_call_shape_is_accepted(self, setup):
         # the benchmark evolves the trajectory from the same model and phi0
         # before it times the solve; an equal copy of phi0 passes as well

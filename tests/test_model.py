@@ -329,6 +329,30 @@ class TestPotential:
         cfg = validate_config(small_raw(potential_kind="tabulated", potential_table=table))
         assert pickle.loads(pickle.dumps(cfg)) == cfg
 
+    def test_tabulated_arrays_are_stored_as_float_tuples(self):
+        table = ((0.0, 1.0), ((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 3.0, 4.0)))
+        arrays = (np.array([0, 1]), np.array(table[1]))
+        cfg, same = (validate_config(small_raw(potential_kind="tabulated", potential_table=t))
+                     for t in (arrays, table))
+        assert cfg.potential_table == table and type(cfg.potential_table[0][0]) is float
+        assert cfg == same and hash(cfg) == hash(same)
+
+    @pytest.mark.parametrize("table", [
+        ((0.0,), ((1.0, 2.0, 3.0, 4.0),)),
+        ((1.0, 0.0), ((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 3.0, 4.0))),
+        ((0.0, 0.0), ((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 3.0, 4.0))),
+        ((0.0, 1.0), ((0.0, float("nan"), 0.0, 0.0), (1.0, 2.0, 3.0, 4.0))),
+        ((0.0, float("inf")), ((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 3.0, 4.0))),
+        ((0.0, 1.0), ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))),
+        ((0.0, 1.0), ((0.0, 0.0, 0.0, 0.0),)),
+        ((0.0, 1.0), ((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 3.0))),
+        ((0.0, 1.0), "not a table"),
+    ], ids=["one-time", "decreasing", "repeated", "nan", "inf-time", "short-rows", "missing-row",
+            "ragged", "not-numbers"])
+    def test_malformed_table_is_refused(self, table):
+        with pytest.raises(ConfigError, match="potential_table"):
+            validate_config(small_raw(potential_kind="tabulated", potential_table=table))
+
 
 class TestH0:
     @pytest.mark.parametrize("kind,strength", [("none", 0.0), ("harmonic", 2.0)], ids=["none", "harmonic"])

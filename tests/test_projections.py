@@ -490,29 +490,18 @@ class TestQChain:
             assert fock == pytest.approx(pj.qchain_expectation(a, phi, fs.embed(psi)), abs=1e-12)
             assert fock == pytest.approx(weights.qchain(a), abs=1e-12)
 
-    def test_given_weights_make_no_frame_transform(self, monkeypatch):
-        rng = np.random.default_rng(18)
-        phi = random_phi(3, rng)
-        psi = ts.random_symmetric(3, 4, CELL, rng)
-        w = pj.spectral_weights(psi, phi)
-        transforms = []
-        frame = pj._frame
-        monkeypatch.setattr(pj, "_frame", lambda *args: transforms.append(1) or frame(*args))
-        given = [pj.qchain_expectation(a, phi, psi, weights=w) for a in (1, 2, 3, 4)]
-        assert not transforms
-        assert given == [pj.qchain_expectation(a, phi, psi) for a in (1, 2, 3, 4)]
-        assert len(transforms) == 4
-
-    def test_weights_of_another_particle_count_are_refused(self):
-        rng = np.random.default_rng(25)
-        phi = random_phi(3, rng)
-        psi = ts.random_symmetric(3, 4, CELL, rng)
-        other = pj.spectral_weights(ts.random_symmetric(3, 3, CELL, rng), phi)
-        assert other.particles == 3
-        with pytest.raises(ValueError, match="N=3"):
-            pj.qchain_expectation(1, phi, psi, weights=other)
-        with pytest.raises(ValueError, match="out of range"):
-            other.qchain(4)
+    def test_an_occupation_state_reads_only_its_own_weights(self):
+        # the occupation route has no direct projection to check a spectral
+        # value against, so a state must not be handed another state's weights
+        model = build_model(ModelConfig(dimension=1, sites_per_dim=4, torus_length=4.0, particles=5))
+        phi = default_phi0(model)
+        psi, other = (build_mixed(model, phi, eps, representation="fock") for eps in (0.5, 1.0))
+        own, foreign = (pj.spectral_weights(state, phi) for state in (psi, other))
+        assert own.qchain(1) == pytest.approx(0.04, abs=1e-12)
+        assert foreign.qchain(1) == pytest.approx(0.1, abs=1e-12)
+        assert pj.qchain_expectation(1, phi, psi) == pytest.approx(own.qchain(1), abs=1e-12)
+        with pytest.raises(TypeError):
+            pj.qchain_expectation(1, phi, psi, weights=foreign)
 
     def test_chain_out_of_range(self):
         rng = np.random.default_rng(16)
@@ -522,6 +511,8 @@ class TestQChain:
             pj.qchain_expectation(0, phi, psi)
         with pytest.raises(ValueError):
             pj.qchain_expectation(4, phi, psi)
+        with pytest.raises(ValueError, match="out of range"):
+            pj.spectral_weights(psi, phi).qchain(4)
 
 
 class TestExcitations:

@@ -94,17 +94,30 @@ class TestTensorBlocks:
             assert np.abs(got.amps - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
 
     def test_tensor_pair_sums_apply_each_operator_to_its_named_members(self, monkeypatch):
-        # an order-3 stage reads Htilde on 4 members, C on 2 and Q on 1: the
-        # oracle's 2M + 1 lifts per pair term run on those rows only, 7 of
-        # the 12 member-operator applications of every operator on every member
+        # an order-3 stage reads Htilde on 4 members, C on 2 and Q on 1: each
+        # operator's one two-slot table runs on those rows only, once per
+        # ordered coordinate pair, 7 of the 12 member-operator applications
         model = make_model()
         rng = np.random.default_rng(5)
         pieces = pieces_at(random_phi(model, rng), 0.0, model)
         states = [ts.random_symmetric(3, 3, model.cell, rng) for _ in range(4)]
-        lifted, lift = [], ts.apply_one_body_sum
-        monkeypatch.setattr(ts, "apply_one_body_sum",
-                            lambda op, psi: lifted.append(len(psi.amps)) or lift(op, psi))
+        seen, contract = [], ts._apply_slots
+        monkeypatch.setattr(ts, "_apply_slots",
+                            lambda table, slots, psi: seen.append(len(psi.amps)) or contract(table, slots, psi))
         block(states).pair_sums(pieces, stage_entries([(None, None), (0, None), (None, 0), (1, None)]))
-        terms = [len(op) for op in pieces.terms]
-        assert sum(lifted) == (2 * 3 + 1) * (4 * terms[0] + 2 * terms[1] + 1 * terms[2])
+        assert sorted(seen) == sorted([4, 2, 1] * (3 * 2))
+
+    def test_slot_tables_on_a_block_act_on_each_row(self):
+        rng = np.random.default_rng(6)
+        states = [ts.random_symmetric(3, 2, 0.5, rng) for _ in range(3)]
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        x2 = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        for apply, expect in ((lambda psi: ts.apply_factor(x, 1, psi), lambda a: a @ x.T),
+                              (lambda psi: ts.apply_two_slot(x2, 1, 0, psi),
+                               lambda a: (x2 @ a.T.reshape(9)).reshape(3, 3).T)):
+            out = apply(block(states))
+            assert out.particles == 2 and out.amps.shape == (3, 3, 3)
+            for got, psi in zip(rows(out), states):
+                assert np.abs(got.amps - apply(psi).amps).max() <= 1e-14
+                assert np.abs(got.amps - expect(psi.amps)).max() <= 1e-13
 

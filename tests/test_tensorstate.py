@@ -54,6 +54,20 @@ class TestInner:
         with pytest.raises(ValueError):
             a.inner(b)
 
+    def test_sum_and_difference_need_one_grid(self):
+        # N = 2 plus N = 1 used to broadcast to a (4, 4) result, and a
+        # difference of cells 1.0 and 0.5 kept cell 1.0
+        rng = np.random.default_rng(3)
+        two, one = (ts.random_symmetric(4, n, 1.0, rng) for n in (2, 1))
+        coarse, fine = ts.random_symmetric(4, 2, 1.0, rng), ts.random_symmetric(4, 2, 0.5, rng)
+        for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a.inner(b)):
+            for a, b in ((two, one), (one, two), (coarse, fine)):
+                with pytest.raises(ValueError, match="different grids"):
+                    combine(a, b)
+        blocks = [two.with_amps(np.stack([two.amps, coarse.amps])), coarse.with_amps(np.stack([coarse.amps] * 2))]
+        total = blocks[0] + blocks[1] - blocks[1]
+        assert total.particles == 2 and np.abs(total.amps[0] - two.amps).max() <= 1e-15
+
 
 class TestApplyFactor:
     def test_identity(self, model):
@@ -73,6 +87,9 @@ class TestApplyFactor:
         psi = ts.random_symmetric(3, 3, model.cell, np.random.default_rng(5))
         with pytest.raises(IndexError):
             ts.apply_factor(np.eye(3), 3, psi)
+        for i, j in ((1, 1), (0, 3), (-1, 0)):
+            with pytest.raises(IndexError):
+                ts.apply_two_slot(np.eye(9), i, j, psi)
 
     def test_laplacian_on_product_state_matches_one_body_oracle(self, model):
         rng = np.random.default_rng(6)
