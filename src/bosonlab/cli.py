@@ -24,7 +24,7 @@ from .experiments import (
     sweep_scaling,
 )
 from .meanfield import hartree_energy, hartree_evolve
-from .model import Model, build_model, config_from_file, validate_config
+from .model import Model, build_model, config_from_file
 from .projections import spectral_weights
 from .propagation import evolve_full
 from .snapshots import MAGIC, load_state, representation, save_state
@@ -137,7 +137,7 @@ def _cmd_correct(args) -> int:
     order = cfg.correction_order if args.order is None else args.order
     t = cfg.t_final if args.t is None else args.t
     # --order and --t obey the rules of the config keys they override
-    cfg = validate_config(replace(cfg, correction_order=order, t_final=t), correction_run=True)
+    cfg = replace(cfg, correction_order=order, t_final=t)
     model = build_model(cfg)
     phi0 = default_phi0(model)
     psi0 = build_product(model, phi0, args.representation)

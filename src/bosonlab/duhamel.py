@@ -34,7 +34,7 @@ import numpy as np
 
 from .hamiltonians import apply_C, apply_Q, pieces_at
 from .meanfield import HartreeTrajectory, hartree_evolve
-from .model import Model, validate_config
+from .model import Model, check_correction_window
 from .propagation import check_state, evolve_aux, evolve_full, rk4_step, stage_rhs
 
 __all__ = [
@@ -295,7 +295,8 @@ def correction_error(
     ``trajectory`` evolved under another config or from a condensate other
     than ``phi0``, raises ``ValueError``: the hierarchy follows the
     trajectory's model, so its errors would measure the mismatch."""
-    cfg = validate_config(model.config, correction_run=True)
+    cfg = model.config
+    check_correction_window(cfg.beta, cfg.gamma, cfg.dimension)
     if (psi0.particles, psi0.sites) != (cfg.particles, cfg.site_count):
         raise ValueError(f"psi0 holds N={psi0.particles} on M={psi0.sites} sites, "
                          f"the model config N={cfg.particles} on M={cfg.site_count}")

@@ -32,7 +32,7 @@ from .duhamel import correction_error
 from .errors import BosonLabError, ConfigError, RangeError
 from .hamiltonians import decomposition_residual
 from .meanfield import hartree_evolve, one_body_norm
-from .model import Model, ModelConfig, build_model, validate_config
+from .model import Model, ModelConfig, build_model, check_correction_window
 from .projections import (
     apply_Pk,
     apply_weight,
@@ -174,11 +174,9 @@ def delta_exponent(beta: float, gamma: float, d: int) -> float:
     """
     if d < 1:
         raise RangeError(f"dimension must be >= 1, got {d}")
-    if not 0.0 <= beta < 1.0 / (4 * d):
-        raise RangeError(f"beta={beta} outside [0, 1/(4d)) = [0, {1.0 / (4 * d)})")
-    gamma_floor = (2.0 + d * beta) / 3.0
-    if not gamma_floor < gamma <= 1.0:
-        raise RangeError(f"gamma={gamma} outside ({gamma_floor}, 1]")
+    if not (beta >= 0.0 and gamma <= 1.0):
+        raise RangeError(f"delta_exponent needs beta >= 0 and gamma <= 1, got beta={beta}, gamma={gamma}")
+    check_correction_window(beta, gamma, d)
     if gamma >= 1.0 - d * beta:
         return 1.0 - 4.0 * d * beta
     return 3.0 * gamma - 2.0 - d * beta
@@ -264,10 +262,8 @@ def _sweep_point(config: ModelConfig, n_particles: int, orders, t: float) -> lis
     defect and propagates.
     """
     start = time.perf_counter()
-    cfg = replace(config, particles=int(n_particles))
     try:
-        cfg = validate_config(cfg, correction_run=True)
-        model = build_model(cfg)
+        model = build_model(replace(config, particles=int(n_particles)))
         phi0 = default_phi0(model)
         psi0 = build_product(model, phi0)
         result = correction_error(psi0, phi0, max(orders), t, model)
@@ -278,8 +274,8 @@ def _sweep_point(config: ModelConfig, n_particles: int, orders, t: float) -> lis
     elapsed = time.perf_counter() - start
     return [
         SweepRow(
-            particles=cfg.particles, sites=cfg.site_count, dimension=cfg.dimension,
-            beta=cfg.beta, gamma=cfg.gamma, t=t, dt=cfg.dt, order=a,
+            particles=int(n_particles), sites=config.site_count, dimension=config.dimension,
+            beta=config.beta, gamma=config.gamma, t=t, dt=config.dt, order=a,
             err_sq=errors[a - 1] ** 2, corr_norm=norms[a - 1], runtime_s=elapsed,
             failed=failed,
         )
@@ -306,7 +302,7 @@ def sweep_scaling(
     if not orders or orders[0] < 1:
         raise ConfigError("orders must be positive integers")
     t = config.t_final if t is None else float(t)
-    validate_config(replace(config, t_final=t))  # t obeys the grid rule of t_final
+    replace(config, t_final=t)  # t obeys the grid rule of t_final
     delta = delta_exponent(config.beta, config.gamma, config.dimension)
 
     grid = [int(n) for n in particle_grid]
@@ -362,13 +358,12 @@ def moment_growth(config: ModelConfig, orders, t: float | None = None) -> list[M
     condensate.  C_j overflows double precision quickly, so ratios are formed
     in log space; ``ratio`` is clamped at exp(700).
     """
-    cfg = validate_config(config)
-    t = cfg.t_final if t is None else float(t)
-    validate_config(replace(cfg, t_final=t))  # t obeys the grid rule of t_final
+    t = config.t_final if t is None else float(t)
+    replace(config, t_final=t)  # t obeys the grid rule of t_final
     orders = sorted(set(int(j) for j in orders))
-    if orders and orders[-1] > cfg.particles:
-        raise ConfigError(f"moment order {orders[-1]} exceeds particle count {cfg.particles}")
-    model = build_model(cfg)
+    if orders and orders[-1] > config.particles:
+        raise ConfigError(f"moment order {orders[-1]} exceeds particle count {config.particles}")
+    model = build_model(config)
     phi0 = default_phi0(model)
     psi0 = build_product(model, phi0)
     traj = hartree_evolve(phi0, 0.0, t, model)
@@ -385,7 +380,7 @@ def moment_growth(config: ModelConfig, orders, t: float | None = None) -> list[M
     w_full = spectral_weights(full, phi_t)
     w_aux = spectral_weights(aux, phi_t)
 
-    d, n, beta = cfg.dimension, cfg.particles, cfg.beta
+    d, n, beta = config.dimension, config.particles, config.beta
     rows = []
     for label, weights in (("full", w_full), ("aux", w_aux)):
         for j in orders:
@@ -443,11 +438,10 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
     """
     if n_seeds < 1:
         raise ConfigError(f"the identity suite needs at least one random draw, got {n_seeds}")
-    cfg = validate_config(config)
-    n, m = cfg.particles, cfg.site_count
+    n, m = config.particles, config.site_count
     if n > 5 or m > 4:
         raise ConfigError("the identity suite expects a small configuration (N <= 5, M <= 4)")
-    model = build_model(cfg)
+    model = build_model(config)
     cell = model.cell
 
     worst: dict[str, float] = {}
@@ -461,7 +455,7 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
 
     a_max = min(4, n)
     for s in range(n_seeds):
-        rng = np.random.default_rng(cfg.seed + 7919 * s)
+        rng = np.random.default_rng(config.seed + 7919 * s)
         phi = _random_phi(m, cell, rng)
         psi = ts.random_symmetric(m, n, cell, rng)
 

@@ -170,7 +170,7 @@ def _ladder_kernels(cond: Condensate, model: Model, count: int) -> np.ndarray:
     second for s < t) and g = S(u (x) u) = G u.  A term's kernel is
     S (A (x) B) diag(k) (C (x) D) S^T, each factor pair expanding as in
     ``_EXPANSION`` with E1 = u (x) 1, E2 = 1 (x) u and e = u (x) u.  For
-    real symmetric k (an even pair table, which ``validate_config``
+    real symmetric k (an even pair table, which ``ModelConfig``
     requires) the pieces between are closed, with n = |u|^2:
     S k S^T = diag(m_c k_st), S k E_i = diag(k_st) G, S k e = diag(k_st) g,
     E_i^H k E_i = diag(k n), E1^H k E2 = (u u^H) o k, E_i^H k e = u o (k n)

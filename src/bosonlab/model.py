@@ -7,6 +7,9 @@ hermiticity of a table is plain conjugate-transpose symmetry because the
 h**d weight of the inner product is a scalar.  The model's tables, the
 Laplacian, the pair table w(x_a - x_b) and a static h0, are plain read-only
 ndarrays: consumers cache what they derive from a table by its identity.
+
+A ``ModelConfig`` coerces and checks its fields in its own constructor, so
+every config is valid plain data; ``validate_config`` maps file keys onto it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "ModelConfig",
     "Model",
     "validate_config",
+    "check_correction_window",
     "parse_config_file",
     "config_from_file",
     "sample_interaction",
@@ -69,11 +73,13 @@ _API_ONLY = ", which only the Python API sets; config files have no key for tabu
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Validated physical and numerical configuration.
+    """Physical and numerical configuration.
 
-    Instances are immutable after validation and safe to share read-only
-    across workers.  The derived quantities (spacing, site_count,
-    step_count, cell) are properties, so they always match the fields.
+    The constructor, and so ``dataclasses.replace``, coerces every field
+    (tabulated data to float tuples) and checks every input rule but the
+    correction window, so each instance is valid, hashable plain data, safe
+    to share read-only across workers.  The derived quantities (spacing,
+    site_count, step_count, cell) are properties, so they always match the fields.
     """
 
     dimension: int = 1
@@ -94,6 +100,11 @@ class ModelConfig:
     correction_order: int = 1
     moment_order: int = 2
     seed: int = 0
+
+    def __post_init__(self):
+        for field in self.__dataclass_fields__:
+            object.__setattr__(self, field, _coerce(field, getattr(self, field)))
+        _check(self)
 
     @property
     def spacing(self) -> float:
@@ -138,63 +149,38 @@ def parse_config_file(path) -> dict:
     return raw
 
 
-def _coerce(key: str, field: str, value):
+def _coerce(field: str, value):
+    """``value`` as the type of ``field``, tabulated data as float tuples; a
+    malformed number raises ConfigError naming the file key."""
     if field in _STR_FIELDS:
         return str(value)
+    if field not in _NUMBER_KEYS:  # the tabulated data, None when unset
+        try:
+            if value is None:
+                return None
+            if field == "interaction_samples":
+                return tuple(np.asarray(value, dtype=float).ravel().tolist())
+            times, rows = value
+            return tuple(map(float, times)), tuple(tuple(map(float, row)) for row in rows)
+        except (TypeError, ValueError):
+            shape = "numbers" if field == "interaction_samples" else "a pair (times, rows) of numbers"
+            raise ConfigError(f"{field} must be {shape}") from None
+    key = _NUMBER_KEYS[field]
     try:
         number = float(value)
-        if field not in _INT_FIELDS:
-            return number
-        ivalue = int(number if isinstance(value, str) else value)
+        ivalue = int(number if isinstance(value, str) else value)  # nan and inf raise here
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a finite number, got {value!r}") from None
+    if field not in _INT_FIELDS:
+        return number
     if ivalue != number:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return ivalue
 
 
-def _normalise_raw(raw: Mapping) -> dict:
-    """Map file keys or field names onto ModelConfig fields, rejecting strangers."""
-    field_names = set(ModelConfig.__dataclass_fields__)
-    out = {}
-    for key, value in raw.items():
-        if key in CONFIG_FILE_KEYS:
-            field = CONFIG_FILE_KEYS[key]
-        elif key in field_names:
-            field = key
-        else:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        if field in out:
-            raise ConfigError(f"duplicate key {key!r}: another key already sets {field}")
-        if field == "interaction_samples" and value is not None:
-            value = tuple(np.asarray(value).ravel().tolist())
-        elif field == "potential_table" and value is not None:
-            try:
-                times, rows = value
-                value = tuple(map(float, times)), tuple(tuple(map(float, row)) for row in rows)
-            except (TypeError, ValueError):
-                raise ConfigError("potential_table must be a pair (times, rows) of numbers") from None
-        else:
-            value = _coerce(key, field, value)
-        out[field] = value
-    return out
-
-
-def validate_config(raw, correction_run: bool = False) -> ModelConfig:
-    """Validate a raw mapping (or re-validate a ModelConfig) into a ModelConfig.
-
-    Idempotent: validating an already-validated config returns an identical
-    config.  ``correction_run=True`` additionally enforces the parameter
-    window in which the correction hierarchy carries a convergence guarantee:
-    beta < 1/(4d) and gamma > (2 + d*beta)/3.
-    """
-    cfg = raw if isinstance(raw, ModelConfig) else ModelConfig(**_normalise_raw(raw))
-    for field, key in _NUMBER_KEYS.items():
-        value = getattr(cfg, field)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{key} must be a finite number, got {value!r}")
-
-    d, L, N = cfg.dimension, cfg.sites_per_dim, cfg.particles
+def _check(cfg: ModelConfig) -> None:
+    """Refuse a coerced config that breaks an input rule, naming the file key."""
+    d, L, N, M = cfg.dimension, cfg.sites_per_dim, cfg.particles, cfg.site_count
     if d not in (1, 2):
         raise ConfigError(f"dimension must be 1 or 2, got {d}")
     if L < 2:
@@ -220,7 +206,7 @@ def validate_config(raw, correction_run: bool = False) -> ModelConfig:
     if cfg.interaction_profile not in _PROFILES:
         raise ConfigError(f"interaction.profile must be one of {_PROFILES}")
     # an empty support would be a free model; a tophat of radius 0 is on-site
-    profile, radius = cfg.interaction_profile, cfg.interaction_radius
+    profile, radius, samples = cfg.interaction_profile, cfg.interaction_radius, cfg.interaction_samples
     if profile == "bump" and radius <= 0 or profile == "tophat" and radius < 0:
         raise ConfigError(f"interaction.radius must be > 0 (>= 0 for a tophat), got {radius}")
     if cfg.potential_kind not in _POTENTIALS:
@@ -228,40 +214,35 @@ def validate_config(raw, correction_run: bool = False) -> ModelConfig:
     if cfg.potential_strength != 0.0 and cfg.potential_kind != "harmonic":
         raise ConfigError(f"potential.strength must be 0 unless potential.kind = harmonic, "
                           f"got {cfg.potential_strength} with potential.kind = {cfg.potential_kind}")
-    if cfg.interaction_profile == "tabulated" and cfg.interaction_samples is None:
-        raise ConfigError(
-            f"tabulated interaction requires ModelConfig.interaction_samples{_API_ONLY}")
-    if cfg.interaction_profile == "tabulated" and cfg.beta != 0.0:
-        raise ConfigError("tabulated interaction samples support beta=0 only")
-    if cfg.interaction_profile == "tabulated" and len(cfg.interaction_samples) == cfg.site_count:
+    if samples is not None and profile != "tabulated":
+        raise ConfigError(f"interaction_samples must be unset unless interaction.profile = tabulated, "
+                          f"got interaction.profile = {profile}")
+    if profile == "tabulated":
+        if samples is None:
+            raise ConfigError(f"tabulated interaction requires ModelConfig.interaction_samples{_API_ONLY}")
+        if cfg.beta != 0.0:
+            raise ConfigError("tabulated interaction samples support beta=0 only")
+        if len(samples) != M or not np.isfinite(samples).all():
+            raise ConfigError(f"interaction_samples must hold M = {M} finite values, got {samples}")
         # w(x_a - x_b) = w(x_b - x_a): the exact split needs a symmetric pair table
-        values = np.asarray(cfg.interaction_samples, dtype=float).reshape((L,) * d)
+        values = np.reshape(samples, (L,) * d)
         gap = np.abs(values - values[np.ix_(*[-np.arange(L) % L] * d)]).max()
         if gap > 1e-12 * np.abs(values).max():
             raise ConfigError(f"interaction_samples must be even, values[delta] = values[-delta mod L] "
                               f"in every component; they differ by {gap:.3g}")
+    if cfg.potential_table is not None and cfg.potential_kind != "tabulated":
+        raise ConfigError(f"potential_table must be unset unless potential.kind = tabulated, "
+                          f"got potential.kind = {cfg.potential_kind}")
     if cfg.potential_kind == "tabulated":
         if cfg.potential_table is None:
             raise ConfigError(f"tabulated potential requires ModelConfig.potential_table{_API_ONLY}")
         times, rows = cfg.potential_table
         if len(times) < 2 or not all(b > a for a, b in zip(times, times[1:])):
             raise ConfigError(f"potential_table needs at least two strictly increasing times, got {times}")
-        if len(rows) != len(times) or any(len(row) != cfg.site_count for row in rows):
-            raise ConfigError(f"potential_table needs one row of M = {cfg.site_count} values per time")
+        if len(rows) != len(times) or any(len(row) != M for row in rows):
+            raise ConfigError(f"potential_table needs one row of M = {M} values per time")
         if not (np.isfinite(times).all() and np.isfinite(rows).all()):
             raise ConfigError("potential_table values must be finite")
-
-    if correction_run:
-        beta_cap = 1.0 / (4 * d)
-        if cfg.beta >= beta_cap:
-            raise RangeError(
-                f"correction run requires beta < 1/(4d) = {beta_cap}, got beta={cfg.beta}"
-            )
-        gamma_floor = (2.0 + d * cfg.beta) / 3.0
-        if cfg.gamma <= gamma_floor:
-            raise RangeError(
-                f"correction run requires gamma > (2+d*beta)/3 = {gamma_floor}, got gamma={cfg.gamma}"
-            )
 
     with np.errstate(over="ignore", divide="ignore", under="ignore"):
         h = np.float64(cfg.spacing)
@@ -285,6 +266,35 @@ def validate_config(raw, correction_run: bool = False) -> ModelConfig:
         steps = 0
     if steps < 1:
         raise ConfigError(f"dt={cfg.dt} does not divide t_final={cfg.t_final} up to rounding")
+
+
+def check_correction_window(beta: float, gamma: float, d: int) -> None:
+    """Raise RangeError naming beta or gamma outside the window in which the
+    correction hierarchy carries a convergence guarantee: beta < 1/(4d) and
+    gamma > (2 + d*beta)/3, within a config's 0 <= beta and gamma <= 1."""
+    beta_cap = 1.0 / (4 * d)
+    if beta >= beta_cap:
+        raise RangeError(f"correction run requires beta < 1/(4d) = {beta_cap}, got beta={beta}")
+    gamma_floor = (2.0 + d * beta) / 3.0
+    if gamma <= gamma_floor:
+        raise RangeError(f"correction run requires gamma > (2+d*beta)/3 = {gamma_floor}, got gamma={gamma}")
+
+
+def validate_config(raw, correction_run: bool = False) -> ModelConfig:
+    """The ModelConfig of a mapping of file keys or field names (or of a
+    config's own fields); an unknown or duplicate key raises ConfigError.
+    ``correction_run=True`` also checks ``check_correction_window``."""
+    fields = {}
+    for key, value in (raw if isinstance(raw, Mapping) else vars(raw)).items():
+        field = CONFIG_FILE_KEYS.get(key, key if key in ModelConfig.__dataclass_fields__ else None)
+        if field is None:
+            raise ConfigError(f"unknown configuration key {key!r}")
+        if field in fields:
+            raise ConfigError(f"duplicate key {key!r}: another key already sets {field}")
+        fields[field] = value
+    cfg = ModelConfig(**fields)
+    if correction_run:
+        check_correction_window(cfg.beta, cfg.gamma, cfg.dimension)
     return cfg
 
 
@@ -351,12 +361,7 @@ def sample_interaction(config: ModelConfig) -> np.ndarray:
     idx = _site_index_grid(config)  # also every displacement class mod L
     dist = _min_image_distance(idx, config)
     if config.interaction_profile == "tabulated":
-        samples = np.asarray(config.interaction_samples, dtype=float)
-        if samples.size != config.site_count:
-            raise ConfigError(
-                f"interaction_samples must provide {config.site_count} values, got {samples.size}"
-            )
-        values = samples
+        values = np.asarray(config.interaction_samples)
     else:
         scale = float(N) ** (d * config.beta)
         values = scale * _profile(config, dist * N**config.beta)
@@ -449,7 +454,6 @@ class Model:
 
 
 def build_model(config: ModelConfig) -> Model:
-    config = validate_config(config)
     return Model(
         config=config,
         lap=laplacian(config),

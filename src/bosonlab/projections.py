@@ -54,7 +54,7 @@ def number_apply(state, q: np.ndarray):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Nonnegative weight k -> f(k) with an integer shift for the hatted family.
+    """Finite nonnegative weight k -> f(k) with an integer shift for the hatted family.
 
     The shifted operator substitutes f(n + shift) on the sector P_n, summing
     over n in [-shift, N - shift] intersected with [0, N].
@@ -68,7 +68,8 @@ class WeightFunction:
 
 
 def weight_values(f: WeightFunction | Callable, n_particles: int) -> np.ndarray:
-    """Per-sector values g(n) = f(n + shift) over n = 0..N, zero off-window."""
+    """Per-sector values g(n) = f(n + shift) over n = 0..N, zero off-window;
+    ``ValueError`` for a negative or non-finite value."""
     if not isinstance(f, WeightFunction):
         f = WeightFunction(f)
     vals = np.zeros(n_particles + 1)
@@ -76,8 +77,8 @@ def weight_values(f: WeightFunction | Callable, n_particles: int) -> np.ndarray:
         arg = n + f.shift
         if 0 <= arg <= n_particles:
             v = float(f.fn(arg))
-            if v < 0:
-                raise ValueError(f"negative weight value f({arg}) = {v}")
+            if not 0 <= v < math.inf:
+                raise ValueError(f"weight value f({arg}) = {v} is negative or not finite")
             vals[n] = v
     return vals
 

@@ -12,7 +12,7 @@ algorithms, which cross-check the occupation basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -101,8 +101,9 @@ class TensorState:
         """Row i sums the pair part of operator op applied to row j of this
         block over the (op, j) in ``entries[i]`` (``check_entries``), without
         the 1/(N-1), each operator on the sub-block of the members it names:
-        one (M^2, M^2) table, weight (A (x) B) diag(vec kernel) (C (x) D) summed
-        over ``pieces.terms[op]``, on each of the N(N-1) ordered coordinate pairs."""
+        one (M^2, M^2) table T, weight (A (x) B) diag(vec kernel) (C (x) D) summed
+        over ``pieces.terms[op]``: T on (i, j) plus T on (j, i) is T plus its
+        slot swap on (i, j), one contraction per unordered coordinate pair."""
         check_entries(entries, len(pieces.terms), len(self.amps))
         done = {}
         for op in {op for row in entries for op, _ in row}:
@@ -110,7 +111,9 @@ class TensorState:
             members = self.with_amps(self.amps[named])
             table = sum(weight * np.kron(a, b) @ (kernel.reshape(-1, 1) * np.kron(c, d))
                         for weight, kernel, a, c, b, d in pieces.terms[op])
-            acc = sum((_apply_slots(table, pair, members).amps for pair in permutations(range(self.particles), 2)),
+            m = self.sites
+            table = table + table.reshape((m,) * 4).transpose(1, 0, 3, 2).reshape(m * m, m * m)
+            acc = sum((_apply_slots(table, pair, members).amps for pair in combinations(range(self.particles), 2)),
                       np.zeros_like(members.amps))
             done.update(zip(((op, j) for j in named), acc))
         return self.with_amps(np.stack([sum((done[e] for e in row), 0.0 * self.amps[0]) for row in entries]))

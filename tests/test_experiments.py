@@ -64,6 +64,21 @@ class TestDeltaExponent:
         with pytest.raises(RangeError):
             delta_exponent(-0.1, 1.0, 1)
 
+    @pytest.mark.parametrize("dimension,beta,gamma,name", [
+        (1, 0.25, 1.0, "beta"), (2, 0.125, 0.9, "beta"), (1, 0.0, 2.0 / 3.0, "gamma"),
+        (2, 0.1, 0.7, "gamma"), (1, 0.1, 0.71, None), (2, 0.1, 0.75, None),
+    ])
+    def test_window_is_the_one_of_correction_runs(self, dimension, beta, gamma, name):
+        cfg = base_config(dimension=dimension, sites_per_dim=3, torus_length=3.0, beta=beta,
+                          gamma=gamma, interaction_radius=6.0)
+        for check in (lambda: delta_exponent(beta, gamma, dimension),
+                      lambda: validate_config(cfg, correction_run=True)):
+            if name is None:
+                check()
+            else:
+                with pytest.raises(RangeError, match=name):
+                    check()
+
 
 class TestFitSlope:
     def test_exact_line(self):
@@ -241,6 +256,17 @@ class TestSweep:
         failed = [r for r in result.rows if r.failed]
         assert len(failed) == 1 and failed[0].particles == 1
         assert math.isnan(failed[0].err_sq)
+
+    def test_refused_grid_point_keeps_its_own_particle_count(self):
+        # N^-beta R = 8^-0.2 * 3 = 1.98 < 2h = 2: only N = 8 is unresolved
+        cfg = base_config(beta=0.2, interaction_radius=3.0, t_final=0.02, dt=2e-3)
+        result = sweep_scaling(cfg, [3, 4, 8], [1, 2], t=0.02)
+        rows = {(r.particles, r.order): r for r in result.rows}
+        assert sorted(rows) == [(n, a) for n in (3, 4, 8) for a in (1, 2)]
+        for (n, _), row in rows.items():
+            assert math.isfinite(row.err_sq) == (n != 8)
+            assert row.failed.startswith("ResolutionError") == (n == 8)
+        assert result.summary().splitlines()[-1] == f"failed N=8: {rows[8, 1].failed}"
 
     def test_summary_lists_failed_points_with_reasons(self):
         cfg = base_config(t_final=0.1, dt=2e-3)

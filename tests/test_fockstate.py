@@ -406,7 +406,8 @@ def tabulated_model(dimension, size, profile="tabulated"):
     table = 3.0 * rng.random((2, size**dimension))
     return build_model(validate_config({
         "dimension": dimension, "sites_per_dim": size, "torus_length": float(size), "particles": 2,
-        "interaction_profile": profile, "interaction_samples": tuple(samples.ravel()),
+        "interaction_profile": profile,
+        "interaction_samples": tuple(samples.ravel()) if profile == "tabulated" else None,
         "potential_kind": "tabulated", "potential_table": ((0.0, 0.1), tuple(map(tuple, table))),
         "dt": 0.01, "t_final": 0.1}))
 

@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,57 @@ class TestValidateConfig:
             validate_config(small_raw(**{field: value}))
         with pytest.raises(ConfigError, match=rf"^{key} must be a finite number"):
             validate_config(ModelConfig(**{field: value}))
+
+
+    @pytest.mark.parametrize("samples", [
+        (0.0, float("nan"), 1.0, float("nan")), (1.0, 0.5, float("inf"), 0.5), (1.0, 0.5, 1.0),
+        (1.0, 0.5, 0.2, 0.2, 0.5),
+    ], ids=["nan", "inf", "short", "long"])
+    def test_interaction_samples_hold_m_finite_values(self, samples):
+        raw = small_raw(interaction_profile="tabulated", interaction_samples=samples)
+        with pytest.raises(ConfigError, match="interaction_samples must hold M = 4 finite values"):
+            validate_config(raw)
+
+    @pytest.mark.parametrize("over,key", [
+        ({"interaction_profile": "bump", "interaction_samples": (1.0, 0.5, 0.2, 0.5)}, "interaction_samples"),
+        ({"interaction_profile": "zero", "interaction_samples": (1.0, 0.5, 0.2, 0.5)}, "interaction_samples"),
+        ({"potential_kind": "none", "potential_table": ((0.0, 1.0), ((0.0,) * 4, (1.0,) * 4))}, "potential_table"),
+        ({"potential_kind": "harmonic", "potential_strength": 1.0,
+          "potential_table": ((0.0, 1.0), ((0.0,) * 4, (1.0,) * 4))}, "potential_table"),
+    ], ids=["samples-bump", "samples-zero", "table-none", "table-harmonic"])
+    def test_tabulated_data_need_the_tabulated_kind(self, over, key):
+        with pytest.raises(ConfigError, match=rf"^{key} must be unset unless"):
+            validate_config(small_raw(**over))
+
+
+class TestModelConfig:
+    """Construction and ``dataclasses.replace`` coerce and check every field."""
+
+    def test_constructed_arrays_are_stored_as_float_tuples(self):
+        table = (np.array([0.0, 1.0]), np.zeros((2, 4)))
+        samples = np.array([[1.0, 0.5, 0.2, 0.5]])
+        for cfg in (ModelConfig(potential_kind="tabulated", potential_table=table),
+                    ModelConfig(interaction_profile="tabulated", interaction_samples=samples)):
+            assert validate_config(cfg) == cfg and hash(validate_config(cfg)) == hash(cfg)
+        assert cfg.interaction_samples == (1.0, 0.5, 0.2, 0.5)
+        assert type(cfg.interaction_samples[0]) is float
+
+    def test_integral_float_is_stored_as_int(self):
+        cfg = validate_config(ModelConfig(particles=4.0, seed=np.int64(3), dt=np.float32(0.5), t_final=1))
+        assert (cfg.particles, cfg.seed, cfg.dt, cfg.t_final) == (4, 3, 0.5, 1.0)
+        assert [type(v) for v in (cfg.particles, cfg.seed, cfg.dt, cfg.t_final)] == [int, int, float, float]
+        with pytest.raises(ConfigError, match="^particles must be an integer"):
+            ModelConfig(particles=4.5)
+
+    def test_replace_checks_the_new_fields(self):
+        cfg = ModelConfig()
+        with pytest.raises(ConfigError, match="^particles must be >= 1"):
+            replace(cfg, particles=0, dt=-1.0)
+        with pytest.raises(ConfigError, match="^dt must be > 0"):
+            replace(cfg, dt=-1.0)
+        with pytest.raises(ConfigError, match="does not divide"):
+            replace(cfg, t_final=0.0015)
+        assert replace(cfg, particles="5").particles == 5
 
 
 class TestConfigFile:

@@ -129,6 +129,14 @@ class TestWeights:
         with pytest.raises(ValueError):
             pj.apply_weight(pj.WeightFunction(lambda k: k - 1.0), phi, psi)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, value):
+        rng = np.random.default_rng(11)
+        phi = random_phi(3, rng)
+        psi = ts.random_symmetric(3, 3, CELL, rng)
+        with pytest.raises(ValueError, match="not finite"):
+            pj.apply_weight(lambda k: value, phi, psi)
+
     def test_m_n_operator_sandwich(self):
         # pointwise n^2a <= m^2a <= 2^a n^2a + N^-a transfers to expectations
         rng = np.random.default_rng(12)
