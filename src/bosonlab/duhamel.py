@@ -150,8 +150,6 @@ def _node_indices(i_end: int, stride: int) -> list[int]:
 
 def _trap_weights(count: int, delta: float) -> np.ndarray:
     w = np.full(count, delta)
-    if count == 1:
-        return np.zeros(1)
     w[0] *= 0.5
     w[-1] *= 0.5
     return w

@@ -189,27 +189,19 @@ class OccupationBasis:
     representatives, in site order.  For the vector at full index f,
     ``orbit[f]`` is its orbit and ``group[to_rep[f]]`` a permutation that
     takes it to its orbit's representative; ``sizes`` are the orbit sizes.
-    Without a group (the default) every orbit is one vector and
-    ``occupations`` is ``full``.
+    Under the trivial group every orbit is one vector and ``occupations``
+    is ``full``.
     """
 
     occupations: np.ndarray  # (dim, M) int64, each row sums to N
     particles: int
     sites: int
-    group: tuple = None  # site permutations, the identity first
-    generators: tuple = ()
-    full: np.ndarray = None  # (C(N+M-1, N), M) int64
-    orbit: np.ndarray = None
-    to_rep: np.ndarray = None
-    sizes: np.ndarray = None
-
-    def __post_init__(self):
-        if self.group is None:
-            dim = self.occupations.shape[0]
-            for name, value in (("group", (tuple(range(self.sites)),)), ("full", self.occupations),
-                                ("orbit", np.arange(dim)), ("to_rep", np.zeros(dim, dtype=np.int64)),
-                                ("sizes", np.ones(dim, dtype=np.int64))):
-                object.__setattr__(self, name, value)
+    group: tuple  # site permutations, the identity first
+    generators: tuple
+    full: np.ndarray  # (C(N+M-1, N), M) int64
+    orbit: np.ndarray
+    to_rep: np.ndarray
+    sizes: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -247,7 +239,8 @@ def enumerate_basis(sites: int, particles: int, symmetry=()) -> OccupationBasis:
     occ = np.diff(cuts, axis=1, prepend=-1, append=particles + sites - 1) - 1
     group, generators = _group(tuple(tuple(int(i) for i in gen) for gen in symmetry), sites)
     if len(group) == 1:
-        return OccupationBasis(occupations=occ, particles=particles, sites=sites)
+        return OccupationBasis(occ, particles, sites, group, generators, occ, np.arange(dim),
+                               np.zeros(dim, dtype=np.int64), np.ones(dim, dtype=np.int64))
     images = _rank(occ[:, np.array(group)], particles)  # (dim, G): index of pi . n
     to_rep = images.argmin(axis=1)
     reps = np.flatnonzero(to_rep == 0)
@@ -294,8 +287,11 @@ class Ladder:
         rows, m = moves.shape
         drop = int(moves[0].sum())
         n = upper.particles - drop
-        empty = OccupationBasis(np.zeros((0, m), dtype=np.int64), n, m)
-        self.lower = lower = enumerate_basis(m, n, symmetry=upper.generators) if n >= 0 else empty
+        if n >= 0:
+            self.lower = lower = enumerate_basis(m, n, symmetry=upper.generators)
+        else:  # below zero particles: an empty basis under the trivial group
+            empty, index = np.zeros((0, m), dtype=np.int64), np.zeros(0, dtype=np.int64)
+            self.lower = lower = OccupationBasis(empty, n, m, upper.group[:1], (), empty, index, index, index)
         size = lower.dim
         row_of = np.zeros(math.comb(drop + m - 1, drop), dtype=np.int64)
         row_of[_rank(moves, drop)] = np.arange(rows)
@@ -407,7 +403,7 @@ class FockSpace:
         if self._perms is None or self._batch.get(id(table)) is table or self._invariant.get(id(table)) is table:
             return
         gap = invariance_gap(table, *self._perms[kind])
-        if gap > SYMMETRY_TOL:
+        if not gap <= SYMMETRY_TOL:
             raise ValueError(f"a table with asymmetry {gap:.3g} under the symmetry group "
                              f"of the occupation space cannot act on its sector")
         if parts:
@@ -429,7 +425,7 @@ class FockSpace:
         invariant under the group to 1e-10 of its largest amplitude."""
         basis, site = self.basis, np.asarray(site, dtype=np.complex128)
         reps = site[basis.to_rep == 0]
-        if np.abs(site - reps[basis.orbit]).max(initial=0.0) > 1e-10 * np.abs(site).max(initial=0.0):
+        if not np.abs(site - reps[basis.orbit]).max(initial=0.0) <= 1e-10 * np.abs(site).max(initial=0.0):
             raise ValueError("the state is not invariant under the symmetry group of the occupation space")
         return np.sqrt(basis.sizes) * reps
 
@@ -505,7 +501,12 @@ class FockState:
     def pair_sums(self, pieces, entries) -> "FockState":
         """Row i sums the pair part of operator op applied to row j of this
         block over the (op, j) in ``entries[i]``, without the 1/(N-1): one
-        ``two_body_sums`` over the kernel stack ``pieces.kernels``."""
+        ``two_body_sums`` over the kernel stack ``pieces.kernels``, which
+        checks the entries.  The (table, kind, parts) triples of the stage
+        build, ``pieces.batch``, are admitted first, once per build
+        (``FockSpace.require_invariant``)."""
+        for table, kind, parts in pieces.batch:
+            self.space.require_invariant(table, kind, parts=parts)
         return two_body_sums(self, pieces.kernels, entries)
 
     def to_frame(self, phi) -> tuple:
@@ -516,12 +517,6 @@ class FockState:
     def from_frame(self, phi, amps) -> "FockState":
         """The state whose ``to_frame`` amplitudes are ``amps`` (``orbit_amplitudes`` checks a sector)."""
         return self.with_amps(self.space.orbit_amplitudes(_frame_map(self.space, phi, amps, back=True)))
-
-    def admit(self, batch) -> None:
-        """Check a stage build's (table, kind, parts) triples for invariance
-        once (``FockSpace.require_invariant``)."""
-        for table, kind, parts in batch:
-            self.space.require_invariant(table, kind, parts=parts)
 
     def asymmetry(self) -> float:
         """Zero: occupation states are symmetric by construction."""
@@ -784,7 +779,7 @@ def extract(psi: TensorState, space: FockSpace) -> FockState:
     the state must also be invariant under its group."""
     if psi.particles != space.particles or psi.sites != space.sites:
         raise ValueError("tensor state does not match the occupation basis")
-    if transposition_residual(psi) > 1e-10:
+    if not transposition_residual(psi) <= 1e-10:
         raise ValueError("extract requires a symmetric tensor state")
     _, first = np.unique(_grid_orbits(space), return_index=True)  # the sorted tuples
     site = psi.amps.reshape(-1)[first] * _sqrt_multinomials(space.basis.full)

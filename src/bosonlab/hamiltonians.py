@@ -15,9 +15,8 @@ members, a state whose amplitudes carry a leading member axis, to a block by
 (op, member) entries, built once for a hierarchy stage by ``stage_entries``
 (Htilde psi_i + C psi_c(i) + Q psi_q(i)); ``apply_Htilde``, ``apply_C`` and
 ``apply_Q`` call it on one row.  It reaches the representation only through
-the state methods: ``admit`` for the invariance of a stage build's tables
-(``EffectivePieces.batch``), ``lift`` for h1 and ``pair_sums`` with the same
-entries for the pair terms: the stage's kernel stack, one (count, P, P)
+the state methods: ``lift`` for h1 and ``pair_sums`` with the same entries
+for the pair terms: the stage's kernel stack, one (count, P, P)
 array indexed by op (``EffectivePieces.kernels``), or the terms
 (``EffectivePieces.terms``), neither with the 1/(N-1) that ``apply_stage``
 applies once, so pieces serve any N and carry the model they were built
@@ -27,6 +26,9 @@ closed-form build from the rank-one condensate projector (``_ladder_kernels``,
 from ``_plan``), of only the kernels its flow consumes, a leading run of
 Htilde, C and Q, read-only; ``pieces_at`` is a one-stage build of all three.
 ``apply_H`` computes the coupling 1/(N-1) and calls the state's ``generator``.
+``pair_sums`` checks the entries against the operators of the kernel stack
+and, on a symmetric sector, admits the stage build's tables
+(``EffectivePieces.batch``).
 """
 
 from __future__ import annotations
@@ -232,10 +234,10 @@ class EffectivePieces:
     which two orthogonal projector pairs annihilate anyway.
 
     ``batch`` lets a symmetric occupation space check the tables of a whole
-    ``stage_pieces`` build at once: (table, kind, parts) triples for
-    ``FockSpace.require_invariant``, whose parts, the h1 tables and the
-    kernel stacks of the build, are invariant when the tables are: the pair
-    table, h0 and the stack of stage condensates.
+    ``stage_pieces`` build at once, in ``FockState.pair_sums``: (table,
+    kind, parts) triples for ``FockSpace.require_invariant``, whose parts,
+    the h1 tables and the kernel stacks of the build, are invariant when
+    the tables are: the pair table, h0 and the stack of stage condensates.
     """
 
     cond: Condensate
@@ -323,27 +325,26 @@ def apply_stage(pieces: EffectivePieces, members, entries: tuple):
     applied to row j of the block ``members`` over the (op, j) in
     ``entries[i]``, as ``stage_entries`` builds them for a hierarchy stage:
     Htilde psi_i + C psi_c(i) + Q psi_q(i).  Htilde acts on an output's own
-    member, as its first entry, and on every output or on none: the
-    pieces' read-only tables are admitted once per build, h1 is lifted
-    over the block in one call, and the pair parts of every entry
-    come from one ``projected_pair_sum``, times 1/(N-1) (``ConfigError``
-    below N = 2; exactly 0.0 for a zero pair table).  ``ValueError``
-    refuses another row count than the block's and names a row that breaks
-    this layout or ``check_entries``."""
+    member, as its first entry, and on every output or on none: the pair
+    parts of every entry come from one ``projected_pair_sum``, which checks
+    the entries and, on a sector, admits the build's read-only tables, then
+    h1 is lifted over the block in one call, and the pair parts are added
+    times 1/(N-1) (``ConfigError`` below N = 2; exactly 0.0 for a zero pair
+    table).  ``ValueError`` refuses another row count than the block's and
+    names a row that breaks this layout or ``check_entries``."""
     if members.particles < 2:
         raise ConfigError("the effective decomposition needs at least two particles")
     rows = len(members.amps)
     if len(entries) != rows:
         raise ValueError(f"{len(entries)} stage entry rows for a block of {rows} members")
-    ts.check_entries(entries, len(pieces.kernels), rows)
     lifted = entries[0][:1] == ((_HTILDE, 0),)
     for i, row in enumerate(entries):
         if [op for op, _ in row].count(_HTILDE) != lifted or lifted and row[0] != (_HTILDE, i):
             raise ValueError(f"stage entry row {i} {row}: Htilde must come first, on member {i}, "
                              f"in every row or in none")
-    members.admit(pieces.batch)
+    pairs = projected_pair_sum(members, pieces, entries)
     out = members.lift(pieces.h1) if lifted else 0.0 * members
-    out.amps += projected_pair_sum(members, pieces, entries).amps / (members.particles - 1)
+    out.amps += pairs.amps / (members.particles - 1)
     return out
 
 

@@ -101,7 +101,7 @@ def _frame(phi: np.ndarray, psi) -> tuple:
     for a, name, want in ((0, "||psi||^2", norm_sq), (1, "<psi, S psi>", psi.inner(lifted).real),
                           (2, "||S psi||^2", lifted.norm() ** 2)):
         got = float(np.arange(n + 1) ** a @ w)
-        if abs(got - want) > SUM_RULE_TOL * max(1, n) ** a * max(1.0, norm_sq):
+        if not abs(got - want) <= SUM_RULE_TOL * max(1, n) ** a * max(1.0, norm_sq):
             raise ConsistencyError(f"the weights give sum_k k^{a} w_k = {got!r}, not {name} = {want!r} "
                                    f"at N={n}; the excitation-number spectrum is inconsistent")
     return amps, k, w
@@ -194,7 +194,7 @@ def spectral_weights(psi, phi: np.ndarray) -> SpectralWeights:
     (``_frame``, whose moment checks raise ConsistencyError, exit 1); exact to
     roundoff at any N.  An asymmetric state or a bad condensate raises ``ValueError``.
     """
-    if psi.asymmetry() > 1e-8:
+    if not psi.asymmetry() <= 1e-8:
         raise ValueError("spectral weights require a symmetric state")
     return SpectralWeights(weights=_frame(phi, psi)[2])
 

@@ -49,8 +49,9 @@ def save_state(path, state, dimension: int, sites_per_dim: int) -> None:
 
 
 def load_state(path):
-    """Read a snapshot, returning (state, dimension, sites_per_dim); a tensor
-    snapshot that is not symmetric under particle exchange raises ConfigError."""
+    """Read a snapshot, returning (state, dimension, sites_per_dim); a
+    snapshot with non-finite amplitudes, or a tensor snapshot that is not
+    symmetric under particle exchange, raises ConfigError."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -62,6 +63,8 @@ def load_state(path):
     if len(raw) % 8:
         raise ConfigError(f"{path}: {len(raw)} payload bytes hold no whole number of amplitudes")
     payload = np.frombuffer(raw, dtype="<c8").astype(np.complex128)
+    if not np.isfinite(payload).all():
+        raise ConfigError(f"{path}: non-finite amplitudes")
 
     m = sites_per_dim**dim
     cell = spacing**dim
@@ -71,7 +74,7 @@ def load_state(path):
             raise ConfigError(f"{path}: expected {expected} amplitudes, found {payload.size}")
         state = ts.TensorState(payload.reshape((m,) * particles), cell)
         residual = ts.transposition_residual(state)
-        if residual > 1e-10:  # the tolerance of fockstate.extract
+        if not residual <= 1e-10:  # the tolerance of fockstate.extract
             raise ConfigError(
                 f"{path}: tensor amplitudes are not symmetric under particle exchange "
                 f"(relative residual {residual:.3g})"

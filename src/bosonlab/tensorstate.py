@@ -99,12 +99,14 @@ class TensorState:
 
     def pair_sums(self, pieces, entries) -> "TensorState":
         """Row i sums the pair part of operator op applied to row j of this
-        block over the (op, j) in ``entries[i]`` (``check_entries``), without
-        the 1/(N-1), each operator on the sub-block of the members it names:
-        one (M^2, M^2) table T, weight (A (x) B) diag(vec kernel) (C (x) D) summed
-        over ``pieces.terms[op]``: T on (i, j) plus T on (j, i) is T plus its
-        slot swap on (i, j), one contraction per unordered coordinate pair."""
-        check_entries(entries, len(pieces.terms), len(self.amps))
+        block over the (op, j) in ``entries[i]``, without the 1/(N-1), each
+        operator on the sub-block of the members it names: one (M^2, M^2)
+        table T, weight (A (x) B) diag(vec kernel) (C (x) D) summed over
+        ``pieces.terms[op]``: T on (i, j) plus T on (j, i) is T plus its slot
+        swap on (i, j), one contraction per unordered coordinate pair.  The
+        entries may name only the operators the build made, those of
+        ``pieces.kernels`` (``check_entries``)."""
+        check_entries(entries, len(pieces.kernels), len(self.amps))
         done = {}
         for op in {op for row in entries for op, _ in row}:
             named = sorted({j for row in entries for o, j in row if o == op})
@@ -127,9 +129,6 @@ class TensorState:
         """The state whose ``to_frame`` amplitudes are ``amps``."""
         return _frame_legs(self.with_amps(amps * self.cell ** (-self.particles / 2)), phi)
 
-    def admit(self, batch) -> None:
-        """Nothing to check: a tensor grid has no symmetry sector."""
-
     def asymmetry(self) -> float:
         """The deviation under coordinate swaps (``transposition_residual``)."""
         return transposition_residual(self)
@@ -140,7 +139,7 @@ class TensorState:
         ``ConsistencyError``."""
         pattern = ["q"] * a + ["id"] * (self.particles - a)
         direct = self.inner(apply_projector_chain(pattern, phi, self)).real
-        if abs(direct - spectral) > 1e-8:
+        if not abs(direct - spectral) <= 1e-8:
             raise ConsistencyError(f"q-chain routes disagree: direct={direct!r}, spectral={spectral!r}")
         return direct
 
@@ -220,7 +219,7 @@ def projector_matrices(phi: np.ndarray, cell: float):
 def check_normalised(phi: np.ndarray, cell: float):
     """Raise ValueError unless the condensate phi has unit lattice norm (to 1e-10)."""
     norm = np.sqrt(cell * np.vdot(phi, phi).real)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"condensate must be normalised, |norm - 1| = {abs(norm - 1.0):.3g}")
 
 
@@ -296,18 +295,16 @@ def symmetrize_reference(psi: TensorState) -> TensorState:
 
 
 def transposition_residual(psi: TensorState) -> float:
-    """Max relative deviation under adjacent coordinate swaps (generators of S_N)."""
+    """Max relative deviation under adjacent coordinate swaps (generators of S_N);
+    NaN for non-finite amplitudes, whose every deviation is NaN."""
     n = psi.particles
     if n <= 1:
         return 0.0
     norm = np.linalg.norm(psi.amps.ravel())
     if norm == 0:
         return 0.0
-    worst = 0.0
-    for i in range(n - 1):
-        swapped = np.swapaxes(psi.amps, i, i + 1)
-        worst = max(worst, float(np.linalg.norm((psi.amps - swapped).ravel()) / norm))
-    return worst
+    return max(float(np.linalg.norm((psi.amps - np.swapaxes(psi.amps, i, i + 1)).ravel()) / norm)
+               for i in range(n - 1))
 
 
 def product_state(phi: np.ndarray, n_particles: int, cell: float) -> TensorState:

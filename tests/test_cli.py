@@ -283,6 +283,19 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert "asymmetric.blab" in err and "symmetric" in err and "Traceback" not in err
 
+    def test_snapshot_with_a_nan_amplitude_exits_2(self, cfg_path, tmp_path, capsys):
+        from bosonlab import fockstate as fs
+        from bosonlab.snapshots import save_state
+
+        psi = fs.random_fock(fs.FockSpace(fs.enumerate_basis(4, 3), 1.0), np.random.default_rng(8))
+        psi.amps[2] = np.nan
+        snap = tmp_path / "nan.blab"
+        save_state(snap, psi, 1, 4)
+        capsys.readouterr()
+        assert main(["evolve", "--config", cfg_path, "--load", str(snap)]) == 2
+        err = capsys.readouterr().err
+        assert "nan.blab" in err.strip().splitlines()[-1] and "Traceback" not in err
+
     def test_snapshot_with_nan_spacing_exits_2(self, cfg_path, tmp_path, capsys):
         import struct
 
@@ -428,6 +441,9 @@ KEY_ROWS = [
     # off the step grid of t_final = 0.1, dt = 0.001: dt must divide t_final up to rounding
     ("t_final", "0.1005", 2),
     ("dt", "0.03", 2),
+    # names off the choices
+    ("interaction.profile", "bogus", 2),
+    ("potential.kind", "bogus", 2),
 ]]
 # (config text, the key its refusal must name): every key of SMALL_CFG given
 # twice, every file key repeated under its field name, and unknown keys (a
@@ -484,6 +500,16 @@ class TestRefusalGrid:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert repr(key) in captured.err.strip().splitlines()[-1]
+
+    def test_a_line_with_no_equals_sign_names_its_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "grid.cfg"
+        text = f"{SMALL_CFG}particles 3\n"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["correct", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"grid.cfg:{len(text.splitlines())}: expected key=value" in captured.err.strip().splitlines()[-1]
 
 
 class TestMoments:

@@ -613,6 +613,12 @@ class TestEmbedExtract:
         with pytest.raises(ValueError):
             fs.extract(ts.TensorState(amps, CELL), space)
 
+    @pytest.mark.parametrize("m,n", [(3, 2), (4, 3)], ids=["other-N", "other-M"])
+    def test_extract_rejects_another_grid(self, space, m, n):
+        psi = ts.random_symmetric(m, n, CELL, np.random.default_rng(12))
+        with pytest.raises(ValueError, match="does not match the occupation basis"):
+            fs.extract(psi, space)
+
 
 class TestProductFock:
     def test_matches_tensor_product_state(self, space):

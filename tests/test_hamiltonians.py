@@ -483,8 +483,9 @@ class TestProjectedPairSum:
         terms = ((1.0, kernel, a, c, b, d), second)
         # pieces of one operator: its terms for the tensor grid, their folded
         # kernel at scale 1 for the occupation basis; neither route applies
-        # the 1/(N-1) of the pair terms
-        pieces = SimpleNamespace(terms=(terms,), kernels=fold_oracle(ordered_kernel_oracle(terms, 1.0), m)[None])
+        # the 1/(N-1) of the pair terms; no build tables to admit
+        pieces = SimpleNamespace(terms=(terms,), kernels=fold_oracle(ordered_kernel_oracle(terms, 1.0), m)[None],
+                                 batch=())
         space = fs.FockSpace(fs.enumerate_basis(m, 3), model.cell)
         (tensor,) = rows(projected_pair_sum(block([psi]), pieces, [[(0, 0)]]))
         (fock,) = rows(projected_pair_sum(block([fs.extract(psi, space)]), pieces, [[(0, 0)]]))
@@ -674,6 +675,17 @@ class TestMalformedEntries:
         (pieces,) = hamiltonians.stage_pieces(cond, model, 1)
         with pytest.raises(ValueError, match="row 1 "):
             apply_stage(pieces, members, stage_entries([(None, None), (0, None)]))
+
+    @pytest.mark.parametrize("rep", ["fock", "tensor"])
+    def test_pair_sums_refuse_an_operator_the_build_did_not_make(self, rep):
+        # the tensor grid's terms hold all three operators, but a one-kernel
+        # build made Htilde alone, so Q is refused there as well
+        model = make_model(sites_per_dim=4, torus_length=4.0, particles=4)
+        _, members = self.pieces_and_block(rep)
+        cond = condensate_at(default_phi0(model)[None], np.zeros(1), model)
+        (pieces,) = hamiltonians.stage_pieces(cond, model, 1)
+        with pytest.raises(ValueError, match=r"row 1 .* needs operators in 0\.\.0"):
+            projected_pair_sum(members, pieces, [[(0, 0)], [(2, 0)]])
 
     @pytest.mark.parametrize("rep", ["fock", "tensor"])
     @pytest.mark.parametrize("entry", [(-1, 0), (3, 0), (1, -1), (1, 2)])

@@ -164,6 +164,10 @@ class TestValidateConfig:
 class TestModelConfig:
     """Construction and ``dataclasses.replace`` coerce and check every field."""
 
+    def test_tabulated_samples_need_beta_zero(self):
+        with pytest.raises(ConfigError, match="support beta=0 only"):
+            ModelConfig(interaction_profile="tabulated", interaction_samples=(1.0, 0.5, 0.2, 0.5), beta=0.1)
+
     def test_constructed_arrays_are_stored_as_float_tuples(self):
         table = (np.array([0.0, 1.0]), np.zeros((2, 4)))
         samples = np.array([[1.0, 0.5, 0.2, 0.5]])

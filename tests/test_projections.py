@@ -6,6 +6,7 @@ import pytest
 from bosonlab import fockstate as fs
 from bosonlab import projections as pj
 from bosonlab import tensorstate as ts
+from bosonlab.errors import ConsistencyError
 from bosonlab.experiments import build_mixed, build_product, default_phi0
 from bosonlab.model import ModelConfig, build_model
 
@@ -469,6 +470,15 @@ class TestQChain:
         for a in (1, 2, 3):
             assert abs(pj.qchain_expectation(a, phi, prod)) <= 1e-12
 
+    def test_tensor_chain_refuses_a_wrong_spectral_value(self):
+        rng = np.random.default_rng(13)
+        phi = random_phi(3, rng)
+        psi = ts.random_symmetric(3, 4, CELL, rng)
+        spectral = pj.spectral_weights(psi, phi).qchain(2)
+        assert psi.chain_expectation(2, phi, spectral) == pytest.approx(spectral, abs=1e-8)
+        with pytest.raises(ConsistencyError, match="q-chain routes disagree"):
+            psi.chain_expectation(2, phi, spectral + 1e-6)
+
     def test_top_sector_saturates(self):
         rng = np.random.default_rng(14)
         phi = random_phi(2, rng)
@@ -542,6 +552,18 @@ class TestExcitations:
             xi = pj.excitation_extract(k, phi, psi)
             for slot in range(k):
                 assert ts.apply_factor(p, slot, xi).norm() <= 1e-12
+
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_order_outside_0_to_n_rejected(self, k):
+        rng = np.random.default_rng(19)
+        phi = random_phi(3, rng)
+        with pytest.raises(ValueError, match=f"excitation order k={k} out of range 0..4"):
+            pj.excitation_extract(k, phi, ts.random_symmetric(3, 4, CELL, rng))
+
+    def test_more_than_eight_particles_rejected(self):
+        phi = random_phi(2, np.random.default_rng(19))
+        with pytest.raises(ValueError, match="limited to N <= 8"):
+            pj.excitation_extract(1, phi, ts.product_state(phi, 9, CELL))
 
     def test_norms_match_spectral_weights(self):
         rng = np.random.default_rng(19)
@@ -689,3 +711,44 @@ class TestBudget:
         # N^(gamma a) = 1 at N = 1, so c_a = ||m_hat^a psi||^2 at every gamma
         assert pj.SpectralWeights(np.array([1.0, 0.0])).gamma_max(1) == 1.0
         assert pj.SpectralWeights(np.array([0.5, 0.5])).gamma_max(1) == 0.0
+
+
+def with_nan(state):
+    """``state`` with one amplitude NaN."""
+    amps = state.amps.copy()
+    amps.flat[3] = np.nan
+    return state.with_amps(amps)
+
+
+def nan_cases():
+    """(call, error) pairs at M = 4, N = 3 unless stated: each check reads a
+    NaN input as out of tolerance, where ``x > tol`` would let it pass."""
+    rng = np.random.default_rng(40)
+    phi = random_phi(4, rng)
+    bad_phi = phi.copy()
+    bad_phi[1] = np.nan
+    psi = ts.random_symmetric(4, 3, CELL, rng)
+    fpsi = fs.extract(psi, fs.FockSpace(fs.enumerate_basis(4, 3), CELL))
+    z2 = fs.FockSpace(fs.enumerate_basis(4, 4, symmetry=((3, 2, 1, 0),)), CELL)
+    table = np.eye(4, dtype=np.complex128)
+    table[0, 1] = np.nan
+    return {
+        "weights-phi-tensor": (lambda: pj.spectral_weights(psi, bad_phi), ValueError),
+        "weights-phi-fock": (lambda: pj.spectral_weights(fpsi, bad_phi), ValueError),
+        "apply-pk-phi": (lambda: pj.apply_Pk(1, bad_phi, psi), ValueError),
+        "qchain-phi": (lambda: pj.qchain_expectation(1, bad_phi, fpsi), ValueError),
+        "weights-amplitude-fock": (lambda: pj.spectral_weights(with_nan(fpsi), phi), ConsistencyError),
+        "weights-amplitude-tensor": (lambda: pj.spectral_weights(with_nan(psi), phi), ValueError),
+        "z2-table": (lambda: fs.dgamma_apply(table, fs.random_fock(z2, rng)), ValueError),
+        "z2-orbit-amplitudes": (
+            lambda: z2.orbit_amplitudes(z2.site_amplitudes(with_nan(fs.random_fock(z2, rng)).amps)), ValueError),
+        "extract": (lambda: fs.extract(with_nan(psi), fpsi.space), ValueError),
+        "chain-expectation": (lambda: psi.chain_expectation(1, phi, np.nan), ConsistencyError),
+    }
+
+
+@pytest.mark.parametrize("case", list(nan_cases()))
+def test_a_nan_input_is_refused(case):
+    call, error = nan_cases()[case]
+    with pytest.raises(error):
+        call()

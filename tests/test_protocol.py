@@ -18,7 +18,7 @@ STATE_CLASSES = {"FockState", "TensorState"}
 # the state modules, and the snapshot codec, whose class-to-tag map is the
 # format's tag byte
 STATE_MODULES = {"fockstate.py", "tensorstate.py", "snapshots.py"}
-PROTOCOL = {"inner", "lift", "generator", "pair_sums", "admit", "asymmetry", "chain_expectation"}
+PROTOCOL = {"inner", "lift", "generator", "pair_sums", "asymmetry", "chain_expectation"}
 
 
 def names_in(node) -> set:

@@ -272,9 +272,10 @@ class TestSectorOperators:
         assert "kernel" not in looked_up
 
     def test_a_hierarchy_stage_makes_five_checks(self, monkeypatch):
-        # an order-3 stage: 3 checks from admit (the pair table, h0 and the
-        # build's condensates with their parts), one for h1 in the lift and
-        # one for the stage's kernel stack, not one per (op, member) entry
+        # an order-3 stage: 3 checks as the pair sums admit the build (the
+        # pair table, h0 and the build's condensates with their parts), one
+        # for the stage's kernel stack and one for h1 in the lift, not one
+        # per (op, member) entry
         model = make_model(particles=4)
         phi0 = default_phi0(model)
         psi0 = build_product(model, phi0)
@@ -286,7 +287,7 @@ class TestSectorOperators:
         entries = hamiltonians.stage_entries([(None, None), (0, None), (None, 0), (1, None)])
         members = psi0.with_amps(np.stack([psi0.amps] * len(entries)))
         assert np.isfinite(hamiltonians.apply_stage(pieces, members, entries).amps).all()
-        assert calls == ["table", "table", "vector", "table", "kernel"]
+        assert calls == ["table", "table", "vector", "kernel", "table"]
 
     def test_quadrature_node_pieces_are_checked_by_their_condensate(self, monkeypatch):
         # pieces_at is a one-stage build, so a node's kernels are admitted

@@ -59,6 +59,24 @@ def test_payload_size_validated(tmp_path):
         load_state(path)
 
 
+def test_tensor_payload_size_validated(tmp_path):
+    path = tmp_path / "state.blab"
+    save_state(path, ts.random_symmetric(3, 2, 0.5, np.random.default_rng(2)), dimension=1, sites_per_dim=3)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ConfigError, match="state.blab: expected 9 amplitudes, found 8"):
+        load_state(path)
+
+
+def test_unknown_representation_tag_rejected(tmp_path):
+    path = tmp_path / "state.blab"
+    save_state(path, ts.random_symmetric(3, 2, 0.5, np.random.default_rng(2)), dimension=1, sites_per_dim=3)
+    data = bytearray(path.read_bytes())
+    data[len(MAGIC)] = 7  # the tag byte after the magic
+    path.write_bytes(bytes(data))
+    with pytest.raises(ConfigError, match="state.blab: unknown representation tag 7"):
+        load_state(path)
+
+
 def test_2d_geometry_preserved(tmp_path):
     # 2d lattice: M = L^2 sites, spacing recovered from the header
     rng = np.random.default_rng(3)
@@ -68,3 +86,19 @@ def test_2d_geometry_preserved(tmp_path):
     loaded, d, sites = load_state(path)
     assert (d, sites) == (2, 2)
     assert loaded.cell == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("tag,value", [("fock", np.nan), ("tensor", np.inf)])
+def test_non_finite_amplitudes_refused(tmp_path, tag, value):
+    # refused when read, before the symmetry check, not by a later step
+    # that would blame dt
+    rng = np.random.default_rng(5)
+    if tag == "fock":
+        psi = fs.random_fock(fs.FockSpace(fs.enumerate_basis(4, 3), 1.0), rng)
+    else:
+        psi = ts.random_symmetric(4, 3, 1.0, rng)
+    psi.amps.flat[0] = value
+    path = tmp_path / "bad.blab"
+    save_state(path, psi, dimension=1, sites_per_dim=4)
+    with pytest.raises(ConfigError, match="bad.blab: non-finite amplitudes"):
+        load_state(path)
