@@ -41,4 +41,4 @@ print(f"\nmax norm drift over the run: {drift:.3e} (contract: <= 1e-8)")
 print(f"Sobolev proxy at t=0:   {trajectory.hk[0]:.6f}")
 print(f"Sobolev proxy at t_end: {trajectory.hk[-1]:.6f}")
 print(f"integrated proxy (enters the moment-growth constants): "
-      f"{trajectory.hk_integral(0, config.step_count):.6f}")
+      f"{trajectory.hk_integral():.6f}")

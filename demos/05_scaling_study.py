@@ -30,7 +30,7 @@ config = validate_config(
     }
 )
 
-result = sweep_scaling(config, [4, 6, 8, 10], [1, 2, 3], t=0.25)
+result = sweep_scaling(config, [4, 6, 8, 10], [1, 2, 3])
 print(result.to_csv())
 print(result.summary())
 

@@ -143,6 +143,8 @@ def _insertion(label: int, pieces, state):
 
 
 def _node_indices(i_end: int, stride: int) -> list[int]:
+    if stride < 1:
+        raise ValueError(f"quadrature stride must be a positive number of grid steps, got {stride}")
     if i_end % stride != 0:
         raise ValueError(f"quadrature stride {stride} must divide {i_end} grid steps")
     return list(range(0, i_end + 1, stride))
@@ -164,15 +166,16 @@ def _collect_chi(psi0, nodes, trajectory):
     return stored
 
 
-def _accumulate_to_end(contribs: dict, nodes, trajectory):
-    """Propagate node-attached contributions to the final time under Htilde."""
+def _accumulate_to_end(contribs: dict, nodes, trajectory, transport):
+    """Propagate node-attached contributions to the final time, from node to
+    node by ``transport(state, t0, t1, trajectory)``."""
     dt = trajectory.dt
     acc = 0.0 * next(iter(contribs.values()))
     for pos, i in enumerate(nodes):
         if i in contribs:
             acc = acc + contribs[i]
         if pos < len(nodes) - 1:
-            acc = evolve_aux(acc, i * dt, nodes[pos + 1] * dt, trajectory)
+            acc = transport(acc, i * dt, nodes[pos + 1] * dt, trajectory)
     return acc
 
 
@@ -207,7 +210,7 @@ def quadrature_Tnk(n: int, k: int, t: float, psi0, trajectory: HartreeTrajectory
         (label,) = tuples[0]
         for pos, i in enumerate(nodes):
             add(i, outer_w[pos] * (-1j) * _insertion(label, node_pieces[i], chi[i]))
-        return _accumulate_to_end(contribs, nodes, trajectory)
+        return _accumulate_to_end(contribs, nodes, trajectory, evolve_aux)
 
     # The inner trapezoid from node i weighs the insertion at a later node
     # j by delta (delta/2 at the last node, and at j = i unless i is last),
@@ -224,7 +227,7 @@ def quadrature_Tnk(n: int, k: int, t: float, psi0, trajectory: HartreeTrajectory
             inner = outer_w[pos] * (-1j) * _insertion(j1, node_pieces[i], chi[i])
             add(i, (-1j) * _insertion(j2, node_pieces[i], delta * running + 0.5 * delta * inner))
             running = evolve_aux(running + inner, i * dt, nodes[pos + 1] * dt, trajectory)
-    return _accumulate_to_end(contribs, nodes, trajectory)
+    return _accumulate_to_end(contribs, nodes, trajectory, evolve_aux)
 
 
 def first_order_defect_quadrature(psi0, t: float, trajectory: HartreeTrajectory, stride: int = 4):
@@ -241,15 +244,12 @@ def first_order_defect_quadrature(psi0, t: float, trajectory: HartreeTrajectory,
     nodes = _node_indices(i_end, stride)
     outer_w = _trap_weights(len(nodes), stride * dt)
     chi = _collect_chi(psi0, nodes, trajectory)
-
-    acc = 0.0 * psi0
-    for pos, i in enumerate(nodes):
+    contribs = {}
+    for w, i in zip(outer_w, nodes):
         pieces = pieces_at(trajectory.phi(i), i * dt, model)
-        kick = apply_C(pieces, chi[i]) + apply_Q(pieces, chi[i])
-        acc = acc + outer_w[pos] * (-1j) * kick
-        if pos < len(nodes) - 1:
-            acc = evolve_full(acc, nodes[pos + 1] * dt, model, t0=i * dt)
-    return acc
+        contribs[i] = w * (-1j) * (apply_C(pieces, chi[i]) + apply_Q(pieces, chi[i]))
+    return _accumulate_to_end(contribs, nodes, trajectory,
+                              lambda state, t0, t1, _: evolve_full(state, t1, model, t0=t0))
 
 
 # ---------------------------------------------------------------------------

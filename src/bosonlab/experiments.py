@@ -254,8 +254,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _sweep_point(config: ModelConfig, n_particles: int, orders, t: float) -> list[SweepRow]:
-    """All rows for one grid point, read off one ``correction_error`` call.
+def _sweep_point(config: ModelConfig, n_particles: int, orders) -> list[SweepRow]:
+    """All rows for one grid point at t = ``config.t_final``, read off one
+    ``correction_error`` call.
 
     A ``BosonLabError`` (configuration, range, integrator or consistency
     failure) becomes nan rows carrying its reason; any other exception is a
@@ -266,7 +267,7 @@ def _sweep_point(config: ModelConfig, n_particles: int, orders, t: float) -> lis
         model = build_model(replace(config, particles=int(n_particles)))
         phi0 = default_phi0(model)
         psi0 = build_product(model, phi0)
-        result = correction_error(psi0, phi0, max(orders), t, model)
+        result = correction_error(psi0, phi0, max(orders), config.t_final, model)
         errors, norms, failed = result.errors, result.correction_norms, ""
     except BosonLabError as exc:  # record and continue; the sweep is a survey
         errors = norms = (float("nan"),) * max(orders)
@@ -275,7 +276,7 @@ def _sweep_point(config: ModelConfig, n_particles: int, orders, t: float) -> lis
     return [
         SweepRow(
             particles=int(n_particles), sites=config.site_count, dimension=config.dimension,
-            beta=config.beta, gamma=config.gamma, t=t, dt=config.dt, order=a,
+            beta=config.beta, gamma=config.gamma, t=config.t_final, dt=config.dt, order=a,
             err_sq=errors[a - 1] ** 2, corr_norm=norms[a - 1], runtime_s=elapsed,
             failed=failed,
         )
@@ -283,14 +284,9 @@ def _sweep_point(config: ModelConfig, n_particles: int, orders, t: float) -> lis
     ]
 
 
-def sweep_scaling(
-    config: ModelConfig,
-    particle_grid,
-    orders,
-    t: float | None = None,
-    jobs: int = 1,
-) -> SweepResult:
-    """Correction errors over a particle-number grid, with per-order slope fits.
+def sweep_scaling(config: ModelConfig, particle_grid, orders, jobs: int = 1) -> SweepResult:
+    """Correction errors at t = ``config.t_final`` over a particle-number
+    grid, with per-order slope fits.
 
     Grid points run independently (optionally in ``jobs`` worker processes,
     at most one per point); rows are reduced in grid order, so the CSV is
@@ -301,8 +297,6 @@ def sweep_scaling(
     orders = tuple(sorted(set(int(a) for a in orders)))
     if not orders or orders[0] < 1:
         raise ConfigError("orders must be positive integers")
-    t = config.t_final if t is None else float(t)
-    replace(config, t_final=t)  # t obeys the grid rule of t_final
     delta = delta_exponent(config.beta, config.gamma, config.dimension)
 
     grid = [int(n) for n in particle_grid]
@@ -317,12 +311,9 @@ def sweep_scaling(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(_sweep_point, [config] * len(grid), grid,
-                         [orders] * len(grid), [t] * len(grid))
-            )
+            chunks = list(pool.map(_sweep_point, [config] * len(grid), grid, [orders] * len(grid)))
     else:
-        chunks = [_sweep_point(config, n, orders, t) for n in grid]
+        chunks = [_sweep_point(config, n, orders) for n in grid]
     rows = [row for chunk in chunks for row in chunk]
 
     slopes = {}
@@ -350,25 +341,24 @@ class MomentRow:
     ratio: float
 
 
-def moment_growth(config: ModelConfig, orders, t: float | None = None) -> list[MomentRow]:
-    """Weighted moments after both evolutions against the explicit-constant budget.
+def moment_growth(config: ModelConfig, orders) -> list[MomentRow]:
+    """Weighted moments at t = ``config.t_final`` after both evolutions
+    against the explicit-constant budget.
 
     The budget for order j is C_j * sum_n N^(n(-1+d beta)) * m_(j-n)(0) with
-    C_j = j! 3^(j(j+1)) exp(9^j I_t), I_t the integrated Sobolev proxy of the
-    condensate.  C_j overflows double precision quickly, so ratios are formed
+    C_j = j! 3^(j(j+1)) exp(9^j I_t), I_t the Sobolev proxy of the condensate
+    integrated over [0, t].  C_j overflows double precision quickly, so ratios are formed
     in log space; ``ratio`` is clamped at exp(700).
     """
-    t = config.t_final if t is None else float(t)
-    replace(config, t_final=t)  # t obeys the grid rule of t_final
     orders = sorted(set(int(j) for j in orders))
     if orders and orders[-1] > config.particles:
         raise ConfigError(f"moment order {orders[-1]} exceeds particle count {config.particles}")
     model = build_model(config)
     phi0 = default_phi0(model)
     psi0 = build_product(model, phi0)
+    t = config.t_final
     traj = hartree_evolve(phi0, 0.0, t, model)
-    i_end = traj.index_of(t)
-    it = traj.hk_integral(0, i_end)
+    it = traj.hk_integral()
 
     w0 = spectral_weights(psi0, phi0)
     jmax = orders[-1] if orders else 0
@@ -376,7 +366,7 @@ def moment_growth(config: ModelConfig, orders, t: float | None = None) -> list[M
 
     full = evolve_full(psi0, t, model)
     aux = evolve_aux(psi0, 0.0, t, traj)
-    phi_t = traj.phi(i_end)
+    phi_t = traj.phis[-1]
     w_full = spectral_weights(full, phi_t)
     w_aux = spectral_weights(aux, phi_t)
 

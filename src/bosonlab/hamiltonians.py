@@ -330,11 +330,14 @@ def apply_stage(pieces: EffectivePieces, members, entries: tuple):
     the entries and, on a sector, admits the build's read-only tables, then
     h1 is lifted over the block in one call, and the pair parts are added
     times 1/(N-1) (``ConfigError`` below N = 2; exactly 0.0 for a zero pair
-    table).  ``ValueError`` refuses another row count than the block's and
-    names a row that breaks this layout or ``check_entries``."""
+    table).  ``ValueError`` refuses an empty block or another row count
+    than the block's and names a row that breaks this layout or
+    ``check_entries``."""
     if members.particles < 2:
         raise ConfigError("the effective decomposition needs at least two particles")
     rows = len(members.amps)
+    if not rows:
+        raise ValueError("a stage block needs at least one member")
     if len(entries) != rows:
         raise ValueError(f"{len(entries)} stage entry rows for a block of {rows} members")
     lifted = entries[0][:1] == ((_HTILDE, 0),)

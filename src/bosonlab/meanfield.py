@@ -138,12 +138,9 @@ class HartreeTrajectory:
     def phi(self, i: int) -> np.ndarray:
         return self.phis[i]
 
-    def hk_integral(self, i0: int, i1: int) -> float:
-        """Trapezoid of the Sobolev proxy over [t_i0, t_i1]."""
-        if i1 == i0:
-            return 0.0
-        seg = self.hk[i0 : i1 + 1]
-        return float(np.trapezoid(seg, dx=self.dt))
+    def hk_integral(self) -> float:
+        """Trapezoid of the Sobolev proxy over the stored window [0, t_end]."""
+        return float(np.trapezoid(self.hk, dx=self.dt))
 
 
 def hartree_evolve(phi0: np.ndarray, t0: float, t1: float, model: Model) -> HartreeTrajectory:

@@ -255,7 +255,7 @@ def test_criterion_5_duhamel_consistency():
 def criterion6_sweep():
     begun = time.perf_counter()
     cfg = make_config(dt=5e-4, t_final=0.5)
-    result = sweep_scaling(cfg, [4, 6, 8, 10, 12], [1, 2, 3], t=0.5)
+    result = sweep_scaling(cfg, [4, 6, 8, 10, 12], [1, 2, 3])
     return result, time.perf_counter() - begun
 
 
@@ -286,7 +286,7 @@ def test_criterion_7_moment_diagnostics():
     violations = []
     for n in (4, 8, 12):
         rows = moment_growth(validate_config({**_as_raw(cfg), "particles": n}),
-                             orders=(1, 2, 3, 4), t=0.5)
+                             orders=(1, 2, 3, 4))
         for row in rows:
             if row.evolution != "aux":
                 continue
@@ -313,7 +313,7 @@ def test_moments_scale_like_their_budget():
     logs = {}
     for n in ns:
         for row in moment_growth(validate_config({**_as_raw(cfg), "particles": n}),
-                                 orders=(1, 2, 3, 4), t=0.5):
+                                 orders=(1, 2, 3, 4)):
             logs.setdefault((row.evolution, row.order), []).append(
                 math.log(row.lhs) + row.order * math.log(n) - math.log(row.order + 1))
     assert len(logs) == 8

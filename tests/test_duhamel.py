@@ -373,6 +373,17 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError):
             quadrature_Tnk(1, 1, 0.2, psi0, traj, stride=7)
 
+    @pytest.mark.parametrize("stride", [0, -4])
+    @pytest.mark.parametrize("oracle", ["Tnk", "defect"])
+    def test_stride_below_one_is_refused(self, setup, oracle, stride):
+        # 0 would divide by zero; -4 divides the 200 steps but gives no node
+        model, phi0, psi0, traj, hier, full = setup
+        with pytest.raises(ValueError, match=f"stride must be a positive .* got {stride}"):
+            if oracle == "Tnk":
+                quadrature_Tnk(1, 1, 0.2, psi0, traj, stride=stride)
+            else:
+                first_order_defect_quadrature(psi0, 0.2, traj, stride=stride)
+
     def test_zero_window_gives_zero(self, setup):
         model, phi0, psi0, traj, hier, full = setup
         assert quadrature_Tnk(1, 1, 0.0, psi0, traj).norm() == 0.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,14 +216,15 @@ class TestMomentGrowth:
             moment_growth(base_config(particles=3), orders=(4,))
 
     def test_off_grid_time_rejected(self):
+        # the moments are taken at the config's t_final, which obeys the grid rule
         with pytest.raises(ConfigError):
-            moment_growth(base_config(), orders=(1, 2), t=0.0101)
+            replace(base_config(), t_final=0.0101)
 
 
 class TestSweep:
     def test_small_sweep_errors_ordered(self):
         cfg = base_config(t_final=0.2, dt=2e-3)
-        result = sweep_scaling(cfg, [3, 4, 5], [1, 2], t=0.2)
+        result = sweep_scaling(cfg, [3, 4, 5], [1, 2])
         by_order = {}
         for row in result.rows:
             assert row.failed == ""
@@ -232,7 +234,7 @@ class TestSweep:
 
     def test_free_interaction_reports_undefined_slopes(self):
         cfg = base_config(interaction_profile="zero", t_final=0.1, dt=2e-3)
-        result = sweep_scaling(cfg, [3, 4, 5], [1], t=0.1)
+        result = sweep_scaling(cfg, [3, 4, 5], [1])
         for row in result.rows:
             assert row.err_sq <= 1e-18
         assert result.slopes[1] is None
@@ -240,10 +242,11 @@ class TestSweep:
 
     def test_csv_layout_and_determinism(self):
         cfg = base_config(t_final=0.1, dt=2e-3)
-        first = sweep_scaling(cfg, [3, 4], [1], t=0.1)
-        second = sweep_scaling(cfg, [3, 4], [1], t=0.1)
+        first = sweep_scaling(cfg, [3, 4], [1])
+        second = sweep_scaling(cfg, [3, 4], [1])
         header = first.to_csv().splitlines()[0]
         assert header == "N,M,d,beta,gamma,t,dt,order,err_sq,corr_norm,runtime_s"
+        assert {row.t for row in first.rows} == {cfg.t_final}
 
         def strip_runtime(csv):
             return ["," .join(line.split(",")[:-1]) for line in csv.splitlines()]
@@ -252,7 +255,7 @@ class TestSweep:
 
     def test_failed_points_recorded(self):
         cfg = base_config(t_final=0.1, dt=2e-3)
-        result = sweep_scaling(cfg, [1, 3], [1], t=0.1)
+        result = sweep_scaling(cfg, [1, 3], [1])
         failed = [r for r in result.rows if r.failed]
         assert len(failed) == 1 and failed[0].particles == 1
         assert math.isnan(failed[0].err_sq)
@@ -260,7 +263,7 @@ class TestSweep:
     def test_refused_grid_point_keeps_its_own_particle_count(self):
         # N^-beta R = 8^-0.2 * 3 = 1.98 < 2h = 2: only N = 8 is unresolved
         cfg = base_config(beta=0.2, interaction_radius=3.0, t_final=0.02, dt=2e-3)
-        result = sweep_scaling(cfg, [3, 4, 8], [1, 2], t=0.02)
+        result = sweep_scaling(cfg, [3, 4, 8], [1, 2])
         rows = {(r.particles, r.order): r for r in result.rows}
         assert sorted(rows) == [(n, a) for n in (3, 4, 8) for a in (1, 2)]
         for (n, _), row in rows.items():
@@ -270,20 +273,20 @@ class TestSweep:
 
     def test_summary_lists_failed_points_with_reasons(self):
         cfg = base_config(t_final=0.1, dt=2e-3)
-        result = sweep_scaling(cfg, [1, 3, 4], [1, 2], t=0.1)
+        result = sweep_scaling(cfg, [1, 3, 4], [1, 2])
         reason = next(r.failed for r in result.rows if r.particles == 1)
         assert "at least two particles" in reason
         summary = result.summary().splitlines()
         assert summary[-1] == f"failed N=1: {reason}"
         assert sum(line.startswith("failed") for line in summary) == 1
-        clean = sweep_scaling(cfg, [3, 4], [1, 2], t=0.1)
+        clean = sweep_scaling(cfg, [3, 4], [1, 2])
         assert "failed" not in clean.summary()
         assert result.summary() == clean.summary() + f"failed N=1: {reason}\n"
 
     def test_off_grid_t_is_a_config_error(self):
         cfg = base_config(t_final=0.1, dt=2e-3)
         with pytest.raises(ConfigError, match="does not divide"):
-            sweep_scaling(cfg, [3], [1], t=0.1001)
+            replace(cfg, t_final=0.1001)
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -292,20 +295,20 @@ class TestSweep:
         monkeypatch.setattr(propagation, "stage_pieces", broken)
         cfg = base_config(t_final=0.1, dt=2e-3)
         with pytest.raises(TypeError, match="defect inside the hierarchy"):
-            sweep_scaling(cfg, [3], [1], t=0.1)
+            sweep_scaling(cfg, [3], [1])
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_non_positive_jobs_rejected(self, jobs):
         cfg = base_config(t_final=0.1, dt=2e-3)
         with pytest.raises(ConfigError, match="jobs"):
-            sweep_scaling(cfg, [3, 4], [1], t=0.1, jobs=jobs)
+            sweep_scaling(cfg, [3, 4], [1], jobs=jobs)
 
     @pytest.mark.parametrize("grid", [[3, 3, 3], [3, 3, 4], [4, 3, 4]])
     def test_repeated_particle_number_rejected(self, grid):
         # a repeated N is not a further point of the fit
         cfg = base_config(t_final=0.1, dt=2e-3)
         with pytest.raises(ConfigError, match="repeats N="):
-            sweep_scaling(cfg, grid, [1], t=0.1)
+            sweep_scaling(cfg, grid, [1])
 
     @pytest.mark.parametrize("jobs, grid, workers", [(5000, [3, 4], 2), (3, [3, 4, 5, 6], 3),
                                                      (4, [3], None)])
@@ -331,14 +334,14 @@ class TestSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         cfg = base_config(t_final=0.01, dt=2e-3)
-        result = sweep_scaling(cfg, grid, [1], t=0.01, jobs=jobs)
+        result = sweep_scaling(cfg, grid, [1], jobs=jobs)
         assert started == ([] if workers is None else [workers])
         assert [row.particles for row in result.rows] == grid
 
     def test_parallel_jobs_match_serial(self):
         cfg = base_config(t_final=0.1, dt=2e-3)
-        serial = sweep_scaling(cfg, [3, 4], [1], t=0.1)
-        parallel = sweep_scaling(cfg, [3, 4], [1], t=0.1, jobs=2)
+        serial = sweep_scaling(cfg, [3, 4], [1])
+        parallel = sweep_scaling(cfg, [3, 4], [1], jobs=2)
         for a, b in zip(serial.rows, parallel.rows):
             assert a.err_sq == b.err_sq
             assert a.corr_norm == b.corr_norm

@@ -667,6 +667,13 @@ class TestMalformedEntries:
             apply_stage(pieces, members, (((0, 0),),))
 
     @pytest.mark.parametrize("rep", ["fock", "tensor"])
+    def test_apply_stage_refuses_an_empty_block(self, rep):
+        pieces, members = self.pieces_and_block(rep)
+        empty = members.with_amps(members.amps[:0])
+        with pytest.raises(ValueError, match="at least one member"):
+            apply_stage(pieces, empty, ())
+
+    @pytest.mark.parametrize("rep", ["fock", "tensor"])
     def test_an_operator_the_build_did_not_make_is_refused(self, rep):
         # an auxiliary-flow build holds Htilde alone, on both representations
         model = make_model(sites_per_dim=4, torus_length=4.0, particles=4)

@@ -365,6 +365,18 @@ class TestTrajectory:
         assert np.array_equal(traj.mus, [mf.mu(phi, model.pair, model.cell) for phi in traj.phis])
         assert np.array_equal(traj.hk, [mf.hk_proxy(phi, model) for phi in traj.phis])
 
+    def test_hk_integral_is_the_trapezoid_over_the_stored_window(self):
+        model = make_model(t_final=0.05)
+        rng = np.random.default_rng(13)
+        phi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        phi0 /= mf.one_body_norm(phi0, model.cell)
+        traj = mf.hartree_evolve(phi0, 0.0, 0.05, model)
+        hk = traj.hk
+        assert len(hk) == 51 and np.ptp(hk) > 0.0
+        trapezoid = model.config.dt * (hk.sum() - 0.5 * (hk[0] + hk[-1]))
+        assert traj.hk_integral() == pytest.approx(trapezoid, rel=1e-12)
+        assert mf.hartree_evolve(phi0, 0.0, 0.0, model).hk_integral() == 0.0
+
     def test_flows_never_compute_the_sobolev_proxy(self, monkeypatch):
         calls = []
         proxy = mf.hk_proxy

@@ -156,7 +156,7 @@ class TestOrbitBasis:
             assert np.array_equal(a.annihilate, b.annihilate)
             assert np.array_equal(a.factor, b.factor)
             assert np.array_equal(a.create, b.create)
-            assert a.scale is None and b.scale is None
+            assert np.array_equal(a.scale, np.ones(plain.basis.dim)) and np.array_equal(b.scale, a.scale)
 
 
 class TestSectorOperators:
