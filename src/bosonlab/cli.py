@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Exit codes are the machine-readable success channel: 0 success, 1 invariant
-or suite failure or a failed sweep point, 2 configuration error,
-3 range/resolution error, 4 integrator failure.  Stdout is human-oriented;
-CSV files are the data channel.  ``--seed`` overrides the config seed and
-fully determines every stochastic choice.
+Exit codes are the machine-readable success channel: 0 success, 1 invariant or
+suite failure or a failed sweep point, 2 configuration error, 3 range/resolution
+error, 4 integrator failure.  Stdout is human-oriented; CSV files, every number
+in them as ``%.17g`` (``experiments.csv_text``), are the data channel.
+``--seed`` overrides the config seed and fully determines every stochastic choice.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from . import __version__
 from .duhamel import correction_error
 from .errors import BosonLabError, ConfigError, IntegratorError
 from .experiments import (
-    _fmt,
     build_product,
+    csv_text,
     default_phi0,
     lemma_suite,
     sweep_scaling,
@@ -64,11 +64,9 @@ def _cmd_hartree(args) -> int:
     model = build_model(cfg)
     phi0 = default_phi0(model)
     traj = hartree_evolve(phi0, 0.0, cfg.t_final, model)
-    lines = ["t,norm,mu,energy_proxy"]
-    for i, t in enumerate(traj.times):
-        energy = hartree_energy(traj.phis[i], float(t), model)
-        lines.append(f"{_fmt(float(t))},{_fmt(traj.norms[i])},{_fmt(traj.mus[i])},{_fmt(energy)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [(t, traj.norms[i], traj.mus[i], hartree_energy(traj.phis[i], float(t), model))
+            for i, t in enumerate(traj.times)]
+    _emit(csv_text("t,norm,mu,energy_proxy", rows), args.out)
     return 0
 
 
@@ -100,33 +98,25 @@ def _cmd_evolve(args) -> int:
     psi0 = _initial_state(args, cfg, model)
     traj = hartree_evolve(default_phi0(model), 0.0, cfg.t_final, model)
 
-    lines: list[str] = []
-
-    if args.observable == "norm":
-        lines.append("t,norm")
-    elif args.observable == "weights":
-        lines.append("t," + ",".join(f"w{k}" for k in range(cfg.particles + 1)))
-    else:
-        lines.append("t,order,m_moment,n_moment,excitation_moment")
+    header = {"norm": "t,norm", "moments": "t,order,m_moment,n_moment,excitation_moment",
+              "weights": "t," + ",".join(f"w{k}" for k in range(cfg.particles + 1))}[args.observable]
+    rows: list[tuple] = []
 
     def observer(i, t, psi):
         if i % args.every != 0:
             return
         if args.observable == "norm":
-            lines.append(f"{_fmt(t)},{_fmt(psi.norm())}")
+            rows.append((t, psi.norm()))
             return
         weights = spectral_weights(psi, traj.phi(i))
         if args.observable == "weights":
-            lines.append(f"{_fmt(t)}," + ",".join(_fmt(w) for w in weights.weights))
+            rows.append((t, *weights.weights))
         else:
-            for a in range(1, cfg.moment_order + 1):
-                lines.append(
-                    f"{_fmt(t)},{a},{_fmt(weights.m_moment(a))},"
-                    f"{_fmt(weights.n_moment(a))},{_fmt(weights.moment(a))}"
-                )
+            rows.extend((t, a, weights.m_moment(a), weights.n_moment(a), weights.moment(a))
+                        for a in range(1, cfg.moment_order + 1))
 
     final = evolve_full(psi0, cfg.t_final, model, observer=observer)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(csv_text(header, rows), args.out)
     if args.save:
         save_state(args.save, final, cfg.dimension, cfg.sites_per_dim)
     return 0
@@ -142,13 +132,9 @@ def _cmd_correct(args) -> int:
     phi0 = default_phi0(model)
     psi0 = build_product(model, phi0, args.representation)
     result = correction_error(psi0, phi0, cfg.correction_order, cfg.t_final, model)
-    lines = ["quantity,value"]
-    lines.append(f"error,{_fmt(result.error)}")
-    lines.append(f"error_sq,{_fmt(result.error_sq)}")
-    lines.append(f"correction_norm,{_fmt(result.correction_norm)}")
-    for (n, k), norm in sorted(result.term_norms.items()):
-        lines.append(f"term_norm_{n}_{k},{_fmt(norm)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [(name, getattr(result, name)) for name in ("error", "error_sq", "correction_norm")]
+    rows += [(f"term_norm_{n}_{k}", norm) for (n, k), norm in sorted(result.term_norms.items())]
+    _emit(csv_text("quantity,value", rows), args.out)
     return 0
 
 
@@ -158,17 +144,10 @@ def _cmd_moments(args) -> int:
     phi0 = default_phi0(model)
     psi0 = build_product(model, phi0, args.representation)
     weights = spectral_weights(psi0, phi0)
-    lines = ["k,weight"]
-    for k, w in enumerate(weights.weights):
-        lines.append(f"{k},{_fmt(w)}")
-    lines.append("")
-    lines.append("a,m_moment,n_moment,excitation_moment,c_a")
-    for a in range(0, min(cfg.moment_order, cfg.particles) + 1):
-        lines.append(
-            f"{a},{_fmt(weights.m_moment(a))},{_fmt(weights.n_moment(a))},{_fmt(weights.moment(a))},"
-            f"{_fmt(weights.budget(a, cfg.gamma))}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    moments = [(a, weights.m_moment(a), weights.n_moment(a), weights.moment(a), weights.budget(a, cfg.gamma))
+               for a in range(0, min(cfg.moment_order, cfg.particles) + 1)]
+    _emit(csv_text("k,weight", enumerate(weights.weights)) + "\n"
+          + csv_text("a,m_moment,n_moment,excitation_moment,c_a", moments), args.out)
     return 0
 
 

@@ -51,6 +51,7 @@ __all__ = [
     "build_product",
     "build_one_excitation",
     "build_mixed",
+    "csv_text",
     "delta_exponent",
     "fit_slope",
     "SweepRow",
@@ -183,10 +184,12 @@ def delta_exponent(beta: float, gamma: float, d: int) -> float:
 
 
 def fit_slope(points) -> tuple[float, float, float]:
-    """Ordinary least squares on (x, y) pairs: slope, intercept, RMS residual."""
+    """Least squares on finite (x, y) pairs, else ``ValueError``: slope, intercept, RMS residual."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValueError("fit_slope needs at least three (x, y) points")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"fit_slope needs finite points, got {pts[np.isfinite(pts).all(1).argmin()].tolist()}")
     x, y = pts[:, 0], pts[:, 1]
     if np.ptp(x) < 1e-300 or len(np.unique(x)) < 2:
         raise ValueError("fit_slope needs distinct x values")
@@ -224,14 +227,9 @@ class SweepResult:
     orders: tuple
 
     def to_csv(self) -> str:
-        lines = ["N,M,d,beta,gamma,t,dt,order,err_sq,corr_norm,runtime_s"]
-        for r in self.rows:
-            lines.append(
-                f"{r.particles},{r.sites},{r.dimension},{_fmt(r.beta)},{_fmt(r.gamma)},"
-                f"{_fmt(r.t)},{_fmt(r.dt)},{r.order},{_fmt(r.err_sq)},{_fmt(r.corr_norm)},"
-                f"{_fmt(r.runtime_s)}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text("N,M,d,beta,gamma,t,dt,order,err_sq,corr_norm,runtime_s", [
+            (r.particles, r.sites, r.dimension, r.beta, r.gamma, r.t, r.dt, r.order, r.err_sq,
+             r.corr_norm, r.runtime_s) for r in self.rows])
 
     def summary(self) -> str:
         lines = [f"predicted squared-error slope per order: -a * delta, delta = {self.delta:.6g}"]
@@ -250,8 +248,12 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def csv_text(header: str, rows) -> str:
+    """The ``header`` line, then a line per row: str cells as they are, numbers as round-trip ``%.17g``."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(cell if isinstance(cell, str) else f"{cell:.17g}" for cell in row))
+    return "\n".join(lines) + "\n"
 
 
 def _sweep_point(config: ModelConfig, n_particles: int, orders) -> list[SweepRow]:
@@ -348,10 +350,13 @@ def moment_growth(config: ModelConfig, orders) -> list[MomentRow]:
     The budget for order j is C_j * sum_n N^(n(-1+d beta)) * m_(j-n)(0) with
     C_j = j! 3^(j(j+1)) exp(9^j I_t), I_t the Sobolev proxy of the condensate
     integrated over [0, t].  C_j overflows double precision quickly, so ratios are formed
-    in log space; ``ratio`` is clamped at exp(700).
+    in log space; ``ratio`` is clamped at exp(700).  No order, or one below 1 or above N,
+    raises ``ConfigError``.
     """
     orders = sorted(set(int(j) for j in orders))
-    if orders and orders[-1] > config.particles:
+    if not orders or orders[0] < 1:
+        raise ConfigError("orders must be positive integers")
+    if orders[-1] > config.particles:
         raise ConfigError(f"moment order {orders[-1]} exceeds particle count {config.particles}")
     model = build_model(config)
     phi0 = default_phi0(model)
@@ -361,8 +366,7 @@ def moment_growth(config: ModelConfig, orders) -> list[MomentRow]:
     it = traj.hk_integral()
 
     w0 = spectral_weights(psi0, phi0)
-    jmax = orders[-1] if orders else 0
-    m_init = [w0.m_moment(j) for j in range(jmax + 1)]
+    m_init = [w0.m_moment(j) for j in range(orders[-1] + 1)]
 
     full = evolve_full(psi0, t, model)
     aux = evolve_aux(psi0, 0.0, t, traj)

@@ -33,6 +33,7 @@ __all__ = [
     "mu",
     "condensate_at",
     "hartree_evolve",
+    "hartree_energy",
     "hk_proxy",
     "one_body_norm",
 ]

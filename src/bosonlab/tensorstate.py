@@ -26,6 +26,7 @@ __all__ = [
     "apply_projector_chain",
     "apply_two_slot",
     "symmetrize",
+    "symmetrize_reference",
     "transposition_residual",
     "pair_diagonal_field",
     "product_state",

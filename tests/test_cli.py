@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from bosonlab.cli import main
-from bosonlab.model import CONFIG_FILE_KEYS, ModelConfig
+from bosonlab.duhamel import correction_error
+from bosonlab.experiments import build_product, default_phi0
+from bosonlab.model import CONFIG_FILE_KEYS, ModelConfig, build_model, config_from_file
 
 SMALL_CFG = """
 dimension = 1
@@ -185,6 +187,21 @@ class TestCorrect:
         table = dict(line.split(",") for line in lines[1:])
         assert float(table["error"]) >= 0.0
         assert "term_norm_0_0" in table and "term_norm_1_1" in table
+
+    def test_csv_reads_back_the_exact_result(self, cfg_path, tmp_path):
+        # the data channel loses no bit: every value parses back to correction_error's double
+        out = tmp_path / "correct.csv"
+        assert main(["correct", "--config", cfg_path, "--out", str(out)]) == 0
+        header, *lines = out.read_text().splitlines()
+        assert header == "quantity,value"
+        table = {name: float(value) for name, value in (line.split(",") for line in lines)}
+        cfg = config_from_file(cfg_path, correction_run=True)
+        model = build_model(cfg)
+        phi0 = default_phi0(model)
+        result = correction_error(build_product(model, phi0), phi0, cfg.correction_order, cfg.t_final, model)
+        expected = {"error": result.error, "error_sq": result.error_sq, "correction_norm": result.correction_norm}
+        expected.update({f"term_norm_{n}_{k}": norm for (n, k), norm in result.term_norms.items()})
+        assert table == expected
 
     def test_off_grid_t_exits_2(self, cfg_path, capsys):
         capsys.readouterr()

@@ -11,6 +11,7 @@ from bosonlab.experiments import (
     build_mixed,
     build_one_excitation,
     build_product,
+    csv_text,
     default_phi0,
     delta_exponent,
     fit_slope,
@@ -96,6 +97,12 @@ class TestFitSlope:
     def test_degenerate_x_rejected(self):
         with pytest.raises(ValueError):
             fit_slope([(1.0, 0.0), (1.0, 1.0), (1.0, 2.0)])
+
+    @pytest.mark.parametrize("point", [(1.0, math.nan), (1.0, math.inf), (math.nan, 0.0)])
+    def test_non_finite_point_rejected_by_name(self, point):
+        # a nan or inf y would fit to nan, a nan x would reach the solver
+        with pytest.raises(ValueError, match=rf"finite points, got \[{point[0]}, {point[1]}\]"):
+            fit_slope([point, (2.0, 1.0), (3.0, 2.0)])
 
     def test_noisy_recovery_within_standard_error(self):
         rng = np.random.default_rng(42)
@@ -210,6 +217,11 @@ class TestMomentGrowth:
         for row in rows:
             # product data stays condensed: ||m^j psi||^2 pinned at N^-j
             assert row.lhs == pytest.approx(n ** (-row.order), abs=1e-10)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_orders_below_one_rejected(self, order):
+        with pytest.raises(ConfigError, match="orders must be positive integers"):
+            moment_growth(base_config(), orders=(order,))
 
     def test_moment_order_capped(self):
         with pytest.raises(ConfigError):
@@ -345,3 +357,16 @@ class TestSweep:
         for a, b in zip(serial.rows, parallel.rows):
             assert a.err_sq == b.err_sq
             assert a.corr_norm == b.corr_norm
+
+
+class TestCsvText:
+    def test_header_then_one_line_per_row(self):
+        rows = [("error", 2), (np.int64(3), "x")]
+        assert csv_text("quantity,value", rows) == "quantity,value\nerror,2\n3,x\n"
+        assert csv_text("a,b", []) == "a,b\n"
+
+    @pytest.mark.parametrize("x", [0.1 + 0.2, 1 / 3, 3e-17, 5e-324, 1.7976931348623157e308, -0.0])
+    def test_doubles_read_back_bit_for_bit(self, x):
+        cell = csv_text("x", [(x,)]).splitlines()[1]
+        assert float(cell).hex() == x.hex()
+        assert float(csv_text("x", [(np.float64(x),)]).splitlines()[1]).hex() == x.hex()
