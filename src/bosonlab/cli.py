@@ -96,7 +96,7 @@ def _cmd_evolve(args) -> int:
     cfg = _load_config(args)
     model = build_model(cfg)
     psi0 = _initial_state(args, cfg, model)
-    traj = hartree_evolve(default_phi0(model), 0.0, cfg.t_final, model)
+    traj = None if args.observable == "norm" else hartree_evolve(default_phi0(model), 0.0, cfg.t_final, model)
 
     header = {"norm": "t,norm", "moments": "t,order,m_moment,n_moment,excitation_moment",
               "weights": "t," + ",".join(f"w{k}" for k in range(cfg.particles + 1))}[args.observable]

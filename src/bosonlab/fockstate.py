@@ -17,6 +17,9 @@ diagonal pair sum stays diagonal; only the ladders' tables change
 reflection-symmetric inputs the sector is 252 of 455 vectors at M = 4,
 N = 12 (Z2), 525 of 969 at N = 16, and 84 of 495 on the 3 x 3 lattice at
 N = 4 (D4), which shrinks every gather, product and state vector alike.
+The orbits and the ladders' channel moves are ranked (``_rank``, down
+site-major rows) under the kept generators only; every other element's image
+table is one gather, composed along the closure walk of ``_group``.
 Every table that acts on a sector state must be invariant under its group,
 and states of different sectors do not combine (``ValueError`` both); the
 check reads the exact gap ||x - x_sigma|| / ||x|| (``invariance_gap``).
@@ -100,7 +103,9 @@ SYMMETRY_TOL = 1e-12
 
 
 def _rank(occ: np.ndarray, particles: int) -> np.ndarray:
-    """Basis index of each occupation vector along the last axis, all summing to N.
+    """Basis index of each occupation vector, all summing to N, read down the
+    site-major rows ``occ`` (M, ...): the running sum, the gather and the sum
+    each run over whole rows instead of a short, strided last axis.
 
     A composition precedes n in descending-lexicographic order when, at the
     first part j where they differ, its part exceeds n_j; with
@@ -108,9 +113,13 @@ def _rank(occ: np.ndarray, particles: int) -> np.ndarray:
     such compositions, none when rest_j < 0.  counts[a + 1, k] = C(a + k, k)
     and counts[0] = 0 cover rest_j >= -1, and one flat gather reads them.
     """
-    sites = occ.shape[-1]
-    rest = particles - np.cumsum(occ[..., :-1], axis=-1)  # rest_j + 1
-    return _counts(particles, sites).take(rest * sites + np.arange(sites - 1, 0, -1)).sum(axis=-1)
+    sites, left = len(occ), particles
+    rest = np.empty((sites - 1, *np.shape(occ)[1:]), dtype=np.int64)  # rest_j + 1, row j
+    for j in range(sites - 1):
+        left = np.subtract(left, occ[j], out=rest[j, ...])
+    rest *= sites
+    rest += np.arange(sites - 1, 0, -1).reshape(-1, *(1,) * (rest.ndim - 1))
+    return _counts(particles, sites).take(rest).sum(axis=0)
 
 
 @lru_cache(maxsize=32)
@@ -136,27 +145,44 @@ def _channels(sites: int) -> tuple:
 
 @lru_cache(maxsize=16)
 def _group(generators: tuple, sites: int) -> tuple:
-    """The group of site permutations that ``generators`` generate, and the
-    generators that were needed.
+    """The group of site permutations that ``generators`` generate, the
+    generators that were needed, and the walk of its closure.
 
     A permutation pi acts on occupation vectors as n -> n[pi], so applying
     rho and then pi is the permutation rho[pi].  The group is the sorted
     tuple of its elements, which puts the identity first; a generator that
-    already lies in the group of the ones before it is dropped.
+    already lies in the group of the ones before it is dropped.  The walk
+    lists each element after the identity, in the order the closure reached
+    it, as (its index, that of the rho it came from, pi's place in kept).
     """
     identity = tuple(range(sites))
-    group, kept = {identity}, []
+    reached, kept = {identity: None}, []  # element -> (rho, pi's position in kept)
     for gen in generators:
         if sorted(gen) != list(identity):
             raise ValueError(f"{gen} is not a permutation of the {sites} sites")
-        if gen in group:
+        if gen in reached:
             continue
         kept.append(gen)
-        frontier = list(group)
+        frontier = list(reached)
         while frontier:
-            frontier = list({tuple(rho[i] for i in pi) for rho in frontier for pi in kept} - group)
-            group.update(frontier)
-    return tuple(sorted(group)), tuple(kept)
+            new = {tuple(rho[i] for i in pi): (rho, k) for rho in frontier for k, pi in enumerate(kept)}
+            frontier = [sigma for sigma in new if sigma not in reached]
+            reached.update((sigma, new[sigma]) for sigma in frontier)
+    group = tuple(sorted(reached))
+    index = {g: i for i, g in enumerate(group)}
+    walk = tuple((index[g], index[rho], k) for g, (rho, k) in list(reached.items())[1:])
+    return group, tuple(kept), walk
+
+
+def _compose(first: list, walk: tuple, size: int) -> np.ndarray:
+    """(G, size) table whose row g maps the index of each of ``size`` items to
+    that of its image under group[g], from ``first``, the rows of the kept
+    generators: along the ``_group`` walk, I[rho[pi]] = I[pi][I[rho]]."""
+    out = np.empty((len(walk) + 1, size), dtype=np.int64)
+    out[0] = np.arange(size)
+    for g, rho, k in walk:
+        first[k].take(out[rho], out=out[g])
+    return out
 
 
 def _frozen(x) -> bool:
@@ -222,9 +248,10 @@ def enumerate_basis(sites: int, particles: int, symmetry=()) -> OccupationBasis:
 
     Stars and bars: the M - 1 bar positions among N + M - 1 slots, in
     ascending lexicographic order, give the parts as the gaps between bars
-    in ascending order; reversing the rows makes them descend.  The orbits
-    come from one ``_rank`` pass over the stacked images pi . n of every
-    vector: its representative is the image of least index.
+    in ascending order; reversing the rows makes them descend.  A vector's
+    representative is its image pi . n of least index: the images are ranked
+    in one ``_rank`` pass over the site-major rows per kept generator, and
+    composed along the closure walk for every other element (``_compose``).
     """
     if sites < 1 or particles < 0:
         raise ConfigError(f"invalid basis request M={sites}, N={particles}")
@@ -237,15 +264,15 @@ def enumerate_basis(sites: int, particles: int, symmetry=()) -> OccupationBasis:
     bars = itertools.chain.from_iterable(itertools.combinations(range(particles + sites - 1), sites - 1))
     cuts = np.fromiter(bars, dtype=np.int64, count=dim * (sites - 1)).reshape(dim, sites - 1)[::-1]
     occ = np.diff(cuts, axis=1, prepend=-1, append=particles + sites - 1) - 1
-    group, generators = _group(tuple(tuple(int(i) for i in gen) for gen in symmetry), sites)
+    group, generators, walk = _group(tuple(tuple(int(i) for i in gen) for gen in symmetry), sites)
     if len(group) == 1:
         return OccupationBasis(occ, particles, sites, group, generators, occ, np.arange(dim),
                                np.zeros(dim, dtype=np.int64), np.ones(dim, dtype=np.int64))
-    images = _rank(occ[:, np.array(group)], particles)  # (dim, G): index of pi . n
-    to_rep = images.argmin(axis=1)
+    images = _compose([_rank(occ.T[list(gen)], particles) for gen in generators], walk, dim)  # (G, dim)
+    to_rep = images.argmin(axis=0)
     reps = np.flatnonzero(to_rep == 0)
-    orbit = np.searchsorted(reps, images[np.arange(dim), to_rep])
-    sizes = len(group) // (images[reps] == reps[:, None]).sum(axis=1)
+    orbit = np.searchsorted(reps, images.min(axis=0))
+    sizes = len(group) // (images[:, reps] == reps).sum(axis=0)
     return OccupationBasis(occ[reps], particles, sites, group, generators, occ, orbit, to_rep, sizes)
 
 
@@ -271,8 +298,9 @@ class Ladder:
     after them, up to the largest number of moves that create one row (at
     least one slot): 6 slots for the 45 pair channels on the 3 x 3 lattice
     at N = 4, all 10 for M = 4, N = 12.  ``moved[g, p]`` is the row of the
-    move group[g] . moves[p].  Both gathers act on the last axis, so a block
-    of states moves in one gather each way.
+    move group[g] . moves[p], ranked under the kept generators and composed
+    for the other elements (``_compose``).  Both gathers act on the last
+    axis, so a block of states moves in one gather each way.
 
     On invariant states and tables this is exact: a lowered amplitude at
     pi^-1 . v for move p equals the one at v for move pi . p, and every
@@ -294,9 +322,10 @@ class Ladder:
             self.lower = lower = OccupationBasis(empty, n, m, upper.group[:1], (), empty, index, index, index)
         size = lower.dim
         row_of = np.zeros(math.comb(drop + m - 1, drop), dtype=np.int64)
-        row_of[_rank(moves, drop)] = np.arange(rows)
-        self.moved = row_of[_rank(moves[:, np.array(upper.group)], drop).T]
-        raised = _rank(lower.full + moves[:, None, :], upper.particles)  # upper index of w + move
+        row_of[_rank(moves.T, drop)] = np.arange(rows)
+        images = [row_of[_rank(moves.T[list(gen)], drop)] for gen in upper.generators]
+        self.moved = _compose(images, _group(upper.generators, m)[2], rows)
+        raised = _rank(lower.full.T[:, None, :] + moves.T[:, :, None], upper.particles)  # upper index of w + move
         self.annihilate = upper.orbit[raised[:, lower.to_rep == 0]]
         # each move's annihilated modes in ascending order; the i-th of them
         # sees its mode's occupation raised by the earlier ones in the move
@@ -759,7 +788,7 @@ def _grid_orbits(space: FockSpace) -> np.ndarray:
     (M,)*N tensor grid, in row-major order."""
     m, n = space.sites, space.particles
     sites = np.indices((m,) * n).reshape(n, m**n)
-    return _rank((sites[:, :, None] == np.arange(m)).sum(axis=0), n)
+    return _rank((sites[:, None, :] == np.arange(m)[:, None]).sum(axis=0), n)
 
 
 def embed(state: FockState) -> TensorState:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bosonlab import cli
 from bosonlab.cli import main
 from bosonlab.duhamel import correction_error
 from bosonlab.experiments import build_product, default_phi0
@@ -123,6 +124,18 @@ class TestEvolve:
         assert lines[0] == "t,norm"
         assert len(lines) == 7  # header + steps 0,20,...,100
         assert float(lines[-1].split(",")[1]) == pytest.approx(1.0, abs=1e-8)
+
+    def test_norm_observable_builds_no_condensate(self, cfg_path, capsys, monkeypatch):
+        # only the weights and moments read the Hartree trajectory
+        assert main(["evolve", "--config", cfg_path, "--every", "20"]) == 0
+        expect = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("evolve --observable norm built a Hartree trajectory")
+
+        monkeypatch.setattr(cli, "hartree_evolve", refuse)
+        assert main(["evolve", "--config", cfg_path, "--observable", "norm", "--every", "20"]) == 0
+        assert capsys.readouterr().out == expect
 
     def test_weights_observable(self, cfg_path, capsys):
         assert main(["evolve", "--config", cfg_path, "--observable", "weights",

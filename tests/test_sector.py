@@ -2,6 +2,7 @@
 and agreement with the site route."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,11 +31,21 @@ def lattice(size, d):
     return ([site.T.ravel()] if d == 2 else []) + mirrors
 
 
-# (sites, particles, generators): Z2 in 1D, D4 and Z2 x Z2 on the 3 x 3 lattice
+def shifts(size, d):
+    """The unit translation x_a -> x_a + 1 mod L of each axis of an L^d lattice."""
+    site = np.arange(size**d).reshape((size,) * d)
+    return [np.roll(site, 1, axis=a).ravel() for a in range(d)]
+
+
+# (sites, particles, generators): Z2 in 1D, D4 and Z2 x Z2 on the 3 x 3 lattice,
+# and with the translations, the dihedral group of a 6-site ring (order 12)
+# and the 72 symmetries of the 3 x 3 torus
 SECTORS = {
     "1d-z2": (4, 5, lattice(4, 1)),
     "2d-d4": (9, 3, lattice(3, 2)),
     "2d-reflections": (9, 3, lattice(3, 2)[1:]),
+    "1d-ring": (6, 3, shifts(6, 1) + lattice(6, 1)),
+    "2d-torus": (9, 3, shifts(3, 2) + lattice(3, 2)),
 }
 
 
@@ -137,6 +148,42 @@ class TestOrbitBasis:
             images = {tuple(occ[g]) for g in group}
             assert len(images) == basis.sizes[basis.orbit[i]]
             assert basis.index_of(occ) == basis.orbit[i]
+
+    @pytest.mark.parametrize("name", list(SECTORS))
+    def test_tables_match_ranking_every_element(self, name):
+        # the orbits and channel moves composed along the closure equal those
+        # read off the images under every group element, each ranked alone
+        m, n, gens = SECTORS[name]
+        basis = fs.enumerate_basis(m, n, symmetry=gens)
+        group = np.array(basis.group)
+        images = np.array([fs._rank(basis.full[:, g].T, n) for g in group])  # (G, full dim)
+        assert np.array_equal(images[0], np.arange(len(basis.full)))
+        to_rep = images.argmin(axis=0)
+        reps = np.flatnonzero(to_rep == 0)
+        assert np.array_equal(basis.to_rep, to_rep)
+        assert np.array_equal(basis.orbit, np.searchsorted(reps, images.min(axis=0)))
+        assert np.array_equal(basis.sizes, len(group) // (images[:, reps] == reps).sum(axis=0))
+        unit = np.eye(m, dtype=np.int64)
+        s, t = np.triu_indices(m)
+        for ladder, moves in zip(fs.FockSpace(basis, CELL).ladders, (unit, unit[s] + unit[t])):
+            drop = int(moves[0].sum())
+            row = {r: p for p, r in enumerate(fs._rank(moves.T, drop))}
+            assert np.array_equal(ladder.moved, [[row[r] for r in fs._rank(moves[:, g].T, drop)] for g in group])
+
+    def test_one_rank_pass_per_generator(self, monkeypatch):
+        # the 4 x 4 torus at N = 4 (G = 128, 3876 vectors): ranking the images
+        # under every element would pass 128 x 3876 vectors through _rank
+        ranked, rank = [], fs._rank
+        monkeypatch.setattr(fs, "_rank", lambda occ, n: ranked.append(np.size(occ) // 16) or rank(occ, n))
+        tracemalloc.start()
+        try:
+            basis = fs.enumerate_basis(16, 4, symmetry=shifts(4, 2) + lattice(4, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(basis.group), len(basis.full)) == (128, 3876)
+        assert sum(ranked) <= len(basis.generators) * 3876
+        assert peak < 32 * 2**20
 
     def test_generators_and_group(self):
         gens = lattice(3, 2)
