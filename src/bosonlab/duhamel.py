@@ -11,7 +11,7 @@ with Phi_0^(0)(0) = psi_0 and every other member starting at zero; the
 simplex integrals satisfy exactly this recursion, so the hierarchy equals the
 integral definition.  The members are the rows of one block, Phi_0^(0)
 first; the condensate is not stepped along.  Each stage's right-hand side
-(``propagation.stage_rhs``) is one ``hamiltonians.apply_stage`` over the
+(``hamiltonians.stage_rhs``) is one ``hamiltonians.apply_stage`` over the
 block with the pieces of that stage, whose condensate comes from the
 Hartree trajectory and whose Htilde, C and Q kernels are built for many
 stages at once; in the occupation basis it lifts h1 over the block in one
@@ -32,10 +32,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .hamiltonians import apply_C, apply_Q, pieces_at
+from .hamiltonians import apply_C, apply_Q, pieces_at, stage_rhs
 from .meanfield import HartreeTrajectory, hartree_evolve
 from .model import Model, check_correction_window
-from .propagation import check_state, evolve_aux, evolve_full, rk4_step, stage_rhs
+from .propagation import check_state, evolve_aux, evolve_full, rk4_step
 
 __all__ = [
     "tuple_set",

@@ -96,6 +96,12 @@ BASIS_CEILING = 2_000_000
 # product in blocks, at p50 31-42 us against 25 us unblocked.
 SERIAL_PRODUCT = 65536
 
+# Largest number of entries of one ``_rank`` input in ``Ladder.__init__``,
+# which ranks the raised lower vectors this many at most at a time, holding
+# about three int64 arrays of the size (24 MB).  Unbounded, the pair ladder
+# of the uniform 1D L = 12, N = 8 sector held 272 MB (``tracemalloc``).
+RANK_CHUNK = 2**20
+
 # Largest asymmetry of a table that acts on a symmetric sector, relative to
 # the table's norm (``FockSpace.require_invariant``).  Tables built from an
 # invariant condensate differ from invariant by roundoff, ~1e-16.
@@ -325,7 +331,10 @@ class Ladder:
         row_of[_rank(moves.T, drop)] = np.arange(rows)
         images = [row_of[_rank(moves.T[list(gen)], drop)] for gen in upper.generators]
         self.moved = _compose(images, _group(upper.generators, m)[2], rows)
-        raised = _rank(lower.full.T[:, None, :] + moves.T[:, :, None], upper.particles)  # upper index of w + move
+        raised = np.empty((rows, len(lower.full)), dtype=np.int64)  # upper index of w + move
+        step = max(1, RANK_CHUNK // (m * max(1, len(lower.full))))  # move rows per ``_rank``
+        for r in range(0, rows, step):
+            raised[r : r + step] = _rank(lower.full.T[:, None, :] + moves.T[:, r : r + step, None], upper.particles)
         self.annihilate = upper.orbit[raised[:, lower.to_rep == 0]]
         # each move's annihilated modes in ascending order; the i-th of them
         # sees its mode's occupation raised by the earlier ones in the move

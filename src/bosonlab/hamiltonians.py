@@ -21,7 +21,7 @@ array indexed by op (``EffectivePieces.kernels``), or the terms
 (``EffectivePieces.terms``), neither with the 1/(N-1) that ``apply_stage``
 applies once, so pieces serve any N and carry the model they were built
 from.  ``stage_pieces``, the one builder of pieces, builds h1 (h0 at each
-stage's time) and the kernel stacks of up to ``stage_batch`` stages in one
+stage's time) and the kernel stacks of up to ``_stage_batch`` stages in one
 closed-form build from the rank-one condensate projector (``_ladder_kernels``,
 from ``_plan``), of only the kernels its flow consumes, a leading run of
 Htilde, C and Q, read-only; ``pieces_at`` is a one-stage build of all three.
@@ -29,6 +29,16 @@ Htilde, C and Q, read-only; ``pieces_at`` is a one-stage build of all three.
 ``pair_sums`` checks the entries against the operators of the kernel stack
 and, on a symmetric sector, admits the stage build's tables
 (``EffectivePieces.batch``).
+
+The auxiliary flow and the hierarchy step only their N-body members.  The
+condensate their generator needs at each RK4 stage never depends on the
+members, so ``stage_rhs`` takes it from the Hartree trajectory, which
+stores the four stage condensates of each step (``stage_phis``, at
+``stage_times``): ``stage_pieces`` builds their pieces ``_stage_batch``
+stages at a time, with vbar and mu from one ``condensate_at`` per build,
+of only the split kernels the flow consumes (Htilde, with C at order 2,
+all three from order 3).  The right-hand side consumes them in stage
+order and refuses a stage whose time is not the one it is called at.
 """
 
 from __future__ import annotations
@@ -40,21 +50,21 @@ import numpy as np
 
 from . import fockstate as fs
 from . import tensorstate as ts
-from .errors import ConfigError
-from .meanfield import Condensate, condensate_at
+from .errors import ConfigError, ConsistencyError
+from .meanfield import Condensate, HartreeTrajectory, condensate_at
 from .model import Model, _read_only
 
 __all__ = [
     "EffectivePieces",
     "pieces_at",
     "stage_pieces",
-    "stage_batch",
     "apply_H",
     "apply_Htilde",
     "apply_C",
     "apply_Q",
     "apply_stage",
     "stage_entries",
+    "stage_rhs",
     "decomposition_residual",
     "projected_pair_sum",
 ]
@@ -67,19 +77,19 @@ def projected_pair_sum(block, pieces, entries):
     return block.pair_sums(pieces, entries)
 
 
-# Byte bound on the temporaries of one ``stage_pieces`` build (``stage_batch``).
+# Byte bound on the temporaries of one ``stage_pieces`` build (``_stage_batch``).
 # At 768 kB glibc grew and trimmed its heap around an earlier build's
 # temporaries: ~1975 minor faults per fresh-process N = 12, M = 4 solve
 # against ~57 at this bound.
 STAGE_BATCH_BYTES = 512 * 1024
 
 
-def stage_batch(sites: int, kernels: int) -> int:
+def _stage_batch(sites: int, kernels: int) -> int:
     """Stages per ``stage_pieces`` build of ``kernels`` kernels: as many as
     keep its temporaries within ``STAGE_BATCH_BYTES``, and at least one.
 
-    Per stage, what ``_ladder_kernels`` holds at its product, its peak, in
-    complex entries: per kernel, the (P, P) kernel, the two factors
+    Per stage, what ``_ladder_kernels`` holds at its second product, its
+    peak, in complex entries: per kernel, the (P, P) kernel, the two factors
     2(M+1) x P each, R (M+1, M+1) and the real table and k n (M, M) at half
     the bytes; G^ (M+1, P); and 4 kB for h1, small arrays and Python
     objects (``tracemalloc`` per stage at one, two and three kernels: 8, 15
@@ -150,11 +160,11 @@ def _pair_terms(cond: Condensate, model: Model) -> tuple:
 @lru_cache(maxsize=8)
 def _plan(sites: int) -> tuple:
     """The read-only lattice constants of ``_ladder_kernels`` at M sites: s, t,
-    the flat positions of G^'s two entries, s != t, R's column for the second
-    (M for s = t), the scalar columns of X and Y (3, M+1, 1) and c0 m_c (3, P)."""
+    the flat positions of G^'s two entries, s != t, the scalar columns of X
+    and Y (3, M+1, 1) and c0 m_c (3, P)."""
     s, t = fs._channels(sites)
     p, c, last = len(s), _SCALARS, (np.arange(sites + 1) == sites)[:, None]
-    out = (s, t, t * p + np.arange(p), s * p + np.arange(p), s != t, np.where(s != t, s, sites),
+    out = (s, t, t * p + np.arange(p), s * p + np.arange(p), s != t,
            np.where(last, c[2, :, :, None], c[1, :, :, None]),
            np.where(last, c[4, :, :, None], c[3, :, :, None]), c[0] * np.where(s == t, 1.0, 2.0))
     for arr in out:
@@ -183,12 +193,13 @@ def _ladder_kernels(cond: Condensate, model: Model, count: int) -> np.ndarray:
     with X = diag(k_st) G^ diag(c1, .., c1, c2), Y = diag(c3, .., c3, c4)
     G^H diag(k_st), M^ = [[c5 diag(k n) + c6 (u u^H) o k, c7 u o (k n)],
     [c8 conj(u o (k n))^T, c9 n^T k n]] and ``_SCALARS`` c0 .. c9.  As
-    g = G u, G^ M^ = G (M^[:M] + u M^[M]), two rows per channel.  One
-    stacked product (``fockstate._product``) gives every kernel; nothing
-    is (M^2, M^2) and nothing is folded.
+    g = G u, G^ M^ = G (M^[:M] + u M^[M]) = G^ R with R's last row zero.
+    Two stacked products (``fockstate._product``) give every kernel, one of
+    R^T and G^T for the left factor and one of the factors; nothing is
+    (M^2, M^2) and nothing is folded.
     """
     m = cond.phi.shape[-1]
-    s, t, at_first, at_second, distinct, cross, left_ends, right_ends, diagonal = _plan(m)
+    s, t, at_first, at_second, distinct, left_ends, right_ends, diagonal = _plan(m)
     p, lead, c = len(s), cond.phi.shape[:-1], _SCALARS[:, :count]
     u = np.sqrt(model.cell) * cond.phi
     n = (u * u.conj()).real
@@ -206,8 +217,7 @@ def _ladder_kernels(cond: Condensate, model: Model, count: int) -> np.ndarray:
     rows[..., :m] *= u[..., None, None, :]
     rows.reshape(*rows.shape[:-2], -1)[..., : m * (m + 2) : m + 2] += c[5] * kn
     left = np.empty((*k.shape[:-2], 2 * m + 2, p), dtype=np.complex128)  # transposed
-    np.multiply(rows.take(t, axis=-1), first[..., None, None, :], out=left[..., : m + 1, :])
-    left[..., : m + 1, :] += rows.take(cross, axis=-1) * second[..., None, None, :]
+    fs._product(rows, hat[..., None, :, :], left[..., : m + 1, :])
     left[..., : m + 1, :] += left_ends[:count] * kc * hat[..., None, :, :]
     left[..., m + 1:, :] = hat[..., None, :, :]
     right = np.empty_like(left)
@@ -255,7 +265,7 @@ def stage_pieces(cond: Condensate, model: Model, kernels: int = len(_SPLIT)) -> 
     """The pieces of every stage of a stacked condensate (phi (S, M)), in
     order, with the kernel stacks of the first ``kernels`` of Htilde, C and
     Q built for all S stages in one ``_ladder_kernels`` call; S should not
-    exceed ``stage_batch``.  The pieces do not depend on N."""
+    exceed ``_stage_batch``.  The pieces do not depend on N."""
     h0 = model.h0(cond.t)
     h1s = tuple(_read_only(_h1(cond, h0)))
     stacks = tuple(_read_only(_ladder_kernels(cond, model, kernels)))
@@ -315,7 +325,7 @@ def stage_entries(sources: list) -> tuple:
     ``apply_stage``: (Htilde, i), then (C, c(i)) and (Q, q(i)) where member
     i has them; ``sources[i]`` is the pair (c(i), q(i)) of member indices,
     None where member i has no such source.  A hierarchy's sources do not
-    change, so ``propagation.stage_rhs`` builds its entries once."""
+    change, so ``stage_rhs`` builds its entries once."""
     return tuple(tuple((op, j) for op, j in ((_HTILDE, i), (_C, c), (_Q, q)) if j is not None)
                  for i, (c, q) in enumerate(sources))
 
@@ -349,6 +359,37 @@ def apply_stage(pieces: EffectivePieces, members, entries: tuple):
     out = members.lift(pieces.h1) if lifted else 0.0 * members
     out.amps += pairs.amps / (members.particles - 1)
     return out
+
+
+def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, sources: list):
+    """The hierarchy equation's right-hand side Htilde psi_i + C psi_c(i) +
+    Q psi_q(i) of a block of members for ``propagation.rk4_step`` over grid
+    steps i0 .. i1-1.
+
+    ``sources`` is as in ``stage_entries``.  The pieces of the four RK4
+    stages of each step come in stage order from the trajectory's stored
+    stage condensates (``stage_phis`` at ``stage_times``), ``_stage_batch``
+    stages per ``stage_pieces`` build, each with one ``condensate_at``, of
+    the leading run of kernels the entries reach.  Each piece is consumed
+    once, so the right-hand side must be called once per stage, in order; a
+    call at another time than the next stage's raises ``ConsistencyError``.
+    """
+    entries = stage_entries(sources)
+    # the entries' operators index the kernels, Htilde first: build the run they reach
+    kernels, model = 1 + max(op for row in entries for op, _ in row), trajectory.model
+    batch = _stage_batch(model.config.site_count, kernels)
+    phis, times = trajectory.stage_phis[4 * i0 : 4 * i1], trajectory.stage_times[4 * i0 : 4 * i1]
+    schedule = (pieces for s in range(0, len(times), batch) for pieces in stage_pieces(
+        condensate_at(phis[s : s + batch], times[s : s + batch], model), model, kernels))
+
+    def rhs(time, members):
+        pieces = next(schedule, None)
+        if pieces is None or abs(pieces.cond.t - time) > 1e-12:
+            expected = "no further stage" if pieces is None else f"the stage at t={pieces.cond.t}"
+            raise ConsistencyError(f"stage right-hand side called at t={time}, expected {expected}")
+        return apply_stage(pieces, members, entries)
+
+    return rhs
 
 
 def decomposition_residual(phi: np.ndarray, t: float, state, model: Model) -> float:

@@ -12,29 +12,21 @@ guard requires every member to be finite and the lead, row 0, to keep its
 norm.  Each step writes a fresh block, so a row handed out as a state is
 never overwritten.
 
-The auxiliary flow and the hierarchy step only their N-body members.  The
-condensate their generator needs at each RK4 stage never depends on the
-members, so ``stage_rhs`` takes it from the Hartree trajectory, which
-stores the four stage condensates of each step (``stage_phis``, at
-``stage_times``): ``hamiltonians.stage_pieces`` builds their pieces
-``stage_batch`` stages at a time, with vbar and mu from one
-``condensate_at`` per build, of only the split kernels the flow consumes
-(Htilde, with C at order 2, all three from order 3).  The right-hand side
-consumes them in stage order and refuses a stage whose time is not the one
-it is called at.  The gather table of the full flow's ``apply_H`` is built
-on first use.
+The auxiliary flow and the hierarchy take their right-hand side from
+``hamiltonians.stage_rhs``, which owns the RK4 stage schedule.  The gather
+table of the full flow's ``apply_H`` is built on first use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, IntegratorError
-from .hamiltonians import apply_H, apply_stage, stage_batch, stage_entries, stage_pieces
-from .meanfield import DRIFT_ABORT, HartreeTrajectory, condensate_at
+from .errors import IntegratorError
+from .hamiltonians import apply_H, stage_rhs
+from .meanfield import DRIFT_ABORT, HartreeTrajectory
 from .model import Model, grid_index
 
-__all__ = ["rk4_step", "check_state", "march", "stage_rhs", "evolve_full", "evolve_aux"]
+__all__ = ["rk4_step", "check_state", "march", "evolve_full", "evolve_aux"]
 
 
 def _lead(y):
@@ -85,41 +77,6 @@ def march(rhs, y, i0: int, i1: int, dt: float, observer=None):
     return y
 
 
-def _stage_schedule(trajectory: HartreeTrajectory, i0: int, i1: int, kernels: int):
-    """The pieces of the four RK4 stages of each grid step i0 .. i1-1, in
-    stage order, with the first ``kernels`` split kernels, built from the
-    trajectory's stored stage condensates as they are asked for."""
-    model = trajectory.model
-    phis = trajectory.stage_phis[4 * i0 : 4 * i1]
-    times = trajectory.stage_times[4 * i0 : 4 * i1]
-    batch = stage_batch(model.config.site_count, kernels)
-    for s in range(0, len(times), batch):
-        yield from stage_pieces(condensate_at(phis[s : s + batch], times[s : s + batch], model), model, kernels)
-
-
-def stage_rhs(trajectory: HartreeTrajectory, i0: int, i1: int, sources: list):
-    """The hierarchy equation's right-hand side Htilde psi_i + C psi_c(i) +
-    Q psi_q(i) of a block of members for ``rk4_step`` over grid steps i0 .. i1-1.
-
-    ``sources`` is as in ``hamiltonians.stage_entries``.  The pieces of the
-    stages come precomputed from the trajectory, for any N, so the right-
-    hand side must be called once per stage, in order; a call at another
-    time than the next stage's raises ``ConsistencyError``.
-    """
-    entries = stage_entries(sources)
-    # the entries' operators index the kernels, Htilde first: build the run they reach
-    schedule = _stage_schedule(trajectory, i0, i1, 1 + max(op for row in entries for op, _ in row))
-
-    def rhs(time, members):
-        pieces = next(schedule, None)
-        if pieces is None or abs(pieces.cond.t - time) > 1e-12:
-            expected = "no further stage" if pieces is None else f"the stage at t={pieces.cond.t}"
-            raise ConsistencyError(f"stage right-hand side called at t={time}, expected {expected}")
-        return apply_stage(pieces, members, entries)
-
-    return rhs
-
-
 def evolve_full(psi0, t1: float, model: Model, t0: float = 0.0, observer=None):
     """Propagate under the full Hamiltonian from t0 to t1 on the global grid.
 
@@ -136,7 +93,7 @@ def evolve_full(psi0, t1: float, model: Model, t0: float = 0.0, observer=None):
 
 def evolve_aux(psi0, s: float, t: float, trajectory: HartreeTrajectory):
     """Auxiliary evolution from time s to t under Htilde, whose condensate
-    at each stage is taken from the trajectory (``stage_rhs``)."""
+    at each stage is taken from the trajectory (``hamiltonians.stage_rhs``)."""
     i0 = trajectory.index_of(s)
     i1 = trajectory.index_of(t)
     rhs = stage_rhs(trajectory, i0, i1, [(None, None)])

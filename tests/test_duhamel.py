@@ -16,7 +16,7 @@ from bosonlab.duhamel import (
     tuple_set,
 )
 from bosonlab import fockstate as fs
-from bosonlab import hamiltonians, meanfield, propagation
+from bosonlab import hamiltonians, meanfield
 from bosonlab.errors import ConfigError, ConsistencyError, RangeError
 from bosonlab.experiments import build_product, default_phi0
 from bosonlab.meanfield import hartree_evolve
@@ -104,7 +104,7 @@ class TestHierarchyShape:
             counts.append(count)
             return build(cond, model, count)
 
-        for module in (meanfield, hamiltonians, propagation):
+        for module in (meanfield, hamiltonians):
             monkeypatch.setattr(module, "condensate_at", counting)
         monkeypatch.setattr(hamiltonians, "_ladder_kernels", counting_build)
         monkeypatch.setattr(meanfield, "_slope", lambda *args: slopes.append(1) or slope(*args))
@@ -180,7 +180,7 @@ def relative_gap(a, b) -> float:
 
 class TestStageSchedule:
     """The stage condensates and pieces come from the trajectory, built
-    ``hamiltonians.stage_batch`` stages at a time."""
+    ``hamiltonians._stage_batch`` stages at a time."""
 
     @pytest.fixture(scope="class")
     def tabulated(self):
@@ -219,7 +219,7 @@ class TestStageSchedule:
         psi0 = build_product(model, phi0, "fock")
         stages = 4 * traj.index_of(0.047)
         # the aux flow builds Htilde alone, the order-3 hierarchy all three kernels
-        batch = hamiltonians.stage_batch(model.config.site_count, 1 if flow == "aux" else 3)
+        batch = hamiltonians._stage_batch(model.config.site_count, 1 if flow == "aux" else 3)
         assert batch > 4 and stages % batch != 0  # the last build is partial
 
         def run():
@@ -229,14 +229,15 @@ class TestStageSchedule:
 
         default = run()
         monkeypatch.setattr(hamiltonians, "STAGE_BATCH_BYTES", 1)
-        assert all(hamiltonians.stage_batch(model.config.site_count, k) == 1 for k in (1, 2, 3))
+        assert all(hamiltonians._stage_batch(model.config.site_count, k) == 1 for k in (1, 2, 3))
         for a, b in zip(run(), default):
             assert relative_gap(a, b) <= 1e-13
 
     @pytest.mark.parametrize("order,kernels", [(None, 1), (2, 2), (3, 3)], ids=["aux", "order2", "order3"])
     def test_a_flow_builds_only_the_kernels_it_consumes(self, monkeypatch, order, kernels):
         # the M = 9 stage builds of the aux flow and of order-2 and order-3
-        # hierarchies, seen by their stacked products (stages, kernels, P, 2(M+1))
+        # hierarchies, seen by their stacked products: R^T G^T (stages, kernels,
+        # M+1, M+1), then the factors (stages, kernels, P, 2(M+1))
         model = make_model(dimension=2, particles=2, t_final=0.01)
         phi0 = default_phi0(model)
         psi0 = build_product(model, phi0, "fock")
@@ -268,8 +269,9 @@ class TestStageSchedule:
             evolve_aux(psi0, 0.0, 0.01, traj)
         else:
             hierarchy_evolve(psi0, order, 0.01, traj)
-        batch = hamiltonians.stage_batch(9, kernels)
-        assert products == [(min(batch, 40 - s), kernels, 45, 20) for s in range(0, 40, batch)]
+        batch = hamiltonians._stage_batch(9, kernels)
+        assert products == [shape for s in range(0, 40, batch)
+                            for shape in ((min(batch, 40 - s), kernels, 10, 10), (min(batch, 40 - s), kernels, 45, 20))]
         assert matrices and all(rows >= 2 and cols >= 2 and rows * inner * cols <= fs.SERIAL_PRODUCT
                                 for rows, inner, cols in matrices)
 
@@ -288,10 +290,10 @@ class TestStageSchedule:
         model, phi0, traj = tabulated
         psi0 = build_product(model, phi0, "fock")
         members = fs.FockState(psi0.amps[None], psi0.space)
-        consumed, apply_stage = [], propagation.apply_stage
-        monkeypatch.setattr(propagation, "apply_stage",
+        consumed, apply_stage = [], hamiltonians.apply_stage
+        monkeypatch.setattr(hamiltonians, "apply_stage",
                             lambda pieces, *args: consumed.append(pieces) or apply_stage(pieces, *args))
-        rhs = propagation.stage_rhs(traj, 3, 7, [(None, None)])
+        rhs = hamiltonians.stage_rhs(traj, 3, 7, [(None, None)])
         for t in traj.stage_times[12:28]:
             rhs(t, members)
         assert np.array_equal(np.array([p.cond.phi for p in consumed]), traj.stage_phis[12:28])
@@ -302,10 +304,10 @@ class TestStageSchedule:
         psi0 = build_product(model, phi0, "fock")
         dt = traj.dt
         members = fs.FockState(psi0.amps[None], psi0.space)
-        rhs = propagation.stage_rhs(traj, 3, 4, [(None, None)])
+        rhs = hamiltonians.stage_rhs(traj, 3, 4, [(None, None)])
         with pytest.raises(ConsistencyError, match="expected the stage at"):
             rhs(3.5 * dt, members)
-        rhs = propagation.stage_rhs(traj, 3, 4, [(None, None)])
+        rhs = hamiltonians.stage_rhs(traj, 3, 4, [(None, None)])
         for t in (3 * dt, 3 * dt + 0.5 * dt, 3 * dt + 0.5 * dt, 3 * dt + dt):
             rhs(t, members)
         with pytest.raises(ConsistencyError, match="no further stage"):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bosonlab import hamiltonians, meanfield, propagation
+from bosonlab import hamiltonians, meanfield
 from bosonlab import projections as pj
 from bosonlab.errors import ConfigError, RangeError
 from bosonlab.experiments import (
@@ -304,7 +304,7 @@ class TestSweep:
         def broken(*args, **kwargs):
             raise TypeError("defect inside the hierarchy")
 
-        monkeypatch.setattr(propagation, "stage_pieces", broken)
+        monkeypatch.setattr(hamiltonians, "stage_pieces", broken)
         cfg = base_config(t_final=0.1, dt=2e-3)
         with pytest.raises(TypeError, match="defect inside the hierarchy"):
             sweep_scaling(cfg, [3], [1])

@@ -31,3 +31,12 @@ def test_all_lists_every_public_definition(name):
                if not attr.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == module.__name__]
     assert sorted(set(defined) - set(module.__all__)) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_public_function_is_a_generator(name):
+    # the tracer counts calls, and the profiler reports every resumption of a generator as one
+    module = importlib.import_module(f"bosonlab.{name}")
+    generators = [attr for attr, obj in vars(module).items()
+                  if not attr.startswith("_") and inspect.isgeneratorfunction(obj)]
+    assert generators == []

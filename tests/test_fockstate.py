@@ -482,9 +482,10 @@ class TestKernelBuild:
         return products, shapes
 
     def test_products_stay_below_serial_bound(self, monkeypatch):
-        # one product for the three kernels of a build, each matrix in serial blocks
+        # two products for the three kernels of a build, R^T G^T and the
+        # factors', each matrix in serial blocks
         products, shapes = self.recorded_build(monkeypatch, 1, 3)
-        assert products == [(3, 45, 20)]
+        assert products == [(3, 10, 10), (3, 45, 20)]
         assert len(shapes) >= 1
         for rows, inner_dim, cols in shapes:
             assert rows >= 2 and cols >= 2
@@ -500,14 +501,15 @@ class TestKernelBuild:
             assert np.abs(built[i] - alone).max() <= 1e-13 * np.abs(alone).max()
 
     def test_stage_axis_products_stay_below_serial_bound(self, monkeypatch):
-        """One stacked product for a whole build of one, two or three
-        kernels, at its batch; the bound holds for each matrix of it."""
+        """Two stacked products, R^T G^T and the factors', for a whole build
+        of one, two or three kernels, at its batch; the bound holds for each
+        matrix of them."""
         for count in (1, 2, 3):
-            stages = hamiltonians.stage_batch(9, count)
+            stages = hamiltonians._stage_batch(9, count)
             assert stages > 1
             with monkeypatch.context() as patch:
                 products, shapes = self.recorded_build(patch, stages, count)
-            assert products == [(stages, count, 45, 20)]
+            assert products == [(stages, count, 10, 10), (stages, count, 45, 20)]
             assert len(shapes) >= 1
             for rows, inner_dim, cols in shapes:
                 assert rows >= 2 and cols >= 2

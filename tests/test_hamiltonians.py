@@ -541,10 +541,10 @@ class TestStageBatch:
     @pytest.mark.parametrize("dimension,size", [(1, 4), (2, 3)], ids=["M4", "M9"])
     def test_build_peak_stays_within_the_bound(self, dimension, size, kernels):
         # tracemalloc's peak over one stage_pieces build of the batch that
-        # stage_batch chooses for the kernel count; the warm-up build makes
+        # _stage_batch chooses for the kernel count; the warm-up build makes
         # the lattice's plan, which outlives the build
         model = make_model(dimension=dimension, sites_per_dim=size, torus_length=float(size))
-        batch = hamiltonians.stage_batch(model.config.site_count, kernels)
+        batch = hamiltonians._stage_batch(model.config.site_count, kernels)
         phis = default_phi0(model) * np.linspace(1.0, 1.5, batch)[:, None]
         cond = condensate_at(phis, np.zeros(batch), model)
         hamiltonians.stage_pieces(cond, model, kernels)

@@ -185,6 +185,30 @@ class TestOrbitBasis:
         assert sum(ranked) <= len(basis.generators) * 3876
         assert peak < 32 * 2**20
 
+    def test_a_large_sector_ranks_its_ladders_in_bounded_chunks(self):
+        # the uniform 1D L = 12, N = 8 sector (G = 24): its pair ladder raises
+        # 78 channels x 12376 lower vectors, 272 MB ranked all at once
+        model = make_model(sites_per_dim=12, torus_length=12.0, particles=8)
+        tracemalloc.start()
+        try:
+            psi = build_product(model, uniform_phi(model))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(psi.space.basis.group) == 24
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("name", list(SECTORS))
+    def test_ladder_tables_do_not_depend_on_the_rank_chunk(self, monkeypatch, name):
+        m, n, gens = SECTORS[name]
+        basis = fs.enumerate_basis(m, n, symmetry=gens)
+        whole = fs.FockSpace(basis, CELL).ladders
+        monkeypatch.setattr(fs, "RANK_CHUNK", 1)  # one move row per rank pass
+        for a, b in zip(whole, fs.FockSpace(basis, CELL).ladders):
+            for attr in ("annihilate", "factor", "create", "moved", "scale"):
+                got, want = getattr(b, attr), getattr(a, attr)
+                assert got.dtype == want.dtype and np.array_equal(got, want), attr
+
     def test_generators_and_group(self):
         gens = lattice(3, 2)
         basis = fs.enumerate_basis(9, 2, symmetry=gens + gens)
@@ -312,9 +336,9 @@ class TestSectorOperators:
         looked_up = permutation_lookups(monkeypatch, psi0.space)
         result = correction_error(psi0, phi0, 3, 0.01, model)
         assert all(np.isfinite(result.errors))
-        # 40 stages of three kernels in builds of stage_batch: each build's condensates once,
+        # 40 stages of three kernels in builds of _stage_batch: each build's condensates once,
         # and h0 and the pair table once each
-        assert looked_up.count("vector") == -(-40 // hamiltonians.stage_batch(4, 3)) > 1
+        assert looked_up.count("vector") == -(-40 // hamiltonians._stage_batch(4, 3)) > 1
         assert looked_up.count("table") == 2
         assert "kernel" not in looked_up
 
