@@ -13,8 +13,8 @@ invariant to 1e-14 by the sector's own test (``fockstate.invariance_gap``).
 The Hartree, Htilde and full flows keep that symmetry, so the sweeps,
 corrections, moments and evolutions started from the product state run in
 its symmetric sector (``fockstate``).  Every other occupation space has no
-symmetry: ``fock_space``, random states, ``build_one_excitation``'s plane
-wave and runs with a tabulated potential.
+symmetry: random states, ``build_one_excitation``'s plane wave and runs
+with a tabulated potential.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .propagation import evolve_aux, evolve_full
 __all__ = [
     "default_phi0",
     "orthogonal_mode",
-    "fock_space",
     "build_product",
     "build_one_excitation",
     "build_mixed",
@@ -91,12 +90,6 @@ def orthogonal_mode(model: Model, phi0: np.ndarray) -> np.ndarray:
     if norm < 1e-12:
         raise ConfigError("orthogonal mode degenerated; lattice too small")
     return chi / norm
-
-
-def fock_space(model: Model) -> fs.FockSpace:
-    """The occupation space of the model's sites, without symmetry."""
-    cfg = model.config
-    return fs.FockSpace(fs.enumerate_basis(cfg.site_count, cfg.particles), model.cell)
 
 
 # Largest ``fockstate.invariance_gap`` of phi0, the pair table and h0 under a
@@ -221,10 +214,16 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Rows and per-order slope fits of a sweep.  ``delta`` is the exponent
+    of the data that ran, the product state (gamma_max = 1), so its targets
+    are -a * delta; ``bound`` is (gamma, delta) of the configured gamma, the
+    bound for data at that budget, when that delta differs, else None."""
+
     rows: tuple
     slopes: dict
     delta: float
     orders: tuple
+    bound: tuple
 
     def to_csv(self) -> str:
         return csv_text("N,M,d,beta,gamma,t,dt,order,err_sq,corr_norm,runtime_s", [
@@ -233,6 +232,10 @@ class SweepResult:
 
     def summary(self) -> str:
         lines = [f"predicted squared-error slope per order: -a * delta, delta = {self.delta:.6g}"]
+        if self.bound is not None:
+            gamma, delta = self.bound
+            lines.append(f"configured gamma = {gamma:.6g} gives delta = {delta:.6g}: a bound for data "
+                         f"at that budget, not a target for the product state that ran")
         for a in self.orders:
             fit = self.slopes.get(a)
             if fit is None:
@@ -299,7 +302,9 @@ def sweep_scaling(config: ModelConfig, particle_grid, orders, jobs: int = 1) -> 
     orders = tuple(sorted(set(int(a) for a in orders)))
     if not orders or orders[0] < 1:
         raise ConfigError("orders must be positive integers")
-    delta = delta_exponent(config.beta, config.gamma, config.dimension)
+    # every point starts from the product state, whose gamma_max is 1
+    delta = delta_exponent(config.beta, 1.0, config.dimension)
+    bound = delta_exponent(config.beta, config.gamma, config.dimension)
 
     grid = [int(n) for n in particle_grid]
     repeated = sorted({n for n in grid if grid.count(n) > 1})
@@ -326,7 +331,8 @@ def sweep_scaling(config: ModelConfig, particle_grid, orders, jobs: int = 1) -> 
             if r.order == a and math.isfinite(r.err_sq) and r.err_sq > 1e-280
         ]
         slopes[a] = fit_slope(pts) if len(pts) >= 3 else None
-    return SweepResult(rows=tuple(rows), slopes=slopes, delta=delta, orders=orders)
+    return SweepResult(rows=tuple(rows), slopes=slopes, delta=delta, orders=orders,
+                       bound=(config.gamma, bound) if bound != delta else None)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +451,7 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
 
     def project(pair, state):
         # the first factor of ``pair`` on slot 0, the second on slot 1
-        return ts.apply_factor(pair[1], 1, ts.apply_factor(pair[0], 0, state))
+        return ts.apply_slots(pair[1], (1,), ts.apply_slots(pair[0], (0,), state))
 
     a_max = min(4, n)
     for s in range(n_seeds):
@@ -498,7 +504,7 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
             xi = excitation_extract(k, phi, psi)
             track("excitation_norm_match", abs(xi.norm() ** 2 - weights.weights[k]))
             for slot in range(k):
-                track("excitation_orthogonality", ts.apply_factor(p1, slot, xi).norm())
+                track("excitation_orthogonality", ts.apply_slots(p1, (slot,), xi).norm())
 
         # weight shift across a two-coordinate operator
         fvals = rng.random(n + 1) + 0.1
@@ -514,9 +520,9 @@ def lemma_suite(config: ModelConfig, n_seeds: int = 20) -> LemmaReport:
                 qm = mu_list[(s + mu_idx) % len(mu_list)]
                 qn = nu_list[(s + nu_idx) % len(nu_list)]
                 right = project(qn, raw)
-                lhs_state = project(qm, apply_weight(fweight, phi, ts.apply_two_slot(tmat, 0, 1, right)))
+                lhs_state = project(qm, apply_weight(fweight, phi, ts.apply_slots(tmat, (0, 1), right)))
                 shifted = fweight.shifted(mu_idx - nu_idx)
-                rhs_state = project(qm, ts.apply_two_slot(tmat, 0, 1, apply_weight(shifted, phi, right)))
+                rhs_state = project(qm, ts.apply_slots(tmat, (0, 1), apply_weight(shifted, phi, right)))
                 track("weight_shift_identity", (lhs_state - rhs_state).norm())
 
     bounds = {

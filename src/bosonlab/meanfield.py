@@ -29,8 +29,6 @@ from .model import Model, _read_only, grid_index
 __all__ = [
     "Condensate",
     "HartreeTrajectory",
-    "vbar",
-    "mu",
     "condensate_at",
     "hartree_evolve",
     "hartree_energy",
@@ -47,7 +45,9 @@ def one_body_norm(phi: np.ndarray, cell: float) -> float:
 
 def _mean_field(phi: np.ndarray, wmat: np.ndarray, cell: float):
     """(vbar, mu) of one condensate or of each row of a stack (S, M), both
-    from one |phi|^2; mu is a float, or (S,) for a stack."""
+    from one |phi|^2: the mean-field potential vbar = w * |phi|^2, a min-image
+    lattice convolution, and the phase-fixing constant mu, half the
+    interaction energy of the density; mu is a float, or (S,) for a stack."""
     # ndarray.dot: the BLAS call of @ (same bits) at half its overhead at small M
     density = np.abs(phi) ** 2
     if density.ndim == 1:
@@ -60,17 +60,6 @@ def _mean_field(phi: np.ndarray, wmat: np.ndarray, cell: float):
 def _slope(h0: np.ndarray, phi: np.ndarray, vb: np.ndarray, mu: float) -> np.ndarray:
     """h[phi] phi = h0 phi + (vbar - mu) phi of one condensate."""
     return h0.dot(phi) + (vb - mu) * phi
-
-
-def vbar(phi: np.ndarray, pair, cell: float) -> np.ndarray:
-    """Mean-field potential (w * |phi|^2)(x) as a min-image lattice convolution,
-    of one condensate or of each row of a stack (S, M)."""
-    return _mean_field(np.asarray(phi), np.asarray(pair), cell)[0]
-
-
-def mu(phi: np.ndarray, pair, cell: float) -> float:
-    """Phase-fixing constant: half the interaction energy of the density."""
-    return _mean_field(np.asarray(phi), np.asarray(pair), cell)[1]
 
 
 @dataclass(frozen=True)
@@ -114,7 +103,7 @@ class HartreeTrajectory:
 
     @cached_property
     def mus(self) -> np.ndarray:
-        return np.array([mu(phi, self.model.pair, self.model.cell) for phi in self.phis])
+        return np.array([_mean_field(phi, self.model.pair, self.model.cell)[1] for phi in self.phis])
 
     @cached_property
     def hk(self) -> np.ndarray:
@@ -220,4 +209,4 @@ def hk_proxy(phi: np.ndarray, model: Model) -> float:
 def hartree_energy(phi: np.ndarray, t: float, model: Model) -> float:
     """Energy proxy <phi, (-Lap + V_ext) phi> + mu (reported in trace CSVs)."""
     kin = model.cell * np.vdot(phi, model.h0(t) @ phi).real
-    return float(kin + mu(phi, model.pair, model.cell))
+    return float(kin + _mean_field(phi, model.pair, model.cell)[1])

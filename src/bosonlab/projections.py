@@ -241,5 +241,5 @@ def excitation_extract(k: int, phi: np.ndarray, psi: ts.TensorState) -> ts.Tenso
     if k > 0:
         _, q = ts.projector_matrices(phi, psi.cell)
         for slot in range(k):
-            out = ts.apply_factor(q, slot, out)
+            out = ts.apply_slots(q, (slot,), out)
     return math.sqrt(math.comb(n, k)) * out

@@ -3,7 +3,8 @@
 Amplitudes live on an (M,)*N complex array; the inner product carries the
 volume element ``cell = h**d`` once per particle coordinate.  All operator
 applications are matrix-free slot loops: an (M^k, M^k) table is contracted
-against k tensor legs at a time, never materialising M^N x M^N matrices.
+against k tensor legs at a time (``apply_slots``, or one leg per term of a
+one-body sum), never materialising M^N x M^N matrices.
 A block of states carries a leading member axis.  ``TensorState`` answers
 the state methods of ``fockstate.FockState`` with the grid's own
 algorithms, which cross-check the occupation basis.
@@ -20,15 +21,13 @@ from .errors import ConsistencyError
 
 __all__ = [
     "TensorState",
-    "apply_factor",
     "apply_one_body_sum",
     "apply_pair_diagonal",
     "apply_projector_chain",
-    "apply_two_slot",
+    "apply_slots",
     "symmetrize",
     "symmetrize_reference",
     "transposition_residual",
-    "pair_diagonal_field",
     "product_state",
     "random_symmetric",
     "projector_matrices",
@@ -116,7 +115,7 @@ class TensorState:
                         for weight, kernel, a, c, b, d in pieces.terms[op])
             m = self.sites
             table = table + table.reshape((m,) * 4).transpose(1, 0, 3, 2).reshape(m * m, m * m)
-            acc = sum((_apply_slots(table, pair, members).amps for pair in combinations(range(self.particles), 2)),
+            acc = sum((apply_slots(table, pair, members).amps for pair in combinations(range(self.particles), 2)),
                       np.zeros_like(members.amps))
             done.update(zip(((op, j) for j in named), acc))
         return self.with_amps(np.stack([sum((done[e] for e in row), 0.0 * self.amps[0]) for row in entries]))
@@ -152,11 +151,11 @@ def _frame_legs(psi: TensorState, phi: np.ndarray) -> TensorState:
     v[0] += np.exp(1j * np.angle(v[0]))
     w = np.eye(len(v)) - 2 * np.outer(v, v.conj()) / np.vdot(v, v).real
     for slot in range(psi.particles):
-        psi = apply_factor(w, slot, psi)
+        psi = apply_slots(w, (slot,), psi)
     return psi
 
 
-def _apply_slots(table, slots, psi: TensorState) -> TensorState:
+def apply_slots(table, slots, psi: TensorState) -> TensorState:
     """Apply an (M^k, M^k) table on k distinct coordinate ``slots``, 0-based from
     the first particle axis, of a state or of every state of a block."""
     n, k = psi.particles, len(slots)
@@ -166,11 +165,6 @@ def _apply_slots(table, slots, psi: TensorState) -> TensorState:
     table = np.asarray(table, dtype=np.complex128).reshape((psi.sites,) * 2 * k)
     out = np.tensordot(table, psi.amps, axes=(range(k, 2 * k), axes))
     return psi.with_amps(np.ascontiguousarray(np.moveaxis(out, range(k), axes)))
-
-
-def apply_factor(op, slot: int, psi: TensorState) -> TensorState:
-    """Apply a one-body table on coordinate ``slot`` (0-based), identity elsewhere."""
-    return _apply_slots(op, (slot,), psi)
 
 
 def apply_one_body_sum(op, psi: TensorState) -> TensorState:
@@ -183,29 +177,15 @@ def apply_one_body_sum(op, psi: TensorState) -> TensorState:
     return psi.with_amps(out)
 
 
-def apply_two_slot(mat2, i: int, j: int, psi: TensorState) -> TensorState:
-    """Apply an M^2 x M^2 table on the ordered pair (i, j) of distinct coordinates."""
-    return _apply_slots(mat2, (i, j), psi)
-
-
-def pair_diagonal_field(pair, n_particles: int) -> np.ndarray:
-    """Multiplicative field sum_{i<j} w(x_i - x_j) on the (M,)*N grid."""
-    wmat = np.asarray(pair)
-    m = wmat.shape[0]
-    shape = (m,) * n_particles
-    total = np.zeros(shape)
-    for i in range(n_particles):
-        for j in range(i + 1, n_particles):
-            view = [1] * n_particles
-            view[i] = m
-            view[j] = m
-            total = total + wmat.reshape(view)
-    return total
-
-
 def apply_pair_diagonal(pair, psi: TensorState) -> TensorState:
     """Multiply amplitudes by sum_{i<j} w(x_i - x_j); no mean-field prefactor."""
-    return psi.with_amps(psi.amps * pair_diagonal_field(pair, psi.particles))
+    wmat, n = np.asarray(pair), psi.particles
+    field = np.zeros((psi.sites,) * n)
+    for i, j in combinations(range(n), 2):
+        view = [1] * n
+        view[i] = view[j] = psi.sites
+        field = field + wmat.reshape(view)
+    return psi.with_amps(psi.amps * field)
 
 
 def projector_matrices(phi: np.ndarray, cell: float):
@@ -246,10 +226,8 @@ def apply_projector_chain(pattern, phi: np.ndarray, psi: TensorState) -> TensorS
     p, q = projector_matrices(phi, psi.cell)
     out = psi
     for slot, tag in enumerate(pattern):
-        if tag == "p":
-            out = apply_factor(p, slot, out)
-        elif tag == "q":
-            out = apply_factor(q, slot, out)
+        if tag in ("p", "q"):
+            out = apply_slots(p if tag == "p" else q, (slot,), out)
         elif tag != "id":
             raise ValueError(f"pattern entry must be 'p', 'q' or 'id', got {tag!r}")
     return out

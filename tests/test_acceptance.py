@@ -174,7 +174,7 @@ def test_criterion_3_cross_representation():
             for i in range(n):
                 for j in range(n):
                     if i != j:
-                        direct = direct + ts.apply_factor(x, i, ts.apply_factor(y, j, psi_t))
+                        direct = direct + ts.apply_slots(x, (i,), ts.apply_slots(y, (j,), psi_t))
             assert (paired - direct).norm() <= 1e-11
     report(3, "cross-representation equivalence", started, 60)
 

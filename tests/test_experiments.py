@@ -295,6 +295,23 @@ class TestSweep:
         assert "failed" not in clean.summary()
         assert result.summary() == clean.summary() + f"failed N=1: {reason}\n"
 
+    def test_target_describes_the_product_state_that_ran(self):
+        # every point starts from the product state (gamma_max = 1), so a
+        # configured gamma = 0.8 changes no row; its delta = 0.4 is a bound
+        # for data at that budget, and the targets stay those of delta = 1
+        at_one = sweep_scaling(base_config(t_final=0.1, dt=2e-3), [3, 4, 5], [1, 2])
+        at_08 = sweep_scaling(base_config(gamma=0.8, t_final=0.1, dt=2e-3), [3, 4, 5], [1, 2])
+        assert [(r.particles, r.order, r.err_sq) for r in at_08.rows] == \
+            [(r.particles, r.order, r.err_sq) for r in at_one.rows]
+        assert at_08.delta == at_one.delta == 1.0
+        assert at_one.bound is None and at_08.bound == (0.8, pytest.approx(0.4))
+        lines = at_08.summary().splitlines()
+        assert lines[0] == at_one.summary().splitlines()[0]
+        assert lines[1] == ("configured gamma = 0.8 gives delta = 0.4: a bound for data at that budget, "
+                            "not a target for the product state that ran")
+        assert lines[2:] == at_one.summary().splitlines()[1:]
+        assert "(target -1.0000," in lines[2] and "(target -2.0000," in lines[3]
+
     def test_off_grid_t_is_a_config_error(self):
         cfg = base_config(t_final=0.1, dt=2e-3)
         with pytest.raises(ConfigError, match="does not divide"):

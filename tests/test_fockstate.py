@@ -263,7 +263,7 @@ class TestPairApply:
             for j in range(3):
                 if i == j:
                     continue
-                expect += ts.apply_factor(x, i, ts.apply_factor(y, j, psi)).amps
+                expect += ts.apply_slots(x, (i,), ts.apply_slots(y, (j,), psi)).amps
         via_fock = fs.embed(pair_apply(x, y, fs.extract(psi, space)))
         assert np.abs(via_fock.amps - expect).max() <= 1e-12
 

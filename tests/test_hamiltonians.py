@@ -339,7 +339,7 @@ class TestApplyHtilde:
                     (p, q, q, p), (q, p, p, q), (p, p, q, q), (q, q, p, p),
                 ):
                     mat = np.kron(left_i, left_j) @ w2 @ np.kron(right_i, right_j)
-                    acc = acc + (1.0 / (n - 1)) * ts.apply_two_slot(mat, i, j, psi)
+                    acc = acc + (1.0 / (n - 1)) * ts.apply_slots(mat, (i, j), psi)
         out = apply_Htilde(pieces, psi)
         assert (out - acc).norm() <= 1e-12
 
@@ -387,9 +387,9 @@ class TestRemainders:
                     (q, q, q, p), (q, q, p, q), (q, p, q, q), (p, q, q, q),
                 ):
                     mat = np.kron(left_i, left_j) @ z2_nm @ np.kron(right_i, right_j)
-                    acc_c = acc_c + (1.0 / (n - 1)) * ts.apply_two_slot(mat, i, j, psi)
+                    acc_c = acc_c + (1.0 / (n - 1)) * ts.apply_slots(mat, (i, j), psi)
                 mat_q = np.kron(q, q) @ z2 @ np.kron(q, q)
-                acc_q = acc_q + (1.0 / (n - 1)) * ts.apply_two_slot(mat_q, i, j, psi)
+                acc_q = acc_q + (1.0 / (n - 1)) * ts.apply_slots(mat_q, (i, j), psi)
         assert (apply_C(pieces, psi) - acc_c).norm() <= 1e-12
         assert (apply_Q(pieces, psi) - acc_q).norm() <= 1e-12
 

@@ -38,12 +38,12 @@ class TestVbar:
     def test_zero_interaction(self):
         model = make_model(interaction_profile="zero")
         phi = uniform_phi(model)
-        assert np.all(mf.vbar(phi, model.pair, model.cell) == 0.0)
+        assert np.all(mf.condensate_at(phi, 0.0, model).vbar == 0.0)
 
     def test_uniform_density_matches_double_sum_oracle(self):
         model = make_model()
         phi = uniform_phi(model)
-        vb = mf.vbar(phi, model.pair, model.cell)
+        vb = mf.condensate_at(phi, 0.0, model).vbar
         m = model.config.site_count
         w = model.pair
         density = np.abs(phi) ** 2
@@ -61,8 +61,8 @@ class TestVbar:
         phi /= mf.one_body_norm(phi, model.cell)
         shifted = np.roll(phi, 1)
         assert np.allclose(
-            np.roll(mf.vbar(phi, model.pair, model.cell), 1),
-            mf.vbar(shifted, model.pair, model.cell),
+            np.roll(mf.condensate_at(phi, 0.0, model).vbar, 1),
+            mf.condensate_at(shifted, 0.0, model).vbar,
             atol=0.0,
         )
 
@@ -71,13 +71,13 @@ class TestVbar:
         rng = np.random.default_rng(1)
         phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         phi /= mf.one_body_norm(phi, model.cell)
-        assert np.isrealobj(mf.vbar(phi, model.pair, model.cell))
+        assert np.isrealobj(mf.condensate_at(phi, 0.0, model).vbar)
 
 
 class TestMu:
     def test_zero_interaction(self):
         model = make_model(interaction_profile="zero")
-        assert mf.mu(uniform_phi(model), model.pair, model.cell) == 0.0
+        assert mf.condensate_at(uniform_phi(model), 0.0, model).mu == 0.0
 
     def test_nonnegative_for_nonnegative_interaction(self):
         model = make_model()
@@ -85,7 +85,7 @@ class TestMu:
         for _ in range(10):
             phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             phi /= mf.one_body_norm(phi, model.cell)
-            assert mf.mu(phi, model.pair, model.cell) >= 0.0
+            assert mf.condensate_at(phi, 0.0, model).mu >= 0.0
 
     def test_uniform_top_hat_against_double_sum(self):
         model = make_model(interaction_profile="tophat")
@@ -93,7 +93,7 @@ class TestMu:
         density = np.abs(phi) ** 2
         w = model.pair
         oracle = 0.5 * model.cell**2 * float(density @ w @ density)
-        assert mf.mu(phi, model.pair, model.cell) == pytest.approx(oracle, abs=1e-15)
+        assert mf.condensate_at(phi, 0.0, model).mu == pytest.approx(oracle, abs=1e-15)
 
     def test_phase_invariance(self):
         model = make_model()
@@ -102,12 +102,12 @@ class TestMu:
         phi /= mf.one_body_norm(phi, model.cell)
         rotated = np.exp(0.37j) * phi
         # exact up to the roundoff of |e^(i theta) z|^2 itself
-        assert mf.mu(phi, model.pair, model.cell) == pytest.approx(
-            mf.mu(rotated, model.pair, model.cell), rel=1e-14
+        assert mf.condensate_at(phi, 0.0, model).mu == pytest.approx(
+            mf.condensate_at(rotated, 0.0, model).mu, rel=1e-14
         )
         assert np.allclose(
-            mf.vbar(phi, model.pair, model.cell),
-            mf.vbar(rotated, model.pair, model.cell),
+            mf.condensate_at(phi, 0.0, model).vbar,
+            mf.condensate_at(rotated, 0.0, model).vbar,
             rtol=1e-14,
             atol=1e-16,
         )
@@ -126,8 +126,8 @@ class TestHartreeRhs:
         model = make_model()
         phi = uniform_phi(model)
         rhs = generator(phi, 0.0, model)
-        vb = mf.vbar(phi, model.pair, model.cell)
-        m = mf.mu(phi, model.pair, model.cell)
+        cond = mf.condensate_at(phi, 0.0, model)
+        vb, m = cond.vbar, cond.mu
         assert np.allclose(rhs, (vb[0] - m) * phi, atol=1e-14)
 
     def test_norm_conservation_generator(self):
@@ -161,9 +161,8 @@ class TestHartreeRhs:
         dt, steps = model.config.dt, 20
 
         def dense(phi, t):
-            vb = mf.vbar(phi, model.pair, model.cell)
-            shift = mf.mu(phi, model.pair, model.cell)
-            return -1j * (model.h0(t) + np.diag(vb) - shift * np.eye(m)) @ phi
+            cond = mf.condensate_at(phi, t, model)
+            return -1j * (model.h0(t) + np.diag(cond.vbar) - cond.mu * np.eye(m)) @ phi
 
         phis, stages, times = [phi0], [], []
         for k in range(steps):
@@ -362,7 +361,7 @@ class TestTrajectory:
         phi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         phi0 /= mf.one_body_norm(phi0, model.cell)
         traj = mf.hartree_evolve(phi0, 0.0, 0.05, model)
-        assert np.array_equal(traj.mus, [mf.mu(phi, model.pair, model.cell) for phi in traj.phis])
+        assert np.array_equal(traj.mus, [mf.condensate_at(phi, 0.0, model).mu for phi in traj.phis])
         assert np.array_equal(traj.hk, [mf.hk_proxy(phi, model) for phi in traj.phis])
 
     def test_hk_integral_is_the_trapezoid_over_the_stored_window(self):

@@ -349,7 +349,7 @@ class TestFrame:
         m, n = 3, 3
         phi = random_phi(m, rng)
         tmat = rng.standard_normal((m * m, m * m)) + 1j * rng.standard_normal((m * m, m * m))
-        psi = ts.apply_two_slot(tmat, 0, 1, ts.random_symmetric(m, n, CELL, rng))
+        psi = ts.apply_slots(tmat, (0, 1), ts.random_symmetric(m, n, CELL, rng))
         assert psi.asymmetry() > 0.1
         total = 0.0 * psi
         for k in range(n + 1):
@@ -370,7 +370,7 @@ class TestFrame:
             phi = random_phi(3, rng)
             psi = ts.random_symmetric(3, 4, CELL, rng)
             if rep == "tensor-asymmetric":
-                psi = ts.apply_factor(rng.standard_normal((3, 3)), 0, psi)
+                psi = ts.apply_slots(rng.standard_normal((3, 3)), (0,), psi)
             if rep == "fock":
                 psi = fs.extract(psi, fs.FockSpace(fs.enumerate_basis(3, 4), CELL))
         amps, k = psi.to_frame(phi)
@@ -430,7 +430,7 @@ class TestFrame:
                 call(psi, 2.0 * phi)
         if rep == "tensor":
             with pytest.raises(ValueError, match="spectral weights require a symmetric state"):
-                pj.spectral_weights(ts.apply_factor(rng.standard_normal((3, 3)), 0, psi), phi)
+                pj.spectral_weights(ts.apply_slots(rng.standard_normal((3, 3)), (0,), psi), phi)
 
 
 def z2_sector_state(rng):
@@ -551,7 +551,7 @@ class TestExcitations:
         for k in range(1, 5):
             xi = pj.excitation_extract(k, phi, psi)
             for slot in range(k):
-                assert ts.apply_factor(p, slot, xi).norm() <= 1e-12
+                assert ts.apply_slots(p, (slot,), xi).norm() <= 1e-12
 
     @pytest.mark.parametrize("k", [-1, 5])
     def test_order_outside_0_to_n_rejected(self, k):
@@ -652,16 +652,16 @@ class TestShiftIdentity:
         sandwiches = {0: [(p, p)], 1: [(p, q), (q, p)], 2: [(q, q)]}
 
         def project(pair, state):
-            return ts.apply_factor(pair[1], 1, ts.apply_factor(pair[0], 0, state))
+            return ts.apply_slots(pair[1], (1,), ts.apply_slots(pair[0], (0,), state))
 
         for mu, mu_list in sandwiches.items():
             for nu, nu_list in sandwiches.items():
                 for qm in mu_list:
                     for qn in nu_list:
                         right = project(qn, raw)
-                        lhs = project(qm, pj.apply_weight(f, phi, ts.apply_two_slot(tmat, 0, 1, right)))
+                        lhs = project(qm, pj.apply_weight(f, phi, ts.apply_slots(tmat, (0, 1), right)))
                         rhs = project(
-                            qm, ts.apply_two_slot(tmat, 0, 1, pj.apply_weight(f.shifted(mu - nu), phi, right))
+                            qm, ts.apply_slots(tmat, (0, 1), pj.apply_weight(f.shifted(mu - nu), phi, right))
                         )
                         assert (lhs - rhs).norm() <= 1e-10
 

@@ -101,8 +101,8 @@ class TestTensorBlocks:
         rng = np.random.default_rng(5)
         pieces = pieces_at(random_phi(model, rng), 0.0, model)
         states = [ts.random_symmetric(3, 3, model.cell, rng) for _ in range(4)]
-        seen, contract = [], ts._apply_slots
-        monkeypatch.setattr(ts, "_apply_slots",
+        seen, contract = [], ts.apply_slots
+        monkeypatch.setattr(ts, "apply_slots",
                             lambda table, slots, psi: seen.append(len(psi.amps)) or contract(table, slots, psi))
         block(states).pair_sums(pieces, stage_entries([(None, None), (0, None), (None, 0), (1, None)]))
         assert sorted(seen) == sorted([4, 2, 1] * 3)
@@ -112,8 +112,8 @@ class TestTensorBlocks:
         states = [ts.random_symmetric(3, 2, 0.5, rng) for _ in range(3)]
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         x2 = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        for apply, expect in ((lambda psi: ts.apply_factor(x, 1, psi), lambda a: a @ x.T),
-                              (lambda psi: ts.apply_two_slot(x2, 1, 0, psi),
+        for apply, expect in ((lambda psi: ts.apply_slots(x, (1,), psi), lambda a: a @ x.T),
+                              (lambda psi: ts.apply_slots(x2, (1, 0), psi),
                                lambda a: (x2 @ a.T.reshape(9)).reshape(3, 3).T)):
             out = apply(block(states))
             assert out.particles == 2 and out.amps.shape == (3, 3, 3)

@@ -14,7 +14,7 @@ from bosonlab import projections as pj
 from bosonlab import tensorstate as ts
 from bosonlab.cli import main
 from bosonlab.duhamel import correction_error, quadrature_Tnk
-from bosonlab.experiments import build_one_excitation, build_product, default_phi0, fock_space
+from bosonlab.experiments import build_one_excitation, build_product, default_phi0
 from bosonlab.meanfield import hartree_evolve
 from bosonlab.model import ModelConfig, build_model
 from bosonlab.propagation import evolve_aux, evolve_full
@@ -321,6 +321,25 @@ class TestSectorOperators:
         psi.lift(op)
         assert space._invariant[id(op)] is op
 
+    def test_the_identity_cache_keeps_at_most_eight_tables(self):
+        # the ninth read-only table clears the cache before it is kept: an
+        # asymmetric table is still refused, and an evicted one is checked again
+        space = fs.FockSpace(fs.enumerate_basis(4, 3, symmetry=[(3, 2, 1, 0)]), CELL)
+        tables = [np.diag([1.0, 2.0 + i, 2.0 + i, 1.0]) for i in range(9)]
+        for table in tables:
+            table.flags.writeable = False
+            space.require_invariant(table, "table")
+            assert len(space._invariant) <= 8
+        assert len(space._invariant) == 1 and space._invariant[id(tables[-1])] is tables[-1]
+        asymmetric = np.diag([1.0, 2.0, 2.0, 1.0])
+        asymmetric[0, 1] = 5.0
+        asymmetric.flags.writeable = False
+        with pytest.raises(ValueError, match="asymmetry 1.2 "):
+            space.require_invariant(asymmetric, "table")
+        assert id(tables[0]) not in space._invariant
+        space.require_invariant(tables[0], "table")
+        assert space._invariant[id(tables[0])] is tables[0] and len(space._invariant) == 2
+
     def test_plane_wave_hop_is_refused(self):
         model = make_model()
         phi0 = default_phi0(model)
@@ -396,7 +415,8 @@ class TestSectorSpaces:
         model = make_model()
         phi0 = default_phi0(model)
         sector = build_product(model, phi0)
-        site = fs.product_fock(phi0, fock_space(model))
+        basis = fs.enumerate_basis(model.config.site_count, model.config.particles)
+        site = fs.product_fock(phi0, fs.FockSpace(basis, model.cell))
         assert sector.space.sector != site.space.sector
         assert sector.amps.shape != site.amps.shape
         for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a.inner(b)):
@@ -522,7 +542,8 @@ class TestSiteRouteAgreement:
         sector_psi0 = build_product(model, phi0)
         assert len(sector_psi0.space.basis.group) == 8
         sector = evolve_aux(sector_psi0, 0.0, 0.02, traj)
-        site = evolve_aux(fs.product_fock(phi0, fock_space(model)), 0.0, 0.02, traj)
+        basis = fs.enumerate_basis(model.config.site_count, model.config.particles)
+        site = evolve_aux(fs.product_fock(phi0, fs.FockSpace(basis, model.cell)), 0.0, 0.02, traj)
         assert same_state(sector, site, 1e-11)
         phi = traj.phis[-1]
         for got, want in zip(pj.spectral_weights(sector, phi).weights,
@@ -536,7 +557,8 @@ class TestSiteRouteAgreement:
         phi0 = default_phi0(model)
         order = model.config.correction_order
         sector = correction_error(build_product(model, phi0), phi0, order, 0.02, model)
-        site = correction_error(fs.product_fock(phi0, fock_space(model)), phi0, order, 0.02, model)
+        basis = fs.enumerate_basis(model.config.site_count, model.config.particles)
+        site = correction_error(fs.product_fock(phi0, fs.FockSpace(basis, model.cell)), phi0, order, 0.02, model)
         for got, want in zip(sector.errors + sector.correction_norms,
                              site.errors + site.correction_norms):
             relative_match(got, want)
@@ -547,7 +569,8 @@ class TestSiteRouteAgreement:
         model = make_model(particles=8, t_final=0.05)
         phi0 = default_phi0(model)
         sector = evolve_full(build_product(model, phi0), 0.05, model)
-        site = evolve_full(fs.product_fock(phi0, fock_space(model)), 0.05, model)
+        basis = fs.enumerate_basis(model.config.site_count, model.config.particles)
+        site = evolve_full(fs.product_fock(phi0, fs.FockSpace(basis, model.cell)), 0.05, model)
         assert same_state(sector, site, 1e-11)
         # the full generator, pair interaction included, on both routes
         assert same_state(hamiltonians.apply_H(0.05, sector, model), hamiltonians.apply_H(0.05, site, model),

@@ -72,7 +72,7 @@ class TestInner:
 class TestApplyFactor:
     def test_identity(self, model):
         psi = ts.random_symmetric(3, 3, model.cell, np.random.default_rng(3))
-        out = ts.apply_factor(np.eye(3), 1, psi)
+        out = ts.apply_slots(np.eye(3), (1,), psi)
         assert np.allclose(out.amps, psi.amps)
 
     def test_p_then_q_annihilates(self, model):
@@ -80,23 +80,23 @@ class TestApplyFactor:
         phi = random_phi(3, model.cell, rng)
         psi = ts.random_symmetric(3, 3, model.cell, rng)
         p, q = ts.projector_matrices(phi, model.cell)
-        out = ts.apply_factor(q, 0, ts.apply_factor(p, 0, psi))
+        out = ts.apply_slots(q, (0,), ts.apply_slots(p, (0,), psi))
         assert out.norm() <= 1e-13
 
     def test_slot_out_of_range(self, model):
         psi = ts.random_symmetric(3, 3, model.cell, np.random.default_rng(5))
         with pytest.raises(IndexError):
-            ts.apply_factor(np.eye(3), 3, psi)
+            ts.apply_slots(np.eye(3), (3,), psi)
         for i, j in ((1, 1), (0, 3), (-1, 0)):
             with pytest.raises(IndexError):
-                ts.apply_two_slot(np.eye(9), i, j, psi)
+                ts.apply_slots(np.eye(9), (i, j), psi)
 
     def test_laplacian_on_product_state_matches_one_body_oracle(self, model):
         rng = np.random.default_rng(6)
         phi = random_phi(3, model.cell, rng)
         prod = ts.product_state(phi, 3, model.cell)
         lap = model.lap
-        out = ts.apply_factor(lap, 0, prod)
+        out = ts.apply_slots(lap, (0,), prod)
         oracle = ts.product_state(phi, 1, model.cell)
         expect = np.multiply.outer(np.multiply.outer(lap @ phi, phi), phi)
         assert np.allclose(out.amps, expect, atol=1e-13)
